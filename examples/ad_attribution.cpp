@@ -70,8 +70,7 @@ class ConversionSink final : public storm::BoltLogic {
   Status Execute(const storm::Tuple& t, SimTime,
                  const std::function<void(storm::Tuple)>&) override {
     double& total = totals_[t.entity_id];
-    Status st = table_->PutItem(t.entity_id,
-                                std::to_string(total + t.value), 128);
+    Status st = table_->PutItem(t.entity_id, total + t.value, 128);
     if (st.ok()) total += t.value;
     return st;  // Throttled -> re-queued by the cluster (backpressure).
   }

@@ -53,46 +53,44 @@ void Table::RefillTokens(SimTime now) {
   last_refill_ = now;
 }
 
-Status Table::PutItem(int64_t key, std::string value, int32_t size_bytes) {
-  if (size_bytes <= 0) {
-    return Status::InvalidArgument("PutItem: non-positive item size");
-  }
-  SimTime now = sim_->Now();
-  RefillTokens(now);
+Status Table::ChargeWrite(int32_t size_bytes) {
+  RefillTokens(sim_->Now());
   double cost = WcuForSize(size_bytes);
   if (write_tokens_ < cost) {
     ++total_throttled_writes_;
     ++period_throttled_;
-    return Status::Throttled("DynamoDB '" + config_.name +
-                             "': write throughput exceeded");
+    return Status::Throttled("write throttled");
   }
   write_tokens_ -= cost;
   period_consumed_wcu_ += cost;
   ++total_writes_;
-  items_[key] = std::move(value);
   return Status::OK();
 }
 
-Result<std::string> Table::GetItem(int64_t key, int32_t size_bytes) {
+Status Table::PutItem(int64_t key, double value, int32_t size_bytes) {
+  if (size_bytes <= 0) {
+    return Status::InvalidArgument("PutItem: non-positive item size");
+  }
+  FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
+  items_[key] = value;
+  return Status::OK();
+}
+
+Result<double> Table::GetItem(int64_t key, int32_t size_bytes) {
   if (size_bytes <= 0) {
     return Status::InvalidArgument("GetItem: non-positive item size");
   }
-  SimTime now = sim_->Now();
-  RefillTokens(now);
+  RefillTokens(sim_->Now());
   double cost = RcuForSize(size_bytes);
   if (read_tokens_ < cost) {
     ++total_throttled_reads_;
     ++period_throttled_;
-    return Status::Throttled("DynamoDB '" + config_.name +
-                             "': read throughput exceeded");
+    return Status::Throttled("read throttled");
   }
   read_tokens_ -= cost;
   period_consumed_rcu_ += cost;
   auto it = items_.find(key);
-  if (it == items_.end()) {
-    return Status::NotFound("DynamoDB '" + config_.name + "': no item " +
-                            std::to_string(key));
-  }
+  if (it == items_.end()) return Status::NotFound("no such item");
   return it->second;
 }
 
@@ -101,54 +99,15 @@ Result<double> Table::UpdateItemAdd(int64_t key, double delta,
   if (size_bytes <= 0) {
     return Status::InvalidArgument("UpdateItemAdd: non-positive item size");
   }
-  SimTime now = sim_->Now();
-  RefillTokens(now);
-  double cost = WcuForSize(size_bytes);
-  if (write_tokens_ < cost) {
-    ++total_throttled_writes_;
-    ++period_throttled_;
-    return Status::Throttled("DynamoDB '" + config_.name +
-                             "': write throughput exceeded");
-  }
-  double current = 0.0;
-  auto it = items_.find(key);
-  if (it != items_.end()) {
-    try {
-      size_t pos = 0;
-      current = std::stod(it->second, &pos);
-      if (pos != it->second.size()) {
-        return Status::FailedPrecondition(
-            "UpdateItemAdd: existing value is not numeric");
-      }
-    } catch (...) {
-      return Status::FailedPrecondition(
-          "UpdateItemAdd: existing value is not numeric");
-    }
-  }
-  write_tokens_ -= cost;
-  period_consumed_wcu_ += cost;
-  ++total_writes_;
-  double next = current + delta;
-  items_[key] = std::to_string(next);
-  return next;
+  FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
+  return items_[key] += delta;
 }
 
 Status Table::DeleteItem(int64_t key, int32_t size_bytes) {
   if (size_bytes <= 0) {
     return Status::InvalidArgument("DeleteItem: non-positive item size");
   }
-  SimTime now = sim_->Now();
-  RefillTokens(now);
-  double cost = WcuForSize(size_bytes);
-  if (write_tokens_ < cost) {
-    ++total_throttled_writes_;
-    ++period_throttled_;
-    return Status::Throttled("DynamoDB '" + config_.name +
-                             "': write throughput exceeded");
-  }
-  write_tokens_ -= cost;
-  period_consumed_wcu_ += cost;
-  ++total_writes_;
+  FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
   items_.erase(key);
   return Status::OK();
 }

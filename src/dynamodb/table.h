@@ -56,18 +56,18 @@ class Table {
   Table(sim::Simulation* sim, cloudwatch::MetricStore* metrics,
         TableConfig config);
 
-  /// Writes an item. Throttles when write tokens are exhausted.
-  Status PutItem(int64_t key, std::string value, int32_t size_bytes);
+  /// Writes (or overwrites) an item. Throttles when write tokens are
+  /// exhausted.
+  Status PutItem(int64_t key, double value, int32_t size_bytes);
 
   /// Strongly consistent read. Throttles when read tokens are
   /// exhausted; NotFound for missing keys.
-  Result<std::string> GetItem(int64_t key, int32_t size_bytes);
+  Result<double> GetItem(int64_t key, int32_t size_bytes);
 
-  /// Atomic counter update (the UpdateItem ADD pattern): interprets the
-  /// stored value as a number, adds `delta`, and stores it back for one
-  /// write's worth of capacity. Missing items start from 0. Returns the
-  /// new value. Errors: throttled, or the existing value is not
-  /// numeric.
+  /// Atomic counter update (the UpdateItem ADD pattern): adds `delta`
+  /// to the stored value in place for one write's worth of capacity.
+  /// Missing items start from 0. Returns the new value. Errors:
+  /// throttled.
   Result<double> UpdateItemAdd(int64_t key, double delta,
                                int32_t size_bytes);
 
@@ -97,12 +97,15 @@ class Table {
 
  private:
   void RefillTokens(SimTime now);
+  /// Bills one write of `size_bytes` against the write tokens; counts
+  /// and returns Throttled when they are exhausted.
+  Status ChargeWrite(int32_t size_bytes);
   void PublishMetrics();
 
   sim::Simulation* sim_;
   cloudwatch::MetricStore* metrics_;
   TableConfig config_;
-  std::map<int64_t, std::string> items_;
+  std::map<int64_t, double> items_;
 
   double wcu_;
   double rcu_;

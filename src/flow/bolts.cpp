@@ -5,6 +5,9 @@ namespace flower::flow {
 Status WindowCountBolt::Execute(const storm::Tuple& input, SimTime now,
                                 const std::function<void(storm::Tuple)>& emit) {
   counter_.Add(input.entity_id, now, input.value);
+  // Between slide boundaries AdvanceTo has nothing to do: skip building
+  // its emit callback for the tuples that cross no boundary.
+  if (!counter_.BoundaryDue(now)) return Status::OK();
   exec_input_ = &input;
   exec_emit_ = &emit;
   counter_.AdvanceTo(now, [this](int64_t entity, double count, SimTime end) {
@@ -25,8 +28,7 @@ Status WindowCountBolt::Execute(const storm::Tuple& input, SimTime now,
 Status PersistBolt::Execute(const storm::Tuple& input, SimTime /*now*/,
                             const std::function<void(storm::Tuple)>& emit) {
   (void)emit;  // Terminal bolt: nothing downstream.
-  Status st = table_->PutItem(input.entity_id, std::to_string(input.value),
-                              item_bytes_);
+  Status st = table_->PutItem(input.entity_id, input.value, item_bytes_);
   if (st.ok()) ++persisted_;
   return st;
 }

@@ -1,6 +1,7 @@
 #ifndef FLOWER_FLOW_SLIDING_WINDOW_H_
 #define FLOWER_FLOW_SLIDING_WINDOW_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -49,6 +50,15 @@ class SlidingWindowCounter {
 
   /// Processes all slide boundaries up to `t`, emitting aggregates.
   void AdvanceTo(SimTime t, const EmitFn& emit);
+
+  /// True exactly when `AdvanceTo(t)` has a slide boundary to process;
+  /// otherwise AdvanceTo(t) does nothing. Inline, so the per-tuple
+  /// caller can skip AdvanceTo (and building its callback) between
+  /// boundaries.
+  bool BoundaryDue(SimTime t) const {
+    return started_ && static_cast<int64_t>(std::floor(t / slide_sec_)) >=
+                           next_slide_bucket_;
+  }
 
   double window_sec() const { return window_sec_; }
   double slide_sec() const { return slide_sec_; }

@@ -66,7 +66,7 @@ TEST(PersistBoltTest, WritesAggregateToTable) {
   EXPECT_EQ(bolt.persisted(), 1u);
   auto item = table.GetItem(7, 128);
   ASSERT_TRUE(item.ok());
-  EXPECT_DOUBLE_EQ(std::stod(*item), 42.0);
+  EXPECT_DOUBLE_EQ(*item, 42.0);
 }
 
 TEST(PersistBoltTest, PropagatesThrottleForBackpressure) {

@@ -84,7 +84,7 @@ TEST(DataAnalyticsFlowTest, AggregateValuesAreWindowCounts) {
   // Item 0 holds the latest 60 s window count for URL 0: ~6000 clicks.
   auto item = flow->table().GetItem(0, 128);
   ASSERT_TRUE(item.ok());
-  double count = std::stod(*item);
+  double count = *item;
   EXPECT_NEAR(count, 6000.0, 1200.0);
 }
 

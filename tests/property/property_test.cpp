@@ -205,7 +205,7 @@ TEST_P(DynamoAdmissionProperty, RespectsCapacityContract) {
   int64_t key = 0;
   ASSERT_TRUE(sim.SchedulePeriodic(1.0, 1.0, [&] {
     for (int i = 0; i < 1000; ++i) {
-      (void)table.PutItem(key++, "v", 100);  // 1 WCU each.
+      (void)table.PutItem(key++, 1.0, 100);  // 1 WCU each.
     }
     return sim.Now() < kDur;
   }).ok());

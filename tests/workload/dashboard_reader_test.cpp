@@ -15,7 +15,7 @@ dynamodb::TableConfig BigTable(double rcu = 1000.0) {
 
 void Seed(dynamodb::Table* table, int64_t n) {
   for (int64_t k = 0; k < n; ++k) {
-    ASSERT_TRUE(table->PutItem(k, "42", 100).ok());
+    ASSERT_TRUE(table->PutItem(k, 42.0, 100).ok());
   }
 }
 
