@@ -20,9 +20,11 @@
 #include "flow/flow.h"
 #include "control/adaptive_gain.h"
 #include "core/resource_share.h"
+#include "dynamodb/table.h"
 #include "fleet/budget_mailbox.h"
 #include "fleet/fleet_manager.h"
 #include "flow/sliding_window.h"
+#include "kinesis/stream.h"
 #include "obs/metrics_registry.h"
 #include "obs/replay/flight_recorder.h"
 #include "opt/nsga2.h"
@@ -316,11 +318,10 @@ bool PlannerSteadyStateIsAllocationLean() {
 // allocation-free. One full analytics flow (Kinesis -> Storm ->
 // DynamoDB, no metric store) is warmed past a complete timer-wheel
 // rotation (64 s) and a slide-boundary emission, so every ring buffer,
-// tuple queue and wheel bucket holds its high-water capacity; six
-// subsequent cluster ticks — pure spout-pull / tuple-transfer /
-// window-add work, no slide boundary — must then perform zero heap
-// allocations. Boundary ticks (window emission + DynamoDB persist) are
-// deliberately outside the guarantee.
+// tuple queue and pooled wheel bucket holds its high-water capacity;
+// the next 30 simulated seconds — spout-pull / tuple-transfer /
+// window-add ticks plus three slide boundaries (window emission and
+// DynamoDB persist) — must then perform zero heap allocations.
 bool SimSteadyTickIsAllocationFree() {
   sim::Simulation sim;
   flow::FlowConfig cfg = bench::CanonicalFlow();
@@ -346,12 +347,68 @@ bool SimSteadyTickIsAllocationFree() {
   // rotation (8 slots x 10 s); boundary-100's emission lands ~101-102.
   sim.RunUntil(103.0);
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sim.RunUntil(109.0);  // Ticks 104..109; boundary-110 emits ~111.
+  sim.RunUntil(133.0);  // Ticks 104..133, boundaries 110, 120 and 130.
   uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
-  std::printf("sim steady-tick allocation guard: %llu allocations over 6 "
-              "steady-state cluster ticks\n",
+  std::printf("sim steady-tick allocation guard: %llu allocations over 30 "
+              "cluster ticks spanning 3 slide boundaries\n",
               static_cast<unsigned long long>(allocs));
   return allocs == 0;
+}
+
+// Overload must not allocate per rejected request (the throttle paths
+// return short literal statuses). A 1-shard Kinesis stream and a 1-WCU
+// DynamoDB table are each offered ten times their provisioned rate.
+// After a warm-up that sizes the shard buffer, the consumer batch and
+// the table's single item, the measured window — accepted and rejected
+// requests alike — must perform zero heap allocations while each
+// service rejects at least 1e4 requests.
+bool OverloadRejectionsAreAllocationFree() {
+  sim::Simulation sim;
+  kinesis::Stream stream(&sim, nullptr, kinesis::StreamConfig{});
+  dynamodb::TableConfig table_cfg;
+  table_cfg.initial_wcu = 1.0;
+  dynamodb::Table table(&sim, nullptr, table_cfg);
+  std::vector<kinesis::Record> batch;
+  kinesis::Record record;
+  // 100 puts per 10 ms against one shard's 1,000 records/s; the
+  // consumer drains the shard once a second.
+  auto offer_stream = [&](int seconds) {
+    uint64_t rejected = 0;
+    for (int step = 0; step < seconds * 100; ++step) {
+      sim.RunUntil(sim.Now() + 0.01);
+      for (uint64_t key = 0; key < 100; ++key) {
+        record.partition_key = key;
+        if (!stream.PutRecord(record).ok()) ++rejected;
+      }
+      if (step % 100 == 99) {
+        batch.clear();
+        (void)stream.GetRecordsInto(0, 10000, &batch);
+      }
+    }
+    return rejected;
+  };
+  // 10 writes/s of one item against 1 WCU.
+  auto offer_table = [&](int seconds) {
+    uint64_t rejected = 0;
+    for (int step = 0; step < seconds * 10; ++step) {
+      sim.RunUntil(sim.Now() + 0.1);
+      if (!table.PutItem(7, 1.0, 100).ok()) ++rejected;
+    }
+    return rejected;
+  };
+  offer_stream(2);
+  offer_table(10);
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t rejected_puts = offer_stream(2);
+  const uint64_t rejected_writes = offer_table(1200);
+  uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  std::printf("overload allocation guard: %llu allocations over %llu "
+              "rejected puts (1-shard stream) + %llu rejected writes "
+              "(1-WCU table) at 10x the provisioned rate\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(rejected_puts),
+              static_cast<unsigned long long>(rejected_writes));
+  return allocs == 0 && rejected_puts >= 10000 && rejected_writes >= 10000;
 }
 
 // Fourth hard guard: the flight recorder's steady-tick path must be
@@ -506,6 +563,11 @@ int main(int argc, char** argv) {
   if (!flower::SimSteadyTickIsAllocationFree()) {
     std::fprintf(stderr,
                  "FAIL: steady-state simulation tick allocated\n");
+    return 1;
+  }
+  if (!flower::OverloadRejectionsAreAllocationFree()) {
+    std::fprintf(stderr,
+                 "FAIL: throttled Kinesis/DynamoDB requests allocated\n");
     return 1;
   }
   if (!flower::FlightRecorderHotPathIsAllocationFree()) {

@@ -43,7 +43,7 @@ struct TableConfig {
 /// changes (Flower's storage actuator) apply after a provisioning
 /// delay, and decreases can be limited per day as on the 2017 service.
 ///
-/// The table actually stores items (key → value string) so integration
+/// The table actually stores items (key → numeric value) so integration
 /// tests can verify end-to-end flow correctness, not just throughput
 /// accounting.
 ///

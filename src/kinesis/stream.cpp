@@ -58,9 +58,9 @@ Status Stream::PutRecord(const Record& record) {
       shard.byte_tokens < static_cast<double>(record.size_bytes)) {
     ++total_throttled_;
     ++period_throttled_;
-    return Status::Throttled("Kinesis '" + config_.name +
-                             "': ProvisionedThroughputExceeded on shard " +
-                             std::to_string(idx));
+    // A literal that fits std::string's inline buffer: rejecting a put
+    // allocates nothing, however deep the overload.
+    return Status::Throttled("put throttled");
   }
   shard.record_tokens -= 1.0;
   shard.byte_tokens -= static_cast<double>(record.size_bytes);
@@ -90,9 +90,7 @@ Status Stream::GetRecordsInto(int shard_index, size_t max_records,
   RefillTokens(&shard, sim_->Now());
   if (shard.read_call_tokens < 1.0) {
     ++total_read_throttles_;
-    return Status::Throttled("Kinesis '" + config_.name +
-                             "': GetRecords call rate exceeded on shard " +
-                             std::to_string(shard_index));
+    return Status::Throttled("get throttled");
   }
   shard.read_call_tokens -= 1.0;
   size_t n = std::min(max_records, shard.buffer.size());

@@ -6,6 +6,9 @@
 namespace flower::sim {
 
 Status RefCalendar::ScheduleAt(SimTime at, Callback cb) {
+  if (!std::isfinite(at)) {
+    return Status::InvalidArgument("ScheduleAt: time is not finite");
+  }
   if (at < now_) {
     return Status::InvalidArgument("ScheduleAt: time is in the past");
   }
@@ -15,6 +18,10 @@ Status RefCalendar::ScheduleAt(SimTime at, Callback cb) {
 
 Status RefCalendar::SchedulePeriodic(SimTime start, SimTime period,
                                      std::function<bool()> cb) {
+  if (!std::isfinite(start) || !std::isfinite(period)) {
+    return Status::InvalidArgument(
+        "SchedulePeriodic: start and period must be finite");
+  }
   if (period <= 0) {
     return Status::InvalidArgument("SchedulePeriodic: period must be > 0");
   }
@@ -48,7 +55,7 @@ bool RefCalendar::Step() {
 }
 
 void RefCalendar::RunUntil(SimTime end) {
-  if (end < now_) return;
+  if (!(end >= now_)) return;  // Past horizon or NaN.
   while (!queue_.empty() && queue_.top().time <= end) {
     Step();
   }

@@ -1,6 +1,7 @@
 #ifndef FLOWER_SIM_REF_CALENDAR_H_
 #define FLOWER_SIM_REF_CALENDAR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -34,6 +35,9 @@ class RefCalendar {
   Status ScheduleAt(SimTime at, Callback cb);
 
   Status ScheduleAfter(SimTime delay, Callback cb) {
+    if (!std::isfinite(delay)) {
+      return Status::InvalidArgument("ScheduleAfter: delay is not finite");
+    }
     if (delay < 0) return Status::InvalidArgument("negative delay");
     return ScheduleAt(now_ + delay, std::move(cb));
   }

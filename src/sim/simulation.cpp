@@ -1,12 +1,13 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <utility>
 
 namespace flower::sim {
 
-Simulation::Simulation() : wheel_(kWheelSize) {}
+Simulation::Simulation() { slot_.fill(kNoSlot); }
 
 void Simulation::SetTelemetry(obs::Telemetry* telemetry) {
   if (telemetry == nullptr) {
@@ -26,6 +27,9 @@ void Simulation::SetTelemetry(obs::Telemetry* telemetry) {
 }
 
 Status Simulation::ScheduleAt(SimTime at, Callback cb) {
+  if (!std::isfinite(at)) {
+    return Status::InvalidArgument("ScheduleAt: time is not finite");
+  }
   if (at < now_) {
     return Status::InvalidArgument("ScheduleAt: time is in the past");
   }
@@ -41,8 +45,7 @@ Status Simulation::ScheduleAt(SimTime at, Callback cb) {
                                active_.end(), ev, EventBefore);
     active_.insert(it, std::move(ev));
   } else if (tick < cursor_tick_ + static_cast<int64_t>(kWheelSize)) {
-    wheel_[static_cast<size_t>(tick) & kWheelMask].push_back(std::move(ev));
-    ++wheel_count_;
+    PushToBucket(tick, std::move(ev));
   } else {
     overflow_.push(std::move(ev));
   }
@@ -51,6 +54,10 @@ Status Simulation::ScheduleAt(SimTime at, Callback cb) {
 
 Status Simulation::SchedulePeriodic(SimTime start, SimTime period,
                                     std::function<bool()> cb) {
+  if (!std::isfinite(start) || !std::isfinite(period)) {
+    return Status::InvalidArgument(
+        "SchedulePeriodic: start and period must be finite");
+  }
   if (period <= 0) {
     return Status::InvalidArgument("SchedulePeriodic: period must be > 0");
   }
@@ -89,6 +96,41 @@ void Simulation::RunPeriodic(size_t id) {
   }
 }
 
+void Simulation::PushToBucket(int64_t tick, Event&& ev) {
+  const size_t bucket = static_cast<size_t>(tick) & kWheelMask;
+  uint16_t& slot = slot_[bucket];
+  if (slot == kNoSlot) {
+    if (free_slots_.empty()) {
+      slot = static_cast<uint16_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    occupied_[bucket >> 6] |= uint64_t{1} << (bucket & 63);
+  }
+  pool_[slot].push_back(std::move(ev));
+  ++wheel_count_;
+}
+
+int64_t Simulation::NextOccupiedTick() const {
+  // Start at the cursor's own (empty) bucket and wrap once around the
+  // wheel: 65 word reads cover the bits below the cursor in its word.
+  const size_t from = static_cast<size_t>(cursor_tick_) & kWheelMask;
+  size_t word = from >> 6;
+  uint64_t bits = occupied_[word] & (~uint64_t{0} << (from & 63));
+  for (size_t i = 0; i <= kWheelWords; ++i) {
+    if (bits != 0) {
+      const size_t bucket =
+          (word << 6) | static_cast<size_t>(std::countr_zero(bits));
+      return cursor_tick_ + static_cast<int64_t>((bucket - from) & kWheelMask);
+    }
+    word = (word + 1) % kWheelWords;
+    bits = occupied_[word];
+  }
+  return kMaxTick;  // Unreachable while wheel_count_ > 0.
+}
+
 void Simulation::PullOverflow() {
   const int64_t horizon = cursor_tick_ + static_cast<int64_t>(kWheelSize);
   while (!overflow_.empty() && TickOf(overflow_.top().time) < horizon) {
@@ -96,9 +138,8 @@ void Simulation::PullOverflow() {
     // safe because the comparator reads time/seq, never the callback.
     Event& top = const_cast<Event&>(overflow_.top());
     const int64_t tick = TickOf(top.time);
-    wheel_[static_cast<size_t>(tick) & kWheelMask].push_back(std::move(top));
+    PushToBucket(tick, std::move(top));
     overflow_.pop();
-    ++wheel_count_;
   }
 }
 
@@ -107,52 +148,22 @@ Simulation::Event* Simulation::PeekNextUpTo(int64_t limit_tick) {
     if (active_valid_) {
       if (active_pos_ < active_.size()) return &active_[active_pos_];
       // Bucket exhausted. Retire it; the cursor may then advance. New
-      // events for this tick will land in the (now empty) wheel bucket
+      // events for this tick will land in its (unmarked) wheel bucket
       // and re-activate it.
       active_.clear();
       active_pos_ = 0;
       active_valid_ = false;
-      // Hand the storage back to the tick's home bucket (empty while
-      // active: same-tick schedules went into active_, and overflow
-      // never pulls into the active tick). Without this, capacities
-      // would permute around the wheel — each activation swap leaves
-      // the bucket with the *previous* bucket's buffer — and ticks
-      // with above-average load would keep reallocating for many
-      // rotations. Returning the buffer home makes a warmed-up wheel
-      // allocation-free per bucket.
-      {
-        std::vector<Event>& home =
-            wheel_[static_cast<size_t>(cursor_tick_) & kWheelMask];
-        if (home.empty()) home.swap(active_);
-      }
-      if (cursor_tick_ >= limit_tick) return nullptr;
-      ++cursor_tick_;
-      PullOverflow();
-      continue;
     }
-    if (wheel_count_ == 0) {
-      // Nothing inside the horizon: jump straight to the next overflow
-      // event (or the limit, whichever is earlier).
-      if (overflow_.empty()) {
-        cursor_tick_ = std::max(cursor_tick_, limit_tick);
-        return nullptr;
-      }
-      const int64_t next_tick = TickOf(overflow_.top().time);
-      if (next_tick > limit_tick) {
-        cursor_tick_ = std::max(cursor_tick_, limit_tick);
-        return nullptr;
-      }
-      cursor_tick_ = std::max(cursor_tick_, next_tick);
-      PullOverflow();
-      continue;
-    }
-    std::vector<Event>& bucket =
-        wheel_[static_cast<size_t>(cursor_tick_) & kWheelMask];
-    if (!bucket.empty()) {
-      // Activate: sort once per bucket. Swapping recycles capacity
-      // between the bucket and the active slot, so a warmed-up wheel
-      // schedules and activates without allocating.
-      std::swap(active_, bucket);
+    const size_t bucket = static_cast<size_t>(cursor_tick_) & kWheelMask;
+    const uint16_t slot = slot_[bucket];
+    if (slot != kNoSlot) {
+      // Activate: sort once per bucket. The swap hands the empty active_
+      // buffer back to the pool, so a warmed-up wheel schedules and
+      // activates without allocating.
+      active_.swap(pool_[slot]);
+      slot_[bucket] = kNoSlot;
+      occupied_[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
+      free_slots_.push_back(slot);
       wheel_count_ -= active_.size();
       if (!std::is_sorted(active_.begin(), active_.end(), EventBefore)) {
         std::sort(active_.begin(), active_.end(), EventBefore);
@@ -161,8 +172,27 @@ Simulation::Event* Simulation::PeekNextUpTo(int64_t limit_tick) {
       active_valid_ = true;
       continue;
     }
-    if (cursor_tick_ >= limit_tick) return nullptr;
-    ++cursor_tick_;
+    // The cursor's bucket is empty: jump straight to the next occupied
+    // bucket or, with an empty wheel, to the next overflow event — never
+    // past the limit. The jump skips no overflow event: every one lies
+    // at least kWheelSize ticks past the cursor, beyond any occupied
+    // bucket.
+    int64_t next_tick = limit_tick + 1;  // Nothing pending: park.
+    if (wheel_count_ > 0) {
+      next_tick = NextOccupiedTick();
+    } else if (!overflow_.empty()) {
+      next_tick = TickOf(overflow_.top().time);
+    }
+    if (next_tick > limit_tick) {
+      if (cursor_tick_ < limit_tick) {
+        // Parking moves the horizon too: pull what entered it, or a
+        // later jump could pass it.
+        cursor_tick_ = limit_tick;
+        PullOverflow();
+      }
+      return nullptr;
+    }
+    cursor_tick_ = next_tick;
     PullOverflow();
   }
 }
@@ -197,7 +227,8 @@ bool Simulation::Step() {
 }
 
 void Simulation::RunUntil(SimTime end) {
-  if (end < now_) return;  // Past horizon: nothing to run, clock keeps.
+  // Past horizon (or NaN): nothing to run, clock keeps.
+  if (!(end >= now_)) return;
   const int64_t end_tick = TickOf(end);
   for (;;) {
     Event* ev = PeekNextUpTo(end_tick);

@@ -5,8 +5,15 @@
 // same-instant FIFO bursts, periodics landing exactly on RunUntil
 // boundaries, in-callback reschedules (including zero-delay chains),
 // far-future events beyond the 64 s wheel horizon, Step interleaves,
-// and RunUntil calls in the past.
+// and RunUntil calls in the past. The later cases target the cursor's
+// jump over empty buckets (driven by the occupancy bitmap) and the
+// pooled bucket storage: coarse cadences with long gaps, jumps that
+// wrap past the last bucket, overflow events entering the horizon
+// during a jump, a cursor parked between occupied buckets, and a
+// rotation with every bucket occupied at once.
 
+#include <algorithm>
+#include <limits>
 #include <random>
 #include <utility>
 #include <vector>
@@ -228,6 +235,276 @@ TEST(CalendarPropertyTest, StepDrainsInReferenceOrder) {
   Simulation wheel;
   RefCalendar heap;
   EXPECT_EQ(drive(wheel), drive(heap));
+}
+
+// Tick arithmetic for the cases below: the wheel has 64 ticks per
+// second and 4096 buckets, so bucket b of rotation r starts at
+// (4096 * r + b) / 64 seconds.
+constexpr double kTick = 1.0 / 64.0;
+
+TEST(CalendarPropertyTest, CoarsePeriodicsWithLongGapsMatchReference) {
+  // 5 s, 60 s and 900 s cadences leave thousands of empty buckets
+  // between firings and put the 900 s task in the overflow heap;
+  // boundaries land on firings, between them, and far past both.
+  auto drive = [](auto& eng) {
+    Log log;
+    int id = 0;
+    for (double period : {5.0, 60.0, 900.0}) {
+      const int me = id++;
+      (void)eng.SchedulePeriodic(period, period, [&log, &eng, me] {
+        log.emplace_back(me, eng.Now());
+        return true;
+      });
+    }
+    (void)eng.SchedulePeriodic(0.0, 900.0, [&log, &eng] {
+      log.emplace_back(10, eng.Now());
+      // A one-shot deep inside the next gap.
+      (void)eng.ScheduleAfter(451.3, [&log, &eng] {
+        log.emplace_back(11, eng.Now());
+      });
+      return true;
+    });
+    for (double end : {60.0, 61.0, 899.99, 900.0, 1800.0, 1802.5, 3600.0}) {
+      eng.RunUntil(end);
+      log.emplace_back(-1, eng.Now());
+    }
+    log.emplace_back(-2, static_cast<double>(eng.events_executed()));
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  EXPECT_EQ(drive(wheel), drive(heap));
+}
+
+TEST(CalendarPropertyTest, JumpWrappingPastLastBucketMatchesReference) {
+  auto drive = [](auto& eng) {
+    Log log;
+    auto at = [&log, &eng](int id, double t) {
+      (void)eng.ScheduleAt(t, [&log, &eng, id] {
+        log.emplace_back(id, eng.Now());
+      });
+    };
+    // From bucket 4000 the next occupied bucket is 64 of the next
+    // rotation.
+    (void)eng.ScheduleAt(4000 * kTick, [&] {
+      log.emplace_back(1, eng.Now());
+      at(2, (4096 + 64) * kTick);
+    });
+    eng.RunUntil(70.0);
+    log.emplace_back(-1, eng.Now());
+    // From bucket 4090 the only occupied bucket is 4084 of the next
+    // rotation: below the cursor in the same bitmap word, so the scan
+    // wraps all the way round to the word it started in.
+    (void)eng.ScheduleAt((4096 + 4090) * kTick, [&] {
+      log.emplace_back(3, eng.Now());
+      at(4, (8192 + 4084) * kTick);
+      at(5, (8192 + 4084) * kTick + kTick / 4);
+    });
+    eng.RunUntil(300.0);
+    log.emplace_back(-1, eng.Now());
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  Log log = drive(wheel);
+  EXPECT_EQ(log.size(), 7u);
+  EXPECT_EQ(log, drive(heap));
+}
+
+TEST(CalendarPropertyTest, OverflowEnteringHorizonDuringJumpMatchesReference) {
+  // The jump from 10 s to 60 s moves the horizon past 73-74 s, pulling
+  // those overflow events into buckets the cursor has not yet reached;
+  // callbacks then schedule around them, including at the same instant.
+  auto drive = [](auto& eng) {
+    Log log;
+    auto fire = [&log, &eng](int id) { log.emplace_back(id, eng.Now()); };
+    (void)eng.ScheduleAt(10.0, [&] { fire(1); });
+    (void)eng.ScheduleAt(73.0, [&] { fire(2); });  // Overflow.
+    (void)eng.ScheduleAt(74.0, [&] { fire(3); });  // Overflow.
+    (void)eng.ScheduleAt(130.0, [&] { fire(4); });  // Still overflow at 60 s.
+    (void)eng.ScheduleAt(60.0, [&] {
+      fire(5);
+      (void)eng.ScheduleAt(73.0, [&] { fire(6); });  // Same instant, later.
+      (void)eng.ScheduleAt(72.99, [&] { fire(7); });
+      (void)eng.ScheduleAt(124.5, [&] { fire(8); });  // Overflow again.
+    });
+    eng.RunUntil(59.0);  // Parks between 10 s and 60 s.
+    eng.RunUntil(73.0);
+    log.emplace_back(-1, eng.Now());
+    eng.RunUntil(1000.0);
+    log.emplace_back(-1, eng.Now());
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  EXPECT_EQ(drive(wheel), drive(heap));
+}
+
+TEST(CalendarPropertyTest, OverflowEnteringHorizonWhileParkedMatchesReference) {
+  // Parking the cursor at a RunUntil limit moves the horizon too: the
+  // 70 s overflow event enters it when the cursor parks at 10 s, so the
+  // later jump towards the freshly scheduled 72 s event must not pass it.
+  auto drive = [](auto& eng) {
+    Log log;
+    auto fire = [&log, &eng](int id) { log.emplace_back(id, eng.Now()); };
+    (void)eng.ScheduleAt(1.0, [&] { fire(1); });
+    (void)eng.ScheduleAt(70.0, [&] { fire(2); });  // Overflow.
+    eng.RunUntil(10.0);  // The wheel empties; the cursor parks.
+    (void)eng.ScheduleAt(72.0, [&] { fire(3); });
+    eng.RunUntil(100.0);
+    log.emplace_back(-1, eng.Now());
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  EXPECT_EQ(drive(wheel), drive(heap));
+}
+
+TEST(CalendarPropertyTest, ParkedCursorThenSameTickScheduleMatchesReference) {
+  // RunUntil(5.0) parks the cursor on tick 320, between the occupied
+  // buckets of 1 s and 10 s. Events then scheduled on that very tick
+  // (at and just after the boundary) must run before the 10 s event.
+  auto drive = [](auto& eng) {
+    Log log;
+    auto fire = [&log, &eng](int id) { log.emplace_back(id, eng.Now()); };
+    (void)eng.ScheduleAt(1.0, [&] { fire(1); });
+    (void)eng.ScheduleAt(10.0, [&] { fire(2); });
+    eng.RunUntil(5.0);
+    (void)eng.ScheduleAt(5.0 + kTick / 2, [&] { fire(3); });
+    (void)eng.ScheduleAt(5.0, [&] { fire(4); });
+    (void)eng.ScheduleAt(5.0, [&] {
+      fire(5);
+      (void)eng.ScheduleAfter(0.0, [&] { fire(6); });
+    });
+    eng.RunUntil(5.0);  // Runs the boundary events only.
+    log.emplace_back(-1, eng.Now());
+    eng.RunUntil(20.0);
+    log.emplace_back(-1, eng.Now());
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  EXPECT_EQ(drive(wheel), drive(heap));
+}
+
+TEST(CalendarPropertyTest, StepFromParkedCursorMatchesReference) {
+  auto drive = [](auto& eng) {
+    Log log;
+    auto fire = [&log, &eng](int id) { log.emplace_back(id, eng.Now()); };
+    (void)eng.ScheduleAt(1.0, [&] { fire(1); });
+    (void)eng.ScheduleAt(40.0, [&] { fire(2); });
+    (void)eng.ScheduleAt(300.0, [&] { fire(3); });  // Overflow.
+    eng.RunUntil(7.0);  // Parks between 1 s and 40 s.
+    EXPECT_TRUE(eng.Step());  // Jumps to 40 s.
+    log.emplace_back(-1, eng.Now());
+    eng.RunUntil(100.0);  // Parks with only the overflow event left.
+    EXPECT_TRUE(eng.Step());  // Jumps to 300 s.
+    log.emplace_back(-1, eng.Now());
+    EXPECT_FALSE(eng.Step());
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  EXPECT_EQ(drive(wheel), drive(heap));
+}
+
+TEST(CalendarPropertyTest, EveryBucketOccupiedMatchesReference) {
+  // One event in each of the 4096 buckets at once (the pool's maximum),
+  // scheduled in shuffled order, each rescheduling itself one rotation
+  // later so the full wheel is rebuilt from recycled buffers.
+  auto drive = [](auto& eng) {
+    Log log;
+    std::vector<int> ticks(4096);
+    for (int i = 0; i < 4096; ++i) ticks[static_cast<size_t>(i)] = i;
+    std::shuffle(ticks.begin(), ticks.end(), std::mt19937_64(7));
+    for (int tick : ticks) {
+      (void)eng.ScheduleAt((tick + 0.5) * kTick, [&log, &eng, tick] {
+        log.emplace_back(tick, eng.Now());
+        (void)eng.ScheduleAfter(4096 * kTick, [&log, &eng, tick] {
+          log.emplace_back(10000 + tick, eng.Now());
+        });
+      });
+    }
+    log.emplace_back(-1, static_cast<double>(eng.pending_events()));
+    eng.RunUntil(100.0);
+    log.emplace_back(-1, static_cast<double>(eng.pending_events()));
+    eng.RunUntil(200.0);
+    log.emplace_back(-1, static_cast<double>(eng.events_executed()));
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  Log a = drive(wheel);
+  Log b = drive(heap);
+  EXPECT_EQ(a.size(), 2u * 4096u + 3u);
+  EXPECT_EQ(a, b);
+}
+
+TEST(CalendarPropertyTest, SparseRandomizedSchedulesMatchReference) {
+  // Few events spread over long horizons with delays that straddle tick
+  // and horizon edges, random RunUntil limits and Step interleaves: the
+  // cursor mostly jumps rather than walks.
+  auto drive = [](auto& eng, uint64_t seed) {
+    Log log;
+    std::mt19937_64 rng(seed);
+    int next_id = 0;
+    int budget = 400;
+    const double delays[] = {0.0,  kTick / 3, kTick,  1.0,    63.99,
+                             64.0, 64.01,     127.5, 900.0, 3600.0};
+    std::function<void(double)> at = [&](double t) {
+      const int id = next_id++;
+      (void)eng.ScheduleAt(t, [&, id] {
+        log.emplace_back(id, eng.Now());
+        if (budget-- <= 0) return;
+        at(eng.Now() + delays[rng() % 10]);
+        if (rng() % 4 == 0) at(eng.Now() + delays[rng() % 10]);
+      });
+    };
+    for (int i = 0; i < 12; ++i) {
+      at(static_cast<double>(rng() % 20000) * 0.37);
+    }
+    double end = 0.0;
+    for (int round = 0; round < 40; ++round) {
+      end += static_cast<double>(rng() % 5000) * 0.11;
+      eng.RunUntil(end);
+      if (rng() % 3 == 0) eng.Step();
+      log.emplace_back(-1, eng.Now());
+    }
+    while (eng.Step()) {
+    }
+    log.emplace_back(-2, static_cast<double>(eng.events_executed()));
+    return log;
+  };
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Simulation wheel;
+    RefCalendar heap;
+    ASSERT_EQ(drive(wheel, seed), drive(heap, seed)) << "seed " << seed;
+  }
+}
+
+TEST(CalendarPropertyTest, NonFiniteTimesRejectedLikeReference) {
+  auto drive = [](auto& eng) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<bool> ok = {
+        eng.ScheduleAt(nan, [] {}).ok(),
+        eng.ScheduleAt(inf, [] {}).ok(),
+        eng.ScheduleAfter(nan, [] {}).ok(),
+        eng.ScheduleAfter(-inf, [] {}).ok(),
+        eng.SchedulePeriodic(nan, 1.0, [] { return true; }).ok(),
+        eng.SchedulePeriodic(1.0, nan, [] { return true; }).ok(),
+        eng.SchedulePeriodic(1.0, inf, [] { return true; }).ok(),
+    };
+    eng.RunUntil(nan);
+    ok.push_back(eng.Now() == 0.0 && eng.pending_events() == 0);
+    return ok;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  std::vector<bool> expected(7, false);
+  expected.push_back(true);
+  EXPECT_EQ(drive(wheel), expected);
+  EXPECT_EQ(drive(heap), expected);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -88,6 +89,60 @@ TEST(SimulationTest, PeriodicValidatesArguments) {
   Simulation sim;
   EXPECT_FALSE(sim.SchedulePeriodic(0.0, 0.0, [] { return true; }).ok());
   EXPECT_FALSE(sim.SchedulePeriodic(0.0, -5.0, [] { return true; }).ok());
+}
+
+// NaN compares false against every bound, so the `< now` / `< 0` /
+// `<= 0` checks alone would let it reach the tick computation's
+// float-to-integer cast (undefined behaviour) and run an event with
+// Now() == NaN. Infinities are rejected too.
+TEST(SimulationTest, ScheduleAtRejectsNonFiniteTime) {
+  Simulation sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sim.ScheduleAt(nan, [] {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.ScheduleAt(inf, [] {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulationTest, ScheduleAfterRejectsNonFiniteDelay) {
+  Simulation sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sim.ScheduleAfter(nan, [] {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.ScheduleAfter(inf, [] {}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulationTest, SchedulePeriodicRejectsNonFiniteStart) {
+  Simulation sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(sim.SchedulePeriodic(nan, 1.0, [] { return true; }).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulationTest, SchedulePeriodicRejectsNonFinitePeriod) {
+  Simulation sim;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(sim.SchedulePeriodic(1.0, nan, [] { return true; }).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.SchedulePeriodic(1.0, inf, [] { return true; }).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulationTest, RunUntilNanIsNoOp) {
+  Simulation sim;
+  int fired = 0;
+  ASSERT_TRUE(sim.ScheduleAt(1.0, [&] { ++fired; }).ok());
+  sim.RunUntil(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.Now(), 0.0);
+  sim.RunUntil(1.0);
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(SimulationTest, StepExecutesOneEvent) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Configure a sanitizer build (ASan + UBSan, fail on first report) and
+# Configure a sanitizer build (ASan + UBSan, including gcc's separately
+# named float-cast-overflow check; fail on first report) and
 # run the fault-injection / resilience, flow-health and simulation-core
 # test labels under it. The fault/health tests exercise the
 # retry/circuit-breaker callback paths and the health layer's threaded
