@@ -251,7 +251,8 @@ ManagedRun RunManagedFlow(double sim_seconds, bool spans_enabled,
     obs::WriteDecisionCsv(csv, telemetry.decisions().Snapshot());
     out.decisions_csv = csv.str();
     std::ostringstream spans;
-    obs::WriteSpansChromeTrace(spans, telemetry.spans(), &telemetry.trace());
+    obs::WriteChromeTrace(spans, telemetry.spans(),
+                          telemetry.decisions().Snapshot());
     out.spans_json = spans.str();
   }
   return out;

@@ -51,24 +51,14 @@ Status ValidateResilience(const ResiliencePolicy& p) {
 }  // namespace
 
 ElasticityManager::ElasticityManager(sim::Simulation* sim,
-                                     const cloudwatch::MetricStore* metrics)
+                                     const cloudwatch::MetricStore* metrics,
+                                     obs::Telemetry* telemetry)
     : sim_(sim),
       metrics_(metrics),
-      owned_telemetry_(std::make_unique<obs::Telemetry>()),
-      telemetry_(owned_telemetry_.get()),
-      next_trace_tid_(obs::kFirstLoopTid) {}
-
-Status ElasticityManager::SetTelemetry(obs::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
-    return Status::InvalidArgument("ElasticityManager: null telemetry");
-  }
-  if (!loops_.empty()) {
-    return Status::FailedPrecondition(
-        "ElasticityManager: SetTelemetry must precede Attach");
-  }
-  telemetry_ = telemetry;
-  return Status::OK();
-}
+      owned_telemetry_(telemetry == nullptr
+                           ? std::make_unique<obs::Telemetry>()
+                           : nullptr),
+      telemetry_(telemetry == nullptr ? owned_telemetry_.get() : telemetry) {}
 
 Status ElasticityManager::SetTraceScope(const std::string& scope) {
   if (scope.empty()) {
@@ -78,7 +68,7 @@ Status ElasticityManager::SetTraceScope(const std::string& scope) {
     return Status::FailedPrecondition(
         "ElasticityManager: SetTraceScope must precede Attach");
   }
-  trace_pid_ = telemetry_->trace().RegisterScope(scope);
+  trace_pid_ = telemetry_->spans().RegisterScope(scope);
   return Status::OK();
 }
 
@@ -155,7 +145,7 @@ Status ElasticityManager::Attach(LayerControlConfig config) {
   attached->gauge_gain = m.GetGauge("loop.gain", labels);
   attached->breach_steps = m.GetCounter("loop.breach_steps", labels);
   attached->trace_tid = next_trace_tid_++;
-  telemetry_->trace().SetTrackName(trace_pid_, attached->trace_tid,
+  telemetry_->spans().SetTrackName(trace_pid_, attached->trace_tid,
                                    "loop:" + attached->config.name);
   attached->config.controller->set_observer(&attached->observer);
 
@@ -229,15 +219,12 @@ void ElasticityManager::Step(Attached* a) {
                      now - a->last_good_time <= sp.max_hold_sec);
     if (!can_hold) {
       a->state.counters.sensor_misses->Increment();
-      obs::TraceEvent miss_args;
-      miss_args.pid = trace_pid_;
-      telemetry_->trace().AddInstant("sensor-miss", "control", now,
-                                     a->trace_tid, std::move(miss_args));
       // No measurement, so the decide span has no sense parent; it
-      // still links to the plan whose bounds were in force.
+      // still links to the plan whose bounds were in force. Nothing was
+      // applied, so its value is NaN like the record's clamped_u.
       a->current_decide_span = spans.Emit(
           obs::SpanKind::kDecide, cfg.name, now, 0.0, trace_pid_,
-          a->trace_tid, /*parent=*/0, last_plan_span_, /*value=*/0.0,
+          a->trace_tid, /*parent=*/0, last_plan_span_, /*value=*/kNaN,
           static_cast<uint8_t>(obs::StepOutcome::kSensorMiss));
       RecordDecision(a, now, kNaN, /*stale=*/false, kNaN,
                      obs::StepOutcome::kSensorMiss);
@@ -348,36 +335,9 @@ void ElasticityManager::RecordDecision(Attached* a, SimTime now,
     annotated_observer_->OnControlStep(annotated);
   }
 
-  // Schematic span: control steps are instantaneous in sim time, drawn
-  // at 2% of the period so they are visible at any zoom in Perfetto.
-  double dur = std::max(cfg.monitoring_period_sec * 0.02, 1e-3);
-  obs::TraceEvent args;
-  args.pid = trace_pid_;
-  args.num_args = {{"y", rec.sensed_y},
-                   {"y_r", rec.reference},
-                   {"error", rec.error},
-                   {"gain", rec.gain},
-                   {"u", rec.clamped_u},
-                   {"span_id", static_cast<double>(rec.span_id)}};
-  args.str_args = {{"outcome", obs::StepOutcomeToString(outcome)},
-                   {"law", rec.law}};
-  telemetry_->trace().AddSpan("step", "control", now, dur, a->trace_tid,
-                              std::move(args));
-  if (!std::isnan(sensed_y)) {
-    telemetry_->trace().AddCounter(cfg.name + ".y", now, a->trace_tid,
-                                   sensed_y, trace_pid_);
-    a->gauge_y->Set(sensed_y);
-  }
-  if (!std::isnan(clamped_u)) {
-    telemetry_->trace().AddCounter(cfg.name + ".u", now, a->trace_tid,
-                                   clamped_u, trace_pid_);
-    a->gauge_u->Set(clamped_u);
-  }
-  if (!std::isnan(rec.gain)) {
-    telemetry_->trace().AddCounter(cfg.name + ".gain", now, a->trace_tid,
-                                   rec.gain, trace_pid_);
-    a->gauge_gain->Set(rec.gain);
-  }
+  if (!std::isnan(sensed_y)) a->gauge_y->Set(sensed_y);
+  if (!std::isnan(clamped_u)) a->gauge_u->Set(clamped_u);
+  if (!std::isnan(rec.gain)) a->gauge_gain->Set(rec.gain);
 }
 
 bool ElasticityManager::Actuate(Attached* a, double amount, int attempt) {
@@ -406,10 +366,6 @@ bool ElasticityManager::Actuate(Attached* a, double amount, int attempt) {
   ++a->consecutive_failures;
   FLOWER_LOG(Warning) << "actuation failed for loop '" << cfg.name
                       << "' (attempt " << attempt + 1 << "): " << st;
-  obs::TraceEvent fail_args;
-  fail_args.pid = trace_pid_;
-  telemetry_->trace().AddInstant("actuation-failed", "control", sim_->Now(),
-                                 a->trace_tid, std::move(fail_args));
 
   const CircuitBreakerPolicy& cb = cfg.resilience.breaker;
   if (cb.failure_threshold > 0 &&
@@ -419,11 +375,10 @@ bool ElasticityManager::Actuate(Attached* a, double amount, int attempt) {
     a->state.breaker_open = true;
     a->breaker_reopen_time = sim_->Now() + cb.cooldown_sec;
     a->state.counters.breaker_trips->Increment();
-    obs::TraceEvent breaker_args;
-    breaker_args.pid = trace_pid_;
-    telemetry_->trace().AddSpan("breaker-open", "control", sim_->Now(),
-                                cb.cooldown_sec, a->trace_tid,
-                                std::move(breaker_args));
+    telemetry_->spans().Emit(obs::SpanKind::kBreaker, cfg.name, sim_->Now(),
+                             cb.cooldown_sec, trace_pid_, a->trace_tid,
+                             attempt_span, /*follows=*/0,
+                             static_cast<double>(a->consecutive_failures));
     return false;
   }
 
@@ -441,12 +396,6 @@ bool ElasticityManager::Actuate(Attached* a, double amount, int attempt) {
     // Superseded by a newer step / pause / breaker trip: drop quietly.
     if (a->paused || epoch != a->epoch || a->state.breaker_open) return;
     a->state.counters.actuation_retries->Increment();
-    obs::TraceEvent args;
-    args.pid = trace_pid_;
-    args.num_args = {{"attempt", static_cast<double>(attempt + 1)},
-                     {"u", amount}};
-    telemetry_->trace().AddSpan("retry", "control", sim_->Now(), 0.5,
-                                a->trace_tid, std::move(args));
     Actuate(a, amount, attempt + 1);
   });
   return false;

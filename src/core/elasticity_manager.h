@@ -229,23 +229,21 @@ struct LayerControlState {
 /// original fair-weather implementation.
 class ElasticityManager {
  public:
-  ElasticityManager(sim::Simulation* sim,
-                    const cloudwatch::MetricStore* metrics);
-
-  /// Routes all telemetry (metrics, decision log, trace) to an external
-  /// hub, e.g. one shared with the fault injector and simulator. Must
-  /// be called before the first Attach; `telemetry` must outlive the
-  /// manager. Without this the manager uses a private hub, so decision
+  /// Routes all telemetry (metrics, decision log, spans) to `telemetry`,
+  /// e.g. a hub shared with the fault injector and simulator, which
+  /// must outlive the manager. Null builds a private hub, so decision
   /// records and counters are always collected.
-  Status SetTelemetry(obs::Telemetry* telemetry);
+  ElasticityManager(sim::Simulation* sim,
+                    const cloudwatch::MetricStore* metrics,
+                    obs::Telemetry* telemetry = nullptr);
+
   obs::Telemetry* telemetry() const { return telemetry_; }
 
-  /// Renders this manager's trace events and causal spans in their own
-  /// Perfetto process lane (pid) named `scope` — one lane per flow in
-  /// fleet runs instead of every flow interleaving on shared tracks.
-  /// Must be called after SetTelemetry and before the first Attach.
+  /// Renders this manager's causal spans in their own Perfetto process
+  /// lane (pid) named `scope` — one lane per flow in fleet runs instead
+  /// of every flow interleaving on shared tracks. Must be called before
+  /// the first Attach.
   Status SetTraceScope(const std::string& scope);
-  int trace_pid() const { return trace_pid_; }
 
   /// Namespaces every instrument this manager registers — the per-loop
   /// gauges/counters and the planner.* series — with a {"tenant", id}
@@ -411,14 +409,15 @@ class ElasticityManager {
   bool Actuate(Attached* a, double amount, int attempt);
 
   /// Appends one decision record (gain/raw_u filled from the step
-  /// observer when the controller ran) and emits the step's trace span.
+  /// observer when the controller ran) and closes the step's decide
+  /// span.
   void RecordDecision(Attached* a, SimTime now, double sensed_y, bool stale,
                       double clamped_u, obs::StepOutcome outcome);
 
   sim::Simulation* sim_;
   const cloudwatch::MetricStore* metrics_;
-  /// Private fallback hub; `telemetry_` points here unless SetTelemetry
-  /// installed an external one.
+  /// Private fallback hub; `telemetry_` points here unless the
+  /// constructor was given an external one.
   std::unique_ptr<obs::Telemetry> owned_telemetry_;
   obs::Telemetry* telemetry_ = nullptr;
   std::function<obs::HealthMask(const std::string&, SimTime)>
@@ -428,7 +427,7 @@ class ElasticityManager {
   /// Tenant id stamped on every registered instrument (fleet runs);
   /// empty = no tenant label (single-flow behavior unchanged).
   std::string tenant_;
-  int next_trace_tid_ = 0;
+  int next_trace_tid_ = obs::kFirstLoopTid;
   /// Trace process lane for this manager's loops (kTracePid unless
   /// SetTraceScope registered a dedicated scope).
   int trace_pid_ = obs::kTracePid;

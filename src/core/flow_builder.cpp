@@ -78,12 +78,9 @@ Result<ManagedFlow> FlowBuilder::Build(
     FLOWER_RETURN_NOT_OK(
         mf.flow->AttachWorkload(arrival_, workload_config_, seed_));
   }
-  mf.manager = std::make_unique<ElasticityManager>(sim, metrics);
+  mf.manager = std::make_unique<ElasticityManager>(sim, metrics, telemetry_);
   if (telemetry_ != nullptr) {
-    FLOWER_RETURN_NOT_OK(mf.manager->SetTelemetry(telemetry_));
-    if (fault_injector_ != nullptr) {
-      fault_injector_->SetTelemetry(telemetry_);
-    }
+    if (fault_injector_ != nullptr) fault_injector_->SetTelemetry(telemetry_);
     sim->SetTelemetry(telemetry_);
   }
   if (!tenant_label_.empty()) {

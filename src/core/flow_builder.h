@@ -71,7 +71,7 @@ class FlowBuilder {
   /// (which must outlive the built ManagedFlow). Loop names —
   /// "ingestion", "analytics", "storage" — are the fault targets.
   FlowBuilder& WithFaultInjector(sim::FaultInjector* injector);
-  /// Routes the manager's telemetry (metrics, decision log, trace) to
+  /// Routes the manager's telemetry (metrics, decision log, spans) to
   /// an external hub, shared with e.g. the fault injector and the
   /// simulator. Must outlive the built ManagedFlow.
   FlowBuilder& WithTelemetry(obs::Telemetry* telemetry);

@@ -27,6 +27,11 @@ Status FleetManager::AddTenant(TenantConfig tenant) {
     return Status::FailedPrecondition(
         "FleetManager: AddTenant must precede Start");
   }
+  // The id names the tenant's ScopedRegistry child, whose path uses '/'.
+  if (tenant.id.empty() || tenant.id.find('/') != std::string::npos) {
+    return Status::InvalidArgument("FleetManager: tenant id '" + tenant.id +
+                                   "' must be non-empty and contain no '/'");
+  }
   for (const TenantConfig& t : tenants_) {
     if (t.id == tenant.id) {
       return Status::AlreadyExists("FleetManager: duplicate tenant id '" +

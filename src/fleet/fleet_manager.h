@@ -123,7 +123,9 @@ class FleetManager {
  public:
   explicit FleetManager(FleetConfig config);
 
-  /// Registers a tenant. Errors: duplicate id, or called after Start.
+  /// Registers a tenant. Errors: empty id or one containing '/',
+  /// duplicate id, negative or non-finite arbitration period, or called
+  /// after Start.
   Status AddTenant(TenantConfig tenant);
 
   /// Builds every partition (serially, in tenant index order — span id

@@ -28,6 +28,24 @@ bool FaultKindFromString(const std::string& name, sim::FaultKind* kind) {
   return false;
 }
 
+// Rejects traffic shapes the arrival processes cannot run. MmppArrival
+// pre-samples holds with mean period_sec up to the horizon, so a zero
+// or negative period would never get there.
+Status ValidateTraffic(const TenantConfig& t) {
+  if (!std::isfinite(t.base_rate_per_sec) || t.base_rate_per_sec < 0.0 ||
+      !std::isfinite(t.amplitude_per_sec) || t.amplitude_per_sec < 0.0) {
+    return Status::InvalidArgument("FlowPartition: tenant '" + t.id +
+                                   "' rates must be finite and >= 0");
+  }
+  const bool periodic = t.pattern == ArrivalPattern::kDiurnal ||
+                        t.pattern == ArrivalPattern::kMmpp;
+  if (periodic && !(std::isfinite(t.period_sec) && t.period_sec > 0.0)) {
+    return Status::InvalidArgument("FlowPartition: tenant '" + t.id +
+                                   "' period_sec must be finite and > 0");
+  }
+  return Status::OK();
+}
+
 std::shared_ptr<workload::ArrivalProcess> MakeArrival(
     const TenantConfig& t, double horizon_sec) {
   switch (t.pattern) {
@@ -53,6 +71,7 @@ std::shared_ptr<workload::ArrivalProcess> MakeArrival(
 
 Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
     const TenantConfig& tenant, const PartitionConfig& config, size_t index) {
+  FLOWER_RETURN_NOT_OK(ValidateTraffic(tenant));
   auto p = std::unique_ptr<FlowPartition>(new FlowPartition());
   p->tenant_ = tenant;
   p->capture_ = config.capture;
@@ -63,7 +82,6 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   p->sim_ = std::make_unique<sim::Simulation>();
   p->metrics_ = std::make_unique<cloudwatch::MetricStore>();
   p->telemetry_ = std::make_unique<obs::Telemetry>(config.decision_capacity,
-                                                   config.trace_capacity,
                                                    config.span_capacity);
   if (config.record_spans) {
     FLOWER_RETURN_NOT_OK(p->telemetry_->spans().set_id_offset(

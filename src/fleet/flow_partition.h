@@ -60,7 +60,6 @@ struct PartitionConfig {
   double storm_tick_period_sec = 5.0;
   /// Telemetry ring capacities per partition.
   size_t decision_capacity = 256;
-  size_t trace_capacity = 256;
   size_t span_capacity = 1024;
   /// Enables causal-span recording (each partition gets a disjoint id
   /// namespace: partition index × SpanCollector::kIdStride).
@@ -101,7 +100,9 @@ class FlowPartition {
  public:
   /// Builds and starts the partition (flow running, loops attached,
   /// re-planning scheduled). `index` is the tenant's position in the
-  /// fleet (span id namespace, stable ordering).
+  /// fleet (span id namespace, stable ordering). InvalidArgument when
+  /// the tenant's rates are negative or non-finite, or a diurnal/MMPP
+  /// tenant's period_sec is not finite and > 0.
   static Result<std::unique_ptr<FlowPartition>> Create(
       const TenantConfig& tenant, const PartitionConfig& config,
       size_t index);

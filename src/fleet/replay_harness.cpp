@@ -33,7 +33,6 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
   // Replay-rich overrides. None of these are part of the spec (or the
   // fingerprint): they change what is *observed*, never what is decided.
   pc.decision_capacity = options.decision_capacity;
-  pc.trace_capacity = options.trace_capacity;
   pc.span_capacity = options.span_capacity;
   pc.record_spans = true;
   pc.flow_solver_threads =

@@ -20,7 +20,6 @@ struct ReplayOptions {
   /// thread-count-invariant, so any value reproduces the digest.
   size_t flow_solver_threads = 1;
   size_t decision_capacity = 65536;
-  size_t trace_capacity = 1 << 20;
   size_t span_capacity = 1 << 16;
 };
 

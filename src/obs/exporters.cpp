@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <unordered_map>
 
 namespace flower::obs {
 
@@ -59,6 +60,10 @@ namespace {
 using internal::JsonEscape;
 using internal::JsonNum;
 using internal::LabelsToJson;
+
+// Chrome-trace timestamps are microseconds; the trace timeline is the
+// simulation clock, 1 sim second = 1 trace second.
+double SimToTraceUs(SimTime t) { return t * 1e6; }
 
 // CSV cells are all controlled identifiers/numbers; quote defensively
 // only when a delimiter sneaks in.
@@ -312,8 +317,16 @@ void WriteSnapshotOpenMetrics(std::ostream& os,
   os << "# EOF\n";
 }
 
-void WriteChromeTrace(std::ostream& os, const TraceCollector& trace) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+void WriteChromeTrace(std::ostream& os, const SpanCollector& spans,
+                      const std::vector<ControlDecisionRecord>& decisions) {
+  std::unordered_map<SpanId, const ControlDecisionRecord*> by_span;
+  by_span.reserve(decisions.size());
+  for (const ControlDecisionRecord& d : decisions) {
+    if (d.span_id != 0) by_span[d.span_id] = &d;
+  }
+  os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_recorded\":"
+     << spans.total_started() << ",\"spans_retained\":" << spans.size()
+     << ",\"spans_evicted\":" << spans.evicted() << "},\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {
     if (!first) os << ",";
@@ -322,102 +335,82 @@ void WriteChromeTrace(std::ostream& os, const TraceCollector& trace) {
   };
   // Process / thread-name metadata first so Perfetto labels the lanes:
   // the fleet pid, then one process group per registered scope.
-  sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kTracePid
-     << ",\"tid\":0,\"args\":{\"name\":\"flower\"}}";
-  for (const auto& [pid, name] : trace.process_names()) {
+  auto meta = [&](const char* what, int pid, int tid,
+                  const std::string& name) {
     sep();
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << JsonEscape(name) << "\"}}";
-  }
-  for (const auto& [track, name] : trace.track_names()) {
-    sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << track.first
-       << ",\"tid\":" << track.second << ",\"args\":{\"name\":\""
-       << JsonEscape(name) << "\"}}";
-  }
-  for (const TraceEvent& e : trace.events()) {
-    sep();
-    os << "{\"name\":\"" << JsonEscape(e.name) << "\",\"cat\":\""
-       << JsonEscape(e.category) << "\",\"ph\":\"" << e.phase
-       << "\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
-       << ",\"ts\":" << JsonNum(e.ts_us);
-    if (e.phase == 'X') os << ",\"dur\":" << JsonNum(e.dur_us);
-    if (e.phase == 'i') os << ",\"s\":\"t\"";
-    os << ",\"args\":{";
-    bool first_arg = true;
-    for (const auto& [k, v] : e.num_args) {
-      if (!first_arg) os << ',';
-      first_arg = false;
-      os << '"' << JsonEscape(k) << "\":" << JsonNum(v);
-    }
-    for (const auto& [k, v] : e.str_args) {
-      if (!first_arg) os << ',';
-      first_arg = false;
-      os << '"' << JsonEscape(k) << "\":\"" << JsonEscape(v) << '"';
-    }
-    os << "}}";
-  }
-  os << "\n]}\n";
-}
-
-void WriteSpansChromeTrace(std::ostream& os, const SpanCollector& spans,
-                           const TraceCollector* names) {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",";
-    first = false;
-    os << "\n";
+    os << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << pid
+       << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << JsonEscape(name)
+       << "\"}}";
   };
-  sep();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kTracePid
-     << ",\"tid\":0,\"args\":{\"name\":\"flower\"}}";
-  if (names != nullptr) {
-    for (const auto& [pid, name] : names->process_names()) {
-      sep();
-      os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-         << ",\"tid\":0,\"args\":{\"name\":\"" << JsonEscape(name) << "\"}}";
-    }
-    for (const auto& [track, name] : names->track_names()) {
-      sep();
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << track.first
-         << ",\"tid\":" << track.second << ",\"args\":{\"name\":\""
-         << JsonEscape(name) << "\"}}";
-    }
+  meta("process_name", kTracePid, 0, "flower");
+  for (const auto& [pid, name] : spans.process_names()) {
+    meta("process_name", pid, 0, name);
   }
-  auto lane = [&](const SpanRecord& r) {
-    os << "\"pid\":" << r.pid << ",\"tid\":" << r.tid;
+  for (const auto& [track, name] : spans.track_names()) {
+    meta("thread_name", track.first, track.second, name);
+  }
+  // Opens one event on `r`'s lane at its start; the caller closes it.
+  auto open = [&](const std::string& name, const char* cat, char ph,
+                  const SpanRecord& r) {
+    sep();
+    os << "{\"name\":\"" << JsonEscape(name) << "\",\"cat\":\"" << cat
+       << "\",\"ph\":\"" << ph << "\",\"pid\":" << r.pid
+       << ",\"tid\":" << r.tid << ",\"ts\":" << JsonNum(SimToTraceUs(r.start));
+  };
+  auto counter = [&](const SpanRecord& r, const char* suffix, double v) {
+    if (!std::isfinite(v)) return;
+    open(r.label + suffix, "counter", 'C', r);
+    os << ",\"args\":{\"value\":" << JsonNum(v) << "}}";
   };
   // Flow-event ids must be unique per arrow; parent/child edges use
   // 2*child_id, follows-from edges 2*child_id+1.
   auto flow = [&](const SpanRecord& from, const SpanRecord& to,
                   const char* cat, uint64_t flow_id) {
-    sep();
-    os << "{\"name\":\"" << cat << "\",\"cat\":\"" << cat
-       << "\",\"ph\":\"s\",\"id\":" << flow_id << ",";
-    lane(from);
-    os << ",\"ts\":" << JsonNum(SimToTraceUs(from.start)) << "}";
-    sep();
-    os << "{\"name\":\"" << cat << "\",\"cat\":\"" << cat
-       << "\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" << flow_id << ",";
-    lane(to);
-    os << ",\"ts\":" << JsonNum(SimToTraceUs(to.start)) << "}";
+    open(cat, cat, 's', from);
+    os << ",\"id\":\"" << flow_id << "\"}";
+    open(cat, cat, 'f', to);
+    os << ",\"bp\":\"e\",\"id\":\"" << flow_id << "\"}";
   };
   for (SpanId id = spans.first_retained(); id != 0 && id < spans.end_id();
        ++id) {
     const SpanRecord* r = spans.Find(id);
     if (r == nullptr) continue;
-    sep();
-    os << "{\"name\":\"" << SpanKindToString(r->kind) << "\",\"cat\":\"span\""
-       << ",\"ph\":\"X\",";
-    lane(*r);
-    os << ",\"ts\":" << JsonNum(SimToTraceUs(r->start))
-       << ",\"dur\":" << JsonNum(SimToTraceUs(r->end - r->start))
-       << ",\"args\":{\"id\":" << r->id << ",\"parent\":" << r->parent
-       << ",\"follows\":" << r->follows << ",\"label\":\""
-       << JsonEscape(r->label) << "\",\"value\":" << JsonNum(r->value)
-       << ",\"outcome\":" << static_cast<int>(r->outcome) << "}}";
+    // Faults are instants; every other span is a slice of its
+    // virtual-time duration.
+    const bool instant = r->kind == SpanKind::kFault;
+    open(SpanKindToString(r->kind), "span", instant ? 'i' : 'X', *r);
+    if (instant) {
+      os << ",\"s\":\"t\"";
+    } else {
+      os << ",\"dur\":" << JsonNum(SimToTraceUs(r->end - r->start));
+    }
+    os << ",\"args\":{\"id\":\"" << r->id << '"';
+    if (r->parent != 0) os << ",\"parent\":\"" << r->parent << '"';
+    if (r->follows != 0) os << ",\"follows\":\"" << r->follows << '"';
+    os << ",\"label\":\"" << JsonEscape(r->label)
+       << "\",\"value\":" << JsonNum(r->value) << ",\"outcome\":";
+    if (r->kind == SpanKind::kDecide || r->kind == SpanKind::kActuate) {
+      os << '"' << StepOutcomeToString(static_cast<StepOutcome>(r->outcome))
+         << '"';
+    } else {
+      os << static_cast<int>(r->outcome);
+    }
+    auto joined = r->kind == SpanKind::kDecide ? by_span.find(r->id)
+                                                : by_span.end();
+    const ControlDecisionRecord* d =
+        joined == by_span.end() ? nullptr : joined->second;
+    if (d != nullptr) {
+      os << ",\"y\":" << JsonNum(d->sensed_y)
+         << ",\"y_r\":" << JsonNum(d->reference)
+         << ",\"error\":" << JsonNum(d->error)
+         << ",\"gain\":" << JsonNum(d->gain) << ",\"law\":\""
+         << JsonEscape(d->law) << '"';
+    }
+    os << "}}";
+    if (r->kind == SpanKind::kSense) counter(*r, ".y", r->value);
+    if (r->kind == SpanKind::kDecide) counter(*r, ".u", r->value);
+    if (d != nullptr) counter(*r, ".gain", d->gain);
+    if (r->kind == SpanKind::kGeneration) counter(*r, ".front_size", r->value);
     if (const SpanRecord* p = spans.Find(r->parent)) {
       flow(*p, *r, "causal", 2 * r->id);
     }

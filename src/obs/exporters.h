@@ -10,7 +10,6 @@
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace flower::obs {
 
@@ -56,21 +55,27 @@ void WriteSnapshotJsonl(std::ostream& os, const MetricsSnapshot& snapshot,
 void WriteSnapshotOpenMetrics(std::ostream& os,
                               const MetricsSnapshot& snapshot);
 
-/// Chrome trace_event JSON (the "JSON Array Format" with an object
-/// wrapper), loadable in Perfetto / chrome://tracing. Emits
-/// process-name metadata for the fleet pid and every registered scope,
-/// thread-name metadata for every named (pid, tid) track, then every
-/// collected event on its own (pid, tid) lane.
-void WriteChromeTrace(std::ostream& os, const TraceCollector& trace);
-
-/// Causal spans as Chrome trace JSON: one 'X' slice per span (virtual-
-/// time duration, args carrying id/parent/follows/kind/value/outcome)
-/// plus flow events — 's'/'f' pairs with cat "causal" for parent/child
-/// edges and cat "follows" for follows-from edges — so Perfetto draws
-/// the sense -> decide -> actuate -> effect arrows across lanes. Pass
-/// the run's TraceCollector to reuse its scope/track names.
-void WriteSpansChromeTrace(std::ostream& os, const SpanCollector& spans,
-                           const TraceCollector* names = nullptr);
+/// Chrome trace_event JSON (object format), loadable in Perfetto or
+/// chrome://tracing, rendered from the causal spans: an `otherData`
+/// header with the span totals (recorded, retained, evicted), then
+/// process/thread-name `M` metadata for the fleet pid, every registered
+/// scope and every named track, then for each retained span, oldest
+/// first:
+///  - an 'X' slice named after its kind (kFault: an 'i' instant), with
+///    args id/parent/follows/label/value/outcome. Decide slices also
+///    carry y, y_r, error, gain and law from the decision record whose
+///    span_id matches;
+///  - 'C' counters: <loop>.y from sense spans, <loop>.u and
+///    <loop>.gain from decide spans, <planner>.front_size from
+///    generation spans;
+///  - 's'/'f' flow arrows from its parent (cat "causal") and from its
+///    follows-from predecessor (cat "follows").
+/// Span and flow ids are written as decimal strings, so readers that
+/// parse JSON numbers as doubles (JavaScript viewers) get them back
+/// exactly at any id offset; the decision CSV's span_id column matches
+/// them verbatim.
+void WriteChromeTrace(std::ostream& os, const SpanCollector& spans,
+                      const std::vector<ControlDecisionRecord>& decisions);
 
 /// Opens `path` for writing and runs `writer(stream)`; IO errors become
 /// a non-OK Status.

@@ -22,6 +22,10 @@ const char* SpanKindToString(SpanKind kind) {
       return "generation";
     case SpanKind::kArbitrate:
       return "arbitrate";
+    case SpanKind::kBreaker:
+      return "breaker";
+    case SpanKind::kFault:
+      return "fault";
   }
   return "unknown";
 }
@@ -103,6 +107,16 @@ const SpanRecord* SpanCollector::Find(SpanId id) const {
   if (id <= id_offset_ || id >= end_id() || ring_.empty()) return nullptr;
   const SpanRecord* r = &ring_[(id - id_offset_ - 1) % capacity_];
   return r->id == id ? r : nullptr;
+}
+
+int SpanCollector::RegisterScope(std::string name) {
+  int pid = next_pid_++;
+  process_names_[pid] = std::move(name);
+  return pid;
+}
+
+void SpanCollector::SetTrackName(int pid, int tid, std::string name) {
+  track_names_[{pid, tid}] = std::move(name);
 }
 
 SpanId SpanCollector::first_retained() const {

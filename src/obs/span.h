@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -12,6 +13,15 @@
 #include "common/time_series.h"
 
 namespace flower::obs {
+
+/// Lanes of the exported trace: the default process (pid) plus fixed
+/// thread (tid) tracks. Control loops get consecutive tids from
+/// kFirstLoopTid in attach order; scopes registered via
+/// SpanCollector::RegisterScope get their own pids.
+constexpr int kTracePid = 1;
+constexpr int kPlannerTid = 100;
+constexpr int kFaultInjectorTid = 99;
+constexpr int kFirstLoopTid = 1;
 
 /// Identifier of one causal control span. Ids are assigned sequentially
 /// from 1 in record order, so a run is deterministic: the same scenario
@@ -33,6 +43,10 @@ enum class SpanKind : uint8_t {
   kGeneration = 5,  ///< One planner generation (child of kPlan).
   kArbitrate = 6,   ///< One fleet budget arbitration event; value =
                     ///< total USD granted at the boundary.
+  kBreaker = 7,     ///< Circuit breaker open over [trip, trip +
+                    ///< cooldown); child of the failed kActuate.
+  kFault = 8,       ///< One fault injection (zero duration); label =
+                    ///< "<kind>:<target>".
 };
 
 const char* SpanKindToString(SpanKind kind);
@@ -59,11 +73,13 @@ struct SpanRecord {
   bool open = false;  ///< Begun but not yet ended.
 };
 
-/// Bounded, preallocated collector of causal spans. Disabled by
-/// default: a disabled collector's Begin/End/Emit are no-ops that
-/// return SpanId 0 and touch no memory beyond one branch, so leaving
-/// span plumbing compiled into the hot control path costs nothing when
-/// the feature is off. Enabling reserves the ring once (no steady-state
+/// Bounded, preallocated collector of causal spans, and the system's
+/// one trace emitter: obs::WriteChromeTrace renders the spans, joined
+/// with the decision log, as Chrome trace JSON. Disabled by default: a
+/// disabled collector's Begin/End/Emit are no-ops that return SpanId 0
+/// and touch no memory beyond one branch, so leaving span plumbing
+/// compiled into the hot control path costs nothing when the feature
+/// is off. Enabling reserves the ring once (no steady-state
 /// allocation afterwards). When the ring is full the *oldest* spans are
 /// evicted — recent causality is what post-mortems query.
 ///
@@ -109,6 +125,23 @@ class SpanCollector {
   /// Retained record for `id`, or nullptr if never recorded / evicted.
   const SpanRecord* Find(SpanId id) const;
 
+  /// Allocates a fresh pid for a named scope (flow, layer) and records
+  /// its process name. Spans carrying the returned pid render in their
+  /// own Perfetto lane group. Names are kept whether or not recording
+  /// is enabled; they cost one map entry per scope or track.
+  int RegisterScope(std::string name);
+  /// Names the (pid, tid) track in the trace viewer ("loop:analytics").
+  void SetTrackName(int pid, int tid, std::string name);
+  /// Scope process names keyed by pid (kTracePid itself excluded; the
+  /// exporter names it "flower").
+  const std::map<int, std::string>& process_names() const {
+    return process_names_;
+  }
+  /// Track names keyed by (pid, tid).
+  const std::map<std::pair<int, int>, std::string>& track_names() const {
+    return track_names_;
+  }
+
   /// Oldest retained id (0 when empty) and one-past-newest id.
   SpanId first_retained() const;
   SpanId end_id() const { return next_id_.load(std::memory_order_relaxed); }
@@ -150,6 +183,9 @@ class SpanCollector {
   std::atomic<SpanId> next_id_{1};
   std::atomic<uint64_t> id_overflows_{0};
   std::vector<SpanRecord> ring_;  ///< Sized to capacity_ on first enable.
+  int next_pid_ = kTracePid + 1;
+  std::map<int, std::string> process_names_;
+  std::map<std::pair<int, int>, std::string> track_names_;
 };
 
 /// Post-run query index over a SpanCollector: resolves the causal chain

@@ -24,13 +24,8 @@ FaultMask Telemetry::FaultMaskAt(const std::string& target,
 }
 
 Status Telemetry::ExportTrace(const std::string& path) const {
-  return ExportToFile(path,
-                      [this](std::ostream& os) { WriteChromeTrace(os, trace_); });
-}
-
-Status Telemetry::ExportSpans(const std::string& path) const {
   return ExportToFile(path, [this](std::ostream& os) {
-    WriteSpansChromeTrace(os, spans_, &trace_);
+    WriteChromeTrace(os, spans_, decisions_.Snapshot());
   });
 }
 
@@ -52,7 +47,8 @@ Status Telemetry::ExportDecisionsCsv(const std::string& path) const {
 std::function<void(const opt::Nsga2GenerationStats&)> MakeNsga2Observer(
     Telemetry* telemetry, std::string planner_name, SimTime anchor,
     double slice_sec) {
-  telemetry->trace().SetTrackName(kPlannerTid, "planner:" + planner_name);
+  telemetry->spans().SetTrackName(kTracePid, kPlannerTid,
+                                  "planner:" + planner_name);
   Counter* generations = telemetry->metrics().GetCounter(
       "nsga2.generations", {{"planner", planner_name}});
   Gauge* front_size = telemetry->metrics().GetGauge(
@@ -73,26 +69,11 @@ std::function<void(const opt::Nsga2GenerationStats&)> MakeNsga2Observer(
     if (!std::isnan(s.hypervolume)) hypervolume->Set(s.hypervolume);
 
     // The optimizer runs outside the simulation clock; generations are
-    // drawn as consecutive schematic slices from the planning instant.
+    // drawn as consecutive schematic slices from the planning instant,
+    // each a kGeneration child of the active kPlan span. The observer
+    // only fires on the coordinator thread, so this is deterministic at
+    // any solver thread count.
     SimTime t0 = anchor + static_cast<double>(s.generation) * slice_sec;
-    TraceEvent args;
-    args.num_args.emplace_back("generation",
-                               static_cast<double>(s.generation));
-    args.num_args.emplace_back("front_size",
-                               static_cast<double>(s.front_size));
-    args.num_args.emplace_back("evaluations",
-                               static_cast<double>(s.evaluations));
-    if (!std::isnan(s.hypervolume)) {
-      args.num_args.emplace_back("hypervolume", s.hypervolume);
-    }
-    telemetry->trace().AddSpan(planner_name + ".generation", "planning", t0,
-                               slice_sec, kPlannerTid, std::move(args));
-    telemetry->trace().AddCounter("nsga2.front_size", t0, kPlannerTid,
-                                  static_cast<double>(s.front_size));
-
-    // Causal span: one kGeneration child under the active kPlan span.
-    // The observer only fires on the coordinator thread, so this is
-    // deterministic at any solver thread count.
     telemetry->spans().Emit(
         SpanKind::kGeneration, planner_name, t0, slice_sec, kTracePid,
         kPlannerTid, telemetry->active_plan_span(), /*follows=*/0,

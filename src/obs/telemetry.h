@@ -10,13 +10,12 @@
 #include "obs/exporters.h"
 #include "obs/metrics_registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "opt/nsga2.h"
 
 namespace flower::obs {
 
 /// Central telemetry hub for one simulated flow: the metrics registry,
-/// the control-decision log, and the trace collector, plus the
+/// the control-decision log, and the causal spans, plus the
 /// fault-interference scoreboard that lets the ElasticityManager stamp
 /// decision records with the faults injected at the same sim time.
 ///
@@ -27,11 +26,8 @@ namespace flower::obs {
 class Telemetry {
  public:
   explicit Telemetry(size_t decision_capacity = 65536,
-                     size_t trace_capacity = 1 << 20,
                      size_t span_capacity = 1 << 16)
-      : decisions_(decision_capacity),
-        trace_(trace_capacity),
-        spans_(span_capacity) {}
+      : decisions_(decision_capacity), spans_(span_capacity) {}
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
@@ -39,10 +35,9 @@ class Telemetry {
   const MetricsRegistry& metrics() const { return metrics_; }
   DecisionLog& decisions() { return decisions_; }
   const DecisionLog& decisions() const { return decisions_; }
-  TraceCollector& trace() { return trace_; }
-  const TraceCollector& trace() const { return trace_; }
-  /// Causal control spans. Disabled by default (zero-cost no-ops);
-  /// enable with spans().set_enabled(true) before the run.
+  /// Causal control spans, the source of the exported trace. Disabled
+  /// by default (zero-cost no-ops); enable with
+  /// spans().set_enabled(true) before the run.
   SpanCollector& spans() { return spans_; }
   const SpanCollector& spans() const { return spans_; }
 
@@ -62,13 +57,9 @@ class Telemetry {
   /// match is the right correlation window.
   FaultMask FaultMaskAt(const std::string& target, SimTime now) const;
 
-  /// Writes the Chrome trace_event JSON to `path`.
+  /// Writes the spans, joined with the decision log, as Chrome
+  /// trace_event JSON to `path` (see WriteChromeTrace).
   Status ExportTrace(const std::string& path) const;
-
-  /// Writes the causal spans as Chrome trace JSON (flow events for the
-  /// parent/follows arrows) to `path`, reusing the trace collector's
-  /// scope and track names.
-  Status ExportSpans(const std::string& path) const;
 
   /// Writes decision records then a metrics snapshot, one JSON object
   /// per line, to `path`. `at` stamps the snapshot lines (sim seconds).
@@ -85,17 +76,17 @@ class Telemetry {
 
   MetricsRegistry metrics_;
   DecisionLog decisions_;
-  TraceCollector trace_;
   SpanCollector spans_;
   SpanId active_plan_span_ = 0;
   std::map<std::string, FaultNote> fault_notes_;
 };
 
 /// Adapts NSGA-II per-generation stats into telemetry: gauges for front
-/// size / hypervolume / evaluations and one span per generation on the
-/// planner track, laid out consecutively from `anchor` (sim seconds)
-/// with `slice_sec` synthetic width each (the optimizer runs outside
-/// the simulation clock, so generation spans are schematic).
+/// size / hypervolume / evaluations and one kGeneration span per
+/// generation (value = front size) on the planner track, laid out
+/// consecutively from `anchor` (sim seconds) with `slice_sec` synthetic
+/// width each (the optimizer runs outside the simulation clock, so
+/// generation spans are schematic).
 std::function<void(const opt::Nsga2GenerationStats&)> MakeNsga2Observer(
     Telemetry* telemetry, std::string planner_name, SimTime anchor,
     double slice_sec = 0.25);

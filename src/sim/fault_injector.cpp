@@ -120,7 +120,7 @@ bool FaultInjector::Active(FaultKind kind, const std::string& target,
 void FaultInjector::SetTelemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ != nullptr) {
-    telemetry_->trace().SetTrackName(obs::kFaultInjectorTid,
+    telemetry_->spans().SetTrackName(obs::kTracePid, obs::kFaultInjectorTid,
                                      "fault-injector");
   }
 }
@@ -132,11 +132,11 @@ void FaultInjector::Note(FaultKind kind, const std::string& target) {
       .GetCounter("fault.injected", {{"kind", FaultKindToString(kind)},
                                      {"target", target}})
       ->Increment();
-  obs::TraceEvent args;
-  args.str_args = {{"kind", FaultKindToString(kind)}, {"target", target}};
-  telemetry_->trace().AddInstant("fault:" + FaultKindToString(kind),
-                                 "fault", now, obs::kFaultInjectorTid,
-                                 std::move(args));
+  obs::SpanCollector& spans = telemetry_->spans();
+  if (spans.enabled()) {
+    spans.Emit(obs::SpanKind::kFault, FaultKindToString(kind) + ":" + target,
+               now, 0.0, obs::kTracePid, obs::kFaultInjectorTid);
+  }
   telemetry_->NoteFault(
       target, static_cast<obs::FaultMask>(1u << static_cast<int>(kind)),
       now);

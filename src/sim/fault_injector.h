@@ -116,8 +116,9 @@ class FaultInjector {
   /// True when any fault of `kind` is active for `target` at time `t`.
   bool Active(FaultKind kind, const std::string& target, SimTime t) const;
 
-  /// Reports every injected fault to `telemetry`: a per-kind counter, an
-  /// instant trace event on the fault-injector track, and a fault note
+  /// Reports every injected fault to `telemetry`: a per-kind counter, a
+  /// zero-duration kFault span on the fault-injector track (rendered as
+  /// a trace instant; only while spans are enabled), and a fault note
   /// (so the ElasticityManager stamps decision records taken at the
   /// same sim time with the interference). Pass nullptr to detach. Not
   /// owned; must outlive the injector or be detached first.

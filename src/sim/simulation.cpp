@@ -23,7 +23,6 @@ void Simulation::SetTelemetry(obs::Telemetry* telemetry) {
   exec_time_us_ = telemetry->metrics().GetHistogram("sim.event_exec_us", {},
                                                     opts);
   events_counter_ = telemetry->metrics().GetCounter("sim.events_executed");
-  telemetry->trace().SetTrackName(obs::kSimulatorTid, "simulator");
 }
 
 Status Simulation::ScheduleAt(SimTime at, Callback cb) {

@@ -3,6 +3,8 @@
 // exercised against the fault-injection subsystem where a full loop is
 // involved.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "control/adaptive_gain.h"
@@ -175,6 +177,45 @@ TEST(ResilienceTest, BreakerTripsThenRecoversViaHalfOpenProbe) {
   // The loop kept sensing throughout — the breaker only guards the
   // actuator, it does not blind the controller.
   EXPECT_EQ((*state)->sensed.size(), (*state)->actuations.size());
+}
+
+// A trip is a kBreaker span over [trip, trip + cooldown), parented on
+// the failed attempt that tripped it, recorded into the hub the manager
+// was constructed with.
+TEST(ResilienceTest, BreakerTripIsABreakerSpanOverTheCooldown) {
+  sim::Simulation sim;
+  cloudwatch::MetricStore metrics;
+  obs::Telemetry telemetry;
+  telemetry.spans().set_enabled(true);
+  ElasticityManager mgr(&sim, &metrics, &telemetry);
+  EXPECT_EQ(mgr.telemetry(), &telemetry);
+  LayerControlConfig cfg =
+      TestConfig([](double) { return Status::Internal("outage"); });
+  cfg.resilience.breaker.failure_threshold = 3;
+  cfg.resilience.breaker.cooldown_sec = 250.0;
+  ASSERT_TRUE(mgr.Attach(std::move(cfg)).ok());
+  PublishCpuForever(&sim, &metrics);
+  sim.RunUntil(200.0);
+
+  const obs::SpanCollector& spans = telemetry.spans();
+  std::vector<const obs::SpanRecord*> breakers;
+  for (obs::SpanId id = spans.first_retained(); id < spans.end_id(); ++id) {
+    const obs::SpanRecord* r = spans.Find(id);
+    if (r != nullptr && r->kind == obs::SpanKind::kBreaker) {
+      breakers.push_back(r);
+    }
+  }
+  // Steps at 60/120/180 fail; the third trips the breaker.
+  ASSERT_EQ(breakers.size(), 1u);
+  EXPECT_EQ(breakers[0]->start, 180.0);
+  EXPECT_EQ(breakers[0]->end, 430.0);
+  EXPECT_EQ(breakers[0]->label, "analytics");
+  const obs::SpanRecord* cause = spans.Find(breakers[0]->parent);
+  ASSERT_NE(cause, nullptr);
+  EXPECT_EQ(cause->kind, obs::SpanKind::kActuate);
+  EXPECT_EQ(cause->outcome,
+            static_cast<uint8_t>(obs::StepOutcome::kActuationFailed));
+  EXPECT_EQ(telemetry.decisions().total_appended(), 3u);
 }
 
 TEST(ResilienceTest, FailedHalfOpenProbeReopensBreaker) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace flower::fleet {
 namespace {
@@ -152,6 +154,87 @@ TEST(FleetManagerTest, SpanNamespacesAreDisjointAndDeterministic) {
       EXPECT_GT(r->id, spans.id_offset());
       EXPECT_LE(r->id, spans.id_offset() + obs::SpanCollector::kIdStride);
     }
+  }
+}
+
+// Partitions default to record_spans = false, so a fleet run records
+// no trace at all — not even the fault injector's kFault spans.
+TEST(FleetManagerTest, PartitionsWithoutSpansRecordNoTrace) {
+  FleetManager fleet(TestConfig(2));
+  std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/7);
+  TenantFault spike;
+  spike.kind = "sensor-spike";
+  spike.target = "analytics";
+  spike.start = 60.0;
+  spike.offset = 50.0;
+  tenants[0].faults.push_back(spike);
+  for (TenantConfig& t : tenants) {
+    t.monitoring_period_sec = 60.0;
+    ASSERT_TRUE(fleet.AddTenant(std::move(t)).ok());
+  }
+  ASSERT_TRUE(fleet.Start().ok());
+  ASSERT_TRUE(fleet.RunFor(600.0).ok());
+  EXPECT_EQ(fleet.arbitration_spans(), nullptr);
+  for (size_t i = 0; i < 3; ++i) {
+    obs::Telemetry& telemetry = fleet.partition(i)->telemetry();
+    EXPECT_GT(telemetry.decisions().total_appended(), 0u) << i;
+    EXPECT_FALSE(telemetry.spans().enabled());
+    EXPECT_EQ(telemetry.spans().total_started(), 0u) << i;
+    EXPECT_EQ(telemetry.spans().size(), 0u) << i;
+  }
+}
+
+// --- Hostile tenant configs come back as InvalidArgument. ------------
+
+// Adds `tenant` to a fresh one-thread fleet and starts it; returns the
+// first error.
+Status AddAndStart(const TenantConfig& tenant) {
+  FleetManager fleet(TestConfig(1));
+  FLOWER_RETURN_NOT_OK(fleet.AddTenant(tenant));
+  return fleet.Start();
+}
+
+// The id names the tenant's ScopedRegistry child, which must be
+// non-empty and free of '/'; AddTenant rejects it before any run.
+TEST(FleetManagerTest, AddTenantRejectsEmptyId) {
+  TenantConfig t;
+  t.id = "";
+  EXPECT_EQ(AddAndStart(t).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FleetManagerTest, AddTenantRejectsSlashInId) {
+  TenantConfig t;
+  t.id = "team/a";
+  EXPECT_EQ(AddAndStart(t).code(), StatusCode::kInvalidArgument);
+}
+
+// MmppArrival pre-samples holds with mean period_sec up to the horizon,
+// which a zero or negative period never reaches.
+TEST(FleetManagerTest, StartRejectsNonPositivePeriod) {
+  for (ArrivalPattern pattern : {ArrivalPattern::kMmpp,
+                                 ArrivalPattern::kDiurnal}) {
+    for (double period : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+      TenantConfig t;
+      t.pattern = pattern;
+      t.amplitude_per_sec = 5.0;
+      t.period_sec = period;
+      EXPECT_EQ(AddAndStart(t).code(), StatusCode::kInvalidArgument)
+          << ArrivalPatternToString(pattern) << " period " << period;
+    }
+  }
+}
+
+TEST(FleetManagerTest, StartRejectsNonFiniteOrNegativeRates) {
+  for (double rate : {std::nan(""), HUGE_VAL, -1.0}) {
+    TenantConfig base_rate;
+    base_rate.base_rate_per_sec = rate;
+    EXPECT_EQ(AddAndStart(base_rate).code(), StatusCode::kInvalidArgument)
+        << "base rate " << rate;
+    TenantConfig amplitude;
+    amplitude.pattern = ArrivalPattern::kMmpp;
+    amplitude.amplitude_per_sec = rate;
+    EXPECT_EQ(AddAndStart(amplitude).code(), StatusCode::kInvalidArgument)
+        << "amplitude " << rate;
   }
 }
 

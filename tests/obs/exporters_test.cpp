@@ -170,62 +170,197 @@ TEST(OpenMetricsTest, EscapesLabelValuesAndHelpText) {
   }
 }
 
+// One control step, end to end: a span evicted from a 5-slot ring, a
+// sense, its decide (joined to the decision record), a failed
+// actuation and its retry (causal + follows arrows), a fault instant
+// and a planner generation with a label that needs escaping.
 TEST(ChromeTraceTest, WrapperMetadataAndPhases) {
-  TraceCollector trace;
-  trace.SetTrackName(1, "loop:analytics");
-  TraceEvent span_args;
-  span_args.num_args.emplace_back("y", 78.5);
-  span_args.str_args.emplace_back("outcome", "actuated");
-  trace.AddSpan("step", "control", 120.0, 2.4, 1, std::move(span_args));
-  trace.AddInstant("sensor-miss", "control", 240.0, 1);
-  trace.AddCounter("analytics.y", 120.0, 1, 78.5);
+  SpanCollector spans(5);
+  spans.set_enabled(true);
+  EXPECT_EQ(spans.RegisterScope("flow \"x\""), 2);
+  spans.SetTrackName(kTracePid, 1, "loop:analytics");
+  spans.SetTrackName(kTracePid, kFaultInjectorTid, "fault-injector");
+  spans.Emit(SpanKind::kArbitrate, "old", 0.0, 0.0, kTracePid, 0);
+  SpanId sense = spans.Emit(SpanKind::kSense, "analytics", 120.0, 0.0,
+                            kTracePid, 1, 0, 0, 78.5);
+  SpanId decide = spans.Emit(
+      SpanKind::kDecide, "analytics", 120.0, 0.0, kTracePid, 1, sense, 0,
+      5.0, static_cast<uint8_t>(StepOutcome::kActuationFailed));
+  SpanId failed = spans.Emit(
+      SpanKind::kActuate, "analytics", 120.0, 0.0, kTracePid, 1, decide, 0,
+      5.0, static_cast<uint8_t>(StepOutcome::kActuationFailed));
+  spans.Emit(SpanKind::kActuate, "analytics", 122.5, 0.0, kTracePid, 1,
+             decide, failed, 5.0);
+  spans.Emit(SpanKind::kFault, "sensor-spike:analytics", 120.0, 0.0,
+             kTracePid, kFaultInjectorTid);
+  ASSERT_EQ(decide, 3u);
 
+  ControlDecisionRecord rec = SampleRecord();
+  rec.span_id = decide;
   std::ostringstream os;
-  WriteChromeTrace(os, trace);
-  const std::string text = os.str();
+  WriteChromeTrace(os, spans, {rec});
 
-  EXPECT_EQ(text.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
-            0u);
-  // Metadata first: process name, then the named track.
-  size_t proc = text.find("\"process_name\"");
-  size_t thread = text.find("\"thread_name\"");
-  size_t span = text.find("\"name\":\"step\"");
-  ASSERT_NE(proc, std::string::npos);
-  ASSERT_NE(thread, std::string::npos);
-  ASSERT_NE(span, std::string::npos);
-  EXPECT_LT(proc, thread);
-  EXPECT_LT(thread, span);
-  EXPECT_NE(text.find("\"args\":{\"name\":\"loop:analytics\"}"),
-            std::string::npos);
-  // Sim seconds → microseconds; 'X' carries dur, 'i' carries scope.
-  EXPECT_NE(text.find("\"ts\":120000000"), std::string::npos);
-  EXPECT_NE(text.find("\"dur\":2400000"), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(text.find("\"s\":\"t\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(text.find("\"y\":78.5"), std::string::npos);
-  EXPECT_NE(text.find("\"outcome\":\"actuated\""), std::string::npos);
+  const std::string expected =
+      R"({"displayTimeUnit":"ms","otherData":{"spans_recorded":6,)"
+      R"("spans_retained":5,"spans_evicted":1},"traceEvents":[)"
+      "\n"
+      R"({"name":"process_name","ph":"M","pid":1,"tid":0,)"
+      R"("args":{"name":"flower"}},)"
+      "\n"
+      R"({"name":"process_name","ph":"M","pid":2,"tid":0,)"
+      R"("args":{"name":"flow \"x\""}},)"
+      "\n"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":1,)"
+      R"("args":{"name":"loop:analytics"}},)"
+      "\n"
+      R"({"name":"thread_name","ph":"M","pid":1,"tid":99,)"
+      R"("args":{"name":"fault-injector"}},)"
+      "\n"
+      R"({"name":"sense","cat":"span","ph":"X","pid":1,"tid":1,)"
+      R"("ts":120000000,"dur":0,"args":{"id":"2","label":"analytics",)"
+      R"("value":78.5,"outcome":0}},)"
+      "\n"
+      R"({"name":"analytics.y","cat":"counter","ph":"C","pid":1,"tid":1,)"
+      R"("ts":120000000,"args":{"value":78.5}},)"
+      "\n"
+      R"({"name":"decide","cat":"span","ph":"X","pid":1,"tid":1,)"
+      R"("ts":120000000,"dur":0,"args":{"id":"3","parent":"2",)"
+      R"("label":"analytics","value":5,"outcome":"actuation-failed",)"
+      R"("y":78.5,"y_r":60,"error":18.5,"gain":0.115,)"
+      R"("law":"adaptive-gain"}},)"
+      "\n"
+      R"({"name":"analytics.u","cat":"counter","ph":"C","pid":1,"tid":1,)"
+      R"("ts":120000000,"args":{"value":5}},)"
+      "\n"
+      R"({"name":"analytics.gain","cat":"counter","ph":"C","pid":1,)"
+      R"("tid":1,"ts":120000000,"args":{"value":0.115}},)"
+      "\n"
+      R"({"name":"causal","cat":"causal","ph":"s","pid":1,"tid":1,)"
+      R"("ts":120000000,"id":"6"},)"
+      "\n"
+      R"({"name":"causal","cat":"causal","ph":"f","pid":1,"tid":1,)"
+      R"("ts":120000000,"bp":"e","id":"6"},)"
+      "\n"
+      R"({"name":"actuate","cat":"span","ph":"X","pid":1,"tid":1,)"
+      R"("ts":120000000,"dur":0,"args":{"id":"4","parent":"3",)"
+      R"("label":"analytics","value":5,"outcome":"actuation-failed"}},)"
+      "\n"
+      R"({"name":"causal","cat":"causal","ph":"s","pid":1,"tid":1,)"
+      R"("ts":120000000,"id":"8"},)"
+      "\n"
+      R"({"name":"causal","cat":"causal","ph":"f","pid":1,"tid":1,)"
+      R"("ts":120000000,"bp":"e","id":"8"},)"
+      "\n"
+      R"({"name":"actuate","cat":"span","ph":"X","pid":1,"tid":1,)"
+      R"("ts":122500000,"dur":0,"args":{"id":"5","parent":"3",)"
+      R"("follows":"4","label":"analytics","value":5,)"
+      R"("outcome":"actuated"}},)"
+      "\n"
+      R"({"name":"causal","cat":"causal","ph":"s","pid":1,"tid":1,)"
+      R"("ts":120000000,"id":"10"},)"
+      "\n"
+      R"({"name":"causal","cat":"causal","ph":"f","pid":1,"tid":1,)"
+      R"("ts":122500000,"bp":"e","id":"10"},)"
+      "\n"
+      R"({"name":"follows","cat":"follows","ph":"s","pid":1,"tid":1,)"
+      R"("ts":120000000,"id":"11"},)"
+      "\n"
+      R"({"name":"follows","cat":"follows","ph":"f","pid":1,"tid":1,)"
+      R"("ts":122500000,"bp":"e","id":"11"},)"
+      "\n"
+      R"({"name":"fault","cat":"span","ph":"i","pid":1,"tid":99,)"
+      R"("ts":120000000,"s":"t","args":{"id":"6",)"
+      R"("label":"sensor-spike:analytics","value":0,"outcome":0}})"
+      "\n]}\n";
+  EXPECT_EQ(os.str(), expected);
 }
 
 TEST(ChromeTraceTest, EscapesStrings) {
-  TraceCollector trace;
-  TraceEvent args;
-  args.str_args.emplace_back("msg", "a\"b\\c\nd");
-  trace.AddInstant("weird", "test", 0.0, 1, std::move(args));
+  SpanCollector spans;
+  spans.set_enabled(true);
+  spans.SetTrackName(kTracePid, kPlannerTid, "planner:a\"b\\c\nd");
+  spans.Emit(SpanKind::kGeneration, "a\"b\\c\nd", 0.0, 0.25, kTracePid,
+             kPlannerTid, 0, 0, 3.0);
   std::ostringstream os;
-  WriteChromeTrace(os, trace);
-  EXPECT_NE(os.str().find("a\\\"b\\\\c\\nd"), std::string::npos);
+  WriteChromeTrace(os, spans, {});
+  const std::string text = os.str();
+  EXPECT_NE(text.find(R"("args":{"name":"planner:a\"b\\c\nd"})"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find(R"("label":"a\"b\\c\nd")"), std::string::npos);
+  // The generation's front size renders as a counter named after the
+  // (escaped) planner label.
+  EXPECT_NE(text.find(R"("name":"a\"b\\c\nd.front_size")"),
+            std::string::npos);
+  // No raw newline leaked: every event line opens an object.
+  std::vector<std::string> lines = Lines(text);
+  for (size_t i = 1; i + 1 < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].front(), '{') << lines[i];
+  }
 }
 
-TEST(TraceCollectorTest, DropsNewestPastCapacity) {
-  TraceCollector trace(2);
-  trace.AddInstant("a", "t", 0.0, 1);
-  trace.AddInstant("b", "t", 1.0, 1);
-  trace.AddInstant("c", "t", 2.0, 1);
-  EXPECT_EQ(trace.events().size(), 2u);
-  EXPECT_EQ(trace.dropped(), 1u);
-  EXPECT_EQ(trace.events()[0].name, "a");
-  EXPECT_EQ(trace.events()[1].name, "b");
+// Fleet partitions offset span ids by index * kIdStride, so from tenant
+// 4096 on the flow ids (2*id, 2*id+1) exceed 2^53. They are exported as
+// decimal strings, which every JSON reader returns exactly, so
+// neighbouring flow arrows stay distinct and the decision CSV's span_id
+// column still matches.
+TEST(ChromeTraceTest, SpanIdsStayExactPastDoublePrecision) {
+  SpanCollector spans;
+  ASSERT_TRUE(spans.set_id_offset(5000 * SpanCollector::kIdStride).ok());
+  spans.set_enabled(true);
+  SpanId sense = spans.Emit(SpanKind::kSense, "a", 1.0, 0.0, kTracePid, 1);
+  SpanId decide =
+      spans.Emit(SpanKind::kDecide, "a", 1.0, 0.0, kTracePid, 1, sense);
+  SpanId act = spans.Emit(SpanKind::kActuate, "a", 1.0, 0.0, kTracePid, 1,
+                          decide, sense);
+  // The follows arrow's flow id 2*act+1 has no exact double.
+  ASSERT_GT(2 * act, SpanId{1} << 53);
+  ASSERT_NE(static_cast<SpanId>(static_cast<double>(2 * act + 1)),
+            2 * act + 1);
+
+  ControlDecisionRecord rec = SampleRecord();
+  rec.span_id = decide;
+  std::ostringstream trace;
+  WriteChromeTrace(trace, spans, {rec});
+  const std::string text = trace.str();
+  for (SpanId id : {sense, decide, act}) {
+    EXPECT_NE(text.find("\"id\":\"" + std::to_string(id) + "\""),
+              std::string::npos)
+        << id;
+  }
+  EXPECT_NE(text.find("\"parent\":\"" + std::to_string(decide) + "\""),
+            std::string::npos);
+  EXPECT_NE(text.find("\"follows\":\"" + std::to_string(sense) + "\""),
+            std::string::npos);
+  // Flow ids: every 's' pairs with one 'f' of the same id, and the
+  // three arrows' ids are distinct.
+  std::vector<std::string> starts;
+  std::vector<std::string> finishes;
+  auto flow_id = [](const std::string& line) {
+    size_t at = line.find("\"id\":\"") + 6;
+    return line.substr(at, line.find('"', at) - at);
+  };
+  for (const std::string& line : Lines(text)) {
+    if (line.find("\"ph\":\"s\"") != std::string::npos) {
+      starts.push_back(flow_id(line));
+    } else if (line.find("\"ph\":\"f\"") != std::string::npos) {
+      finishes.push_back(flow_id(line));
+    }
+  }
+  ASSERT_EQ(starts.size(), 3u);
+  EXPECT_EQ(starts, finishes);
+  EXPECT_NE(starts[0], starts[1]);
+  EXPECT_NE(starts[1], starts[2]);
+  EXPECT_NE(starts[0], starts[2]);
+  EXPECT_EQ(starts[2], std::to_string(2 * act + 1));
+
+  // The decision CSV's span_id cell is the same decimal string.
+  std::ostringstream csv;
+  WriteDecisionCsv(csv, {rec});
+  const std::string row = Lines(csv.str())[1];
+  const std::string cell = row.substr(row.rfind(',') + 1);
+  EXPECT_EQ(cell, std::to_string(decide));
+  EXPECT_NE(text.find("\"id\":\"" + cell + "\""), std::string::npos);
 }
 
 TEST(ExportToFileTest, WritesAndReportsErrors) {

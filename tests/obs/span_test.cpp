@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/trace.h"
 
 namespace flower::obs {
 namespace {

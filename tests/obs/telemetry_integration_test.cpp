@@ -1,14 +1,17 @@
-// Integration test of the telemetry pipeline (the ISSUE 2 acceptance
-// criterion): run the canonical managed flow with a shared Telemetry
-// hub and assert that (a) the decision log's gain column reproduces the
-// Eq. 7 clamped gain trajectory recomputed from the same sensed inputs,
-// and (b) the exported Chrome trace carries control-step spans for all
-// three layers plus the NSGA-II planner track.
+// Integration test of the telemetry pipeline: run the canonical managed
+// flow with a shared Telemetry hub and assert that (a) the decision
+// log's gain column reproduces the Eq. 7 clamped gain trajectory
+// recomputed from the same sensed inputs, and (b) the span trace
+// carries decide spans for all three layers plus the NSGA-II planner
+// track.
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "control/adaptive_gain.h"
 #include "core/flow_builder.h"
 #include "core/resource_share.h"
+#include "obs/exporters.h"
 #include "obs/telemetry.h"
 #include "sim/fault_injector.h"
 
@@ -34,7 +38,9 @@ struct RunOutput {
 // Runs the canonical three-layer click-stream flow for `hours` with the
 // shared telemetry hub (member order above guarantees the hub outlives
 // the manager).
-void RunFlow(RunOutput* out, double hours, bool with_faults) {
+void RunFlow(RunOutput* out, double hours, bool with_faults,
+             bool with_spans = false) {
+  out->telemetry.spans().set_enabled(with_spans);
   core::FlowBuilder builder;
   builder.WithSeed(7).WithTelemetry(&out->telemetry);
   if (with_faults) {
@@ -48,6 +54,22 @@ void RunFlow(RunOutput* out, double hours, bool with_faults) {
   ASSERT_TRUE(managed.ok()) << managed.status();
   out->managed = std::move(*managed);
   out->sim.RunUntil(hours * kHour);
+}
+
+// (start, end, front size) of every kGeneration span on the planner
+// track, in record order.
+std::vector<std::tuple<double, double, double>> GenerationSpans(
+    const obs::Telemetry& t) {
+  std::vector<std::tuple<double, double, double>> out;
+  const obs::SpanCollector& spans = t.spans();
+  for (obs::SpanId id = spans.first_retained(); id < spans.end_id(); ++id) {
+    const obs::SpanRecord* r = spans.Find(id);
+    if (r != nullptr && r->kind == obs::SpanKind::kGeneration &&
+        r->tid == obs::kPlannerTid) {
+      out.emplace_back(r->start, r->end, r->value);
+    }
+  }
+  return out;
 }
 
 TEST(TelemetryIntegrationTest, GainColumnReproducesEq7Trajectory) {
@@ -94,22 +116,62 @@ TEST(TelemetryIntegrationTest, GainColumnReproducesEq7Trajectory) {
 
 TEST(TelemetryIntegrationTest, TraceHasStepSpansForAllThreeLayers) {
   RunOutput run;
-  ASSERT_NO_FATAL_FAILURE(RunFlow(&run, 2.0, /*with_faults=*/false));
+  ASSERT_NO_FATAL_FAILURE(RunFlow(&run, 2.0, /*with_faults=*/false,
+                                  /*with_spans=*/true));
 
-  const obs::TraceCollector& trace = run.telemetry.trace();
-  std::set<int> step_tids;
-  for (const obs::TraceEvent& e : trace.events()) {
-    if (e.name == "step" && e.phase == 'X') step_tids.insert(e.tid);
+  const obs::SpanCollector& spans = run.telemetry.spans();
+  std::map<std::pair<int, int>, size_t> decides_per_track;
+  for (obs::SpanId id = spans.first_retained(); id < spans.end_id(); ++id) {
+    const obs::SpanRecord* r = spans.Find(id);
+    if (r != nullptr && r->kind == obs::SpanKind::kDecide) {
+      ++decides_per_track[{r->pid, r->tid}];
+    }
   }
-  EXPECT_EQ(step_tids.size(), 3u);
-
+  ASSERT_EQ(decides_per_track.size(), 3u);
   std::set<std::string> names;
-  for (const auto& [tid, name] : trace.track_names()) names.insert(name);
-  EXPECT_TRUE(names.count("loop:ingestion"));
-  EXPECT_TRUE(names.count("loop:analytics"));
-  EXPECT_TRUE(names.count("loop:storage"));
-  EXPECT_TRUE(names.count("simulator"));
-  EXPECT_EQ(trace.dropped(), 0u);
+  for (const auto& [track, n] : decides_per_track) {
+    EXPECT_GT(n, 10u);
+    names.insert(spans.track_names().at(track));
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"loop:ingestion", "loop:analytics",
+                                          "loop:storage"}));
+  EXPECT_EQ(spans.evicted(), 0u);
+
+  // The export joins each decide slice to its decision record and
+  // renders the per-loop counters.
+  std::ostringstream os;
+  obs::WriteChromeTrace(os, spans, run.telemetry.decisions().Snapshot());
+  const std::string trace = os.str();
+  EXPECT_NE(trace.find("\"law\":\"adaptive-gain\""), std::string::npos);
+  for (const char* loop : {"ingestion", "analytics", "storage"}) {
+    for (const char* series : {".y", ".u", ".gain"}) {
+      std::string name = "\"name\":\"" + std::string(loop) + series + "\"";
+      EXPECT_NE(trace.find(name), std::string::npos) << name;
+    }
+  }
+}
+
+// Fault injections are zero-duration kFault spans on the fault-injector
+// track; with spans disabled the injector records none.
+TEST(TelemetryIntegrationTest, InjectedFaultsAreFaultSpans) {
+  auto fault_spans = [](bool with_spans) {
+    RunOutput run;
+    RunFlow(&run, 1.0, /*with_faults=*/true, with_spans);
+    size_t n = 0;
+    const obs::SpanCollector& spans = run.telemetry.spans();
+    for (obs::SpanId id = spans.first_retained(); id < spans.end_id();
+         ++id) {
+      const obs::SpanRecord* r = spans.Find(id);
+      if (r == nullptr || r->kind != obs::SpanKind::kFault) continue;
+      EXPECT_EQ(r->label, "sensor-spike:analytics");
+      EXPECT_EQ(r->tid, obs::kFaultInjectorTid);
+      EXPECT_EQ(r->start, r->end);
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_GT(fault_spans(true), 0u);
+  EXPECT_EQ(fault_spans(false), 0u);
 }
 
 TEST(TelemetryIntegrationTest, FaultInterferenceIsStampedOnDecisions) {
@@ -167,6 +229,7 @@ TEST(TelemetryIntegrationTest, MetricsRegistryTracksTheLoops) {
 
 TEST(TelemetryIntegrationTest, Nsga2ObserverEmitsPlannerTelemetry) {
   obs::Telemetry telemetry;
+  telemetry.spans().set_enabled(true);
   core::ResourceShareRequest request;
   opt::Nsga2Config solver;
   solver.population_size = 24;
@@ -177,11 +240,10 @@ TEST(TelemetryIntegrationTest, Nsga2ObserverEmitsPlannerTelemetry) {
   auto result = analyzer.Analyze(request);
   ASSERT_TRUE(result.ok()) << result.status();
 
-  size_t generation_spans = 0;
-  for (const obs::TraceEvent& e : telemetry.trace().events()) {
-    if (e.phase == 'X' && e.tid == obs::kPlannerTid) ++generation_spans;
-  }
-  EXPECT_EQ(generation_spans, 12u);
+  EXPECT_EQ(GenerationSpans(telemetry).size(), 12u);
+  EXPECT_EQ(telemetry.spans().track_names().at(
+                {obs::kTracePid, obs::kPlannerTid}),
+            "planner:planner");
 
   obs::MetricsSnapshot snap = telemetry.metrics().Snapshot();
   bool counted = false;
@@ -207,6 +269,7 @@ TEST(TelemetryIntegrationTest, PlannerTelemetryInvariantUnderSolverThreads) {
   // per generation, so the recorded planner telemetry must be identical
   // whether the solver fans out over 1 or 4 threads.
   auto run = [](size_t threads, obs::Telemetry* telemetry) {
+    telemetry->spans().set_enabled(true);
     core::ResourceShareRequest request;
     opt::Nsga2Config solver;
     solver.population_size = 24;
@@ -222,17 +285,8 @@ TEST(TelemetryIntegrationTest, PlannerTelemetryInvariantUnderSolverThreads) {
   ASSERT_NO_FATAL_FAILURE(run(1, &serial));
   ASSERT_NO_FATAL_FAILURE(run(4, &parallel));
 
-  auto planner_spans = [](const obs::Telemetry& t) {
-    std::vector<std::pair<double, double>> spans;
-    for (const obs::TraceEvent& e : t.trace().events()) {
-      if (e.phase == 'X' && e.tid == obs::kPlannerTid) {
-        spans.push_back({e.ts_us, e.dur_us});
-      }
-    }
-    return spans;
-  };
-  EXPECT_EQ(planner_spans(serial).size(), 12u);
-  EXPECT_EQ(planner_spans(serial), planner_spans(parallel));
+  EXPECT_EQ(GenerationSpans(serial).size(), 12u);
+  EXPECT_EQ(GenerationSpans(serial), GenerationSpans(parallel));
 
   auto planner_gauges = [](const obs::Telemetry& t) {
     std::vector<std::pair<std::string, double>> out;

@@ -276,9 +276,18 @@ TEST(ReplayTest, AlertTriggeredCaptureReplaysIdenticallyAtAnyThreadCount) {
     EXPECT_TRUE(report.chain_match);
     EXPECT_GE(report.replayed_total, report.recorded_total);
     (*harness)->partition().AppendDigest(&digests[i]);
-    // Replay-rich telemetry is on even though the fleet run had it off.
-    EXPECT_TRUE(
-        (*harness)->partition().telemetry().spans().enabled());
+    // Replay-rich telemetry is on even though the fleet run had it off,
+    // so the re-injected sensor spikes show up as kFault spans.
+    const obs::SpanCollector& spans =
+        (*harness)->partition().telemetry().spans();
+    EXPECT_TRUE(spans.enabled());
+    size_t fault_spans = 0;
+    for (obs::SpanId id = spans.first_retained(); id < spans.end_id();
+         ++id) {
+      const obs::SpanRecord* r = spans.Find(id);
+      if (r != nullptr && r->kind == obs::SpanKind::kFault) ++fault_spans;
+    }
+    EXPECT_GT(fault_spans, 0u);
     EXPECT_NE((*harness)->partition().health(), nullptr);
   }
   EXPECT_FALSE(digests[0].empty());
@@ -418,6 +427,22 @@ TEST(ReplayTest, HeterogeneousHorizonCaptureReplaysWithoutDivergence) {
   EXPECT_FALSE(report.diverged) << report.ToString();
   EXPECT_TRUE(report.fingerprint_match);
   EXPECT_TRUE(report.chain_match);
+}
+
+// A bundle whose spec carries a zero MMPP period is rejected when the
+// partition is rebuilt, instead of hanging in MmppArrival's
+// pre-sampling loop.
+TEST(ReplayTest, BundleWithZeroMmppPeriodIsRejected) {
+  fleet::TenantConfig tenant;
+  tenant.pattern = fleet::ArrivalPattern::kMmpp;
+  tenant.period_sec = 0.0;
+  obs::replay::CaptureBundle bundle;
+  bundle.spec = fleet::SerializePartitionSpec(tenant, fleet::PartitionConfig{});
+  bundle.trigger.fired = true;
+  bundle.trigger.time = 600.0;
+  auto harness = fleet::ReplayHarness::Create(bundle);
+  ASSERT_FALSE(harness.ok());
+  EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Satellite: span-id namespace exhaustion guard. ----------------

@@ -7,8 +7,8 @@
 // the replayed control-decision chain against the recording:
 //
 //   flower_replay --bundle=bundles/tenant-0003.json \
-//       --spans-out=spans.json --trace-out=trace.json \
-//       --health-out=health.jsonl --decisions-out=digest.txt
+//       --trace-out=trace.json --health-out=health.jsonl \
+//       --decisions-out=digest.txt
 //
 // Exit code 0 when the replay matches the capture byte-for-byte,
 // 2 when the divergence checker finds a mismatch, 1 on errors.
@@ -26,8 +26,8 @@ Flags:
   --bundle=FILE.json    capture bundle to replay (required)
   --threads=N           NSGA-II solver threads for the solo re-plan; the
                         replayed digest is identical at any N        [1]
-  --trace-out=FILE      write a Chrome trace_event JSON of the replay
-  --spans-out=FILE      write causal control spans as Chrome trace JSON
+  --trace-out=FILE      write the replay's causal control spans as Chrome
+                        trace_event JSON
   --metrics-out=FILE    write decision records + metrics snapshot JSONL
   --health-out=FILE     write the replayed HealthMonitor state JSONL
   --decisions-out=FILE  write the canonical control-decision digest text
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   auto unknown = flags->UnknownKeys({"bundle", "threads", "trace-out",
-                                     "spans-out", "metrics-out", "health-out",
+                                     "metrics-out", "health-out",
                                      "decisions-out", "quiet", "help"});
   if (!unknown.empty()) {
     std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
   }
   options.threads = static_cast<size_t>(*threads);
   options.trace_out = flags->GetString("trace-out", "");
-  options.spans_out = flags->GetString("spans-out", "");
   options.metrics_out = flags->GetString("metrics-out", "");
   options.health_out = flags->GetString("health-out", "");
   options.decisions_out = flags->GetString("decisions-out", "");

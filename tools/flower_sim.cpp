@@ -60,12 +60,11 @@ Flags (all optional):
   --seeds=N             replicate over N consecutive seeds and report
                         mean +/- sd of the headline metrics       [1]
   --csv-out=FILE        dump watched metrics as CSV
-  --trace-out=FILE      write a Chrome trace_event JSON of the run (control
-                        steps, retries, faults, NSGA-II planning); open in
+  --trace-out=FILE      record causal control spans (sense -> decide ->
+                        actuate -> effect, plan -> generation, faults) and
+                        write them as Chrome trace_event JSON with flow
+                        arrows and per-loop y/u/gain counters; open in
                         Perfetto or chrome://tracing
-  --spans-out=FILE      record causal control spans (sense -> decide ->
-                        actuate -> effect, plan -> generation) and write
-                        them as Chrome trace JSON with flow arrows
   --metrics-out=FILE    write control-decision records plus a final metrics
                         snapshot as JSON lines
   --health-out=FILE     run the flow-health layer (SLO engine, anomaly
@@ -111,8 +110,8 @@ Postmortem replay (replaces the single-flow and fleet runs):
                         telemetry forced on, and check the replayed
                         decision chain against the recording (exit 2 on
                         divergence). Honors --threads, --trace-out,
-                        --spans-out, --metrics-out, --health-out,
-                        --decisions-out, --quiet.
+                        --metrics-out, --health-out, --decisions-out,
+                        --quiet.
   --decisions-out=FILE  (replay mode) write the canonical control-decision
                         digest text
 )";
@@ -472,17 +471,15 @@ int RunOrDie(const tools::FlagParser& flags) {
   const bool warm_start = flags.GetBool("warm-start");
 
   std::string trace_out = flags.GetString("trace-out", "");
-  std::string spans_out = flags.GetString("spans-out", "");
   std::string metrics_out = flags.GetString("metrics-out", "");
   std::string health_out = flags.GetString("health-out", "");
   std::string openmetrics_out = flags.GetString("openmetrics-out", "");
-  const bool observe = !trace_out.empty() || !spans_out.empty() ||
-                       !metrics_out.empty() || !health_out.empty() ||
-                       !openmetrics_out.empty();
+  const bool observe = !trace_out.empty() || !metrics_out.empty() ||
+                       !health_out.empty() || !openmetrics_out.empty();
 
   // The hub must outlive the managed flow, so it is declared first.
   obs::Telemetry telemetry;
-  if (!spans_out.empty()) telemetry.spans().set_enabled(true);
+  if (!trace_out.empty()) telemetry.spans().set_enabled(true);
   sim::Simulation sim;
   ScopedLogClock log_clock(&sim);
   cloudwatch::MetricStore metrics;
@@ -683,19 +680,9 @@ int RunOrDie(const tools::FlagParser& flags) {
       std::cerr << st << "\n";
       return 1;
     }
-    std::cout << "wrote Chrome trace (" << telemetry.trace().events().size()
-              << " events) to " << trace_out << "\n";
-  }
-  if (!spans_out.empty()) {
-    Status st = telemetry.ExportSpans(spans_out);
-    if (!st.ok()) {
-      std::cerr << st << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << telemetry.spans().size() << " causal spans ("
-              << telemetry.spans().total_started() << " started, "
-              << telemetry.spans().evicted() << " evicted) to " << spans_out
-              << "\n";
+    std::cout << "wrote Chrome trace (" << telemetry.spans().size()
+              << " spans, " << telemetry.spans().evicted() << " evicted) to "
+              << trace_out << "\n";
   }
   if (!metrics_out.empty()) {
     Status st = telemetry.ExportJsonl(metrics_out, horizon);
@@ -747,7 +734,7 @@ int main(int argc, char** argv) {
       {"controller", "workload", "trace", "rate", "amplitude",
        "period-hours", "hours", "reference", "monitoring-period", "seed",
        "seeds", "threads", "warm-start", "stall-generations", "csv-out",
-       "trace-out", "spans-out", "metrics-out", "health-out",
+       "trace-out", "metrics-out", "health-out",
        "openmetrics-out", "quiet", "help", "fleet", "fleet-tenants",
        "fleet-budget", "fleet-period", "fleet-threads", "fleet-sweep",
        "fleet-tenant-period-jitter", "fleet-report-out",
@@ -767,7 +754,6 @@ int main(int argc, char** argv) {
     options.bundle_path = replay_path;
     options.threads = static_cast<size_t>(*threads);
     options.trace_out = flags->GetString("trace-out", "");
-    options.spans_out = flags->GetString("spans-out", "");
     options.metrics_out = flags->GetString("metrics-out", "");
     options.health_out = flags->GetString("health-out", "");
     options.decisions_out = flags->GetString("decisions-out", "");

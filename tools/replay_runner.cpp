@@ -17,16 +17,9 @@ Status WriteExports(const ReplayCliOptions& options,
   if (!options.trace_out.empty()) {
     FLOWER_RETURN_NOT_OK(telemetry.ExportTrace(options.trace_out));
     if (!options.quiet) {
-      std::cout << "wrote Chrome trace ("
-                << telemetry.trace().events().size() << " events) to "
-                << options.trace_out << "\n";
-    }
-  }
-  if (!options.spans_out.empty()) {
-    FLOWER_RETURN_NOT_OK(telemetry.ExportSpans(options.spans_out));
-    if (!options.quiet) {
-      std::cout << "wrote " << telemetry.spans().size()
-                << " causal spans to " << options.spans_out << "\n";
+      std::cout << "wrote Chrome trace (" << telemetry.spans().size()
+                << " spans, " << telemetry.spans().evicted()
+                << " evicted) to " << options.trace_out << "\n";
     }
   }
   if (!options.metrics_out.empty()) {

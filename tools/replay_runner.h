@@ -12,8 +12,7 @@ namespace flower::tools {
 struct ReplayCliOptions {
   std::string bundle_path;
   size_t threads = 1;
-  std::string trace_out;      ///< Chrome trace_event JSON.
-  std::string spans_out;      ///< Causal spans as Chrome trace JSON.
+  std::string trace_out;      ///< Causal spans as Chrome trace JSON.
   std::string metrics_out;    ///< Decision records + metrics snapshot JSONL.
   std::string health_out;     ///< HealthMonitor state JSONL.
   std::string decisions_out;  ///< Canonical control-decision digest text.
