@@ -250,9 +250,11 @@ Result<RunResult> RunScenario(bool hardened, uint64_t seed) {
   // (SpanIndex::EffectOf) pins the outage on the actuator.
   out.spans_recorded = telemetry.spans().total_started();
   obs::SpanIndex index(telemetry.spans());
-  for (const obs::ControlDecisionRecord& d :
-       telemetry.decisions().Snapshot()) {
-    if (d.time < kSurgeStart || d.loop != "analytics" || d.span_id == 0) {
+  const obs::DecisionLog& log = telemetry.decisions();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const obs::ControlDecisionRecord& d = log.at(i);
+    if (d.time < kSurgeStart || log.loop(d).name != "analytics" ||
+        d.span_id == 0) {
       continue;
     }
     auto chain = index.EffectOf(d.span_id);

@@ -248,11 +248,10 @@ ManagedRun RunManagedFlow(double sim_seconds, bool spans_enabled,
   out.spans_recorded = telemetry.spans().total_started();
   if (serialize) {
     std::ostringstream csv;
-    obs::WriteDecisionCsv(csv, telemetry.decisions().Snapshot());
+    obs::WriteDecisionCsv(csv, telemetry.decisions());
     out.decisions_csv = csv.str();
     std::ostringstream spans;
-    obs::WriteChromeTrace(spans, telemetry.spans(),
-                          telemetry.decisions().Snapshot());
+    obs::WriteChromeTrace(spans, telemetry.spans(), telemetry.decisions());
     out.spans_json = spans.str();
   }
   return out;

@@ -19,6 +19,8 @@
 #include "exec/thread_pool.h"
 #include "flow/flow.h"
 #include "control/adaptive_gain.h"
+#include "core/controller_factory.h"
+#include "core/elasticity_manager.h"
 #include "core/resource_share.h"
 #include "dynamodb/table.h"
 #include "fleet/budget_mailbox.h"
@@ -411,19 +413,25 @@ bool OverloadRejectionsAreAllocationFree() {
   return allocs == 0 && rejected_puts >= 10000 && rejected_writes >= 10000;
 }
 
-// Fourth hard guard: the flight recorder's steady-tick path must be
-// allocation-free. Every ring is preallocated at construction; after
-// that, 1e5 decision records plus interleaved grant/re-plan entries —
-// including ring wrap-around and checkpoint pushes — must perform zero
-// heap allocations, or a recorder per fleet partition would violate
-// the partitions' hot-path allocation budget.
+// Fourth hard guard: the decision record path must be allocation-free.
+// Every ring is preallocated at construction; after that, 1e5 decision
+// records — each appended to a wrapped 256-slot decision log (a fleet
+// partition's ring) and to the flight recorder — plus interleaved
+// grant/re-plan entries, including ring wrap-around and checkpoint
+// pushes, must perform zero heap allocations. The loop's law name is
+// longer than any small-string buffer, so a record that copied it per
+// step would show here.
 bool FlightRecorderHotPathIsAllocationFree() {
+  obs::DecisionLog log(256);
+  Result<obs::LoopId> loop = log.loops().Register(
+      {"analytics", "analytics", "adaptive-gain(no-memory)"});
+  if (!loop.ok()) return false;
   obs::replay::FlightRecorder recorder;
   recorder.SetIdentity("guard-tenant", 0, 42, 0);
+  recorder.SetLoopTable(&log.loops());
   obs::ControlDecisionRecord rec;
-  rec.loop = "analytics";
-  rec.layer = "analytics";
-  rec.law = "adaptive-gain";
+  rec.loop = *loop;
+  for (size_t i = 0; i < log.capacity(); ++i) log.Append(rec);
   constexpr int kOps = 100000;
   const double shares[3] = {8.0, 4.0, 120.0};
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -432,16 +440,58 @@ bool FlightRecorderHotPathIsAllocationFree() {
     rec.sensed_y = 40.0 + static_cast<double>(i % 50);
     rec.raw_u = 3.0 + 0.001 * static_cast<double>(i % 100);
     rec.clamped_u = rec.raw_u;
+    log.Append(rec);
     recorder.RecordDecision(rec);
     if (i % 15 == 0) recorder.RecordGrant(rec.time, 1.0, 0.5);
     if (i % 15 == 7) recorder.RecordReplan(rec.time, 0.5, shares, 3, true);
   }
   uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
   std::printf("flight recorder allocation guard: %llu allocations over %d "
-              "decisions + interleaved grants/re-plans (chain=%llu)\n",
+              "decisions (log + recorder) + interleaved grants/re-plans "
+              "(chain=%llu)\n",
               static_cast<unsigned long long>(allocs), kOps,
               static_cast<unsigned long long>(recorder.chain_hash()));
   return allocs == 0;
+}
+
+// Allocations made by 10,000 ElasticityManager control steps of one
+// loop with a constant sensor and a no-op actuator.
+uint64_t ControlStepAllocations(core::ControllerKind kind) {
+  constexpr int kSteps = 10000;
+  sim::Simulation sim;
+  cloudwatch::MetricStore metrics;
+  core::ElasticityManager manager(&sim, &metrics);
+  control::ActuatorLimits limits;
+  limits.min = 1.0;
+  limits.max = 100.0;
+  auto controller = core::MakeController(kind, 60.0, limits);
+  if (!controller.ok()) return ~uint64_t{0};
+  core::LayerControlConfig cfg;
+  cfg.controller = std::move(*controller);
+  cfg.actuator = [](double) { return Status::OK(); };
+  cfg.sensor = [](SimTime) -> Result<double> { return 70.0; };
+  cfg.initial_u = 10.0;
+  if (!manager.Attach(std::move(cfg)).ok()) return ~uint64_t{0};
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  sim.RunUntil(60.0 * kSteps);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// Seventh hard guard: a control step's allocations must not depend on
+// the control law. The only allocations left in a step are the
+// LayerControlState series growing, so the guard compares a law whose
+// name fits a small-string buffer with one whose name does not.
+bool ControlStepAllocationsAreLawIndependent() {
+  uint64_t adaptive =
+      ControlStepAllocations(core::ControllerKind::kAdaptiveGain);
+  uint64_t no_memory =
+      ControlStepAllocations(core::ControllerKind::kAdaptiveGainNoMemory);
+  std::printf("control step allocation guard: %llu allocations over 10000 "
+              "adaptive-gain steps vs %llu over adaptive-gain-no-memory "
+              "(must be equal)\n",
+              static_cast<unsigned long long>(adaptive),
+              static_cast<unsigned long long>(no_memory));
+  return adaptive != ~uint64_t{0} && adaptive == no_memory;
 }
 
 // Fifth hard guard: the budget mailbox's post/receive handoff must be
@@ -583,6 +633,11 @@ int main(int argc, char** argv) {
   if (!flower::TaskSweepSteadyStateIsAllocationFree()) {
     std::fprintf(stderr,
                  "FAIL: work-stealing task loop allocated in steady state\n");
+    return 1;
+  }
+  if (!flower::ControlStepAllocationsAreLawIndependent()) {
+    std::fprintf(stderr,
+                 "FAIL: control step allocations depend on the control law\n");
     return 1;
   }
   if (!flower::FleetReportsCapacityIsStable()) {

@@ -298,8 +298,7 @@ int main() {
 
   // Tail of the control-decision event log: the structured record of
   // what each loop sensed and decided, newest last.
-  std::vector<obs::ControlDecisionRecord> decisions =
-      telemetry.decisions().Snapshot();
+  const obs::DecisionLog& decisions = telemetry.decisions();
   constexpr size_t kTail = 8;
   size_t first = decisions.size() > kTail ? decisions.size() - kTail : 0;
   std::cout << "\nLast " << decisions.size() - first
@@ -307,8 +306,10 @@ int main() {
   TablePrinter tail({"t min", "loop", "law", "y", "y_r", "gain", "u",
                      "outcome", "faults"});
   for (size_t i = first; i < decisions.size(); ++i) {
-    const obs::ControlDecisionRecord& d = decisions[i];
-    tail.AddRow({Num(d.time / kMinute, 0), d.loop, d.law, Num(d.sensed_y, 1),
+    const obs::ControlDecisionRecord& d = decisions.at(i);
+    const obs::LoopInfo& loop = decisions.loop(d);
+    tail.AddRow({Num(d.time / kMinute, 0), loop.name, loop.law,
+                 Num(d.sensed_y, 1),
                  Num(d.reference, 1), Num(d.gain, 3), Num(d.clamped_u, 1),
                  obs::StepOutcomeToString(d.outcome),
                  std::to_string(static_cast<int>(d.fault_mask))});

@@ -38,7 +38,7 @@ Result<double> AdaptiveGainController::Update(SimTime now, double y) {
   double raw_u = u_ + gain_ * error;
   u_ = config_.limits.Clamp(raw_u);
   double out = config_.limits.Quantize(u_);
-  Notify(now, y, config_.reference, gain_, raw_u, out);
+  RecordStep(gain_, raw_u);
   return out;
 }
 

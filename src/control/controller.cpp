@@ -15,20 +15,4 @@ double ActuatorLimits::Quantize(double u) const {
   return u;
 }
 
-void Controller::Notify(SimTime now, double y, double y_r, double gain,
-                        double raw_u, double u) {
-  if (observer_ == nullptr) return;
-  ControlStepView view;
-  view.time = now;
-  view.y = y;
-  view.reference = y_r;
-  view.error = y - y_r;
-  view.gain = gain;
-  view.raw_u = raw_u;
-  view.u = u;
-  view.law = name();
-  view.span_id = step_span_;
-  observer_->OnControlStep(view);
-}
-
 }  // namespace flower::control

@@ -1,11 +1,11 @@
 #ifndef FLOWER_CONTROL_CONTROLLER_H_
 #define FLOWER_CONTROL_CONTROLLER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
 #include "common/time_series.h"
-#include "control/observer.h"
 
 namespace flower::control {
 
@@ -58,28 +58,25 @@ class Controller {
   virtual double reference() const = 0;
   virtual void set_reference(double y_r) = 0;
 
-  /// Installs a telemetry observer notified once per effective Update
-  /// step (duplicate-timestamp no-ops and error returns do not notify).
-  /// Pass nullptr to detach. Not owned; must outlive the controller or
-  /// be detached first.
-  void set_observer(ControlObserver* observer) { observer_ = observer; }
-  ControlObserver* observer() const { return observer_; }
-
-  /// Causal span id stamped onto the next published ControlStepView
-  /// (set by the supervisor before each Update; see
-  /// ControlStepView::span_id). Sticky until restamped.
-  void set_step_span(uint64_t span_id) { step_span_ = span_id; }
-  uint64_t step_span() const { return step_span_; }
+  /// Effective Updates so far, and the latest one's gain (NaN for laws
+  /// without one) and output before quantization. A duplicate-timestamp
+  /// no-op or an error leaves all three unchanged.
+  uint64_t steps() const { return steps_; }
+  double last_gain() const { return last_gain_; }
+  double last_raw_u() const { return last_raw_u_; }
 
  protected:
-  /// Publishes one step to the observer, if any. `gain` may be NaN for
-  /// laws with no explicit gain.
-  void Notify(SimTime now, double y, double y_r, double gain, double raw_u,
-              double u);
+  /// Called by implementations once per effective Update.
+  void RecordStep(double gain, double raw_u) {
+    ++steps_;
+    last_gain_ = gain;
+    last_raw_u_ = raw_u;
+  }
 
  private:
-  ControlObserver* observer_ = nullptr;
-  uint64_t step_span_ = 0;
+  uint64_t steps_ = 0;
+  double last_gain_ = 0.0;
+  double last_raw_u_ = 0.0;
 };
 
 }  // namespace flower::control

@@ -70,7 +70,7 @@ Result<double> FeedforwardController::Update(SimTime now, double y) {
     double raw_u = u_ + config_.trim_gain * (y - config_.reference);
     u_ = config_.limits.Clamp(raw_u);
     double out = config_.limits.Quantize(u_);
-    Notify(now, y, config_.reference, config_.trim_gain, raw_u, out);
+    RecordStep(config_.trim_gain, raw_u);
     return out;
   }
 
@@ -91,7 +91,7 @@ Result<double> FeedforwardController::Update(SimTime now, double y) {
     double raw_u = u_ + config_.trim_gain * (y - config_.reference);
     u_ = config_.limits.Clamp(raw_u);
     double out = config_.limits.Quantize(u_);
-    Notify(now, y, config_.reference, config_.trim_gain, raw_u, out);
+    RecordStep(config_.trim_gain, raw_u);
     return out;
   }
 
@@ -108,7 +108,7 @@ Result<double> FeedforwardController::Update(SimTime now, double y) {
   double raw_u = u_ff + trim_;
   u_ = config_.limits.Clamp(raw_u);
   double out = config_.limits.Quantize(u_);
-  Notify(now, y, config_.reference, config_.trim_gain, raw_u, out);
+  RecordStep(config_.trim_gain, raw_u);
   return out;
 }
 

@@ -38,14 +38,14 @@ Result<double> FixedGainController::Update(SimTime now, double y) {
   } else {
     // Inside the target range: proportional thresholding holds steady.
     double out = config_.limits.Quantize(u_);
-    Notify(now, y, config_.reference, config_.gain, u_, out);
+    RecordStep(config_.gain, u_);
     return out;
   }
   // Continuous integrator; only the returned actuation is quantized.
   double raw_u = u_ + config_.gain * error;
   u_ = config_.limits.Clamp(raw_u);
   double out = config_.limits.Quantize(u_);
-  Notify(now, y, config_.reference, config_.gain, raw_u, out);
+  RecordStep(config_.gain, raw_u);
   return out;
 }
 

@@ -63,7 +63,7 @@ Result<double> QuasiAdaptiveController::Update(SimTime now, double y) {
   double raw_u = u_ + gain * error;
   u_ = config_.limits.Clamp(raw_u);
   prev_u_ = config_.limits.Quantize(u_);
-  Notify(now, y, config_.reference, gain, raw_u, prev_u_);
+  RecordStep(gain, raw_u);
   return prev_u_;
 }
 

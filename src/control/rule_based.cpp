@@ -62,8 +62,7 @@ Result<double> RuleBasedController::Update(SimTime now, double y) {
     low_breaches_ = 0;
   }
   // No explicit gain in a threshold rule — published as NaN.
-  Notify(now, y, reference(), std::numeric_limits<double>::quiet_NaN(), u_,
-         u_);
+  RecordStep(std::numeric_limits<double>::quiet_NaN(), u_);
   return u_;
 }
 

@@ -48,8 +48,7 @@ Result<double> TargetTrackingController::Update(SimTime now, double y) {
   }
   double out = config_.limits.Quantize(u_);
   // Ratio law has no explicit gain; raw_u is the pre-cooldown desire.
-  Notify(now, y, config_.reference,
-         std::numeric_limits<double>::quiet_NaN(), desired, out);
+  RecordStep(std::numeric_limits<double>::quiet_NaN(), desired);
   return out;
 }
 

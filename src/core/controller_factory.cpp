@@ -1,5 +1,7 @@
 #include "core/controller_factory.h"
 
+#include <cmath>
+
 #include "control/adaptive_gain.h"
 #include "control/feedforward.h"
 #include "control/fixed_gain.h"
@@ -8,6 +10,23 @@
 #include "control/target_tracking.h"
 
 namespace flower::core {
+
+namespace {
+
+// Written so NaN fails it.
+Status ValidateArgs(const char* who, double reference,
+                    const control::ActuatorLimits& limits,
+                    double gain_scale) {
+  if (reference > 0.0 && reference < 100.0 && gain_scale > 0.0 &&
+      std::isfinite(gain_scale) && limits.min <= limits.max) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      std::string(who) + ": need a reference in (0, 100) percent, a finite "
+                         "gain_scale > 0 and limits with min <= max");
+}
+
+}  // namespace
 
 std::string ControllerKindToString(ControllerKind k) {
   switch (k) {
@@ -38,16 +57,8 @@ Result<ControllerKind> ControllerKindFromString(const std::string& s) {
 Result<std::unique_ptr<control::Controller>> MakeController(
     ControllerKind kind, double reference, control::ActuatorLimits limits,
     double gain_scale) {
-  if (reference <= 0.0 || reference >= 100.0) {
-    return Status::InvalidArgument(
-        "MakeController: reference must be in (0, 100) percent");
-  }
-  if (gain_scale <= 0.0) {
-    return Status::InvalidArgument("MakeController: gain_scale must be > 0");
-  }
-  if (limits.min > limits.max) {
-    return Status::InvalidArgument("MakeController: inverted limits");
-  }
+  FLOWER_RETURN_NOT_OK(
+      ValidateArgs("MakeController", reference, limits, gain_scale));
   switch (kind) {
     case ControllerKind::kAdaptiveGain:
     case ControllerKind::kAdaptiveGainNoMemory: {
@@ -119,18 +130,8 @@ Result<std::unique_ptr<control::Controller>> MakeController(
 Result<std::unique_ptr<control::Controller>> MakeFeedforwardController(
     double reference, control::ActuatorLimits limits,
     std::function<Result<double>(SimTime)> driver, double gain_scale) {
-  if (reference <= 0.0 || reference >= 100.0) {
-    return Status::InvalidArgument(
-        "MakeFeedforwardController: reference must be in (0, 100) percent");
-  }
-  if (gain_scale <= 0.0) {
-    return Status::InvalidArgument(
-        "MakeFeedforwardController: gain_scale must be > 0");
-  }
-  if (limits.min > limits.max) {
-    return Status::InvalidArgument(
-        "MakeFeedforwardController: inverted limits");
-  }
+  FLOWER_RETURN_NOT_OK(ValidateArgs("MakeFeedforwardController", reference,
+                                    limits, gain_scale));
   control::FeedforwardConfig cfg;
   cfg.reference = reference;
   cfg.trim_gain = 0.04 * gain_scale;

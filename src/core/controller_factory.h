@@ -37,7 +37,8 @@ Result<ControllerKind> ControllerKindFromString(const std::string& s);
 /// the actuated resource: use ~1 when the resource counts in units
 /// (VMs, shards), ~(max_units / 100) when it counts in hundreds or
 /// thousands (DynamoDB capacity units). Errors: reference outside
-/// (0, 100), non-positive gain_scale, or inverted limits.
+/// (0, 100), gain_scale not finite and > 0, or inverted limits (NaN
+/// fails every check).
 Result<std::unique_ptr<control::Controller>> MakeController(
     ControllerKind kind, double reference, control::ActuatorLimits limits,
     double gain_scale = 1.0);

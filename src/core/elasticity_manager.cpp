@@ -96,9 +96,12 @@ void ElasticityManager::SetHealthAnnotator(
   health_annotator_ = std::move(annotator);
 }
 
-void ElasticityManager::SetAnnotatedStepObserver(
-    control::ControlObserver* observer) {
-  annotated_observer_ = observer;
+void ElasticityManager::SetFlightRecorder(
+    obs::replay::FlightRecorder* recorder) {
+  flight_recorder_ = recorder;
+  if (recorder != nullptr) {
+    recorder->SetLoopTable(&telemetry_->decisions().loops());
+  }
 }
 
 Status ElasticityManager::Attach(LayerControlConfig config) {
@@ -119,7 +122,13 @@ Status ElasticityManager::Attach(LayerControlConfig config) {
         "ElasticityManager: monitoring period/window must be positive");
   }
   FLOWER_RETURN_NOT_OK(ValidateResilience(config.resilience));
+  const std::string layer_name = LayerToString(config.layer);
+  FLOWER_ASSIGN_OR_RETURN(
+      obs::LoopId loop_id,
+      telemetry_->decisions().loops().Register(
+          {config.name, layer_name, config.controller->name()}));
   auto attached = std::make_unique<Attached>();
+  attached->loop_id = loop_id;
   attached->config = std::move(config);
   attached->config.controller->Reset(attached->config.initial_u);
   attached->sense = attached->config.sensor
@@ -128,7 +137,6 @@ Status ElasticityManager::Attach(LayerControlConfig config) {
   attached->rng = Rng(attached->config.resilience.retry.jitter_seed);
 
   // Register the loop's instruments and trace track.
-  const std::string layer_name = LayerToString(attached->config.layer);
   obs::LabelSet labels =
       WithTenant({{"loop", attached->config.name}, {"layer", layer_name}});
   obs::MetricsRegistry& m = telemetry_->metrics();
@@ -147,7 +155,6 @@ Status ElasticityManager::Attach(LayerControlConfig config) {
   attached->trace_tid = next_trace_tid_++;
   telemetry_->spans().SetTrackName(trace_pid_, attached->trace_tid,
                                    "loop:" + attached->config.name);
-  attached->config.controller->set_observer(&attached->observer);
 
   Attached* raw = attached.get();
   Status st = sim_->SchedulePeriodic(
@@ -198,7 +205,6 @@ void ElasticityManager::Step(Attached* a) {
   const LayerControlConfig& cfg = a->config;
   // A new control step supersedes any retry chain still in flight.
   ++a->epoch;
-  a->observer.fresh = false;
   obs::SpanCollector& spans = telemetry_->spans();
   a->current_sense_span = 0;
   a->current_decide_span = 0;
@@ -226,7 +232,7 @@ void ElasticityManager::Step(Attached* a) {
           obs::SpanKind::kDecide, cfg.name, now, 0.0, trace_pid_,
           a->trace_tid, /*parent=*/0, last_plan_span_, /*value=*/kNaN,
           static_cast<uint8_t>(obs::StepOutcome::kSensorMiss));
-      RecordDecision(a, now, kNaN, /*stale=*/false, kNaN,
+      RecordDecision(a, now, kNaN, /*stale=*/false, kNaN, kNaN, kNaN,
                      obs::StepOutcome::kSensorMiss);
       return;
     }
@@ -252,12 +258,17 @@ void ElasticityManager::Step(Attached* a) {
   a->current_decide_span =
       spans.Begin(obs::SpanKind::kDecide, cfg.name, now, trace_pid_,
                   a->trace_tid, a->current_sense_span, last_plan_span_);
-  cfg.controller->set_step_span(a->current_decide_span);
 
+  // Gain and raw output come from this Update only if it ran the law;
+  // an open breaker still records what the law asked for.
+  const uint64_t steps_before = cfg.controller->steps();
   auto u = cfg.controller->Update(now, y);
+  const bool ran = cfg.controller->steps() != steps_before;
+  const double gain = ran ? cfg.controller->last_gain() : kNaN;
+  const double raw_u = ran ? cfg.controller->last_raw_u() : kNaN;
   if (!u.ok()) {
     a->state.counters.actuation_failures->Increment();
-    RecordDecision(a, now, y, stale, kNaN,
+    RecordDecision(a, now, y, stale, gain, raw_u, kNaN,
                    obs::StepOutcome::kControllerError);
     return;
   }
@@ -269,75 +280,51 @@ void ElasticityManager::Step(Attached* a) {
     // Open breaker: record what the loop wanted, touch nothing.
     a->state.counters.breaker_skipped_steps->Increment();
     a->state.actuations.AppendUnchecked(now, amount);
-    RecordDecision(a, now, y, stale, amount, obs::StepOutcome::kBreakerOpen);
+    RecordDecision(a, now, y, stale, gain, raw_u, amount,
+                   obs::StepOutcome::kBreakerOpen);
     return;
   }
   bool applied = Actuate(a, amount, /*attempt=*/0);
   a->state.actuations.AppendUnchecked(now, amount);
-  RecordDecision(a, now, y, stale, amount,
+  RecordDecision(a, now, y, stale, gain, raw_u, amount,
                  applied ? obs::StepOutcome::kActuated
                          : obs::StepOutcome::kActuationFailed);
 }
 
 void ElasticityManager::RecordDecision(Attached* a, SimTime now,
                                        double sensed_y, bool stale,
+                                       double gain, double raw_u,
                                        double clamped_u,
                                        obs::StepOutcome outcome) {
-  const LayerControlConfig& cfg = a->config;
+  obs::DecisionLog& log = telemetry_->decisions();
+  const std::string& layer = log.loops()[a->loop_id].layer;
   obs::ControlDecisionRecord rec;
   rec.time = now;
-  rec.loop = cfg.name;
-  rec.layer = LayerToString(cfg.layer);
+  rec.loop = a->loop_id;
   rec.sensed_y = sensed_y;
-  rec.stale_sensor = stale;
+  rec.reference = a->config.controller->reference();
+  rec.error = sensed_y - rec.reference;  // NaN on a sensor miss.
+  rec.gain = gain;
+  rec.raw_u = raw_u;
   rec.clamped_u = clamped_u;
+  rec.stale_sensor = stale;
   rec.outcome = outcome;
   rec.span_id = a->current_decide_span;
-  rec.fault_mask = telemetry_->FaultMaskAt(rec.layer, now);
+  rec.fault_mask = telemetry_->FaultMaskAt(layer, now);
   if (health_annotator_) {
-    rec.health_mask = health_annotator_(rec.layer, now);
+    rec.health_mask = health_annotator_(layer, now);
     if (rec.health_mask != 0) a->breach_steps->Increment();
   }
-  if (a->observer.fresh && a->observer.last.time == now) {
-    const control::ControlStepView& v = a->observer.last;
-    rec.law = v.law;
-    rec.reference = v.reference;
-    rec.error = v.error;
-    rec.gain = v.gain;
-    rec.raw_u = v.raw_u;
-  } else {
-    // The controller did not run this step (miss / breaker / error).
-    rec.law = cfg.controller->name();
-    rec.reference = cfg.controller->reference();
-    rec.error = std::isnan(sensed_y) ? kNaN : sensed_y - rec.reference;
-    rec.gain = kNaN;
-    rec.raw_u = kNaN;
-  }
-  telemetry_->decisions().Append(rec);
+  log.Append(rec);
   if (flight_recorder_ != nullptr) flight_recorder_->RecordDecision(rec);
   // Close the decide span with what was ultimately applied (no-op for
   // sensor-miss steps, whose span was emitted closed).
-  telemetry_->spans().End(a->current_decide_span, now, rec.clamped_u,
+  telemetry_->spans().End(a->current_decide_span, now, clamped_u,
                           static_cast<uint8_t>(outcome));
-
-  if (annotated_observer_ != nullptr) {
-    control::ControlStepView annotated;
-    annotated.time = rec.time;
-    annotated.y = rec.sensed_y;
-    annotated.reference = rec.reference;
-    annotated.error = rec.error;
-    annotated.gain = rec.gain;
-    annotated.raw_u = rec.raw_u;
-    annotated.u = rec.clamped_u;
-    annotated.law = rec.law;
-    annotated.health_mask = rec.health_mask;
-    annotated.span_id = rec.span_id;
-    annotated_observer_->OnControlStep(annotated);
-  }
 
   if (!std::isnan(sensed_y)) a->gauge_y->Set(sensed_y);
   if (!std::isnan(clamped_u)) a->gauge_u->Set(clamped_u);
-  if (!std::isnan(rec.gain)) a->gauge_gain->Set(rec.gain);
+  if (!std::isnan(gain)) a->gauge_gain->Set(gain);
 }
 
 bool ElasticityManager::Actuate(Attached* a, double amount, int attempt) {

@@ -10,7 +10,6 @@
 #include "cloudwatch/metric_store.h"
 #include "common/random.h"
 #include "control/controller.h"
-#include "control/observer.h"
 #include "core/layer.h"
 #include "core/resource_share.h"
 #include "obs/telemetry.h"
@@ -257,35 +256,27 @@ class ElasticityManager {
   /// Queried at every control step for the layer's current flow-health
   /// bits (obs::HealthMask layout, typically
   /// obs::health::HealthMonitor::MaskFor). The mask is stamped on the
-  /// step's decision record, counted in the loop.breach_steps counter
-  /// when any breach bit is set, and forwarded to the annotated-step
-  /// observer. Pass nullptr to detach (records stamp 0 again).
+  /// step's decision record and counted in the loop.breach_steps
+  /// counter when any breach bit is set. Pass nullptr to detach
+  /// (records stamp 0 again).
   void SetHealthAnnotator(
       std::function<obs::HealthMask(const std::string& layer, SimTime now)>
           annotator);
 
   /// Attaches a flight recorder: every control decision is mirrored
-  /// into it (same record the decision log gets) and every applied
-  /// re-plan lands as a replan entry, so the black box carries the
-  /// exact digest the fleet's divergence checker replays against.
-  /// `recorder` must outlive the manager; nullptr detaches. The record
-  /// path is allocation-free, safe for capped fleet partitions.
-  void SetFlightRecorder(obs::replay::FlightRecorder* recorder) {
-    flight_recorder_ = recorder;
-  }
-
-  /// Observer invoked after every control step with the step view
-  /// *including* the health annotation (control::ControlStepView::
-  /// health_mask) — the seam for breach-aware supervisors and tests.
-  /// Unlike the controller's own observer this fires for every step,
-  /// including sensor misses and breaker skips (y/raw_u NaN there).
-  /// `observer` must outlive the manager; nullptr detaches.
-  void SetAnnotatedStepObserver(control::ControlObserver* observer);
+  /// into it (same record the decision log gets, resolved against the
+  /// log's loop table) and every applied re-plan lands as a replan
+  /// entry, so the black box carries the exact digest the fleet's
+  /// divergence checker replays against. `recorder` must outlive the
+  /// manager; nullptr detaches. The record path is allocation-free,
+  /// safe for capped fleet partitions.
+  void SetFlightRecorder(obs::replay::FlightRecorder* recorder);
 
   /// Attaches and starts a control loop. The loop is keyed by
-  /// `config.name` (default: the layer name). Errors: duplicate name,
-  /// missing controller/actuator, non-positive periods, or an invalid
-  /// resilience policy.
+  /// `config.name` (default: the layer name) and registered in the
+  /// decision log's loop table. Errors: duplicate name, missing
+  /// controller/actuator, non-positive periods, an invalid resilience
+  /// policy, or a full loop table.
   Status Attach(LayerControlConfig config);
 
   /// The default sensor for `config`: queries this manager's metric
@@ -344,18 +335,6 @@ class ElasticityManager {
   std::vector<std::string> LoopNames() const;
 
  private:
-  /// Captures the controller's view of its latest Update step so the
-  /// manager can stamp decision records with the adapted gain and the
-  /// pre-clamp actuation without reaching into controller internals.
-  struct StepObserver final : control::ControlObserver {
-    control::ControlStepView last;
-    bool fresh = false;
-    void OnControlStep(const control::ControlStepView& view) override {
-      last = view;
-      fresh = true;
-    }
-  };
-
   struct Attached {
     LayerControlConfig config;
     LayerControlState state;
@@ -373,7 +352,7 @@ class ElasticityManager {
     double last_good_value = 0.0;
     SimTime last_good_time = 0.0;
     /// Telemetry plumbing.
-    StepObserver observer;
+    obs::LoopId loop_id = 0;  ///< Entry in the decision log's loop table.
     int trace_tid = 0;
     /// Causal-span state (all 0 while span recording is disabled):
     /// the step's sense/decide spans, the latest actuation attempt
@@ -408,11 +387,11 @@ class ElasticityManager {
   /// whether THIS attempt succeeded (retries land asynchronously).
   bool Actuate(Attached* a, double amount, int attempt);
 
-  /// Appends one decision record (gain/raw_u filled from the step
-  /// observer when the controller ran) and closes the step's decide
-  /// span.
+  /// Appends one decision record and closes the step's decide span.
+  /// `gain` and `raw_u` are NaN when the control law did not run.
   void RecordDecision(Attached* a, SimTime now, double sensed_y, bool stale,
-                      double clamped_u, obs::StepOutcome outcome);
+                      double gain, double raw_u, double clamped_u,
+                      obs::StepOutcome outcome);
 
   sim::Simulation* sim_;
   const cloudwatch::MetricStore* metrics_;
@@ -422,7 +401,6 @@ class ElasticityManager {
   obs::Telemetry* telemetry_ = nullptr;
   std::function<obs::HealthMask(const std::string&, SimTime)>
       health_annotator_;
-  control::ControlObserver* annotated_observer_ = nullptr;
   obs::replay::FlightRecorder* flight_recorder_ = nullptr;
   /// Tenant id stamped on every registered instrument (fleet runs);
   /// empty = no tenant label (single-flow behavior unchanged).

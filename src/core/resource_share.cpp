@@ -172,11 +172,10 @@ Result<ResourceShareResult> ResourceShareAnalyzer::Analyze(
 }
 
 Result<ResourceShareResult> ResourceShareAnalyzer::AnalyzeIncremental(
-    const ResourceShareRequest& request, const std::string& scope) {
+    const ResourceShareRequest& request) {
   opt::Nsga2Config config = solver_config_;
   config.stall_generations = incremental_.stall_generations;
   config.stall_tolerance = incremental_.stall_tolerance;
-  ScopeState& state = scopes_[scope];
 
   auto bump = [this](uint64_t PlannerCounters::*field, const char* name,
                      uint64_t delta) {
@@ -190,10 +189,9 @@ Result<ResourceShareResult> ResourceShareAnalyzer::AnalyzeIncremental(
   std::string fingerprint;
   if (incremental_.cache) {
     fingerprint = Fingerprint(request, config);
-    if (fingerprint == state.cached_fingerprint &&
-        !state.cached_fingerprint.empty()) {
+    if (fingerprint == cached_fingerprint_ && !cached_fingerprint_.empty()) {
       bump(&PlannerCounters::cache_hits, "planner.cache_hits", 1);
-      ResourceShareResult out = state.cached_result;
+      ResourceShareResult out = cached_result_;
       out.cache_hit = true;
       out.evaluations = 0;  // Nothing was solved for this call.
       return out;
@@ -201,20 +199,20 @@ Result<ResourceShareResult> ResourceShareAnalyzer::AnalyzeIncremental(
     bump(&PlannerCounters::cache_misses, "planner.cache_misses", 1);
     // Invalidate now; the cache is (re)filled only by a successful
     // solve below, so a failed solve can never be served as a hit.
-    state.cached_fingerprint.clear();
+    cached_fingerprint_.clear();
   }
 
-  if (incremental_.warm_start && !state.last_population.empty()) {
+  if (incremental_.warm_start && !last_population_.empty()) {
     // Partial injection (see IncrementalPlanning::seed_fraction): the
     // prefix of the rank-ordered final population seeds the next solve;
     // the solver tops the rest up with fresh random individuals.
     double frac = std::clamp(incremental_.seed_fraction, 0.0, 1.0);
     size_t max_seeds = static_cast<size_t>(
         std::ceil(frac * static_cast<double>(config.population_size)));
-    max_seeds = std::min(max_seeds, state.last_population.size());
+    max_seeds = std::min(max_seeds, last_population_.size());
     config.seed_population.assign(
-        state.last_population.begin(),
-        state.last_population.begin() + static_cast<long>(max_seeds));
+        last_population_.begin(),
+        last_population_.begin() + static_cast<long>(max_seeds));
     bump(&PlannerCounters::warm_starts, "planner.warm_starts", 1);
   }
 
@@ -224,10 +222,10 @@ Result<ResourceShareResult> ResourceShareAnalyzer::AnalyzeIncremental(
   if (out.early_exit) {
     bump(&PlannerCounters::early_exits, "planner.early_exits", 1);
   }
-  if (incremental_.warm_start) state.last_population = out.final_population;
+  if (incremental_.warm_start) last_population_ = out.final_population;
   if (incremental_.cache) {
-    state.cached_result = out;
-    state.cached_fingerprint = std::move(fingerprint);
+    cached_result_ = out;
+    cached_fingerprint_ = std::move(fingerprint);
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef FLOWER_CORE_RESOURCE_SHARE_H_
 #define FLOWER_CORE_RESOURCE_SHARE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -170,15 +169,11 @@ class ResourceShareAnalyzer {
   /// solver from the previous period's final population (when enabled),
   /// and applies the convergence early-exit knobs. With a default
   /// IncrementalPlanning this is exactly Analyze plus counter upkeep.
-  ///
-  /// `scope` names the flow (tenant) this call plans for. The plan
-  /// cache and the warm-start population are kept *per scope*: an
-  /// analyzer shared across tenants neither thrashes its memo between
-  /// their alternating requests nor seeds one tenant's solve with
-  /// another tenant's front. Single-flow callers use the default scope
-  /// and get the original single-entry behavior bit for bit.
+  /// The cache and the warm-start population belong to this analyzer,
+  /// so each flow plans through its own (every ElasticityManager owns
+  /// one).
   Result<ResourceShareResult> AnalyzeIncremental(
-      const ResourceShareRequest& request, const std::string& scope = "");
+      const ResourceShareRequest& request);
 
   /// Canonical plan-cache key: a textual fingerprint of every
   /// result-affecting field of (request, solver config) — budget,
@@ -222,25 +217,17 @@ class ResourceShareAnalyzer {
   static Result<ResourceShareResult> Run(const ResourceShareRequest& request,
                                          const opt::Nsga2Config& config);
 
-  /// Per-scope incremental state: one warm-start population and one
-  /// single-entry plan cache per flow. Keeping these keyed by scope is
-  /// what makes a shared analyzer safe across tenants — alternating
-  /// requests from two flows hit two independent memos instead of
-  /// invalidating (and cross-seeding) one.
-  struct ScopeState {
-    /// Warm-start memory: the previous solve's final population.
-    std::vector<std::vector<double>> last_population;
-    /// Plan cache (valid when cached_fingerprint is non-empty).
-    std::string cached_fingerprint;
-    ResourceShareResult cached_result;
-  };
-
   opt::Nsga2Config solver_config_;
   IncrementalPlanning incremental_;
   obs::MetricsRegistry* registry_ = nullptr;
   obs::LabelSet planner_labels_;
   PlannerCounters counters_;
-  std::map<std::string, ScopeState> scopes_;
+  /// Warm-start memory: the previous solve's final population.
+  std::vector<std::vector<double>> last_population_;
+  /// Single-entry plan cache (valid when cached_fingerprint_ is
+  /// non-empty).
+  std::string cached_fingerprint_;
+  ResourceShareResult cached_result_;
 };
 
 }  // namespace flower::core

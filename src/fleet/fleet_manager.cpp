@@ -27,21 +27,12 @@ Status FleetManager::AddTenant(TenantConfig tenant) {
     return Status::FailedPrecondition(
         "FleetManager: AddTenant must precede Start");
   }
-  // The id names the tenant's ScopedRegistry child, whose path uses '/'.
-  if (tenant.id.empty() || tenant.id.find('/') != std::string::npos) {
-    return Status::InvalidArgument("FleetManager: tenant id '" + tenant.id +
-                                   "' must be non-empty and contain no '/'");
-  }
+  FLOWER_RETURN_NOT_OK(ValidateTenant(tenant, config_.partition));
   for (const TenantConfig& t : tenants_) {
     if (t.id == tenant.id) {
       return Status::AlreadyExists("FleetManager: duplicate tenant id '" +
                                    tenant.id + "'");
     }
-  }
-  if (tenant.arbitration_period_sec < 0.0 ||
-      !std::isfinite(tenant.arbitration_period_sec)) {
-    return Status::InvalidArgument(
-        "FleetManager: tenant arbitration_period_sec must be >= 0");
   }
   tenants_.push_back(std::move(tenant));
   return Status::OK();
@@ -53,6 +44,17 @@ Status FleetManager::Start() {
   }
   if (tenants_.empty()) {
     return Status::InvalidArgument("FleetManager: no tenants");
+  }
+  // Written so NaN fails it.
+  if (!(std::isfinite(config_.fleet_budget_usd_per_hour) &&
+        config_.fleet_budget_usd_per_hour >= 0.0 &&
+        config_.starvation_floor_frac >= 0.0 &&
+        config_.starvation_floor_frac <= 1.0 &&
+        std::isfinite(config_.arbitration_period_sec) &&
+        config_.arbitration_period_sec > config_.partition.replan_offset_sec)) {
+    return Status::InvalidArgument(
+        "FleetManager: need a finite fleet budget >= 0, a starvation floor "
+        "in [0, 1] and a finite arbitration period above the re-plan offset");
   }
   if (config_.sweep_mode == FleetConfig::SweepMode::kLockStep) {
     for (const TenantConfig& t : tenants_) {

@@ -123,14 +123,15 @@ class FleetManager {
  public:
   explicit FleetManager(FleetConfig config);
 
-  /// Registers a tenant. Errors: empty id or one containing '/',
-  /// duplicate id, negative or non-finite arbitration period, or called
-  /// after Start.
+  /// Registers a tenant. Errors: ValidateTenant rejects it under the
+  /// fleet's partition config, a duplicate id, or called after Start.
   Status AddTenant(TenantConfig tenant);
 
   /// Builds every partition (serially, in tenant index order — span id
-  /// namespaces and RNG streams depend only on the index). Errors
-  /// propagate from partition construction.
+  /// namespaces and RNG streams depend only on the index). Errors, all
+  /// before any partition is built: no tenants, a fleet budget not
+  /// finite and >= 0, a starvation floor outside [0, 1], a fleet period
+  /// not above the re-plan offset.
   Status Start();
 
   /// Advances the whole fleet by `horizon_sec`, boundary by boundary,

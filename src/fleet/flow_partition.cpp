@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -26,24 +25,6 @@ bool FaultKindFromString(const std::string& name, sim::FaultKind* kind) {
     }
   }
   return false;
-}
-
-// Rejects traffic shapes the arrival processes cannot run. MmppArrival
-// pre-samples holds with mean period_sec up to the horizon, so a zero
-// or negative period would never get there.
-Status ValidateTraffic(const TenantConfig& t) {
-  if (!std::isfinite(t.base_rate_per_sec) || t.base_rate_per_sec < 0.0 ||
-      !std::isfinite(t.amplitude_per_sec) || t.amplitude_per_sec < 0.0) {
-    return Status::InvalidArgument("FlowPartition: tenant '" + t.id +
-                                   "' rates must be finite and >= 0");
-  }
-  const bool periodic = t.pattern == ArrivalPattern::kDiurnal ||
-                        t.pattern == ArrivalPattern::kMmpp;
-  if (periodic && !(std::isfinite(t.period_sec) && t.period_sec > 0.0)) {
-    return Status::InvalidArgument("FlowPartition: tenant '" + t.id +
-                                   "' period_sec must be finite and > 0");
-  }
-  return Status::OK();
 }
 
 std::shared_ptr<workload::ArrivalProcess> MakeArrival(
@@ -71,7 +52,7 @@ std::shared_ptr<workload::ArrivalProcess> MakeArrival(
 
 Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
     const TenantConfig& tenant, const PartitionConfig& config, size_t index) {
-  FLOWER_RETURN_NOT_OK(ValidateTraffic(tenant));
+  FLOWER_RETURN_NOT_OK(ValidateTenant(tenant, config));
   auto p = std::unique_ptr<FlowPartition>(new FlowPartition());
   p->tenant_ = tenant;
   p->capture_ = config.capture;
@@ -154,6 +135,17 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   if (p->chaos_ != nullptr) builder.WithFaultInjector(p->chaos_.get());
   FLOWER_ASSIGN_OR_RETURN(p->managed_,
                           builder.Build(p->sim_.get(), p->metrics_.get()));
+  // Each loop's layer index, so demand pricing walks the decision ring
+  // without comparing layer names per record.
+  const obs::LoopTable& loops = p->telemetry_->decisions().loops();
+  for (size_t id = 0; id < loops.size(); ++id) {
+    const std::string& name = loops[static_cast<obs::LoopId>(id)].layer;
+    int layer = 0;
+    for (int i = 0; i < core::kNumLayers; ++i) {
+      if (name == core::LayerToString(static_cast<core::Layer>(i))) layer = i;
+    }
+    p->layer_of_loop_.push_back(layer);
+  }
 
   // Flow -> layer re-planning under the arbiter's grant. The request is
   // refreshed from granted_budget_usd_ right before each solve; the
@@ -263,60 +255,36 @@ Status FlowPartition::AdvanceTo(SimTime t) {
   return Status::OK();
 }
 
-namespace {
-
-/// Latest finite per-layer value of `field` across the retained
-/// decision records, priced hourly; `fallback` per layer when a layer
-/// has no usable record yet.
-double PricedLatest(const obs::DecisionLog& log,
-                    double ControlDecisionRecord_value(
-                        const obs::ControlDecisionRecord&),
-                    const double unit_price[core::kNumLayers],
-                    const double fallback[core::kNumLayers]) {
-  double latest[core::kNumLayers];
+double FlowPartition::PricedLatest(
+    double value(const obs::ControlDecisionRecord&)) const {
+  double amount[core::kNumLayers] = {
+      static_cast<double>(tenant_.initial_shards),
+      static_cast<double>(tenant_.initial_workers), tenant_.initial_wcu};
   bool have[core::kNumLayers] = {false, false, false};
-  std::vector<obs::ControlDecisionRecord> records = log.Snapshot();
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    for (int i = 0; i < core::kNumLayers; ++i) {
-      if (have[i] ||
-          it->layer != core::LayerToString(static_cast<core::Layer>(i))) {
-        continue;
-      }
-      double v = ControlDecisionRecord_value(*it);
-      if (std::isfinite(v)) {
-        latest[i] = v;
-        have[i] = true;
-      }
-    }
+  const obs::DecisionLog& log = telemetry_->decisions();
+  int found = 0;
+  for (size_t i = log.size(); i-- > 0 && found < core::kNumLayers;) {
+    const obs::ControlDecisionRecord& r = log.at(i);
+    int layer = layer_of_loop_[r.loop];
+    double v = value(r);
+    if (have[layer] || !std::isfinite(v)) continue;
+    amount[layer] = std::max(0.0, v);
+    have[layer] = true;
+    ++found;
   }
   double usd = 0.0;
-  for (int i = 0; i < core::kNumLayers; ++i) {
-    double amount = have[i] ? std::max(0.0, latest[i]) : fallback[i];
-    usd += amount * unit_price[i];
-  }
+  for (int i = 0; i < core::kNumLayers; ++i) usd += amount[i] * unit_price_[i];
   return usd;
 }
 
-}  // namespace
-
 double FlowPartition::DemandUsdPerHour() const {
-  double fallback[core::kNumLayers] = {
-      static_cast<double>(tenant_.initial_shards),
-      static_cast<double>(tenant_.initial_workers), tenant_.initial_wcu};
   return PricedLatest(
-      telemetry_->decisions(),
-      [](const obs::ControlDecisionRecord& r) { return r.raw_u; },
-      unit_price_, fallback);
+      [](const obs::ControlDecisionRecord& r) { return r.raw_u; });
 }
 
 double FlowPartition::SpendUsdPerHour() const {
-  double fallback[core::kNumLayers] = {
-      static_cast<double>(tenant_.initial_shards),
-      static_cast<double>(tenant_.initial_workers), tenant_.initial_wcu};
   return PricedLatest(
-      telemetry_->decisions(),
-      [](const obs::ControlDecisionRecord& r) { return r.clamped_u; },
-      unit_price_, fallback);
+      [](const obs::ControlDecisionRecord& r) { return r.clamped_u; });
 }
 
 uint64_t FlowPartition::StepsTaken() const {
@@ -366,14 +334,15 @@ Status FlowPartition::DumpBundle(const std::string& path) {
 }
 
 void FlowPartition::AppendDigest(std::string* out) const {
-  char buf[192];
-  for (const obs::ControlDecisionRecord& r :
-       telemetry_->decisions().Snapshot()) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s t=%.3f loop=%s y=%.6f raw_u=%.6f u=%.6f out=%s\n",
-                  tenant_.id.c_str(), r.time, r.loop.c_str(), r.sensed_y,
-                  r.raw_u, r.clamped_u, obs::StepOutcomeToString(r.outcome));
-    *out += buf;
+  const obs::DecisionLog& log = telemetry_->decisions();
+  char line[obs::kDigestLineCapacity];
+  for (size_t i = 0; i < log.size(); ++i) {
+    const obs::ControlDecisionRecord& r = log.at(i);
+    size_t len = obs::FormatDigestLine(r, log.loop(r).name, line);
+    *out += tenant_.id;
+    *out += ' ';
+    out->append(line, len);
+    *out += '\n';
   }
 }
 

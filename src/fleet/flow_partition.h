@@ -101,8 +101,7 @@ class FlowPartition {
   /// Builds and starts the partition (flow running, loops attached,
   /// re-planning scheduled). `index` is the tenant's position in the
   /// fleet (span id namespace, stable ordering). InvalidArgument when
-  /// the tenant's rates are negative or non-finite, or a diurnal/MMPP
-  /// tenant's period_sec is not finite and > 0.
+  /// ValidateTenant rejects the tenant under `config`.
   static Result<std::unique_ptr<FlowPartition>> Create(
       const TenantConfig& tenant, const PartitionConfig& config,
       size_t index);
@@ -194,9 +193,16 @@ class FlowPartition {
  private:
   FlowPartition() = default;
 
+  /// Hourly cost of each layer's latest finite `value` in the retained
+  /// decision records, newest first; the provisioned amount for a layer
+  /// with none yet.
+  double PricedLatest(double value(const obs::ControlDecisionRecord&)) const;
+
   TenantConfig tenant_;
   CaptureConfig capture_;
   double unit_price_[core::kNumLayers] = {0.0, 0.0, 0.0};
+  /// core::Layer index of each loop id in the decision log's loop table.
+  std::vector<int> layer_of_loop_;
   double granted_budget_usd_ = 0.0;
   double effective_period_sec_ = 0.0;
   BudgetMailbox mailbox_;

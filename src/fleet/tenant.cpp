@@ -1,6 +1,10 @@
 #include "fleet/tenant.h"
 
+#include <cmath>
 #include <cstdio>
+#include <utility>
+
+#include "fleet/flow_partition.h"
 
 namespace flower::fleet {
 
@@ -29,6 +33,48 @@ bool ArrivalPatternFromString(const std::string& name,
     }
   }
   return false;
+}
+
+Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
+  bool finite = true;
+  for (double v : {t.initial_budget_usd, t.budget_weight, t.base_rate_per_sec,
+                   t.amplitude_per_sec, t.period_sec, t.phase_sec,
+                   t.initial_wcu, t.max_wcu, t.reference_utilization_pct,
+                   t.monitoring_period_sec, t.arbitration_period_sec}) {
+    finite = finite && std::isfinite(v);
+  }
+  // MmppArrival pre-samples holds with mean period_sec up to the
+  // horizon, which a zero or negative period never reaches.
+  const bool periodic = t.pattern == ArrivalPattern::kDiurnal ||
+                        t.pattern == ArrivalPattern::kMmpp;
+  const double period = t.arbitration_period_sec > 0.0
+                            ? t.arbitration_period_sec
+                            : config.arbitration_period_sec;
+  const std::pair<bool, const char*> rules[] = {
+      {!t.id.empty() && t.id.find('/') == std::string::npos,
+       "id must be non-empty and contain no '/'"},
+      {finite, "every value must be finite"},
+      {t.base_rate_per_sec >= 0.0 && t.amplitude_per_sec >= 0.0,
+       "rates must be >= 0"},
+      {t.initial_budget_usd >= 0.0 && t.budget_weight >= 0.0,
+       "initial_budget_usd and budget_weight must be >= 0"},
+      {!periodic || t.period_sec > 0.0, "period_sec must be > 0"},
+      {1 <= t.initial_shards && t.initial_shards <= t.max_shards &&
+           1 <= t.initial_workers && t.initial_workers <= t.max_workers,
+       "shards and workers need 1 <= initial <= max"},
+      {0.0 < t.initial_wcu && t.initial_wcu <= t.max_wcu && t.max_wcu >= 5.0,
+       "need 0 < initial_wcu <= max_wcu and max_wcu >= 5"},
+      {t.reference_utilization_pct > 0.0 &&
+           t.reference_utilization_pct < 100.0,
+       "reference_utilization_pct must be in (0, 100)"},
+      {t.monitoring_period_sec >= 1.0, "monitoring_period_sec must be >= 1"},
+      {t.arbitration_period_sec >= 0.0 && period > config.replan_offset_sec,
+       "arbitration period must be >= 0 and exceed the re-plan offset"},
+  };
+  for (const auto& [ok, what] : rules) {
+    if (!ok) return Status::InvalidArgument("tenant '" + t.id + "': " + what);
+  }
+  return Status::OK();
 }
 
 namespace {

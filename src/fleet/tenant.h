@@ -5,9 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "obs/replay/flight_recorder.h"
 
 namespace flower::fleet {
+
+struct PartitionConfig;
 
 /// One scheduled fault on a tenant's flow, as plain data (the kind
 /// strings are sim::FaultKindToString names, e.g. "sensor-spike"). The
@@ -80,6 +83,16 @@ struct TenantConfig {
   /// fair weather). Targets are layer names; seeding uses `seed`.
   std::vector<TenantFault> faults;
 };
+
+/// InvalidArgument unless a partition built under `config` can run
+/// `tenant`: an id without '/', finite values, rates, budget and weight
+/// >= 0, a diurnal/MMPP period > 0, 1 <= initial <= max shards and
+/// workers, 0 < initial_wcu <= max_wcu with max_wcu >= 5 (the storage
+/// floor), a reference in (0, 100), a monitoring period >= 1 s
+/// (CloudWatch's finest) and an arbitration period above the re-plan
+/// offset, so each re-plan lands in the window its grant opened.
+Status ValidateTenant(const TenantConfig& tenant,
+                      const PartitionConfig& config);
 
 /// Deterministically synthesizes `count` heterogeneous tenants: ids
 /// "t0000".."tNNNN", budgets/weights/rates/patterns/topologies varied

@@ -1,5 +1,9 @@
 #include "obs/event_log.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <limits>
+
 namespace flower::obs {
 
 const char* StepOutcomeToString(StepOutcome outcome) {
@@ -13,29 +17,39 @@ const char* StepOutcomeToString(StepOutcome outcome) {
   return "unknown";
 }
 
+Result<LoopId> LoopTable::Register(LoopInfo info) {
+  if (loops_.size() > std::numeric_limits<LoopId>::max()) {
+    return Status::ResourceExhausted("LoopTable: every loop id is taken");
+  }
+  loops_.push_back(std::move(info));
+  return static_cast<LoopId>(loops_.size() - 1);
+}
+
+size_t FormatDigestLine(const ControlDecisionRecord& record,
+                        const std::string& loop,
+                        char (&buf)[kDigestLineCapacity]) {
+  int n = std::snprintf(buf, kDigestLineCapacity,
+                        "t=%.3f loop=%s y=%.6f raw_u=%.6f u=%.6f out=%s",
+                        record.time, loop.c_str(), record.sensed_y,
+                        record.raw_u, record.clamped_u,
+                        StepOutcomeToString(record.outcome));
+  if (n < 0) return 0;
+  return std::min(static_cast<size_t>(n), kDigestLineCapacity - 1);
+}
+
 DecisionLog::DecisionLog(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(std::min<size_t>(capacity_, 1024));
 }
 
-void DecisionLog::Append(ControlDecisionRecord record) {
+void DecisionLog::Append(const ControlDecisionRecord& record) {
   ++total_;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
+    ring_.push_back(record);
     return;
   }
-  ring_[head_] = std::move(record);
+  ring_[head_] = record;
   head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<ControlDecisionRecord> DecisionLog::Snapshot() const {
-  std::vector<ControlDecisionRecord> out;
-  out.reserve(ring_.size());
-  // Once full, head_ points at the oldest record.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
 }
 
 }  // namespace flower::obs

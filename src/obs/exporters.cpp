@@ -162,13 +162,14 @@ std::string OpenMetricsNum(double v) {
 
 }  // namespace
 
-void WriteDecisionCsv(std::ostream& os,
-                      const std::vector<ControlDecisionRecord>& records) {
+void WriteDecisionCsv(std::ostream& os, const DecisionLog& log) {
   os << "time,loop,layer,law,sensed_y,reference,error,gain,raw_u,"
         "clamped_u,stale,outcome,fault_mask,health_mask,span_id\n";
-  for (const ControlDecisionRecord& r : records) {
-    os << std::setprecision(12) << r.time << ',' << CsvCell(r.loop) << ','
-       << CsvCell(r.layer) << ',' << CsvCell(r.law) << ',' << r.sensed_y
+  for (size_t i = 0; i < log.size(); ++i) {
+    const ControlDecisionRecord& r = log.at(i);
+    const LoopInfo& loop = log.loop(r);
+    os << std::setprecision(12) << r.time << ',' << CsvCell(loop.name) << ','
+       << CsvCell(loop.layer) << ',' << CsvCell(loop.law) << ',' << r.sensed_y
        << ',' << r.reference << ',' << r.error << ',' << r.gain << ','
        << r.raw_u << ',' << r.clamped_u << ',' << (r.stale_sensor ? 1 : 0)
        << ',' << StepOutcomeToString(r.outcome) << ','
@@ -177,12 +178,13 @@ void WriteDecisionCsv(std::ostream& os,
   }
 }
 
-void WriteDecisionJsonl(std::ostream& os,
-                        const std::vector<ControlDecisionRecord>& records) {
-  for (const ControlDecisionRecord& r : records) {
+void WriteDecisionJsonl(std::ostream& os, const DecisionLog& log) {
+  for (size_t i = 0; i < log.size(); ++i) {
+    const ControlDecisionRecord& r = log.at(i);
+    const LoopInfo& loop = log.loop(r);
     os << "{\"type\":\"decision\",\"time\":" << JsonNum(r.time)
-       << ",\"loop\":\"" << JsonEscape(r.loop) << "\",\"layer\":\""
-       << JsonEscape(r.layer) << "\",\"law\":\"" << JsonEscape(r.law)
+       << ",\"loop\":\"" << JsonEscape(loop.name) << "\",\"layer\":\""
+       << JsonEscape(loop.layer) << "\",\"law\":\"" << JsonEscape(loop.law)
        << "\",\"sensed_y\":" << JsonNum(r.sensed_y)
        << ",\"reference\":" << JsonNum(r.reference)
        << ",\"error\":" << JsonNum(r.error) << ",\"gain\":" << JsonNum(r.gain)
@@ -318,10 +320,11 @@ void WriteSnapshotOpenMetrics(std::ostream& os,
 }
 
 void WriteChromeTrace(std::ostream& os, const SpanCollector& spans,
-                      const std::vector<ControlDecisionRecord>& decisions) {
+                      const DecisionLog& decisions) {
   std::unordered_map<SpanId, const ControlDecisionRecord*> by_span;
   by_span.reserve(decisions.size());
-  for (const ControlDecisionRecord& d : decisions) {
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const ControlDecisionRecord& d = decisions.at(i);
     if (d.span_id != 0) by_span[d.span_id] = &d;
   }
   os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_recorded\":"
@@ -404,7 +407,7 @@ void WriteChromeTrace(std::ostream& os, const SpanCollector& spans,
          << ",\"y_r\":" << JsonNum(d->reference)
          << ",\"error\":" << JsonNum(d->error)
          << ",\"gain\":" << JsonNum(d->gain) << ",\"law\":\""
-         << JsonEscape(d->law) << '"';
+         << JsonEscape(decisions.loop(*d).law) << '"';
     }
     os << "}}";
     if (r->kind == SpanKind::kSense) counter(*r, ".y", r->value);

@@ -4,7 +4,6 @@
 #include <functional>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "obs/event_log.h"
@@ -22,16 +21,15 @@ std::string JsonNum(double v);
 std::string LabelsToJson(const LabelSet& labels);
 }  // namespace internal
 
-/// CSV sink for decision records: one header row, then one row per
-/// record (columns: time, loop, layer, law, sensed_y, reference, error,
-/// gain, raw_u, clamped_u, stale, outcome, fault_mask, health_mask,
-/// span_id).
-void WriteDecisionCsv(std::ostream& os,
-                      const std::vector<ControlDecisionRecord>& records);
+/// CSV sink for a decision log's retained records, oldest first: one
+/// header row, then one row per record (columns: time, loop, layer,
+/// law, sensed_y, reference, error, gain, raw_u, clamped_u, stale,
+/// outcome, fault_mask, health_mask, span_id).
+void WriteDecisionCsv(std::ostream& os, const DecisionLog& log);
 
-/// JSON-lines sink: one {"type":"decision",...} object per line.
-void WriteDecisionJsonl(std::ostream& os,
-                        const std::vector<ControlDecisionRecord>& records);
+/// JSON-lines sink: one {"type":"decision",...} object per retained
+/// record, oldest first.
+void WriteDecisionJsonl(std::ostream& os, const DecisionLog& log);
 
 /// CSV sink for a metrics snapshot (kind, name, labels, value columns;
 /// histograms summarized as count/sum/min/max/p50/p99).
@@ -75,7 +73,7 @@ void WriteSnapshotOpenMetrics(std::ostream& os,
 /// exactly at any id offset; the decision CSV's span_id column matches
 /// them verbatim.
 void WriteChromeTrace(std::ostream& os, const SpanCollector& spans,
-                      const std::vector<ControlDecisionRecord>& decisions);
+                      const DecisionLog& decisions);
 
 /// Opens `path` for writing and runs `writer(stream)`; IO errors become
 /// a non-OK Status.

@@ -31,7 +31,7 @@ struct Symptoms {
 
 HealthReport RootCauseAttributor::Attribute(
     SimTime now, const SloStatus& breached,
-    const std::vector<ControlDecisionRecord>& decisions,
+    const DecisionLog& decisions,
     const std::vector<AnomalyEvent>& anomalies) const {
   HealthReport report;
   report.time = now;
@@ -41,9 +41,10 @@ HealthReport RootCauseAttributor::Attribute(
   // evidence ordering deterministic.
   std::map<std::string, Symptoms> symptoms;
   double cutoff = now - config_.decision_window_sec;
-  for (const ControlDecisionRecord& rec : decisions) {
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const ControlDecisionRecord& rec = decisions.at(i);
     if (rec.time < cutoff || rec.time > now) continue;
-    Symptoms& s = symptoms[rec.layer];
+    Symptoms& s = symptoms[decisions.loop(rec).layer];
     s.records += 1;
     if (rec.outcome == StepOutcome::kActuated &&
         rec.raw_u - rec.clamped_u > config_.saturation_eps) {

@@ -82,7 +82,7 @@ struct AttributorConfig {
 /// (saturation, breaker state, failed actuations, sensor loss, fault
 /// stamps), recent anomaly-detector events, and the learned dependency
 /// graph. Pure function of its inputs — no clocks, no registry access —
-/// so reports are reproducible from a decision-log snapshot.
+/// so reports are reproducible from a decision log.
 class RootCauseAttributor {
  public:
   explicit RootCauseAttributor(AttributorConfig config = {})
@@ -95,10 +95,10 @@ class RootCauseAttributor {
   }
   const std::vector<DependencyEdge>& edges() const { return edges_; }
 
-  /// Builds a report for one breached SLO. `decisions` is a DecisionLog
-  /// snapshot (oldest first); `anomalies` recent detector events.
+  /// Builds a report for one breached SLO from the decision log's
+  /// retained records and `anomalies`, the recent detector events.
   HealthReport Attribute(SimTime now, const SloStatus& breached,
-                         const std::vector<ControlDecisionRecord>& decisions,
+                         const DecisionLog& decisions,
                          const std::vector<AnomalyEvent>& anomalies) const;
 
   const AttributorConfig& config() const { return config_; }

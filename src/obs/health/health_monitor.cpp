@@ -105,8 +105,7 @@ void HealthMonitor::PublishStreamGauges() {
 
 HealthReport HealthMonitor::BuildReport(SimTime now, const SloStatus& status) {
   std::vector<AnomalyEvent> recent(anomaly_log_.begin(), anomaly_log_.end());
-  return attributor_.Attribute(now, status,
-                               telemetry_->decisions().Snapshot(), recent);
+  return attributor_.Attribute(now, status, telemetry_->decisions(), recent);
 }
 
 void HealthMonitor::Evaluate(SimTime now) {

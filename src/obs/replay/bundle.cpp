@@ -1,5 +1,6 @@
 #include "obs/replay/bundle.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -127,12 +128,14 @@ void WriteBundle(std::ostream& os, const CaptureBundle& b) {
 
   os << " \"decisions\": [";
   for (size_t i = 0; i < b.decisions.size(); ++i) {
-    const DecisionEntry& d = b.decisions[i];
+    const RecordedDecision& d = b.decisions[i];
+    const ControlDecisionRecord& r = d.record;
     if (i > 0) os << ",";
-    os << "\n  {\"index\": " << d.index << ", \"time\": " << Num(d.time)
-       << ", \"loop\": " << Str(d.loop) << ", \"y\": " << Num(d.sensed_y)
-       << ", \"raw_u\": " << Num(d.raw_u) << ", \"u\": " << Num(d.clamped_u)
-       << ", \"out\": " << static_cast<int>(d.outcome)
+    os << "\n  {\"index\": " << d.index << ", \"time\": " << Num(r.time)
+       << ", \"loop\": " << Str(b.LoopName(r.loop))
+       << ", \"y\": " << Num(r.sensed_y) << ", \"raw_u\": " << Num(r.raw_u)
+       << ", \"u\": " << Num(r.clamped_u)
+       << ", \"out\": " << static_cast<int>(r.outcome)
        << ", \"line_hash\": " << U64(d.line_hash)
        << ", \"chain\": " << U64(d.chain) << "}";
   }
@@ -446,27 +449,38 @@ Result<HashCheckpoint> ParseCheckpoint(const JsonValue& v) {
   return c;
 }
 
-Result<DecisionEntry> ParseDecision(const JsonValue& v) {
-  DecisionEntry d;
+/// Parses one decision row, interning its loop name into `loops`.
+Result<RecordedDecision> ParseDecision(const JsonValue& v,
+                                       std::vector<std::string>* loops) {
+  RecordedDecision d;
+  ControlDecisionRecord& r = d.record;
   BUNDLE_FIELD(d.index, v, "index", AsU64);
-  BUNDLE_FIELD(d.time, v, "time", AsDouble);
-  BUNDLE_FIELD(d.sensed_y, v, "y", AsDouble);
-  BUNDLE_FIELD(d.raw_u, v, "raw_u", AsDouble);
-  BUNDLE_FIELD(d.clamped_u, v, "u", AsDouble);
+  BUNDLE_FIELD(r.time, v, "time", AsDouble);
+  BUNDLE_FIELD(r.sensed_y, v, "y", AsDouble);
+  BUNDLE_FIELD(r.raw_u, v, "raw_u", AsDouble);
+  BUNDLE_FIELD(r.clamped_u, v, "u", AsDouble);
   BUNDLE_FIELD(d.line_hash, v, "line_hash", AsU64);
   BUNDLE_FIELD(d.chain, v, "chain", AsU64);
   uint64_t outcome = 0;
   BUNDLE_FIELD(outcome, v, "out", AsU64);
-  d.outcome = static_cast<uint8_t>(outcome);
+  r.outcome = static_cast<StepOutcome>(static_cast<uint8_t>(outcome));
   std::string loop;
   BUNDLE_FIELD(loop, v, "loop", AsString);
-  size_t len = std::min(loop.size(), sizeof(d.loop) - 1);
-  loop.copy(d.loop, len);
-  d.loop[len] = '\0';
+  size_t id = std::find(loops->begin(), loops->end(), loop) - loops->begin();
+  if (id > std::numeric_limits<LoopId>::max()) {
+    return Status::InvalidArgument("bundle JSON: too many distinct loops");
+  }
+  if (id == loops->size()) loops->push_back(std::move(loop));
+  r.loop = static_cast<LoopId>(id);
   return d;
 }
 
 }  // namespace
+
+const std::string& CaptureBundle::LoopName(LoopId id) const {
+  static const std::string kUnknown;
+  return id < loops.size() ? loops[id] : kUnknown;
+}
 
 CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
   CaptureBundle b;
@@ -482,6 +496,9 @@ CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
   b.faults = recorder.faults();
   b.grants = recorder.Grants();
   b.replans = recorder.Replans();
+  for (size_t id = 0; id < recorder.num_loops(); ++id) {
+    b.loops.push_back(recorder.LoopName(static_cast<LoopId>(id)));
+  }
   b.decisions = recorder.Decisions();
   b.checkpoints = recorder.Checkpoints();
   b.chain_hash = recorder.chain_hash();
@@ -493,7 +510,7 @@ CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
     // replay — which stops at the trigger — can never reproduce. Trim
     // them and rewind the chain verdict to the last in-window decision.
     auto past = [&b](SimTime t) { return t > b.trigger.time; };
-    while (!b.decisions.empty() && past(b.decisions.back().time)) {
+    while (!b.decisions.empty() && past(b.decisions.back().record.time)) {
       b.decisions.pop_back();
     }
     while (!b.grants.empty() && past(b.grants.back().time)) {
@@ -645,7 +662,7 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
     return Status::InvalidArgument("bundle JSON: missing 'decisions'");
   }
   for (const JsonValue& v : arr->array) {
-    FLOWER_ASSIGN_OR_RETURN(DecisionEntry d, ParseDecision(v));
+    FLOWER_ASSIGN_OR_RETURN(RecordedDecision d, ParseDecision(v, &b.loops));
     b.decisions.push_back(d);
   }
   return b;

@@ -36,10 +36,16 @@ struct CaptureBundle {
   std::vector<RecordedFault> faults;
   std::vector<GrantEntry> grants;
   std::vector<ReplanEntry> replans;
-  std::vector<DecisionEntry> decisions;
+  /// Loop names, indexed by the decisions' loop ids. A bundle and its
+  /// replay may number loops differently; compare them by name.
+  std::vector<std::string> loops;
+  std::vector<RecordedDecision> decisions;
   std::vector<HashCheckpoint> checkpoints;
   uint64_t chain_hash = kFnvOffsetBasis;
   uint64_t total_decisions = 0;
+
+  /// Name of loop `id`; empty when `id` is unknown.
+  const std::string& LoopName(LoopId id) const;
 };
 
 /// Snapshots a recorder into a bundle (fingerprint included).

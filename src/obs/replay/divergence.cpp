@@ -1,7 +1,6 @@
 #include "obs/replay/divergence.h"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 namespace flower::obs::replay {
@@ -10,8 +9,10 @@ namespace {
 
 /// Field-by-field diff of a recorded vs replayed decision, for the
 /// report's `detail` line.
-std::string DescribeMismatch(const DecisionEntry& rec,
-                             const DecisionEntry& rep) {
+std::string DescribeMismatch(const ControlDecisionRecord& rec,
+                             const std::string& rec_loop,
+                             const ControlDecisionRecord& rep,
+                             const std::string& rep_loop) {
   std::ostringstream os;
   char buf[128];
   auto field = [&](const char* name, double a, double b) {
@@ -20,16 +21,16 @@ std::string DescribeMismatch(const DecisionEntry& rec,
                   a, b);
     os << buf;
   };
-  if (std::strcmp(rec.loop, rep.loop) != 0) {
-    os << "loop recorded=" << rec.loop << " replayed=" << rep.loop << "; ";
+  if (rec_loop != rep_loop) {
+    os << "loop recorded=" << rec_loop << " replayed=" << rep_loop << "; ";
   }
   field("t", rec.time, rep.time);
   field("y", rec.sensed_y, rep.sensed_y);
   field("raw_u", rec.raw_u, rep.raw_u);
   field("u", rec.clamped_u, rep.clamped_u);
   if (rec.outcome != rep.outcome) {
-    os << "out recorded=" << int{rec.outcome} << " replayed=" << int{rep.outcome}
-       << "; ";
+    os << "out recorded=" << static_cast<int>(rec.outcome)
+       << " replayed=" << static_cast<int>(rep.outcome) << "; ";
   }
   std::string s = os.str();
   if (s.empty()) s = "line hashes differ (formatting-level drift); ";
@@ -47,9 +48,9 @@ DivergenceReport CompareReplay(const CaptureBundle& recorded,
   r.recorded_total = recorded.total_decisions;
   r.replayed_total = replayed.total_decisions();
 
-  const std::vector<DecisionEntry> rep = replayed.Decisions();
+  const std::vector<RecordedDecision> rep = replayed.Decisions();
   const uint64_t rep_first = r.replayed_total - rep.size();
-  auto find_replayed = [&](uint64_t index) -> const DecisionEntry* {
+  auto find_replayed = [&](uint64_t index) -> const RecordedDecision* {
     if (index < rep_first || index >= r.replayed_total) return nullptr;
     return &rep[static_cast<size_t>(index - rep_first)];
   };
@@ -60,16 +61,17 @@ DivergenceReport CompareReplay(const CaptureBundle& recorded,
   // line-hash mismatch is *the* divergence point; a chain mismatch on a
   // matching line means the drift predates the retained tail.
   bool drift_before_tail = false;
-  for (const DecisionEntry& rec : recorded.decisions) {
+  for (const RecordedDecision& rec : recorded.decisions) {
     if (rec.index >= r.recorded_total) continue;
-    const DecisionEntry* cur = find_replayed(rec.index);
+    const RecordedDecision* cur = find_replayed(rec.index);
+    const std::string& rec_loop = recorded.LoopName(rec.record.loop);
     if (cur == nullptr) {
       if (rec.index >= r.replayed_total) {
         r.diverged = true;
         r.has_first_mismatch = true;
         r.first_mismatch_index = rec.index;
-        r.first_mismatch_time = rec.time;
-        r.loop = rec.loop;
+        r.first_mismatch_time = rec.record.time;
+        r.loop = rec_loop;
         r.detail = "replay ended before this decision";
         break;
       }
@@ -79,9 +81,10 @@ DivergenceReport CompareReplay(const CaptureBundle& recorded,
       r.diverged = true;
       r.has_first_mismatch = true;
       r.first_mismatch_index = rec.index;
-      r.first_mismatch_time = rec.time;
-      r.loop = rec.loop;
-      r.detail = DescribeMismatch(rec, *cur);
+      r.first_mismatch_time = rec.record.time;
+      r.loop = rec_loop;
+      r.detail = DescribeMismatch(rec.record, rec_loop, cur->record,
+                                  replayed.LoopName(cur->record.loop));
       break;
     }
     if (cur->chain != rec.chain) {
@@ -94,7 +97,7 @@ DivergenceReport CompareReplay(const CaptureBundle& recorded,
   // Chain verdict after exactly the recorded number of decisions (the
   // replay may legitimately run a few more same-instant steps).
   if (r.recorded_total > 0) {
-    const DecisionEntry* last = find_replayed(r.recorded_total - 1);
+    const RecordedDecision* last = find_replayed(r.recorded_total - 1);
     if (last != nullptr) {
       r.chain_match = last->chain == recorded.chain_hash;
     } else if (r.replayed_total == r.recorded_total) {
@@ -113,7 +116,7 @@ DivergenceReport CompareReplay(const CaptureBundle& recorded,
     bool have_good = false;
     HashCheckpoint last_good{};
     for (const HashCheckpoint& cp : recorded.checkpoints) {
-      const DecisionEntry* cur = find_replayed(cp.index);
+      const RecordedDecision* cur = find_replayed(cp.index);
       if (cur == nullptr) continue;
       if (cur->chain == cp.chain) {
         last_good = cp;

@@ -1,7 +1,6 @@
 #include "obs/replay/flight_recorder.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace flower::obs::replay {
 
@@ -91,36 +90,25 @@ uint64_t FlightRecorder::Fingerprint() const {
   return h;
 }
 
+const std::string& FlightRecorder::LoopName(LoopId id) const {
+  static const std::string kUnknown;
+  return id < num_loops() ? (*loops_)[id].name : kUnknown;
+}
+
 void FlightRecorder::RecordDecision(const ControlDecisionRecord& record) {
-  // Canonical digest line: the same fields, formats, and order as
-  // fleet::FlowPartition::AppendDigest (minus the constant tenant
-  // prefix), so a digest match here is a digest match there.
-  char line[160];
-  int n = std::snprintf(line, sizeof(line),
-                        "t=%.3f loop=%s y=%.6f raw_u=%.6f u=%.6f out=%s",
-                        record.time, record.loop.c_str(), record.sensed_y,
-                        record.raw_u, record.clamped_u,
-                        StepOutcomeToString(record.outcome));
-  if (n < 0) return;
-  size_t len = std::min(static_cast<size_t>(n), sizeof(line) - 1);
+  char line[kDigestLineCapacity];
+  size_t len = FormatDigestLine(record, LoopName(record.loop), line);
   uint64_t line_hash = FnvMix(kFnvOffsetBasis, line, len);
   // Seeding each line's hash with the previous chain value makes the
   // chain positional: any historical mismatch poisons every later value.
   chain_ = FnvMix(chain_, line, len);
 
-  DecisionEntry& e =
+  RecordedDecision& e =
       decisions_[static_cast<size_t>(total_decisions_ % decisions_.size())];
   e.index = total_decisions_;
-  e.time = record.time;
-  e.sensed_y = record.sensed_y;
-  e.raw_u = record.raw_u;
-  e.clamped_u = record.clamped_u;
+  e.record = record;
   e.line_hash = line_hash;
   e.chain = chain_;
-  e.outcome = static_cast<uint8_t>(record.outcome);
-  size_t loop_len = std::min(record.loop.size(), sizeof(e.loop) - 1);
-  std::memcpy(e.loop, record.loop.data(), loop_len);
-  e.loop[loop_len] = '\0';
   last_span_id_ = record.span_id;
 
   ++total_decisions_;
@@ -176,7 +164,8 @@ SimTime FlightRecorder::window_start() const {
   uint64_t oldest = total_decisions_ <= decisions_.size()
                         ? 0
                         : total_decisions_ - decisions_.size();
-  return decisions_[static_cast<size_t>(oldest % decisions_.size())].time;
+  return decisions_[static_cast<size_t>(oldest % decisions_.size())]
+      .record.time;
 }
 
 template <typename T>
@@ -191,7 +180,7 @@ std::vector<T> FlightRecorder::RingSnapshot(const std::vector<T>& ring,
   return out;
 }
 
-std::vector<DecisionEntry> FlightRecorder::Decisions() const {
+std::vector<RecordedDecision> FlightRecorder::Decisions() const {
   return RingSnapshot(decisions_, total_decisions_, decisions_.size());
 }
 

@@ -46,19 +46,14 @@ struct RecordedFault {
   double offset = 0.0;
 };
 
-/// Fixed-size snapshot of one control decision: the fields of the
-/// canonical digest line plus the running digest so a replay can be
+/// One recorded control decision: the decision record plus the hash of
+/// its canonical digest line and the running digest, so a replay can be
 /// compared step-by-step without re-parsing text.
-struct DecisionEntry {
+struct RecordedDecision {
   uint64_t index = 0;  ///< 0-based position in the decision stream.
-  SimTime time = 0.0;
-  double sensed_y = 0.0;
-  double raw_u = 0.0;
-  double clamped_u = 0.0;
+  ControlDecisionRecord record;
   uint64_t line_hash = 0;  ///< FNV-1a of this decision's canonical line.
   uint64_t chain = 0;      ///< Digest chain value *after* this decision.
-  uint8_t outcome = 0;     ///< obs::StepOutcome.
-  char loop[23] = {};      ///< Loop name, truncated to fit the slot.
 };
 
 /// One arbiter grant (demand the arbitration ran on, budget granted).
@@ -137,11 +132,18 @@ class FlightRecorder {
   /// deterministic run inputs.
   uint64_t Fingerprint() const;
 
+  /// The table the recorded loop ids index (the recording manager's
+  /// decision log's). Not owned.
+  void SetLoopTable(const LoopTable* loops) { loops_ = loops; }
+  /// Name of loop `id`; empty when no table is set or `id` is unknown.
+  const std::string& LoopName(LoopId id) const;
+  size_t num_loops() const { return loops_ == nullptr ? 0 : loops_->size(); }
+
   // --- Hot path (allocation-free). ---
 
-  /// Appends one decision: formats the canonical digest line (the same
-  /// fields as FlowPartition::AppendDigest), advances the chain hash,
-  /// and pushes a fixed-size entry into the decision ring.
+  /// Appends one decision: formats its canonical digest line
+  /// (FormatDigestLine, as the fleet's ControlDigest does), advances
+  /// the chain hash, and pushes the record into the decision ring.
   void RecordDecision(const ControlDecisionRecord& record);
 
   // --- Period/boundary paths (allocation-free). ---
@@ -176,7 +178,7 @@ class FlightRecorder {
   SimTime window_start() const;
 
   /// Retained rings, oldest first.
-  std::vector<DecisionEntry> Decisions() const;
+  std::vector<RecordedDecision> Decisions() const;
   std::vector<GrantEntry> Grants() const;
   std::vector<ReplanEntry> Replans() const;
   std::vector<HashCheckpoint> Checkpoints() const;
@@ -197,6 +199,7 @@ class FlightRecorder {
   std::vector<std::pair<std::string, std::string>> spec_;
   std::vector<RecordedFault> faults_;
   TriggerInfo trigger_;
+  const LoopTable* loops_ = nullptr;
 
   uint64_t chain_ = kFnvOffsetBasis;
   uint64_t total_decisions_ = 0;
@@ -204,7 +207,7 @@ class FlightRecorder {
   uint64_t total_replans_ = 0;
   uint64_t total_checkpoints_ = 0;
   uint64_t last_span_id_ = 0;
-  std::vector<DecisionEntry> decisions_;
+  std::vector<RecordedDecision> decisions_;
   std::vector<GrantEntry> grants_;
   std::vector<ReplanEntry> replans_;
   std::vector<HashCheckpoint> checkpoints_;

@@ -25,23 +25,16 @@ FaultMask Telemetry::FaultMaskAt(const std::string& target,
 
 Status Telemetry::ExportTrace(const std::string& path) const {
   return ExportToFile(path, [this](std::ostream& os) {
-    WriteChromeTrace(os, spans_, decisions_.Snapshot());
+    WriteChromeTrace(os, spans_, decisions_);
   });
 }
 
 Status Telemetry::ExportJsonl(const std::string& path, SimTime at) const {
   MetricsSnapshot snapshot = metrics_.Snapshot();
-  auto records = decisions_.Snapshot();
   return ExportToFile(path, [&](std::ostream& os) {
-    WriteDecisionJsonl(os, records);
+    WriteDecisionJsonl(os, decisions_);
     WriteSnapshotJsonl(os, snapshot, at);
   });
-}
-
-Status Telemetry::ExportDecisionsCsv(const std::string& path) const {
-  auto records = decisions_.Snapshot();
-  return ExportToFile(
-      path, [&](std::ostream& os) { WriteDecisionCsv(os, records); });
 }
 
 std::function<void(const opt::Nsga2GenerationStats&)> MakeNsga2Observer(

@@ -65,9 +65,6 @@ class Telemetry {
   /// per line, to `path`. `at` stamps the snapshot lines (sim seconds).
   Status ExportJsonl(const std::string& path, SimTime at) const;
 
-  /// Writes decision records as CSV to `path`.
-  Status ExportDecisionsCsv(const std::string& path) const;
-
  private:
   struct FaultNote {
     SimTime time = -1.0;

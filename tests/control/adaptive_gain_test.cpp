@@ -154,5 +154,21 @@ TEST(AdaptiveGainTest, DuplicateTimestampIsIdempotentNoOp) {
   EXPECT_FALSE(c.Update(30.0, 70.0).ok());
 }
 
+TEST(AdaptiveGainTest, ReportsGainAndRawOutputOfEffectiveSteps) {
+  AdaptiveGainConfig cfg = BaseConfig();
+  cfg.limits.max = 12.0;  // Clamps the first step's raw output of 15.
+  AdaptiveGainController c(cfg);
+  c.Reset(10.0);
+  ASSERT_TRUE(c.Update(0.0, 80.0).ok());
+  EXPECT_EQ(c.steps(), 1u);
+  EXPECT_NEAR(c.last_gain(), 0.25, 1e-12);
+  EXPECT_NEAR(c.last_raw_u(), 15.0, 1e-12);  // Before clamping to 12.
+  // Neither a duplicate timestamp nor an error counts as a step.
+  ASSERT_TRUE(c.Update(0.0, 50.0).ok());
+  EXPECT_FALSE(c.Update(-1.0, 50.0).ok());
+  EXPECT_EQ(c.steps(), 1u);
+  EXPECT_NEAR(c.last_raw_u(), 15.0, 1e-12);
+}
+
 }  // namespace
 }  // namespace flower::control

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace flower::core {
 namespace {
 
@@ -61,6 +63,23 @@ TEST(ControllerFactoryTest, ValidatesArguments) {
   inverted.max = 1.0;
   EXPECT_FALSE(
       MakeController(ControllerKind::kAdaptiveGain, 60.0, inverted).ok());
+}
+
+// NaN compares false, so every range check must be written to fail on it.
+TEST(ControllerFactoryTest, RejectsNaNAndInfiniteArguments) {
+  const double nan = std::nan("");
+  const ControllerKind kind = ControllerKind::kAdaptiveGain;
+  EXPECT_FALSE(MakeController(kind, nan, Limits()).ok());
+  EXPECT_FALSE(MakeController(kind, 60.0, Limits(), nan).ok());
+  EXPECT_FALSE(MakeController(kind, 60.0, Limits(), HUGE_VAL).ok());
+  control::ActuatorLimits nan_min = Limits();
+  nan_min.min = nan;
+  EXPECT_FALSE(MakeController(kind, 60.0, nan_min).ok());
+  control::ActuatorLimits nan_max = Limits();
+  nan_max.max = nan;
+  EXPECT_FALSE(MakeController(kind, 60.0, nan_max).ok());
+  EXPECT_FALSE(MakeFeedforwardController(nan, Limits(), nullptr).ok());
+  EXPECT_FALSE(MakeFeedforwardController(60.0, Limits(), nullptr, nan).ok());
 }
 
 TEST(ControllerFactoryTest, ReferencePropagated) {

@@ -3,6 +3,7 @@
 // exercised against the fault-injection subsystem where a full loop is
 // involved.
 
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -236,6 +237,48 @@ TEST(ResilienceTest, FailedHalfOpenProbeReopensBreaker) {
   EXPECT_EQ((*state)->breaker_trips(), 3u);
   EXPECT_EQ((*state)->actuation_failures(), 4u);
   EXPECT_TRUE((*state)->breaker_open);
+}
+
+// The record carries the law's gain and raw output whenever Update ran
+// the law — an open breaker included, since the law runs before the
+// breaker check — and NaN when it did not (a sensor miss).
+TEST(ResilienceTest, DecisionRecordsCarryTheLawsAskOnlyWhenItRan) {
+  sim::Simulation sim;
+  cloudwatch::MetricStore metrics;
+  ElasticityManager mgr(&sim, &metrics);
+  LayerControlConfig cfg =
+      TestConfig([](double) { return Status::Internal("dead"); });
+  cfg.resilience.breaker.failure_threshold = 2;
+  cfg.resilience.breaker.cooldown_sec = 150.0;
+  ASSERT_TRUE(mgr.Attach(std::move(cfg)).ok());
+  // Metrics flow until t=300; steps from t=420 on find no datapoints.
+  ASSERT_TRUE(sim.SchedulePeriodic(30.0, 30.0, [&] {
+    EXPECT_TRUE(metrics.Put(kCpu, sim.Now(), 90.0).ok());
+    return sim.Now() < 300.0;
+  }).ok());
+  sim.RunUntil(500.0);
+
+  const obs::DecisionLog& log = mgr.telemetry()->decisions();
+  size_t seen[5] = {0, 0, 0, 0, 0};
+  for (size_t i = 0; i < log.size(); ++i) {
+    const obs::ControlDecisionRecord& r = log.at(i);
+    ++seen[static_cast<int>(r.outcome)];
+    EXPECT_EQ(log.loop(r).law, "adaptive-gain");
+    EXPECT_DOUBLE_EQ(r.reference, 60.0);
+    if (r.outcome == obs::StepOutcome::kSensorMiss) {
+      EXPECT_TRUE(std::isnan(r.gain)) << "t=" << r.time;
+      EXPECT_TRUE(std::isnan(r.raw_u)) << "t=" << r.time;
+      EXPECT_TRUE(std::isnan(r.clamped_u)) << "t=" << r.time;
+      EXPECT_TRUE(std::isnan(r.error)) << "t=" << r.time;
+    } else {
+      EXPECT_TRUE(std::isfinite(r.gain)) << "t=" << r.time;
+      EXPECT_TRUE(std::isfinite(r.raw_u)) << "t=" << r.time;
+      EXPECT_DOUBLE_EQ(r.error, r.sensed_y - r.reference);
+    }
+  }
+  EXPECT_GT(seen[static_cast<int>(obs::StepOutcome::kActuationFailed)], 0u);
+  EXPECT_GT(seen[static_cast<int>(obs::StepOutcome::kBreakerOpen)], 0u);
+  EXPECT_GT(seen[static_cast<int>(obs::StepOutcome::kSensorMiss)], 0u);
 }
 
 TEST(ResilienceTest, HoldLastValueBridgesSensorGapUntilMaxAge) {

@@ -400,73 +400,6 @@ TEST(IncrementalPlanningTest, WarmStartCountsAndStaysFeasible) {
   }
 }
 
-TEST(IncrementalPlanningTest, PerScopeCacheSurvivesTenantInterleaving) {
-  // Two tenants with different budgets share one analyzer. Before the
-  // cache was keyed per scope their alternating requests thrashed the
-  // single memo entry — every call missed — and each tenant's warm
-  // start was seeded with the *other* tenant's front.
-  IncrementalPlanning knobs;
-  knobs.cache = true;
-  knobs.warm_start = true;
-  ResourceShareAnalyzer analyzer(SmallSolver(), knobs);
-
-  auto a1 = analyzer.AnalyzeIncremental(Fig4Request(2.0), "tenant-a");
-  auto b1 = analyzer.AnalyzeIncremental(Fig4Request(2.5), "tenant-b");
-  ASSERT_TRUE(a1.ok());
-  ASSERT_TRUE(b1.ok());
-  EXPECT_FALSE(a1->cache_hit);
-  EXPECT_FALSE(b1->cache_hit);
-
-  // Second round of the interleave: both tenants hit their own memo.
-  auto a2 = analyzer.AnalyzeIncremental(Fig4Request(2.0), "tenant-a");
-  auto b2 = analyzer.AnalyzeIncremental(Fig4Request(2.5), "tenant-b");
-  ASSERT_TRUE(a2.ok());
-  ASSERT_TRUE(b2.ok());
-  EXPECT_TRUE(a2->cache_hit);
-  EXPECT_TRUE(b2->cache_hit);
-  EXPECT_EQ(analyzer.counters().cache_hits, 2u);
-  EXPECT_EQ(analyzer.counters().cache_misses, 2u);
-
-  // Each hit serves its own tenant's front, not the other's.
-  ASSERT_EQ(a2->pareto_plans.size(), a1->pareto_plans.size());
-  for (size_t i = 0; i < a1->pareto_plans.size(); ++i) {
-    for (int l = 0; l < kNumLayers; ++l) {
-      EXPECT_EQ(a2->pareto_plans[i].shares[l], a1->pareto_plans[i].shares[l]);
-    }
-  }
-  for (const ProvisioningPlan& p : a2->pareto_plans) {
-    EXPECT_LE(p.hourly_cost_usd, 2.0 + 1e-9);  // Tenant a's budget.
-  }
-}
-
-TEST(IncrementalPlanningTest, ScopedWarmStartMatchesDedicatedAnalyzer) {
-  // A shared analyzer interleaving two scopes must produce, per scope,
-  // exactly what a dedicated analyzer run in isolation produces: the
-  // warm-start population never leaks across tenants.
-  IncrementalPlanning knobs;
-  knobs.warm_start = true;
-  ResourceShareAnalyzer shared(SmallSolver(), knobs);
-  ResourceShareAnalyzer dedicated(SmallSolver(), knobs);
-
-  ASSERT_TRUE(shared.AnalyzeIncremental(Fig4Request(2.0), "a").ok());
-  ASSERT_TRUE(shared.AnalyzeIncremental(Fig4Request(2.5), "b").ok());
-  auto shared_second = shared.AnalyzeIncremental(Fig4Request(2.0), "a");
-  ASSERT_TRUE(shared_second.ok());
-
-  ASSERT_TRUE(dedicated.AnalyzeIncremental(Fig4Request(2.0)).ok());
-  auto dedicated_second = dedicated.AnalyzeIncremental(Fig4Request(2.0));
-  ASSERT_TRUE(dedicated_second.ok());
-
-  ASSERT_EQ(shared_second->pareto_plans.size(),
-            dedicated_second->pareto_plans.size());
-  for (size_t i = 0; i < shared_second->pareto_plans.size(); ++i) {
-    for (int l = 0; l < kNumLayers; ++l) {
-      EXPECT_EQ(shared_second->pareto_plans[i].shares[l],
-                dedicated_second->pareto_plans[i].shares[l]);
-    }
-  }
-}
-
 TEST(IncrementalPlanningTest, MetricsRegistryMirrorsCounters) {
   obs::MetricsRegistry registry;
   IncrementalPlanning knobs;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -221,6 +222,102 @@ TEST(FleetManagerTest, StartRejectsNonPositivePeriod) {
       EXPECT_EQ(AddAndStart(t).code(), StatusCode::kInvalidArgument)
           << ArrivalPatternToString(pattern) << " period " << period;
     }
+  }
+}
+
+// Every hostile tenant comes back as InvalidArgument from AddTenant or
+// Start before any partition is built — none fails mid-run, hangs, or
+// runs silently wrong.
+TEST(FleetManagerTest, HostileTenantsRejectedBeforeAnyPartitionIsBuilt) {
+  const double nan = std::nan("");
+  struct Case {
+    const char* what;
+    std::function<void(TenantConfig*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"budget_weight -1", [](TenantConfig* t) { t->budget_weight = -1.0; }},
+      {"budget_weight NaN", [&](TenantConfig* t) { t->budget_weight = nan; }},
+      {"initial_budget_usd NaN",
+       [&](TenantConfig* t) { t->initial_budget_usd = nan; }},
+      {"initial_budget_usd -5",
+       [](TenantConfig* t) { t->initial_budget_usd = -5.0; }},
+      {"initial_budget_usd inf",
+       [](TenantConfig* t) { t->initial_budget_usd = HUGE_VAL; }},
+      {"phase_sec NaN", [&](TenantConfig* t) { t->phase_sec = nan; }},
+      {"initial_wcu NaN", [&](TenantConfig* t) { t->initial_wcu = nan; }},
+      {"initial_wcu -1", [](TenantConfig* t) { t->initial_wcu = -1.0; }},
+      {"initial_wcu above max_wcu",
+       [](TenantConfig* t) { t->initial_wcu = t->max_wcu + 1.0; }},
+      {"max_wcu NaN", [&](TenantConfig* t) { t->max_wcu = nan; }},
+      {"max_wcu below the storage floor", [](TenantConfig* t) {
+         t->initial_wcu = 4.0;
+         t->max_wcu = 4.0;
+       }},
+      {"initial_shards 0", [](TenantConfig* t) { t->initial_shards = 0; }},
+      {"initial_shards above max_shards",
+       [](TenantConfig* t) { t->initial_shards = t->max_shards + 1; }},
+      {"initial_workers -3", [](TenantConfig* t) { t->initial_workers = -3; }},
+      {"initial_workers 0", [](TenantConfig* t) { t->initial_workers = 0; }},
+      {"reference NaN",
+       [&](TenantConfig* t) { t->reference_utilization_pct = nan; }},
+      {"reference 100",
+       [](TenantConfig* t) { t->reference_utilization_pct = 100.0; }},
+      {"monitoring_period_sec 1e-9",
+       [](TenantConfig* t) { t->monitoring_period_sec = 1e-9; }},
+      {"arbitration_period_sec 1e-3",
+       [](TenantConfig* t) { t->arbitration_period_sec = 1e-3; }},
+      {"arbitration_period_sec at the re-plan offset",
+       [](TenantConfig* t) { t->arbitration_period_sec = 1.0; }},
+  };
+  for (const Case& c : cases) {
+    std::vector<TenantConfig> tenants = MakeTenantFleet(2, /*seed=*/7);
+    c.mutate(&tenants[0]);
+    FleetManager fleet(TestConfig(1));
+    Status st = fleet.AddTenant(tenants[1]);
+    ASSERT_TRUE(st.ok()) << c.what;
+    st = fleet.AddTenant(tenants[0]);
+    if (st.ok()) st = fleet.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_EQ(fleet.num_tenants(), 0u) << c.what;
+  }
+}
+
+TEST(FleetManagerTest, HostileFleetSettingsRejectedBeforeAnyPartitionIsBuilt) {
+  const double nan = std::nan("");
+  struct Case {
+    const char* what;
+    std::function<void(FleetConfig*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"budget NaN",
+       [&](FleetConfig* c) { c->fleet_budget_usd_per_hour = nan; }},
+      {"budget -1",
+       [](FleetConfig* c) { c->fleet_budget_usd_per_hour = -1.0; }},
+      {"budget inf",
+       [](FleetConfig* c) { c->fleet_budget_usd_per_hour = HUGE_VAL; }},
+      {"starvation floor -0.1",
+       [](FleetConfig* c) { c->starvation_floor_frac = -0.1; }},
+      {"starvation floor 1.5",
+       [](FleetConfig* c) { c->starvation_floor_frac = 1.5; }},
+      {"starvation floor NaN",
+       [&](FleetConfig* c) { c->starvation_floor_frac = nan; }},
+      {"fleet period 1e-3",
+       [](FleetConfig* c) { c->arbitration_period_sec = 1e-3; }},
+      {"fleet period NaN",
+       [&](FleetConfig* c) { c->arbitration_period_sec = nan; }},
+  };
+  for (const Case& c : cases) {
+    FleetConfig config = TestConfig(1);
+    c.mutate(&config);
+    FleetManager fleet(config);
+    Status st = Status::OK();
+    for (TenantConfig& t : MakeTenantFleet(2, /*seed=*/7)) {
+      st = fleet.AddTenant(std::move(t));
+      if (!st.ok()) break;
+    }
+    if (st.ok()) st = fleet.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_EQ(fleet.num_tenants(), 0u) << c.what;
   }
 }
 

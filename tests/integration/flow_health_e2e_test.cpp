@@ -107,6 +107,14 @@ ScenarioResult RunScenario(size_t num_threads) {
 
   bool edges_learned = false;
   core::DependencyAnalyzer analyzer;
+  const char* const kLayers[] = {"ingestion", "analytics", "storage"};
+  obs::LoopId loop_ids[3];
+  for (int i = 0; i < 3; ++i) {
+    auto id = telemetry.decisions().loops().Register(
+        {kLayers[i], kLayers[i], "scripted"});
+    EXPECT_TRUE(id.ok());
+    loop_ids[i] = id.ok() ? *id : 0;
+  }
 
   for (SimTime t = kTick; t <= kHorizon; t += kTick) {
     double arrivals = ArrivalRate(t);
@@ -131,14 +139,12 @@ ScenarioResult RunScenario(size_t num_threads) {
     y_ingestion->Set(50.0);
     y_analytics->Set(40.0);
     y_storage->Set(100.0 * consumed_wcu / kHealthyWcuCap);
-    for (const char* layer : {"ingestion", "analytics", "storage"}) {
+    for (int i = 0; i < 3; ++i) {
       obs::ControlDecisionRecord rec;
       rec.time = t;
-      rec.loop = layer;
-      rec.layer = layer;
-      rec.law = "scripted";
+      rec.loop = loop_ids[i];
       rec.outcome = obs::StepOutcome::kActuated;
-      if (std::string(layer) == "storage") {
+      if (std::string(kLayers[i]) == "storage") {
         rec.raw_u = demand_wcu;
         rec.clamped_u = consumed_wcu;
       } else {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -24,9 +25,6 @@ std::vector<std::string> Lines(const std::string& text) {
 ControlDecisionRecord SampleRecord() {
   ControlDecisionRecord r;
   r.time = 120.0;
-  r.loop = "analytics";
-  r.layer = "analytics";
-  r.law = "adaptive-gain";
   r.sensed_y = 78.5;
   r.reference = 60.0;
   r.error = 18.5;
@@ -41,9 +39,19 @@ ControlDecisionRecord SampleRecord() {
   return r;
 }
 
+/// A log whose loop 0 is the "analytics" adaptive-gain loop, holding
+/// `records` oldest first.
+DecisionLog LogOf(std::initializer_list<ControlDecisionRecord> records) {
+  DecisionLog log;
+  EXPECT_TRUE(
+      log.loops().Register({"analytics", "analytics", "adaptive-gain"}).ok());
+  for (const ControlDecisionRecord& r : records) log.Append(r);
+  return log;
+}
+
 TEST(DecisionCsvTest, HeaderAndRow) {
   std::ostringstream os;
-  WriteDecisionCsv(os, {SampleRecord()});
+  WriteDecisionCsv(os, LogOf({SampleRecord()}));
   auto lines = Lines(os.str());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0],
@@ -56,7 +64,7 @@ TEST(DecisionCsvTest, HeaderAndRow) {
 
 TEST(DecisionJsonlTest, OneObjectPerLine) {
   std::ostringstream os;
-  WriteDecisionJsonl(os, {SampleRecord(), SampleRecord()});
+  WriteDecisionJsonl(os, LogOf({SampleRecord(), SampleRecord()}));
   auto lines = Lines(os.str());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"type\":\"decision\""), std::string::npos);
@@ -73,7 +81,7 @@ TEST(DecisionJsonlTest, NanBecomesNull) {
   ControlDecisionRecord r = SampleRecord();
   r.gain = std::numeric_limits<double>::quiet_NaN();
   std::ostringstream os;
-  WriteDecisionJsonl(os, {r});
+  WriteDecisionJsonl(os, LogOf({r}));
   EXPECT_NE(os.str().find("\"gain\":null"), std::string::npos);
 }
 
@@ -198,7 +206,7 @@ TEST(ChromeTraceTest, WrapperMetadataAndPhases) {
   ControlDecisionRecord rec = SampleRecord();
   rec.span_id = decide;
   std::ostringstream os;
-  WriteChromeTrace(os, spans, {rec});
+  WriteChromeTrace(os, spans, LogOf({rec}));
 
   const std::string expected =
       R"({"displayTimeUnit":"ms","otherData":{"spans_recorded":6,)"
@@ -282,7 +290,7 @@ TEST(ChromeTraceTest, EscapesStrings) {
   spans.Emit(SpanKind::kGeneration, "a\"b\\c\nd", 0.0, 0.25, kTracePid,
              kPlannerTid, 0, 0, 3.0);
   std::ostringstream os;
-  WriteChromeTrace(os, spans, {});
+  WriteChromeTrace(os, spans, DecisionLog());
   const std::string text = os.str();
   EXPECT_NE(text.find(R"("args":{"name":"planner:a\"b\\c\nd"})"),
             std::string::npos)
@@ -321,7 +329,7 @@ TEST(ChromeTraceTest, SpanIdsStayExactPastDoublePrecision) {
   ControlDecisionRecord rec = SampleRecord();
   rec.span_id = decide;
   std::ostringstream trace;
-  WriteChromeTrace(trace, spans, {rec});
+  WriteChromeTrace(trace, spans, LogOf({rec}));
   const std::string text = trace.str();
   for (SpanId id : {sense, decide, act}) {
     EXPECT_NE(text.find("\"id\":\"" + std::to_string(id) + "\""),
@@ -356,7 +364,7 @@ TEST(ChromeTraceTest, SpanIdsStayExactPastDoublePrecision) {
 
   // The decision CSV's span_id cell is the same decimal string.
   std::ostringstream csv;
-  WriteDecisionCsv(csv, {rec});
+  WriteDecisionCsv(csv, LogOf({rec}));
   const std::string row = Lines(csv.str())[1];
   const std::string cell = row.substr(row.rfind(',') + 1);
   EXPECT_EQ(cell, std::to_string(decide));

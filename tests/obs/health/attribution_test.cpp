@@ -2,19 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 namespace flower::obs::health {
 namespace {
 
-ControlDecisionRecord Rec(SimTime t, const char* layer, StepOutcome outcome,
-                          double raw_u = 0.0, double clamped_u = 0.0) {
-  ControlDecisionRecord r;
-  r.time = t;
-  r.loop = layer;
-  r.layer = layer;
-  r.outcome = outcome;
-  r.raw_u = raw_u;
-  r.clamped_u = clamped_u;
-  return r;
+/// One decision of the loop named after its layer.
+struct Row {
+  std::string layer;
+  ControlDecisionRecord record;
+};
+
+Row Rec(SimTime t, const char* layer, StepOutcome outcome,
+        double raw_u = 0.0, double clamped_u = 0.0) {
+  Row row{layer, {}};
+  row.record.time = t;
+  row.record.outcome = outcome;
+  row.record.raw_u = raw_u;
+  row.record.clamped_u = clamped_u;
+  return row;
+}
+
+/// The rows as a decision log, one loop per distinct layer.
+DecisionLog Log(const std::vector<Row>& rows) {
+  DecisionLog log;
+  std::map<std::string, LoopId> ids;
+  for (Row row : rows) {
+    auto it = ids.find(row.layer);
+    if (it == ids.end()) {
+      LoopId id = *log.loops().Register({row.layer, row.layer, "scripted"});
+      it = ids.emplace(row.layer, id).first;
+    }
+    row.record.loop = it->second;
+    log.Append(row.record);
+  }
+  return log;
 }
 
 SloStatus Breached(const char* id, const char* layer) {
@@ -29,7 +53,7 @@ SloStatus Breached(const char* id, const char* layer) {
 
 TEST(AttributionTest, SaturatedLayerOutranksHealthyOnes) {
   RootCauseAttributor attributor;
-  std::vector<ControlDecisionRecord> decisions;
+  std::vector<Row> decisions;
   // Storage asked for 200 units, got 100 — clamped hard every step.
   // Ingestion and analytics actuate exactly what they asked for.
   for (int i = 0; i < 5; ++i) {
@@ -42,7 +66,7 @@ TEST(AttributionTest, SaturatedLayerOutranksHealthyOnes) {
         Rec(t, "analytics", StepOutcome::kActuated, 8.0, 8.0));
   }
   HealthReport report = attributor.Attribute(
-      1300.0, Breached("flow/writes", "storage"), decisions, {});
+      1300.0, Breached("flow/writes", "storage"), Log(decisions), {});
   ASSERT_FALSE(report.ranking.empty());
   EXPECT_EQ(report.ranking.front().layer, "storage");
   EXPECT_GT(report.ranking.front().score, 0.0);
@@ -56,7 +80,7 @@ TEST(AttributionTest, SymptomsAreFractionsNotRawCounts) {
   // A fast loop logging 10x the records must not win just by volume:
   // same symptom fraction → same score.
   RootCauseAttributor attributor;
-  std::vector<ControlDecisionRecord> decisions;
+  std::vector<Row> decisions;
   for (int i = 0; i < 40; ++i) {
     decisions.push_back(Rec(1000.0 + 10.0 * i, "fast",
                             i % 2 == 0 ? StepOutcome::kActuationFailed
@@ -68,7 +92,7 @@ TEST(AttributionTest, SymptomsAreFractionsNotRawCounts) {
                                        : StepOutcome::kActuated));
   }
   HealthReport report =
-      attributor.Attribute(1400.0, Breached("flow/x", ""), decisions, {});
+      attributor.Attribute(1400.0, Breached("flow/x", ""), Log(decisions), {});
   ASSERT_EQ(report.ranking.size(), 2u);
   EXPECT_NEAR(report.ranking[0].score, report.ranking[1].score, 1e-9);
 }
@@ -77,12 +101,13 @@ TEST(AttributionTest, OldDecisionsFallOutsideTheWindow) {
   AttributorConfig config;
   config.decision_window_sec = 300.0;
   RootCauseAttributor attributor(config);
-  std::vector<ControlDecisionRecord> decisions = {
+  std::vector<Row> decisions = {
       Rec(100.0, "storage", StepOutcome::kActuationFailed),  // Ancient.
       Rec(950.0, "storage", StepOutcome::kActuated, 0.0, 0.0),
   };
   HealthReport report =
-      attributor.Attribute(1000.0, Breached("x", "storage"), decisions, {});
+      attributor.Attribute(1000.0, Breached("x", "storage"), Log(decisions),
+                           {});
   // The only in-window record is symptom-free: nothing to pin on anyone.
   for (const LayerAttribution& a : report.ranking) {
     EXPECT_DOUBLE_EQ(a.score, 0.0);
@@ -101,7 +126,7 @@ TEST(AttributionTest, AnomalyCreditIsCapped) {
                          "analytics", AnomalyKind::kSpike, 99.0, 7.5});
   }
   HealthReport report =
-      attributor.Attribute(1000.0, Breached("x", ""), {}, anomalies);
+      attributor.Attribute(1000.0, Breached("x", ""), DecisionLog(), anomalies);
   ASSERT_FALSE(report.ranking.empty());
   EXPECT_EQ(report.ranking.front().layer, "analytics");
   EXPECT_DOUBLE_EQ(report.ranking.front().score, 4.0);  // Capped.
@@ -121,13 +146,13 @@ TEST(AttributionTest, DependencyEdgeCreditsTheDistressedResponseLayer) {
   edge.significant = true;
   attributor.SetDependencyEdges({edge});
 
-  std::vector<ControlDecisionRecord> decisions;
+  std::vector<Row> decisions;
   for (int i = 0; i < 5; ++i) {
     decisions.push_back(Rec(900.0 + 20.0 * i, "storage",
                             StepOutcome::kActuated, 300.0, 150.0));
   }
   HealthReport report = attributor.Attribute(
-      1000.0, Breached("flow/writes", "storage"), decisions, {});
+      1000.0, Breached("flow/writes", "storage"), Log(decisions), {});
   ASSERT_FALSE(report.ranking.empty());
   const LayerAttribution& top = report.ranking.front();
   EXPECT_EQ(top.layer, "storage");
@@ -146,7 +171,7 @@ TEST(AttributionTest, DependencyEdgeCreditsTheDistressedResponseLayer) {
   edge.significant = false;
   attributor.SetDependencyEdges({edge});
   HealthReport without = attributor.Attribute(
-      1000.0, Breached("flow/writes", "storage"), decisions, {});
+      1000.0, Breached("flow/writes", "storage"), Log(decisions), {});
   EXPECT_LT(without.ranking.front().score, top.score);
 }
 
@@ -161,7 +186,7 @@ TEST(AttributionTest, DependencyNeedsDistressOrSloLayer) {
   edge.significant = true;
   attributor.SetDependencyEdges({edge});
   HealthReport report =
-      attributor.Attribute(1000.0, Breached("x", "storage"), {}, {});
+      attributor.Attribute(1000.0, Breached("x", "storage"), DecisionLog(), {});
   for (const LayerAttribution& a : report.ranking) {
     EXPECT_DOUBLE_EQ(a.score, 0.0) << a.layer;
   }
@@ -169,12 +194,12 @@ TEST(AttributionTest, DependencyNeedsDistressOrSloLayer) {
 
 TEST(AttributionTest, RankingDeterministicOnTies) {
   RootCauseAttributor attributor;
-  std::vector<ControlDecisionRecord> decisions = {
+  std::vector<Row> decisions = {
       Rec(990.0, "zeta", StepOutcome::kSensorMiss),
       Rec(990.0, "alpha", StepOutcome::kSensorMiss),
   };
   HealthReport report =
-      attributor.Attribute(1000.0, Breached("x", ""), decisions, {});
+      attributor.Attribute(1000.0, Breached("x", ""), Log(decisions), {});
   ASSERT_EQ(report.ranking.size(), 2u);
   EXPECT_DOUBLE_EQ(report.ranking[0].score, report.ranking[1].score);
   EXPECT_EQ(report.ranking[0].layer, "alpha");  // Name breaks the tie.

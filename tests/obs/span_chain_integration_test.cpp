@@ -79,27 +79,28 @@ TEST(SpanChainIntegrationTest, EveryDecisionResolvesToSenseAndActuation) {
       RunFig6(&run, 4.0, /*with_faults=*/false, /*with_replanning=*/false));
 
   obs::SpanIndex index(run.telemetry.spans());
-  std::vector<obs::ControlDecisionRecord> decisions =
-      run.telemetry.decisions().Snapshot();
+  const obs::DecisionLog& decisions = run.telemetry.decisions();
   ASSERT_GE(decisions.size(), 100u);
 
   size_t checked = 0;
-  for (const obs::ControlDecisionRecord& d : decisions) {
-    ASSERT_NE(d.span_id, 0u) << d.loop << " t=" << d.time;
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const obs::ControlDecisionRecord& d = decisions.at(i);
+    const std::string& loop = decisions.loop(d).name;
+    ASSERT_NE(d.span_id, 0u) << loop << " t=" << d.time;
     if (d.outcome != obs::StepOutcome::kActuated) continue;
     auto chain = index.EffectOf(d.span_id);
     ASSERT_TRUE(chain.ok()) << chain.status() << " t=" << d.time;
     ASSERT_NE(chain->decision, nullptr);
     EXPECT_EQ(chain->decision->id, d.span_id);
-    EXPECT_EQ(chain->decision->label, d.loop);
+    EXPECT_EQ(chain->decision->label, loop);
     EXPECT_FALSE(chain->decision->open);
     // At least one sensed-metric parent carrying the y_k the law saw.
-    ASSERT_GE(chain->senses.size(), 1u) << d.loop << " t=" << d.time;
+    ASSERT_GE(chain->senses.size(), 1u) << loop << " t=" << d.time;
     if (!d.stale_sensor) {
       EXPECT_NEAR(chain->senses[0]->value, d.sensed_y, 1e-9);
     }
     // At least one actuation child, and a successful one at that.
-    ASSERT_GE(chain->actuations.size(), 1u) << d.loop << " t=" << d.time;
+    ASSERT_GE(chain->actuations.size(), 1u) << loop << " t=" << d.time;
     bool actuated = false;
     for (const obs::SpanRecord* a : chain->actuations) {
       if (a->outcome == static_cast<uint8_t>(obs::StepOutcome::kActuated)) {
@@ -107,7 +108,7 @@ TEST(SpanChainIntegrationTest, EveryDecisionResolvesToSenseAndActuation) {
         EXPECT_NEAR(a->value, d.clamped_u, 1e-9);
       }
     }
-    EXPECT_TRUE(actuated) << d.loop << " t=" << d.time;
+    EXPECT_TRUE(actuated) << loop << " t=" << d.time;
     ++checked;
   }
   EXPECT_GE(checked, 100u);
@@ -116,7 +117,8 @@ TEST(SpanChainIntegrationTest, EveryDecisionResolvesToSenseAndActuation) {
   // actuated decision except each loop's last must have settled.
   size_t with_effect = 0;
   size_t actuated_total = 0;
-  for (const obs::ControlDecisionRecord& d : decisions) {
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const obs::ControlDecisionRecord& d = decisions.at(i);
     if (d.outcome != obs::StepOutcome::kActuated) continue;
     ++actuated_total;
     auto chain = index.EffectOf(d.span_id);
@@ -139,9 +141,10 @@ TEST(SpanChainIntegrationTest, ActuatorOutageShowsFailedAndRetriedSpans) {
 
   obs::SpanIndex index(run.telemetry.spans());
   size_t failed_steps = 0;
-  for (const obs::ControlDecisionRecord& d :
-       run.telemetry.decisions().Snapshot()) {
-    if (d.loop != "analytics") continue;
+  const obs::DecisionLog& log = run.telemetry.decisions();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const obs::ControlDecisionRecord& d = log.at(i);
+    if (log.loop(d).name != "analytics") continue;
     if (d.outcome != obs::StepOutcome::kActuationFailed) continue;
     ++failed_steps;
     ASSERT_NE(d.span_id, 0u);
@@ -201,13 +204,15 @@ TEST(SpanChainIntegrationTest, ReplanningLinksDecisionsToPlans) {
   // bounds they executed under.
   double first_plan_done = plan_spans[0]->end;
   size_t linked = 0;
-  for (const obs::ControlDecisionRecord& d :
-       run.telemetry.decisions().Snapshot()) {
+  const obs::DecisionLog& log = run.telemetry.decisions();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const obs::ControlDecisionRecord& d = log.at(i);
     if (d.outcome != obs::StepOutcome::kActuated) continue;
     if (d.time <= first_plan_done) continue;
     auto chain = index.EffectOf(d.span_id);
     ASSERT_TRUE(chain.ok());
-    ASSERT_GE(chain->plans.size(), 1u) << d.loop << " t=" << d.time;
+    ASSERT_GE(chain->plans.size(), 1u)
+        << log.loop(d).name << " t=" << d.time;
     EXPECT_EQ(chain->plans[0]->kind, obs::SpanKind::kPlan);
     EXPECT_LE(chain->plans[0]->start, d.time);
     ++linked;

@@ -84,24 +84,24 @@ TEST(TelemetryIntegrationTest, GainColumnReproducesEq7Trajectory) {
   ASSERT_NE(adaptive, nullptr);
   const control::AdaptiveGainConfig& cfg = adaptive->config();
 
-  std::vector<obs::ControlDecisionRecord> decisions =
-      run.telemetry.decisions().Snapshot();
-  ASSERT_FALSE(decisions.empty());
+  const obs::DecisionLog& decisions = run.telemetry.decisions();
+  ASSERT_GT(decisions.size(), 0u);
 
   // Replay Eq. 7 from the recorded sensed inputs:
   //   l_{k+1} = clamp(l_k + γ (y_k − y_r), l_min, l_max)
   // and require the decision log's gain column to match step for step.
   double gain = cfg.initial_gain;
   size_t steps = 0;
-  for (const obs::ControlDecisionRecord& d : decisions) {
-    if (d.loop != "analytics") continue;
+  for (size_t i = 0; i < decisions.size(); ++i) {
+    const obs::ControlDecisionRecord& d = decisions.at(i);
+    if (decisions.loop(d).name != "analytics") continue;
     // A missed sensor read skips the step entirely: the controller never
     // ran, so the gain state is unchanged and there is nothing to check.
     if (d.outcome == obs::StepOutcome::kSensorMiss) continue;
     ASSERT_EQ(d.outcome, obs::StepOutcome::kActuated)
         << "fault-free run must actuate every stepped loop (t=" << d.time
         << ")";
-    ASSERT_EQ(d.law, "adaptive-gain");
+    ASSERT_EQ(decisions.loop(d).law, "adaptive-gain");
     gain = std::clamp(gain + cfg.gamma * (d.sensed_y - d.reference),
                       cfg.gain_min, cfg.gain_max);
     EXPECT_NEAR(d.gain, gain, 1e-9) << "at t=" << d.time;
@@ -140,7 +140,7 @@ TEST(TelemetryIntegrationTest, TraceHasStepSpansForAllThreeLayers) {
   // The export joins each decide slice to its decision record and
   // renders the per-loop counters.
   std::ostringstream os;
-  obs::WriteChromeTrace(os, spans, run.telemetry.decisions().Snapshot());
+  obs::WriteChromeTrace(os, spans, run.telemetry.decisions());
   const std::string trace = os.str();
   EXPECT_NE(trace.find("\"law\":\"adaptive-gain\""), std::string::npos);
   for (const char* loop : {"ingestion", "analytics", "storage"}) {
@@ -182,9 +182,10 @@ TEST(TelemetryIntegrationTest, FaultInterferenceIsStampedOnDecisions) {
       static_cast<obs::FaultMask>(1u << static_cast<int>(
                                       sim::FaultKind::kSensorSpike));
   size_t stamped = 0;
-  for (const obs::ControlDecisionRecord& d :
-       run.telemetry.decisions().Snapshot()) {
-    if (d.loop != "analytics") continue;
+  const obs::DecisionLog& log = run.telemetry.decisions();
+  for (size_t i = 0; i < log.size(); ++i) {
+    const obs::ControlDecisionRecord& d = log.at(i);
+    if (log.loop(d).name != "analytics") continue;
     // FaultSpec windows are [start, end).
     const bool in_window =
         d.time >= 30.0 * kMinute && d.time < 50.0 * kMinute;

@@ -32,12 +32,23 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+/// Loop table the unit-test recorders resolve loop ids against: 0 is
+/// "analytics", 1 is "storage".
+const obs::LoopTable* TestLoops() {
+  static const obs::LoopTable loops = [] {
+    obs::LoopTable table;
+    (void)table.Register({"analytics", "analytics", "adaptive-gain"});
+    (void)table.Register({"storage", "storage", "adaptive-gain"});
+    return table;
+  }();
+  return &loops;
+}
+
 obs::ControlDecisionRecord MakeDecision(double t, const char* loop, double y,
                                         double raw_u, double u) {
   obs::ControlDecisionRecord rec;
   rec.time = t;
-  rec.loop = loop;
-  rec.layer = loop;
+  rec.loop = std::string(loop) == "analytics" ? 0 : 1;
   rec.sensed_y = y;
   rec.raw_u = raw_u;
   rec.clamped_u = u;
@@ -49,6 +60,8 @@ obs::ControlDecisionRecord MakeDecision(double t, const char* loop, double y,
 TEST(FlightRecorderTest, ChainIsDeterministicAndOrderSensitive) {
   FlightRecorder a;
   FlightRecorder b;
+  a.SetLoopTable(TestLoops());
+  b.SetLoopTable(TestLoops());
   a.RecordDecision(MakeDecision(60.0, "analytics", 55.0, 4.0, 4.0));
   a.RecordDecision(MakeDecision(120.0, "storage", 70.0, 90.0, 80.0));
   b.RecordDecision(MakeDecision(60.0, "analytics", 55.0, 4.0, 4.0));
@@ -57,6 +70,7 @@ TEST(FlightRecorderTest, ChainIsDeterministicAndOrderSensitive) {
   EXPECT_EQ(a.total_decisions(), 2u);
 
   FlightRecorder c;  // Same decisions, swapped order: different chain.
+  c.SetLoopTable(TestLoops());
   c.RecordDecision(MakeDecision(120.0, "storage", 70.0, 90.0, 80.0));
   c.RecordDecision(MakeDecision(60.0, "analytics", 55.0, 4.0, 4.0));
   EXPECT_NE(a.chain_hash(), c.chain_hash());
@@ -68,12 +82,13 @@ TEST(FlightRecorderTest, DecisionRingEvictsOldestAndKeepsCheckpoints) {
   config.checkpoint_every = 2;
   config.checkpoint_capacity = 8;
   FlightRecorder rec(config);
+  rec.SetLoopTable(TestLoops());
   for (int i = 0; i < 10; ++i) {
     rec.RecordDecision(
         MakeDecision(60.0 * (i + 1), "analytics", 50.0 + i, 4.0, 4.0));
   }
   EXPECT_EQ(rec.total_decisions(), 10u);
-  std::vector<obs::replay::DecisionEntry> kept = rec.Decisions();
+  std::vector<obs::replay::RecordedDecision> kept = rec.Decisions();
   ASSERT_EQ(kept.size(), 4u);
   EXPECT_EQ(kept.front().index, 6u);  // Oldest retained.
   EXPECT_EQ(kept.back().index, 9u);
@@ -128,6 +143,7 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
   RecorderConfig config;
   config.decision_capacity = 8;
   FlightRecorder rec(config);
+  rec.SetLoopTable(TestLoops());
   rec.SetIdentity("tenant-7", 7, 0xDEADBEEFCAFEF00Dull,
                   7 * obs::SpanCollector::kIdStride);
   rec.SetSpec({{"tenant.id", "tenant-7"}, {"tenant.seed", "16045690985373815821"}});
@@ -186,13 +202,40 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
     EXPECT_EQ(loaded->decisions[i].chain, bundle.decisions[i].chain);
     EXPECT_EQ(loaded->decisions[i].line_hash, bundle.decisions[i].line_hash);
     // %.17g doubles round-trip bit-exactly.
-    EXPECT_DOUBLE_EQ(loaded->decisions[i].sensed_y,
-                     bundle.decisions[i].sensed_y);
-    EXPECT_DOUBLE_EQ(loaded->decisions[i].raw_u, bundle.decisions[i].raw_u);
-    EXPECT_STREQ(loaded->decisions[i].loop, bundle.decisions[i].loop);
+    const obs::ControlDecisionRecord& got = loaded->decisions[i].record;
+    const obs::ControlDecisionRecord& want = bundle.decisions[i].record;
+    EXPECT_DOUBLE_EQ(got.sensed_y, want.sensed_y);
+    EXPECT_DOUBLE_EQ(got.raw_u, want.raw_u);
+    EXPECT_EQ(loaded->LoopName(got.loop), bundle.LoopName(want.loop));
   }
   EXPECT_EQ(loaded->checkpoints.size(), bundle.checkpoints.size());
   EXPECT_EQ(obs::replay::BundleFingerprint(*loaded), loaded->fingerprint);
+}
+
+// A loop name longer than any fixed-width slot survives the recorder,
+// the bundle file and the loader in full.
+TEST(BundleTest, LongLoopNameSurvivesRoundTrip) {
+  const std::string name = "ingestion-clickstream-shard-07";
+  ASSERT_EQ(name.size(), 30u);
+  obs::LoopTable loops;
+  auto id = loops.Register({name, "ingestion", "adaptive-gain"});
+  ASSERT_TRUE(id.ok());
+  FlightRecorder rec;
+  rec.SetLoopTable(&loops);
+  obs::ControlDecisionRecord decision = MakeDecision(60.0, "analytics", 55.0,
+                                                     4.0, 4.0);
+  decision.loop = *id;
+  rec.RecordDecision(decision);
+  rec.Trigger(60.0, "explicit");
+
+  std::string path = TempPath("long_loop_bundle.json");
+  ASSERT_TRUE(
+      obs::replay::WriteBundleJson(obs::replay::BundleFromRecorder(rec), path)
+          .ok());
+  auto loaded = obs::replay::LoadBundleJson(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->decisions.size(), 1u);
+  EXPECT_EQ(loaded->LoopName(loaded->decisions[0].record.loop), name);
 }
 
 // --- Partition spec round-trip. ------------------------------------
@@ -331,7 +374,7 @@ TEST(ReplayTest, CorruptedSeedIsCaughtAtTheFirstDecision) {
   // timestamp.
   EXPECT_EQ(report.first_mismatch_index, bundle->decisions.front().index);
   EXPECT_DOUBLE_EQ(report.first_mismatch_time,
-                   bundle->decisions.front().time);
+                   bundle->decisions.front().record.time);
 }
 
 TEST(ReplayTest, ExplicitDumpWithoutAlertIsReplayable) {
@@ -443,6 +486,57 @@ TEST(ReplayTest, BundleWithZeroMmppPeriodIsRejected) {
   auto harness = fleet::ReplayHarness::Create(bundle);
   ASSERT_FALSE(harness.ok());
   EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A sub-second monitoring period would schedule a control step every
+// nanosecond; the rebuilt partition rejects it instead of hanging.
+TEST(ReplayTest, BundleWithSubSecondMonitoringPeriodIsRejected) {
+  fleet::TenantConfig tenant;
+  tenant.monitoring_period_sec = 1e-9;
+  obs::replay::CaptureBundle bundle;
+  bundle.spec = fleet::SerializePartitionSpec(tenant, fleet::PartitionConfig{});
+  bundle.trigger.fired = true;
+  bundle.trigger.time = 600.0;
+  auto harness = fleet::ReplayHarness::Create(bundle);
+  ASSERT_FALSE(harness.ok());
+  EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- Committed capture fixture. ------------------------------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// testdata/t0000.json was captured by
+//   flower-sim --fleet --fleet-tenants=2 --hours=0.5 --fleet-fault
+//              --fleet-capture-dir=DIR
+// and pins the bundle format: it must keep loading, replaying to a
+// match, and re-serializing byte for byte. A change that moves any
+// decision must regenerate it.
+TEST(ReplayTest, CommittedFixtureReplaysAndRoundTripsByteForByte) {
+  const std::string fixture =
+      std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json";
+  auto bundle = obs::replay::LoadBundleJson(fixture);
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  EXPECT_EQ(bundle->tenant_id, "t0000");
+  EXPECT_EQ(bundle->decisions.size(), 27u);
+  EXPECT_DOUBLE_EQ(bundle->trigger.time, 1080.0);
+
+  std::string path = TempPath("fixture_roundtrip.json");
+  ASSERT_TRUE(obs::replay::WriteBundleJson(*bundle, path).ok());
+  EXPECT_EQ(ReadFile(path), ReadFile(fixture));
+
+  auto harness = fleet::ReplayHarness::Create(*bundle, {});
+  ASSERT_TRUE(harness.ok()) << harness.status();
+  ASSERT_TRUE((*harness)->Run().ok());
+  obs::replay::DivergenceReport report = (*harness)->Check();
+  EXPECT_FALSE(report.diverged) << report.ToString();
+  EXPECT_TRUE(report.fingerprint_match);
+  EXPECT_TRUE(report.chain_match);
 }
 
 // --- Satellite: span-id namespace exhaustion guard. ----------------

@@ -690,7 +690,7 @@ int RunOrDie(const tools::FlagParser& flags) {
       std::cerr << st << "\n";
       return 1;
     }
-    std::cout << "wrote " << telemetry.decisions().Snapshot().size()
+    std::cout << "wrote " << telemetry.decisions().size()
               << " decision records + metrics snapshot to " << metrics_out
               << "\n";
   }

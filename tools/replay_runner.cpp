@@ -25,7 +25,7 @@ Status WriteExports(const ReplayCliOptions& options,
   if (!options.metrics_out.empty()) {
     FLOWER_RETURN_NOT_OK(telemetry.ExportJsonl(options.metrics_out, horizon));
     if (!options.quiet) {
-      std::cout << "wrote " << telemetry.decisions().Snapshot().size()
+      std::cout << "wrote " << telemetry.decisions().size()
                 << " decision records + metrics snapshot to "
                 << options.metrics_out << "\n";
     }
