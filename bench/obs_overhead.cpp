@@ -1,5 +1,6 @@
 // Observability-plane overhead bench (PR "fleet-ready observability
-// plane"): proves the causal-span / rollup machinery is free when off
+// plane"): proves the causal-span / tracked-snapshot machinery is free
+// when off
 // and cheap when on. Four parts:
 //
 //   baseline    in-process regeneration of the BENCH_simcore single-
@@ -8,7 +9,7 @@
 //               the comparison is apples-to-apples on this machine.
 //   disabled    the same flow with the full obs plane constructed and
 //               in the event path — telemetry hub, scoped registry,
-//               rollup store ticking at 1 Hz, span collector called
+//               tracked snapshot ticking at 1 Hz, span collector called
 //               every tick — but spans DISABLED. Gates: events/s within
 //               1% of baseline, zero heap allocations per steady tick.
 //   enabled     a managed flow (three control loops) with spans off vs
@@ -43,10 +44,10 @@
 #include "core/flow_builder.h"
 #include "flow/flow.h"
 #include "obs/exporters.h"
-#include "obs/rollup.h"
 #include "obs/scoped_registry.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
+#include "obs/tracked_snapshot.h"
 #include "sim/simulation.h"
 #include "tools/flag_parser.h"
 #include "workload/arrival.h"
@@ -114,15 +115,15 @@ FlowRun RunBareFlow(double sim_seconds) {
 }
 
 /// The obs plane a fleet deployment would attach per flow: a scoped
-/// registry with per-layer children, a rollup store downsampling a few
+/// registry with per-layer children, a tracked snapshot sampling a few
 /// series at 1 Hz, and the span collector sitting disabled in the
 /// per-tick path. The instruments are fed from the periodic callback so
-/// the rollup has real deltas to fold — the point is that none of this
-/// perturbs the simulation it rides on.
+/// the snapshot has real values to copy — the point is that none of
+/// this perturbs the simulation it rides on.
 struct DisabledObsPlane {
   obs::Telemetry telemetry;
   obs::ScopedRegistry scoped;
-  std::unique_ptr<obs::RollupStore> rollups;
+  obs::TrackedSnapshot tracked{&telemetry.metrics()};
   obs::Counter* ticks = nullptr;
   obs::Gauge* depth = nullptr;
   obs::Histogram* latency = nullptr;
@@ -135,10 +136,9 @@ struct DisabledObsPlane {
     latency = telemetry.metrics().GetHistogram("plane.latency");
     scoped_ticks =
         scoped.Child("analytics")->metrics().GetCounter("scope.ticks");
-    rollups = std::make_unique<obs::RollupStore>(&telemetry.metrics());
-    rollups->TrackCounter("plane.ticks");
-    rollups->TrackGauge("plane.depth");
-    rollups->TrackHistogram("plane.latency");
+    tracked.TrackCounter("plane.ticks");
+    tracked.TrackGauge("plane.depth");
+    tracked.TrackHistogram("plane.latency");
   }
 
   void Tick(SimTime now) {
@@ -151,7 +151,7 @@ struct DisabledObsPlane {
     obs::SpanId id = telemetry.spans().Begin(
         obs::SpanKind::kSense, "bench", now, obs::kTracePid, 0);
     telemetry.spans().End(id, now);
-    rollups->Tick(now);
+    tracked.Tick();
   }
 };
 
@@ -186,9 +186,9 @@ DisabledRun RunDisabledFlow(double sim_seconds) {
   }
   // Steady-tick allocation window, mirroring sim_throughput: warmed
   // past the wheel rotation and the window-ring rotation, measured
-  // between slide boundaries. The rollup's sparse snapshot and tier
-  // rings are warm after the first few ticks, so any per-tick heap
-  // traffic from the obs plane lands in this window.
+  // between slide boundaries. The tracked snapshot's buffers are warm
+  // after the first tick, so any per-tick heap traffic from the obs
+  // plane lands in this window.
   sim.RunUntil(std::max(sim_seconds, 103.0));
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
   sim.RunUntil(std::max(sim_seconds, 103.0) + 6.0);
@@ -334,9 +334,9 @@ void WriteJson(std::FILE* fp, bool smoke, double base_eps,
 
 int Run(bool smoke, const std::string& out_path) {
   bench::Header(smoke ? "PERF  Observability plane (smoke): spans + "
-                        "rollups overhead"
-                      : "PERF  Observability plane: spans + rollups "
-                        "overhead");
+                        "tracked-snapshot overhead"
+                      : "PERF  Observability plane: spans + "
+                        "tracked-snapshot overhead");
 
   const double flow_sim_seconds = smoke ? 60.0 : 300.0;
   const double managed_sim_seconds = smoke ? 900.0 : 7200.0;

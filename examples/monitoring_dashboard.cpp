@@ -243,33 +243,6 @@ int main() {
   }
   slo_table.Print(std::cout);
 
-  // Rollup panel: trailing-window aggregates straight from the health
-  // monitor's fixed-memory rollup store (the same sparse feed its SLO
-  // burn windows read), no registry scan and no per-query allocation.
-  if (flow_health.rollups() != nullptr) {
-    const obs::RollupStore& rollups = *flow_health.rollups();
-    std::cout << "\nRollup queries (" << rollups.NumTracked()
-              << " tracked series, " << rollups.ticks() << " ticks):\n";
-    TablePrinter roll({"metric", "window", "mean", "max", "fail/h"});
-    for (const char* layer : {"ingestion", "analytics", "storage"}) {
-      obs::LabelSet labels{{"layer", layer}, {"loop", layer}};
-      for (double window : {30 * kMinute, 2 * kHour}) {
-        auto mean = rollups.Query("loop.sensed_y", labels, window,
-                                  obs::RollupAgg::kMean);
-        auto max = rollups.Query("loop.sensed_y", labels, window,
-                                 obs::RollupAgg::kMax);
-        auto fails = rollups.Query("loop.actuation_failures", labels, window,
-                                   obs::RollupAgg::kRate);
-        roll.AddRow({std::string("loop.sensed_y{layer=") + layer + "}",
-                     Num(window / kMinute, 0) + "min",
-                     mean.ok() ? Num(*mean, 1) : "n/a",
-                     max.ok() ? Num(*max, 1) : "n/a",
-                     fails.ok() ? Num(*fails * 3600.0, 2) : "n/a"});
-      }
-    }
-    roll.Print(std::cout);
-  }
-
   const auto& anomalies = flow_health.anomaly_log();
   std::cout << "Anomalies flagged: " << anomalies.size();
   if (!anomalies.empty()) {

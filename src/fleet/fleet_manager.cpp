@@ -104,8 +104,10 @@ Status FleetManager::RunFor(double horizon_sec) {
   if (!started_) {
     return Status::FailedPrecondition("FleetManager: not started");
   }
-  if (horizon_sec < 0.0) {
-    return Status::InvalidArgument("FleetManager: negative horizon");
+  // A non-finite horizon would never reach its last boundary.
+  if (!std::isfinite(horizon_sec) || horizon_sec < 0.0) {
+    return Status::InvalidArgument(
+        "FleetManager: horizon must be finite and >= 0");
   }
   if (horizon_sec == 0.0) return Status::OK();
   auto t0 = std::chrono::steady_clock::now();

@@ -136,7 +136,8 @@ class FleetManager {
 
   /// Advances the whole fleet by `horizon_sec`, boundary by boundary,
   /// appending to reports(). Callable repeatedly; every call arbitrates
-  /// once at its start (all tenants share the start boundary).
+  /// once at its start (all tenants share the start boundary). Errors:
+  /// not started, a horizon not finite and >= 0.
   Status RunFor(double horizon_sec);
 
   /// Cumulative sweep schedule counters (see FleetSweepStats).

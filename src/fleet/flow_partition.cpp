@@ -248,6 +248,10 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
 }
 
 Status FlowPartition::AdvanceTo(SimTime t) {
+  if (!std::isfinite(t)) {
+    return Status::InvalidArgument("FlowPartition: advance target must be "
+                                   "finite");
+  }
   if (t < sim_->Now()) {
     return Status::InvalidArgument("FlowPartition: advance target in past");
   }

@@ -108,7 +108,8 @@ class FlowPartition {
 
   /// Runs this partition's simulation up to (and including) `t`.
   /// Safe to call concurrently with other partitions' AdvanceTo — never
-  /// with this one's.
+  /// with this one's. InvalidArgument when `t` is not finite or lies in
+  /// the past.
   Status AdvanceTo(SimTime t);
 
   /// Sets the hourly budget the next re-plan will request under (the

@@ -1,5 +1,6 @@
 #include "fleet/replay_harness.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -12,6 +13,10 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
   if (!bundle.trigger.fired) {
     return Status::InvalidArgument(
         "replay: bundle has no latched trigger (nothing to replay to)");
+  }
+  if (!std::isfinite(bundle.trigger.time)) {
+    return Status::InvalidArgument(
+        "replay: bundle trigger time must be finite");
   }
   if (obs::replay::BundleFingerprint(bundle) != bundle.fingerprint) {
     FLOWER_LOG(Warning)

@@ -50,6 +50,20 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
   const double period = t.arbitration_period_sec > 0.0
                             ? t.arbitration_period_sec
                             : config.arbitration_period_sec;
+  // Partition settings a capture bundle carries. Cadences are floored
+  // at 1 s (CloudWatch's finest, and the finest any caller uses): a
+  // sub-second period schedules events faster than a replay can finish.
+  auto cadence = [](double sec) { return sec >= 1.0 && std::isfinite(sec); };
+  // Work and memory scale with these counts, so each is capped at 64x
+  // the fleet default instead of letting a bundle ask for a bad_alloc
+  // or a solve that never ends.
+  constexpr size_t kMaxScale = 64;
+  auto capped = [](size_t v, size_t fleet_default) {
+    return v <= kMaxScale * fleet_default;
+  };
+  static const PartitionConfig kDefaults;
+  const obs::replay::RecorderConfig& rec = config.capture.recorder;
+  const obs::replay::RecorderConfig& rec_default = kDefaults.capture.recorder;
   const std::pair<bool, const char*> rules[] = {
       {!t.id.empty() && t.id.find('/') == std::string::npos,
        "id must be non-empty and contain no '/'"},
@@ -70,6 +84,31 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
       {t.monitoring_period_sec >= 1.0, "monitoring_period_sec must be >= 1"},
       {t.arbitration_period_sec >= 0.0 && period > config.replan_offset_sec,
        "arbitration period must be >= 0 and exceed the re-plan offset"},
+      {cadence(config.workload_emit_period_sec) &&
+           cadence(config.storm_tick_period_sec) &&
+           cadence(config.capture.health_eval_period_sec),
+       "emit, Storm tick and health evaluation periods must be finite and "
+       ">= 1 s"},
+      // MmppArrival pre-samples its switch schedule up to the horizon.
+      {config.horizon_sec > 0.0 && std::isfinite(config.horizon_sec),
+       "horizon_sec must be finite and > 0"},
+      // Each re-plan evaluates population x generations candidates.
+      {capped(config.flow_solver.population_size,
+              kDefaults.flow_solver.population_size) &&
+           capped(config.flow_solver.generations,
+                  kDefaults.flow_solver.generations),
+       "flow solver population and generations must be <= 64x the fleet "
+       "default"},
+      // The recorder preallocates every ring at construction; a wider
+      // checkpoint spacing would localize a divergence no better than
+      // having no checkpoints.
+      {capped(rec.decision_capacity, rec_default.decision_capacity) &&
+           capped(rec.grant_capacity, rec_default.grant_capacity) &&
+           capped(rec.replan_capacity, rec_default.replan_capacity) &&
+           capped(rec.checkpoint_capacity, rec_default.checkpoint_capacity) &&
+           capped(rec.checkpoint_every, rec_default.checkpoint_every),
+       "recorder capacities and checkpoint_every must be <= 64x the fleet "
+       "default"},
   };
   for (const auto& [ok, what] : rules) {
     if (!ok) return Status::InvalidArgument("tenant '" + t.id + "': " + what);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/thread_pool.h"
-
 namespace flower::obs::health {
 
 namespace {
@@ -125,70 +123,42 @@ Status AnomalyBank::Watch(Source source, MetricSelector selector,
 }
 
 std::vector<AnomalyEvent> AnomalyBank::UpdateAll(
-    SimTime now, const MetricsSnapshot& snapshot, exec::ThreadPool* pool) {
-  struct Slot {
-    bool sampled = false;
-    double value = 0.0;
-    AnomalyDetector::Sample sample;
-  };
-  std::vector<Slot> slots(streams_.size());
-
-  // Per-stream work is independent (each touches only its own detector
-  // and slot), so it parallelizes with no synchronization; the merge
-  // below runs in stream order, keeping output identical at any thread
-  // count.
-  auto body = [&](size_t i) -> Status {
-    Stream& s = streams_[i];
-    Slot& slot = slots[i];
+    SimTime now, const MetricsSnapshot& snapshot) {
+  std::vector<AnomalyEvent> events;
+  for (Stream& s : streams_) {
     double x = 0.0;
     switch (s.source) {
       case Source::kGauge: {
         const GaugeSample* g = FindGauge(snapshot, s.selector);
-        if (g == nullptr) return Status::OK();
+        if (g == nullptr) continue;
         x = g->value;
         break;
       }
       case Source::kCounterRate: {
         const CounterSample* c = FindCounter(snapshot, s.selector);
-        if (c == nullptr) return Status::OK();
+        if (c == nullptr) continue;
         double v = static_cast<double>(c->value);
         if (!s.has_last_counter) {
           s.has_last_counter = true;
           s.last_counter = v;
-          return Status::OK();
+          continue;
         }
         x = std::max(0.0, v - s.last_counter);
         s.last_counter = v;
         break;
       }
     }
-    slot.sampled = true;
-    slot.value = x;
-    slot.sample = s.detector.Update(x);
-    return Status::OK();
-  };
-
-  if (pool != nullptr && pool->num_threads() > 1 && streams_.size() > 1) {
-    pool->ParallelFor(0, streams_.size(), 1, body);
-  } else {
-    for (size_t i = 0; i < streams_.size(); ++i) body(i);
-  }
-
-  std::vector<AnomalyEvent> events;
-  for (size_t i = 0; i < streams_.size(); ++i) {
-    Stream& s = streams_[i];
-    const Slot& slot = slots[i];
-    if (!slot.sampled) continue;
-    s.state.last_value = slot.value;
-    s.state.last_z = slot.sample.z;
-    s.state.anomalous = slot.sample.spike || slot.sample.shift;
-    if (slot.sample.spike) {
-      events.push_back({now, s.display, s.layer, AnomalyKind::kSpike,
-                        slot.value, std::abs(slot.sample.z)});
+    AnomalyDetector::Sample sample = s.detector.Update(x);
+    s.state.last_value = x;
+    s.state.last_z = sample.z;
+    s.state.anomalous = sample.spike || sample.shift;
+    if (sample.spike) {
+      events.push_back({now, s.display, s.layer, AnomalyKind::kSpike, x,
+                        std::abs(sample.z)});
     }
-    if (slot.sample.shift) {
-      events.push_back({now, s.display, s.layer, AnomalyKind::kLevelShift,
-                        slot.value, slot.sample.ph_stat});
+    if (sample.shift) {
+      events.push_back({now, s.display, s.layer, AnomalyKind::kLevelShift, x,
+                        sample.ph_stat});
     }
   }
   return events;

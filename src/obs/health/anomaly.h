@@ -10,10 +10,6 @@
 #include "obs/metrics_registry.h"
 #include "stats/rolling.h"
 
-namespace flower::exec {
-class ThreadPool;
-}  // namespace flower::exec
-
 namespace flower::obs::health {
 
 /// Tuning for one stream's detector pair. Defaults are sized for
@@ -93,9 +89,7 @@ class AnomalyDetector {
 /// A set of detectors bound to registry instruments. `UpdateAll` pulls
 /// each watched stream's current sample out of a MetricsSnapshot
 /// (gauges directly; counters as per-tick rate) and advances its
-/// detector. Detector updates are independent per stream, so they fan
-/// out across a thread pool with per-stream result slots merged in
-/// stream order — output is bit-identical at any thread count.
+/// detector, in registration order.
 class AnomalyBank {
  public:
   enum class Source {
@@ -109,12 +103,11 @@ class AnomalyBank {
   Status Watch(Source source, MetricSelector selector, std::string layer,
                AnomalyConfig config = {});
 
-  /// Advances every stream one tick. Streams whose instrument is absent
-  /// from the snapshot skip the tick (detectors hold state). `pool` may
-  /// be null for inline execution.
+  /// Advances every stream one tick and returns the events it flagged,
+  /// in stream order. Streams whose instrument is absent from the
+  /// snapshot skip the tick (detectors hold state).
   std::vector<AnomalyEvent> UpdateAll(SimTime now,
-                                      const MetricsSnapshot& snapshot,
-                                      exec::ThreadPool* pool = nullptr);
+                                      const MetricsSnapshot& snapshot);
 
   struct StreamState {
     std::string stream;

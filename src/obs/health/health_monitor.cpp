@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/thread_pool.h"
 #include "obs/exporters.h"
 
 namespace flower::obs::health {
@@ -16,25 +15,17 @@ using internal::JsonNum;
 }  // namespace
 
 HealthMonitor::HealthMonitor(Telemetry* telemetry, HealthMonitorConfig config)
-    : telemetry_(telemetry), config_(config), attributor_(config.attributor) {
+    : telemetry_(telemetry),
+      config_(config),
+      feed_(&telemetry->metrics()),
+      attributor_(config.attributor) {
   if (config_.eval_period_sec <= 0.0) config_.eval_period_sec = 60.0;
-  if (config_.num_threads == 0) config_.num_threads = 1;
   if (config_.max_reports == 0) config_.max_reports = 1;
   if (config_.max_anomaly_events == 0) config_.max_anomaly_events = 1;
   if (config_.reattribute_every == 0) config_.reattribute_every = 1;
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<exec::ThreadPool>(config_.num_threads);
-  }
-  if (config_.use_rollups) {
-    config_.rollup.base_period_sec = config_.eval_period_sec;
-    rollups_ = std::make_unique<RollupStore>(&telemetry_->metrics(),
-                                             config_.rollup);
-  }
   anomaly_counter_ = telemetry_->metrics().GetCounter("health.anomalies");
   report_counter_ = telemetry_->metrics().GetCounter("health.reports");
 }
-
-HealthMonitor::~HealthMonitor() = default;
 
 Status HealthMonitor::AddSlo(const SloSpec& spec) {
   FLOWER_RETURN_NOT_OK(ValidateSloSpec(spec));
@@ -61,18 +52,17 @@ Status HealthMonitor::AddSlo(const SloSpec& spec) {
 }
 
 void HealthMonitor::TrackSloSeries(const SloSpec& spec) {
-  if (rollups_ == nullptr) return;
   switch (spec.kind) {
     case SliKind::kGaugeBelow:
     case SliKind::kGaugeAbove:
-      rollups_->TrackGauge(spec.metric.name, spec.metric.labels);
+      feed_.TrackGauge(spec.metric.name, spec.metric.labels);
       break;
     case SliKind::kCounterRatio:
-      rollups_->TrackCounter(spec.metric.name, spec.metric.labels);
-      rollups_->TrackCounter(spec.total.name, spec.total.labels);
+      feed_.TrackCounter(spec.metric.name, spec.metric.labels);
+      feed_.TrackCounter(spec.total.name, spec.total.labels);
       break;
     case SliKind::kHistogramBelow:
-      rollups_->TrackHistogram(spec.metric.name, spec.metric.labels);
+      feed_.TrackHistogram(spec.metric.name, spec.metric.labels);
       break;
   }
 }
@@ -80,12 +70,10 @@ void HealthMonitor::TrackSloSeries(const SloSpec& spec) {
 Status HealthMonitor::Watch(AnomalyBank::Source source,
                             MetricSelector selector, std::string layer,
                             AnomalyConfig config) {
-  if (rollups_ != nullptr) {
-    if (source == AnomalyBank::Source::kGauge) {
-      rollups_->TrackGauge(selector.name, selector.labels);
-    } else {
-      rollups_->TrackCounter(selector.name, selector.labels);
-    }
+  if (source == AnomalyBank::Source::kGauge) {
+    feed_.TrackGauge(selector.name, selector.labels);
+  } else {
+    feed_.TrackCounter(selector.name, selector.labels);
   }
   return bank_.Watch(source, std::move(selector), std::move(layer), config);
 }
@@ -110,21 +98,12 @@ HealthReport HealthMonitor::BuildReport(SimTime now, const SloStatus& status) {
 
 void HealthMonitor::Evaluate(SimTime now) {
   evaluations_ += 1;
-  // Rollup path: one atomic read per tracked series into the reused
-  // sparse snapshot. Raw path: deep copy of the whole registry. Both
-  // feeds skip absent instruments, so the health trajectory is
-  // identical — only the per-tick cost differs.
-  MetricsSnapshot raw_snapshot;
-  if (rollups_ != nullptr) {
-    rollups_->Tick(now);
-  } else {
-    raw_snapshot = telemetry_->metrics().Snapshot();
-  }
-  const MetricsSnapshot& snapshot =
-      rollups_ != nullptr ? rollups_->TrackedSnapshot() : raw_snapshot;
+  // One atomic read per tracked series into the reused sparse snapshot;
+  // series whose instrument is not registered yet are absent from it.
+  feed_.Tick();
+  const MetricsSnapshot& snapshot = feed_.snapshot();
 
-  std::vector<AnomalyEvent> events =
-      bank_.UpdateAll(now, snapshot, pool_.get());
+  std::vector<AnomalyEvent> events = bank_.UpdateAll(now, snapshot);
   for (AnomalyEvent& ev : events) {
     anomaly_counter_->Increment();
     telemetry_->metrics()

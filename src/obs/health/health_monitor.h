@@ -3,7 +3,6 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -13,12 +12,8 @@
 #include "obs/health/anomaly.h"
 #include "obs/health/attribution.h"
 #include "obs/health/slo.h"
-#include "obs/rollup.h"
 #include "obs/telemetry.h"
-
-namespace flower::exec {
-class ThreadPool;
-}  // namespace flower::exec
+#include "obs/tracked_snapshot.h"
 
 namespace flower::obs::health {
 
@@ -32,25 +27,12 @@ inline constexpr uint8_t kHealthAnomaly = 1 << 2;
 struct HealthMonitorConfig {
   /// Spacing of Evaluate() ticks; SLO windows are sized in these ticks.
   double eval_period_sec = 60.0;
-  /// Threads for the anomaly-bank fan-out. 1 = inline. Results are
-  /// bit-identical at any setting (per-stream slots, ordered merge).
-  size_t num_threads = 1;
   /// Retained health reports / anomaly events (oldest dropped first).
   size_t max_reports = 256;
   size_t max_anomaly_events = 4096;
   /// While an SLO stays breached, re-attribute every this many ticks
   /// (fresh evidence) in addition to the initial alert report.
   uint64_t reattribute_every = 10;
-  /// Feed SLO trackers and anomaly detectors from a RollupStore's
-  /// sparse tracked snapshot instead of deep-copying the whole registry
-  /// each tick. AddSlo/Watch auto-track the series they read, so the
-  /// trajectory is identical to the raw scan (both skip instruments
-  /// that are absent); set false only to A/B against the raw path.
-  bool use_rollups = true;
-  /// Tier shape for the rollup feed. base_period_sec is overridden to
-  /// eval_period_sec (the store ticks once per Evaluate), so with the
-  /// default multiples the tiers are 1x / 10x / 60x the eval period.
-  RollupConfig rollup;
   AttributorConfig attributor;
 };
 
@@ -58,7 +40,9 @@ struct HealthMonitorConfig {
 /// the attributor; consumes the Telemetry hub each evaluation tick and
 /// publishes its own state back into the registry (slo.* gauges,
 /// health.* counters) so dashboards and exporters see health through
-/// the same pipe as every other instrument.
+/// the same pipe as every other instrument. Its one metric feed is a
+/// TrackedSnapshot of the series its SLOs and watches read (AddSlo and
+/// Watch track them); the SLO trackers' burn windows hold the history.
 ///
 /// Driving: sim-time only. Callers schedule
 ///   sim.SchedulePeriodic(start, config.eval_period_sec,
@@ -70,7 +54,6 @@ class HealthMonitor {
  public:
   /// `telemetry` must outlive the monitor.
   HealthMonitor(Telemetry* telemetry, HealthMonitorConfig config = {});
-  ~HealthMonitor();
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
@@ -98,7 +81,7 @@ class HealthMonitor {
     alert_edge_hook_ = std::move(hook);
   }
 
-  /// One evaluation tick: snapshots the registry, advances detectors
+  /// One evaluation tick: samples the tracked series, advances detectors
   /// and SLO trackers, publishes slo.*/health.* instruments, and on a
   /// breach transition builds a HealthReport from the decision log,
   /// recent anomalies, and the dependency edges.
@@ -119,16 +102,10 @@ class HealthMonitor {
   const HealthMonitorConfig& config() const { return config_; }
   uint64_t evaluations() const { return evaluations_; }
 
-  /// The rollup store feeding Evaluate (per-SLO/watch series are
-  /// tracked automatically; callers may Track/Query more). Null when
-  /// config.use_rollups is false.
-  RollupStore* rollups() { return rollups_.get(); }
-  const RollupStore* rollups() const { return rollups_.get(); }
-
   /// Serializes the full health state as JSONL: one "slo" line per
   /// objective, one "anomaly" line per retained event, one "report"
   /// line per retained report (ranked attribution inline). Stable field
-  /// order, %.6g numbers — byte-identical across runs and thread counts.
+  /// order, %.6g numbers — byte-identical across runs.
   void WriteJsonl(std::ostream& os) const;
   /// WriteJsonl to a file.
   Status ExportJsonl(const std::string& path) const;
@@ -150,8 +127,7 @@ class HealthMonitor {
 
   Telemetry* telemetry_;
   HealthMonitorConfig config_;
-  std::unique_ptr<exec::ThreadPool> pool_;
-  std::unique_ptr<RollupStore> rollups_;
+  TrackedSnapshot feed_;
   std::vector<TrackedSlo> slos_;
   AnomalyBank bank_;
   RootCauseAttributor attributor_;

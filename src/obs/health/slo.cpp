@@ -93,20 +93,30 @@ Status ValidateSloSpec(const SloSpec& spec) {
     return Status::InvalidArgument(
         "SloSpec " + spec.id + ": counter_ratio needs a total counter");
   }
+  // Every check is written so that NaN fails it: a NaN window would
+  // reach TicksFor's cast to size_t, and a NaN threshold would make
+  // every tick silently good.
   if (!(spec.objective > 0.0 && spec.objective < 1.0)) {
     return Status::InvalidArgument("SloSpec " + spec.id +
                                    ": objective must be in (0, 1)");
   }
-  if (spec.fast_window_sec <= 0.0 ||
-      spec.slow_window_sec < spec.fast_window_sec ||
-      spec.budget_window_sec < spec.slow_window_sec) {
+  if (!(spec.fast_window_sec > 0.0 &&
+        spec.slow_window_sec >= spec.fast_window_sec &&
+        spec.budget_window_sec >= spec.slow_window_sec &&
+        std::isfinite(spec.budget_window_sec))) {
     return Status::InvalidArgument(
         "SloSpec " + spec.id +
-        ": windows must satisfy 0 < fast <= slow <= budget");
+        ": windows must be finite and satisfy 0 < fast <= slow <= budget");
   }
-  if (spec.burn_alert_threshold <= 0.0) {
+  if (!std::isfinite(spec.threshold)) {
+    return Status::InvalidArgument("SloSpec " + spec.id +
+                                   ": threshold must be finite");
+  }
+  if (!(spec.burn_alert_threshold > 0.0 &&
+        std::isfinite(spec.burn_alert_threshold))) {
     return Status::InvalidArgument(
-        "SloSpec " + spec.id + ": burn_alert_threshold must be positive");
+        "SloSpec " + spec.id +
+        ": burn_alert_threshold must be positive and finite");
   }
   return Status::OK();
 }

@@ -144,8 +144,9 @@ class SloTracker {
   std::vector<uint64_t> last_buckets_;
 };
 
-/// Validates a spec (non-empty id, objective in (0,1), positive and
-/// ordered windows, selector present for the kind).
+/// Validates a spec (non-empty id, objective in (0,1), finite, positive
+/// and ordered windows, finite threshold, positive finite burn
+/// threshold, selector present for the kind). NaN fails every check.
 Status ValidateSloSpec(const SloSpec& spec);
 
 /// Finds instruments in a snapshot by canonicalized (name, labels).

@@ -160,9 +160,9 @@ class MetricsRegistry {
                           HistogramOptions options = {});
 
   /// Non-creating lookups: nullptr when the series was never registered.
-  /// Unlike Get*, these never mutate the registry, so pollers (rollup
-  /// stores, exporters) can probe for not-yet-registered series without
-  /// materializing empty instruments.
+  /// Unlike Get*, these never mutate the registry, so pollers (tracked
+  /// snapshots, exporters) can probe for not-yet-registered series
+  /// without materializing empty instruments.
   const Counter* FindCounter(const std::string& name,
                              const LabelSet& labels = {}) const;
   const Gauge* FindGauge(const std::string& name,

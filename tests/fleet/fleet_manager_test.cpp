@@ -52,6 +52,13 @@ TEST(FleetManagerTest, LifecycleErrors) {
   EXPECT_FALSE(fleet.Start().ok());              // Double start.
   EXPECT_FALSE(fleet.AddTenant(t).ok());         // Add after start.
   EXPECT_FALSE(fleet.RunFor(-1.0).ok());         // Negative horizon.
+  // A non-finite horizon or advance target never reaches its last
+  // boundary.
+  EXPECT_EQ(fleet.RunFor(std::nan("")).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.RunFor(HUGE_VAL).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.partition(0)->AdvanceTo(std::nan("")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.Now(), 0.0);
   FleetManager unstarted(TestConfig(1));
   EXPECT_FALSE(unstarted.RunFor(10.0).ok());     // Run before start.
 }

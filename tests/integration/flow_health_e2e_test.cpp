@@ -2,11 +2,9 @@
 // Kinesis arrivals push DynamoDB write demand past a starved capacity
 // cap; throttled writes trip the flow SLO's fast-burn alert, and the
 // resulting HealthReport must rank storage first, with the learned
-// Eq. 1 ingestion→storage edge cited as the causal story — identically
-// at one thread and at four.
+// Eq. 1 ingestion→storage edge cited as the causal story.
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,24 +42,21 @@ double WcuCap(SimTime t) {
   return t < kStarveAt ? kHealthyWcuCap : kStarvedWcuCap;
 }
 
-// Drives the scripted scenario at the given anomaly-bank thread count
-// and returns the monitor's full serialized state plus assertions'
-// inputs. Everything is a pure function of the tick index — no RNG, no
-// wall clock — so any two runs must serialize identically.
+// Drives the scripted scenario and returns the assertions' inputs.
+// Everything is a pure function of the tick index — no RNG, no wall
+// clock.
 struct ScenarioResult {
-  std::string jsonl;
   SloStatus flow_slo;
   std::vector<HealthReport> reports;
   std::vector<std::string> active_alerts;
 };
 
-ScenarioResult RunScenario(size_t num_threads) {
+ScenarioResult RunScenario() {
   obs::Telemetry telemetry;
   cloudwatch::MetricStore store;
 
   HealthMonitorConfig config;
   config.eval_period_sec = kTick;
-  config.num_threads = num_threads;
   HealthMonitor monitor(&telemetry, config);
 
   // The flow objective: 99% of writes unthrottled, fast window 5 min.
@@ -77,7 +72,7 @@ ScenarioResult RunScenario(size_t num_threads) {
   slo.budget_window_sec = 7200.0;
   EXPECT_TRUE(monitor.AddSlo(slo).ok());
 
-  // Watched streams: one per layer so the thread pool has real fan-out.
+  // Watched streams: one per layer.
   for (const char* layer : {"ingestion", "analytics", "storage"}) {
     EXPECT_TRUE(monitor
                     .Watch(obs::health::AnomalyBank::Source::kGauge,
@@ -171,9 +166,6 @@ ScenarioResult RunScenario(size_t num_threads) {
   EXPECT_TRUE(edges_learned);
 
   ScenarioResult out;
-  std::ostringstream os;
-  monitor.WriteJsonl(os);
-  out.jsonl = os.str();
   out.flow_slo = monitor.Statuses().front();
   out.reports.assign(monitor.reports().begin(), monitor.reports().end());
   out.active_alerts = monitor.ActiveAlerts();
@@ -181,7 +173,7 @@ ScenarioResult RunScenario(size_t num_threads) {
 }
 
 TEST(FlowHealthE2eTest, StarvationTripsSloAndStorageRanksFirst) {
-  ScenarioResult r = RunScenario(1);
+  ScenarioResult r = RunScenario();
 
   // The alert fired and never cleared (starvation persists to horizon).
   const SloStatus& slo = r.flow_slo;
@@ -214,17 +206,6 @@ TEST(FlowHealthE2eTest, StarvationTripsSloAndStorageRanksFirst) {
   EXPECT_TRUE(saw_saturation);
   EXPECT_TRUE(saw_dependency);
   EXPECT_NE(report.summary.find("storage"), std::string::npos);
-}
-
-TEST(FlowHealthE2eTest, IdenticalAtOneAndFourThreads) {
-  ScenarioResult a = RunScenario(1);
-  ScenarioResult b = RunScenario(4);
-  EXPECT_EQ(a.jsonl, b.jsonl);
-  EXPECT_EQ(a.flow_slo.breach_since, b.flow_slo.breach_since);
-  EXPECT_EQ(a.reports.size(), b.reports.size());
-  ASSERT_FALSE(a.reports.empty());
-  ASSERT_FALSE(b.reports.empty());
-  EXPECT_EQ(a.reports.front().summary, b.reports.front().summary);
 }
 
 }  // namespace

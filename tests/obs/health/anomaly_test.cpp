@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/thread_pool.h"
-
 namespace flower::obs::health {
 namespace {
 
@@ -165,59 +163,6 @@ TEST(AnomalyBankTest, MissingInstrumentSkipsTheTick) {
     EXPECT_TRUE(bank.UpdateAll(60.0 * i, registry.Snapshot()).empty());
   }
   EXPECT_FALSE(bank.States()[0].anomalous);
-}
-
-TEST(AnomalyBankTest, ThreadCountInvariant) {
-  // Identical watch set and snapshot sequence, one bank inline and one
-  // on a 4-thread pool: every event and every stream state must match
-  // exactly, in the same order.
-  MetricsRegistry registry;
-  std::vector<Gauge*> gauges;
-  for (int g = 0; g < 8; ++g) {
-    gauges.push_back(
-        registry.GetGauge("sig", {{"idx", std::to_string(g)}}));
-  }
-  AnomalyBank inline_bank, pooled_bank;
-  AnomalyConfig cfg = TestConfig();
-  for (int g = 0; g < 8; ++g) {
-    MetricSelector sel{"sig", {{"idx", std::to_string(g)}}};
-    ASSERT_TRUE(
-        inline_bank.Watch(AnomalyBank::Source::kGauge, sel, "layer", cfg)
-            .ok());
-    ASSERT_TRUE(
-        pooled_bank.Watch(AnomalyBank::Source::kGauge, sel, "layer", cfg)
-            .ok());
-  }
-  exec::ThreadPool pool(4);
-
-  SimTime t = 0.0;
-  for (int i = 0; i < 60; ++i) {
-    for (int g = 0; g < 8; ++g) {
-      double base = 10.0 * (g + 1);
-      // Stream g spikes on tick 40 + g.
-      double v = i == 40 + g ? base * 20.0 : Wobble(i + g, base, 0.5);
-      gauges[g]->Set(v);
-    }
-    MetricsSnapshot snap = registry.Snapshot();
-    auto a = inline_bank.UpdateAll(t += 60.0, snap, nullptr);
-    auto b = pooled_bank.UpdateAll(t, snap, &pool);
-    ASSERT_EQ(a.size(), b.size()) << "tick " << i;
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].stream, b[k].stream);
-      EXPECT_EQ(a[k].kind, b[k].kind);
-      EXPECT_DOUBLE_EQ(a[k].value, b[k].value);
-      EXPECT_DOUBLE_EQ(a[k].score, b[k].score);
-    }
-    auto sa = inline_bank.States();
-    auto sb = pooled_bank.States();
-    ASSERT_EQ(sa.size(), sb.size());
-    for (size_t k = 0; k < sa.size(); ++k) {
-      EXPECT_EQ(sa[k].stream, sb[k].stream);
-      EXPECT_DOUBLE_EQ(sa[k].last_value, sb[k].last_value);
-      EXPECT_DOUBLE_EQ(sa[k].last_z, sb[k].last_z);
-      EXPECT_EQ(sa[k].anomalous, sb[k].anomalous);
-    }
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include "obs/health/health_monitor.h"
 
 #include <cmath>
-#include <memory>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -33,6 +33,19 @@ TEST(HealthMonitorTest, RejectsDuplicateAndInvalidSlos) {
   SloSpec bad = TightUtilSpec("storage");
   bad.objective = 2.0;
   EXPECT_FALSE(monitor.AddSlo(bad).ok());
+  // NaN fails every numeric check, so it never reaches a window size.
+  const double nan = std::nan("");
+  for (double SloSpec::*field :
+       {&SloSpec::fast_window_sec, &SloSpec::slow_window_sec,
+        &SloSpec::budget_window_sec, &SloSpec::threshold,
+        &SloSpec::objective, &SloSpec::burn_alert_threshold}) {
+    SloSpec spec = TightUtilSpec("storage");
+    spec.*field = nan;
+    EXPECT_EQ(monitor.AddSlo(spec).code(), StatusCode::kInvalidArgument);
+  }
+  SloSpec endless = TightUtilSpec("storage");
+  endless.budget_window_sec = HUGE_VAL;
+  EXPECT_EQ(monitor.AddSlo(endless).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HealthMonitorTest, PublishesSloGaugesIntoTheRegistry) {
@@ -166,11 +179,11 @@ TEST(HealthMonitorTest, JsonlSerializationIsStable) {
 }
 
 // ---------------------------------------------------------------------
-// Rollup-feed regression (ISSUE 7 acceptance criterion): burn-rate
-// alerts computed from the RollupStore's sparse tracked snapshot must
-// match the raw full-registry scan tick for tick on a recorded trace —
-// across all three SLI kinds plus an anomaly watch — with the raw scan
-// retired from the hot path (use_rollups defaults to true).
+// Recorded-trace regression: the health trajectory over all three SLI
+// kinds plus an anomaly watch must match a committed golden file byte
+// for byte. The golden was recorded while a full-registry scan still
+// fed the monitor and agreed with the tracked snapshot tick for tick,
+// so it pins the tracked feed to the raw-scan semantics.
 
 // Replays a deterministic 4-hour recorded trace (saturation burst at
 // hour 1, error burst at hour 2, latency regression at hour 3, gauge
@@ -224,61 +237,79 @@ std::string ReplayRecordedTrace(HealthMonitor* monitor,
   return trajectory.str();
 }
 
-TEST(HealthMonitorTest, RollupFeedMatchesRawScanOnRecordedTrace) {
-  auto run = [](bool use_rollups) {
-    auto telemetry = std::make_unique<Telemetry>();
-    HealthMonitorConfig config;
-    config.eval_period_sec = 60.0;
-    config.use_rollups = use_rollups;
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
-    auto monitor = std::make_unique<HealthMonitor>(telemetry.get(), config);
-    SloSpec util = TightUtilSpec("analytics");
-    EXPECT_TRUE(monitor->AddSlo(util).ok());
+TEST(HealthMonitorTest, RecordedTraceMatchesGolden) {
+  Telemetry telemetry;
+  HealthMonitorConfig config;
+  config.eval_period_sec = 60.0;
+  HealthMonitor monitor(&telemetry, config);
+  ASSERT_TRUE(monitor.AddSlo(TightUtilSpec("analytics")).ok());
 
-    SloSpec availability;
-    availability.id = "flow/availability";
-    availability.layer = "";
-    availability.kind = SliKind::kCounterRatio;
-    availability.metric = {"requests.errors", {}};
-    availability.total = {"requests.total", {}};
-    availability.objective = 0.95;
-    availability.fast_window_sec = 300.0;
-    availability.slow_window_sec = 1800.0;
-    availability.budget_window_sec = 7200.0;
-    availability.burn_alert_threshold = 4.0;
-    EXPECT_TRUE(monitor->AddSlo(availability).ok());
+  SloSpec availability;
+  availability.id = "flow/availability";
+  availability.layer = "";
+  availability.kind = SliKind::kCounterRatio;
+  availability.metric = {"requests.errors", {}};
+  availability.total = {"requests.total", {}};
+  availability.objective = 0.95;
+  availability.fast_window_sec = 300.0;
+  availability.slow_window_sec = 1800.0;
+  availability.budget_window_sec = 7200.0;
+  availability.burn_alert_threshold = 4.0;
+  ASSERT_TRUE(monitor.AddSlo(availability).ok());
 
-    SloSpec lat;
-    lat.id = "storage/latency";
-    lat.layer = "storage";
-    lat.kind = SliKind::kHistogramBelow;
-    lat.metric = {"latency_ms", {}};
-    lat.threshold = 500.0;
-    lat.objective = 0.95;
-    lat.fast_window_sec = 300.0;
-    lat.slow_window_sec = 1800.0;
-    lat.budget_window_sec = 7200.0;
-    lat.burn_alert_threshold = 4.0;
-    EXPECT_TRUE(monitor->AddSlo(lat).ok());
+  SloSpec lat;
+  lat.id = "storage/latency";
+  lat.layer = "storage";
+  lat.kind = SliKind::kHistogramBelow;
+  lat.metric = {"latency_ms", {}};
+  lat.threshold = 500.0;
+  lat.objective = 0.95;
+  lat.fast_window_sec = 300.0;
+  lat.slow_window_sec = 1800.0;
+  lat.budget_window_sec = 7200.0;
+  lat.burn_alert_threshold = 4.0;
+  ASSERT_TRUE(monitor.AddSlo(lat).ok());
 
-    AnomalyConfig detector;
-    detector.warmup_samples = 8;
-    EXPECT_TRUE(monitor
-                    ->Watch(AnomalyBank::Source::kGauge, {"sig", {}},
-                            "analytics", detector)
-                    .ok());
-    EXPECT_EQ(monitor->rollups() != nullptr, use_rollups);
-    return ReplayRecordedTrace(monitor.get(), telemetry.get());
-  };
+  AnomalyConfig detector;
+  detector.warmup_samples = 8;
+  ASSERT_TRUE(monitor
+                  .Watch(AnomalyBank::Source::kGauge, {"sig", {}},
+                         "analytics", detector)
+                  .ok());
+  std::string trajectory = ReplayRecordedTrace(&monitor, &telemetry);
 
-  std::string rollup_fed = run(/*use_rollups=*/true);
-  std::string raw_scan = run(/*use_rollups=*/false);
-  EXPECT_EQ(rollup_fed, raw_scan);
+  const std::string golden = ReadFile(std::string(FLOWER_HEALTH_TESTDATA) +
+                                      "/recorded_trace.golden");
+  ASSERT_FALSE(golden.empty()) << "missing recorded_trace.golden";
+  if (trajectory != golden) {
+    std::istringstream got(trajectory);
+    std::istringstream want(golden);
+    std::string got_line;
+    std::string want_line;
+    for (int line = 1;; ++line) {
+      bool more_got = static_cast<bool>(std::getline(got, got_line));
+      bool more_want = static_cast<bool>(std::getline(want, want_line));
+      if (!more_got && !more_want) break;
+      if (!more_got || !more_want || got_line != want_line) {
+        ADD_FAILURE() << "trajectory differs from the golden at line "
+                      << line << "\n  got:  " << got_line
+                      << "\n  want: " << want_line;
+        break;
+      }
+    }
+  }
   // The trace actually exercised alert transitions, not 240 quiet
   // ticks: every SLO must have fired at least once.
-  EXPECT_NE(rollup_fed.find("analytics/util;"), std::string::npos);
-  EXPECT_NE(rollup_fed.find("flow/availability;"), std::string::npos);
-  EXPECT_NE(rollup_fed.find("storage/latency;"), std::string::npos);
+  EXPECT_NE(trajectory.find("analytics/util;"), std::string::npos);
+  EXPECT_NE(trajectory.find("flow/availability;"), std::string::npos);
+  EXPECT_NE(trajectory.find("storage/latency;"), std::string::npos);
 }
 
 TEST(MakeDefaultSloPackTest, CoversAllThreeLayers) {

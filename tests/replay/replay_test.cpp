@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -537,6 +539,68 @@ TEST(ReplayTest, CommittedFixtureReplaysAndRoundTripsByteForByte) {
   EXPECT_FALSE(report.diverged) << report.ToString();
   EXPECT_TRUE(report.fingerprint_match);
   EXPECT_TRUE(report.chain_match);
+}
+
+// Every hostile field a bundle can carry comes back as InvalidArgument
+// from ReplayHarness::Create. Each case changes one field of the
+// committed fixture in memory. Unchecked, these abort (a FLOWER_CHECK,
+// or bad_alloc), hang (sub-second cadences, an infinite horizon or
+// trigger, an unbounded solve) or run undefined (a NaN SLO window cast
+// to size_t).
+TEST(ReplayTest, HostileBundlesAreRejected) {
+  auto fixture = obs::replay::LoadBundleJson(
+      std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
+  ASSERT_TRUE(fixture.ok()) << fixture.status();
+  using Edits = std::vector<std::pair<std::string, std::string>>;
+  auto spec = [](Edits edits) {
+    return [edits](CaptureBundle* b) {
+      for (const auto& [key, value] : edits) {
+        bool found = false;
+        for (auto& [k, v] : b->spec) {
+          if (k == key) {
+            v = value;
+            found = true;
+          }
+        }
+        ASSERT_TRUE(found) << key;
+      }
+    };
+  };
+  struct Case {
+    const char* what;
+    std::function<void(CaptureBundle*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"emit period 0", spec({{"partition.workload_emit_period_sec", "0"}})},
+      {"emit period nan",
+       spec({{"partition.workload_emit_period_sec", "nan"}})},
+      {"tick period 0", spec({{"partition.storm_tick_period_sec", "0"}})},
+      {"tick period 1e-9", spec({{"partition.storm_tick_period_sec", "1e-9"}})},
+      {"health period 1e-9",
+       spec({{"capture.health_eval_period_sec", "1e-9"}})},
+      {"mmpp horizon inf",
+       spec({{"tenant.pattern", "mmpp"}, {"partition.horizon_sec", "inf"}})},
+      {"solver population 1e11",
+       spec({{"partition.solver_population", "100000000000"}})},
+      {"solver generations 1e11, no stall exit",
+       spec({{"partition.solver_generations", "100000000000"},
+             {"partition.stall_generations", "0"}})},
+      {"recorder decision capacity 1e15",
+       [](CaptureBundle* b) {
+         b->recorder.decision_capacity = 1000000000000000ULL;
+       }},
+      {"trigger time inf",
+       [](CaptureBundle* b) { b->trigger.time = HUGE_VAL; }},
+      {"SLO fast window nan", spec({{"capture.slo_fast_window_sec", "nan"}})},
+  };
+  for (const Case& c : cases) {
+    CaptureBundle bundle = *fixture;
+    c.mutate(&bundle);
+    auto harness = fleet::ReplayHarness::Create(bundle);
+    ASSERT_FALSE(harness.ok()) << c.what;
+    EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << harness.status();
+  }
 }
 
 // --- Satellite: span-id namespace exhaustion guard. ----------------

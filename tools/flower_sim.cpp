@@ -403,15 +403,23 @@ int RunFleet(const tools::FlagParser& flags) {
             << "\n";
 
   if (!flags.GetBool("quiet")) {
-    // Per-tenant view of the final period.
+    // Per-tenant view of the final period. With jittered periods the
+    // last report holds only the tenants whose window opened last, so
+    // row i is not tenant i: look each row's tenant up by id.
     const fleet::FleetPeriodReport& last = manager.reports().back();
+    auto pattern_of = [&manager](const std::string& id) {
+      for (size_t j = 0; j < manager.num_tenants(); ++j) {
+        const fleet::TenantConfig& t = manager.partition(j)->tenant();
+        if (t.id == id) return fleet::ArrivalPatternToString(t.pattern);
+      }
+      return "?";
+    };
     TablePrinter per_tenant(
         {"tenant", "pattern", "demand $/h", "grant $/h", "spend $/h"});
     for (size_t i = 0; i < last.tenants.size() && i < 20; ++i) {
       const fleet::TenantPeriodOutcome& row = last.tenants[i];
       per_tenant.AddRow(
-          {row.tenant,
-           fleet::ArrivalPatternToString(manager.partition(i)->tenant().pattern),
+          {row.tenant, pattern_of(row.tenant),
            TablePrinter::Num(row.demand_usd, 3),
            TablePrinter::Num(row.grant_usd, 3),
            TablePrinter::Num(row.spend_usd, 3)});
@@ -759,6 +767,13 @@ int main(int argc, char** argv) {
     options.decisions_out = flags->GetString("decisions-out", "");
     options.quiet = flags->GetBool("quiet");
     return tools::RunReplayCli(options);
+  }
+  // Every run mode simulates --hours: a non-finite horizon never ends,
+  // and a zero one leaves nothing to report.
+  auto hours = flags->GetDouble("hours", 4.0);
+  if (!hours.ok() || !(*hours > 0.0) || !std::isfinite(*hours)) {
+    std::cerr << "--hours expects a finite number > 0\n";
+    return 2;
   }
   if (flags->GetBool("fleet")) return RunFleet(*flags);
   auto seeds = flags->GetInt("seeds", 1);

@@ -3,8 +3,8 @@
 # named float-cast-overflow check; fail on first report) and
 # run the fault-injection / resilience, flow-health and simulation-core
 # test labels under it. The fault/health tests exercise the
-# retry/circuit-breaker callback paths and the health layer's threaded
-# anomaly fan-out, where lifetime bugs (a retry firing into a freed
+# retry/circuit-breaker callback paths and the health layer's
+# alert-edge hooks, where lifetime bugs (a retry firing into a freed
 # loop) would hide from the plain build; the simcore tests drive the
 # timer wheel's move-out/swap event paths, where a use-after-move or
 # buffer rotation bug would likewise stay invisible. The obs label
