@@ -6,14 +6,11 @@
 //            flow-seconds of simulation per wall second, control steps,
 //            and the work-stealing schedule counters (steals, mailbox
 //            waits, busy/wall overlap).
-//   barrier  the same homogeneous fleet under the legacy lock-step
-//            sweep: its digest must match the work-stealing one byte
-//            for byte, and its scaling curve is the PERF5 baseline.
 //   hetero   the fleet again with ApplyPeriodJitter spreading tenant
 //            arbitration horizons over 900/450/300/225 s: boundaries
-//            only partially overlap, which is where work stealing beats
-//            the barrier. The heterogeneous 4-thread speedup is the
-//            bench's headline metric.
+//            only partially overlap, which is where work stealing pays
+//            off. The heterogeneous 4-thread flow-sim-sec per wall
+//            second is the bench's headline metric.
 //   merge    a determinism verdict: the merged control digest (every
 //            arbiter split plus every partition's decision log) must be
 //            byte-identical across thread counts, homogeneous and
@@ -21,12 +18,13 @@
 //   budget   conservation: at every instant the sum of simultaneously
 //            active grants stays within the fleet budget.
 //
-// Full-mode gates (the PR's acceptance criteria): >= 1000 concurrent
-// flows, identical digests at 1 vs 4 vs 16 threads, work-stealing ==
-// lock-step digest, conservation in every window, and >= 2x parallel
+// Full-mode gates: >= 1000 concurrent flows, identical digests at 1 vs
+// 4 vs 16 threads, conservation in every window, and >= 2x parallel
 // scaling at 4 threads on the heterogeneous fleet. Scaling gates are
 // hardware-aware: on hosts with fewer than 4 hardware threads they are
-// reported as an explicit SKIP verdict instead of a vacuous pass.
+// reported as an explicit SKIP verdict instead of a vacuous pass. The
+// homogeneous fleet's bytes are pinned by a golden-digest test instead
+// (tests/fleet/testdata).
 // --smoke shrinks the fleet, drops the gates, and always exits 0.
 // Results land in BENCH_fleet.json.
 
@@ -65,10 +63,8 @@ struct ScaleResult {
 };
 
 fleet::FleetConfig BenchConfig(size_t num_threads, size_t flows,
-                               bool capture,
-                               fleet::FleetConfig::SweepMode mode) {
+                               bool capture) {
   fleet::FleetConfig config;
-  config.sweep_mode = mode;
   // Roughly half the fleet's aggregate demand: keeps every period
   // contended so the arbiter genuinely splits, not rubber-stamps.
   config.fleet_budget_usd_per_hour = 0.35 * static_cast<double>(flows);
@@ -83,13 +79,10 @@ fleet::FleetConfig BenchConfig(size_t num_threads, size_t flows,
   return config;
 }
 
-Result<ScaleResult> RunFleet(
-    size_t num_threads, size_t flows, double horizon_sec,
-    bool capture = false,
-    fleet::FleetConfig::SweepMode mode =
-        fleet::FleetConfig::SweepMode::kWorkStealing,
-    bool hetero = false) {
-  fleet::FleetManager manager(BenchConfig(num_threads, flows, capture, mode));
+Result<ScaleResult> RunFleet(size_t num_threads, size_t flows,
+                             double horizon_sec, bool capture = false,
+                             bool hetero = false) {
+  fleet::FleetManager manager(BenchConfig(num_threads, flows, capture));
   std::vector<fleet::TenantConfig> tenants =
       fleet::MakeTenantFleet(flows, /*seed=*/1234);
   if (hetero) fleet::ApplyPeriodJitter(&tenants, 900.0, kJitterSeed);
@@ -133,14 +126,12 @@ struct Curve {
 };
 
 Result<Curve> RunCurve(const std::vector<size_t>& thread_counts, size_t flows,
-                       double horizon_sec,
-                       fleet::FleetConfig::SweepMode mode, bool hetero,
-                       const char* tag) {
+                       double horizon_sec, bool hetero, const char* tag) {
   Curve curve;
   for (size_t threads : thread_counts) {
     FLOWER_ASSIGN_OR_RETURN(
         ScaleResult r,
-        RunFleet(threads, flows, horizon_sec, /*capture=*/false, mode, hetero));
+        RunFleet(threads, flows, horizon_sec, /*capture=*/false, hetero));
     std::cout << "  " << tag << " " << r.threads << " thread"
               << (r.threads > 1 ? "s" : " ") << ": "
               << TablePrinter::Num(r.wall_ms, 1) << " ms, "
@@ -169,64 +160,44 @@ struct RecorderOverhead {
   bool digest_identical = false;
 };
 
-void WriteCurveJson(std::FILE* fp, const char* key, const Curve& curve,
-                    bool trailing_comma) {
-  std::fprintf(fp, "  \"%s\": {\n    \"scaling\": [\n", key);
+/// One JSON row per thread count, each line prefixed by `indent`.
+void WriteScalingRows(std::FILE* fp, const Curve& curve, const char* indent) {
   for (size_t i = 0; i < curve.results.size(); ++i) {
     const ScaleResult& r = curve.results[i];
     std::fprintf(fp,
-                 "      {\"threads\": %zu, \"wall_ms\": %.1f, "
+                 "%s{\"threads\": %zu, \"wall_ms\": %.1f, "
                  "\"flow_sim_sec_per_wall_sec\": %.0f, "
                  "\"control_steps\": %llu, \"periods\": %zu, "
                  "\"steals\": %llu, \"mailbox_waits\": %llu, "
                  "\"overlap_ratio\": %.2f}%s\n",
-                 r.threads, r.wall_ms, r.flow_sim_sec_per_wall_sec,
+                 indent, r.threads, r.wall_ms, r.flow_sim_sec_per_wall_sec,
                  static_cast<unsigned long long>(r.control_steps), r.periods,
                  static_cast<unsigned long long>(r.steals),
                  static_cast<unsigned long long>(r.mailbox_waits),
                  r.overlap_ratio, i + 1 < curve.results.size() ? "," : "");
   }
-  std::fprintf(fp, "    ],\n");
-  std::fprintf(fp, "    \"speedup_at_4_threads\": %.2f,\n", curve.speedup4);
-  std::fprintf(fp, "    \"budget_conservation\": \"%s\",\n",
-               curve.conservation_ok ? "holds" : "VIOLATED");
-  std::fprintf(fp, "    \"determinism\": \"%s\"\n  }%s\n",
-               curve.deterministic ? "identical" : "DIVERGED",
-               trailing_comma ? "," : "");
 }
 
 void WriteJson(std::FILE* fp, bool smoke, size_t flows, double horizon_sec,
-               const Curve& worksteal, const Curve& lockstep,
-               const Curve& hetero, bool worksteal_matches_lockstep,
+               const Curve& worksteal, const Curve& hetero,
                const RecorderOverhead& rec) {
   std::fprintf(fp, "{\n  \"bench\": \"fleet_scale\",\n");
   std::fprintf(fp, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(fp, "  \"flows\": %zu,\n", flows);
   std::fprintf(fp, "  \"horizon_sec\": %.0f,\n", horizon_sec);
-  // Legacy top-level scaling block (the homogeneous work-stealing
-  // curve), kept so older bench_diff baselines still parse.
+  // The homogeneous curve at top level, the heterogeneous one nested.
   std::fprintf(fp, "  \"scaling\": [\n");
-  for (size_t i = 0; i < worksteal.results.size(); ++i) {
-    const ScaleResult& r = worksteal.results[i];
-    std::fprintf(fp,
-                 "    {\"threads\": %zu, \"wall_ms\": %.1f, "
-                 "\"flow_sim_sec_per_wall_sec\": %.0f, "
-                 "\"control_steps\": %llu, \"periods\": %zu, "
-                 "\"steals\": %llu, \"mailbox_waits\": %llu, "
-                 "\"overlap_ratio\": %.2f}%s\n",
-                 r.threads, r.wall_ms, r.flow_sim_sec_per_wall_sec,
-                 static_cast<unsigned long long>(r.control_steps), r.periods,
-                 static_cast<unsigned long long>(r.steals),
-                 static_cast<unsigned long long>(r.mailbox_waits),
-                 r.overlap_ratio,
-                 i + 1 < worksteal.results.size() ? "," : "");
-  }
+  WriteScalingRows(fp, worksteal, "    ");
   std::fprintf(fp, "  ],\n");
   std::fprintf(fp, "  \"speedup_at_4_threads\": %.2f,\n", worksteal.speedup4);
-  WriteCurveJson(fp, "lockstep", lockstep, /*trailing_comma=*/true);
-  WriteCurveJson(fp, "hetero", hetero, /*trailing_comma=*/true);
-  std::fprintf(fp, "  \"worksteal_matches_lockstep\": %s,\n",
-               worksteal_matches_lockstep ? "true" : "false");
+  std::fprintf(fp, "  \"hetero\": {\n    \"scaling\": [\n");
+  WriteScalingRows(fp, hetero, "      ");
+  std::fprintf(fp, "    ],\n");
+  std::fprintf(fp, "    \"speedup_at_4_threads\": %.2f,\n", hetero.speedup4);
+  std::fprintf(fp, "    \"budget_conservation\": \"%s\",\n",
+               hetero.conservation_ok ? "holds" : "VIOLATED");
+  std::fprintf(fp, "    \"determinism\": \"%s\"\n  },\n",
+               hetero.deterministic ? "identical" : "DIVERGED");
   std::fprintf(fp,
                "  \"recorder\": {\"flows\": %zu, \"wall_ms_off\": %.1f, "
                "\"wall_ms_on\": %.1f, \"overhead_pct\": %.2f, "
@@ -259,37 +230,20 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
             << "arbitration every 900 s, " << hw
             << " hardware threads\n\n";
 
-  // Homogeneous fleet, work-stealing sweep (the default mode).
-  auto worksteal = RunCurve(thread_counts, flows, horizon_sec,
-                            fleet::FleetConfig::SweepMode::kWorkStealing,
-                            /*hetero=*/false, "steal ");
+  // Homogeneous fleet: every tenant shares the 900 s lattice.
+  auto worksteal =
+      RunCurve(thread_counts, flows, horizon_sec, /*hetero=*/false, "steal ");
   if (!worksteal.ok()) {
     std::cerr << "fleet run failed: " << worksteal.status() << "\n";
     return 1;
   }
 
-  // The same fleet under the legacy barrier sweep: digest must match
-  // byte for byte, and its curve is the PERF5 barrier baseline. Smoke
-  // runs only the 1-thread point to bound runtime.
-  std::cout << "\n";
-  auto lockstep = RunCurve(
-      smoke ? std::vector<size_t>{1} : thread_counts, flows, horizon_sec,
-      fleet::FleetConfig::SweepMode::kLockStep, /*hetero=*/false, "barrier");
-  if (!lockstep.ok()) {
-    std::cerr << "lock-step fleet run failed: " << lockstep.status() << "\n";
-    return 1;
-  }
-  bool worksteal_matches_lockstep =
-      !worksteal->results.empty() && !lockstep->results.empty() &&
-      worksteal->results[0].digest == lockstep->results[0].digest;
-
   // Heterogeneous horizons: ApplyPeriodJitter spreads tenants over
   // 900/450/300/225 s cadences, so boundaries only partially overlap —
   // the regime the work-stealing sweep exists for.
   std::cout << "\n";
-  auto hetero = RunCurve(thread_counts, flows, horizon_sec,
-                         fleet::FleetConfig::SweepMode::kWorkStealing,
-                         /*hetero=*/true, "hetero ");
+  auto hetero =
+      RunCurve(thread_counts, flows, horizon_sec, /*hetero=*/true, "hetero ");
   if (!hetero.ok()) {
     std::cerr << "heterogeneous fleet run failed: " << hetero.status() << "\n";
     return 1;
@@ -345,8 +299,7 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
   }
 
   if (std::FILE* fp = std::fopen(out_path.c_str(), "w")) {
-    WriteJson(fp, smoke, flows, horizon_sec, *worksteal, *lockstep, *hetero,
-              worksteal_matches_lockstep, rec);
+    WriteJson(fp, smoke, flows, horizon_sec, *worksteal, *hetero, rec);
     std::fclose(fp);
     std::cout << "  wrote " << out_path << "\n";
   } else {
@@ -357,8 +310,6 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
   if (smoke) {
     bench::Verdict("merged control digest identical across thread counts",
                    worksteal->deterministic);
-    bench::Verdict("work-stealing digest matches lock-step barrier sweep",
-                   worksteal_matches_lockstep);
     bench::Verdict("heterogeneous digest identical across thread counts",
                    hetero->deterministic);
     bench::Verdict("budget conserved in every arbitration window",
@@ -374,8 +325,6 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
   ok &= bench::Verdict(
       "merged control decisions byte-identical at 1 vs 4 vs 16 threads",
       worksteal->deterministic);
-  ok &= bench::Verdict("work-stealing digest matches lock-step barrier sweep",
-                       worksteal_matches_lockstep);
   ok &= bench::Verdict(
       "heterogeneous digests byte-identical at 1 vs 4 vs 16 threads",
       hetero->deterministic);

@@ -1,11 +1,9 @@
-// Simulation-core throughput bench: quantifies the bucketed timer
-// wheel (PR "simulation-core fast path") against the binary-heap
-// calendar it replaced (kept as sim::RefCalendar). Three parts:
+// Simulation-core throughput bench: measures the bucketed timer-wheel
+// calendar (sim::Simulation). Three parts:
 //
 //   calendar   raw event throughput: a pool of self-rescheduling
-//              actors drives each engine through an identical
-//              schedule; reports events/s for the wheel and the heap
-//              and the wheel's speedup.
+//              actors drives the wheel; reports events/s (the bench's
+//              headline).
 //   flows      end-to-end sim rate with 1 / 4 / 16 full analytics
 //              flows (Kinesis -> Storm -> DynamoDB, no metric store):
 //              events/s and tuples/s of simulated work.
@@ -13,26 +11,22 @@
 //              with a global operator-new hook after the flow has
 //              warmed every ring buffer and wheel bucket.
 //
-// A determinism check drives both engines through a mixed schedule
-// (same-instant ties, sub-tick delays, far-future overflow events) and
-// compares the execution logs entry for entry — times compared
-// bitwise. Results land in a JSON file (default BENCH_simcore.json).
-// Full mode gates on the PR's acceptance criteria: wheel >= 5x the
-// heap calendar and >= 1M events/s, zero allocations per steady tick,
-// and an identical determinism verdict. --smoke shrinks the workloads,
-// skips the gates, and always exits 0.
+// Execution order against the binary-heap calendar the wheel replaced
+// is pinned by the calendar property test (tests/sim), not here.
+// Results land in a JSON file (default BENCH_simcore.json). Full mode
+// gates on kWheelFloorEventsPerSec and zero allocations per steady
+// tick. --smoke shrinks the workloads, skips the gates, and always
+// exits 0.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <new>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -40,7 +34,6 @@
 #include "common/table_printer.h"
 #include "common/units.h"
 #include "flow/flow.h"
-#include "sim/ref_calendar.h"
 #include "sim/simulation.h"
 #include "tools/flag_parser.h"
 #include "workload/arrival.h"
@@ -82,13 +75,19 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 // Part A: raw calendar throughput. kActors events are always pending;
 // each firing reschedules itself with a delay drawn from a fixed table
 // (sub-tick to multi-second, so buckets, ties and sorted-activation all
-// get exercised). Identical code drives both engines.
+// get exercised).
 
 constexpr size_t kActors = 262144;
 
-template <typename Engine>
+/// Full-mode floor on the wheel's events/s: 5x the binary-heap
+/// calendar's best-of-3 rate (1.96M events/s), measured with this
+/// bench's actor load on a 4-hardware-thread x86-64 host just before
+/// the heap moved into tests/. It replaces the "wheel >= 5x heap"
+/// ratio gate with the same bar as an absolute number.
+constexpr double kWheelFloorEventsPerSec = 10.0e6;
+
 struct ActorLoad {
-  Engine eng;
+  sim::Simulation eng;
   uint64_t remaining = 0;
   double delays[64];
 
@@ -96,7 +95,7 @@ struct ActorLoad {
     // Exactly representable delays spanning sub-tick (1/64 s ticks) to
     // ~4 s; repeats generate same-instant ties, and the spread keeps
     // tens of thousands of timers pending — the regime the wheel is
-    // built for (the heap pays O(log n) per op here).
+    // built for (a binary heap pays O(log n) per op here).
     for (size_t i = 0; i < 64; ++i) {
       delays[i] = 0.0625 * static_cast<double>((i % 61) + 1);
     }
@@ -121,67 +120,6 @@ struct ActorLoad {
     return sec > 0.0 ? static_cast<double>(eng.events_executed()) / sec : 0.0;
   }
 };
-
-// ---------------------------------------------------------------------
-// Determinism: both engines run a mixed schedule; the (id, time) logs
-// must match entry for entry, times compared bitwise.
-
-template <typename Engine>
-std::vector<std::pair<int, double>> DeterminismLog() {
-  Engine eng;
-  std::vector<std::pair<int, double>> log;
-  int next_id = 0;
-  // Same-instant bursts on and off tick boundaries.
-  for (int burst = 0; burst < 50; ++burst) {
-    double t = 0.1 * static_cast<double>(burst % 7) + 0.25;
-    for (int i = 0; i < 8; ++i) {
-      int id = next_id++;
-      (void)eng.ScheduleAt(t, [&log, &eng, id] {
-        log.emplace_back(id, eng.Now());
-        // Every fourth event spawns a zero-delay follow-up.
-        if ((id & 3) == 0) {
-          (void)eng.ScheduleAfter(0.0, [&log, &eng, id] {
-            log.emplace_back(-id, eng.Now());
-          });
-        }
-      });
-    }
-  }
-  // Far-future events beyond the 64 s wheel horizon.
-  for (int i = 0; i < 40; ++i) {
-    int id = 100000 + i;
-    double t = 70.0 + 3.3 * static_cast<double>(i % 13);
-    (void)eng.ScheduleAt(t, [&log, &eng, id] {
-      log.emplace_back(id, eng.Now());
-    });
-  }
-  (void)eng.SchedulePeriodic(0.5, 0.5, [&log, &eng] {
-    log.emplace_back(777, eng.Now());
-    return eng.Now() < 90.0;
-  });
-  eng.RunUntil(10.0);
-  eng.RunUntil(6.0);  // Past: no-op.
-  while (eng.Step()) {
-  }
-  log.emplace_back(-999999, eng.Now());
-  return log;
-}
-
-bool DeterminismVerdict() {
-  auto wheel = DeterminismLog<sim::Simulation>();
-  auto heap = DeterminismLog<sim::RefCalendar>();
-  if (wheel.size() != heap.size()) return false;
-  for (size_t i = 0; i < wheel.size(); ++i) {
-    if (wheel[i].first != heap[i].first) return false;
-    // Bitwise: the wheel stores exact doubles, so even the sign of
-    // zero must survive.
-    if (std::memcmp(&wheel[i].second, &heap[i].second, sizeof(double)) !=
-        0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------
 // Part B: full flows. N independent analytics flows on one simulation,
@@ -285,16 +223,13 @@ SteadyTickResult MeasureSteadyTick() {
 
 // ---------------------------------------------------------------------
 
-void WriteJson(std::FILE* fp, bool smoke, double wheel_eps, double ref_eps,
+void WriteJson(std::FILE* fp, bool smoke, double wheel_eps,
                const std::vector<FlowScaleResult>& flows,
-               const SteadyTickResult& tick, bool deterministic) {
+               const SteadyTickResult& tick) {
   std::fprintf(fp, "{\n  \"bench\": \"sim_throughput\",\n");
   std::fprintf(fp, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(fp,
-               "  \"calendar\": {\"wheel_events_per_sec\": %.0f, "
-               "\"ref_events_per_sec\": %.0f, \"speedup\": %.2f},\n",
-               wheel_eps, ref_eps,
-               ref_eps > 0.0 ? wheel_eps / ref_eps : 0.0);
+  std::fprintf(fp, "  \"calendar\": {\"wheel_events_per_sec\": %.0f},\n",
+               wheel_eps);
   std::fprintf(fp, "  \"flows\": [\n");
   for (size_t i = 0; i < flows.size(); ++i) {
     const FlowScaleResult& r = flows[i];
@@ -309,7 +244,7 @@ void WriteJson(std::FILE* fp, bool smoke, double wheel_eps, double ref_eps,
   std::fprintf(fp,
                "  \"steady_tick\": {\"ticks\": %llu, \"allocations\": "
                "%llu, \"allocs_per_tick\": %.3f, "
-               "\"boundary_window_allocations\": %llu},\n",
+               "\"boundary_window_allocations\": %llu}\n}\n",
                static_cast<unsigned long long>(tick.steady_ticks),
                static_cast<unsigned long long>(tick.steady_allocations),
                tick.steady_ticks > 0
@@ -317,35 +252,27 @@ void WriteJson(std::FILE* fp, bool smoke, double wheel_eps, double ref_eps,
                          static_cast<double>(tick.steady_ticks)
                    : 0.0,
                static_cast<unsigned long long>(tick.boundary_allocations));
-  std::fprintf(fp, "  \"determinism\": \"%s\"\n}\n",
-               deterministic ? "identical" : "DIVERGED");
 }
 
 int Run(bool smoke, const std::string& out_path) {
-  bench::Header(smoke ? "PERF  Simulation core (smoke): timer wheel vs "
-                        "binary-heap calendar"
-                      : "PERF  Simulation core: timer wheel vs binary-heap "
-                        "calendar");
+  bench::Header(smoke ? "PERF  Simulation core (smoke): timer-wheel "
+                        "calendar throughput"
+                      : "PERF  Simulation core: timer-wheel calendar "
+                        "throughput");
 
   const uint64_t calendar_events = smoke ? 400000 : 4000000;
   const double flow_sim_seconds = smoke ? 60.0 : 300.0;
 
-  // Best-of-3, interleaved so transient machine load hits both engines
-  // alike; max damps the run-to-run variance of a wall-clock measure.
+  // Best-of-3: max damps the run-to-run variance of a wall-clock
+  // measure.
   double wheel_eps = 0.0;
-  double ref_eps = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    wheel_eps =
-        std::max(wheel_eps, ActorLoad<sim::Simulation>(calendar_events).Run());
-    ref_eps =
-        std::max(ref_eps, ActorLoad<sim::RefCalendar>(calendar_events).Run());
+    wheel_eps = std::max(wheel_eps, ActorLoad(calendar_events).Run());
   }
-  double speedup = ref_eps > 0.0 ? wheel_eps / ref_eps : 0.0;
   TablePrinter cal({"calendar", "events/s"});
   cal.AddRow({"timer wheel", TablePrinter::Num(wheel_eps, 0)});
-  cal.AddRow({"binary heap (ref)", TablePrinter::Num(ref_eps, 0)});
   cal.Print(std::cout);
-  std::cout << "speedup: " << TablePrinter::Num(speedup, 2) << "x\n\n";
+  std::cout << "\n";
 
   std::vector<FlowScaleResult> flows;
   TablePrinter ft({"flows", "sim s", "wall (ms)", "events/s", "tuples/s"});
@@ -364,14 +291,10 @@ int Run(bool smoke, const std::string& out_path) {
             << tick.steady_allocations << " allocations over "
             << tick.steady_ticks << " ticks ("
             << tick.boundary_allocations
-            << " in a 10 s window crossing a slide boundary)\n";
-
-  bool deterministic = DeterminismVerdict();
-  std::cout << "determinism vs heap calendar: "
-            << (deterministic ? "identical" : "DIVERGED") << "\n\n";
+            << " in a 10 s window crossing a slide boundary)\n\n";
 
   if (std::FILE* fp = std::fopen(out_path.c_str(), "w")) {
-    WriteJson(fp, smoke, wheel_eps, ref_eps, flows, tick, deterministic);
+    WriteJson(fp, smoke, wheel_eps, flows, tick);
     std::fclose(fp);
     std::cout << "wrote " << out_path << "\n";
   } else {
@@ -384,19 +307,16 @@ int Run(bool smoke, const std::string& out_path) {
     return 0;
   }
   bool ok = true;
-  ok &= bench::Verdict("timer wheel >= 5x heap calendar (got " +
-                           TablePrinter::Num(speedup, 2) + "x)",
-                       speedup >= 5.0);
-  ok &= bench::Verdict("timer wheel >= 1M events/s (got " +
+  ok &= bench::Verdict("timer wheel >= " +
+                           TablePrinter::Num(kWheelFloorEventsPerSec, 0) +
+                           " events/s (got " +
                            TablePrinter::Num(wheel_eps, 0) + ")",
-                       wheel_eps >= 1.0e6);
+                       wheel_eps >= kWheelFloorEventsPerSec);
   ok &= bench::Verdict(
       "zero allocations per steady-state tick (got " +
           std::to_string(tick.steady_allocations) + " over " +
           std::to_string(tick.steady_ticks) + " ticks)",
       tick.steady_allocations == 0);
-  ok &= bench::Verdict("execution order identical to the heap calendar",
-                       deterministic);
   return ok ? 0 : 1;
 }
 

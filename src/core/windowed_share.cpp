@@ -253,6 +253,8 @@ Result<std::vector<WindowPlan>> WindowedShareAnalyzer::PlanHorizon(
   if (window_sec <= 0.0) {
     return Status::InvalidArgument("PlanHorizon: window must be positive");
   }
+  FLOWER_RETURN_NOT_OK(
+      exec::CheckThreadCount(num_threads_, "PlanHorizon: num_threads"));
   // Pass 1 (serial): slice the horizon and pick each window's peak
   // forecast sample, so intra-window bursts are covered.
   struct PendingWindow {

@@ -95,8 +95,8 @@ class WindowedShareAnalyzer {
 
   /// Plans consecutive windows of `window_sec` covering the forecast
   /// series (rate sampled as the mean over each window; the plan must
-  /// also cover the window's *peak* sample). Errors: empty forecast or
-  /// non-positive window.
+  /// also cover the window's *peak* sample). Errors: empty forecast,
+  /// non-positive window, or num_threads above exec::kMaxThreads.
   Result<std::vector<WindowPlan>> PlanHorizon(const TimeSeries& rate_forecast,
                                               double window_sec) const;
 

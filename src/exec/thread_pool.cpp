@@ -62,6 +62,13 @@ struct ThreadPool::TaskSweep {
   }
 };
 
+Status CheckThreadCount(size_t num_threads, const std::string& what) {
+  if (num_threads <= kMaxThreads) return Status::OK();
+  return Status::InvalidArgument(what + " must be <= " +
+                                 std::to_string(kMaxThreads) + ", got " +
+                                 std::to_string(num_threads));
+}
+
 void ThreadPool::TaskContext::Spawn(uint64_t id) {
   sweep_->live.fetch_add(1, std::memory_order_acq_rel);
   sweep_->spawned.fetch_add(1, std::memory_order_relaxed);

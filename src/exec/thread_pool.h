@@ -5,12 +5,23 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
 
 namespace flower::exec {
+
+/// Largest thread count a caller may ask for. Counts come from outside
+/// the program (flags, replay options, configs), and a count the OS
+/// cannot start makes std::thread throw std::system_error, which aborts
+/// the process. No caller here uses more than 16; 0 still means
+/// "hardware concurrency" wherever a count is passed to ThreadPool.
+inline constexpr size_t kMaxThreads = 256;
+
+/// InvalidArgument naming `what` when `num_threads` exceeds kMaxThreads.
+Status CheckThreadCount(size_t num_threads, const std::string& what);
 
 /// Statistics of one RunTasks sweep. Counters describe the *schedule*
 /// (which worker ran what), never the results — callers relying on the
@@ -30,7 +41,8 @@ struct TaskStats {
 /// worker threads and runs every ParallelFor inline, so single-threaded
 /// callers pay no synchronization. ThreadPool(0) sizes the pool to the
 /// hardware concurrency. Workers are started once in the constructor
-/// and parked between sweeps; the destructor joins them.
+/// and parked between sweeps; the destructor joins them. Callers check
+/// counts from outside the program with CheckThreadCount first.
 ///
 /// Concurrency contract: one ParallelFor sweep runs at a time per pool
 /// (the call is a barrier). Nested ParallelFor on the *same* pool is
@@ -86,7 +98,7 @@ class ThreadPool {
   /// transitively Spawn) to completion over per-worker deques. Each
   /// worker drains its own deque FIFO and steals from the other deques
   /// when empty, so partitions of unequal length overlap instead of
-  /// barriering — the fleet-sweep counterpart of ParallelFor.
+  /// barriering — the fleet sweep's counterpart of ParallelFor.
   ///
   /// The same determinism contract as ParallelFor applies: which worker
   /// runs a task (and what gets stolen) is scheduling noise, so `body`

@@ -17,9 +17,9 @@ struct ArbiterConfig {
   /// least this fraction of min(its demand, budget / active tenants)
   /// before the weighted surplus split. 0 disables the floor.
   double starvation_floor_frac = 0.05;
-  /// NSGA-II settings for the split search. num_threads may be > 1 —
-  /// the solver is bit-identical at any thread count, which is what
-  /// keeps fleet splits deterministic at 1/4/16 threads.
+  /// NSGA-II settings for the split search. FleetManager runs each
+  /// arbitration inside a sweep task and sets num_threads to 1; the
+  /// solver is bit-identical at any thread count either way.
   opt::Nsga2Config solver;
 };
 

@@ -16,10 +16,6 @@ FleetManager::FleetManager(FleetConfig config) : config_(std::move(config)) {
   // re-plans exactly once under each grant. Tenants with their own
   // arbitration_period_sec override this per partition.
   config_.partition.arbitration_period_sec = config_.arbitration_period_sec;
-  if (!config_.bundle_dir.empty() &&
-      config_.partition.capture.bundle_dir.empty()) {
-    config_.partition.capture.bundle_dir = config_.bundle_dir;
-  }
 }
 
 Status FleetManager::AddTenant(TenantConfig tenant) {
@@ -56,30 +52,15 @@ Status FleetManager::Start() {
         "FleetManager: need a finite fleet budget >= 0, a starvation floor "
         "in [0, 1] and a finite arbitration period above the re-plan offset");
   }
-  if (config_.sweep_mode == FleetConfig::SweepMode::kLockStep) {
-    for (const TenantConfig& t : tenants_) {
-      if (t.arbitration_period_sec > 0.0 &&
-          t.arbitration_period_sec != config_.arbitration_period_sec) {
-        return Status::InvalidArgument(
-            "FleetManager: lock-step sweep requires homogeneous "
-            "arbitration periods (tenant '" +
-            t.id + "' overrides the fleet period)");
-      }
-    }
-  }
+  FLOWER_RETURN_NOT_OK(exec::CheckThreadCount(config_.num_threads,
+                                              "FleetManager: num_threads"));
   ArbiterConfig ac;
   ac.fleet_budget_usd_per_hour = config_.fleet_budget_usd_per_hour;
   ac.starvation_floor_frac = config_.starvation_floor_frac;
   ac.solver = config_.arbiter_solver;
-  // Lock-step arbitrations run between sweeps and may use the fleet's
-  // full parallelism. Work-stealing arbitrations run *inside* worker
-  // tasks, so they stay single-threaded to avoid nested pools — the
-  // solver is thread-count-invariant, so grants are identical either
-  // way.
-  ac.solver.num_threads =
-      config_.sweep_mode == FleetConfig::SweepMode::kLockStep
-          ? config_.num_threads
-          : 1;
+  // Arbitrations run *inside* worker tasks, so the solver stays
+  // single-threaded rather than nesting a pool in the sweep's.
+  ac.solver.num_threads = 1;
   arbiter_ = std::make_unique<BudgetArbiter>(ac);
   pool_ = std::make_unique<exec::ThreadPool>(config_.num_threads);
   partitions_.reserve(tenants_.size());
@@ -97,116 +78,6 @@ Status FleetManager::Start() {
     arb_spans_->set_enabled(true);
   }
   started_ = true;
-  return Status::OK();
-}
-
-Status FleetManager::RunFor(double horizon_sec) {
-  if (!started_) {
-    return Status::FailedPrecondition("FleetManager: not started");
-  }
-  // A non-finite horizon would never reach its last boundary.
-  if (!std::isfinite(horizon_sec) || horizon_sec < 0.0) {
-    return Status::InvalidArgument(
-        "FleetManager: horizon must be finite and >= 0");
-  }
-  if (horizon_sec == 0.0) return Status::OK();
-  auto t0 = std::chrono::steady_clock::now();
-  Status st = config_.sweep_mode == FleetConfig::SweepMode::kLockStep
-                  ? RunForLockStep(horizon_sec)
-                  : RunForWorkStealing(horizon_sec);
-  stats_.wall_sec +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return st;
-}
-
-Status FleetManager::RunForLockStep(double horizon_sec) {
-  size_t n = partitions_.size();
-  SimTime target = now_ + horizon_sec;
-  std::vector<double> weights(n);
-  for (size_t i = 0; i < n; ++i) weights[i] = tenants_[i].budget_weight;
-  // One report per period; exact up-front reservation so long horizons
-  // never reallocate mid-run.
-  reports_.reserve(reports_.size() +
-                   static_cast<size_t>(std::ceil(
-                       horizon_sec / config_.arbitration_period_sec)));
-
-  while (now_ < target) {
-    SimTime t_end = std::min(now_ + config_.arbitration_period_sec, target);
-
-    // Arbitrate on the demands visible now (period 0 sees the
-    // provisioned-resource cost; later periods see the controllers'
-    // latest unclamped asks).
-    std::vector<double> demands(n);
-    std::vector<uint64_t> steps_before(n);
-    for (size_t i = 0; i < n; ++i) {
-      demands[i] = partitions_[i]->DemandUsdPerHour();
-      steps_before[i] = partitions_[i]->StepsTaken();
-    }
-    FLOWER_ASSIGN_OR_RETURN(BudgetSplit split,
-                            arbiter_->Arbitrate(demands, weights));
-    ++stats_.arbitration_events;
-    if (arb_spans_ != nullptr) {
-      arb_spans_->Emit(obs::SpanKind::kArbitrate, "arbitrate", now_, 0.0, 1,
-                       0, 0, 0, split.total_granted_usd);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      partitions_[i]->SetBudget(split.grants_usd[i]);
-      // Mirror the grant into the partition's flight recorder before
-      // the sweep: a capture taken mid-period carries the grant that
-      // shaped the period's re-plan.
-      partitions_[i]->RecordGrant(now_, demands[i], split.grants_usd[i]);
-    }
-
-    // Advance every partition to the boundary. Partitions share
-    // nothing; each one's events run on whichever worker claims it.
-    FLOWER_RETURN_NOT_OK(pool_->ParallelFor(
-        0, n, 1, [&](size_t i) { return partitions_[i]->AdvanceTo(t_end); }));
-
-    // Deterministic merge, tenant index order.
-    FleetPeriodReport report;
-    report.start = now_;
-    report.end = t_end;
-    report.uncontended = split.uncontended;
-    report.conservation_ok =
-        split.conserved &&
-        split.total_granted_usd <=
-            config_.fleet_budget_usd_per_hour * (1.0 + 1e-9) + 1e-12;
-    if (!report.conservation_ok) ++stats_.conservation_violations;
-    report.total_granted_usd = split.total_granted_usd;
-    report.tenants.reserve(n);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "period t=[%.3f,%.3f] granted=%.6f\n",
-                  now_, t_end, split.total_granted_usd);
-    split_digest_ += buf;
-    for (size_t i = 0; i < n; ++i) {
-      TenantPeriodOutcome row;
-      row.tenant = tenants_[i].id;
-      row.demand_usd = demands[i];
-      row.grant_usd = split.grants_usd[i];
-      row.spend_usd = partitions_[i]->SpendUsdPerHour();
-      row.steps = partitions_[i]->StepsTaken() - steps_before[i];
-      std::snprintf(buf, sizeof(buf),
-                    "  %s demand=%.6f grant=%.6f spend=%.6f steps=%llu\n",
-                    row.tenant.c_str(), row.demand_usd, row.grant_usd,
-                    row.spend_usd,
-                    static_cast<unsigned long long>(row.steps));
-      split_digest_ += buf;
-
-      // Fleet rollup: per-tenant summary instruments in the tenant's
-      // own child scope, {"tenant", id}-labeled so AggregateSnapshot
-      // never merges two tenants' series.
-      obs::MetricsRegistry& m = registry_.Child(row.tenant)->metrics();
-      obs::LabelSet labels = {{"tenant", row.tenant}};
-      m.GetGauge("fleet.demand_usd", labels)->Set(row.demand_usd);
-      m.GetGauge("fleet.grant_usd", labels)->Set(row.grant_usd);
-      m.GetGauge("fleet.spend_usd", labels)->Set(row.spend_usd);
-      m.GetCounter("fleet.steps", labels)->Increment(row.steps);
-      report.tenants.push_back(std::move(row));
-    }
-    reports_.push_back(std::move(report));
-    now_ = t_end;
-  }
   return Status::OK();
 }
 
@@ -488,8 +359,8 @@ struct FleetManager::SweepEngine {
 
   /// Post-sweep merge on the calling thread: close the final windows
   /// from live partition state, then emit digest lines, reports, and
-  /// the registry rollup in (close, open, tenant) order — the exact
-  /// byte sequence the lock-step sweep produced for homogeneous fleets.
+  /// the registry rollup in (close, open, tenant) order, so a
+  /// homogeneous fleet reads period by period in tenant order.
   void Finalize() {
     size_t n = fm.partitions_.size();
     for (size_t i = 0; i < n; ++i) {
@@ -578,7 +449,17 @@ struct FleetManager::SweepEngine {
   }
 };
 
-Status FleetManager::RunForWorkStealing(double horizon_sec) {
+Status FleetManager::RunFor(double horizon_sec) {
+  if (!started_) {
+    return Status::FailedPrecondition("FleetManager: not started");
+  }
+  // A non-finite horizon would never reach its last boundary.
+  if (!std::isfinite(horizon_sec) || horizon_sec < 0.0) {
+    return Status::InvalidArgument(
+        "FleetManager: horizon must be finite and >= 0");
+  }
+  if (horizon_sec == 0.0) return Status::OK();
+  auto t0 = std::chrono::steady_clock::now();
   SweepEngine engine(*this, now_, now_ + horizon_sec);
   FLOWER_RETURN_NOT_OK(engine.Build());
   std::vector<uint64_t> seeds(partitions_.size());
@@ -600,6 +481,9 @@ Status FleetManager::RunForWorkStealing(double horizon_sec) {
   stats_.busy_sec += ts.busy_sec;
   engine.Finalize();
   now_ = engine.target;
+  stats_.wall_sec +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   return Status::OK();
 }
 

@@ -16,30 +16,15 @@ namespace flower::fleet {
 
 /// Fleet-wide settings.
 struct FleetConfig {
-  /// How RunFor advances the fleet.
-  enum class SweepMode {
-    /// Work-stealing task sweep: each partition advances independently
-    /// to its own next arbitration boundary; the arbiter fires as an
-    /// event in virtual time when every tenant sharing a boundary has
-    /// posted demand into its budget mailbox. Supports heterogeneous
-    /// per-tenant `arbitration_period_sec`; byte-identical digests to
-    /// kLockStep for homogeneous fleets.
-    kWorkStealing,
-    /// Legacy barrier sweep: every partition advances to every fleet
-    /// period boundary in lock step. Homogeneous fleets only; kept for
-    /// regression comparison and the barrier-vs-stealing benchmark.
-    kLockStep,
-  };
-  SweepMode sweep_mode = SweepMode::kWorkStealing;
-
   /// The global hourly dollar budget the arbiter divides across
   /// tenants every arbitration period.
   double fleet_budget_usd_per_hour = 100.0;
   double arbitration_period_sec = 900.0;
   double starvation_floor_frac = 0.05;
   /// Worker threads advancing partitions (ThreadPool semantics: counts
-  /// the calling thread; 1 = fully inline). The merged result is
-  /// identical at any value — that is the fleet determinism contract.
+  /// the calling thread; 1 = fully inline; at most
+  /// exec::kMaxThreads). The merged result is identical at any value —
+  /// that is the fleet determinism contract.
   size_t num_threads = 1;
   /// Fleet -> flow NSGA-II settings. Default is a small fleet-tuned
   /// solver: the split problem is smooth and low-dimensional, so a few
@@ -53,10 +38,6 @@ struct FleetConfig {
   /// Shared partition shaping (cadence, telemetry caps, flow solver,
   /// flight-recorder capture).
   PartitionConfig partition;
-  /// Convenience alias for partition.capture.bundle_dir: when set (and
-  /// partition.capture.bundle_dir is empty) alert-triggered capture
-  /// bundles are dumped here, one `<tenant>.json` per partition.
-  std::string bundle_dir;
 };
 
 /// Schedule-level counters of the fleet sweep, accumulated across
@@ -110,15 +91,14 @@ struct FleetPeriodReport {
 /// (the fleet -> flow level of the hierarchical planner; each flow then
 /// re-plans its layers under the grant it received).
 ///
-/// The default sweep is work-stealing: each partition advances
-/// independently to its *own* next arbitration boundary, posts its
-/// demand into a per-partition budget mailbox, and parks until the
-/// boundary's arbitration event fires (all tenants sharing that
-/// boundary have posted). Arbitration order is a pure function of
-/// (virtual time, tenant index) and partitions share nothing, so the
-/// merged reports — and every partition's decision log — are
-/// byte-identical at any thread count, and identical to the legacy
-/// lock-step sweep for homogeneous fleets.
+/// The sweep is work-stealing: each partition advances independently
+/// to its *own* next arbitration boundary, posts its demand into a
+/// per-partition budget mailbox, and parks until the boundary's
+/// arbitration event fires (all tenants sharing that boundary have
+/// posted). Arbitration order is a pure function of (virtual time,
+/// tenant index) and partitions share nothing, so the merged reports —
+/// and every partition's decision log — are byte-identical at any
+/// thread count.
 class FleetManager {
  public:
   explicit FleetManager(FleetConfig config);
@@ -131,7 +111,7 @@ class FleetManager {
   /// namespaces and RNG streams depend only on the index). Errors, all
   /// before any partition is built: no tenants, a fleet budget not
   /// finite and >= 0, a starvation floor outside [0, 1], a fleet period
-  /// not above the re-plan offset.
+  /// not above the re-plan offset, num_threads above exec::kMaxThreads.
   Status Start();
 
   /// Advances the whole fleet by `horizon_sec`, boundary by boundary,
@@ -181,9 +161,6 @@ class FleetManager {
 
  private:
   struct SweepEngine;  // Work-stealing event engine (fleet_manager.cpp).
-
-  Status RunForLockStep(double horizon_sec);
-  Status RunForWorkStealing(double horizon_sec);
 
   FleetConfig config_;
   std::vector<TenantConfig> tenants_;

@@ -160,7 +160,7 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
     p->unit_price_[i] = rc.request.unit_price[i];
   }
   rc.solver = config.flow_solver;
-  // Partitions advance inside a fleet ParallelFor sweep; nested
+  // Partitions advance inside the fleet's work-stealing sweep; nested
   // parallelism on another pool would oversubscribe, so per-flow solves
   // default to single-threaded. Solo replays may raise this — the
   // solver is thread-count-invariant, so decisions do not change.

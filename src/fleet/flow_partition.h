@@ -81,10 +81,11 @@ struct PartitionConfig {
     inc.stall_generations = 3;
     return inc;
   }();
-  /// Threads for the per-flow NSGA-II solve. 1 inside fleet sweeps
-  /// (nested parallelism would oversubscribe the pool); replays of a
-  /// solo partition may raise it — the solver is thread-count-invariant,
-  /// so the digest does not change.
+  /// Threads for the per-flow NSGA-II solve (0 = 1, at most
+  /// exec::kMaxThreads). 1 inside fleet sweeps (nested parallelism
+  /// would oversubscribe the pool); replays of a solo partition may
+  /// raise it — the solver is thread-count-invariant, so the digest
+  /// does not change.
   size_t flow_solver_threads = 1;
   /// Flight-recorder / postmortem capture.
   CaptureConfig capture;
@@ -136,7 +137,7 @@ class FlowPartition {
   double effective_period_sec() const { return effective_period_sec_; }
 
   /// Budget handoff cell between this partition and the fleet's
-  /// arbitration events (work-stealing sweep only).
+  /// arbitration events.
   BudgetMailbox& mailbox() { return mailbox_; }
   const BudgetMailbox& mailbox() const { return mailbox_; }
 
@@ -159,8 +160,9 @@ class FlowPartition {
   void AppendDigest(std::string* out) const;
 
   /// Mirrors one arbiter grant into the flight recorder (no-op when
-  /// capture is off). Called by the FleetManager right after each
-  /// arbitration, before the period's sweep.
+  /// capture is off). TryConsumeGrant calls it for every grant it
+  /// applies, so a capture taken mid-window carries the grant that
+  /// shaped the window's re-plan.
   void RecordGrant(SimTime t, double demand_usd, double grant_usd);
 
   /// Snapshot of the flight recorder as a capture bundle. NotFound when

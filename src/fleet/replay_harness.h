@@ -16,7 +16,8 @@ namespace flower::fleet {
 /// forced on, so a postmortem sees everything the original fleet run
 /// had disabled for scale.
 struct ReplayOptions {
-  /// Threads for the solo flow's NSGA-II re-plans. The solver is
+  /// Threads for the solo flow's NSGA-II re-plans (0 = 1; Create
+  /// rejects more than exec::kMaxThreads). The solver is
   /// thread-count-invariant, so any value reproduces the digest.
   size_t flow_solver_threads = 1;
   size_t decision_capacity = 65536;

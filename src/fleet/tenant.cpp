@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "exec/thread_pool.h"
 #include "fleet/flow_partition.h"
 
 namespace flower::fleet {
@@ -113,7 +114,8 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
   for (const auto& [ok, what] : rules) {
     if (!ok) return Status::InvalidArgument("tenant '" + t.id + "': " + what);
   }
-  return Status::OK();
+  return exec::CheckThreadCount(config.flow_solver_threads,
+                                "tenant '" + t.id + "': flow_solver_threads");
 }
 
 namespace {

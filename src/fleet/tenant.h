@@ -93,8 +93,9 @@ struct TenantConfig {
 /// offset, so each re-plan lands in the window its grant opened. Of
 /// `config` (what a capture bundle carries): emit, Storm tick and
 /// health evaluation periods finite and >= 1 s, a finite horizon > 0,
-/// and flow-solver population/generations, recorder capacities and
-/// checkpoint_every at most 64x the fleet default.
+/// flow-solver population/generations, recorder capacities and
+/// checkpoint_every at most 64x the fleet default, and
+/// flow_solver_threads at most exec::kMaxThreads.
 Status ValidateTenant(const TenantConfig& tenant,
                       const PartitionConfig& config);
 

@@ -273,6 +273,8 @@ Result<Nsga2Result> Nsga2::Solve(const Problem& problem) const {
   if (config_.generations == 0) {
     return Status::InvalidArgument("Nsga2: generations must be >= 1");
   }
+  FLOWER_RETURN_NOT_OK(
+      exec::CheckThreadCount(config_.num_threads, "Nsga2: num_threads"));
   const auto& specs = problem.variables();
   if (specs.empty() || problem.num_objectives() == 0) {
     return Status::InvalidArgument(

@@ -110,8 +110,9 @@ class Nsga2 {
   explicit Nsga2(Nsga2Config config) : config_(std::move(config)) {}
 
   /// Runs the solver. Errors: population_size odd or < 4, generations
-  /// == 0, a problem with no variables or objectives, or a seed
-  /// population entry whose arity does not match the problem.
+  /// == 0, num_threads above exec::kMaxThreads, a problem with no
+  /// variables or objectives, or a seed population entry whose arity
+  /// does not match the problem.
   Result<Nsga2Result> Solve(const Problem& problem) const;
 
  private:

@@ -31,7 +31,7 @@ namespace flower::sim {
 /// hold events rather than with the wheel's capacity. Far-future events
 /// wait in an overflow heap and migrate into the wheel as the cursor
 /// advances. Execution order is byte-identical to the binary-heap
-/// calendar this replaced (preserved as RefCalendar and pinned by the
+/// calendar this replaced (kept in tests/sim/ as the oracle of the
 /// `simcore` calendar property test): strict (time, seq) order, FIFO
 /// within an instant.
 ///

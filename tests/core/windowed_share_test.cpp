@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/units.h"
+#include "exec/thread_pool.h"
 
 namespace flower::core {
 namespace {
@@ -139,6 +140,12 @@ TEST(WindowedShareTest, HorizonValidatesInput) {
   TimeSeries one("r");
   one.AppendUnchecked(0.0, 100.0);
   EXPECT_FALSE(analyzer.PlanHorizon(one, -1.0).ok());
+  for (size_t threads : {exec::kMaxThreads + 1, size_t{100000}}) {
+    WindowedShareAnalyzer wide(BaseRequest(), Model(), FastSolver(), threads);
+    EXPECT_EQ(wide.PlanHorizon(one, kHour).status().code(),
+              StatusCode::kInvalidArgument)
+        << threads;
+  }
 }
 
 TEST(WindowedShareTest, HorizonIsBitIdenticalAcrossThreadCounts) {

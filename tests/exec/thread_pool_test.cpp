@@ -213,8 +213,7 @@ TEST(RunTasksTest, SpawnedChainsRunToCompletion) {
 
 TEST(RunTasksTest, SingleThreadPoolRunsInlineInFifoOrder) {
   // The 1-thread determinism anchor: seeds run in order, spawns append
-  // to the back — exactly the order the fleet's digest reduction
-  // assumes when it equates a 1-thread sweep with the lock-step one.
+  // to the back, so a 1-thread fleet sweep runs tenants in index order.
   ThreadPool pool(1);
   std::vector<uint64_t> order;
   Status s = pool.RunTasks(

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.h"
+
 namespace flower::fleet {
 namespace {
 
@@ -287,6 +289,16 @@ TEST(FleetManagerTest, HostileTenantsRejectedBeforeAnyPartitionIsBuilt) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.what;
     EXPECT_EQ(fleet.num_tenants(), 0u) << c.what;
   }
+  // ValidateTenant also checks the partition settings every tenant runs
+  // under; a solver thread count the OS cannot start would abort.
+  for (size_t threads : {exec::kMaxThreads + 1, size_t{100000}}) {
+    FleetConfig config = TestConfig(1);
+    config.partition.flow_solver_threads = threads;
+    FleetManager fleet(config);
+    EXPECT_EQ(fleet.AddTenant(MakeTenantFleet(1, /*seed=*/7)[0]).code(),
+              StatusCode::kInvalidArgument)
+        << "flow_solver_threads " << threads;
+  }
 }
 
 TEST(FleetManagerTest, HostileFleetSettingsRejectedBeforeAnyPartitionIsBuilt) {
@@ -312,6 +324,9 @@ TEST(FleetManagerTest, HostileFleetSettingsRejectedBeforeAnyPartitionIsBuilt) {
        [](FleetConfig* c) { c->arbitration_period_sec = 1e-3; }},
       {"fleet period NaN",
        [&](FleetConfig* c) { c->arbitration_period_sec = nan; }},
+      {"num_threads above the bound",
+       [](FleetConfig* c) { c->num_threads = exec::kMaxThreads + 1; }},
+      {"num_threads 100000", [](FleetConfig* c) { c->num_threads = 100000; }},
   };
   for (const Case& c : cases) {
     FleetConfig config = TestConfig(1);

@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,10 +16,8 @@ namespace flower::fleet {
 namespace {
 
 /// Small fleet tuned for test speed: coarse ticks, short periods.
-FleetConfig SweepTestConfig(size_t num_threads,
-                            FleetConfig::SweepMode mode) {
+FleetConfig SweepTestConfig(size_t num_threads) {
   FleetConfig c;
-  c.sweep_mode = mode;
   c.fleet_budget_usd_per_hour = 2.0;  // Tight: forces contention.
   c.arbitration_period_sec = 300.0;
   c.num_threads = num_threads;
@@ -31,10 +31,9 @@ FleetConfig SweepTestConfig(size_t num_threads,
   return c;
 }
 
-std::unique_ptr<FleetManager> MakeHomogeneousFleet(
-    size_t tenants, size_t num_threads, FleetConfig::SweepMode mode) {
-  auto fleet =
-      std::make_unique<FleetManager>(SweepTestConfig(num_threads, mode));
+std::unique_ptr<FleetManager> MakeHomogeneousFleet(size_t tenants,
+                                                   size_t num_threads) {
+  auto fleet = std::make_unique<FleetManager>(SweepTestConfig(num_threads));
   for (TenantConfig& t : MakeTenantFleet(tenants, /*seed=*/7)) {
     t.monitoring_period_sec = 60.0;
     EXPECT_TRUE(fleet->AddTenant(std::move(t)).ok());
@@ -48,8 +47,7 @@ std::unique_ptr<FleetManager> MakeHomogeneousFleet(
 /// exactly the partial-overlap regime the event engine must order
 /// deterministically.
 std::unique_ptr<FleetManager> MakeHeterogeneousFleet(size_t num_threads) {
-  auto fleet = std::make_unique<FleetManager>(
-      SweepTestConfig(num_threads, FleetConfig::SweepMode::kWorkStealing));
+  auto fleet = std::make_unique<FleetManager>(SweepTestConfig(num_threads));
   const double periods[3] = {30.0, 45.0, 60.0};
   std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/11);
   for (size_t i = 0; i < tenants.size(); ++i) {
@@ -61,38 +59,47 @@ std::unique_ptr<FleetManager> MakeHeterogeneousFleet(size_t num_threads) {
   return fleet;
 }
 
-TEST(WorkStealSweepTest, HomogeneousDigestMatchesLockStepByteForByte) {
-  // The acceptance bar of the sweep rewrite: for a homogeneous fleet the
-  // work-stealing engine must reproduce the legacy barrier sweep's
-  // merged digest exactly — same windows, same grants, same partition
-  // decision logs, same bytes.
-  std::unique_ptr<FleetManager> lockstep = MakeHomogeneousFleet(
-      5, 1, FleetConfig::SweepMode::kLockStep);
-  std::unique_ptr<FleetManager> ws1 = MakeHomogeneousFleet(
-      5, 1, FleetConfig::SweepMode::kWorkStealing);
-  std::unique_ptr<FleetManager> ws4 = MakeHomogeneousFleet(
-      5, 4, FleetConfig::SweepMode::kWorkStealing);
-  ASSERT_TRUE(lockstep->RunFor(900.0).ok());
-  ASSERT_TRUE(ws1->RunFor(900.0).ok());
-  ASSERT_TRUE(ws4->RunFor(900.0).ok());
-  std::string reference = lockstep->ControlDigest();
-  ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(ws1->ControlDigest(), reference);
-  EXPECT_EQ(ws4->ControlDigest(), reference);
-  // Merged reports agree structurally too.
-  ASSERT_EQ(ws1->reports().size(), lockstep->reports().size());
-  for (size_t i = 0; i < lockstep->reports().size(); ++i) {
-    const FleetPeriodReport& a = lockstep->reports()[i];
-    const FleetPeriodReport& b = ws1->reports()[i];
-    EXPECT_DOUBLE_EQ(a.start, b.start);
-    EXPECT_DOUBLE_EQ(a.end, b.end);
-    EXPECT_EQ(a.total_granted_usd, b.total_granted_usd);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (size_t j = 0; j < a.tenants.size(); ++j) {
-      EXPECT_EQ(a.tenants[j].tenant, b.tenants[j].tenant);
-      EXPECT_EQ(a.tenants[j].grant_usd, b.tenants[j].grant_usd);
-      EXPECT_EQ(a.tenants[j].steps, b.tenants[j].steps);
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// testdata/homogeneous_5x900s.digest holds this fleet's ControlDigest()
+// as the barrier sweep that preceded the work-stealing one produced it;
+// the work-stealing sweep matched it byte for byte at 1 and 4 threads.
+// It pins the homogeneous byte contract: same windows, same grants,
+// same partition decision logs. A change that moves any decision on
+// purpose regenerates it with the command printed on failure.
+TEST(WorkStealSweepTest, HomogeneousDigestMatchesGolden) {
+  const std::string golden_path =
+      std::string(FLOWER_FLEET_TESTDATA) + "/homogeneous_5x900s.digest";
+  const std::string golden = ReadFile(golden_path);
+  ASSERT_FALSE(golden.empty()) << "missing " << golden_path;
+  for (size_t threads : {1, 4}) {
+    std::unique_ptr<FleetManager> fleet = MakeHomogeneousFleet(5, threads);
+    ASSERT_TRUE(fleet->RunFor(900.0).ok());
+    const std::string digest = fleet->ControlDigest();
+    ASSERT_EQ(fleet->reports().size(), 3u);
+    if (digest == golden) continue;
+    std::istringstream got(digest);
+    std::istringstream want(golden);
+    std::string got_line;
+    std::string want_line;
+    int line = 1;
+    for (;; ++line) {
+      bool more_got = static_cast<bool>(std::getline(got, got_line));
+      bool more_want = static_cast<bool>(std::getline(want, want_line));
+      if (!more_got || !more_want || got_line != want_line) break;
     }
+    const std::string fresh =
+        ::testing::TempDir() + "homogeneous_5x900s.digest";
+    std::ofstream(fresh, std::ios::binary) << digest;
+    ADD_FAILURE() << threads << " thread(s): digest differs from the golden "
+                  << "at line " << line << "\n  got:  " << got_line
+                  << "\n  want: " << want_line
+                  << "\n  regenerate: cp " << fresh << " " << golden_path;
   }
 }
 
@@ -170,10 +177,8 @@ TEST(WorkStealSweepTest, RepeatedRunForMatchesOneShotDigest) {
   // Two 300 s sweeps arbitrate at t=0 and t=300 — exactly the
   // boundaries one 600 s sweep hits — so the decision stream must be
   // byte-identical however the horizon is sliced.
-  std::unique_ptr<FleetManager> split = MakeHomogeneousFleet(
-      4, 2, FleetConfig::SweepMode::kWorkStealing);
-  std::unique_ptr<FleetManager> whole = MakeHomogeneousFleet(
-      4, 2, FleetConfig::SweepMode::kWorkStealing);
+  std::unique_ptr<FleetManager> split = MakeHomogeneousFleet(4, 2);
+  std::unique_ptr<FleetManager> whole = MakeHomogeneousFleet(4, 2);
   ASSERT_TRUE(split->RunFor(300.0).ok());
   ASSERT_TRUE(split->RunFor(300.0).ok());
   ASSERT_TRUE(whole->RunFor(600.0).ok());
@@ -198,8 +203,7 @@ TEST(WorkStealSweepTest, SweepStatsDescribeScheduleNotResults) {
 TEST(WorkStealSweepTest, ReportsCapacityIsReservedOnce) {
   // The sweep sizes reports_ up front; steady-state appends must not
   // reallocate (the perf_micro guard asserts the same on the hot path).
-  std::unique_ptr<FleetManager> fleet = MakeHomogeneousFleet(
-      3, 1, FleetConfig::SweepMode::kWorkStealing);
+  std::unique_ptr<FleetManager> fleet = MakeHomogeneousFleet(3, 1);
   ASSERT_TRUE(fleet->RunFor(900.0).ok());
   EXPECT_EQ(fleet->reports().capacity(), fleet->reports().size());
   size_t after_first = fleet->reports().size();
@@ -208,22 +212,8 @@ TEST(WorkStealSweepTest, ReportsCapacityIsReservedOnce) {
   EXPECT_EQ(fleet->reports().capacity(), fleet->reports().size());
 }
 
-TEST(WorkStealSweepTest, LockStepRejectsHeterogeneousTenants) {
-  FleetManager fleet(
-      SweepTestConfig(1, FleetConfig::SweepMode::kLockStep));
-  std::vector<TenantConfig> tenants = MakeTenantFleet(2, 3);
-  tenants[1].arbitration_period_sec = 150.0;  // != fleet 300 s.
-  for (TenantConfig& t : tenants) {
-    ASSERT_TRUE(fleet.AddTenant(std::move(t)).ok());
-  }
-  Status s = fleet.Start();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
 TEST(WorkStealSweepTest, InvalidArbitrationPeriodRejectedAtAddTenant) {
-  FleetManager fleet(
-      SweepTestConfig(1, FleetConfig::SweepMode::kWorkStealing));
+  FleetManager fleet(SweepTestConfig(1));
   TenantConfig t;
   t.id = "bad";
   t.arbitration_period_sec = -30.0;
@@ -231,8 +221,7 @@ TEST(WorkStealSweepTest, InvalidArbitrationPeriodRejectedAtAddTenant) {
 }
 
 TEST(WorkStealSweepTest, ArbitrationSpansLiveInFleetNamespace) {
-  FleetConfig config =
-      SweepTestConfig(2, FleetConfig::SweepMode::kWorkStealing);
+  FleetConfig config = SweepTestConfig(2);
   config.partition.record_spans = true;
   FleetManager fleet(config);
   const double periods[3] = {100.0, 150.0, 300.0};

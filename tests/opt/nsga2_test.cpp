@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 
+#include "exec/thread_pool.h"
 #include "opt/grid_search.h"
 #include "opt/pareto.h"
 
@@ -88,6 +89,13 @@ TEST(Nsga2Test, ConfigValidation) {
     Nsga2Config cfg;
     cfg.generations = 0;
     EXPECT_FALSE(Nsga2(cfg).Solve(p).ok());
+  }
+  for (size_t threads : {exec::kMaxThreads + 1, size_t{100000}}) {
+    Nsga2Config cfg;
+    cfg.num_threads = threads;  // Beyond what the OS would start.
+    EXPECT_EQ(Nsga2(cfg).Solve(p).status().code(),
+              StatusCode::kInvalidArgument)
+        << threads;
   }
 }
 

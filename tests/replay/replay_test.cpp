@@ -444,8 +444,8 @@ TEST(ReplayTest, HeterogeneousHorizonCaptureReplaysWithoutDivergence) {
   ASSERT_NE(rec, nullptr);
   ASSERT_TRUE(rec->trigger().fired) << "burn-rate alert never fired";
 
-  // The faster tenant recorded a grant at its own 450 s boundary — a
-  // time the lock-step sweep could never arbitrate at.
+  // The faster tenant recorded a grant at its own 450 s boundary, off
+  // the fleet's 900 s lattice.
   std::string path = TempPath("hetero_bundle.json");
   ASSERT_TRUE(four->DumpBundle(0, path).ok());
   auto bundle = obs::replay::LoadBundleJson(path);

@@ -10,9 +10,11 @@
 // pooled bucket storage: coarse cadences with long gaps, jumps that
 // wrap past the last bucket, overflow events entering the horizon
 // during a jump, a cursor parked between occupied buckets, and a
-// rotation with every bucket occupied at once.
+// rotation with every bucket occupied at once. One fixed mixed schedule
+// compares firing times bitwise.
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <utility>
@@ -20,7 +22,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/ref_calendar.h"
+#include "ref_calendar.h"
 #include "sim/simulation.h"
 
 namespace flower::sim {
@@ -479,6 +481,60 @@ TEST(CalendarPropertyTest, SparseRandomizedSchedulesMatchReference) {
     Simulation wheel;
     RefCalendar heap;
     ASSERT_EQ(drive(wheel, seed), drive(heap, seed)) << "seed " << seed;
+  }
+}
+
+TEST(CalendarPropertyTest, MixedScheduleMatchesReferenceBitwise) {
+  // Same-instant bursts on and off tick boundaries with zero-delay
+  // follow-ups, far-future events beyond the 64 s horizon, a periodic
+  // that stops itself, and a RunUntil into the past. Times compare
+  // bitwise: the wheel stores exact doubles, so even the sign of zero
+  // must survive.
+  auto drive = [](auto& eng) {
+    Log log;
+    int next_id = 0;
+    for (int burst = 0; burst < 50; ++burst) {
+      double t = 0.1 * static_cast<double>(burst % 7) + 0.25;
+      for (int i = 0; i < 8; ++i) {
+        int id = next_id++;
+        (void)eng.ScheduleAt(t, [&log, &eng, id] {
+          log.emplace_back(id, eng.Now());
+          // Every fourth event spawns a zero-delay follow-up.
+          if ((id & 3) == 0) {
+            (void)eng.ScheduleAfter(0.0, [&log, &eng, id] {
+              log.emplace_back(-id, eng.Now());
+            });
+          }
+        });
+      }
+    }
+    for (int i = 0; i < 40; ++i) {
+      int id = 100000 + i;
+      double t = 70.0 + 3.3 * static_cast<double>(i % 13);
+      (void)eng.ScheduleAt(t, [&log, &eng, id] {
+        log.emplace_back(id, eng.Now());
+      });
+    }
+    (void)eng.SchedulePeriodic(0.5, 0.5, [&log, &eng] {
+      log.emplace_back(777, eng.Now());
+      return eng.Now() < 90.0;
+    });
+    eng.RunUntil(10.0);
+    eng.RunUntil(6.0);  // Past: no-op.
+    while (eng.Step()) {
+    }
+    log.emplace_back(-999999, eng.Now());
+    return log;
+  };
+  Simulation wheel;
+  RefCalendar heap;
+  Log a = drive(wheel);
+  Log b = drive(heap);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].first, b[i].first) << "divergence at step " << i;
+    ASSERT_EQ(std::memcmp(&a[i].second, &b[i].second, sizeof(double)), 0)
+        << "step " << i << ": " << a[i].second << " vs " << b[i].second;
   }
 }
 

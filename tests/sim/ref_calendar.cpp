@@ -1,4 +1,4 @@
-#include "sim/ref_calendar.h"
+#include "ref_calendar.h"
 
 #include <memory>
 #include <utility>

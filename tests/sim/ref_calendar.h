@@ -1,5 +1,5 @@
-#ifndef FLOWER_SIM_REF_CALENDAR_H_
-#define FLOWER_SIM_REF_CALENDAR_H_
+#ifndef FLOWER_TESTS_SIM_REF_CALENDAR_H_
+#define FLOWER_TESTS_SIM_REF_CALENDAR_H_
 
 #include <cmath>
 #include <cstdint>
@@ -16,10 +16,9 @@ namespace flower::sim {
 /// (time, seq), exactly as `Simulation` was implemented before the
 /// bucketed wheel replaced it.
 ///
-/// Kept as the semantics oracle: the calendar property test drives
-/// randomized schedules through both engines and asserts byte-identical
-/// execution order, and bench/sim_throughput reports the wheel's
-/// speedup against this baseline. Not used by any simulated service.
+/// Kept in tests/ as the semantics oracle: the calendar property test
+/// drives the same schedules through both engines and asserts
+/// identical execution order. Not used by any simulated service.
 ///
 /// The API is the schedule/run subset of `Simulation` (no telemetry).
 class RefCalendar {
@@ -75,4 +74,4 @@ class RefCalendar {
 
 }  // namespace flower::sim
 
-#endif  // FLOWER_SIM_REF_CALENDAR_H_
+#endif  // FLOWER_TESTS_SIM_REF_CALENDAR_H_

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Compare a fresh bench run against its committed baseline.
 
-Each bench JSON carries one *headline* metric — the number the bench
-exists to defend. This script extracts it from both files and fails
-(exit 1) when the fresh run regresses by more than the threshold
-(default 15%). Smoke-mode runs measure a different workload than the
-committed full-mode baselines, so a mode mismatch is reported and
-skipped (exit 0) rather than compared apples-to-oranges.
+Each bench JSON carries one *headline* metric — an absolute number the
+bench exists to defend, never a ratio against in-repo reference code.
+This script extracts it from both files and fails (exit 1) when the
+fresh run regresses by more than the threshold (default 15%).
+Smoke-mode runs measure a different workload than the committed
+full-mode baselines, so a mode mismatch is reported and skipped
+(exit 0) rather than compared apples-to-oranges.
 
 Usage:
   bench_diff.py BASELINE.json FRESH.json [--threshold=0.15]
@@ -22,54 +23,45 @@ import sys
 # bench name -> (headline description, extractor, higher_is_better)
 HEADLINES = {
     "planner_throughput": (
-        "cold/warm-stall wall-time ratio (incremental planning speedup)",
-        lambda b: _planner_ratio(b),
-        True,
-    ),
-    "obs_overhead": (
-        "full-telemetry steady-tick overhead % vs disabled plane",
-        lambda b: b["enabled"]["overhead_pct"],
+        "1-thread warm+stall horizon wall time, ms",
+        lambda b: _planner_warm_stall_ms(b),
         False,
     ),
+    "obs_overhead": (
+        "full-telemetry steady-tick events/s with the plane on",
+        lambda b: b["enabled"]["on_events_per_sec"],
+        True,
+    ),
     "fleet_scale": (
-        "heterogeneous-horizon fleet sweep speedup at 4 threads",
-        lambda b: _fleet_speedup(b),
+        "heterogeneous-horizon fleet flow-sim-sec per wall second, "
+        "4 threads",
+        lambda b: _fleet_hetero_4t(b),
         True,
     ),
     "sim_throughput": (
-        "timer-wheel vs reference calendar speedup",
-        lambda b: b["calendar"]["speedup"],
+        "timer-wheel calendar events/s",
+        lambda b: b["calendar"]["wheel_events_per_sec"],
         True,
     ),
 }
 
 
-def _fleet_speedup(b):
-    """Heterogeneous-horizon 4-thread speedup — the number the
-    work-stealing sweep exists to defend. Pre-work-stealing baselines
-    only carry the homogeneous top-level speedup; fall back so old
-    baselines stay comparable."""
-    hetero = b.get("hetero")
-    if hetero is not None:
-        return hetero["speedup_at_4_threads"]
-    return b["speedup_at_4_threads"]
+def _fleet_hetero_4t(b):
+    """Throughput of the 4-thread point of the heterogeneous curve —
+    the regime the work-stealing sweep exists for."""
+    for r in b["hetero"]["scaling"]:
+        if r["threads"] == 4:
+            return r["flow_sim_sec_per_wall_sec"]
+    raise ValueError("no 4-thread point on the heterogeneous curve")
 
 
-def _planner_ratio(b):
-    """Cold wall-time over warm+stall wall-time: how much the
-    incremental engine saves on an unchanged re-plan. Compared at the
-    lowest thread count the bench ran (single-threaded is the least
-    noisy and always present)."""
-    runs = {}
+def _planner_warm_stall_ms(b):
+    """Wall time of the warm-started, stall-exiting horizon at 1 thread
+    (the least noisy point, and always present)."""
     for r in b["runs"]:
-        prev = runs.get(r["mode"])
-        if prev is None or r["threads"] < prev["threads"]:
-            runs[r["mode"]] = r
-    cold = runs["cold"]["wall_ms"]
-    warm = runs["warm_stall"]["wall_ms"]
-    if warm <= 0:
-        raise ValueError("warm_stall wall_ms is zero")
-    return cold / warm
+        if r["mode"] == "warm_stall" and r["threads"] == 1:
+            return r["wall_ms"]
+    raise ValueError("no 1-thread warm_stall run")
 
 
 def load(path):
@@ -101,13 +93,13 @@ def compare(baseline_path, fresh_path, threshold):
         return True
 
     if name == "fleet_scale":
-        # Wall-clock speedup is meaningless without real parallelism;
-        # hosts below 4 hardware threads skip the comparison the same
-        # way the bench itself skips its scaling gate.
+        # A 4-thread throughput means nothing without 4 real threads;
+        # such hosts skip the comparison the same way the bench itself
+        # skips its scaling gate.
         hw = min(baseline.get("hardware_threads", 0),
                  fresh.get("hardware_threads", 0))
         if hw < 4:
-            print(f"[SKIP] {name}: speedup headline needs >= 4 hardware "
+            print(f"[SKIP] {name}: 4-thread headline needs >= 4 hardware "
                   f"threads (have {hw}) — not comparable")
             return True
 
@@ -117,14 +109,10 @@ def compare(baseline_path, fresh_path, threshold):
     if higher_is_better:
         # Regression = fresh dropped below (1 - threshold) x baseline.
         regressed = fresh_v < base_v * (1.0 - threshold)
-        change = (fresh_v - base_v) / base_v if base_v else 0.0
     else:
-        # Lower-is-better metrics regress upward. An overhead baseline
-        # near zero makes a pure ratio hypersensitive, so allow the
-        # larger of the relative threshold and one absolute point.
-        allowance = max(abs(base_v) * threshold, 1.0)
-        regressed = fresh_v > base_v + allowance
-        change = (fresh_v - base_v) / base_v if base_v else 0.0
+        # Lower-is-better metrics regress upward.
+        regressed = fresh_v > base_v * (1.0 + threshold)
+    change = (fresh_v - base_v) / base_v if base_v else 0.0
 
     verdict = "REGRESSED" if regressed else "ok"
     print(f"[{verdict}] {name}: {desc}")

@@ -24,11 +24,11 @@
 #include "core/flow_builder.h"
 #include "core/monitor.h"
 #include "core/resource_share.h"
+#include "exec/thread_pool.h"
 #include "fleet/fleet_manager.h"
 #include "obs/health/health_monitor.h"
 #include "obs/telemetry.h"
 #include "tools/flag_parser.h"
-#include "tools/replay_runner.h"
 #include "workload/trace_io.h"
 
 using namespace flower;
@@ -50,8 +50,9 @@ Flags (all optional):
   --reference=PCT       target utilization, all layers           [60]
   --monitoring-period=S control period, seconds                  [120]
   --seed=N              RNG seed                                 [42]
-  --threads=N           NSGA-II planner worker threads (0 = all cores);
-                        the planned shares are bit-identical at any N  [1]
+  --threads=N           NSGA-II planner worker threads (0 = all cores, at
+                        most 256); the planned shares are bit-identical at
+                        any N                                      [1]
   --warm-start          seed the instrumented planner pass's second period
                         from the first period's final population (runs the
                         pass twice; needs an observation flag)
@@ -81,12 +82,9 @@ Fleet mode (multi-tenant, replaces the single-flow run):
   --fleet-tenants=N     number of tenant flows                   [16]
   --fleet-budget=USD    fleet-wide hourly dollar budget          [100]
   --fleet-period=S      arbitration period, seconds              [900]
-  --fleet-threads=N     simulation partitions advanced in parallel; the
-                        merged control decisions are identical at any N  [1]
-  --fleet-sweep=MODE    'worksteal' (default): partitions advance to their
-                        own arbitration boundaries over a work-stealing
-                        scheduler; 'lockstep': legacy barrier sweep
-                        (homogeneous fleets only)
+  --fleet-threads=N     simulation partitions advanced in parallel (at most
+                        256); the merged control decisions are identical
+                        at any N                                   [1]
   --fleet-tenant-period-jitter  spread tenant arbitration horizons over
                         period/{1,2,3,4} deterministically (by --seed), so
                         boundaries only partially overlap — the regime the
@@ -97,23 +95,13 @@ Fleet mode (multi-tenant, replaces the single-flow run):
   --fleet-capture-dir=DIR  arm every partition's flight recorder with
                         burn-rate SLO health triggers; an alert edge dumps
                         a self-contained capture bundle <tenant>.json
-                        into DIR (created if missing)
+                        into DIR (created if missing); flower-replay
+                        replays it
   --fleet-fault         inject a deterministic sensor-spike fault (+200 on
                         sensed analytics utilization from t=300s) into
                         tenant 0, so a capture-armed fleet run reliably
                         trips an alert
   --hours / --seed also apply in fleet mode.
-
-Postmortem replay (replaces the single-flow and fleet runs):
-  --replay=FILE.json    reconstruct a capture bundle's tenant as a solo
-                        partition, re-run it to the trigger time with full
-                        telemetry forced on, and check the replayed
-                        decision chain against the recording (exit 2 on
-                        divergence). Honors --threads, --trace-out,
-                        --metrics-out, --health-out, --decisions-out,
-                        --quiet.
-  --decisions-out=FILE  (replay mode) write the canonical control-decision
-                        digest text
 )";
 
 /// Installs the simulation clock as the log-line time source for the
@@ -299,32 +287,27 @@ int RunFleet(const tools::FlagParser& flags) {
     std::cerr << "bad numeric flag\n";
     return 2;
   }
-  if (*tenants_or < 1 || *threads_or < 1 || *budget_or <= 0.0 ||
-      *period_or <= 0.0) {
-    std::cerr << "--fleet-tenants/--fleet-threads expect positive integers; "
-                 "--fleet-budget/--fleet-period expect positive numbers\n";
+  if (*tenants_or < 1 || *threads_or < 1 ||
+      *threads_or > static_cast<int64_t>(exec::kMaxThreads) ||
+      *budget_or <= 0.0 || *period_or <= 0.0) {
+    std::cerr << "--fleet-tenants expects a positive integer, "
+                 "--fleet-threads an integer in [1, "
+              << exec::kMaxThreads
+              << "]; --fleet-budget/--fleet-period expect positive numbers\n";
     return 2;
   }
 
   std::string report_out = flags.GetString("fleet-report-out", "");
   std::string capture_dir = flags.GetString("fleet-capture-dir", "");
-  std::string sweep = flags.GetString("fleet-sweep", "worksteal");
-  if (sweep != "worksteal" && sweep != "lockstep") {
-    std::cerr << "--fleet-sweep must be 'worksteal' or 'lockstep'\n";
-    return 2;
-  }
 
   fleet::FleetConfig config;
-  config.sweep_mode = sweep == "lockstep"
-                          ? fleet::FleetConfig::SweepMode::kLockStep
-                          : fleet::FleetConfig::SweepMode::kWorkStealing;
   config.fleet_budget_usd_per_hour = *budget_or;
   config.arbitration_period_sec = *period_or;
   config.num_threads = static_cast<size_t>(*threads_or);
   if (!capture_dir.empty()) {
     config.partition.capture.enabled = true;
     config.partition.capture.health_trigger = true;
-    config.bundle_dir = capture_dir;
+    config.partition.capture.bundle_dir = capture_dir;
   }
   fleet::FleetManager manager(config);
   std::vector<fleet::TenantConfig> tenants = fleet::MakeTenantFleet(
@@ -389,7 +372,7 @@ int RunFleet(const tools::FlagParser& flags) {
             << (flags.GetBool("fleet-tenant-period-jitter")
                     ? " (jittered per tenant)"
                     : "")
-            << ", " << *threads_or << " thread(s), " << sweep << " sweep\n";
+            << ", " << *threads_or << " thread(s)\n";
   table.Print(std::cout);
   // Sweep stats are schedule observables (steals and parks vary run to
   // run at >1 thread), so they go to stderr with the other noise —
@@ -467,8 +450,10 @@ int RunOrDie(const tools::FlagParser& flags) {
   }
 
   auto threads_or = flags.GetInt("threads", 1);
-  if (!threads_or.ok() || *threads_or < 0) {
-    std::cerr << "--threads expects a non-negative integer\n";
+  if (!threads_or.ok() || *threads_or < 0 ||
+      *threads_or > static_cast<int64_t>(exec::kMaxThreads)) {
+    std::cerr << "--threads expects an integer in [0, " << exec::kMaxThreads
+              << "]\n";
     return 2;
   }
   auto stall_or = flags.GetInt("stall-generations", 0);
@@ -744,29 +729,12 @@ int main(int argc, char** argv) {
        "seeds", "threads", "warm-start", "stall-generations", "csv-out",
        "trace-out", "metrics-out", "health-out",
        "openmetrics-out", "quiet", "help", "fleet", "fleet-tenants",
-       "fleet-budget", "fleet-period", "fleet-threads", "fleet-sweep",
+       "fleet-budget", "fleet-period", "fleet-threads",
        "fleet-tenant-period-jitter", "fleet-report-out",
-       "fleet-capture-dir", "fleet-fault", "replay", "decisions-out"});
+       "fleet-capture-dir", "fleet-fault"});
   if (!unknown.empty()) {
     std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
     return 2;
-  }
-  std::string replay_path = flags->GetString("replay", "");
-  if (!replay_path.empty()) {
-    auto threads = flags->GetInt("threads", 1);
-    if (!threads.ok() || *threads < 1) {
-      std::cerr << "--threads expects a positive integer\n";
-      return 2;
-    }
-    tools::ReplayCliOptions options;
-    options.bundle_path = replay_path;
-    options.threads = static_cast<size_t>(*threads);
-    options.trace_out = flags->GetString("trace-out", "");
-    options.metrics_out = flags->GetString("metrics-out", "");
-    options.health_out = flags->GetString("health-out", "");
-    options.decisions_out = flags->GetString("decisions-out", "");
-    options.quiet = flags->GetBool("quiet");
-    return tools::RunReplayCli(options);
   }
   // Every run mode simulates --hours: a non-finite horizon never ends,
   // and a zero one leaves nothing to report.
