@@ -154,11 +154,20 @@ Result<Curve> RunCurve(const std::vector<size_t>& thread_counts, size_t flows,
 
 struct RecorderOverhead {
   size_t flows = 0;
-  double wall_ms_off = 0.0;
-  double wall_ms_on = 0.0;
+  int reps = 0;
+  double wall_ms_off = 0.0;  ///< Best of reps.
+  double wall_ms_on = 0.0;   ///< Best of reps.
+  double iqr_ms_off = 0.0;   ///< Interquartile range over reps.
+  double iqr_ms_on = 0.0;
   double overhead_pct = 0.0;
   bool digest_identical = false;
 };
+
+/// Interquartile range (nearest-rank quartiles) of `v`.
+double Iqr(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[(3 * (v.size() - 1) + 2) / 4] - v[(v.size() - 1) / 4];
+}
 
 /// One JSON row per thread count, each line prefixed by `indent`.
 void WriteScalingRows(std::FILE* fp, const Curve& curve, const char* indent) {
@@ -199,10 +208,12 @@ void WriteJson(std::FILE* fp, bool smoke, size_t flows, double horizon_sec,
   std::fprintf(fp, "    \"determinism\": \"%s\"\n  },\n",
                hetero.deterministic ? "identical" : "DIVERGED");
   std::fprintf(fp,
-               "  \"recorder\": {\"flows\": %zu, \"wall_ms_off\": %.1f, "
-               "\"wall_ms_on\": %.1f, \"overhead_pct\": %.2f, "
-               "\"digest_identical\": %s},\n",
-               rec.flows, rec.wall_ms_off, rec.wall_ms_on, rec.overhead_pct,
+               "  \"recorder\": {\"flows\": %zu, \"reps\": %d, "
+               "\"wall_ms_off\": %.1f, \"wall_ms_on\": %.1f, "
+               "\"iqr_ms_off\": %.1f, \"iqr_ms_on\": %.1f, "
+               "\"overhead_pct\": %.2f, \"digest_identical\": %s},\n",
+               rec.flows, rec.reps, rec.wall_ms_off, rec.wall_ms_on,
+               rec.iqr_ms_off, rec.iqr_ms_on, rec.overhead_pct,
                rec.digest_identical ? "true" : "false");
   std::fprintf(fp, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
@@ -255,45 +266,49 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
             << "x (" << hw << " hardware threads available)\n";
 
   // Flight-recorder overhead: the same fleet at 1 thread, capture armed
-  // vs off, interleaved. The recorder's true per-decision cost is ~1 us
+  // vs off, in pairs whose order alternates so neither side always runs
+  // on a warmer cache. The recorder's true per-decision cost is ~1 us
   // (one snprintf + FNV mix), well under 1% of a control step; best-of-N
   // walls damp the scheduler noise that would otherwise dominate the
-  // gate on small shared runners. The control digest must be
+  // gate on small shared runners, and each side's IQR is reported so a
+  // reader can tell noise from overhead. The control digest must be
   // byte-identical — recording must never perturb control.
   RecorderOverhead rec;
   rec.flows = smoke ? 32 : 256;
+  rec.reps = smoke ? 2 : 10;
   {
     const double rec_horizon = smoke ? 900.0 : 1800.0;
-    const int reps = smoke ? 2 : 4;
-    std::string digest_off;
-    std::string digest_on;
-    rec.wall_ms_off = 1e300;
-    rec.wall_ms_on = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      auto off = RunFleet(1, rec.flows, rec_horizon, /*capture=*/false);
-      if (!off.ok()) {
-        std::cerr << "recorder-off fleet run failed: " << off.status() << "\n";
-        return 1;
+    std::string digest[2];  // [capture off, capture on]
+    std::vector<double> walls[2];
+    for (int rep = 0; rep < rec.reps; ++rep) {
+      for (int k = 0; k < 2; ++k) {
+        const bool capture = (k + rep) % 2 == 1;
+        auto run = RunFleet(1, rec.flows, rec_horizon, capture);
+        if (!run.ok()) {
+          std::cerr << "recorder-" << (capture ? "on" : "off")
+                    << " fleet run failed: " << run.status() << "\n";
+          return 1;
+        }
+        walls[capture].push_back(run->wall_ms);
+        digest[capture] = std::move(run->digest);
       }
-      rec.wall_ms_off = std::min(rec.wall_ms_off, off->wall_ms);
-      digest_off = std::move(off->digest);
-      auto on = RunFleet(1, rec.flows, rec_horizon, /*capture=*/true);
-      if (!on.ok()) {
-        std::cerr << "recorder-on fleet run failed: " << on.status() << "\n";
-        return 1;
-      }
-      rec.wall_ms_on = std::min(rec.wall_ms_on, on->wall_ms);
-      digest_on = std::move(on->digest);
     }
+    rec.wall_ms_off = *std::min_element(walls[0].begin(), walls[0].end());
+    rec.wall_ms_on = *std::min_element(walls[1].begin(), walls[1].end());
+    rec.iqr_ms_off = Iqr(walls[0]);
+    rec.iqr_ms_on = Iqr(walls[1]);
     rec.overhead_pct =
         rec.wall_ms_off > 0.0
             ? 100.0 * (rec.wall_ms_on - rec.wall_ms_off) / rec.wall_ms_off
             : 0.0;
-    rec.digest_identical = digest_off == digest_on;
-    std::cout << "\n  flight recorder: " << rec.flows << " flows, capture off "
-              << TablePrinter::Num(rec.wall_ms_off, 1) << " ms vs on "
-              << TablePrinter::Num(rec.wall_ms_on, 1) << " ms ("
-              << TablePrinter::Num(rec.overhead_pct, 2) << "% overhead), "
+    rec.digest_identical = digest[0] == digest[1];
+    std::cout << "\n  flight recorder: " << rec.flows << " flows, best of "
+              << rec.reps << " alternating pairs: capture off "
+              << TablePrinter::Num(rec.wall_ms_off, 1) << " ms (IQR "
+              << TablePrinter::Num(rec.iqr_ms_off, 1) << ") vs on "
+              << TablePrinter::Num(rec.wall_ms_on, 1) << " ms (IQR "
+              << TablePrinter::Num(rec.iqr_ms_on, 1) << "), "
+              << TablePrinter::Num(rec.overhead_pct, 2) << "% overhead, "
               << "digest " << (rec.digest_identical ? "identical" : "DIVERGED")
               << "\n";
   }

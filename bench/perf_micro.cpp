@@ -533,15 +533,15 @@ bool BudgetMailboxHotPathIsAllocationFree() {
 // per task in steady state. A chain of N tasks (each spawning the next)
 // keeps exactly one entry in the deque, so after the first push warms
 // the deque's capacity every pop/execute/spawn cycle is pure pointer
-// work. Comparing a long chain against a short one cancels the per-
-// sweep setup cost (sweep state, deque array): the difference must be
-// zero or the fleet's per-boundary task churn would allocate O(events).
+// work. Comparing a long chain against a short one cancels any per-
+// sweep setup cost: the difference must be zero or the fleet's
+// per-boundary task churn would allocate O(events).
 bool TaskSweepSteadyStateIsAllocationFree() {
   exec::ThreadPool pool(1);  // Inline: deterministic, no worker wakeups.
   auto run_chain = [&pool](uint64_t length) -> uint64_t {
     uint64_t before = g_allocations.load(std::memory_order_relaxed);
     Status s = pool.RunTasks(
-        {0},
+        1,
         [length](uint64_t id, exec::ThreadPool::TaskContext& ctx) {
           if (id + 1 < length) ctx.Spawn(id + 1);
           return Status::OK();

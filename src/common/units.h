@@ -24,6 +24,14 @@ constexpr int64_t kKinesisShardWriteBytesPerSec = 1 * kMiB;
 constexpr int64_t kKinesisShardReadBytesPerSec = 2 * kMiB;
 constexpr double kKinesisShardReadCallsPerSec = 5.0;
 
+/// Ceiling on a flow's peak offered rate, per shard its stream may
+/// scale to: ten times the write limit. Past the limit every record is
+/// throttled at PutRecord, so a higher rate adds only rejected work
+/// (perf_micro's overload guard offers 10x), while an unbounded one
+/// (1e300 records/s) never finishes generating its first tick.
+constexpr double kMaxOfferedRecordsPerSecPerShard =
+    10.0 * kKinesisShardWriteRecordsPerSec;
+
 /// DynamoDB capacity-unit contract: one WCU = one 1 KiB write/s,
 /// one RCU = one strongly consistent 4 KiB read/s.
 constexpr int64_t kDynamoWcuBytes = 1 * kKiB;

@@ -315,12 +315,12 @@ Result<std::vector<WindowPlan>> WindowedShareAnalyzer::PlanHorizon(
   // gives near-linear speedup (each window is one full solver run).
   std::vector<WindowPlan> plans(pending.size());
   exec::ThreadPool pool(num_threads_);
-  FLOWER_RETURN_NOT_OK(pool.ParallelFor(
-      0, pending.size(), 1, [&](size_t i) -> Status {
-        Result<WindowPlan> plan =
-            PlanWindow(pending[i].start, pending[i].end, pending[i].peak);
-        if (!plan.ok()) return plan.status();
-        plans[i] = std::move(*plan);
+  FLOWER_RETURN_NOT_OK(pool.RunTasks(
+      pending.size(),
+      [&](uint64_t i, exec::ThreadPool::TaskContext&) -> Status {
+        FLOWER_ASSIGN_OR_RETURN(
+            plans[i],
+            PlanWindow(pending[i].start, pending[i].end, pending[i].peak));
         return Status::OK();
       }));
   return plans;

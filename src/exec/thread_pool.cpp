@@ -1,65 +1,45 @@
 #include "exec/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 
 #include "common/vec_deque.h"
 
 namespace flower::exec {
 
-/// One ParallelFor invocation. Lives on the calling thread's stack;
+/// One thread's FIFO deque of spawned tasks, with its own lock. Spawned
+/// tasks are coarse (a resumed partition segment), so a mutex per deque
+/// costs nothing measurable and keeps the stealing path TSan-obvious.
+/// Every sweep leaves the deques empty, and their capacity carries over
+/// to the next one.
+struct ThreadPool::WorkerDeque {
+  std::mutex mu;
+  VecDeque<uint64_t> q;
+};
+
+/// One RunTasks invocation. Lives on the calling thread's stack;
 /// workers may only touch it between joining (under mu_) and checking
 /// out (under mu_), which is what lets the caller wait for
 /// `workers_running_ == 0` before the Sweep goes out of scope.
 struct ThreadPool::Sweep {
-  size_t end = 0;
-  size_t grain = 1;
-  const std::function<Status(size_t)>* body = nullptr;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  Status first_error;  // Written only by the thread that wins `failed`.
-};
-
-/// One RunTasks invocation. Same stack-lifetime discipline as Sweep:
-/// workers only touch it between joining and checking out under mu_.
-struct ThreadPool::TaskSweep {
-  /// One FIFO deque per thread (slot 0 = the RunTasks caller), each
-  /// with its own lock. Tasks are coarse (a partition segment, not an
-  /// index), so a mutex per deque costs nothing measurable and keeps
-  /// the stealing path TSan-obvious.
-  struct WorkerDeque {
-    std::mutex mu;
-    VecDeque<uint64_t> q;
-  };
-
-  std::unique_ptr<WorkerDeque[]> deques;
+  ThreadPool* pool = nullptr;
+  WorkerDeque* deques = nullptr;
   size_t num_deques = 0;
   const TaskBody* body = nullptr;
-  /// Queued + running tasks. Spawn increments *before* pushing so the
-  /// count never transiently hits zero while work exists; the decrement
-  /// that lands on zero is the sweep-over signal.
-  std::atomic<uint64_t> live{0};
+  /// Seeds never touch the deques: every thread claims them in id order
+  /// from `next_seed`, so a sweep without Spawn costs one atomic add per
+  /// task, like a chunked parallel-for.
+  uint64_t num_seeds = 0;
+  std::atomic<uint64_t> next_seed{0};
+  /// The caller asked for TaskStats: only then are the schedule
+  /// counters kept and task bodies timed.
+  bool counted = false;
   std::atomic<uint64_t> executed{0};
   std::atomic<uint64_t> spawned{0};
   std::atomic<uint64_t> steals{0};
   std::atomic<uint64_t> busy_ns{0};
   std::atomic<bool> failed{false};
   Status first_error;  // Written only by the thread that wins `failed`.
-  /// Idle coordination: a worker that finds every deque empty sleeps
-  /// until the epoch moves (new work pushed, or live reached zero).
-  std::mutex idle_mu;
-  std::condition_variable idle_cv;
-  uint64_t work_epoch = 0;  // Guarded by idle_mu.
-
-  void BumpEpoch() {
-    {
-      std::lock_guard<std::mutex> lock(idle_mu);
-      ++work_epoch;
-    }
-    idle_cv.notify_all();
-  }
 };
 
 Status CheckThreadCount(size_t num_threads, const std::string& what) {
@@ -70,14 +50,25 @@ Status CheckThreadCount(size_t num_threads, const std::string& what) {
 }
 
 void ThreadPool::TaskContext::Spawn(uint64_t id) {
-  sweep_->live.fetch_add(1, std::memory_order_acq_rel);
-  sweep_->spawned.fetch_add(1, std::memory_order_relaxed);
+  if (sweep_->counted) {
+    sweep_->spawned.fetch_add(1, std::memory_order_relaxed);
+  }
   {
-    TaskSweep::WorkerDeque& d = sweep_->deques[worker_];
+    WorkerDeque& d = sweep_->deques[worker_];
     std::lock_guard<std::mutex> lock(d.mu);
     d.q.push_back(id);
   }
-  if (sweep_->num_deques > 1) sweep_->BumpEpoch();
+  if (sweep_->num_deques == 1) return;
+  // Move the epoch so checked-out workers (and a waiting caller) come
+  // back to steal the new task. The spawning thread drains its own
+  // deque before it checks out, so the task never depends on them.
+  ThreadPool* pool = sweep_->pool;
+  {
+    std::lock_guard<std::mutex> lock(pool->mu_);
+    ++pool->epoch_;
+  }
+  pool->work_cv_.notify_all();
+  pool->done_cv_.notify_one();
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -85,6 +76,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
     unsigned hw = std::thread::hardware_concurrency();
     num_threads = hw == 0 ? 1 : hw;
   }
+  deques_ = std::make_unique<WorkerDeque[]>(num_threads);
   workers_.reserve(num_threads - 1);
   for (size_t i = 0; i + 1 < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
@@ -100,97 +92,50 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::RunChunks(Sweep* sweep) {
-  for (;;) {
-    size_t lo = sweep->next.fetch_add(sweep->grain, std::memory_order_relaxed);
-    if (lo >= sweep->end) return;
-    size_t hi = std::min(lo + sweep->grain, sweep->end);
-    // First error wins: once a failure is recorded the remaining chunks
-    // are claimed (so the sweep terminates) but never executed.
-    if (sweep->failed.load(std::memory_order_acquire)) continue;
-    for (size_t i = lo; i < hi; ++i) {
-      Status st = (*sweep->body)(i);
-      if (!st.ok()) {
-        bool expected = false;
-        if (sweep->failed.compare_exchange_strong(
-                expected, true, std::memory_order_acq_rel)) {
-          sweep->first_error = std::move(st);
-        }
-        break;
-      }
-    }
-  }
-}
-
-void ThreadPool::RunTaskLoop(TaskSweep* sweep, size_t self) {
+void ThreadPool::RunTaskLoop(Sweep* sweep, size_t self) {
   TaskContext ctx(sweep, self);
-  size_t n = sweep->num_deques;
+  const size_t n = sweep->num_deques;
   for (;;) {
-    uint64_t id = 0;
-    bool got = false;
+    // Seeds first, then spawned work: the own deque, then the others'.
+    uint64_t id = sweep->num_seeds;
+    if (sweep->next_seed.load(std::memory_order_relaxed) < sweep->num_seeds) {
+      id = sweep->next_seed.fetch_add(1, std::memory_order_relaxed);
+    }
+    bool got = id < sweep->num_seeds;
     bool stolen = false;
-    {
-      TaskSweep::WorkerDeque& d = sweep->deques[self];
+    for (size_t k = 0; k < n && !got; ++k) {
+      WorkerDeque& d = sweep->deques[(self + k) % n];
       std::lock_guard<std::mutex> lock(d.mu);
       if (!d.q.empty()) {
         id = d.q.front();
         d.q.pop_front();
         got = true;
+        stolen = k > 0;
       }
     }
-    for (size_t k = 1; k < n && !got; ++k) {
-      TaskSweep::WorkerDeque& d = sweep->deques[(self + k) % n];
-      std::lock_guard<std::mutex> lock(d.mu);
-      if (!d.q.empty()) {
-        id = d.q.front();
-        d.q.pop_front();
-        got = true;
-        stolen = true;
-      }
-    }
-    if (got) {
+    if (!got) return;
+    // First error wins: claimed tasks are drained unexecuted once a
+    // failure is recorded.
+    if (sweep->failed.load(std::memory_order_acquire)) continue;
+    std::chrono::steady_clock::time_point t0;
+    if (sweep->counted) t0 = std::chrono::steady_clock::now();
+    Status st = (*sweep->body)(id, ctx);
+    if (sweep->counted) {
+      sweep->busy_ns.fetch_add(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count(),
+          std::memory_order_relaxed);
+      sweep->executed.fetch_add(1, std::memory_order_relaxed);
       if (stolen) sweep->steals.fetch_add(1, std::memory_order_relaxed);
-      // First error wins: claimed tasks are drained unexecuted once a
-      // failure is recorded (mirrors ParallelFor's chunk drain).
-      if (!sweep->failed.load(std::memory_order_acquire)) {
-        auto t0 = std::chrono::steady_clock::now();
-        Status st = (*sweep->body)(id, ctx);
-        auto t1 = std::chrono::steady_clock::now();
-        sweep->busy_ns.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count(),
-            std::memory_order_relaxed);
-        sweep->executed.fetch_add(1, std::memory_order_relaxed);
-        if (!st.ok()) {
-          bool expected = false;
-          if (sweep->failed.compare_exchange_strong(
-                  expected, true, std::memory_order_acq_rel)) {
-            sweep->first_error = std::move(st);
-          }
-        }
+    }
+    if (!st.ok()) {
+      bool expected = false;
+      if (sweep->failed.compare_exchange_strong(expected, true,
+                                                std::memory_order_acq_rel)) {
+        sweep->first_error = std::move(st);
       }
-      if (sweep->live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        sweep->BumpEpoch();  // Sweep over: wake sleepers so they exit.
-      }
-      continue;
     }
-    // Nothing anywhere. Snapshot the epoch *before* deciding to sleep:
-    // a push that lands after the (failed) scan above bumps the epoch,
-    // so the wait below returns immediately instead of missing it.
-    uint64_t epoch;
-    {
-      std::lock_guard<std::mutex> lock(sweep->idle_mu);
-      epoch = sweep->work_epoch;
-    }
-    if (sweep->live.load(std::memory_order_acquire) == 0) return;
-    {
-      std::unique_lock<std::mutex> lock(sweep->idle_mu);
-      sweep->idle_cv.wait(lock, [&] {
-        return sweep->work_epoch != epoch ||
-               sweep->live.load(std::memory_order_acquire) == 0;
-      });
-    }
-    if (sweep->live.load(std::memory_order_acquire) == 0) return;
   }
 }
 
@@ -198,97 +143,68 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   uint64_t seen = 0;
   for (;;) {
     Sweep* sweep = nullptr;
-    TaskSweep* task_sweep = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return shutdown_ ||
-               ((sweep_ != nullptr || task_sweep_ != nullptr) &&
-                sweep_id_ != seen);
+        return shutdown_ || (sweep_ != nullptr && epoch_ != seen);
       });
       if (shutdown_) return;
-      seen = sweep_id_;
+      seen = epoch_;
       sweep = sweep_;
-      task_sweep = task_sweep_;
       ++workers_running_;
     }
-    if (sweep != nullptr) {
-      RunChunks(sweep);
-    } else {
-      RunTaskLoop(task_sweep, worker_index);
-    }
+    // Runs until the seeds are claimed and every deque is empty, then
+    // checks out and parks until a Spawn or the next sweep moves the
+    // epoch: an idle worker never holds up the end of a sweep.
+    RunTaskLoop(sweep, worker_index);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--workers_running_ == 0) done_cv_.notify_all();
+      if (--workers_running_ != 0) continue;
     }
+    done_cv_.notify_one();
   }
 }
 
-Status ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
-                               const std::function<Status(size_t)>& body) {
-  if (end <= begin) return Status::OK();
-  if (grain == 0) grain = 1;
-  // Nothing to fan out: run inline, stopping at the first error (the
-  // remaining indices are the "drained" work).
-  if (workers_.empty() || end - begin <= grain) {
-    for (size_t i = begin; i < end; ++i) {
-      FLOWER_RETURN_NOT_OK(body(i));
-    }
-    return Status::OK();
-  }
+Status ThreadPool::RunTasks(uint64_t num_tasks, const TaskBody& body,
+                            TaskStats* stats) {
+  if (stats != nullptr) *stats = TaskStats{};
+  if (num_tasks == 0) return Status::OK();
 
   Sweep sweep;
-  sweep.end = end;
-  sweep.grain = grain;
+  sweep.pool = this;
+  sweep.deques = deques_.get();
+  sweep.num_deques = num_threads();
   sweep.body = &body;
-  sweep.next.store(begin, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sweep_ = &sweep;
-    ++sweep_id_;
-  }
-  work_cv_.notify_all();
-  RunChunks(&sweep);  // The calling thread participates.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // No worker may join once sweep_ is retracted; wait out the ones
-    // already inside before the Sweep leaves scope.
-    sweep_ = nullptr;
-    done_cv_.wait(lock, [this] { return workers_running_ == 0; });
-  }
-  return sweep.first_error;
-}
+  sweep.counted = stats != nullptr;
+  sweep.num_seeds = num_tasks;
 
-Status ThreadPool::RunTasks(const std::vector<uint64_t>& seeds,
-                            const TaskBody& body, TaskStats* stats) {
-  if (stats != nullptr) *stats = TaskStats{};
-  if (seeds.empty()) return Status::OK();
-
-  TaskSweep sweep;
-  sweep.num_deques = workers_.size() + 1;
-  sweep.deques =
-      std::make_unique<TaskSweep::WorkerDeque[]>(sweep.num_deques);
-  sweep.body = &body;
-  // Seed round-robin so the initial work is spread before any stealing
-  // has to happen; live covers every seed up front.
-  sweep.live.store(seeds.size(), std::memory_order_relaxed);
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    sweep.deques[i % sweep.num_deques].q.push_back(seeds[i]);
-  }
-
-  if (!workers_.empty()) {
+  if (workers_.empty()) {
+    RunTaskLoop(&sweep, 0);  // Inline: FIFO on the calling thread.
+  } else {
+    uint64_t seen;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      task_sweep_ = &sweep;
-      ++sweep_id_;
+      sweep_ = &sweep;
+      seen = ++epoch_;
     }
     work_cv_.notify_all();
-  }
-  RunTaskLoop(&sweep, 0);  // The calling thread participates as slot 0.
-  if (!workers_.empty()) {
+    // The calling thread participates as slot 0, re-entering whenever a
+    // Spawn moves the epoch. Every thread leaves only with the seeds
+    // claimed and the deques drained, so once the caller is out and no
+    // worker is in, no task is queued or running: the sweep is over.
+    // sweep_ is retracted under the same lock, so no worker can join it
+    // after that.
     std::unique_lock<std::mutex> lock(mu_);
-    task_sweep_ = nullptr;
-    done_cv_.wait(lock, [this] { return workers_running_ == 0; });
+    for (;;) {
+      lock.unlock();
+      RunTaskLoop(&sweep, 0);
+      lock.lock();
+      done_cv_.wait(lock,
+                    [&] { return workers_running_ == 0 || epoch_ != seen; });
+      if (workers_running_ == 0) break;
+      seen = epoch_;
+    }
+    sweep_ = nullptr;
   }
 
   if (stats != nullptr) {

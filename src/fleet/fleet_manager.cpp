@@ -462,11 +462,9 @@ Status FleetManager::RunFor(double horizon_sec) {
   auto t0 = std::chrono::steady_clock::now();
   SweepEngine engine(*this, now_, now_ + horizon_sec);
   FLOWER_RETURN_NOT_OK(engine.Build());
-  std::vector<uint64_t> seeds(partitions_.size());
-  for (size_t i = 0; i < seeds.size(); ++i) seeds[i] = i;
   exec::TaskStats ts;
   FLOWER_RETURN_NOT_OK(pool_->RunTasks(
-      seeds,
+      partitions_.size(),
       [&engine](uint64_t id, exec::ThreadPool::TaskContext& ctx) {
         return engine.TenantTask(id, ctx);
       },

@@ -161,12 +161,9 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   }
   rc.solver = config.flow_solver;
   // Partitions advance inside the fleet's work-stealing sweep; nested
-  // parallelism on another pool would oversubscribe, so per-flow solves
-  // default to single-threaded. Solo replays may raise this — the
-  // solver is thread-count-invariant, so decisions do not change.
-  rc.solver.num_threads = config.flow_solver_threads == 0
-                              ? 1
-                              : config.flow_solver_threads;
+  // parallelism on another pool would oversubscribe, and a 16-member
+  // re-plan gains nothing from threads, so per-flow solves run on one.
+  rc.solver.num_threads = 1;
   rc.solver.seed = tenant.seed;
   rc.incremental = config.flow_incremental;
   // Re-plans track the tenant's *own* arbitration cadence, so a tenant

@@ -81,12 +81,6 @@ struct PartitionConfig {
     inc.stall_generations = 3;
     return inc;
   }();
-  /// Threads for the per-flow NSGA-II solve (0 = 1, at most
-  /// exec::kMaxThreads). 1 inside fleet sweeps (nested parallelism
-  /// would oversubscribe the pool); replays of a solo partition may
-  /// raise it — the solver is thread-count-invariant, so the digest
-  /// does not change.
-  size_t flow_solver_threads = 1;
   /// Flight-recorder / postmortem capture.
   CaptureConfig capture;
 };

@@ -15,9 +15,9 @@ namespace flower::fleet {
 /// ordered (key, value) pairs — the flight recorder's config spec. Two
 /// runs with equal specs (and equal seed/faults/grants) produce the
 /// same control digest, so the spec deliberately EXCLUDES knobs that
-/// cannot change decisions: telemetry ring capacities, record_spans,
-/// and flow_solver_threads (the solver is thread-count-invariant).
-/// Replay overrides exactly those, so bundle fingerprints still match.
+/// cannot change decisions: telemetry ring capacities and
+/// record_spans. Replay overrides exactly those, so bundle fingerprints
+/// still match.
 std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
     const TenantConfig& tenant, const PartitionConfig& config);
 

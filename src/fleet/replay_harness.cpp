@@ -9,7 +9,7 @@
 namespace flower::fleet {
 
 Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
-    obs::replay::CaptureBundle bundle, const ReplayOptions& options) {
+    obs::replay::CaptureBundle bundle) {
   if (!bundle.trigger.fired) {
     return Status::InvalidArgument(
         "replay: bundle has no latched trigger (nothing to replay to)");
@@ -37,11 +37,9 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
 
   // Replay-rich overrides. None of these are part of the spec (or the
   // fingerprint): they change what is *observed*, never what is decided.
-  pc.decision_capacity = options.decision_capacity;
-  pc.span_capacity = options.span_capacity;
+  pc.decision_capacity = 65536;
+  pc.span_capacity = 1 << 16;
   pc.record_spans = true;
-  pc.flow_solver_threads =
-      options.flow_solver_threads == 0 ? 1 : options.flow_solver_threads;
   pc.capture.enabled = true;
   pc.capture.recorder = bundle.recorder;
   pc.capture.bundle_dir.clear();  // A replay never re-dumps.

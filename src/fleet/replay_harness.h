@@ -11,24 +11,14 @@
 
 namespace flower::fleet {
 
-/// Replay-side knobs. The capture is record-cheap; the replay is
-/// replay-rich: telemetry rings are forced large and span recording is
-/// forced on, so a postmortem sees everything the original fleet run
-/// had disabled for scale.
-struct ReplayOptions {
-  /// Threads for the solo flow's NSGA-II re-plans (0 = 1; Create
-  /// rejects more than exec::kMaxThreads). The solver is
-  /// thread-count-invariant, so any value reproduces the digest.
-  size_t flow_solver_threads = 1;
-  size_t decision_capacity = 65536;
-  size_t span_capacity = 1 << 16;
-};
-
 /// Reconstructs the tenant of a capture bundle as a solo FlowPartition
 /// and re-runs it to the trigger time, playing back the recorded
 /// arbiter grants at their original timestamps. The replayed flight
 /// recorder then carries a decision chain directly comparable to the
-/// bundle's — CompareReplay pins the first divergence if any.
+/// bundle's — CompareReplay pins the first divergence if any. The
+/// capture is record-cheap; the replay is replay-rich: telemetry rings
+/// are forced large and span recording is forced on, so a postmortem
+/// sees everything the original fleet run had disabled for scale.
 class ReplayHarness {
  public:
   /// Builds the solo partition from the bundle's config fingerprint
@@ -38,7 +28,7 @@ class ReplayHarness {
   /// capture) is a warning, not an error — the divergence checker will
   /// attribute it at decision granularity.
   static Result<std::unique_ptr<ReplayHarness>> Create(
-      obs::replay::CaptureBundle bundle, const ReplayOptions& options = {});
+      obs::replay::CaptureBundle bundle);
 
   /// Re-runs the partition to the recorded trigger time (inclusive),
   /// with grant playback events firing at their recorded timestamps.

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "exec/thread_pool.h"
+#include "common/units.h"
 #include "fleet/flow_partition.h"
 
 namespace flower::fleet {
@@ -71,6 +71,10 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
       {finite, "every value must be finite"},
       {t.base_rate_per_sec >= 0.0 && t.amplitude_per_sec >= 0.0,
        "rates must be >= 0"},
+      {t.base_rate_per_sec + t.amplitude_per_sec <=
+           kMaxOfferedRecordsPerSecPerShard * t.max_shards,
+       "peak rate (base + amplitude) must be <= 10x the stream's write "
+       "limit at max_shards"},
       {t.initial_budget_usd >= 0.0 && t.budget_weight >= 0.0,
        "initial_budget_usd and budget_weight must be >= 0"},
       {!periodic || t.period_sec > 0.0, "period_sec must be > 0"},
@@ -114,8 +118,7 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
   for (const auto& [ok, what] : rules) {
     if (!ok) return Status::InvalidArgument("tenant '" + t.id + "': " + what);
   }
-  return exec::CheckThreadCount(config.flow_solver_threads,
-                                "tenant '" + t.id + "': flow_solver_threads");
+  return Status::OK();
 }
 
 namespace {

@@ -86,16 +86,17 @@ struct TenantConfig {
 
 /// InvalidArgument unless a partition built under `config` can run
 /// `tenant`: an id without '/', finite values, rates, budget and weight
-/// >= 0, a diurnal/MMPP period > 0, 1 <= initial <= max shards and
-/// workers, 0 < initial_wcu <= max_wcu with max_wcu >= 5 (the storage
-/// floor), a reference in (0, 100), a monitoring period >= 1 s
-/// (CloudWatch's finest) and an arbitration period above the re-plan
-/// offset, so each re-plan lands in the window its grant opened. Of
-/// `config` (what a capture bundle carries): emit, Storm tick and
-/// health evaluation periods finite and >= 1 s, a finite horizon > 0,
-/// flow-solver population/generations, recorder capacities and
-/// checkpoint_every at most 64x the fleet default, and
-/// flow_solver_threads at most exec::kMaxThreads.
+/// >= 0, a peak rate (base + amplitude) within
+/// kMaxOfferedRecordsPerSecPerShard per max shard, a diurnal/MMPP
+/// period > 0, 1 <= initial <= max shards and workers, 0 < initial_wcu
+/// <= max_wcu with max_wcu >= 5 (the storage floor), a reference in
+/// (0, 100), a monitoring period >= 1 s (CloudWatch's finest) and an
+/// arbitration period above the re-plan offset, so each re-plan lands
+/// in the window its grant opened. Of `config` (what a capture bundle
+/// carries): emit, Storm tick and health evaluation periods finite and
+/// >= 1 s, a finite horizon > 0, flow-solver population/generations,
+/// recorder capacities and checkpoint_every at most 64x the fleet
+/// default.
 Status ValidateTenant(const TenantConfig& tenant,
                       const PartitionConfig& config);
 

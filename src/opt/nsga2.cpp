@@ -308,8 +308,29 @@ Result<Nsga2Result> Nsga2::Solve(const Problem& problem) const {
   // offspring pair — and all selection/reduction runs on this thread.
   // The Pareto front is therefore bit-identical at any thread count.
   exec::ThreadPool pool(config_.num_threads);
-  auto grain_for = [&](size_t items) {
-    return std::max<size_t>(1, items / (4 * pool.num_threads()));
+  // Both fan-outs are RunTasks sweeps over chunk ids: chunk c covers
+  // items [c * grain, min(items, (c + 1) * grain)), about four chunks
+  // per thread so stealing evens out unequal evaluation costs. The
+  // chunk body is built once, so a sweep allocates nothing.
+  struct {
+    size_t items = 0;
+    size_t grain = 1;
+    const std::function<Status(size_t)>* body = nullptr;
+  } fan;
+  const exec::ThreadPool::TaskBody chunk_body =
+      [&fan](uint64_t c, exec::ThreadPool::TaskContext&) -> Status {
+    const size_t hi = std::min(fan.items, (c + 1) * fan.grain);
+    for (size_t i = c * fan.grain; i < hi; ++i) {
+      FLOWER_RETURN_NOT_OK((*fan.body)(i));
+    }
+    return Status::OK();
+  };
+  auto fan_out = [&](size_t items,
+                     const std::function<Status(size_t)>& body) {
+    fan.items = items;
+    fan.grain = std::max<size_t>(1, items / (4 * pool.num_threads()));
+    fan.body = &body;
+    return pool.RunTasks((items + fan.grain - 1) / fan.grain, chunk_body);
   };
 
   // Persistent parent+offspring arena: parents live in [0, n), each
@@ -339,7 +360,7 @@ Result<Nsga2Result> Nsga2::Solve(const Problem& problem) const {
     EvaluateInPlace(problem, &sol);
     return Status::OK();
   };
-  FLOWER_RETURN_NOT_OK(pool.ParallelFor(0, n, grain_for(n), init_body));
+  FLOWER_RETURN_NOT_OK(fan_out(n, init_body));
   result.evaluations += n;
   internal::FastNonDominatedSort(arena.data(), n, &ws);
   for (size_t fi = 0; fi < ws.num_fronts(); ++fi) {
@@ -389,7 +410,7 @@ Result<Nsga2Result> Nsga2::Solve(const Problem& problem) const {
   size_t cur_gen = 0;
   // Offspring generation: tournament, crossover, mutation, and
   // evaluation fan out per pair; parents are read-only in the sweep and
-  // each task writes only its two offspring slots. The body is hoisted
+  // each pair writes only its two offspring slots. The body is hoisted
   // out of the loop so the per-generation dispatch reuses one
   // std::function (no per-generation closure allocation).
   std::function<Status(size_t)> offspring_body = [&](size_t p) -> Status {
@@ -424,8 +445,7 @@ Result<Nsga2Result> Nsga2::Solve(const Problem& problem) const {
   bool have_indicator = false;
   for (size_t gen = 0; gen < config_.generations; ++gen) {
     cur_gen = gen;
-    FLOWER_RETURN_NOT_OK(
-        pool.ParallelFor(0, pairs, grain_for(pairs), offspring_body));
+    FLOWER_RETURN_NOT_OK(fan_out(pairs, offspring_body));
     result.evaluations += n;
 
     // Environmental selection over parents + offspring: rank and crowd

@@ -1,6 +1,7 @@
 #include "workload/trace_io.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -48,6 +49,13 @@ Result<TimeSeries> LoadRateTraceCsv(const std::string& path) {
       if (line_no == 1) continue;  // Header row.
       return Status::InvalidArgument("LoadRateTraceCsv: non-numeric row " +
                                      std::to_string(line_no));
+    }
+    // A NaN or negative rate means nothing to the record generator, and
+    // a NaN or infinite time is never reached.
+    if (!std::isfinite(t) || !std::isfinite(v) || v < 0.0) {
+      return Status::InvalidArgument(
+          "LoadRateTraceCsv: row " + std::to_string(line_no) +
+          " needs a finite time and a finite rate >= 0");
     }
     Status st = out.Append(t, v);
     if (!st.ok()) {

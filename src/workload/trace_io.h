@@ -11,7 +11,8 @@ namespace flower::workload {
 /// Loads a rate trace from a CSV file with rows `time_sec,rate` (an
 /// optional non-numeric header row is skipped; blank lines ignored).
 /// Rows must be in non-decreasing time order. Errors: unreadable file,
-/// malformed rows, non-monotonic times, or no data rows.
+/// malformed rows, a non-finite time, a non-finite or negative rate,
+/// non-monotonic times, or no data rows.
 Result<TimeSeries> LoadRateTraceCsv(const std::string& path);
 
 /// Writes a series as `time_sec,rate` CSV (with a header). Errors:

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,136 +16,148 @@
 namespace flower::exec {
 namespace {
 
-TEST(ThreadPoolTest, EmptyRangeReturnsOkWithoutInvokingBody) {
-  ThreadPool pool(4);
-  int calls = 0;
-  Status s = pool.ParallelFor(0, 0, 1, [&](size_t) {
-    ++calls;
-    return Status::OK();
-  });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 0);
-
-  // begin == end in the middle of the index space is also empty.
-  s = pool.ParallelFor(7, 7, 3, [&](size_t) {
-    ++calls;
-    return Status::OK();
-  });
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 0);
+Status Count(std::atomic<size_t>* n) {
+  n->fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
-TEST(ThreadPoolTest, GrainLargerThanRangeRunsInlineOnCallingThread) {
-  ThreadPool pool(4);
-  std::thread::id caller = std::this_thread::get_id();
-  std::vector<size_t> seen;
-  Status s = pool.ParallelFor(2, 6, 100, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    seen.push_back(i);
-    return Status::OK();
-  });
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(seen, (std::vector<size_t>{2, 3, 4, 5}));
+TEST(ThreadPoolTest, EmptyRangeReturnsOkWithoutInvokingBody) {
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    std::atomic<size_t> calls{0};
+    TaskStats stats;
+    stats.executed = 99;
+    Status s = pool.RunTasks(
+        0, [&](uint64_t, ThreadPool::TaskContext&) { return Count(&calls); },
+        &stats);
+    EXPECT_TRUE(s.ok());
+    EXPECT_EQ(calls.load(), 0u) << threads << " thread(s)";
+    EXPECT_EQ(stats.executed, 0u) << threads << " thread(s)";
+  }
 }
 
 TEST(ThreadPoolTest, EveryIndexVisitedExactlyOnce) {
   ThreadPool pool(4);
-  constexpr size_t kN = 1000;
+  constexpr uint64_t kN = 1000;
   std::vector<std::atomic<int>> counts(kN);
-  Status s = pool.ParallelFor(0, kN, 7, [&](size_t i) {
-    counts[i].fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  });
+  TaskStats stats;
+  Status s = pool.RunTasks(
+      kN,
+      [&](uint64_t id, ThreadPool::TaskContext&) {
+        counts[id].fetch_add(1, std::memory_order_relaxed);
+        return Status::OK();
+      },
+      &stats);
   ASSERT_TRUE(s.ok());
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
+  for (uint64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
   }
-}
-
-TEST(ThreadPoolTest, GrainZeroIsTreatedAsOne) {
-  ThreadPool pool(2);
-  std::atomic<size_t> visited{0};
-  Status s = pool.ParallelFor(0, 10, 0, [&](size_t) {
-    visited.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  });
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(visited.load(), 10u);
+  EXPECT_EQ(stats.executed, kN);
+  EXPECT_EQ(stats.spawned, 0u);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolRunsInlineAndStopsAtFirstError) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
-  std::vector<size_t> seen;
-  Status s = pool.ParallelFor(0, 10, 1, [&](size_t i) -> Status {
-    seen.push_back(i);
-    if (i == 3) return Status::Internal("boom at 3");
-    return Status::OK();
-  });
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<uint64_t> seen;
+  Status s = pool.RunTasks(
+      10, [&](uint64_t id, ThreadPool::TaskContext&) -> Status {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        seen.push_back(id);
+        if (id == 3) return Status::Internal("boom at 3");
+        return Status::OK();
+      });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
-  // Inline execution is ordered, so nothing past the failing index runs.
-  EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3}));
+  // Inline execution is ordered, so nothing past the failing task runs.
+  EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPoolTest, ParallelErrorWinsAndDrainsRemainingChunks) {
+  // Each task stands for one chunk of a caller's items.
   ThreadPool pool(4);
-  constexpr size_t kN = 10000;
+  constexpr uint64_t kN = 10000;
   std::atomic<size_t> executed{0};
-  Status s = pool.ParallelFor(0, kN, 1, [&](size_t i) -> Status {
-    if (i == 17) return Status::InvalidArgument("bad index 17");
-    executed.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  });
+  Status s = pool.RunTasks(
+      kN, [&](uint64_t id, ThreadPool::TaskContext&) -> Status {
+        if (id == 17) return Status::InvalidArgument("bad chunk 17");
+        return Count(&executed);
+      });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   // Draining must skip at least some of the remaining work; with 10k
-  // one-index chunks and the failure at index 17 this is deterministic
-  // enough to assert a strict bound.
+  // tasks and the failure among the first few each worker claims this
+  // is deterministic enough to assert a strict bound.
   EXPECT_LT(executed.load(), kN);
 }
 
 TEST(ThreadPoolTest, FirstErrorIsReturnedWhenSeveralChunksFail) {
   ThreadPool pool(4);
-  Status s = pool.ParallelFor(0, 100, 1, [&](size_t i) -> Status {
-    return Status::Internal("fail " + std::to_string(i));
-  });
+  Status s = pool.RunTasks(
+      100, [&](uint64_t id, ThreadPool::TaskContext&) -> Status {
+        return Status::Internal("fail " + std::to_string(id));
+      });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
-  // Exactly one of the per-index messages survives — never a torn mix.
+  // Exactly one of the per-task messages survives — never a torn mix.
   EXPECT_NE(s.message().find("fail "), std::string::npos);
 }
 
 TEST(ThreadPoolTest, ZeroRequestsHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
+  std::atomic<size_t> ran{0};
+  ASSERT_TRUE(pool.RunTasks(64, [&](uint64_t, ThreadPool::TaskContext&) {
+                    return Count(&ran);
+                  }).ok());
+  EXPECT_EQ(ran.load(), 64u);
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAcrossSweeps) {
+  // Flat sweeps, spawning sweeps and sweeps with and without stats
+  // interleave on one pool without leaking state between them.
   ThreadPool pool(3);
   for (int sweep = 0; sweep < 20; ++sweep) {
     std::atomic<size_t> visited{0};
-    Status s = pool.ParallelFor(0, 64, 4, [&](size_t) {
-      visited.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
+    Status s = pool.RunTasks(64, [&](uint64_t, ThreadPool::TaskContext&) {
+      return Count(&visited);
     });
     ASSERT_TRUE(s.ok()) << "sweep " << sweep;
     ASSERT_EQ(visited.load(), 64u) << "sweep " << sweep;
+    std::atomic<size_t> ran{0};
+    TaskStats stats;
+    s = pool.RunTasks(
+        4,
+        [&](uint64_t id, ThreadPool::TaskContext& ctx) {
+          if (id < 4) ctx.Spawn(id + 4);
+          return Count(&ran);
+        },
+        &stats);
+    ASSERT_TRUE(s.ok()) << "sweep " << sweep;
+    ASSERT_EQ(ran.load(), 8u) << "sweep " << sweep;
+    ASSERT_EQ(stats.executed, 8u) << "sweep " << sweep;
+    ASSERT_EQ(stats.spawned, 4u) << "sweep " << sweep;
   }
 }
 
 TEST(ThreadPoolTest, ResultIndependentOfThreadCountAndGrain) {
   // A reduction whose per-index terms come from SubRng must not depend
-  // on how the sweep is chunked or how many workers run it.
+  // on how the caller chunks its items into tasks (grain items per
+  // task, as NSGA-II's fan-outs do) or how many workers run them.
   constexpr size_t kN = 257;  // Deliberately not a multiple of any grain.
   auto run = [](size_t threads, size_t grain) {
     ThreadPool pool(threads);
     std::vector<double> out(kN, 0.0);
-    Status s = pool.ParallelFor(0, kN, grain, [&](size_t i) {
-      Rng rng = SubRng(/*master_seed=*/42, /*stream=*/3, i);
-      out[i] = rng.Uniform();
-      return Status::OK();
-    });
+    Status s = pool.RunTasks(
+        (kN + grain - 1) / grain,
+        [&](uint64_t c, ThreadPool::TaskContext&) {
+          for (size_t i = c * grain; i < kN && i < (c + 1) * grain; ++i) {
+            Rng rng = SubRng(/*master_seed=*/42, /*stream=*/3, i);
+            out[i] = rng.Uniform();
+          }
+          return Status::OK();
+        });
     EXPECT_TRUE(s.ok());
     return out;
   };
@@ -153,59 +167,29 @@ TEST(ThreadPoolTest, ResultIndependentOfThreadCountAndGrain) {
   EXPECT_EQ(run(8, 64), baseline);
 }
 
-TEST(RunTasksTest, EmptySeedListReturnsOkWithoutInvokingBody) {
-  ThreadPool pool(4);
-  int calls = 0;
-  TaskStats stats;
-  Status s = pool.RunTasks({}, [&](uint64_t, ThreadPool::TaskContext&) {
-    ++calls;
-    return Status::OK();
-  }, &stats);
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 0);
-  EXPECT_EQ(stats.executed, 0u);
-}
-
-TEST(RunTasksTest, EverySeedExecutedExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr uint64_t kN = 500;
-  std::vector<uint64_t> seeds(kN);
-  for (uint64_t i = 0; i < kN; ++i) seeds[i] = i;
-  std::vector<std::atomic<int>> counts(kN);
-  TaskStats stats;
-  Status s = pool.RunTasks(seeds, [&](uint64_t id, ThreadPool::TaskContext&) {
-    counts[id].fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }, &stats);
-  ASSERT_TRUE(s.ok());
-  for (uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
-  }
-  EXPECT_EQ(stats.executed, kN);
-  EXPECT_EQ(stats.spawned, 0u);
-}
-
 TEST(RunTasksTest, SpawnedChainsRunToCompletion) {
   // One seed fans out a binary tree of follow-up tasks; the sweep must
-  // drain every transitively spawned id before returning.
+  // drain every transitively spawned id before returning. The seed is
+  // task 0, the tree's root is node 1.
   ThreadPool pool(4);
-  constexpr uint64_t kLeafCount = 128;  // Ids [1, 2*kLeafCount).
+  constexpr uint64_t kLeafCount = 128;  // Nodes [1, 2*kLeafCount).
   std::vector<std::atomic<int>> counts(2 * kLeafCount);
   TaskStats stats;
   Status s = pool.RunTasks(
-      {1},
+      1,
       [&](uint64_t id, ThreadPool::TaskContext& ctx) {
-        counts[id].fetch_add(1, std::memory_order_relaxed);
-        if (2 * id < 2 * kLeafCount) {
-          ctx.Spawn(2 * id);
-          if (2 * id + 1 < 2 * kLeafCount) ctx.Spawn(2 * id + 1);
+        uint64_t node = id == 0 ? 1 : id;
+        counts[node].fetch_add(1, std::memory_order_relaxed);
+        if (2 * node < 2 * kLeafCount) {
+          ctx.Spawn(2 * node);
+          if (2 * node + 1 < 2 * kLeafCount) ctx.Spawn(2 * node + 1);
         }
         return Status::OK();
       },
       &stats);
   ASSERT_TRUE(s.ok());
-  for (uint64_t id = 1; id < 2 * kLeafCount; ++id) {
-    EXPECT_EQ(counts[id].load(), 1) << "task " << id;
+  for (uint64_t node = 1; node < 2 * kLeafCount; ++node) {
+    EXPECT_EQ(counts[node].load(), 1) << "node " << node;
   }
   EXPECT_EQ(stats.executed, 2 * kLeafCount - 1);
   EXPECT_EQ(stats.spawned, 2 * kLeafCount - 2);
@@ -215,50 +199,55 @@ TEST(RunTasksTest, SingleThreadPoolRunsInlineInFifoOrder) {
   // The 1-thread determinism anchor: seeds run in order, spawns append
   // to the back, so a 1-thread fleet sweep runs tenants in index order.
   ThreadPool pool(1);
+  std::thread::id caller = std::this_thread::get_id();
   std::vector<uint64_t> order;
   Status s = pool.RunTasks(
-      {1, 2, 3},
+      3,
       [&](uint64_t id, ThreadPool::TaskContext& ctx) {
-        EXPECT_EQ(ctx.worker(), 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
         order.push_back(id);
         if (id < 10) ctx.Spawn(id + 10);
         return Status::OK();
       });
   ASSERT_TRUE(s.ok());
-  EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 3, 11, 12, 13}));
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 10, 11, 12}));
 }
 
 TEST(RunTasksTest, FirstErrorWinsAndDrainsRemainingTasks) {
-  ThreadPool pool(1);  // Inline: deterministic failure point.
-  std::vector<uint64_t> seeds(100);
-  for (uint64_t i = 0; i < 100; ++i) seeds[i] = i;
-  size_t executed = 0;
-  Status s = pool.RunTasks(seeds,
-                           [&](uint64_t id, ThreadPool::TaskContext&) -> Status {
-                             ++executed;
-                             if (id == 5) return Status::Internal("boom at 5");
-                             return Status::OK();
-                           });
+  // Inline, so the failure point is deterministic. Every seed spawns a
+  // follow-up; the ones queued before the failure are drained too.
+  ThreadPool pool(1);
+  std::vector<uint64_t> executed;
+  Status s = pool.RunTasks(
+      100, [&](uint64_t id, ThreadPool::TaskContext& ctx) -> Status {
+        executed.push_back(id);
+        if (id == 5) return Status::Internal("boom at 5");
+        if (id < 100) ctx.Spawn(id + 100);
+        return Status::OK();
+      });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
-  // Inline FIFO: tasks 0..5 ran, everything after was drained.
-  EXPECT_EQ(executed, 6u);
+  // Inline FIFO: seeds 0..5 ran; later seeds and the follow-ups of 0..4
+  // were drained unexecuted.
+  EXPECT_EQ(executed, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(RunTasksTest, ParallelErrorStopsSpawning) {
+  // Eight chains of 1000 links each; one link fails early, and every
+  // chain then stops at its next claimed link instead of running on.
   ThreadPool pool(4);
+  constexpr uint64_t kChains = 8;
+  constexpr uint64_t kLinks = 1000;
   std::atomic<size_t> executed{0};
-  std::vector<uint64_t> seeds(1000);
-  for (uint64_t i = 0; i < 1000; ++i) seeds[i] = i;
-  Status s = pool.RunTasks(seeds,
-                           [&](uint64_t id, ThreadPool::TaskContext&) -> Status {
-                             if (id == 3) return Status::InvalidArgument("bad");
-                             executed.fetch_add(1, std::memory_order_relaxed);
-                             return Status::OK();
-                           });
+  Status s = pool.RunTasks(
+      kChains, [&](uint64_t id, ThreadPool::TaskContext& ctx) -> Status {
+        if (id == 3 * kChains) return Status::InvalidArgument("bad");
+        if (id + kChains < kChains * kLinks) ctx.Spawn(id + kChains);
+        return Count(&executed);
+      });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_LT(executed.load(), 1000u);
+  EXPECT_LT(executed.load(), kChains * kLinks);
 }
 
 TEST(RunTasksTest, IdleWorkersStealFromLoadedDeques) {
@@ -270,15 +259,14 @@ TEST(RunTasksTest, IdleWorkersStealFromLoadedDeques) {
   std::atomic<size_t> executed{0};
   TaskStats stats;
   Status s = pool.RunTasks(
-      {0},
+      1,
       [&](uint64_t id, ThreadPool::TaskContext& ctx) {
         if (id == 0) {
           for (uint64_t k = 1; k <= kFollowUps; ++k) ctx.Spawn(k);
         } else {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        executed.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
+        return Count(&executed);
       },
       &stats);
   ASSERT_TRUE(s.ok());
@@ -287,27 +275,6 @@ TEST(RunTasksTest, IdleWorkersStealFromLoadedDeques) {
   EXPECT_EQ(stats.spawned, kFollowUps);
   EXPECT_GT(stats.steals, 0u);
   EXPECT_GT(stats.busy_sec, 0.0);
-}
-
-TEST(RunTasksTest, PoolIsReusableAcrossTaskSweepsAndParallelFor) {
-  // Chunked sweeps and task sweeps interleave on one pool without
-  // leaking state between modes.
-  ThreadPool pool(3);
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<size_t> visited{0};
-    ASSERT_TRUE(pool.ParallelFor(0, 32, 4, [&](size_t) {
-      visited.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }).ok());
-    ASSERT_EQ(visited.load(), 32u) << "round " << round;
-    std::atomic<size_t> ran{0};
-    ASSERT_TRUE(pool.RunTasks({1, 2, 3, 4},
-                              [&](uint64_t, ThreadPool::TaskContext&) {
-                                ran.fetch_add(1, std::memory_order_relaxed);
-                                return Status::OK();
-                              }).ok());
-    ASSERT_EQ(ran.load(), 4u) << "round " << round;
-  }
 }
 
 TEST(SubRngTest, SameCellSameSequence) {

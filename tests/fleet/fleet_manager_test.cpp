@@ -289,16 +289,6 @@ TEST(FleetManagerTest, HostileTenantsRejectedBeforeAnyPartitionIsBuilt) {
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.what;
     EXPECT_EQ(fleet.num_tenants(), 0u) << c.what;
   }
-  // ValidateTenant also checks the partition settings every tenant runs
-  // under; a solver thread count the OS cannot start would abort.
-  for (size_t threads : {exec::kMaxThreads + 1, size_t{100000}}) {
-    FleetConfig config = TestConfig(1);
-    config.partition.flow_solver_threads = threads;
-    FleetManager fleet(config);
-    EXPECT_EQ(fleet.AddTenant(MakeTenantFleet(1, /*seed=*/7)[0]).code(),
-              StatusCode::kInvalidArgument)
-        << "flow_solver_threads " << threads;
-  }
 }
 
 TEST(FleetManagerTest, HostileFleetSettingsRejectedBeforeAnyPartitionIsBuilt) {
@@ -344,7 +334,9 @@ TEST(FleetManagerTest, HostileFleetSettingsRejectedBeforeAnyPartitionIsBuilt) {
 }
 
 TEST(FleetManagerTest, StartRejectsNonFiniteOrNegativeRates) {
-  for (double rate : {std::nan(""), HUGE_VAL, -1.0}) {
+  // 1e300 is finite, but no stream can be offered it: generating one
+  // tick of it would never finish.
+  for (double rate : {std::nan(""), HUGE_VAL, -1.0, 1e300}) {
     TenantConfig base_rate;
     base_rate.base_rate_per_sec = rate;
     EXPECT_EQ(AddAndStart(base_rate).code(), StatusCode::kInvalidArgument)

@@ -292,7 +292,7 @@ std::unique_ptr<fleet::FleetManager> RunCapturedFleet(size_t num_threads) {
   return manager;
 }
 
-TEST(ReplayTest, AlertTriggeredCaptureReplaysIdenticallyAtAnyThreadCount) {
+TEST(ReplayTest, AlertTriggeredCaptureReplaysIdentically) {
   std::unique_ptr<fleet::FleetManager> manager = RunCapturedFleet(2);
   const FlightRecorder* rec = manager->partition(0)->recorder();
   ASSERT_NE(rec, nullptr);
@@ -307,37 +307,28 @@ TEST(ReplayTest, AlertTriggeredCaptureReplaysIdenticallyAtAnyThreadCount) {
   ASSERT_TRUE(bundle.ok()) << bundle.status();
   EXPECT_EQ(bundle->tenant_index, 0u);
 
-  std::string digests[3];
-  size_t thread_counts[3] = {1, 4, 16};
-  for (int i = 0; i < 3; ++i) {
-    fleet::ReplayOptions opts;
-    opts.flow_solver_threads = thread_counts[i];
-    auto harness = fleet::ReplayHarness::Create(*bundle, opts);
-    ASSERT_TRUE(harness.ok()) << harness.status();
-    ASSERT_TRUE((*harness)->Run().ok());
-    obs::replay::DivergenceReport report = (*harness)->Check();
-    EXPECT_FALSE(report.diverged) << report.ToString();
-    EXPECT_TRUE(report.fingerprint_match);
-    EXPECT_TRUE(report.chain_match);
-    EXPECT_GE(report.replayed_total, report.recorded_total);
-    (*harness)->partition().AppendDigest(&digests[i]);
-    // Replay-rich telemetry is on even though the fleet run had it off,
-    // so the re-injected sensor spikes show up as kFault spans.
-    const obs::SpanCollector& spans =
-        (*harness)->partition().telemetry().spans();
-    EXPECT_TRUE(spans.enabled());
-    size_t fault_spans = 0;
-    for (obs::SpanId id = spans.first_retained(); id < spans.end_id();
-         ++id) {
-      const obs::SpanRecord* r = spans.Find(id);
-      if (r != nullptr && r->kind == obs::SpanKind::kFault) ++fault_spans;
-    }
-    EXPECT_GT(fault_spans, 0u);
-    EXPECT_NE((*harness)->partition().health(), nullptr);
+  auto harness = fleet::ReplayHarness::Create(*bundle);
+  ASSERT_TRUE(harness.ok()) << harness.status();
+  ASSERT_TRUE((*harness)->Run().ok());
+  obs::replay::DivergenceReport report = (*harness)->Check();
+  EXPECT_FALSE(report.diverged) << report.ToString();
+  EXPECT_TRUE(report.fingerprint_match);
+  EXPECT_TRUE(report.chain_match);
+  EXPECT_GE(report.replayed_total, report.recorded_total);
+  std::string digest;
+  (*harness)->partition().AppendDigest(&digest);
+  EXPECT_FALSE(digest.empty());
+  // Replay-rich telemetry is on even though the fleet run had it off,
+  // so the re-injected sensor spikes show up as kFault spans.
+  const obs::SpanCollector& spans = (*harness)->partition().telemetry().spans();
+  EXPECT_TRUE(spans.enabled());
+  size_t fault_spans = 0;
+  for (obs::SpanId id = spans.first_retained(); id < spans.end_id(); ++id) {
+    const obs::SpanRecord* r = spans.Find(id);
+    if (r != nullptr && r->kind == obs::SpanKind::kFault) ++fault_spans;
   }
-  EXPECT_FALSE(digests[0].empty());
-  EXPECT_EQ(digests[0], digests[1]);  // Byte-identical at 1 vs 4 threads.
-  EXPECT_EQ(digests[0], digests[2]);  // ... and at 16.
+  EXPECT_GT(fault_spans, 0u);
+  EXPECT_NE((*harness)->partition().health(), nullptr);
 }
 
 TEST(ReplayTest, CaptureIsIdenticalAcrossFleetThreadCounts) {
@@ -363,7 +354,7 @@ TEST(ReplayTest, CorruptedSeedIsCaughtAtTheFirstDecision) {
   EXPECT_NE(obs::replay::BundleFingerprint(corrupted),
             corrupted.fingerprint);
 
-  auto harness = fleet::ReplayHarness::Create(corrupted, {});
+  auto harness = fleet::ReplayHarness::Create(corrupted);
   ASSERT_TRUE(harness.ok()) << harness.status();
   ASSERT_TRUE((*harness)->Run().ok());
   obs::replay::DivergenceReport report = (*harness)->Check();
@@ -396,7 +387,7 @@ TEST(ReplayTest, ExplicitDumpWithoutAlertIsReplayable) {
   EXPECT_EQ(bundle->trigger.reason, "explicit");
   EXPECT_EQ(bundle->tenant_index, 1u);
 
-  auto harness = fleet::ReplayHarness::Create(*bundle, {});
+  auto harness = fleet::ReplayHarness::Create(*bundle);
   ASSERT_TRUE(harness.ok()) << harness.status();
   ASSERT_TRUE((*harness)->Run().ok());
   obs::replay::DivergenceReport report = (*harness)->Check();
@@ -463,9 +454,7 @@ TEST(ReplayTest, HeterogeneousHorizonCaptureReplaysWithoutDivergence) {
   }
   EXPECT_TRUE(spec_has_period);
 
-  fleet::ReplayOptions opts;
-  opts.flow_solver_threads = 4;
-  auto harness = fleet::ReplayHarness::Create(*bundle, opts);
+  auto harness = fleet::ReplayHarness::Create(*bundle);
   ASSERT_TRUE(harness.ok()) << harness.status();
   ASSERT_TRUE((*harness)->Run().ok());
   obs::replay::DivergenceReport report = (*harness)->Check();
@@ -532,7 +521,7 @@ TEST(ReplayTest, CommittedFixtureReplaysAndRoundTripsByteForByte) {
   ASSERT_TRUE(obs::replay::WriteBundleJson(*bundle, path).ok());
   EXPECT_EQ(ReadFile(path), ReadFile(fixture));
 
-  auto harness = fleet::ReplayHarness::Create(*bundle, {});
+  auto harness = fleet::ReplayHarness::Create(*bundle);
   ASSERT_TRUE(harness.ok()) << harness.status();
   ASSERT_TRUE((*harness)->Run().ok());
   obs::replay::DivergenceReport report = (*harness)->Check();
@@ -545,8 +534,8 @@ TEST(ReplayTest, CommittedFixtureReplaysAndRoundTripsByteForByte) {
 // from ReplayHarness::Create. Each case changes one field of the
 // committed fixture in memory. Unchecked, these abort (a FLOWER_CHECK,
 // or bad_alloc), hang (sub-second cadences, an infinite horizon or
-// trigger, an unbounded solve) or run undefined (a NaN SLO window cast
-// to size_t).
+// trigger, an unbounded solve, a rate no stream can be offered) or run
+// undefined (a NaN SLO window cast to size_t).
 TEST(ReplayTest, HostileBundlesAreRejected) {
   auto fixture = obs::replay::LoadBundleJson(
       std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
@@ -592,6 +581,8 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
       {"trigger time inf",
        [](CaptureBundle* b) { b->trigger.time = HUGE_VAL; }},
       {"SLO fast window nan", spec({{"capture.slo_fast_window_sec", "nan"}})},
+      {"base rate 1e300", spec({{"tenant.base_rate_per_sec", "1e300"}})},
+      {"amplitude 1e300", spec({{"tenant.amplitude_per_sec", "1e300"}})},
   };
   for (const Case& c : cases) {
     CaptureBundle bundle = *fixture;

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "workload/arrival.h"
 
@@ -74,6 +75,27 @@ TEST_F(TraceIoTest, NonMonotonicTimesRejected) {
   WriteFile(path, "60,10\n0,20\n");
   EXPECT_EQ(LoadRateTraceCsv(path).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(TraceIoTest, NonFiniteOrNegativeRowsRejectedByRow) {
+  const struct {
+    const char* name;
+    const char* content;
+  } cases[] = {
+      {"rate_nan.csv", "time_sec,rate\n0,100\n60,nan\n"},
+      {"rate_inf.csv", "time_sec,rate\n0,100\n60,inf\n"},
+      {"rate_negative.csv", "time_sec,rate\n0,100\n60,-5\n"},
+      {"time_nan.csv", "time_sec,rate\n0,100\nnan,10\n"},
+      {"time_inf.csv", "time_sec,rate\n0,100\ninf,10\n"},
+  };
+  for (const auto& c : cases) {
+    std::string path = Path(c.name);
+    WriteFile(path, c.content);
+    Status st = LoadRateTraceCsv(path).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_NE(st.message().find("row 3"), std::string::npos)
+        << c.name << ": " << st;
+  }
 }
 
 TEST_F(TraceIoTest, HeaderOnlyIsFailedPrecondition) {

@@ -29,9 +29,6 @@ constexpr const char* kUsage = R"(flower_replay — postmortem replay driver
 
 Flags:
   --bundle=FILE.json    capture bundle to replay (required)
-  --threads=N           NSGA-II solver threads for the solo re-plan (at
-                        most 256); the replayed digest is identical at
-                        any N                                      [1]
   --trace-out=FILE      write the replay's causal control spans as Chrome
                         trace_event JSON
   --metrics-out=FILE    write decision records + metrics snapshot JSONL
@@ -48,7 +45,6 @@ Exit codes: 0 = replay matches the capture, 2 = divergence detected,
 /// (record-cheap) fleet run had disabled.
 struct ReplayCliOptions {
   std::string bundle_path;
-  size_t threads = 1;
   std::string trace_out;      ///< Causal spans as Chrome trace JSON.
   std::string metrics_out;    ///< Decision records + metrics snapshot JSONL.
   std::string health_out;     ///< HealthMonitor state JSONL.
@@ -109,9 +105,7 @@ int RunReplayCli(const ReplayCliOptions& options) {
     std::cerr << bundle.status() << "\n";
     return 1;
   }
-  fleet::ReplayOptions ropts;
-  ropts.flow_solver_threads = options.threads;
-  auto harness = fleet::ReplayHarness::Create(std::move(*bundle), ropts);
+  auto harness = fleet::ReplayHarness::Create(std::move(*bundle));
   if (!harness.ok()) {
     std::cerr << harness.status() << "\n";
     return 1;
@@ -155,9 +149,9 @@ int main(int argc, char** argv) {
     std::cout << flower::kUsage;
     return 0;
   }
-  auto unknown = flags->UnknownKeys({"bundle", "threads", "trace-out",
-                                     "metrics-out", "health-out",
-                                     "decisions-out", "quiet", "help"});
+  auto unknown = flags->UnknownKeys({"bundle", "trace-out", "metrics-out",
+                                     "health-out", "decisions-out", "quiet",
+                                     "help"});
   if (!unknown.empty()) {
     std::cerr << "unknown flag: --" << unknown.front() << "\n"
               << flower::kUsage;
@@ -169,12 +163,6 @@ int main(int argc, char** argv) {
     std::cerr << "--bundle is required\n" << flower::kUsage;
     return 1;
   }
-  auto threads = flags->GetInt("threads", 1);
-  if (!threads.ok() || *threads < 1) {
-    std::cerr << "--threads expects a positive integer\n";
-    return 1;
-  }
-  options.threads = static_cast<size_t>(*threads);
   options.trace_out = flags->GetString("trace-out", "");
   options.metrics_out = flags->GetString("metrics-out", "");
   options.health_out = flags->GetString("health-out", "");

@@ -12,7 +12,9 @@
 //
 // Exit code 0 on success; 2 on bad flags.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 
@@ -115,6 +117,22 @@ struct ScopedLogClock {
   ~ScopedLogClock() { SetLogClock(nullptr, nullptr); }
 };
 
+/// Shard ceiling of the single-flow run's ingestion layer.
+constexpr double kIngestionMaxShards = 64.0;
+
+/// InvalidArgument when `peak` records/s exceeds what the flow's stream
+/// can be offered (see kMaxOfferedRecordsPerSecPerShard).
+Status CheckPeakRate(double peak, const std::string& what) {
+  const double bound = kMaxOfferedRecordsPerSecPerShard * kIngestionMaxShards;
+  if (peak <= bound) return Status::OK();
+  char detail[128];
+  std::snprintf(detail, sizeof(detail),
+                " peaks at %g records/s, above %g (10x the write limit of "
+                "%g shards)",
+                peak, bound, kIngestionMaxShards);
+  return Status::InvalidArgument(what + detail);
+}
+
 Result<std::shared_ptr<workload::ArrivalProcess>> MakeWorkload(
     const tools::FlagParser& flags, double hours) {
   FLOWER_ASSIGN_OR_RETURN(double rate, flags.GetDouble("rate", 800.0));
@@ -123,14 +141,33 @@ Result<std::shared_ptr<workload::ArrivalProcess>> MakeWorkload(
   FLOWER_ASSIGN_OR_RETURN(double period_hours,
                           flags.GetDouble("period-hours", 4.0));
   FLOWER_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
+  if (!(std::isfinite(rate) && rate >= 0.0 && std::isfinite(amplitude) &&
+        amplitude >= 0.0)) {
+    return Status::InvalidArgument(
+        "--rate and --amplitude must be finite and >= 0");
+  }
+  if (!(std::isfinite(period_hours) && period_hours > 0.0)) {
+    return Status::InvalidArgument("--period-hours must be finite and > 0");
+  }
   std::string trace_path = flags.GetString("trace", "");
   if (!trace_path.empty()) {
     FLOWER_ASSIGN_OR_RETURN(TimeSeries trace,
                             workload::LoadRateTraceCsv(trace_path));
+    double peak = 0.0;
+    for (const Sample& s : trace.samples()) peak = std::max(peak, s.value);
+    FLOWER_RETURN_NOT_OK(CheckPeakRate(peak, "--trace " + trace_path));
     return std::shared_ptr<workload::ArrivalProcess>(
         std::make_shared<workload::TraceArrival>(std::move(trace)));
   }
   std::string kind = flags.GetString("workload", "diurnal");
+  // Each shape's peak: the surge is 3x --amplitude, MMPP's high state
+  // 2x above --rate.
+  const double surge = kind == "flashcrowd" ? 3.0
+                       : kind == "mmpp"     ? 2.0
+                       : kind == "diurnal"  ? 1.0
+                                            : 0.0;
+  FLOWER_RETURN_NOT_OK(
+      CheckPeakRate(rate + surge * amplitude, "--workload=" + kind));
   if (kind == "constant") {
     return std::shared_ptr<workload::ArrivalProcess>(
         std::make_shared<workload::ConstantArrival>(rate));
@@ -481,7 +518,7 @@ int RunOrDie(const tools::FlagParser& flags) {
   layer_defaults.monitoring_period_sec = *period_or;
   layer_defaults.monitoring_window_sec = *period_or;
   core::LayerElasticityConfig ingestion = layer_defaults;
-  ingestion.max_resource = 64.0;
+  ingestion.max_resource = kIngestionMaxShards;
   core::LayerElasticityConfig analytics = layer_defaults;
   analytics.max_resource = 40.0;
   core::LayerElasticityConfig storage = layer_defaults;

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Configure a ThreadSanitizer build and run the planner test label under
-# it. These tests drive the exec::ThreadPool fan-out inside NSGA-II and
-# the windowed planner at multiple thread counts, where ordering bugs
-# (a worker publishing results the coordinator reads without a
-# happens-before edge) would hide from the plain build.
+# it. These tests drive exec::ThreadPool's RunTasks sweeps — the chunked
+# fan-outs inside NSGA-II, one task per window in the windowed planner —
+# at multiple thread counts, where ordering bugs (a worker publishing
+# results the coordinator reads without a happens-before edge) would
+# hide from the plain build.
 #
 # The simcore label rides along: the simulation calendar is documented
 # single-threaded, and running its property tests under TSan keeps any
@@ -15,15 +16,15 @@
 # memory-order edge would corrupt silently in the plain build.
 #
 # The fleet label rides along for the multi-tenant sweep: partitions
-# advance concurrently over exec::ThreadPool and span ids allocate from
-# an atomic counter, exactly where a plain-uint64 increment raced
-# before; the determinism-across-thread-counts tests double as the
-# regression certificate for that fix.
+# advance concurrently as RunTasks tasks and span ids allocate from an
+# atomic counter, exactly where a plain-uint64 increment raced before;
+# the determinism-across-thread-counts tests double as the regression
+# certificate for that fix.
 #
-# The replay label rides along because replay re-runs a captured tenant
-# at arbitrary flow-solver thread counts and asserts byte-identical
-# digests — any missed happens-before edge in the solver fan-out shows
-# up here as a divergence long before it corrupts a real postmortem.
+# The replay label rides along because replay re-runs a tenant captured
+# from a multi-threaded fleet sweep and asserts a byte-identical digest —
+# any missed happens-before edge in the sweep shows up here as a
+# divergence long before it corrupts a real postmortem.
 #
 #   $ tools/run_tsan.sh        # build + ctest -L 'planner|simcore|obs|fleet|replay'
 #   $ tools/run_tsan.sh -R ThreadPool  # forward extra ctest args
@@ -45,8 +46,9 @@ cd "${build_dir}"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest -L 'planner|simcore|obs|fleet|replay' --output-on-failure "$@"
 
-# End-to-end: a multi-threaded planning pass through the CLI, with the
-# telemetry trace enabled, must be race-free too.
+# End-to-end: a multi-threaded planning pass through the CLI (NSGA-II's
+# fine-grained RunTasks sweeps), with the telemetry trace enabled, must
+# be race-free too.
 TSAN_OPTIONS=halt_on_error=1 \
   ./tools/flower-sim --hours=1 --threads=4 --quiet \
     --trace-out="${build_dir}/tsan-trace.json"
