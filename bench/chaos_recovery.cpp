@@ -220,7 +220,7 @@ Result<RunResult> RunScenario(bool hardened, uint64_t seed) {
   FLOWER_ASSIGN_OR_RETURN(const core::LayerControlState* state,
                           mf.manager->GetState(core::Layer::kAnalytics));
   out.analytics = state->CountersSnapshot();
-  out.analytics_actuations = state->actuations.size();
+  out.analytics_actuations = state->actuations().size();
   out.injected_failures = chaos.stats().actuator_failures;
   out.injected_gaps = chaos.stats().metric_gaps;
 

@@ -67,13 +67,14 @@ Result<FamilyResult> RunFamily(core::ControllerKind kind) {
   double reference =
       mf.manager->GetController(core::Layer::kAnalytics).ValueOrDie()
           ->reference();
+  const TimeSeries sensed = state->sensed();
   FLOWER_ASSIGN_OR_RETURN(
       out.analytics,
-      control::EvaluateControl(
-          state->sensed.Window(30.0 * kMinute, kHorizon),
-          state->actuations, reference, 15.0, kHorizon));
-  auto settle = control::SettlingTime(state->sensed, kSurgeTime, reference,
-                                      15.0, 20.0 * kMinute);
+      control::EvaluateControl(sensed.Window(30.0 * kMinute, kHorizon),
+                               state->actuations(), reference, 15.0,
+                               kHorizon));
+  auto settle = control::SettlingTime(sensed, kSurgeTime, reference, 15.0,
+                                      20.0 * kMinute);
   out.settle_after_surge = settle.ok() ? *settle : -1.0;
   out.drop_rate =
       static_cast<double>(mf.flow->generator()->total_dropped()) /

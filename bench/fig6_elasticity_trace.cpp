@@ -90,20 +90,19 @@ Result<RunResult> RunManaged(double monitoring_period_sec, bool verbose) {
 
   FLOWER_ASSIGN_OR_RETURN(const core::LayerControlState* analytics_state,
                           mf.manager->GetState(core::Layer::kAnalytics));
+  const TimeSeries sensed = analytics_state->sensed();
   // Skip the first 30 min (cold start) for quality metrics.
+  const TimeSeries settled = sensed.Window(30.0 * kMinute, kHorizon);
   FLOWER_ASSIGN_OR_RETURN(
       control::ControlQuality q,
-      control::EvaluateControl(
-          analytics_state->sensed.Window(30.0 * kMinute, kHorizon),
-          analytics_state->actuations, 60.0, 15.0, kHorizon));
-  out.mean_cpu = 60.0;  // Placeholder, replaced below.
+      control::EvaluateControl(settled, analytics_state->actuations(), 60.0,
+                               15.0, kHorizon));
   {
-    auto vals = analytics_state->sensed.Window(30.0 * kMinute, kHorizon)
-                    .Values();
+    auto vals = settled.Values();
     double sum = 0.0;
     for (double v : vals) sum += v;
     out.mean_cpu = vals.empty() ? 0.0 : sum / static_cast<double>(vals.size());
-    out.cpu_trace = analytics_state->sensed.Values();
+    out.cpu_trace = sensed.Values();
   }
   out.violation_pct = 100.0 * q.violation_fraction;
   out.drop_rate =

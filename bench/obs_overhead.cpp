@@ -1,23 +1,22 @@
-// Observability-plane overhead bench (PR "fleet-ready observability
-// plane"): proves the causal-span / tracked-snapshot machinery is free
-// when off
-// and cheap when on. Four parts:
+// Observability-plane overhead bench: proves the causal-span /
+// tracked-snapshot machinery is free when off and cheap when on. Four
+// parts:
 //
 //   baseline    in-process regeneration of the BENCH_simcore single-
 //               flow measurement (unmanaged analytics flow, events/s).
 //               Regenerated rather than read from the committed JSON so
 //               the comparison is apples-to-apples on this machine.
 //   disabled    the same flow with the full obs plane constructed and
-//               in the event path — telemetry hub, scoped registry,
-//               tracked snapshot ticking at 1 Hz, span collector called
-//               every tick — but spans DISABLED. Gates: events/s within
-//               1% of baseline, zero heap allocations per steady tick.
+//               in the event path — telemetry hub, tracked snapshot
+//               ticking at 1 Hz, span collector called every tick — but
+//               spans DISABLED. Gates: events/s within 1% of baseline,
+//               zero heap allocations per steady tick.
 //   enabled     a managed flow (three control loops) with spans off vs
 //               on; gates the events/s overhead of recording at <= 5%.
 //               Plus a tight-loop microbench of SpanCollector::Emit,
 //               gated at >= 1M spans/s.
 //   determinism the managed flow + NSGA-II re-planning at 1 / 4 / 16
-//               solver threads with spans on; the decision CSV and the
+//               solver threads with spans on; the decision JSONL and the
 //               exported span JSON must be byte-identical across thread
 //               counts (span ids are sequential sim-thread state, so
 //               any nondeterminism shows up as a byte diff).
@@ -44,7 +43,6 @@
 #include "core/flow_builder.h"
 #include "flow/flow.h"
 #include "obs/exporters.h"
-#include "obs/scoped_registry.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 #include "obs/tracked_snapshot.h"
@@ -114,28 +112,24 @@ FlowRun RunBareFlow(double sim_seconds) {
   return out;
 }
 
-/// The obs plane a fleet deployment would attach per flow: a scoped
-/// registry with per-layer children, a tracked snapshot sampling a few
-/// series at 1 Hz, and the span collector sitting disabled in the
-/// per-tick path. The instruments are fed from the periodic callback so
-/// the snapshot has real values to copy — the point is that none of
-/// this perturbs the simulation it rides on.
+/// The obs plane a fleet deployment would attach per flow: a telemetry
+/// hub, a tracked snapshot sampling a few series at 1 Hz, and the span
+/// collector sitting disabled in the per-tick path. The instruments are
+/// fed from the periodic callback so the snapshot has real values to
+/// copy — the point is that none of this perturbs the simulation it
+/// rides on.
 struct DisabledObsPlane {
   obs::Telemetry telemetry;
-  obs::ScopedRegistry scoped;
   obs::TrackedSnapshot tracked{&telemetry.metrics()};
   obs::Counter* ticks = nullptr;
   obs::Gauge* depth = nullptr;
   obs::Histogram* latency = nullptr;
-  obs::Counter* scoped_ticks = nullptr;
   uint64_t n = 0;
 
   DisabledObsPlane() {
     ticks = telemetry.metrics().GetCounter("plane.ticks");
     depth = telemetry.metrics().GetGauge("plane.depth");
     latency = telemetry.metrics().GetHistogram("plane.latency");
-    scoped_ticks =
-        scoped.Child("analytics")->metrics().GetCounter("scope.ticks");
     tracked.TrackCounter("plane.ticks");
     tracked.TrackGauge("plane.depth");
     tracked.TrackHistogram("plane.latency");
@@ -146,7 +140,6 @@ struct DisabledObsPlane {
     ticks->Increment();
     depth->Set(static_cast<double>(n % 100));
     latency->Record(0.001 * static_cast<double>(n % 250));
-    scoped_ticks->Increment();
     // The disabled span path: one branch, returns 0.
     obs::SpanId id = telemetry.spans().Begin(
         obs::SpanKind::kSense, "bench", now, obs::kTracePid, 0);
@@ -205,7 +198,7 @@ struct ManagedRun {
   double wall_ms = 0.0;
   double events_per_sec = 0.0;
   uint64_t spans_recorded = 0;
-  std::string decisions_csv;
+  std::string decisions_jsonl;
   std::string spans_json;
 };
 
@@ -247,9 +240,9 @@ ManagedRun RunManagedFlow(double sim_seconds, bool spans_enabled,
   }
   out.spans_recorded = telemetry.spans().total_started();
   if (serialize) {
-    std::ostringstream csv;
-    obs::WriteDecisionCsv(csv, telemetry.decisions());
-    out.decisions_csv = csv.str();
+    std::ostringstream decisions;
+    obs::WriteDecisionJsonl(decisions, telemetry.decisions());
+    out.decisions_jsonl = decisions.str();
     std::ostringstream spans;
     obs::WriteChromeTrace(spans, telemetry.spans(), telemetry.decisions());
     out.spans_json = spans.str();
@@ -413,19 +406,19 @@ int Run(bool smoke, const std::string& out_path) {
 
   const std::vector<size_t> threads = {1, 4, 16};
   bool deterministic = true;
-  std::string ref_csv;
+  std::string ref_decisions;
   std::string ref_spans;
   for (size_t i = 0; i < threads.size(); ++i) {
     ManagedRun r = RunManagedFlow(determinism_sim_seconds, /*spans=*/true,
                                   threads[i], /*replan=*/true,
                                   /*serialize=*/true);
     if (i == 0) {
-      ref_csv = std::move(r.decisions_csv);
+      ref_decisions = std::move(r.decisions_jsonl);
       ref_spans = std::move(r.spans_json);
-      FLOWER_CHECK(!ref_csv.empty() && !ref_spans.empty())
+      FLOWER_CHECK(!ref_decisions.empty() && !ref_spans.empty())
           << "determinism run produced no output";
     } else {
-      deterministic &= r.decisions_csv == ref_csv;
+      deterministic &= r.decisions_jsonl == ref_decisions;
       deterministic &= r.spans_json == ref_spans;
     }
   }

@@ -454,13 +454,14 @@ bool FlightRecorderHotPathIsAllocationFree() {
   return allocs == 0;
 }
 
-// Allocations made by 10,000 ElasticityManager control steps of one
-// loop with a constant sensor and a no-op actuator.
-uint64_t ControlStepAllocations(core::ControllerKind kind) {
-  constexpr int kSteps = 10000;
+// Allocations made by `steps` ElasticityManager control steps of one
+// loop with a constant sensor and a no-op actuator, on a hub whose
+// decision ring holds 256 records (the size a fleet partition uses).
+uint64_t ControlStepAllocations(core::ControllerKind kind, int steps) {
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;
-  core::ElasticityManager manager(&sim, &metrics);
+  obs::Telemetry telemetry(/*decision_capacity=*/256);
+  core::ElasticityManager manager(&sim, &metrics, &telemetry);
   control::ActuatorLimits limits;
   limits.min = 1.0;
   limits.max = 100.0;
@@ -473,25 +474,30 @@ uint64_t ControlStepAllocations(core::ControllerKind kind) {
   cfg.initial_u = 10.0;
   if (!manager.Attach(std::move(cfg)).ok()) return ~uint64_t{0};
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  sim.RunUntil(60.0 * kSteps);
+  sim.RunUntil(60.0 * steps);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-// Seventh hard guard: a control step's allocations must not depend on
-// the control law. The only allocations left in a step are the
-// LayerControlState series growing, so the guard compares a law whose
-// name fits a small-string buffer with one whose name does not.
-bool ControlStepAllocationsAreLawIndependent() {
-  uint64_t adaptive =
-      ControlStepAllocations(core::ControllerKind::kAdaptiveGain);
-  uint64_t no_memory =
-      ControlStepAllocations(core::ControllerKind::kAdaptiveGainNoMemory);
-  std::printf("control step allocation guard: %llu allocations over 10000 "
-              "adaptive-gain steps vs %llu over adaptive-gain-no-memory "
-              "(must be equal)\n",
-              static_cast<unsigned long long>(adaptive),
-              static_cast<unsigned long long>(no_memory));
-  return adaptive != ~uint64_t{0} && adaptive == no_memory;
+// Seventh hard guard: once the decision ring is full, a control step
+// must not allocate. A step keeps nothing outside the ring, so 10,000
+// steps must allocate exactly as much as 1,000 — the task-sweep guard's
+// difference method, which cancels the ring's fill and any lazy set-up.
+// It runs for a law whose name fits a small-string buffer and for one
+// whose name does not, so a per-step copy of the name would show too.
+bool ControlStepAllocationsAreFlat() {
+  for (core::ControllerKind kind :
+       {core::ControllerKind::kAdaptiveGain,
+        core::ControllerKind::kAdaptiveGainNoMemory}) {
+    uint64_t short_run = ControlStepAllocations(kind, 1000);
+    uint64_t long_run = ControlStepAllocations(kind, 10000);
+    std::printf("control step allocation guard: %llu allocations over "
+                "10000 %s steps vs %llu over 1000 (must be equal)\n",
+                static_cast<unsigned long long>(long_run),
+                core::ControllerKindToString(kind).c_str(),
+                static_cast<unsigned long long>(short_run));
+    if (short_run == ~uint64_t{0} || long_run != short_run) return false;
+  }
+  return true;
 }
 
 // Fifth hard guard: the budget mailbox's post/receive handoff must be
@@ -635,9 +641,10 @@ int main(int argc, char** argv) {
                  "FAIL: work-stealing task loop allocated in steady state\n");
     return 1;
   }
-  if (!flower::ControlStepAllocationsAreLawIndependent()) {
+  if (!flower::ControlStepAllocationsAreFlat()) {
     std::fprintf(stderr,
-                 "FAIL: control step allocations depend on the control law\n");
+                 "FAIL: control steps allocated past the decision ring's "
+                 "fill\n");
     return 1;
   }
   if (!flower::FleetReportsCapacityIsStable()) {

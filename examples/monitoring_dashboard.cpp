@@ -215,7 +215,7 @@ int main() {
     auto state = managed->manager->GetState(name);
     if (!state.ok()) continue;
     const core::LayerControlState& s = **state;
-    health.AddRow({name, std::to_string(s.actuations.size()),
+    health.AddRow({name, std::to_string(s.actuations().size()),
                    std::to_string(s.sensor_misses()),
                    std::to_string(s.stale_sensor_reads()),
                    std::to_string(s.actuation_failures()),

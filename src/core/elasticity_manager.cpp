@@ -14,6 +14,22 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+// (time, record.*field) of each retained record of `loop` whose outcome
+// `keep` accepts, oldest first.
+TimeSeries LoopTrace(const obs::DecisionLog* log, obs::LoopId loop,
+                     bool (*keep)(obs::StepOutcome),
+                     double obs::ControlDecisionRecord::*field) {
+  TimeSeries out;
+  if (log == nullptr) return out;
+  for (size_t i = 0; i < log->size(); ++i) {
+    const obs::ControlDecisionRecord& r = log->at(i);
+    if (r.loop == loop && keep(r.outcome)) {
+      out.AppendUnchecked(r.time, r.*field);
+    }
+  }
+  return out;
+}
+
 Status ValidateResilience(const ResiliencePolicy& p) {
   if (p.retry.max_retries < 0) {
     return Status::InvalidArgument("ElasticityManager: negative max_retries");
@@ -49,6 +65,24 @@ Status ValidateResilience(const ResiliencePolicy& p) {
 }
 
 }  // namespace
+
+TimeSeries LayerControlState::sensed() const {
+  return LoopTrace(
+      log, loop_id,
+      [](obs::StepOutcome o) { return o != obs::StepOutcome::kSensorMiss; },
+      &obs::ControlDecisionRecord::sensed_y);
+}
+
+TimeSeries LayerControlState::actuations() const {
+  return LoopTrace(
+      log, loop_id,
+      [](obs::StepOutcome o) {
+        return o == obs::StepOutcome::kActuated ||
+               o == obs::StepOutcome::kActuationFailed ||
+               o == obs::StepOutcome::kBreakerOpen;
+      },
+      &obs::ControlDecisionRecord::clamped_u);
+}
 
 ElasticityManager::ElasticityManager(sim::Simulation* sim,
                                      const cloudwatch::MetricStore* metrics,
@@ -128,7 +162,8 @@ Status ElasticityManager::Attach(LayerControlConfig config) {
       telemetry_->decisions().loops().Register(
           {config.name, layer_name, config.controller->name()}));
   auto attached = std::make_unique<Attached>();
-  attached->loop_id = loop_id;
+  attached->state.log = &telemetry_->decisions();
+  attached->state.loop_id = loop_id;
   attached->config = std::move(config);
   attached->config.controller->Reset(attached->config.initial_u);
   attached->sense = attached->config.sensor
@@ -240,7 +275,6 @@ void ElasticityManager::Step(Attached* a) {
     stale = true;
     a->state.counters.stale_sensor_reads->Increment();
   }
-  a->state.sensed.AppendUnchecked(now, y);
 
   // Close the settling interval of the last successful actuation with
   // what the sensor now observes (Eq. 7: effects are judged at the next
@@ -279,13 +313,11 @@ void ElasticityManager::Step(Attached* a) {
   if (a->state.breaker_open && now < a->breaker_reopen_time) {
     // Open breaker: record what the loop wanted, touch nothing.
     a->state.counters.breaker_skipped_steps->Increment();
-    a->state.actuations.AppendUnchecked(now, amount);
     RecordDecision(a, now, y, stale, gain, raw_u, amount,
                    obs::StepOutcome::kBreakerOpen);
     return;
   }
   bool applied = Actuate(a, amount, /*attempt=*/0);
-  a->state.actuations.AppendUnchecked(now, amount);
   RecordDecision(a, now, y, stale, gain, raw_u, amount,
                  applied ? obs::StepOutcome::kActuated
                          : obs::StepOutcome::kActuationFailed);
@@ -297,10 +329,10 @@ void ElasticityManager::RecordDecision(Attached* a, SimTime now,
                                        double clamped_u,
                                        obs::StepOutcome outcome) {
   obs::DecisionLog& log = telemetry_->decisions();
-  const std::string& layer = log.loops()[a->loop_id].layer;
+  const std::string& layer = log.loops()[a->state.loop_id].layer;
   obs::ControlDecisionRecord rec;
   rec.time = now;
-  rec.loop = a->loop_id;
+  rec.loop = a->state.loop_id;
   rec.sensed_y = sensed_y;
   rec.reference = a->config.controller->reference();
   rec.error = sensed_y - rec.reference;  // NaN on a sensor miss.
@@ -467,7 +499,6 @@ void ElasticityManager::ReplanStep(ReplanState* s) {
         max_shares.ok() ? max_shares->shares : nullptr,
         max_shares.ok() ? kNumLayers : 0, max_shares.ok());
   }
-  if (s->config.on_plan) s->config.on_plan(now, *res);
 }
 
 Result<PlannerCounters> ElasticityManager::ReplanCounters() const {

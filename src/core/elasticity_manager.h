@@ -100,9 +100,6 @@ struct ReplanConfig {
   /// drift, newly learned dependency constraints). An unchanged
   /// request keeps the plan cache hot.
   std::function<void(SimTime, ResourceShareRequest*)> update_request;
-  /// Invoked after every successful re-plan with the (possibly
-  /// cached) result.
-  std::function<void(SimTime, const ResourceShareResult&)> on_plan;
 };
 
 /// Everything needed to run one layer's control loop (paper §2: each
@@ -152,18 +149,31 @@ struct LoopCounterSnapshot {
   uint64_t stale_sensor_reads = 0;
 };
 
-/// Per-layer runtime traces and counters, for evaluation and the
-/// monitoring dashboard. The counters live in the manager's telemetry
-/// metrics registry (labeled by loop and layer) so every consumer —
-/// dashboard, exporters, tests — reads the same instruments; the
-/// accessors below are convenience views over them. NOTE: copying this
-/// struct copies *pointers* into the registry — take CountersSnapshot()
-/// if the copy may outlive the manager.
+/// Per-loop runtime state, traces and counters, for evaluation and the
+/// monitoring dashboard. Nothing here is a second record of a step: the
+/// traces are views over the manager's decision log, and the counters
+/// live in its telemetry metrics registry (labeled by loop and layer),
+/// so every consumer — dashboard, exporters, tests — reads the same
+/// data. NOTE: copying this struct copies *pointers* into the telemetry
+/// hub — take CountersSnapshot() if the copy may outlive the manager.
 struct LayerControlState {
-  TimeSeries sensed;       ///< y_k at each control step.
-  TimeSeries actuations;   ///< u_{k+1} returned at each control step.
   bool breaker_open = false;        ///< Live circuit-breaker state.
   double share_upper_bound = 0.0;  ///< 0 = unbounded.
+
+  /// The decision log the traces read and this loop's id in it,
+  /// installed by the manager at Attach.
+  const obs::DecisionLog* log = nullptr;
+  obs::LoopId loop_id = 0;
+
+  /// y_k of each retained step that had a measurement, fresh or held:
+  /// this loop's decision records whose outcome is not kSensorMiss.
+  /// Built from the log on every call, so it covers only the steps the
+  /// log's ring still retains (65,536 records by default).
+  TimeSeries sensed() const;
+  /// u_{k+1} of each retained step that chose an amount: this loop's
+  /// kActuated, kActuationFailed and kBreakerOpen records (an open
+  /// breaker records what the loop wanted). Same retention as sensed().
+  TimeSeries actuations() const;
 
   /// Registry-backed loop counters, installed by the manager at Attach.
   struct Counters {
@@ -247,9 +257,8 @@ class ElasticityManager {
   /// Namespaces every instrument this manager registers — the per-loop
   /// gauges/counters and the planner.* series — with a {"tenant", id}
   /// label. Without it two tenants that use the same layer names and
-  /// share (or roll up into) one registry collide on identical series
-  /// and their counts merge silently. Must precede the first Attach and
-  /// EnableReplanning.
+  /// share one registry collide on identical series and their counts
+  /// merge silently. Must precede the first Attach and EnableReplanning.
   Status SetTenantLabel(const std::string& tenant);
   const std::string& tenant_label() const { return tenant_; }
 
@@ -319,7 +328,7 @@ class ElasticityManager {
   bool IsAttached(Layer layer) const {
     return IsAttached(LayerToString(layer));
   }
-  /// Runtime traces of an attached loop.
+  /// Runtime state, traces and counters of an attached loop.
   Result<const LayerControlState*> GetState(const std::string& name) const;
   Result<const LayerControlState*> GetState(Layer layer) const {
     return GetState(LayerToString(layer));
@@ -352,7 +361,6 @@ class ElasticityManager {
     double last_good_value = 0.0;
     SimTime last_good_time = 0.0;
     /// Telemetry plumbing.
-    obs::LoopId loop_id = 0;  ///< Entry in the decision log's loop table.
     int trace_tid = 0;
     /// Causal-span state (all 0 while span recording is disabled):
     /// the step's sense/decide spans, the latest actuation attempt

@@ -358,9 +358,9 @@ struct FleetManager::SweepEngine {
   }
 
   /// Post-sweep merge on the calling thread: close the final windows
-  /// from live partition state, then emit digest lines, reports, and
-  /// the registry rollup in (close, open, tenant) order, so a
-  /// homogeneous fleet reads period by period in tenant order.
+  /// from live partition state, then append the reports in (close,
+  /// open, tenant) order, so a homogeneous fleet reads period by period
+  /// in tenant order.
   void Finalize() {
     size_t n = fm.partitions_.size();
     for (size_t i = 0; i < n; ++i) {
@@ -398,7 +398,6 @@ struct FleetManager::SweepEngine {
     }
     fm.reports_.reserve(fm.reports_.size() + groups);
 
-    char buf[160];
     size_t m = 0;
     while (m < order.size()) {
       const Window& head = windows[order[m].first][order[m].second];
@@ -417,9 +416,6 @@ struct FleetManager::SweepEngine {
       report.conservation_ok = head.conserved;
       report.uncontended = head.uncontended;
       report.tenants.reserve(hi - m);
-      std::snprintf(buf, sizeof(buf), "period t=[%.3f,%.3f] granted=%.6f\n",
-                    head.open, head.close, granted);
-      fm.split_digest_ += buf;
       for (; m < hi; ++m) {
         uint32_t i = order[m].first;
         const Window& w = windows[i][order[m].second];
@@ -429,19 +425,6 @@ struct FleetManager::SweepEngine {
         row.grant_usd = w.grant;
         row.spend_usd = w.spend;
         row.steps = w.steps_close - w.steps_open;
-        std::snprintf(buf, sizeof(buf),
-                      "  %s demand=%.6f grant=%.6f spend=%.6f steps=%llu\n",
-                      row.tenant.c_str(), row.demand_usd, row.grant_usd,
-                      row.spend_usd,
-                      static_cast<unsigned long long>(row.steps));
-        fm.split_digest_ += buf;
-        obs::MetricsRegistry& reg =
-            fm.registry_.Child(row.tenant)->metrics();
-        obs::LabelSet labels = {{"tenant", row.tenant}};
-        reg.GetGauge("fleet.demand_usd", labels)->Set(row.demand_usd);
-        reg.GetGauge("fleet.grant_usd", labels)->Set(row.grant_usd);
-        reg.GetGauge("fleet.spend_usd", labels)->Set(row.spend_usd);
-        reg.GetCounter("fleet.steps", labels)->Increment(row.steps);
         report.tenants.push_back(std::move(row));
       }
       fm.reports_.push_back(std::move(report));
@@ -494,7 +477,24 @@ FleetSweepStats FleetManager::sweep_stats() const {
 }
 
 std::string FleetManager::ControlDigest() const {
-  std::string out = split_digest_;
+  std::string out;
+  char buf[160];
+  for (const FleetPeriodReport& r : reports_) {
+    std::snprintf(buf, sizeof(buf), "period t=[%.3f,%.3f] granted=%.6f\n",
+                  r.start, r.end, r.total_granted_usd);
+    out += buf;
+    for (const TenantPeriodOutcome& t : r.tenants) {
+      // The id stays out of the fixed buffer, so an id of any length
+      // keeps its row's fields and newline.
+      out += "  ";
+      out += t.tenant;
+      std::snprintf(buf, sizeof(buf),
+                    " demand=%.6f grant=%.6f spend=%.6f steps=%llu\n",
+                    t.demand_usd, t.grant_usd, t.spend_usd,
+                    static_cast<unsigned long long>(t.steps));
+      out += buf;
+    }
+  }
   for (const std::unique_ptr<FlowPartition>& p : partitions_) {
     p->AppendDigest(&out);
   }

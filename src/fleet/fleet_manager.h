@@ -9,7 +9,6 @@
 #include "fleet/budget_arbiter.h"
 #include "fleet/flow_partition.h"
 #include "fleet/tenant.h"
-#include "obs/scoped_registry.h"
 #include "obs/span.h"
 
 namespace flower::fleet {
@@ -130,17 +129,13 @@ class FleetManager {
 
   size_t num_tenants() const { return partitions_.size(); }
   SimTime Now() const { return now_; }
+  /// Every window so far, the one record of each arbitration split.
   const std::vector<FleetPeriodReport>& reports() const { return reports_; }
 
-  /// Fleet metrics rollup: per-tenant summary instruments live in one
-  /// child scope per tenant ({"tenant", id}-labeled), aggregated on
-  /// demand by registry().AggregateSnapshot().
-  obs::ScopedRegistry& registry() { return registry_; }
-
-  /// Canonical fleet control digest: every arbitration split plus every
-  /// partition's retained decision records, in a fixed order and
-  /// format. Byte-identical digests across thread counts are the
-  /// determinism verdict.
+  /// Canonical fleet control digest: every arbitration split, formatted
+  /// from reports() on each call, plus every partition's retained
+  /// decision records, in a fixed order and format. Byte-identical
+  /// digests across thread counts are the determinism verdict.
   std::string ControlDigest() const;
 
   /// Partition access for tests (index order = AddTenant order).
@@ -167,9 +162,7 @@ class FleetManager {
   std::vector<std::unique_ptr<FlowPartition>> partitions_;
   std::unique_ptr<BudgetArbiter> arbiter_;
   std::unique_ptr<exec::ThreadPool> pool_;
-  obs::ScopedRegistry registry_;
   std::vector<FleetPeriodReport> reports_;
-  std::string split_digest_;  ///< Arbiter grant lines, appended per window.
   std::unique_ptr<obs::SpanCollector> arb_spans_;
   FleetSweepStats stats_;  ///< mailbox_waits filled in sweep_stats().
   SimTime now_ = 0.0;

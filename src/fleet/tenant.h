@@ -42,7 +42,7 @@ bool ArrivalPatternFromString(const std::string& name,
 /// fleet deterministically from a seed.
 struct TenantConfig {
   /// Unique tenant id; used as the metrics {"tenant", id} label, the
-  /// ScopedRegistry child name (no '/'), and the trace scope.
+  /// trace scope, and the capture bundle's file name (so no '/').
   std::string id = "tenant-0";
   /// Seeds the tenant's workload generator and controller jitter.
   uint64_t seed = 42;

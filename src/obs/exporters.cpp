@@ -65,30 +65,6 @@ using internal::LabelsToJson;
 // simulation clock, 1 sim second = 1 trace second.
 double SimToTraceUs(SimTime t) { return t * 1e6; }
 
-// CSV cells are all controlled identifiers/numbers; quote defensively
-// only when a delimiter sneaks in.
-std::string CsvCell(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string LabelsToString(const LabelSet& labels) {
-  std::string out;
-  for (const auto& [k, v] : labels) {
-    if (!out.empty()) out += ';';
-    out += k;
-    out += '=';
-    out += v;
-  }
-  return out;
-}
-
 // OpenMetrics metric-name charset; every other byte maps to '_'.
 std::string SanitizeMetricName(const std::string& name) {
   std::string out;
@@ -162,22 +138,6 @@ std::string OpenMetricsNum(double v) {
 
 }  // namespace
 
-void WriteDecisionCsv(std::ostream& os, const DecisionLog& log) {
-  os << "time,loop,layer,law,sensed_y,reference,error,gain,raw_u,"
-        "clamped_u,stale,outcome,fault_mask,health_mask,span_id\n";
-  for (size_t i = 0; i < log.size(); ++i) {
-    const ControlDecisionRecord& r = log.at(i);
-    const LoopInfo& loop = log.loop(r);
-    os << std::setprecision(12) << r.time << ',' << CsvCell(loop.name) << ','
-       << CsvCell(loop.layer) << ',' << CsvCell(loop.law) << ',' << r.sensed_y
-       << ',' << r.reference << ',' << r.error << ',' << r.gain << ','
-       << r.raw_u << ',' << r.clamped_u << ',' << (r.stale_sensor ? 1 : 0)
-       << ',' << StepOutcomeToString(r.outcome) << ','
-       << static_cast<int>(r.fault_mask) << ','
-       << static_cast<int>(r.health_mask) << ',' << r.span_id << '\n';
-  }
-}
-
 void WriteDecisionJsonl(std::ostream& os, const DecisionLog& log) {
   for (size_t i = 0; i < log.size(); ++i) {
     const ControlDecisionRecord& r = log.at(i);
@@ -195,25 +155,6 @@ void WriteDecisionJsonl(std::ostream& os, const DecisionLog& log) {
        << "\",\"fault_mask\":" << static_cast<int>(r.fault_mask)
        << ",\"health_mask\":" << static_cast<int>(r.health_mask)
        << ",\"span_id\":" << r.span_id << "}\n";
-  }
-}
-
-void WriteSnapshotCsv(std::ostream& os, const MetricsSnapshot& snapshot) {
-  os << "kind,name,labels,value,count,sum,min,max,p50,p99\n";
-  for (const CounterSample& c : snapshot.counters) {
-    os << "counter," << CsvCell(c.name) << ','
-       << CsvCell(LabelsToString(c.labels)) << ',' << c.value << ",,,,,,\n";
-  }
-  for (const GaugeSample& g : snapshot.gauges) {
-    os << "gauge," << CsvCell(g.name) << ','
-       << CsvCell(LabelsToString(g.labels)) << ',' << std::setprecision(12)
-       << g.value << ",,,,,,\n";
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    os << "histogram," << CsvCell(h.name) << ','
-       << CsvCell(LabelsToString(h.labels)) << ",," << h.count << ','
-       << std::setprecision(12) << h.sum << ',' << h.min << ',' << h.max
-       << ',' << h.p50 << ',' << h.p99 << '\n';
   }
 }
 

@@ -21,19 +21,9 @@ std::string JsonNum(double v);
 std::string LabelsToJson(const LabelSet& labels);
 }  // namespace internal
 
-/// CSV sink for a decision log's retained records, oldest first: one
-/// header row, then one row per record (columns: time, loop, layer,
-/// law, sensed_y, reference, error, gain, raw_u, clamped_u, stale,
-/// outcome, fault_mask, health_mask, span_id).
-void WriteDecisionCsv(std::ostream& os, const DecisionLog& log);
-
 /// JSON-lines sink: one {"type":"decision",...} object per retained
 /// record, oldest first.
 void WriteDecisionJsonl(std::ostream& os, const DecisionLog& log);
-
-/// CSV sink for a metrics snapshot (kind, name, labels, value columns;
-/// histograms summarized as count/sum/min/max/p50/p99).
-void WriteSnapshotCsv(std::ostream& os, const MetricsSnapshot& snapshot);
 
 /// JSON-lines sink: one {"type":"counter"|"gauge"|"histogram",...}
 /// object per line, all stamped with `at` (sim seconds).
@@ -70,8 +60,8 @@ void WriteSnapshotOpenMetrics(std::ostream& os,
 ///    follows-from predecessor (cat "follows").
 /// Span and flow ids are written as decimal strings, so readers that
 /// parse JSON numbers as doubles (JavaScript viewers) get them back
-/// exactly at any id offset; the decision CSV's span_id column matches
-/// them verbatim.
+/// exactly at any id offset; the decision JSONL's span_id field carries
+/// the same digits.
 void WriteChromeTrace(std::ostream& os, const SpanCollector& spans,
                       const DecisionLog& decisions);
 

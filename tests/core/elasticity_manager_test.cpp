@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "control/adaptive_gain.h"
 
 namespace flower::core {
@@ -81,7 +86,7 @@ TEST(ElasticityManagerTest, ControlLoopSensesAndActuates) {
   EXPECT_GT(actuations.back(), 5.0);
   auto state = mgr.GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
-  EXPECT_EQ((*state)->sensed.size(), actuations.size());
+  EXPECT_EQ((*state)->sensed().size(), actuations.size());
   EXPECT_EQ((*state)->sensor_misses(), 0u);
 }
 
@@ -95,7 +100,116 @@ TEST(ElasticityManagerTest, MissingMetricCountsAsSensorMiss) {
   auto state = mgr.GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
   EXPECT_GE((*state)->sensor_misses(), 4u);
-  EXPECT_TRUE((*state)->sensed.empty());
+  EXPECT_TRUE((*state)->sensed().empty());
+}
+
+/// u = y / 10, and an error for a negative y, so a test can write down
+/// every step's expected actuation.
+class EchoController final : public control::Controller {
+ public:
+  std::string name() const override { return "echo"; }
+  void Reset(double initial_u) override { u_ = initial_u; }
+  Result<double> Update(SimTime, double y) override {
+    if (y < 0.0) return Status::InvalidArgument("negative y");
+    u_ = y / 10.0;
+    RecordStep(std::nan(""), u_);
+    return u_;
+  }
+  double current_u() const override { return u_; }
+  double reference() const override { return 60.0; }
+  void set_reference(double) override {}
+
+ private:
+  double u_ = 0.0;
+};
+
+using Trace = std::vector<std::pair<SimTime, double>>;
+
+Trace Points(const TimeSeries& series) {
+  Trace out;
+  for (const Sample& s : series.samples()) out.emplace_back(s.time, s.value);
+  return out;
+}
+
+// The traces are views over the decision log: sensed() keeps every step
+// but sensor misses, actuations() every step that chose an amount. One
+// scripted run covers each outcome.
+TEST(ElasticityManagerTest, TracesFollowStepOutcomes) {
+  sim::Simulation sim;
+  cloudwatch::MetricStore metrics;
+  obs::Telemetry telemetry;
+  ElasticityManager mgr(&sim, &metrics, &telemetry);
+  // Steps run at 60, 120, ..., 480; absent times are sensor misses.
+  const std::map<SimTime, double> script = {{60.0, 40.0},  {240.0, 50.0},
+                                            {300.0, 60.0}, {360.0, 70.0},
+                                            {420.0, 80.0}, {480.0, -1.0}};
+  LayerControlConfig cfg = TestConfig([&sim](double) {
+    return sim.Now() == 240.0 ? Status::Internal("resize failed")
+                              : Status::OK();
+  });
+  cfg.controller = std::make_unique<EchoController>();
+  cfg.sensor = [&script](SimTime now) -> Result<double> {
+    auto it = script.find(now);
+    if (it == script.end()) return Status::NotFound("no datapoints");
+    return it->second;
+  };
+  // 120 s holds the last value for one step; 180 s is too old.
+  cfg.resilience.sensor.on_miss = SensorMissPolicy::kHoldLastValue;
+  cfg.resilience.sensor.max_hold_sec = 60.0;
+  // The failure at 240 trips the breaker until 390: 300 and 360 skip.
+  cfg.resilience.breaker.failure_threshold = 1;
+  cfg.resilience.breaker.cooldown_sec = 150.0;
+  ASSERT_TRUE(mgr.Attach(std::move(cfg)).ok());
+  sim.RunUntil(500.0);
+
+  using obs::StepOutcome;
+  const std::vector<StepOutcome> outcomes = {
+      StepOutcome::kActuated,    StepOutcome::kActuated,
+      StepOutcome::kSensorMiss,  StepOutcome::kActuationFailed,
+      StepOutcome::kBreakerOpen, StepOutcome::kBreakerOpen,
+      StepOutcome::kActuated,    StepOutcome::kControllerError};
+  const obs::DecisionLog& log = telemetry.decisions();
+  ASSERT_EQ(log.size(), outcomes.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log.at(i).outcome, outcomes[i]) << "step " << i;
+  }
+  EXPECT_TRUE(log.at(1).stale_sensor);
+
+  auto state = mgr.GetState(Layer::kAnalytics);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(Points((*state)->sensed()),
+            (Trace{{60.0, 40.0}, {120.0, 40.0}, {240.0, 50.0}, {300.0, 60.0},
+                   {360.0, 70.0}, {420.0, 80.0}, {480.0, -1.0}}));
+  EXPECT_EQ(Points((*state)->actuations()),
+            (Trace{{60.0, 4.0}, {120.0, 4.0}, {240.0, 5.0}, {300.0, 6.0},
+                   {360.0, 7.0}, {420.0, 8.0}}));
+}
+
+// Once the decision ring wraps, the views hold only the retained steps.
+TEST(ElasticityManagerTest, TracesCoverOnlyRetainedSteps) {
+  sim::Simulation sim;
+  cloudwatch::MetricStore metrics;
+  obs::Telemetry telemetry(/*decision_capacity=*/8);
+  ElasticityManager mgr(&sim, &metrics, &telemetry);
+  LayerControlConfig cfg = TestConfig([](double) { return Status::OK(); });
+  cfg.controller = std::make_unique<EchoController>();
+  cfg.sensor = [](SimTime now) -> Result<double> {
+    if (now == 600.0) return Status::NotFound("no datapoints");
+    return now / 10.0;
+  };
+  ASSERT_TRUE(mgr.Attach(std::move(cfg)).ok());
+  sim.RunUntil(750.0);  // Twelve steps, 60 .. 720; the ring keeps eight.
+  ASSERT_EQ(telemetry.decisions().total_appended(), 12u);
+  ASSERT_EQ(telemetry.decisions().size(), 8u);
+
+  auto state = mgr.GetState(Layer::kAnalytics);
+  ASSERT_TRUE(state.ok());
+  const std::vector<SimTime> kept = {300.0, 360.0, 420.0, 480.0,
+                                     540.0, 660.0, 720.0};
+  EXPECT_EQ((*state)->sensed().Times(), kept);
+  EXPECT_EQ((*state)->actuations().Times(), kept);
+  EXPECT_EQ((*state)->actuations().Values(),
+            (std::vector<double>{3.0, 3.6, 4.2, 4.8, 5.4, 6.6, 7.2}));
 }
 
 TEST(ElasticityManagerTest, ShareUpperBoundCapsActuation) {
@@ -283,18 +397,26 @@ TEST(ElasticityManagerTest, ReplanningValidation) {
 TEST(ElasticityManagerTest, PeriodicReplanUpdatesShareBounds) {
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;
-  ElasticityManager mgr(&sim, &metrics);
+  obs::Telemetry telemetry;
+  telemetry.spans().set_enabled(true);
+  ElasticityManager mgr(&sim, &metrics, &telemetry);
   ASSERT_TRUE(
       mgr.Attach(TestConfig([](double) { return Status::OK(); })).ok());
-  std::vector<SimTime> plan_times;
-  ReplanConfig cfg = TestReplanConfig();
-  cfg.on_plan = [&](SimTime t, const ResourceShareResult& res) {
-    plan_times.push_back(t);
-    EXPECT_FALSE(res.pareto_plans.empty());
-  };
-  ASSERT_TRUE(mgr.EnableReplanning(std::move(cfg)).ok());
+  ASSERT_TRUE(mgr.EnableReplanning(TestReplanConfig()).ok());
   sim.RunUntil(2.5 * 3600.0);  // Covers the replans at 60 s, 1 h, 2 h.
-  ASSERT_EQ(plan_times.size(), 3u);
+  // Each re-plan leaves one kPlan span: outcome 0 on success, value =
+  // the front's size.
+  std::vector<SimTime> plan_times;
+  const obs::SpanCollector& spans = telemetry.spans();
+  for (obs::SpanId id = spans.first_retained();
+       id != 0 && id < spans.end_id(); ++id) {
+    const obs::SpanRecord* r = spans.Find(id);
+    if (r == nullptr || r->kind != obs::SpanKind::kPlan) continue;
+    EXPECT_EQ(r->outcome, 0);
+    EXPECT_GT(r->value, 0.0);
+    plan_times.push_back(r->start);
+  }
+  EXPECT_EQ(plan_times, (std::vector<SimTime>{60.0, 3660.0, 7260.0}));
   // The analytics loop's cap now follows the front's max share.
   auto state = mgr.GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
@@ -310,19 +432,14 @@ TEST(ElasticityManagerTest, ReplanWithCacheServesRepeatsFromCache) {
   ElasticityManager mgr(&sim, &metrics);
   ASSERT_TRUE(
       mgr.Attach(TestConfig([](double) { return Status::OK(); })).ok());
-  size_t cached_plans = 0;
   ReplanConfig cfg = TestReplanConfig();
   cfg.incremental.cache = true;
-  cfg.on_plan = [&](SimTime, const ResourceShareResult& res) {
-    if (res.cache_hit) ++cached_plans;
-  };
   ASSERT_TRUE(mgr.EnableReplanning(std::move(cfg)).ok());
   sim.RunUntil(3.5 * 3600.0);  // Four periods with an unchanged request.
   auto counters = mgr.ReplanCounters();
   ASSERT_TRUE(counters.ok());
   EXPECT_EQ(counters->cache_misses, 1u);
   EXPECT_EQ(counters->cache_hits, 3u);
-  EXPECT_EQ(cached_plans, 3u);
   // The cap is applied from cached results too.
   auto state = mgr.GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());

@@ -103,7 +103,7 @@ TEST(FlowBuilderTest, FeedforwardKindWiresArrivalDriver) {
   // should settle near the 60% reference.
   auto state = mf->manager->GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
-  auto tail = (*state)->sensed.Window(kHour, 2.0 * kHour);
+  auto tail = (*state)->sensed().Window(kHour, 2.0 * kHour);
   ASSERT_GT(tail.size(), 10u);
   double sum = 0.0;
   for (const Sample& s : tail.samples()) sum += s.value;
@@ -131,7 +131,7 @@ TEST(FlowBuilderTest, ManagedFlowActuallyScalesUnderLoad) {
   EXPECT_GT(mf->flow->cluster().worker_count(), 3);
   auto state = mf->manager->GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
-  EXPECT_GT((*state)->actuations.size(), 10u);
+  EXPECT_GT((*state)->actuations().size(), 10u);
 }
 
 }  // namespace

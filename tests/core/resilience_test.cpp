@@ -100,7 +100,7 @@ TEST(ResilienceTest, RetryRecoversTransientActuatorFailure) {
   EXPECT_EQ((*state)->actuation_retries(), 1u);
   EXPECT_EQ((*state)->retry_successes(), 1u);
   // Steps kept coming afterwards with no further retries.
-  EXPECT_GE((*state)->actuations.size(), 4u);
+  EXPECT_GE((*state)->actuations().size(), 4u);
 }
 
 TEST(ResilienceTest, RetriesAreBoundedPerStep) {
@@ -143,7 +143,7 @@ TEST(ResilienceTest, NewControlStepSupersedesOutstandingRetry) {
   ASSERT_TRUE(state.ok());
   // Every step failed once; no stale retry ever fired.
   EXPECT_EQ((*state)->actuation_retries(), 0u);
-  EXPECT_EQ((*state)->actuation_failures(), (*state)->actuations.size());
+  EXPECT_EQ((*state)->actuation_failures(), (*state)->actuations().size());
 }
 
 TEST(ResilienceTest, BreakerTripsThenRecoversViaHalfOpenProbe) {
@@ -177,7 +177,7 @@ TEST(ResilienceTest, BreakerTripsThenRecoversViaHalfOpenProbe) {
   EXPECT_EQ(calls, 7);  // 3 failures + probe + 3 healthy actuations.
   // The loop kept sensing throughout — the breaker only guards the
   // actuator, it does not blind the controller.
-  EXPECT_EQ((*state)->sensed.size(), (*state)->actuations.size());
+  EXPECT_EQ((*state)->sensed().size(), (*state)->actuations().size());
 }
 
 // A trip is a kBreaker span over [trip, trip + cooldown), parented on
@@ -302,9 +302,9 @@ TEST(ResilienceTest, HoldLastValueBridgesSensorGapUntilMaxAge) {
   // steps 420+ exceed max_hold_sec and skip.
   EXPECT_EQ((*state)->stale_sensor_reads(), 2u);
   EXPECT_EQ((*state)->sensor_misses(), 2u);
-  EXPECT_EQ((*state)->sensed.size(), 6u);
+  EXPECT_EQ((*state)->sensed().size(), 6u);
   // The held steps replayed the last good measurement.
-  auto samples = (*state)->sensed.samples();
+  auto samples = (*state)->sensed().samples();
   EXPECT_DOUBLE_EQ(samples[4].value, samples[3].value);
   EXPECT_DOUBLE_EQ(samples[5].value, samples[3].value);
 }
@@ -333,9 +333,11 @@ TEST(ResilienceTest, MedianSensingShrugsOffOutlierDatapoints) {
   ASSERT_TRUE(plain_state.ok());
   ASSERT_TRUE(robust_state.ok());
   double worst_plain = 0.0, worst_robust = 0.0;
-  for (const Sample& s : (*plain_state)->sensed.samples())
+  const TimeSeries plain_y = (*plain_state)->sensed();
+  const TimeSeries robust_y = (*robust_state)->sensed();
+  for (const Sample& s : plain_y.samples())
     worst_plain = std::max(worst_plain, s.value);
-  for (const Sample& s : (*robust_state)->sensed.samples())
+  for (const Sample& s : robust_y.samples())
     worst_robust = std::max(worst_robust, s.value);
   // The averaging sensor is dragged into the thousands by the spikes;
   // the median never leaves the true neighborhood.
@@ -362,8 +364,9 @@ TEST(ResilienceTest, WinsorizedMeanSensingBoundsSpikeInfluence) {
   sim.RunUntil(600.0);
   auto state = mgr.GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
-  ASSERT_FALSE((*state)->sensed.empty());
-  for (const Sample& s : (*state)->sensed.samples()) {
+  const TimeSeries sensed = (*state)->sensed();
+  ASSERT_FALSE(sensed.empty());
+  for (const Sample& s : sensed.samples()) {
     EXPECT_LE(s.value, 100.0);  // Spikes clamped to the window's bulk.
   }
 }

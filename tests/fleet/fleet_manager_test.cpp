@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,22 +102,39 @@ TEST(FleetManagerTest, MergedControlIdenticalAcrossThreadCounts) {
   EXPECT_EQ(d1, d4);  // Byte-identical merged control decisions.
 }
 
-TEST(FleetManagerTest, RollupKeepsTenantsDistinct) {
-  // Two tenants run identical topologies with identical layer names;
-  // the fleet rollup must still report them as separate series.
-  std::unique_ptr<FleetManager> fleet = MakeStartedFleet(2, 1);
-  ASSERT_TRUE(fleet->RunFor(300.0).ok());
-  obs::MetricsSnapshot snap = fleet->registry().AggregateSnapshot();
-  size_t grant_series = 0;
-  for (const obs::CounterSample& c : snap.counters) {
-    if (c.name == "fleet.steps") ++grant_series;
+// The digest's split rows put the id outside any fixed-size buffer:
+// two 201-byte ids that share a 200-byte prefix keep every field and
+// newline of their rows, and the rows stay apart.
+TEST(FleetManagerTest, LongTenantIdsKeepWholeDigestRows) {
+  FleetManager fleet(TestConfig(1));
+  const std::string ids[2] = {std::string(200, 'a') + "x",
+                              std::string(200, 'a') + "y"};
+  std::vector<TenantConfig> tenants = MakeTenantFleet(2, /*seed=*/7);
+  for (size_t i = 0; i < 2; ++i) {
+    tenants[i].id = ids[i];
+    tenants[i].monitoring_period_sec = 60.0;
+    ASSERT_TRUE(fleet.AddTenant(std::move(tenants[i])).ok());
   }
-  size_t gauge_series = 0;
-  for (const obs::GaugeSample& g : snap.gauges) {
-    if (g.name == "fleet.grant_usd") ++gauge_series;
+  ASSERT_TRUE(fleet.Start().ok());
+  ASSERT_TRUE(fleet.RunFor(600.0).ok());
+  // Split rows are the indented lines: two periods of two tenants.
+  std::vector<std::string> rows;
+  std::istringstream digest(fleet.ControlDigest());
+  for (std::string line; std::getline(digest, line);) {
+    if (line.rfind("  ", 0) == 0) rows.push_back(line);
   }
-  EXPECT_EQ(grant_series, 2u) << "tenant step counters merged";
-  EXPECT_EQ(gauge_series, 2u) << "tenant grant gauges merged";
+  ASSERT_EQ(rows.size(), 4u);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::string& row = rows[r];
+    EXPECT_EQ(row.rfind("  " + ids[r % 2] + " demand=", 0), 0u) << row;
+    size_t steps = row.rfind(" steps=");
+    ASSERT_NE(steps, std::string::npos) << row;
+    const std::string count = row.substr(steps + 7);
+    EXPECT_FALSE(count.empty()) << row;
+    EXPECT_EQ(count.find_first_not_of("0123456789"), std::string::npos)
+        << row;
+  }
+  EXPECT_NE(rows[0], rows[1]);
 }
 
 TEST(FleetManagerTest, PerFlowPlannerCountersAreTenantScoped) {
@@ -204,7 +222,7 @@ Status AddAndStart(const TenantConfig& tenant) {
   return fleet.Start();
 }
 
-// The id names the tenant's ScopedRegistry child, which must be
+// The id names the tenant's capture bundle files, so it must be
 // non-empty and free of '/'; AddTenant rejects it before any run.
 TEST(FleetManagerTest, AddTenantRejectsEmptyId) {
   TenantConfig t;

@@ -66,6 +66,34 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
+// Compares `digest` with testdata/<name>. On a mismatch it prints the
+// first differing line and writes the fresh digest next to a `cp`
+// command that regenerates the golden.
+void ExpectDigestMatchesGolden(const std::string& digest,
+                               const std::string& name, size_t threads) {
+  const std::string golden_path =
+      std::string(FLOWER_FLEET_TESTDATA) + "/" + name;
+  const std::string golden = ReadFile(golden_path);
+  ASSERT_FALSE(golden.empty()) << "missing " << golden_path;
+  if (digest == golden) return;
+  std::istringstream got(digest);
+  std::istringstream want(golden);
+  std::string got_line;
+  std::string want_line;
+  int line = 1;
+  for (;; ++line) {
+    bool more_got = static_cast<bool>(std::getline(got, got_line));
+    bool more_want = static_cast<bool>(std::getline(want, want_line));
+    if (!more_got || !more_want || got_line != want_line) break;
+  }
+  const std::string fresh = ::testing::TempDir() + name;
+  std::ofstream(fresh, std::ios::binary) << digest;
+  ADD_FAILURE() << threads << " thread(s): digest differs from the golden "
+                << "at line " << line << "\n  got:  " << got_line
+                << "\n  want: " << want_line
+                << "\n  regenerate: cp " << fresh << " " << golden_path;
+}
+
 // testdata/homogeneous_5x900s.digest holds this fleet's ControlDigest()
 // as the barrier sweep that preceded the work-stealing one produced it;
 // the work-stealing sweep matched it byte for byte at 1 and 4 threads.
@@ -73,33 +101,27 @@ std::string ReadFile(const std::string& path) {
 // same partition decision logs. A change that moves any decision on
 // purpose regenerates it with the command printed on failure.
 TEST(WorkStealSweepTest, HomogeneousDigestMatchesGolden) {
-  const std::string golden_path =
-      std::string(FLOWER_FLEET_TESTDATA) + "/homogeneous_5x900s.digest";
-  const std::string golden = ReadFile(golden_path);
-  ASSERT_FALSE(golden.empty()) << "missing " << golden_path;
   for (size_t threads : {1, 4}) {
     std::unique_ptr<FleetManager> fleet = MakeHomogeneousFleet(5, threads);
     ASSERT_TRUE(fleet->RunFor(900.0).ok());
-    const std::string digest = fleet->ControlDigest();
     ASSERT_EQ(fleet->reports().size(), 3u);
-    if (digest == golden) continue;
-    std::istringstream got(digest);
-    std::istringstream want(golden);
-    std::string got_line;
-    std::string want_line;
-    int line = 1;
-    for (;; ++line) {
-      bool more_got = static_cast<bool>(std::getline(got, got_line));
-      bool more_want = static_cast<bool>(std::getline(want, want_line));
-      if (!more_got || !more_want || got_line != want_line) break;
-    }
-    const std::string fresh =
-        ::testing::TempDir() + "homogeneous_5x900s.digest";
-    std::ofstream(fresh, std::ios::binary) << digest;
-    ADD_FAILURE() << threads << " thread(s): digest differs from the golden "
-                  << "at line " << line << "\n  got:  " << got_line
-                  << "\n  want: " << want_line
-                  << "\n  regenerate: cp " << fresh << " " << golden_path;
+    ExpectDigestMatchesGolden(fleet->ControlDigest(),
+                              "homogeneous_5x900s.digest", threads);
+  }
+}
+
+// testdata/heterogeneous_3x360s.digest holds the 30/45/60 s fleet's
+// ControlDigest() after two RunFor calls (150 s, then 210 s). It pins
+// what the homogeneous golden cannot: windows of different lengths
+// interleaved in one digest, and reports accumulated over more than
+// one call. Regenerated like the homogeneous golden.
+TEST(WorkStealSweepTest, HeterogeneousDigestMatchesGolden) {
+  for (size_t threads : {1, 4, 16}) {
+    std::unique_ptr<FleetManager> fleet = MakeHeterogeneousFleet(threads);
+    ASSERT_TRUE(fleet->RunFor(150.0).ok());
+    ASSERT_TRUE(fleet->RunFor(210.0).ok());
+    ExpectDigestMatchesGolden(fleet->ControlDigest(),
+                              "heterogeneous_3x360s.digest", threads);
   }
 }
 

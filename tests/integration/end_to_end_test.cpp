@@ -52,13 +52,13 @@ TEST(EndToEndTest, ManagedFlowTracksDiurnalLoadOnAllLayers) {
        {Layer::kIngestion, Layer::kAnalytics, Layer::kStorage}) {
     auto state = mf->manager->GetState(layer);
     ASSERT_TRUE(state.ok()) << LayerToString(layer);
-    EXPECT_GT((*state)->actuations.size(), 50u) << LayerToString(layer);
+    EXPECT_GT((*state)->actuations().size(), 50u) << LayerToString(layer);
   }
 
   // 2) Analytics utilization stays in a sane band on average (the
   //    reference is 60%).
   auto analytics = mf->manager->GetState(Layer::kAnalytics);
-  auto sensed = (*analytics)->sensed.Window(kHour, 4.0 * kHour);
+  auto sensed = (*analytics)->sensed().Window(kHour, 4.0 * kHour);
   ASSERT_GT(sensed.size(), 10u);
   double sum = 0.0;
   for (const Sample& s : sensed.samples()) sum += s.value;
@@ -97,7 +97,7 @@ TEST(EndToEndTest, ElasticityFollowsLoadUpAndDown) {
   auto state = mf->manager->GetState(Layer::kAnalytics);
   ASSERT_TRUE(state.ok());
   auto mean_u = [&](SimTime t0, SimTime t1) {
-    TimeSeries w = (*state)->actuations.Window(t0, t1);
+    TimeSeries w = (*state)->actuations().Window(t0, t1);
     EXPECT_GT(w.size(), 5u);
     double sum = 0.0;
     for (const Sample& s : w.samples()) sum += s.value;
@@ -224,7 +224,7 @@ TEST(EndToEndTest, DayLongSoakStaysHealthy) {
   auto analytics = mf->manager->GetState(Layer::kAnalytics);
   ASSERT_TRUE(analytics.ok());
   EXPECT_FALSE(
-      (*analytics)->actuations.Window(23.0 * kHour, kDay).empty());
+      (*analytics)->actuations().Window(23.0 * kHour, kDay).empty());
   EXPECT_EQ((*analytics)->actuation_failures(), 0u);
   // (4) metric storage grows linearly with time, not with load: each
   //     service publishes a fixed set of series once per period.

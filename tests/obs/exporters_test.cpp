@@ -49,19 +49,6 @@ DecisionLog LogOf(std::initializer_list<ControlDecisionRecord> records) {
   return log;
 }
 
-TEST(DecisionCsvTest, HeaderAndRow) {
-  std::ostringstream os;
-  WriteDecisionCsv(os, LogOf({SampleRecord()}));
-  auto lines = Lines(os.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0],
-            "time,loop,layer,law,sensed_y,reference,error,gain,raw_u,"
-            "clamped_u,stale,outcome,fault_mask,health_mask,span_id");
-  EXPECT_EQ(lines[1],
-            "120,analytics,analytics,adaptive-gain,78.5,60,18.5,0.115,"
-            "5.13,5,1,actuated,4,3,42");
-}
-
 TEST(DecisionJsonlTest, OneObjectPerLine) {
   std::ostringstream os;
   WriteDecisionJsonl(os, LogOf({SampleRecord(), SampleRecord()}));
@@ -92,22 +79,16 @@ TEST(SnapshotSinksTest, CoverAllKinds) {
   registry.GetHistogram("lat")->Record(2.0);
   MetricsSnapshot snap = registry.Snapshot();
 
-  std::ostringstream csv;
-  WriteSnapshotCsv(csv, snap);
-  auto csv_lines = Lines(csv.str());
-  ASSERT_EQ(csv_lines.size(), 4u);  // Header + one per instrument.
-  EXPECT_EQ(csv_lines[0], "kind,name,labels,value,count,sum,min,max,p50,p99");
-  EXPECT_EQ(csv_lines[1].rfind("counter,steps,loop=analytics,3", 0), 0u);
-
   std::ostringstream jsonl;
   WriteSnapshotJsonl(jsonl, snap, 3600.0);
   auto json_lines = Lines(jsonl.str());
-  ASSERT_EQ(json_lines.size(), 3u);
-  EXPECT_NE(json_lines[0].find("\"type\":\"counter\""), std::string::npos);
-  EXPECT_NE(json_lines[0].find("\"time\":3600"), std::string::npos);
-  EXPECT_NE(json_lines[0].find("\"labels\":{\"loop\":\"analytics\"}"),
-            std::string::npos);
-  EXPECT_NE(json_lines[1].find("\"type\":\"gauge\""), std::string::npos);
+  ASSERT_EQ(json_lines.size(), 3u);  // One per instrument.
+  EXPECT_EQ(json_lines[0],
+            "{\"type\":\"counter\",\"time\":3600,\"name\":\"steps\","
+            "\"labels\":{\"loop\":\"analytics\"},\"value\":3}");
+  EXPECT_EQ(json_lines[1],
+            "{\"type\":\"gauge\",\"time\":3600,\"name\":\"gain\","
+            "\"labels\":{},\"value\":0.25}");
   EXPECT_NE(json_lines[2].find("\"type\":\"histogram\""), std::string::npos);
   EXPECT_NE(json_lines[2].find("\"count\":1"), std::string::npos);
 }
@@ -310,8 +291,8 @@ TEST(ChromeTraceTest, EscapesStrings) {
 // Fleet partitions offset span ids by index * kIdStride, so from tenant
 // 4096 on the flow ids (2*id, 2*id+1) exceed 2^53. They are exported as
 // decimal strings, which every JSON reader returns exactly, so
-// neighbouring flow arrows stay distinct and the decision CSV's span_id
-// column still matches.
+// neighbouring flow arrows stay distinct and the decision JSONL's
+// span_id field still carries the same digits.
 TEST(ChromeTraceTest, SpanIdsStayExactPastDoublePrecision) {
   SpanCollector spans;
   ASSERT_TRUE(spans.set_id_offset(5000 * SpanCollector::kIdStride).ok());
@@ -362,13 +343,15 @@ TEST(ChromeTraceTest, SpanIdsStayExactPastDoublePrecision) {
   EXPECT_NE(starts[0], starts[2]);
   EXPECT_EQ(starts[2], std::to_string(2 * act + 1));
 
-  // The decision CSV's span_id cell is the same decimal string.
-  std::ostringstream csv;
-  WriteDecisionCsv(csv, LogOf({rec}));
-  const std::string row = Lines(csv.str())[1];
-  const std::string cell = row.substr(row.rfind(',') + 1);
-  EXPECT_EQ(cell, std::to_string(decide));
-  EXPECT_NE(text.find("\"id\":\"" + cell + "\""), std::string::npos);
+  // The decision JSONL's span_id field carries the same digits.
+  std::ostringstream jsonl;
+  WriteDecisionJsonl(jsonl, LogOf({rec}));
+  const std::string row = Lines(jsonl.str())[0];
+  const std::string key = "\"span_id\":";
+  const size_t at = row.find(key) + key.size();
+  const std::string digits = row.substr(at, row.find('}', at) - at);
+  EXPECT_EQ(digits, std::to_string(decide));
+  EXPECT_NE(text.find("\"id\":\"" + digits + "\""), std::string::npos);
 }
 
 TEST(ExportToFileTest, WritesAndReportsErrors) {

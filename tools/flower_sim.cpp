@@ -194,6 +194,19 @@ Result<std::shared_ptr<workload::ArrivalProcess>> MakeWorkload(
   return Status::InvalidArgument("unknown --workload: " + kind);
 }
 
+// The loop traces the evaluation reads are views over the decision
+// log's ring. Once the ring has overwritten steps, the evaluation (which
+// integrates actuations from the loop's first step) reaches past the
+// oldest retained one; say so on stderr rather than report numbers for
+// a window the log no longer holds.
+void NoteTraceRetention(const obs::DecisionLog& log) {
+  if (log.total_appended() <= log.size()) return;
+  std::cerr << "note: the decision log retains the last " << log.size()
+            << " of " << log.total_appended() << " control steps (from t="
+            << log.at(0).time << " s); the analytics evaluation covers "
+            << "only those\n";
+}
+
 struct ReplicaMetrics {
   double drop_pct = 0.0;
   double out_of_band_pct = 0.0;
@@ -246,11 +259,12 @@ Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
           : 0.0;
   FLOWER_ASSIGN_OR_RETURN(const core::LayerControlState* state,
                           managed.manager->GetState(core::Layer::kAnalytics));
+  NoteTraceRetention(*state->log);
   FLOWER_ASSIGN_OR_RETURN(
       control::ControlQuality quality,
       control::EvaluateControl(
-          state->sensed.Window(30.0 * kMinute, horizon),
-          state->actuations, reference, 15.0, horizon));
+          state->sensed().Window(30.0 * kMinute, horizon),
+          state->actuations(), reference, 15.0, horizon));
   out.out_of_band_pct = 100.0 * quality.violation_fraction;
   out.overload_pct = 100.0 * quality.overload_fraction;
   out.mae = quality.mean_abs_error;
@@ -661,10 +675,12 @@ int RunOrDie(const tools::FlagParser& flags) {
   summary.AddRow({"final WCU",
                   TablePrinter::Num(flow.table().provisioned_wcu(), 0)});
   auto state = managed->manager->GetState(core::Layer::kAnalytics);
-  if (state.ok() && !(*state)->sensed.empty()) {
+  const TimeSeries sensed = state.ok() ? (*state)->sensed() : TimeSeries();
+  if (!sensed.empty()) {
+    NoteTraceRetention(*(*state)->log);
     auto quality = control::EvaluateControl(
-        (*state)->sensed.Window(30.0 * kMinute, horizon),
-        (*state)->actuations, *reference_or, 15.0, horizon);
+        sensed.Window(30.0 * kMinute, horizon), (*state)->actuations(),
+        *reference_or, 15.0, horizon);
     if (quality.ok()) {
       summary.AddRow({"analytics out-of-band %",
                       TablePrinter::Num(

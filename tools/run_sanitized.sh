@@ -9,8 +9,8 @@
 # timer wheel's move-out/swap event paths, where a use-after-move or
 # buffer rotation bug would likewise stay invisible. The obs label
 # rides along for the observability plane: the span ring's lazy
-# allocation/eviction and the scoped-registry/rollup merge paths are
-# pointer-heavy and deserve lifetime checking. The fleet label rides
+# allocation/eviction and the decision ring the loop traces are read
+# from are pointer-heavy and deserve lifetime checking. The fleet label rides
 # along too: a thousand flow partitions being built, swept in parallel,
 # and torn down is where a dangling partition pointer or a
 # budget-callback into a freed manager would surface first. The replay

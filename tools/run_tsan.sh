@@ -10,10 +10,10 @@
 # single-threaded, and running its property tests under TSan keeps any
 # future threading of the event loop honest from day one.
 #
-# The obs label rides along for the scoped-registry concurrency tests:
-# parallel writers hammer per-scope instruments while an aggregator
-# merges snapshots, which is exactly the lock-free atomic path a missed
-# memory-order edge would corrupt silently in the plain build.
+# The obs label rides along for the span collector's concurrent id
+# allocation and the planner telemetry taken at several solver thread
+# counts: lock-free atomic paths a missed memory-order edge would
+# corrupt silently in the plain build.
 #
 # The fleet label rides along for the multi-tenant sweep: partitions
 # advance concurrently as RunTasks tasks and span ids allocate from an
