@@ -304,7 +304,8 @@ int Run() {
   auto row = [&](const char* name, const RunResult& r) {
     table.AddRow({name, TablePrinter::Num(r.violation_sec, 0),
                   r.recovered ? TablePrinter::Num(r.recover_sec, 0)
-                              : (">" + TablePrinter::Num(r.recover_sec, 0)),
+                              : std::string(">").append(
+                                    TablePrinter::Num(r.recover_sec, 0)),
                   TablePrinter::Num(r.drop_pct, 2),
                   std::to_string(r.analytics.actuation_failures),
                   std::to_string(r.analytics.actuation_retries),

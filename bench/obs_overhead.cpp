@@ -25,17 +25,15 @@
 // shrinks the workloads, skips the gates, and always exits 0.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/table_printer.h"
@@ -49,30 +47,6 @@
 #include "sim/simulation.h"
 #include "tools/flag_parser.h"
 #include "workload/arrival.h"
-
-// Allocation-counting hook (same pattern as sim_throughput): global
-// operator new bumps a relaxed counter so the steady-tick guard can
-// count heap traffic inside RunUntil windows.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace flower {
 namespace {
@@ -183,10 +157,10 @@ DisabledRun RunDisabledFlow(double sim_seconds) {
   // after the first tick, so any per-tick heap traffic from the obs
   // plane lands in this window.
   sim.RunUntil(std::max(sim_seconds, 103.0));
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   sim.RunUntil(std::max(sim_seconds, 103.0) + 6.0);
   out.steady_allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+      bench::AllocationCount() - before;
   out.steady_ticks = 6;
   return out;
 }
@@ -441,19 +415,28 @@ int Run(bool smoke, const std::string& out_path) {
     return 0;
   }
   bool ok = true;
-  ok &= bench::Verdict("disabled obs plane within 1% of simcore baseline "
-                       "(got " + TablePrinter::Num(disabled_delta_pct, 2) +
-                           "%)",
+  // "<claim> (got <value>)", built by appending: GCC 12 misreads the
+  // insert behind `"literal" + std::string` as an overlapping copy
+  // (-Wrestrict) in optimized builds.
+  auto got = [](const char* claim, const std::string& value) {
+    std::string text = claim;
+    text += " (got ";
+    text += value;
+    text += ")";
+    return text;
+  };
+  ok &= bench::Verdict(got("disabled obs plane within 1% of simcore baseline",
+                           TablePrinter::Num(disabled_delta_pct, 2) + "%"),
                        disabled_delta_pct <= 1.0);
   ok &= bench::Verdict(
-      "zero allocations per steady tick with obs plane attached (got " +
-          std::to_string(disabled.steady_allocations) + ")",
+      got("zero allocations per steady tick with obs plane attached",
+          std::to_string(disabled.steady_allocations)),
       disabled.steady_allocations == 0);
-  ok &= bench::Verdict("span recording overhead <= 5% (got " +
-                           TablePrinter::Num(overhead_pct, 2) + "%)",
+  ok &= bench::Verdict(got("span recording overhead <= 5%",
+                           TablePrinter::Num(overhead_pct, 2) + "%"),
                        overhead_pct <= 5.0);
-  ok &= bench::Verdict("span Begin+End >= 1M spans/s (got " +
-                           TablePrinter::Num(rate.emit_per_sec, 0) + ")",
+  ok &= bench::Verdict(got("span Begin+End >= 1M spans/s",
+                           TablePrinter::Num(rate.emit_per_sec, 0)),
                        rate.emit_per_sec >= 1.0e6);
   ok &= bench::Verdict("event order byte-identical at 1/4/16 threads",
                        deterministic);

@@ -8,11 +8,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
 #include "cloudwatch/metric_store.h"
 #include "common/random.h"
@@ -33,30 +31,7 @@
 #include "sim/simulation.h"
 #include "stats/correlation.h"
 #include "stats/linreg.h"
-
-// Allocation-counting hook: global operator new/delete bump a relaxed
-// counter, so the metrics hot-path guard below can assert that counter
-// increments and histogram records perform zero heap allocations.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "workload/clickstream.h"
 
 namespace flower {
 namespace {
@@ -238,12 +213,12 @@ bool MetricsHotPathIsAllocationFree() {
   obs::Histogram* hist =
       registry.GetHistogram("guard.latency_us", {{"layer", "analytics"}});
   constexpr int kOps = 100000;
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   for (int i = 0; i < kOps; ++i) {
     counter->Increment();
     hist->Record(static_cast<double>(i % 4096) * 0.37);
   }
-  uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  uint64_t allocs = bench::AllocationCount() - before;
   std::printf("metrics hot-path allocation guard: %llu allocations over %d "
               "counter increments + %d histogram records\n",
               static_cast<unsigned long long>(allocs), kOps, kOps);
@@ -294,12 +269,12 @@ bool PlannerSteadyStateIsAllocationLean() {
   cfg.num_threads = 1;
   cfg.stall_generations = kGenerations + 1;  // Bookkeeping on, no exit.
   cfg.on_generation = [](const opt::Nsga2GenerationStats& s) {
-    uint64_t now = g_allocations.load(std::memory_order_relaxed);
+    uint64_t now = bench::AllocationCount();
     per_gen[s.generation] = now - last_mark;
     last_mark = now;
   };
   opt::Nsga2 solver(cfg);
-  last_mark = g_allocations.load(std::memory_order_relaxed);
+  last_mark = bench::AllocationCount();
   auto res = solver.Solve(problem);
   if (!res.ok()) {
     std::printf("planner steady-state guard: solve failed\n");
@@ -348,9 +323,9 @@ bool SimSteadyTickIsAllocationFree() {
   // Past one wheel rotation (64 s) and one sliding-window ring
   // rotation (8 slots x 10 s); boundary-100's emission lands ~101-102.
   sim.RunUntil(103.0);
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   sim.RunUntil(133.0);  // Ticks 104..133, boundaries 110, 120 and 130.
-  uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  uint64_t allocs = bench::AllocationCount() - before;
   std::printf("sim steady-tick allocation guard: %llu allocations over 30 "
               "cluster ticks spanning 3 slide boundaries\n",
               static_cast<unsigned long long>(allocs));
@@ -400,10 +375,10 @@ bool OverloadRejectionsAreAllocationFree() {
   };
   offer_stream(2);
   offer_table(10);
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   const uint64_t rejected_puts = offer_stream(2);
   const uint64_t rejected_writes = offer_table(1200);
-  uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  uint64_t allocs = bench::AllocationCount() - before;
   std::printf("overload allocation guard: %llu allocations over %llu "
               "rejected puts (1-shard stream) + %llu rejected writes "
               "(1-WCU table) at 10x the provisioned rate\n",
@@ -411,6 +386,44 @@ bool OverloadRejectionsAreAllocationFree() {
               static_cast<unsigned long long>(rejected_puts),
               static_cast<unsigned long long>(rejected_writes));
   return allocs == 0 && rejected_puts >= 10000 && rejected_writes >= 10000;
+}
+
+// The click generator's steady batch must not allocate: each emission
+// draws its records into the thread's scratch and puts them with one
+// PutRecords call. One generator feeds a 2-shard stream at 600
+// clicks/s, below the write limit, and a consumer drains both shards
+// every second into a warm buffer. After 300 s of warm-up, which sizes
+// the scratch, the shard buffers and the consumer buffer, the next
+// 120 s of emissions must perform zero heap allocations.
+bool GeneratorSteadyBatchIsAllocationFree() {
+  sim::Simulation sim;
+  kinesis::StreamConfig stream_cfg;
+  stream_cfg.initial_shards = 2;
+  kinesis::Stream stream(&sim, nullptr, stream_cfg);
+  workload::ClickStreamGenerator generator(
+      &sim, &stream, std::make_shared<workload::ConstantArrival>(600.0),
+      bench::CanonicalWorkload(), /*seed=*/7);
+  std::vector<kinesis::Record> drained;
+  Status st = sim.SchedulePeriodic(0.5, 1.0, [&] {
+    for (int s = 0; s < stream.shard_count(); ++s) {
+      drained.clear();
+      (void)stream.GetRecordsInto(s, 100000, &drained);
+    }
+    return true;
+  });
+  if (!st.ok()) return false;
+  sim.RunUntil(300.0);
+  const uint64_t records_before = generator.total_generated();
+  uint64_t before = bench::AllocationCount();
+  sim.RunUntil(420.0);
+  uint64_t allocs = bench::AllocationCount() - before;
+  const uint64_t records = generator.total_generated() - records_before;
+  std::printf("generator allocation guard: %llu allocations over 120 s of "
+              "EmitBatch -> PutRecords (%llu records, %llu dropped)\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(records),
+              static_cast<unsigned long long>(generator.total_dropped()));
+  return allocs == 0 && records > 0 && generator.total_dropped() == 0;
 }
 
 // Fourth hard guard: the decision record path must be allocation-free.
@@ -434,7 +447,7 @@ bool FlightRecorderHotPathIsAllocationFree() {
   for (size_t i = 0; i < log.capacity(); ++i) log.Append(rec);
   constexpr int kOps = 100000;
   const double shares[3] = {8.0, 4.0, 120.0};
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   for (int i = 0; i < kOps; ++i) {
     rec.time = 60.0 * static_cast<double>(i);
     rec.sensed_y = 40.0 + static_cast<double>(i % 50);
@@ -445,7 +458,7 @@ bool FlightRecorderHotPathIsAllocationFree() {
     if (i % 15 == 0) recorder.RecordGrant(rec.time, 1.0, 0.5);
     if (i % 15 == 7) recorder.RecordReplan(rec.time, 0.5, shares, 3, true);
   }
-  uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  uint64_t allocs = bench::AllocationCount() - before;
   std::printf("flight recorder allocation guard: %llu allocations over %d "
               "decisions (log + recorder) + interleaved grants/re-plans "
               "(chain=%llu)\n",
@@ -473,9 +486,9 @@ uint64_t ControlStepAllocations(core::ControllerKind kind, int steps) {
   cfg.sensor = [](SimTime) -> Result<double> { return 70.0; };
   cfg.initial_u = 10.0;
   if (!manager.Attach(std::move(cfg)).ok()) return ~uint64_t{0};
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   sim.RunUntil(60.0 * steps);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return bench::AllocationCount() - before;
 }
 
 // Seventh hard guard: once the decision ring is full, a control step
@@ -512,7 +525,7 @@ bool BudgetMailboxHotPathIsAllocationFree() {
   fleet::BudgetMailbox::Grant g;
   fleet::BudgetMailbox::Grant received;
   uint64_t consumed = 0;
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   for (int i = 0; i < kOps; ++i) {
     d.boundary = 900.0 * static_cast<double>(i);
     d.demand_usd = 1.0 + 0.001 * static_cast<double>(i % 100);
@@ -527,7 +540,7 @@ bool BudgetMailboxHotPathIsAllocationFree() {
       ++consumed;
     }
   }
-  uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - before;
+  uint64_t allocs = bench::AllocationCount() - before;
   std::printf("budget mailbox allocation guard: %llu allocations over %d "
               "demand/grant cycles (%llu received)\n",
               static_cast<unsigned long long>(allocs), kOps,
@@ -545,7 +558,7 @@ bool BudgetMailboxHotPathIsAllocationFree() {
 bool TaskSweepSteadyStateIsAllocationFree() {
   exec::ThreadPool pool(1);  // Inline: deterministic, no worker wakeups.
   auto run_chain = [&pool](uint64_t length) -> uint64_t {
-    uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    uint64_t before = bench::AllocationCount();
     Status s = pool.RunTasks(
         1,
         [length](uint64_t id, exec::ThreadPool::TaskContext& ctx) {
@@ -553,7 +566,7 @@ bool TaskSweepSteadyStateIsAllocationFree() {
           return Status::OK();
         });
     if (!s.ok()) return ~uint64_t{0};
-    return g_allocations.load(std::memory_order_relaxed) - before;
+    return bench::AllocationCount() - before;
   };
   run_chain(16);  // Warm one-off lazy state (locale, TLS, ...).
   uint64_t short_allocs = run_chain(16);
@@ -624,6 +637,11 @@ int main(int argc, char** argv) {
   if (!flower::OverloadRejectionsAreAllocationFree()) {
     std::fprintf(stderr,
                  "FAIL: throttled Kinesis/DynamoDB requests allocated\n");
+    return 1;
+  }
+  if (!flower::GeneratorSteadyBatchIsAllocationFree()) {
+    std::fprintf(stderr,
+                 "FAIL: click generator allocated on its steady batch\n");
     return 1;
   }
   if (!flower::FlightRecorderHotPathIsAllocationFree()) {

@@ -19,16 +19,14 @@
 // exits 0.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/table_printer.h"
@@ -37,30 +35,6 @@
 #include "sim/simulation.h"
 #include "tools/flag_parser.h"
 #include "workload/arrival.h"
-
-// Allocation-counting hook (same pattern as perf_micro): global
-// operator new bumps a relaxed counter so the steady-tick guard can
-// count heap traffic inside RunUntil windows.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace flower {
 namespace {
@@ -209,15 +183,15 @@ SteadyTickResult MeasureSteadyTick() {
   // inside (boundary-100's emission lands ~101-102 with tuple lag).
   sim.RunUntil(103.0);
   SteadyTickResult out;
-  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::AllocationCount();
   sim.RunUntil(109.0);  // Ticks at 104..109; boundary-110 emits ~111.
   out.steady_allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+      bench::AllocationCount() - before;
   out.steady_ticks = 6;
-  before = g_allocations.load(std::memory_order_relaxed);
+  before = bench::AllocationCount();
   sim.RunUntil(119.0);  // Crosses the boundary-110 emission.
   out.boundary_allocations =
-      g_allocations.load(std::memory_order_relaxed) - before;
+      bench::AllocationCount() - before;
   return out;
 }
 

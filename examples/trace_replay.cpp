@@ -7,7 +7,10 @@
 // With no argument, a synthetic "production" trace is generated and
 // written to a temporary file first, so the example is self-contained.
 
-#include <cstdio>
+#include <stdlib.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <iostream>
 
 #include "common/units.h"
@@ -40,7 +43,18 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     path = argv[1];
   } else {
-    path = std::string(std::tmpnam(nullptr)) + "_flower_trace.csv";
+    // mkstemp creates the file under a fresh name, so no other process
+    // can claim the name between choosing and opening it.
+    std::string name =
+        (std::filesystem::temp_directory_path() / "flower_trace_XXXXXX")
+            .string();
+    int fd = mkstemp(name.data());
+    if (fd < 0) {
+      std::cerr << "cannot create a temporary trace file\n";
+      return 1;
+    }
+    close(fd);
+    path = name;
     Status st = workload::SaveRateTraceCsv(SyntheticProductionTrace(), path);
     if (!st.ok()) {
       std::cerr << st << "\n";

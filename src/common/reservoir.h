@@ -9,6 +9,13 @@
 
 namespace flower {
 
+/// Percentile (linear interpolation) of an ascending `sorted` sample:
+/// the rule `ReservoirSampler::Percentile` applies to its sorted copy.
+/// A caller that reads several percentiles of one sample sorts it once
+/// and calls this for each. Errors: empty sample or p outside [0, 100].
+Result<double> PercentileOfSorted(const std::vector<double>& sorted,
+                                  double p);
+
 /// Fixed-size uniform reservoir sample (Vitter's algorithm R): keeps a
 /// uniform random subset of an unbounded stream in O(capacity) memory,
 /// so per-period latency percentiles stay cheap even at millions of

@@ -50,6 +50,19 @@ class VecDeque {
     --count_;
   }
 
+  /// Removes the first `n` elements (n <= size()).
+  void PopFront(size_t n) {
+    head_ = (head_ + n) & mask_;
+    count_ -= n;
+  }
+
+  /// Length of the contiguous run that starts at front(): the elements
+  /// `&front()[0 .. FrontRun())` are adjacent in memory. 0 when empty;
+  /// equal to size() unless the contents wrap around the ring.
+  size_t FrontRun() const {
+    return count_ < buf_.size() - head_ ? count_ : buf_.size() - head_;
+  }
+
   void clear() {
     head_ = 0;
     count_ = 0;
@@ -66,6 +79,15 @@ class VecDeque {
       tail = (tail + 1) & mask_;
     }
     count_ += n;
+  }
+
+  /// Appends every element of `other` (front to back). `other` must be
+  /// a different queue.
+  void AppendAll(const VecDeque& other) {
+    const size_t first = other.FrontRun();
+    if (first == 0) return;
+    AppendRange(&other.front(), first);
+    AppendRange(other.buf_.data(), other.count_ - first);
   }
 
  private:

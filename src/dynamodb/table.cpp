@@ -67,12 +67,28 @@ Status Table::ChargeWrite(int32_t size_bytes) {
   return Status::OK();
 }
 
+Table::ItemIt Table::LowerBound(int64_t key) {
+  return std::lower_bound(
+      items_.begin(), items_.end(), key,
+      [](const std::pair<int64_t, double>& item, int64_t k) {
+        return item.first < k;
+      });
+}
+
+double& Table::Item(int64_t key) {
+  ItemIt it = LowerBound(key);
+  if (it == items_.end() || it->first != key) {
+    it = items_.insert(it, {key, 0.0});
+  }
+  return it->second;
+}
+
 Status Table::PutItem(int64_t key, double value, int32_t size_bytes) {
   if (size_bytes <= 0) {
     return Status::InvalidArgument("PutItem: non-positive item size");
   }
   FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
-  items_[key] = value;
+  Item(key) = value;
   return Status::OK();
 }
 
@@ -89,8 +105,10 @@ Result<double> Table::GetItem(int64_t key, int32_t size_bytes) {
   }
   read_tokens_ -= cost;
   period_consumed_rcu_ += cost;
-  auto it = items_.find(key);
-  if (it == items_.end()) return Status::NotFound("no such item");
+  ItemIt it = LowerBound(key);
+  if (it == items_.end() || it->first != key) {
+    return Status::NotFound("no such item");
+  }
   return it->second;
 }
 
@@ -100,7 +118,7 @@ Result<double> Table::UpdateItemAdd(int64_t key, double delta,
     return Status::InvalidArgument("UpdateItemAdd: non-positive item size");
   }
   FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
-  return items_[key] += delta;
+  return Item(key) += delta;
 }
 
 Status Table::DeleteItem(int64_t key, int32_t size_bytes) {
@@ -108,7 +126,8 @@ Status Table::DeleteItem(int64_t key, int32_t size_bytes) {
     return Status::InvalidArgument("DeleteItem: non-positive item size");
   }
   FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
-  items_.erase(key);
+  ItemIt it = LowerBound(key);
+  if (it != items_.end() && it->first == key) items_.erase(it);
   return Status::OK();
 }
 

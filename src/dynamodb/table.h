@@ -2,8 +2,9 @@
 #define FLOWER_DYNAMODB_TABLE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cloudwatch/metric_store.h"
 #include "common/result.h"
@@ -45,7 +46,8 @@ struct TableConfig {
 ///
 /// The table actually stores items (key → numeric value) so integration
 /// tests can verify end-to-end flow correctness, not just throughput
-/// accounting.
+/// accounting. Items sit in one vector sorted by key, with no heap node
+/// per item.
 ///
 /// Published metrics (namespace "Flower/DynamoDB", dimension = table):
 ///   ConsumedWriteCapacityUnits (avg units/s over the period),
@@ -101,11 +103,17 @@ class Table {
   /// and returns Throttled when they are exhausted.
   Status ChargeWrite(int32_t size_bytes);
   void PublishMetrics();
+  using Items = std::vector<std::pair<int64_t, double>>;
+  using ItemIt = Items::iterator;
+  /// First item whose key is not below `key`.
+  ItemIt LowerBound(int64_t key);
+  /// The item of `key`, inserted with value 0 when missing.
+  double& Item(int64_t key);
 
   sim::Simulation* sim_;
   cloudwatch::MetricStore* metrics_;
   TableConfig config_;
-  std::map<int64_t, double> items_;
+  Items items_;  ///< Ascending key.
 
   double wcu_;
   double rcu_;

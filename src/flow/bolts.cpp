@@ -2,35 +2,53 @@
 
 namespace flower::flow {
 
-Status WindowCountBolt::Execute(const storm::Tuple& input, SimTime now,
-                                const std::function<void(storm::Tuple)>& emit) {
-  counter_.Add(input.entity_id, now, input.value);
-  // Between slide boundaries AdvanceTo has nothing to do: skip building
-  // its emit callback for the tuples that cross no boundary.
-  if (!counter_.BoundaryDue(now)) return Status::OK();
-  exec_input_ = &input;
-  exec_emit_ = &emit;
-  counter_.AdvanceTo(now, [this](int64_t entity, double count, SimTime end) {
-    storm::Tuple out;
-    out.origin_time = exec_input_->origin_time;
-    out.entity_id = entity;
-    out.value = count;
-    out.size_bytes = 128;
-    (void)end;
-    (*exec_emit_)(out);
-    ++emitted_;
-  });
-  exec_input_ = nullptr;
-  exec_emit_ = nullptr;
-  return Status::OK();
+size_t WindowCountBolt::ExecuteBatch(const storm::Tuple* in, size_t n,
+                                     SimTime now,
+                                     VecDeque<storm::Tuple>* out,
+                                     Status* /*status*/) {
+  if (n == 0) return 0;
+  // Every input of a batch arrives at `now`, so only the first one can
+  // find a slide boundary due: it is added, the boundary's aggregates
+  // are emitted stamped with its origin time, then the rest are added.
+  counter_.Add(in[0].entity_id, now, in[0].value);
+  if (counter_.BoundaryDue(now)) {
+    struct Sink {
+      SimTime origin;
+      VecDeque<storm::Tuple>* out;
+    } sink{in[0].origin_time, out};
+    // {this, &sink} fits std::function's inline storage: emitting a
+    // boundary allocates nothing.
+    counter_.AdvanceTo(now, [this, &sink](int64_t entity, double count,
+                                          SimTime) {
+      storm::Tuple agg;
+      agg.origin_time = sink.origin;
+      agg.entity_id = entity;
+      agg.value = count;
+      agg.size_bytes = 128;
+      sink.out->push_back(agg);
+      ++emitted_;
+    });
+  }
+  for (size_t i = 1; i < n; ++i) {
+    counter_.Add(in[i].entity_id, now, in[i].value);
+  }
+  return n;
 }
 
-Status PersistBolt::Execute(const storm::Tuple& input, SimTime /*now*/,
-                            const std::function<void(storm::Tuple)>& emit) {
-  (void)emit;  // Terminal bolt: nothing downstream.
-  Status st = table_->PutItem(input.entity_id, input.value, item_bytes_);
-  if (st.ok()) ++persisted_;
-  return st;
+size_t PersistBolt::ExecuteBatch(const storm::Tuple* in, size_t n,
+                                 SimTime /*now*/,
+                                 VecDeque<storm::Tuple>* /*out*/,
+                                 Status* status) {
+  for (size_t i = 0; i < n; ++i) {
+    Status st = table_->PutItem(in[i].entity_id, in[i].value, item_bytes_);
+    if (st.ok()) {
+      ++persisted_;
+      continue;
+    }
+    if (status->ok()) *status = st;
+    if (st.IsRetryable()) return i;
+  }
+  return n;
 }
 
 }  // namespace flower::flow

@@ -18,21 +18,14 @@ class WindowCountBolt final : public storm::BoltLogic {
   explicit WindowCountBolt(SlidingWindowCounter counter)
       : counter_(std::move(counter)) {}
 
-  Status Execute(const storm::Tuple& input, SimTime now,
-                 const std::function<void(storm::Tuple)>& emit) override;
+  size_t ExecuteBatch(const storm::Tuple* in, size_t n, SimTime now,
+                      VecDeque<storm::Tuple>* out, Status* status) override;
 
   uint64_t emitted_aggregates() const { return emitted_; }
 
  private:
   SlidingWindowCounter counter_;
   uint64_t emitted_ = 0;
-  // Per-call context for the AdvanceTo emit closure. Stashing these as
-  // members lets the closure capture only [this] (8 bytes, trivially
-  // copyable), which fits std::function's inline storage — the
-  // per-tuple hot path constructs the EmitFn without a heap
-  // allocation. Valid only for the duration of one Execute call.
-  const storm::Tuple* exec_input_ = nullptr;
-  const std::function<void(storm::Tuple)>* exec_emit_ = nullptr;
 };
 
 /// Terminal bolt: persists each aggregate tuple into DynamoDB. A
@@ -45,8 +38,8 @@ class PersistBolt final : public storm::BoltLogic {
   PersistBolt(dynamodb::Table* table, int32_t item_bytes = 128)
       : table_(table), item_bytes_(item_bytes) {}
 
-  Status Execute(const storm::Tuple& input, SimTime now,
-                 const std::function<void(storm::Tuple)>& emit) override;
+  size_t ExecuteBatch(const storm::Tuple* in, size_t n, SimTime now,
+                      VecDeque<storm::Tuple>* out, Status* status) override;
 
   uint64_t persisted() const { return persisted_; }
 

@@ -69,6 +69,13 @@ uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
   slot_live_.push_back(0);
   scratch_total_.push_back(0.0);
   scratch_epoch_.push_back(0);
+  slots_by_entity_.insert(
+      std::lower_bound(slots_by_entity_.begin(), slots_by_entity_.end(),
+                       entity,
+                       [this](uint32_t s, int64_t e) {
+                         return slot_ids_[s] < e;
+                       }),
+      slot);
   return slot;
 }
 
@@ -174,7 +181,6 @@ void SlidingWindowCounter::AdvanceTo(SimTime t, const EmitFn& emit) {
     int64_t end_bucket = next_slide_bucket_;  // Exclusive window end.
     int64_t begin_bucket = end_bucket - buckets_per_window_;
     ++epoch_;
-    scratch_present_.clear();
     // Accumulate buckets in ascending index order and entries in
     // first-arrival order within each bucket — the same floating-point
     // summation order as the nested-map implementation.
@@ -188,15 +194,15 @@ void SlidingWindowCounter::AdvanceTo(SimTime t, const EmitFn& emit) {
         } else {
           scratch_epoch_[e.slot] = epoch_;
           scratch_total_[e.slot] = e.weight;
-          scratch_present_.emplace_back(slot_ids_[e.slot], e.slot);
         }
       }
     }
     // Ascending entity id, matching std::map iteration order.
-    std::sort(scratch_present_.begin(), scratch_present_.end());
     SimTime window_end = static_cast<double>(end_bucket) * slide_sec_;
-    for (const auto& [entity, slot] : scratch_present_) {
-      emit(entity, scratch_total_[slot], window_end);
+    for (uint32_t slot : slots_by_entity_) {
+      if (scratch_epoch_[slot] == epoch_) {
+        emit(slot_ids_[slot], scratch_total_[slot], window_end);
+      }
     }
     ++next_slide_bucket_;
     // Drop the one bucket that can no longer contribute to any future

@@ -28,7 +28,9 @@ namespace flower::flow {
 /// nested `std::map<bucket, std::map<entity, count>>` this replaced
 /// allocated a node per (bucket, entity) pair on the per-tuple path.
 /// Emission order (ascending entity id) and floating-point accumulation
-/// order are identical to the map-based implementation.
+/// order are identical to the map-based implementation. The slots are
+/// kept in entity order as they are created, so a boundary emits by
+/// walking that order instead of sorting what the window holds.
 class SlidingWindowCounter {
  public:
   /// Emit callback: (entity_id, count, window_end_time). Must not
@@ -110,6 +112,7 @@ class SlidingWindowCounter {
   std::vector<int64_t> slot_last_bucket_;  // Bucket of the slot's newest entry.
   std::vector<uint32_t> slot_entry_pos_;   // Position of that entry.
   std::vector<uint32_t> slot_live_;        // Buckets holding this slot.
+  std::vector<uint32_t> slots_by_entity_;  // Every slot, ascending id.
   size_t tracked_ = 0;                     // Slots with slot_live_ > 0.
   uint64_t late_clamped_ = 0;
 
@@ -118,7 +121,6 @@ class SlidingWindowCounter {
   std::vector<double> scratch_total_;
   std::vector<uint64_t> scratch_epoch_;
   uint64_t epoch_ = 0;
-  std::vector<std::pair<int64_t, uint32_t>> scratch_present_;
 };
 
 }  // namespace flower::flow

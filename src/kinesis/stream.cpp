@@ -50,26 +50,35 @@ void Stream::RefillTokens(Shard* shard, SimTime now) {
 }
 
 Status Stream::PutRecord(const Record& record) {
-  SimTime now = sim_->Now();
-  size_t idx = record.partition_key % shards_.size();
-  Shard& shard = shards_[idx];
-  RefillTokens(&shard, now);
-  if (shard.record_tokens < 1.0 ||
-      shard.byte_tokens < static_cast<double>(record.size_bytes)) {
-    ++total_throttled_;
-    ++period_throttled_;
-    // A literal that fits std::string's inline buffer: rejecting a put
-    // allocates nothing, however deep the overload.
-    return Status::Throttled("put throttled");
+  if (PutRecords(&record, 1) == 0) return Status::OK();
+  // A literal that fits std::string's inline buffer: rejecting a put
+  // allocates nothing, however deep the overload.
+  return Status::Throttled("put throttled");
+}
+
+size_t Stream::PutRecords(const Record* records, size_t n) {
+  const SimTime now = sim_->Now();
+  size_t throttled = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Record& record = records[i];
+    Shard& shard = shards_[record.partition_key % shards_.size()];
+    RefillTokens(&shard, now);
+    const double bytes = static_cast<double>(record.size_bytes);
+    if (shard.record_tokens < 1.0 || shard.byte_tokens < bytes) {
+      ++throttled;
+      continue;
+    }
+    shard.record_tokens -= 1.0;
+    shard.byte_tokens -= bytes;
+    Record stamped = record;
+    stamped.timestamp = now;
+    shard.buffer.push_back(stamped);
   }
-  shard.record_tokens -= 1.0;
-  shard.byte_tokens -= static_cast<double>(record.size_bytes);
-  Record stamped = record;
-  stamped.timestamp = now;
-  shard.buffer.push_back(stamped);
-  ++total_incoming_;
-  ++period_incoming_;
-  return Status::OK();
+  total_throttled_ += throttled;
+  period_throttled_ += throttled;
+  total_incoming_ += n - throttled;
+  period_incoming_ += n - throttled;
+  return throttled;
 }
 
 Result<std::vector<Record>> Stream::GetRecords(int shard_index,

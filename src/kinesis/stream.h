@@ -65,6 +65,12 @@ class Stream {
   /// Throttled when the target shard's write quota is exhausted.
   Status PutRecord(const Record& record);
 
+  /// Ingests `records[0 .. n)` at the current simulated time, in order,
+  /// each routed, refilled and charged exactly as one PutRecord call
+  /// would (the service's PutRecords). Returns how many were throttled
+  /// (the service's FailedRecordCount).
+  size_t PutRecords(const Record* records, size_t n);
+
   /// Fetches up to `max_records` buffered records from shard
   /// `shard_index` (FIFO), subject to the published read limits:
   /// 5 GetRecords calls/s and 2 MiB/s per shard (both token buckets).

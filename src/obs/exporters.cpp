@@ -75,7 +75,7 @@ std::string SanitizeMetricName(const std::string& name) {
               c == ':' || (i > 0 && c >= '0' && c <= '9');
     out += ok ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

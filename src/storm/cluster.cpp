@@ -41,6 +41,12 @@ Status Cluster::Submit(std::shared_ptr<Topology> topology) {
     return Status::InvalidArgument("Submit: topology missing a spout");
   }
   topology_ = std::move(topology);
+  topology_->submitted_ = true;
+  for (const Topology::BoltNode& bolt : topology_->bolts_) {
+    bolt_dims_.push_back(config_.name + "." + bolt.spec.name);
+  }
+  period_bolt_executed_.assign(bolt_dims_.size(), 0);
+  period_bolt_work_.assign(bolt_dims_.size(), 0.0);
   return Status::OK();
 }
 
@@ -65,10 +71,6 @@ void Cluster::Tick() {
   }
   Topology& topo = *topology_;
   period_budget_ += initial_budget;
-  if (period_bolt_executed_.size() != topo.bolts_.size()) {
-    period_bolt_executed_.assign(topo.bolts_.size(), 0);
-    period_bolt_work_.assign(topo.bolts_.size(), 0.0);
-  }
 
   // Execution-cost noise (JIT/GC/cache and noisy neighbours): AR(1)
   // with stationary std dev cost_jitter, bounded so costs stay
@@ -115,45 +117,60 @@ void Cluster::Tick() {
     }
   }
 
-  // (b) Drain bolt queues in topology order within the budget.
+  // (b) Drain bolt queues in topology order within the budget. Each
+  // contiguous run of a queue goes to the bolt as one batch.
   for (size_t bi = 0; bi < topo.bolts_.size(); ++bi) {
     auto& bolt = topo.bolts_[bi];
     const double cost = bolt.spec.cpu_cost_per_tuple * cost_factor;
     const bool is_leaf = bolt.children.empty();
-    // {topology, node} fits std::function's inline storage: building
-    // the emit thunk costs no allocation.
-    std::function<void(Tuple)> emit =
-        [t = &topo, node = &bolt](Tuple tup) {
-          for (size_t cj : node->children) {
-            t->bolts_[cj].queue.push_back(tup);
-          }
-        };
-    // Per-tuple bookkeeping lands in locals and is flushed once after
-    // the drain. `budget` stays per-tuple: its running value gates the
-    // loop, and switching to one fused subtraction would change the
-    // floating-point rounding — and with it how many tuples fit a tick.
+    VecDeque<Tuple>* out = bolt.children.size() == 1
+                               ? &topo.bolts_[bolt.children[0]].queue
+                               : &emit_buf_;
     uint64_t executed_n = 0;
     uint64_t acked_n = 0;
     double latency_sum = 0.0;
     while (!bolt.queue.empty() && budget >= cost) {
-      const Tuple& t = bolt.queue.front();
-      Status st = bolt.spec.logic->Execute(t, now, emit);
-      if (st.IsRetryable()) {
-        // Storage backpressure: keep the tuple queued, stop this bolt
-        // for the rest of the tick.
+      const Tuple* run = &bolt.queue.front();
+      const size_t run_n = bolt.queue.FrontRun();
+      // Admission subtracts the cost once per tuple: a fused
+      // `admitted * cost` would round differently and change how many
+      // tuples fit a tick.
+      double left = budget;
+      size_t admitted = 0;
+      while (admitted < run_n && left >= cost) {
+        left -= cost;
+        ++admitted;
+      }
+      Status st;
+      const size_t done =
+          bolt.spec.logic->ExecuteBatch(run, admitted, now, out, &st);
+      if (done < admitted) {
+        // Storage backpressure: the tuple at `done` stays queued and
+        // this bolt stops for the rest of the tick. Charge only the
+        // tuples that ran.
+        left = budget;
+        for (size_t i = 0; i < done; ++i) left -= cost;
         ++total_sink_throttles_;
         ++period_sink_throttles_;
-        break;
       }
+      budget = left;
       if (is_leaf) {
-        ++acked_n;
-        double latency = now - t.origin_time;
-        latency_sum += latency;
-        period_latency_sample_.Add(latency);
+        for (size_t i = 0; i < done; ++i) {
+          double latency = now - run[i].origin_time;
+          latency_sum += latency;
+          period_latency_sample_.Add(latency);
+        }
+        acked_n += done;
       }
-      bolt.queue.pop_front();
-      budget -= cost;
-      ++executed_n;
+      bolt.queue.PopFront(done);
+      executed_n += done;
+      if (done < admitted) break;
+    }
+    if (out == &emit_buf_) {
+      for (size_t cj : bolt.children) {
+        topo.bolts_[cj].queue.AppendAll(emit_buf_);
+      }
+      emit_buf_.clear();
     }
     bolt.executed += executed_n;
     total_executed_ += executed_n;
@@ -190,30 +207,34 @@ void Cluster::PublishMetrics() {
       period_acked_ > 0
           ? period_latency_sum_ / static_cast<double>(period_acked_)
           : 0.0);
-  put("CompleteLatencyP50",
-      period_latency_sample_.Percentile(50.0).ValueOr(0.0));
-  put("CompleteLatencyP99",
-      period_latency_sample_.Percentile(99.0).ValueOr(0.0));
+  // P50 and P99 from one sorted copy of the reservoir. The copy lives
+  // in scratch owned by the calling thread: a fleet runs one cluster
+  // per tenant on a few workers, and a buffer each would hold a
+  // reservoir's worth of memory per tenant.
+  thread_local std::vector<double> sorted;
+  const std::vector<double>& sample = period_latency_sample_.sample();
+  sorted.assign(sample.begin(), sample.end());
+  std::sort(sorted.begin(), sorted.end());
+  put("CompleteLatencyP50", PercentileOfSorted(sorted, 50.0).ValueOr(0.0));
+  put("CompleteLatencyP99", PercentileOfSorted(sorted, 99.0).ValueOr(0.0));
   put("SinkThrottles", static_cast<double>(period_sink_throttles_));
   // Per-bolt stats: executed count, queue length, and the fraction of
   // the cluster's work budget each bolt consumed (bottleneck gauge).
   if (topology_ != nullptr) {
-    const auto lengths = topology_->QueueLengths();
-    for (size_t bi = 0; bi < lengths.size(); ++bi) {
-      std::string dim = config_.name + "." + lengths[bi].first;
+    const auto& bolts = topology_->bolts_;
+    for (size_t bi = 0; bi < bolts.size(); ++bi) {
       auto put_bolt = [&](const char* name, double v) {
-        Status st = metrics_->Put({kNamespace, name, dim}, now, v);
+        Status st =
+            metrics_->Put({kNamespace, name, bolt_dims_[bi]}, now, v);
         FLOWER_CHECK(st.ok()) << st.ToString();
       };
       put_bolt("BoltExecuted",
-               bi < period_bolt_executed_.size()
-                   ? static_cast<double>(period_bolt_executed_[bi])
-                   : 0.0);
-      put_bolt("BoltQueueLength", static_cast<double>(lengths[bi].second));
-      put_bolt("BoltCapacity",
-               period_budget_ > 0.0 && bi < period_bolt_work_.size()
-                   ? period_bolt_work_[bi] / period_budget_
-                   : 0.0);
+               static_cast<double>(period_bolt_executed_[bi]));
+      put_bolt("BoltQueueLength",
+               static_cast<double>(bolts[bi].queue.size()));
+      put_bolt("BoltCapacity", period_budget_ > 0.0
+                                   ? period_bolt_work_[bi] / period_budget_
+                                   : 0.0);
     }
   }
   period_cpu_sum_ = 0.0;

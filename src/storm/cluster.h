@@ -70,7 +70,8 @@ class Cluster {
   Cluster(sim::Simulation* sim, cloudwatch::MetricStore* metrics,
           ec2::Fleet* fleet, ClusterConfig config);
 
-  /// Submits the topology (exactly one; must have a spout).
+  /// Submits the topology (exactly one; must have a spout). The
+  /// topology then refuses new bolts.
   Status Submit(std::shared_ptr<Topology> topology);
 
   /// Rebalances the cluster to `n` workers (>= 1).
@@ -104,6 +105,13 @@ class Cluster {
   /// steady-state tick never allocates (see bench/perf_micro's
   /// zero-allocation guard).
   std::vector<Tuple> pull_buf_;
+  /// Outputs of a bolt with no child (discarded) or with several
+  /// (copied to each child after the bolt's turn). A bolt with one
+  /// child writes straight into that child's queue.
+  VecDeque<Tuple> emit_buf_;
+  /// Per-bolt metric dimension "<cluster>.<bolt>", by declaration
+  /// order. Built at Submit, like the per-bolt period accumulators.
+  std::vector<std::string> bolt_dims_;
 
   double last_tick_cpu_pct_ = 0.0;
   uint64_t total_executed_ = 0;

@@ -1,15 +1,48 @@
 #include "storm/topology.h"
 
+#include "common/logging.h"
+
 namespace flower::storm {
 
-Status StatelessBolt::Execute(const Tuple& input, SimTime /*now*/,
-                              const std::function<void(Tuple)>& emit) {
-  pending_emits_ += selectivity_;
-  while (pending_emits_ >= 1.0) {
-    emit(input);
-    pending_emits_ -= 1.0;
+Status BoltLogic::Execute(const Tuple& input, SimTime now,
+                          const std::function<void(Tuple)>& emit) {
+  Status st;
+  execute_out_.clear();
+  in_default_execute_ = true;
+  ExecuteBatch(&input, 1, now, &execute_out_, &st);
+  in_default_execute_ = false;
+  for (size_t i = 0; i < execute_out_.size(); ++i) emit(execute_out_[i]);
+  return st;
+}
+
+size_t BoltLogic::ExecuteBatch(const Tuple* in, size_t n, SimTime now,
+                               VecDeque<Tuple>* out, Status* status) {
+  FLOWER_CHECK(!in_default_execute_)
+      << "a bolt must override Execute or ExecuteBatch";
+  // One emit thunk per batch; {out} fits std::function's inline storage.
+  const std::function<void(Tuple)> emit = [out](Tuple t) {
+    out->push_back(t);
+  };
+  for (size_t i = 0; i < n; ++i) {
+    Status st = Execute(in[i], now, emit);
+    if (st.ok()) continue;
+    if (status->ok()) *status = st;
+    if (st.IsRetryable()) return i;
   }
-  return Status::OK();
+  return n;
+}
+
+size_t StatelessBolt::ExecuteBatch(const Tuple* in, size_t n,
+                                   SimTime /*now*/, VecDeque<Tuple>* out,
+                                   Status* /*status*/) {
+  for (size_t i = 0; i < n; ++i) {
+    pending_emits_ += selectivity_;
+    while (pending_emits_ >= 1.0) {
+      out->push_back(in[i]);
+      pending_emits_ -= 1.0;
+    }
+  }
+  return n;
 }
 
 Status Topology::AddSpout(std::string name, SpoutFn fn,
@@ -22,7 +55,8 @@ Status Topology::AddSpout(std::string name, SpoutFn fn,
   if (cpu_cost_per_tuple < 0.0) {
     return Status::InvalidArgument("AddSpout: negative cpu cost");
   }
-  spouts_.push_back({std::move(name), std::move(fn), cpu_cost_per_tuple});
+  spouts_.push_back(
+      {std::move(name), std::move(fn), cpu_cost_per_tuple, {}});
   return Status::OK();
 }
 
@@ -51,6 +85,10 @@ int Topology::FindSpout(const std::string& name) const {
 
 Status Topology::AddBolt(BoltSpec spec,
                          const std::vector<std::string>& parents) {
+  if (submitted_) {
+    return Status::FailedPrecondition("AddBolt: topology '" + name_ +
+                                      "' is already submitted");
+  }
   if (!spec.logic) {
     return Status::InvalidArgument("AddBolt: bolt '" + spec.name +
                                    "' has no logic");

@@ -29,16 +29,41 @@ struct Tuple {
   int32_t source = 0;
 };
 
-/// Application logic of one bolt. `Execute` is called once per input
-/// tuple; output tuples are pushed through `emit`. Returning a
-/// retryable status (e.g. Throttled from a storage sink) re-queues the
-/// tuple and pauses this bolt until the next scheduler tick —
+/// Application logic of one bolt, in one of two equivalent forms. A
+/// bolt overrides exactly one of them; each default runs the other, and
+/// a bolt that overrides neither aborts on its first input.
+///
+/// - `Execute` runs one input tuple and pushes its outputs through
+///   `emit`.
+/// - `ExecuteBatch` runs the inputs `in[0 .. n)` in order and appends
+///   their outputs to `*out`. The cluster calls it once per contiguous
+///   run of a bolt's input queue, with every tuple the tick's budget
+///   admits.
+///
+/// A retryable status (e.g. Throttled from a storage sink) leaves its
+/// tuple queued and pauses this bolt until the next scheduler tick —
 /// backpressure from the storage layer into the analytics layer.
+/// Any other failure consumes the tuple.
 class BoltLogic {
  public:
   virtual ~BoltLogic() = default;
+
   virtual Status Execute(const Tuple& input, SimTime now,
-                         const std::function<void(Tuple)>& emit) = 0;
+                         const std::function<void(Tuple)>& emit);
+
+  /// Returns how many inputs were consumed: `n`, or the index of the
+  /// first input whose status is retryable (that input and the rest are
+  /// not run). `*status` receives the first non-OK status of the inputs
+  /// run, and is left untouched when all of them succeed.
+  virtual size_t ExecuteBatch(const Tuple* in, size_t n, SimTime now,
+                              VecDeque<Tuple>* out, Status* status);
+
+ private:
+  /// Outputs of one default `Execute`, reused across calls.
+  VecDeque<Tuple> execute_out_;
+  /// Set while the default `Execute` runs `ExecuteBatch`: the default
+  /// `ExecuteBatch` finding it set means neither form is overridden.
+  bool in_default_execute_ = false;
 };
 
 /// Stateless pass-through logic with fixed selectivity: every input
@@ -48,8 +73,8 @@ class StatelessBolt final : public BoltLogic {
  public:
   explicit StatelessBolt(double selectivity = 1.0)
       : selectivity_(selectivity) {}
-  Status Execute(const Tuple& input, SimTime now,
-                 const std::function<void(Tuple)>& emit) override;
+  size_t ExecuteBatch(const Tuple* in, size_t n, SimTime now,
+                      VecDeque<Tuple>* out, Status* status) override;
 
  private:
   double selectivity_;
@@ -96,8 +121,8 @@ class Topology {
 
   /// Adds a bolt consuming from each component in `parents` (spout or
   /// previously added bolt names; "" means the sole spout). Errors:
-  /// duplicate name, unknown/later parent, empty parents, or missing
-  /// logic.
+  /// duplicate name, unknown/later parent, empty parents, missing
+  /// logic, or a topology already submitted to a cluster.
   Status AddBolt(BoltSpec spec, const std::vector<std::string>& parents);
   /// Single-parent convenience; "" = the sole spout.
   Status AddBolt(BoltSpec spec, const std::string& parent = "");
@@ -155,6 +180,8 @@ class Topology {
   std::string name_;
   std::vector<SpoutNode> spouts_;
   std::vector<BoltNode> bolts_;  // In topological (declaration) order.
+  /// Set by Cluster::Submit; the bolt set is fixed from then on.
+  bool submitted_ = false;
 };
 
 }  // namespace flower::storm

@@ -69,23 +69,21 @@ void ClickStreamGenerator::EmitBatch(size_t instance_index) {
   double expected = share * config_.emit_period_sec;
   if (expected <= 0.0) return;
   int64_t count = inst.rng.Poisson(expected);
-  for (int64_t j = 0; j < count; ++j) {
-    ClickEvent ev;
-    ev.user_id = inst.rng.UniformInt(0, config_.num_users - 1);
-    ev.url_id = inst.url_dist(inst.rng.engine());
+  // The batch is drawn into scratch owned by the calling thread, not by
+  // the generator: a fleet runs one generator per tenant on a few
+  // workers, and a buffer each would hold a batch of memory per tenant.
+  thread_local std::vector<kinesis::Record> batch;
+  batch.resize(static_cast<size_t>(count));
+  for (kinesis::Record& rec : batch) {
+    const int64_t user_id = inst.rng.UniformInt(0, config_.num_users - 1);
+    rec.entity_id = inst.url_dist(inst.rng.engine());
     int32_t jitter = static_cast<int32_t>(inst.rng.UniformInt(
         -config_.record_bytes_jitter, config_.record_bytes_jitter));
-    ev.size_bytes = std::max(32, config_.record_bytes_mean + jitter);
-    ++total_generated_;
-    kinesis::Record rec;
-    rec.partition_key = MixHash(static_cast<uint64_t>(ev.user_id));
-    rec.entity_id = ev.url_id;
-    rec.size_bytes = ev.size_bytes;
-    Status st = stream_->PutRecord(rec);
-    if (!st.ok()) {
-      ++total_dropped_;
-    }
+    rec.size_bytes = std::max(32, config_.record_bytes_mean + jitter);
+    rec.partition_key = MixHash(static_cast<uint64_t>(user_id));
   }
+  total_generated_ += batch.size();
+  total_dropped_ += stream_->PutRecords(batch.data(), batch.size());
 }
 
 }  // namespace flower::workload

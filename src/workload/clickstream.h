@@ -14,13 +14,6 @@
 
 namespace flower::workload {
 
-/// One synthetic click event.
-struct ClickEvent {
-  int64_t user_id = 0;
-  int64_t url_id = 0;
-  int32_t size_bytes = 256;
-};
-
 /// Configuration of the click-stream generator (the simulated
 /// counterpart of the paper's "random multi-threaded click stream
 /// generator deployed on several EC2 instances").

@@ -336,10 +336,10 @@ TEST(ElasticityManagerTest, DuplicateLoopNameRejected) {
   cloudwatch::MetricStore metrics;
   ElasticityManager mgr(&sim, &metrics);
   LayerControlConfig a = TestConfig([](double) { return Status::OK(); });
-  a.name = "x";
+  a.name = std::string("x");
   ASSERT_TRUE(mgr.Attach(std::move(a)).ok());
   LayerControlConfig b = TestConfig([](double) { return Status::OK(); });
-  b.name = "x";
+  b.name = std::string("x");
   EXPECT_EQ(mgr.Attach(std::move(b)).code(), StatusCode::kAlreadyExists);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/random.h"
+
 namespace flower::dynamodb {
 namespace {
 
@@ -236,6 +240,51 @@ TEST(TableTest, PublishesMetrics) {
   EXPECT_GT(*metrics.GetStatistic(items, 0, 301,
                                   cloudwatch::Statistic::kMaximum),
             5.0);
+}
+
+// Many keys, with puts, update-adds and deletes interleaved: the table
+// holds exactly what a std::map given the same writes holds.
+TEST(TableTest, ManyKeysMatchMapReference) {
+  sim::Simulation sim;
+  TableConfig cfg;
+  cfg.initial_wcu = 40000.0;
+  cfg.initial_rcu = 40000.0;
+  Table table(&sim, nullptr, cfg);
+  std::map<int64_t, double> ref;
+  Rng rng(5);
+  auto key = [&rng] {
+    return rng.Bernoulli(0.5) ? rng.UniformInt(-3000, 3000)
+                              : rng.UniformInt(INT64_MIN / 2, INT64_MAX / 2);
+  };
+  for (int op = 0; op < 20000; ++op) {
+    if (op % 1000 == 0) sim.RunUntil(sim.Now() + 1.0);
+    int64_t k = key();
+    double v = rng.Uniform(-10.0, 10.0);
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        ASSERT_TRUE(table.PutItem(k, v, 128).ok());
+        ref[k] = v;
+        break;
+      case 1: {
+        auto got = table.UpdateItemAdd(k, v, 128);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, ref[k] += v);
+        break;
+      }
+      default:
+        ASSERT_TRUE(table.DeleteItem(k, 128).ok());
+        ref.erase(k);
+        break;
+    }
+    ASSERT_EQ(table.ItemCount(), ref.size());
+  }
+  EXPECT_GT(ref.size(), 1000u);
+  for (const auto& [k, v] : ref) {
+    auto got = table.GetItem(k, 128);
+    ASSERT_TRUE(got.ok()) << k;
+    EXPECT_EQ(*got, v);
+  }
+  EXPECT_EQ(table.GetItem(3001, 128).status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <vector>
+
+#include "common/random.h"
 
 namespace flower::flow {
 namespace {
@@ -142,6 +146,95 @@ TEST(SlidingWindowTest, TumblingWindowCountsExactlyOnce) {
   // The event must not reappear in the next tumbling window.
   auto second = Collect(&counter, 20.0);
   EXPECT_TRUE(second.empty());
+}
+
+// Reference: the nested-map counter the flat one replaced. Bucket b
+// holds each entity's weights summed in arrival order; a boundary at
+// bucket `end` emits, in ascending entity id, each entity's sum over
+// buckets [end - per_window, end) in ascending bucket order.
+struct MapCounter {
+  double slide;
+  int64_t per_window;
+  std::map<int64_t, std::map<int64_t, double>> buckets;
+  int64_t next = 0;
+  bool started = false;
+
+  void Add(int64_t entity, SimTime t, double w) {
+    int64_t b = static_cast<int64_t>(std::floor(t / slide));
+    if (!started) {
+      next = b + 1;
+      started = true;
+    }
+    buckets[b][entity] += w;
+  }
+  std::vector<Emission> AdvanceTo(SimTime t) {
+    std::vector<Emission> out;
+    if (!started) return out;
+    for (; next <= static_cast<int64_t>(std::floor(t / slide)); ++next) {
+      std::map<int64_t, double> totals;
+      for (int64_t b = next - per_window; b < next; ++b) {
+        auto it = buckets.find(b);
+        if (it == buckets.end()) continue;
+        for (const auto& [entity, w] : it->second) {
+          auto [slot, fresh] = totals.emplace(entity, w);
+          if (!fresh) slot->second += w;
+        }
+      }
+      for (const auto& [entity, total] : totals) {
+        out.push_back({entity, total, static_cast<double>(next) * slide});
+      }
+      buckets.erase(next - per_window);
+    }
+    return out;
+  }
+};
+
+// Emissions equal the nested-map reference bit for bit: random negative
+// and very large ids, fractional weights (so summation order shows),
+// new entities arriving between boundaries, and advances that cross
+// several boundaries at once.
+TEST(SlidingWindowTest, EmissionsMatchNestedMapReference) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const double slide = 5.0;
+    const int64_t per_window = rng.UniformInt(1, 6);
+    auto counter =
+        SlidingWindowCounter::Create(slide * static_cast<double>(per_window),
+                                     slide)
+            .MoveValueOrDie();
+    MapCounter ref{slide, per_window, {}, 0, false};
+    std::vector<int64_t> pool;
+    SimTime t = rng.Uniform(0.0, 100.0);
+    for (int step = 0; step < 400; ++step) {
+      t += rng.Bernoulli(0.1) ? rng.Uniform(5.0, 30.0) : rng.Uniform(0.0, 1.5);
+      // New entities keep arriving: a fresh id a fifth of the time.
+      if (pool.empty() || rng.Bernoulli(0.2)) {
+        pool.push_back(rng.Bernoulli(0.5)
+                           ? rng.UniformInt(-4'000'000'000'000'000'000LL,
+                                            4'000'000'000'000'000'000LL)
+                           : rng.UniformInt(-50, 50));
+      }
+      const int adds = static_cast<int>(rng.UniformInt(0, 8));
+      for (int i = 0; i < adds; ++i) {
+        int64_t e = pool[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+        double w = rng.Uniform(0.1, 3.0);
+        counter.Add(e, t, w);
+        ref.Add(e, t, w);
+      }
+      std::vector<Emission> got = Collect(&counter, t);
+      std::vector<Emission> want = ref.AdvanceTo(t);
+      ASSERT_EQ(got.size(), want.size()) << "t=" << t;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].entity, want[i].entity);
+        EXPECT_EQ(std::memcmp(&got[i].count, &want[i].count, sizeof(double)),
+                  0)
+            << got[i].count << " vs " << want[i].count;
+        EXPECT_EQ(got[i].window_end, want[i].window_end);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace flower::kinesis {
 namespace {
 
@@ -351,6 +353,61 @@ TEST(StreamTest, WriteUtilizationTracksRate) {
   }).ok());
   sim.RunUntil(20.0);
   EXPECT_NEAR(stream.CurrentWriteUtilizationPct(), 50.0, 5.0);
+}
+
+// One PutRecords call is the same sequence of PutRecord calls: each
+// record is routed, refilled and charged in order, so the same records
+// are accepted, buffered with the same stamps and counted the same,
+// through throttling and through a reshard that lands mid-run.
+TEST(StreamTest, PutRecordsEqualsSequenceOfPutRecord) {
+  sim::Simulation sim;
+  Stream batched(&sim, nullptr, TestConfig(2));
+  Stream single(&sim, nullptr, TestConfig(2));
+  Rng rng(11);
+  std::vector<Record> batch;
+  uint64_t throttled = 0;
+  for (int step = 0; step < 400; ++step) {
+    sim.RunUntil(sim.Now() + rng.Uniform(0.05, 0.5));
+    if (step == 100) {
+      ASSERT_TRUE(batched.UpdateShardCount(5).ok());
+      ASSERT_TRUE(single.UpdateShardCount(5).ok());
+    }
+    if (step == 300) {
+      ASSERT_TRUE(batched.UpdateShardCount(3).ok());
+      ASSERT_TRUE(single.UpdateShardCount(3).ok());
+    }
+    // Up to ~3x the write limit of the largest shard count.
+    batch.resize(static_cast<size_t>(rng.UniformInt(0, 1500)));
+    for (Record& r : batch) {
+      r = Rec(rng.engine()(),
+              static_cast<int32_t>(rng.UniformInt(64, 3000)),
+              rng.UniformInt(-1000, 1000));
+    }
+    size_t failed = 0;
+    for (const Record& r : batch) failed += single.PutRecord(r).ok() ? 0 : 1;
+    ASSERT_EQ(batched.PutRecords(batch.data(), batch.size()), failed);
+    throttled += failed;
+    ASSERT_EQ(batched.total_incoming(), single.total_incoming());
+    ASSERT_EQ(batched.total_throttled(), single.total_throttled());
+    ASSERT_EQ(batched.shard_count(), single.shard_count());
+    if (step % 7 == 0) {
+      // Drain a shard on both: the buffered records are identical.
+      int s = static_cast<int>(step / 7 % batched.shard_count());
+      auto a = batched.GetRecords(s, 500);
+      auto b = single.GetRecords(s, 500);
+      ASSERT_EQ(a.ok(), b.ok());
+      if (!a.ok()) continue;
+      ASSERT_EQ(a->size(), b->size());
+      for (size_t i = 0; i < a->size(); ++i) {
+        EXPECT_EQ((*a)[i].timestamp, (*b)[i].timestamp);
+        EXPECT_EQ((*a)[i].partition_key, (*b)[i].partition_key);
+        EXPECT_EQ((*a)[i].entity_id, (*b)[i].entity_id);
+        EXPECT_EQ((*a)[i].size_bytes, (*b)[i].size_bytes);
+      }
+    }
+  }
+  EXPECT_GT(throttled, 1000u);
+  EXPECT_EQ(batched.BacklogRecords(), single.BacklogRecords());
 }
 
 }  // namespace

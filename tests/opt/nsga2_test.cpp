@@ -189,7 +189,9 @@ class Zdt1Problem final : public Problem {
  public:
   Zdt1Problem() {
     for (int i = 0; i < 30; ++i) {
-      vars_.push_back({"x" + std::to_string(i), 0.0, 1.0, false});
+      std::string name(1, 'x');
+      name += std::to_string(i);
+      vars_.push_back({std::move(name), 0.0, 1.0, false});
     }
   }
   const std::vector<VariableSpec>& variables() const override { return vars_; }

@@ -23,6 +23,15 @@
 namespace flower {
 namespace {
 
+// "<prefix><value>", built by appending: GCC 12 misreads the insert
+// behind `"literal" + std::string` as an overlapping copy (-Wrestrict)
+// in optimized builds.
+std::string ParamName(const char* prefix, int value) {
+  std::string name = prefix;
+  name += std::to_string(value);
+  return name;
+}
+
 // ---------------------------------------------------------------------
 // Property: every controller family, across demand levels, eventually
 // drives a delay-free utilization plant into a stable neighbourhood of
@@ -179,9 +188,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 8),
                        ::testing::Values(0.5, 0.8, 1.5, 3.0)),
     [](const ::testing::TestParamInfo<KinesisParam>& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) + "_x" +
-             std::to_string(
-                 static_cast<int>(std::get<1>(info.param) * 10.0));
+      return ParamName("s", std::get<0>(info.param))
+          .append(ParamName(
+              "_x", static_cast<int>(std::get<1>(info.param) * 10.0)));
     });
 
 // ---------------------------------------------------------------------
@@ -220,8 +229,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(5.0, 50.0, 200.0),
                        ::testing::Values(1.0, 30.0, 300.0)),
     [](const ::testing::TestParamInfo<DynamoParam>& info) {
-      return "w" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_b" + std::to_string(static_cast<int>(std::get<1>(info.param)));
+      return ParamName("w", static_cast<int>(std::get<0>(info.param)))
+          .append(ParamName("_b", static_cast<int>(std::get<1>(info.param))));
     });
 
 // ---------------------------------------------------------------------
@@ -337,8 +346,8 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowParam{60.0, 30.0}, WindowParam{300.0, 60.0},
                       WindowParam{120.0, 1.0}),
     [](const ::testing::TestParamInfo<WindowParam>& info) {
-      return "w" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_s" + std::to_string(static_cast<int>(std::get<1>(info.param)));
+      return ParamName("w", static_cast<int>(std::get<0>(info.param)))
+          .append(ParamName("_s", static_cast<int>(std::get<1>(info.param))));
     });
 
 // ---------------------------------------------------------------------
@@ -377,8 +386,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SeasonParam{kHour, kMinute},
                       SeasonParam{7.0 * kDay, 6.0 * kHour}),
     [](const ::testing::TestParamInfo<SeasonParam>& info) {
-      return "s" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_p" + std::to_string(static_cast<int>(std::get<1>(info.param)));
+      return ParamName("s", static_cast<int>(std::get<0>(info.param)))
+          .append(ParamName("_p", static_cast<int>(std::get<1>(info.param))));
     });
 
 // ---------------------------------------------------------------------
@@ -428,8 +437,8 @@ TEST_P(WindowedPlannerProperty, PlansCoverDemandWithinBudget) {
 INSTANTIATE_TEST_SUITE_P(Budgets, WindowedPlannerProperty,
                          ::testing::Values(0.5, 1.0, 2.0, 5.0),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "b" + std::to_string(static_cast<int>(
-                                            info.param * 10.0));
+                           return ParamName(
+                               "b", static_cast<int>(info.param * 10.0));
                          });
 
 }  // namespace

@@ -66,6 +66,21 @@ TEST(ClusterTest, SubmitValidation) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(ClusterTest, SubmittedTopologyRefusesNewBolts) {
+  sim::Simulation sim;
+  ec2::Fleet fleet(&sim, SmallVm(), 1, 10.0);
+  Cluster cluster(&sim, nullptr, &fleet, TestConfig());
+  QueueSpout spout;
+  auto topo = OneBoltTopology(&spout, 100.0);
+  ASSERT_TRUE(cluster.Submit(topo).ok());
+  BoltSpec late;
+  late.name = "late";
+  late.logic = std::make_shared<StatelessBolt>(1.0);
+  EXPECT_EQ(topo->AddBolt(std::move(late), "work").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(topo->bolt_count(), 1u);
+}
+
 TEST(ClusterTest, ProcessesAllTuplesUnderLightLoad) {
   sim::Simulation sim;
   ec2::Fleet fleet(&sim, SmallVm(), 2, 10.0);  // 20k wu/s.

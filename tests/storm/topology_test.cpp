@@ -58,6 +58,20 @@ TEST(TopologyTest, BoltWithoutLogicRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// Overrides neither Execute nor ExecuteBatch.
+class NoLogicBolt final : public BoltLogic {};
+
+TEST(TopologyDeathTest, BoltOverridingNeitherFormAborts) {
+  NoLogicBolt bolt;
+  const Tuple in;
+  VecDeque<Tuple> out;
+  Status st;
+  EXPECT_DEATH(bolt.ExecuteBatch(&in, 1, 0.0, &out, &st),
+               "must override Execute or ExecuteBatch");
+  EXPECT_DEATH(bolt.Execute(in, 0.0, [](Tuple) {}),
+               "must override Execute or ExecuteBatch");
+}
+
 TEST(TopologyTest, NegativeCostRejected) {
   Topology topo("t");
   BoltSpec spec = Spec("x");

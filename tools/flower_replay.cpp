@@ -6,8 +6,8 @@
 // trigger time with full-fidelity telemetry forced on, and compares
 // the replayed control-decision chain against the recording:
 //
-//   flower_replay --bundle=bundles/tenant-0003.json \
-//       --trace-out=trace.json --health-out=health.jsonl \
+//   flower_replay --bundle=bundles/tenant-0003.json
+//       --trace-out=trace.json --health-out=health.jsonl
 //       --decisions-out=digest.txt
 //
 // Exit code 0 when the replay matches the capture byte-for-byte,

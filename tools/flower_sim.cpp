@@ -6,7 +6,7 @@
 //
 //   flower_sim --hours=4
 //   flower_sim --controller=rule-based --workload=flashcrowd --rate=900
-//   flower_sim --workload=diurnal --rate=800 --amplitude=600 \
+//   flower_sim --workload=diurnal --rate=800 --amplitude=600
 //              --period-hours=6 --reference=70 --csv-out=metrics.csv
 //   flower_sim --trace=prod.csv --controller=feedforward
 //
@@ -207,6 +207,37 @@ void NoteTraceRetention(const obs::DecisionLog& log) {
             << "only those\n";
 }
 
+// Builds the managed single flow of one run. The single run and every
+// --seeds replica are built here, so the replica of seed S is the
+// single run of seed S. `telemetry` may be nullptr.
+Result<core::ManagedFlow> BuildManagedFlow(
+    double reference, double period, core::ControllerKind kind,
+    std::shared_ptr<workload::ArrivalProcess> arrival, uint64_t seed,
+    sim::Simulation* sim, cloudwatch::MetricStore* metrics,
+    obs::Telemetry* telemetry) {
+  core::LayerElasticityConfig layer_defaults;
+  layer_defaults.reference_utilization_pct = reference;
+  layer_defaults.monitoring_period_sec = period;
+  layer_defaults.monitoring_window_sec = period;
+  core::LayerElasticityConfig ingestion = layer_defaults;
+  ingestion.max_resource = kIngestionMaxShards;
+  core::LayerElasticityConfig analytics = layer_defaults;
+  analytics.max_resource = 40.0;
+  core::LayerElasticityConfig storage = layer_defaults;
+  storage.min_resource = 5.0;
+  storage.max_resource = 2000.0;
+
+  core::FlowBuilder builder;
+  builder.WithIngestion(ingestion)
+      .WithAnalytics(analytics)
+      .WithStorage(storage)
+      .WithControllerKind(kind)
+      .WithWorkload(std::move(arrival))
+      .WithSeed(seed);
+  if (telemetry != nullptr) builder.WithTelemetry(telemetry);
+  return builder.Build(sim, metrics);
+}
+
 struct ReplicaMetrics {
   double drop_pct = 0.0;
   double out_of_band_pct = 0.0;
@@ -233,19 +264,10 @@ Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
 
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;
-  core::LayerElasticityConfig layer_defaults;
-  layer_defaults.reference_utilization_pct = reference;
-  layer_defaults.monitoring_period_sec = period;
-  layer_defaults.monitoring_window_sec = period;
-  core::LayerElasticityConfig analytics = layer_defaults;
-  analytics.max_resource = 40.0;
-  FLOWER_ASSIGN_OR_RETURN(core::ManagedFlow managed,
-                          core::FlowBuilder()
-                              .WithAnalytics(analytics)
-                              .WithControllerKind(kind)
-                              .WithWorkload(arrival)
-                              .WithSeed(seed)
-                              .Build(&sim, &metrics));
+  FLOWER_ASSIGN_OR_RETURN(
+      core::ManagedFlow managed,
+      BuildManagedFlow(reference, period, kind, std::move(arrival), seed,
+                       &sim, &metrics, /*telemetry=*/nullptr));
   double horizon = hours * kHour;
   sim.RunUntil(horizon);
 
@@ -527,27 +549,10 @@ int RunOrDie(const tools::FlagParser& flags) {
   sim::Simulation sim;
   ScopedLogClock log_clock(&sim);
   cloudwatch::MetricStore metrics;
-  core::LayerElasticityConfig layer_defaults;
-  layer_defaults.reference_utilization_pct = *reference_or;
-  layer_defaults.monitoring_period_sec = *period_or;
-  layer_defaults.monitoring_window_sec = *period_or;
-  core::LayerElasticityConfig ingestion = layer_defaults;
-  ingestion.max_resource = kIngestionMaxShards;
-  core::LayerElasticityConfig analytics = layer_defaults;
-  analytics.max_resource = 40.0;
-  core::LayerElasticityConfig storage = layer_defaults;
-  storage.min_resource = 5.0;
-  storage.max_resource = 2000.0;
-
-  core::FlowBuilder builder;
-  builder.WithIngestion(ingestion)
-      .WithAnalytics(analytics)
-      .WithStorage(storage)
-      .WithControllerKind(*kind)
-      .WithWorkload(*arrival)
-      .WithSeed(static_cast<uint64_t>(*seed_or));
-  if (observe) builder.WithTelemetry(&telemetry);
-  auto managed = builder.Build(&sim, &metrics);
+  auto managed = BuildManagedFlow(
+      *reference_or, *period_or, *kind, *arrival,
+      static_cast<uint64_t>(*seed_or), &sim, &metrics,
+      observe ? &telemetry : nullptr);
   if (!managed.ok()) {
     std::cerr << "failed to build flow: " << managed.status() << "\n";
     return 1;
