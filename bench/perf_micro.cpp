@@ -21,7 +21,6 @@
 #include "core/elasticity_manager.h"
 #include "core/resource_share.h"
 #include "dynamodb/table.h"
-#include "fleet/budget_mailbox.h"
 #include "fleet/fleet_manager.h"
 #include "flow/sliding_window.h"
 #include "kinesis/stream.h"
@@ -491,7 +490,7 @@ uint64_t ControlStepAllocations(core::ControllerKind kind, int steps) {
   return bench::AllocationCount() - before;
 }
 
-// Seventh hard guard: once the decision ring is full, a control step
+// Sixth hard guard: once the decision ring is full, a control step
 // must not allocate. A step keeps nothing outside the ring, so 10,000
 // steps must allocate exactly as much as 1,000 — the task-sweep guard's
 // difference method, which cancels the ring's fill and any lazy set-up.
@@ -513,42 +512,7 @@ bool ControlStepAllocationsAreFlat() {
   return true;
 }
 
-// Fifth hard guard: the budget mailbox's post/receive handoff must be
-// allocation-free. The mailbox is the per-boundary rendezvous of every
-// fleet partition — 1e5 demand-post / grant-post / grant-receive
-// cycles (the exact calls the work-stealing sweep makes at every
-// arbitration boundary) must never touch the heap.
-bool BudgetMailboxHotPathIsAllocationFree() {
-  fleet::BudgetMailbox box;
-  constexpr int kOps = 100000;
-  fleet::BudgetMailbox::Demand d;
-  fleet::BudgetMailbox::Grant g;
-  fleet::BudgetMailbox::Grant received;
-  uint64_t consumed = 0;
-  uint64_t before = bench::AllocationCount();
-  for (int i = 0; i < kOps; ++i) {
-    d.boundary = 900.0 * static_cast<double>(i);
-    d.demand_usd = 1.0 + 0.001 * static_cast<double>(i % 100);
-    d.spend_usd = 0.5;
-    d.steps = static_cast<uint64_t>(i);
-    box.PostDemand(d);
-    g.boundary = d.boundary;
-    g.demand_usd = d.demand_usd;
-    g.grant_usd = 0.5 * d.demand_usd;
-    box.PostGrant(g);
-    if (box.TryReceiveGrant(static_cast<uint64_t>(i) + 1, &received)) {
-      ++consumed;
-    }
-  }
-  uint64_t allocs = bench::AllocationCount() - before;
-  std::printf("budget mailbox allocation guard: %llu allocations over %d "
-              "demand/grant cycles (%llu received)\n",
-              static_cast<unsigned long long>(allocs), kOps,
-              static_cast<unsigned long long>(consumed));
-  return allocs == 0 && consumed == kOps;
-}
-
-// Sixth hard guard: the work-stealing task loop must be allocation-free
+// Fifth hard guard: the work-stealing task loop must be allocation-free
 // per task in steady state. A chain of N tasks (each spawning the next)
 // keeps exactly one entry in the deque, so after the first push warms
 // the deque's capacity every pop/execute/spawn cycle is pure pointer
@@ -647,11 +611,6 @@ int main(int argc, char** argv) {
   if (!flower::FlightRecorderHotPathIsAllocationFree()) {
     std::fprintf(stderr,
                  "FAIL: flight recorder allocated on its hot path\n");
-    return 1;
-  }
-  if (!flower::BudgetMailboxHotPathIsAllocationFree()) {
-    std::fprintf(stderr,
-                 "FAIL: budget mailbox allocated on its post/receive path\n");
     return 1;
   }
   if (!flower::TaskSweepSteadyStateIsAllocationFree()) {

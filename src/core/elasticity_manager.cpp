@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "obs/replay/flight_recorder.h"
-#include "stats/robust.h"
 
 namespace flower::core {
 
@@ -55,11 +54,6 @@ Status ValidateResilience(const ResiliencePolicy& p) {
   }
   if (p.sensor.max_hold_sec < 0.0) {
     return Status::InvalidArgument("ElasticityManager: negative max_hold");
-  }
-  if (p.sensor.winsorize_fraction < 0.0 ||
-      p.sensor.winsorize_fraction >= 0.5) {
-    return Status::InvalidArgument(
-        "ElasticityManager: winsorize fraction must be in [0, 0.5)");
   }
   return Status::OK();
 }
@@ -207,30 +201,10 @@ std::function<Result<double>(SimTime)> ElasticityManager::MakeDefaultSensor(
     const LayerControlConfig& config) const {
   const cloudwatch::MetricStore* metrics = metrics_;
   cloudwatch::MetricId metric = config.sensor_metric;
-  cloudwatch::Statistic stat = config.sensor_statistic;
   double window = config.monitoring_window_sec;
-  SensorPolicy policy = config.resilience.sensor;
-  return [metrics, metric, stat, window,
-          policy](SimTime now) -> Result<double> {
-    SimTime t0 = now - window;
-    switch (policy.robust) {
-      case RobustSensing::kOff:
-        return metrics->GetStatistic(metric, t0, now, stat);
-      case RobustSensing::kMedian:
-        return metrics->GetStatistic(metric, t0, now,
-                                     cloudwatch::Statistic::kP50);
-      case RobustSensing::kWinsorizedMean: {
-        FLOWER_ASSIGN_OR_RETURN(const TimeSeries* series,
-                                metrics->GetSeries(metric));
-        TimeSeries w = series->WindowLeftOpen(t0, now);
-        if (w.empty()) {
-          return Status::NotFound("no datapoints in window for " +
-                                  metric.ToString());
-        }
-        return stats::WinsorizedMean(w.Values(), policy.winsorize_fraction);
-      }
-    }
-    return Status::Internal("unhandled robust sensing mode");
+  return [metrics, metric, window](SimTime now) -> Result<double> {
+    return metrics->GetStatistic(metric, now - window, now,
+                                 cloudwatch::Statistic::kAverage);
   };
 }
 

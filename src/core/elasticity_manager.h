@@ -55,21 +55,12 @@ enum class SensorMissPolicy {
   kHoldLastValue,  ///< Re-use the last good measurement (stale read).
 };
 
-/// Statistic hardening applied to the default metric-store sensor.
-enum class RobustSensing {
-  kOff,             ///< Use `sensor_statistic` as configured.
-  kMedian,          ///< p50 over the window (breakdown point 50%).
-  kWinsorizedMean,  ///< Winsorized mean of the raw window samples.
-};
-
 struct SensorPolicy {
   SensorMissPolicy on_miss = SensorMissPolicy::kSkipStep;
   /// kHoldLastValue only: maximum age of the held measurement. A miss
   /// with an older (or no) last good value still skips the step.
   /// 0 = no age limit.
   double max_hold_sec = 0.0;
-  RobustSensing robust = RobustSensing::kOff;
-  double winsorize_fraction = 0.1;  ///< kWinsorizedMean trim fraction.
 };
 
 /// Bundle of the per-loop hardening knobs. Everything is off by
@@ -112,7 +103,6 @@ struct LayerControlConfig {
   std::string name;
   /// The sensed metric (e.g. Flower/Storm CpuUtilization{storm}).
   cloudwatch::MetricId sensor_metric;
-  cloudwatch::Statistic sensor_statistic = cloudwatch::Statistic::kAverage;
   /// Control period: how often the loop senses and actuates (§2's
   /// "monitoring window" knob in the demo's configuration wizard).
   double monitoring_period_sec = 60.0;
@@ -133,7 +123,7 @@ struct LayerControlConfig {
   std::function<Result<double>(SimTime)> sensor;
   /// Initial actuator value (current provisioned amount).
   double initial_u = 1.0;
-  /// Retry / circuit-breaker / sensor-hardening knobs.
+  /// Retry / circuit-breaker / sensor-miss knobs.
   ResiliencePolicy resilience;
 };
 
@@ -231,9 +221,8 @@ struct LayerControlState {
 /// The manager is hardened against control-path faults (see
 /// ResiliencePolicy): failed actuations can be retried with bounded
 /// exponential backoff + jitter, a per-loop circuit breaker stops
-/// hammering a persistently failing actuator, sensor misses can fall
-/// back to the last good measurement, and sensing can use robust
-/// statistics that shrug off outlier spikes. All hardening is opt-in;
+/// hammering a persistently failing actuator, and sensor misses can
+/// fall back to the last good measurement. All hardening is opt-in;
 /// with the default policy the manager behaves exactly like the
 /// original fair-weather implementation.
 class ElasticityManager {
@@ -289,10 +278,9 @@ class ElasticityManager {
   Status Attach(LayerControlConfig config);
 
   /// The default sensor for `config`: queries this manager's metric
-  /// store for the configured statistic over the trailing monitoring
-  /// window `(now - window, now]`, applying the policy's robust
-  /// statistic when enabled. Exposed so callers (e.g. a FlowBuilder
-  /// wiring a FaultInjector) can wrap it before Attach.
+  /// store for the average of `sensor_metric` over the trailing
+  /// monitoring window `(now - window, now]`. Exposed so callers (e.g.
+  /// a FlowBuilder wiring a FaultInjector) can wrap it before Attach.
   std::function<Result<double>(SimTime)> MakeDefaultSensor(
       const LayerControlConfig& config) const;
 

@@ -84,17 +84,18 @@ Status FleetManager::Start() {
 /// Work-stealing event engine of one RunFor call.
 ///
 /// Each tenant's arbitration boundaries {start + k * P_i : < target}
-/// are precomputed and grouped by exact virtual time into events; a
-/// tenant task advances its partition boundary to boundary, posting a
-/// demand snapshot into its mailbox at each one. The event whose every
-/// participant has posted is arbitrated — strictly in ascending
-/// virtual-time order, under a single-flight token — over the fleet
-/// budget minus the grants currently held by tenants *not* at this
-/// boundary, which is what conserves the budget per overlapping
-/// window. Grants flow back through the mailboxes; a tenant whose
-/// grant is not ready parks (its task returns) and is re-spawned by
-/// the arbitration that answers it, so only that tenant waits — never
-/// the fleet.
+/// are precomputed as its windows and grouped by exact virtual time
+/// into events. A tenant task advances its partition boundary to
+/// boundary; at each one it closes its previous window and writes its
+/// demand into the next, then counts itself in at the boundary's
+/// event. The event whose every participant has arrived is arbitrated
+/// — strictly in ascending virtual-time order, under a single-flight
+/// token — over the fleet budget minus the grants currently held by
+/// tenants *not* at this boundary, which is what conserves the budget
+/// per overlapping window. The grants go into the same windows; a
+/// tenant whose event has not been arbitrated yet parks (its task
+/// returns) and is re-spawned by the arbitration that answers it, so
+/// only that tenant waits — never the fleet.
 ///
 /// Determinism: boundary times and event order are pure functions of
 /// the tenant configs; demands are pure functions of each partition's
@@ -103,23 +104,23 @@ Status FleetManager::Start() {
 /// processing). No result anywhere depends on which worker ran what.
 struct FleetManager::SweepEngine {
   struct TenantState {
-    std::vector<SimTime> boundaries;  ///< start + k * P_i, < target.
-    std::vector<size_t> event_of;     ///< Event index per boundary.
-    uint64_t seq_base = 0;  ///< Mailbox seq before this run's windows.
-    // Task-owned cursor (ownership transfers through the park baton).
-    size_t k = 0;             ///< Current boundary index.
-    bool posted_first = false;
-    bool advancing = false;   ///< Grant consumed, segment not yet run.
+    size_t k = 0;  ///< Current window; the task owns it.
     /// Park baton: set by the tenant task before it returns to wait,
     /// cleared by whoever takes responsibility for resuming it (the
-    /// arbitration that posts the grant, or the task itself when the
-    /// grant lands in the park window). Exactly one side wins the
+    /// arbitration that answers it, or the task itself when the event
+    /// is published inside the park window). Exactly one side wins the
     /// exchange, so the tenant is resumed exactly once.
     std::atomic<bool> parked{false};
   };
 
+  /// One tenant's window. The tenant task writes the demand and the
+  /// opening step count before it arrives at the opening event, and the
+  /// spend and closing step count when it reaches the next boundary
+  /// (Finalize closes the last window); the event writes the grant
+  /// before it is published.
   struct Window {
     SimTime open = 0.0, close = 0.0;
+    size_t event = 0;  ///< The event at `open`.
     double demand = 0.0, grant = 0.0, spend = 0.0;
     uint64_t steps_open = 0, steps_close = 0;
     bool conserved = false, uncontended = false;
@@ -137,15 +138,19 @@ struct FleetManager::SweepEngine {
   std::unique_ptr<TenantState[]> states;
   std::unique_ptr<Event[]> events;
   size_t num_events = 0;
-  /// windows[i][k] = tenant i's window opening at boundaries[k].
+  /// windows[i][k] = tenant i's window opening at its k-th boundary.
   std::vector<std::vector<Window>> windows;
   std::vector<double> current_grant;  ///< Guarded by events_mu.
   std::mutex events_mu;               ///< Single-flight processing token.
-  std::atomic<size_t> next_event{0};  ///< Written under events_mu.
+  /// Events below this index are arbitrated. Written under events_mu,
+  /// or by Build before any task runs.
+  std::atomic<size_t> next_event{0};
 
   SweepEngine(FleetManager& fleet, SimTime start_t, SimTime target_t)
       : fm(fleet), start(start_t), target(target_t) {}
 
+  /// Lays out the windows and events, then arbitrates the start
+  /// boundary, which every tenant shares, on the calling thread.
   Status Build() {
     size_t n = fm.partitions_.size();
     states = std::make_unique<TenantState[]>(n);
@@ -159,20 +164,15 @@ struct FleetManager::SweepEngine {
             "FleetManager: non-positive arbitration period for tenant '" +
             fm.tenants_[i].id + "'");
       }
-      TenantState& s = states[i];
-      s.seq_base = fm.partitions_[i]->mailbox().demand_seq();
       for (uint64_t k = 0;; ++k) {
         SimTime b = start + static_cast<double>(k) * period;
         if (b >= target) break;
-        s.boundaries.push_back(b);
+        windows[i].emplace_back().open = b;
         marks.emplace_back(b, static_cast<uint32_t>(i));
       }
-      s.event_of.resize(s.boundaries.size());
-      windows[i].resize(s.boundaries.size());
-      for (size_t k = 0; k < s.boundaries.size(); ++k) {
-        windows[i][k].open = s.boundaries[k];
+      for (size_t k = 0; k < windows[i].size(); ++k) {
         windows[i][k].close =
-            k + 1 < s.boundaries.size() ? s.boundaries[k + 1] : target;
+            k + 1 < windows[i].size() ? windows[i][k + 1].open : target;
       }
     }
     // Group boundary marks sharing an exact virtual time into events
@@ -199,18 +199,32 @@ struct FleetManager::SweepEngine {
       for (size_t m = lo; m < hi; ++m) {
         uint32_t i = marks[m].second;
         uint32_t k = next_k[i]++;
-        states[i].event_of[k] = e;
+        windows[i][k].event = e;
         ev.participants.push_back(i);
         ev.boundary_index.push_back(k);
       }
     }
-    return Status::OK();
+    const Event& first = events[0];
+    for (size_t idx = 0; idx < first.participants.size(); ++idx) {
+      Arrive(first.participants[idx], first.boundary_index[idx]);
+    }
+    return ProcessEvent(0);
   }
 
-  void PostAndArrive(uint32_t i, size_t k) {
-    TenantState& s = states[i];
-    fm.partitions_[i]->PostBoundaryDemand(s.boundaries[k]);
-    events[s.event_of[k]].arrived.fetch_add(1);
+  /// Tenant i's partition sits at its k-th boundary: close window k-1,
+  /// open window k, and count the tenant in at the window's event (the
+  /// increment releases the window writes to the event's processor).
+  void Arrive(uint32_t i, size_t k) {
+    const FlowPartition& part = *fm.partitions_[i];
+    uint64_t steps = part.StepsTaken();
+    if (k > 0) {
+      windows[i][k - 1].spend = part.SpendUsdPerHour();
+      windows[i][k - 1].steps_close = steps;
+    }
+    Window& w = windows[i][k];
+    w.demand = part.DemandUsdPerHour();
+    w.steps_open = steps;
+    events[w.event].arrived.fetch_add(1);
   }
 
   bool EventReady(size_t e) const {
@@ -218,29 +232,16 @@ struct FleetManager::SweepEngine {
            static_cast<uint32_t>(events[e].participants.size());
   }
 
-  /// Arbitrates event `e`: closes the participants' previous windows,
-  /// opens their next ones, and posts grants. Runs under events_mu.
-  Status ProcessEvent(size_t e, exec::ThreadPool::TaskContext& ctx) {
+  /// Arbitrates event `e` from its participants' window demands, writes
+  /// their grants, and publishes the event. Runs under events_mu, or on
+  /// the calling thread before any task starts.
+  Status ProcessEvent(size_t e) {
     Event& ev = events[e];
     size_t p = ev.participants.size();
     std::vector<double> demands(p), weights(p);
     for (size_t idx = 0; idx < p; ++idx) {
       uint32_t i = ev.participants[idx];
-      uint32_t k = ev.boundary_index[idx];
-      const BudgetMailbox& mb = fm.partitions_[i]->mailbox();
-      if (mb.demand_seq() < states[i].seq_base + k + 1) {
-        return Status::Internal("FleetManager: demand not posted at event");
-      }
-      const BudgetMailbox::Demand& d = mb.demand();
-      if (k > 0) {
-        Window& prev = windows[i][k - 1];
-        prev.spend = d.spend_usd;
-        prev.steps_close = d.steps;
-      }
-      Window& w = windows[i][k];
-      w.demand = d.demand_usd;
-      w.steps_open = d.steps;
-      demands[idx] = d.demand_usd;
+      demands[idx] = windows[i][ev.boundary_index[idx]].demand;
       weights[idx] = fm.tenants_[i].budget_weight;
     }
     // Remainder budget: the fleet budget minus grants still held by
@@ -271,31 +272,24 @@ struct FleetManager::SweepEngine {
                           0.0, 1, 0, 0, 0, split.total_granted_usd);
     }
     for (size_t idx = 0; idx < p; ++idx) {
-      uint32_t i = ev.participants[idx];
-      Window& w = windows[i][ev.boundary_index[idx]];
+      Window& w = windows[ev.participants[idx]][ev.boundary_index[idx]];
       w.grant = split.grants_usd[idx];
       w.conserved = conserved;
       w.uncontended = split.uncontended;
     }
-    // Answer the mailboxes last, then hand parked tenants back to the
-    // pool. The baton exchange makes the resume exactly-once even when
-    // the tenant is mid-park on another worker.
-    for (size_t idx = 0; idx < p; ++idx) {
-      uint32_t i = ev.participants[idx];
-      BudgetMailbox::Grant g;
-      g.boundary = ev.time;
-      g.demand_usd = demands[idx];
-      g.grant_usd = split.grants_usd[idx];
-      fm.partitions_[i]->mailbox().PostGrant(g);
-      if (states[i].parked.exchange(false)) ctx.Spawn(i);
-    }
+    // Sequentially consistent, like the tenant's park check: a tenant
+    // that parks after this store sees the event published, and one
+    // that parked before it has its baton taken by the caller.
+    next_event.store(e + 1);
     return Status::OK();
   }
 
-  /// Drains ready events in ascending virtual-time order. try_lock +
-  /// recheck-after-unlock: a thread that loses the token returns, and
-  /// the holder re-checks after releasing so an event made ready during
-  /// its critical section is never stranded.
+  /// Drains ready events in ascending virtual-time order, resuming
+  /// parked participants only after their event is published (a tenant
+  /// resumed earlier could miss its grant and park with no one left to
+  /// wake it). try_lock + recheck-after-unlock: a thread that loses the
+  /// token returns, and the holder re-checks after releasing so an
+  /// event made ready during its critical section is never stranded.
   Status ProcessReadyEvents(exec::ThreadPool::TaskContext& ctx) {
     for (;;) {
       if (!events_mu.try_lock()) return Status::OK();
@@ -303,9 +297,10 @@ struct FleetManager::SweepEngine {
       while (st.ok()) {
         size_t e = next_event.load(std::memory_order_relaxed);
         if (e >= num_events || !EventReady(e)) break;
-        st = ProcessEvent(e, ctx);
-        if (st.ok()) {
-          next_event.store(e + 1, std::memory_order_relaxed);
+        st = ProcessEvent(e);
+        if (!st.ok()) break;
+        for (uint32_t i : events[e].participants) {
+          if (states[i].parked.exchange(false)) ctx.Spawn(i);
         }
       }
       events_mu.unlock();
@@ -315,44 +310,29 @@ struct FleetManager::SweepEngine {
     }
   }
 
-  /// One tenant's task body. Runs the partition from its current
-  /// boundary toward the target, parking at boundaries whose grant has
-  /// not been arbitrated yet.
+  /// One tenant's task body. Applies each window's grant and runs the
+  /// partition to the window's close, parking at boundaries whose event
+  /// has not been arbitrated yet.
   Status TenantTask(uint64_t id, exec::ThreadPool::TaskContext& ctx) {
     uint32_t i = static_cast<uint32_t>(id);
     TenantState& s = states[i];
     FlowPartition* part = fm.partitions_[i].get();
-    if (!s.posted_first) {
-      s.posted_first = true;
-      PostAndArrive(i, 0);
-      FLOWER_RETURN_NOT_OK(ProcessReadyEvents(ctx));
-    }
     for (;;) {
-      if (!s.advancing) {
-        uint64_t seq = s.seq_base + s.k + 1;
-        if (part->TryConsumeGrant(seq)) {
-          s.advancing = true;
-        } else {
-          s.parked.store(true);
-          if (part->mailbox().grant_seq() >= seq &&
-              s.parked.exchange(false)) {
-            // The grant landed inside the park window and we won our
-            // own baton back — consume inline instead of returning.
-            part->TryConsumeGrant(seq);
-            s.advancing = true;
-          } else {
-            part->mailbox().RecordWait();
-            return Status::OK();  // Resumed by the arbitration's Spawn.
-          }
+      const Window& w = windows[i][s.k];
+      if (next_event.load(std::memory_order_acquire) <= w.event) {
+        s.parked.store(true);
+        // The event may be published inside the park window: whoever
+        // wins the baton back resumes the tenant, and a loss means
+        // the arbitration has already spawned it.
+        if (next_event.load() <= w.event || !s.parked.exchange(false)) {
+          return Status::OK();
         }
       }
-      SimTime next =
-          s.k + 1 < s.boundaries.size() ? s.boundaries[s.k + 1] : target;
-      FLOWER_RETURN_NOT_OK(part->AdvanceTo(next));
-      if (s.k + 1 >= s.boundaries.size()) return Status::OK();
-      ++s.k;
-      s.advancing = false;
-      PostAndArrive(i, s.k);
+      part->SetBudget(w.grant);
+      part->RecordGrant(w.open, w.demand, w.grant);
+      FLOWER_RETURN_NOT_OK(part->AdvanceTo(w.close));
+      if (s.k + 1 >= windows[i].size()) return Status::OK();
+      Arrive(i, ++s.k);
       FLOWER_RETURN_NOT_OK(ProcessReadyEvents(ctx));
     }
   }
@@ -441,9 +421,11 @@ Status FleetManager::RunFor(double horizon_sec) {
     return Status::InvalidArgument(
         "FleetManager: horizon must be finite and >= 0");
   }
-  if (horizon_sec == 0.0) return Status::OK();
+  SimTime target = now_ + horizon_sec;
+  // A horizon too short to move the clock holds no boundary to run.
+  if (target == now_) return Status::OK();
   auto t0 = std::chrono::steady_clock::now();
-  SweepEngine engine(*this, now_, now_ + horizon_sec);
+  SweepEngine engine(*this, now_, target);
   FLOWER_RETURN_NOT_OK(engine.Build());
   exec::TaskStats ts;
   FLOWER_RETURN_NOT_OK(pool_->RunTasks(
@@ -457,7 +439,7 @@ Status FleetManager::RunFor(double horizon_sec) {
                             "arbitration events");
   }
   stats_.tasks_executed += ts.executed;
-  stats_.tasks_spawned += ts.spawned;
+  stats_.mailbox_waits += ts.spawned;  // Each park ends in one Spawn.
   stats_.steals += ts.steals;
   stats_.busy_sec += ts.busy_sec;
   engine.Finalize();
@@ -466,14 +448,6 @@ Status FleetManager::RunFor(double horizon_sec) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return Status::OK();
-}
-
-FleetSweepStats FleetManager::sweep_stats() const {
-  FleetSweepStats out = stats_;
-  for (const std::unique_ptr<FlowPartition>& p : partitions_) {
-    out.mailbox_waits += p->mailbox().waits();
-  }
-  return out;
 }
 
 std::string FleetManager::ControlDigest() const {

@@ -46,9 +46,9 @@ struct FleetConfig {
 /// count while the results do not.
 struct FleetSweepStats {
   uint64_t tasks_executed = 0;  ///< Partition-segment tasks run.
-  uint64_t tasks_spawned = 0;   ///< Tasks re-spawned after a park.
   uint64_t steals = 0;          ///< Tasks claimed cross-worker.
-  uint64_t mailbox_waits = 0;   ///< Partitions parked awaiting a grant.
+  /// Partitions parked awaiting their boundary's arbitration.
+  uint64_t mailbox_waits = 0;
   uint64_t arbitration_events = 0;
   /// Windows where the sum of simultaneously-active grants exceeded
   /// the fleet budget (must stay 0).
@@ -91,10 +91,10 @@ struct FleetPeriodReport {
 /// re-plans its layers under the grant it received).
 ///
 /// The sweep is work-stealing: each partition advances independently
-/// to its *own* next arbitration boundary, posts its demand into a
-/// per-partition budget mailbox, and parks until the boundary's
-/// arbitration event fires (all tenants sharing that boundary have
-/// posted). Arbitration order is a pure function of (virtual time,
+/// to its *own* next arbitration boundary, writes its demand into its
+/// window there, and parks until the boundary's arbitration event fires
+/// (all tenants sharing that boundary have arrived) and writes its
+/// grant. Arbitration order is a pure function of (virtual time,
 /// tenant index) and partitions share nothing, so the merged reports —
 /// and every partition's decision log — are byte-identical at any
 /// thread count.
@@ -120,7 +120,7 @@ class FleetManager {
   Status RunFor(double horizon_sec);
 
   /// Cumulative sweep schedule counters (see FleetSweepStats).
-  FleetSweepStats sweep_stats() const;
+  FleetSweepStats sweep_stats() const { return stats_; }
 
   /// Fleet-level collector of kArbitrate spans, one per arbitration
   /// event, in the id namespace right above the last partition's
@@ -164,7 +164,7 @@ class FleetManager {
   std::unique_ptr<exec::ThreadPool> pool_;
   std::vector<FleetPeriodReport> reports_;
   std::unique_ptr<obs::SpanCollector> arb_spans_;
-  FleetSweepStats stats_;  ///< mailbox_waits filled in sweep_stats().
+  FleetSweepStats stats_;
   SimTime now_ = 0.0;
   bool started_ = false;
 };

@@ -292,23 +292,6 @@ uint64_t FlowPartition::StepsTaken() const {
   return telemetry_->decisions().total_appended();
 }
 
-void FlowPartition::PostBoundaryDemand(SimTime boundary) {
-  BudgetMailbox::Demand d;
-  d.boundary = boundary;
-  d.demand_usd = DemandUsdPerHour();
-  d.spend_usd = SpendUsdPerHour();
-  d.steps = StepsTaken();
-  mailbox_.PostDemand(d);
-}
-
-bool FlowPartition::TryConsumeGrant(uint64_t seq) {
-  BudgetMailbox::Grant g;
-  if (!mailbox_.TryReceiveGrant(seq, &g)) return false;
-  SetBudget(g.grant_usd);
-  RecordGrant(g.boundary, g.demand_usd, g.grant_usd);
-  return true;
-}
-
 void FlowPartition::RecordGrant(SimTime t, double demand_usd,
                                 double grant_usd) {
   if (recorder_ != nullptr) recorder_->RecordGrant(t, demand_usd, grant_usd);

@@ -7,7 +7,6 @@
 
 #include "cloudwatch/metric_store.h"
 #include "core/flow_builder.h"
-#include "fleet/budget_mailbox.h"
 #include "fleet/tenant.h"
 #include "obs/health/health_monitor.h"
 #include "obs/replay/bundle.h"
@@ -130,23 +129,6 @@ class FlowPartition {
   /// period it was created under. Also the flow's re-plan period.
   double effective_period_sec() const { return effective_period_sec_; }
 
-  /// Budget handoff cell between this partition and the fleet's
-  /// arbitration events.
-  BudgetMailbox& mailbox() { return mailbox_; }
-  const BudgetMailbox& mailbox() const { return mailbox_; }
-
-  /// Publishes this partition's demand snapshot for the window opening
-  /// at `boundary` into the mailbox. Must be called by the task
-  /// currently advancing the partition, with the simulation parked
-  /// exactly at `boundary`.
-  void PostBoundaryDemand(SimTime boundary);
-
-  /// Consumes the grant with mailbox sequence `seq` if it has been
-  /// posted: applies it as the live budget and mirrors it into the
-  /// flight recorder. False when the arbiter has not answered yet (the
-  /// caller parks the partition instead of blocking a worker).
-  bool TryConsumeGrant(uint64_t seq);
-
   /// Appends this partition's canonical control-decision digest: one
   /// line per retained decision record, formatted identically across
   /// runs. Byte-identical digests at different thread counts are the
@@ -154,9 +136,9 @@ class FlowPartition {
   void AppendDigest(std::string* out) const;
 
   /// Mirrors one arbiter grant into the flight recorder (no-op when
-  /// capture is off). TryConsumeGrant calls it for every grant it
-  /// applies, so a capture taken mid-window carries the grant that
-  /// shaped the window's re-plan.
+  /// capture is off). The fleet sweep calls it with SetBudget for every
+  /// grant, so a capture taken mid-window carries the grant that shaped
+  /// the window's re-plan.
   void RecordGrant(SimTime t, double demand_usd, double grant_usd);
 
   /// Snapshot of the flight recorder as a capture bundle. NotFound when
@@ -202,7 +184,6 @@ class FlowPartition {
   std::vector<int> layer_of_loop_;
   double granted_budget_usd_ = 0.0;
   double effective_period_sec_ = 0.0;
-  BudgetMailbox mailbox_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<cloudwatch::MetricStore> metrics_;
   std::unique_ptr<obs::Telemetry> telemetry_;

@@ -1,7 +1,10 @@
 #include "fleet/partition_spec.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace flower::fleet {
 
@@ -23,7 +26,8 @@ Status ParseF64(const std::string& key, const std::string& value,
                 double* out) {
   char* end = nullptr;
   double v = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size() || value.empty()) {
+  if (end != value.c_str() + value.size() || value.empty() ||
+      std::isspace(static_cast<unsigned char>(value[0]))) {
     return Status::InvalidArgument("partition spec: bad number for '" + key +
                                    "': '" + value + "'");
   }
@@ -31,22 +35,22 @@ Status ParseF64(const std::string& key, const std::string& value,
   return Status::OK();
 }
 
-Status ParseU64(const std::string& key, const std::string& value,
-                uint64_t* out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end != value.c_str() + value.size() || value.empty()) {
+/// Digits only, within T's range: strtoull alone skips leading
+/// whitespace, takes a sign ("-3" wraps to 2^64 - 3), and a cast to a
+/// narrower T would wrap the value.
+template <typename T>
+Status ParseInteger(const std::string& key, const std::string& value,
+                    T* out) {
+  errno = 0;
+  unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE ||
+      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
     return Status::InvalidArgument("partition spec: bad integer for '" + key +
                                    "': '" + value + "'");
   }
-  *out = v;
-  return Status::OK();
-}
-
-Status ParseInt(const std::string& key, const std::string& value, int* out) {
-  uint64_t v = 0;
-  FLOWER_RETURN_NOT_OK(ParseU64(key, value, &v));
-  *out = static_cast<int>(v);
+  *out = static_cast<T>(v);
   return Status::OK();
 }
 
@@ -123,7 +127,7 @@ Status ParsePartitionSpec(
     if (key == "tenant.id") {
       tenant->id = value;
     } else if (key == "tenant.seed") {
-      FLOWER_RETURN_NOT_OK(ParseU64(key, value, &tenant->seed));
+      FLOWER_RETURN_NOT_OK(ParseInteger(key, value, &tenant->seed));
     } else if (key == "tenant.initial_budget_usd") {
       FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->initial_budget_usd));
     } else if (key == "tenant.budget_weight") {
@@ -142,13 +146,15 @@ Status ParsePartitionSpec(
     } else if (key == "tenant.phase_sec") {
       FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->phase_sec));
     } else if (key == "tenant.initial_shards") {
-      FLOWER_RETURN_NOT_OK(ParseInt(key, value, &tenant->initial_shards));
+      FLOWER_RETURN_NOT_OK(
+          ParseInteger(key, value, &tenant->initial_shards));
     } else if (key == "tenant.max_shards") {
-      FLOWER_RETURN_NOT_OK(ParseInt(key, value, &tenant->max_shards));
+      FLOWER_RETURN_NOT_OK(ParseInteger(key, value, &tenant->max_shards));
     } else if (key == "tenant.initial_workers") {
-      FLOWER_RETURN_NOT_OK(ParseInt(key, value, &tenant->initial_workers));
+      FLOWER_RETURN_NOT_OK(
+          ParseInteger(key, value, &tenant->initial_workers));
     } else if (key == "tenant.max_workers") {
-      FLOWER_RETURN_NOT_OK(ParseInt(key, value, &tenant->max_workers));
+      FLOWER_RETURN_NOT_OK(ParseInteger(key, value, &tenant->max_workers));
     } else if (key == "tenant.initial_wcu") {
       FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->initial_wcu));
     } else if (key == "tenant.max_wcu") {
@@ -176,13 +182,11 @@ Status ParsePartitionSpec(
       FLOWER_RETURN_NOT_OK(
           ParseF64(key, value, &config->storm_tick_period_sec));
     } else if (key == "partition.solver_population") {
-      uint64_t v = 0;
-      FLOWER_RETURN_NOT_OK(ParseU64(key, value, &v));
-      config->flow_solver.population_size = static_cast<size_t>(v);
+      FLOWER_RETURN_NOT_OK(
+          ParseInteger(key, value, &config->flow_solver.population_size));
     } else if (key == "partition.solver_generations") {
-      uint64_t v = 0;
-      FLOWER_RETURN_NOT_OK(ParseU64(key, value, &v));
-      config->flow_solver.generations = static_cast<size_t>(v);
+      FLOWER_RETURN_NOT_OK(
+          ParseInteger(key, value, &config->flow_solver.generations));
     } else if (key == "partition.warm_start") {
       FLOWER_RETURN_NOT_OK(
           ParseBool(key, value, &config->flow_incremental.warm_start));
@@ -190,9 +194,8 @@ Status ParsePartitionSpec(
       FLOWER_RETURN_NOT_OK(
           ParseBool(key, value, &config->flow_incremental.cache));
     } else if (key == "partition.stall_generations") {
-      uint64_t v = 0;
-      FLOWER_RETURN_NOT_OK(ParseU64(key, value, &v));
-      config->flow_incremental.stall_generations = static_cast<size_t>(v);
+      FLOWER_RETURN_NOT_OK(ParseInteger(
+          key, value, &config->flow_incremental.stall_generations));
     } else if (key == "capture.health_trigger") {
       FLOWER_RETURN_NOT_OK(
           ParseBool(key, value, &config->capture.health_trigger));

@@ -70,31 +70,4 @@ Result<TheilSenFit> FitTheilSen(const std::vector<double>& x,
   return fit;
 }
 
-Result<double> Median(std::vector<double> xs) {
-  if (xs.empty()) {
-    return Status::FailedPrecondition("Median: empty input");
-  }
-  return Median(&xs);
-}
-
-Result<double> WinsorizedMean(std::vector<double> xs, double fraction) {
-  if (xs.empty()) {
-    return Status::FailedPrecondition("WinsorizedMean: empty input");
-  }
-  if (fraction < 0.0 || fraction >= 0.5) {
-    return Status::InvalidArgument(
-        "WinsorizedMean: fraction must be in [0, 0.5)");
-  }
-  std::sort(xs.begin(), xs.end());
-  size_t n = xs.size();
-  size_t k = static_cast<size_t>(fraction * static_cast<double>(n));
-  for (size_t i = 0; i < k; ++i) {
-    xs[i] = xs[k];
-    xs[n - 1 - i] = xs[n - 1 - k];
-  }
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(n);
-}
-
 }  // namespace flower::stats

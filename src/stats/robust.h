@@ -32,18 +32,6 @@ Result<TheilSenFit> FitTheilSen(const std::vector<double>& x,
                                 size_t max_pairs = 500000,
                                 uint64_t seed = 42);
 
-/// Sample median (midpoint of the two central order statistics for even
-/// n). Breakdown point 50% — the robust location estimate Flower's
-/// hardened sensors use against outlier spikes. Errors: empty input.
-Result<double> Median(std::vector<double> xs);
-
-/// Winsorized mean: the lowest and highest `fraction` of the sample are
-/// clamped to the corresponding cut-off order statistics before
-/// averaging. Keeps more efficiency than the median under clean data
-/// while bounding the influence of monitoring glitches. `fraction`
-/// must be in [0, 0.5). Errors: empty input, fraction out of range.
-Result<double> WinsorizedMean(std::vector<double> xs, double fraction);
-
 }  // namespace flower::stats
 
 #endif  // FLOWER_STATS_ROBUST_H_

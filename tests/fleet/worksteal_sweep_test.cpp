@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fleet/budget_mailbox.h"
 #include "fleet/fleet_manager.h"
 #include "obs/span.h"
 
@@ -96,12 +95,13 @@ void ExpectDigestMatchesGolden(const std::string& digest,
 
 // testdata/homogeneous_5x900s.digest holds this fleet's ControlDigest()
 // as the barrier sweep that preceded the work-stealing one produced it;
-// the work-stealing sweep matched it byte for byte at 1 and 4 threads.
+// the work-stealing sweep matches it byte for byte at 1, 4 and 16
+// threads.
 // It pins the homogeneous byte contract: same windows, same grants,
 // same partition decision logs. A change that moves any decision on
 // purpose regenerates it with the command printed on failure.
 TEST(WorkStealSweepTest, HomogeneousDigestMatchesGolden) {
-  for (size_t threads : {1, 4}) {
+  for (size_t threads : {1, 4, 16}) {
     std::unique_ptr<FleetManager> fleet = MakeHomogeneousFleet(5, threads);
     ASSERT_TRUE(fleet->RunFor(900.0).ok());
     ASSERT_EQ(fleet->reports().size(), 3u);
@@ -220,6 +220,13 @@ TEST(WorkStealSweepTest, SweepStatsDescribeScheduleNotResults) {
   EXPECT_GT(stats.busy_sec, 0.0);
   EXPECT_GT(stats.wall_sec, 0.0);
   EXPECT_GT(stats.overlap_ratio(), 0.0);
+
+  // Every tenant shares the start boundary, which is arbitrated before
+  // any task runs: a sweep of one window parks no one.
+  std::unique_ptr<FleetManager> one_window = MakeHomogeneousFleet(4, 4);
+  ASSERT_TRUE(one_window->RunFor(300.0).ok());
+  EXPECT_EQ(one_window->sweep_stats().mailbox_waits, 0u);
+  EXPECT_EQ(one_window->sweep_stats().tasks_executed, 4u);
 }
 
 TEST(WorkStealSweepTest, ReportsCapacityIsReservedOnce) {
@@ -286,48 +293,6 @@ TEST(WorkStealSweepTest, ApplyPeriodJitterIsDeterministicDivisorSpread) {
   }
   // 16 tenants over 4 divisors: a genuinely mixed fleet.
   EXPECT_GT(distinct.size(), 1u);
-}
-
-TEST(BudgetMailboxTest, SequencePairsDemandsWithGrants) {
-  BudgetMailbox box;
-  EXPECT_EQ(box.demand_seq(), 0u);
-  EXPECT_EQ(box.grant_seq(), 0u);
-
-  BudgetMailbox::Demand d;
-  d.boundary = 300.0;
-  d.demand_usd = 1.5;
-  d.spend_usd = 0.25;
-  d.steps = 7;
-  box.PostDemand(d);
-  EXPECT_EQ(box.demand_seq(), 1u);
-  EXPECT_DOUBLE_EQ(box.demand().demand_usd, 1.5);
-  EXPECT_EQ(box.demand().steps, 7u);
-
-  // The grant for seq 1 has not been posted: the partition must park.
-  BudgetMailbox::Grant out;
-  EXPECT_FALSE(box.TryReceiveGrant(1, &out));
-
-  BudgetMailbox::Grant g;
-  g.boundary = 300.0;
-  g.demand_usd = 1.5;
-  g.grant_usd = 0.75;
-  box.PostGrant(g);
-  EXPECT_EQ(box.grant_seq(), 1u);
-  ASSERT_TRUE(box.TryReceiveGrant(1, &out));
-  EXPECT_DOUBLE_EQ(out.grant_usd, 0.75);
-  EXPECT_DOUBLE_EQ(out.boundary, 300.0);
-
-  // A stale consumer asking for the *next* boundary's grant is told to
-  // wait rather than handed the old payload.
-  EXPECT_FALSE(box.TryReceiveGrant(2, &out));
-}
-
-TEST(BudgetMailboxTest, WaitCounterIsScheduleNoiseOnly) {
-  BudgetMailbox box;
-  EXPECT_EQ(box.waits(), 0u);
-  box.RecordWait();
-  box.RecordWait();
-  EXPECT_EQ(box.waits(), 2u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fleet/fleet_manager.h"
@@ -463,6 +464,40 @@ TEST(ReplayTest, HeterogeneousHorizonCaptureReplaysWithoutDivergence) {
   EXPECT_TRUE(report.chain_match);
 }
 
+// Each partition's recorder holds every grant the partition applied,
+// and each one is that tenant's row of reports(): window start, the
+// demand the arbitration ran on, then the grant, in window order. The
+// grant lists are the same at any thread count.
+TEST(ReplayTest, RecordedGrantsMatchFleetReports) {
+  using Grant = std::tuple<SimTime, double, double>;
+  const size_t thread_counts[2] = {1, 4};
+  std::vector<std::vector<Grant>> grants[2];  // Per run, per tenant.
+  for (int run = 0; run < 2; ++run) {
+    std::unique_ptr<fleet::FleetManager> manager =
+        RunHeterogeneousCapturedFleet(thread_counts[run]);
+    for (size_t i = 0; i < manager->num_tenants(); ++i) {
+      const FlightRecorder* rec = manager->partition(i)->recorder();
+      ASSERT_NE(rec, nullptr);
+      std::vector<Grant> recorded;
+      for (const obs::replay::GrantEntry& g : rec->Grants()) {
+        recorded.emplace_back(g.time, g.demand_usd, g.grant_usd);
+      }
+      std::vector<Grant> reported;
+      for (const fleet::FleetPeriodReport& r : manager->reports()) {
+        for (const fleet::TenantPeriodOutcome& row : r.tenants) {
+          if (row.tenant != manager->partition(i)->tenant().id) continue;
+          reported.emplace_back(r.start, row.demand_usd, row.grant_usd);
+        }
+      }
+      EXPECT_FALSE(recorded.empty());
+      EXPECT_EQ(recorded, reported)
+          << thread_counts[run] << " threads, tenant " << i;
+      grants[run].push_back(std::move(recorded));
+    }
+  }
+  EXPECT_EQ(grants[0], grants[1]);
+}
+
 // A bundle whose spec carries a zero MMPP period is rejected when the
 // partition is rebuilt, instead of hanging in MmppArrival's
 // pre-sampling loop.
@@ -583,6 +618,12 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
       {"SLO fast window nan", spec({{"capture.slo_fast_window_sec", "nan"}})},
       {"base rate 1e300", spec({{"tenant.base_rate_per_sec", "1e300"}})},
       {"amplitude 1e300", spec({{"tenant.amplitude_per_sec", "1e300"}})},
+      {"max shards 2^32 + 58", spec({{"tenant.max_shards", "4294967354"}})},
+      {"initial shards ' 2'", spec({{"tenant.initial_shards", " 2"}})},
+      {"stall generations -3",
+       spec({{"partition.stall_generations", "-3"}})},
+      {"emit period ' 5'",
+       spec({{"partition.workload_emit_period_sec", " 5"}})},
   };
   for (const Case& c : cases) {
     CaptureBundle bundle = *fixture;

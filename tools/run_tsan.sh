@@ -60,10 +60,11 @@ TSAN_OPTIONS=halt_on_error=1 \
     --hours=1 --quiet
 
 # The heterogeneous-horizon work-stealing sweep: tenants arbitrate on
-# different cadences, so boundary events interleave, partitions park on
-# budget mailboxes mid-sweep, and idle workers steal — every acquire/
-# release edge of the mailbox handoff and the park/resume baton gets
-# exercised where TSan can see it.
+# different cadences, so boundary events interleave, partitions park
+# mid-sweep awaiting their boundary's arbitration, and idle workers
+# steal — every acquire/release edge of the window handoff (demand
+# in, grant out) and the park/resume baton gets exercised where TSan
+# can see it.
 TSAN_OPTIONS=halt_on_error=1 \
   ./tools/flower-sim --fleet --fleet-tenants=8 --fleet-threads=4 \
     --fleet-tenant-period-jitter --hours=1 --quiet
