@@ -39,7 +39,7 @@ namespace {
 
 // Day-ahead diurnal rate forecast, one sample per 10 minutes.
 TimeSeries DiurnalForecast(double horizon_sec) {
-  TimeSeries out("rate-forecast");
+  TimeSeries out;
   const double step = 10.0 * kMinute;
   for (double t = 0.0; t < horizon_sec; t += step) {
     double rate =

@@ -34,7 +34,7 @@ namespace {
 
 // Synthetic 5-day history: diurnal + weekly drift + noise.
 TimeSeries History(uint64_t seed) {
-  TimeSeries out("rate");
+  TimeSeries out;
   Rng rng(seed);
   const double step = 10.0 * kMinute;
   for (double t = 0.0; t < 5.0 * kDay; t += step) {
@@ -110,7 +110,7 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
   ftable.Print(std::cout);
 
   // --- 2. Day-ahead forecast (seasonal naive) and window plans.
-  TimeSeries forecast("rate-forecast");
+  TimeSeries forecast;
   stats::SeasonalNaiveForecaster day_ahead(kDay, step);
   for (const Sample& s : history.samples()) {
     day_ahead.Observe(s.time, s.value);

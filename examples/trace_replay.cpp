@@ -24,7 +24,7 @@ namespace {
 
 // A bursty "production day" rate profile, 1-minute resolution.
 TimeSeries SyntheticProductionTrace() {
-  TimeSeries trace("production");
+  TimeSeries trace;
   Rng rng(99);
   for (double t = 0.0; t < 4 * kHour; t += kMinute) {
     double base = 700.0 + 500.0 * std::sin(2.0 * M_PI * t / (4 * kHour));

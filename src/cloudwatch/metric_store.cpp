@@ -6,26 +6,11 @@
 
 namespace flower::cloudwatch {
 
-std::string StatisticToString(Statistic s) {
-  switch (s) {
-    case Statistic::kAverage: return "Average";
-    case Statistic::kSum: return "Sum";
-    case Statistic::kMinimum: return "Minimum";
-    case Statistic::kMaximum: return "Maximum";
-    case Statistic::kSampleCount: return "SampleCount";
-    case Statistic::kP50: return "p50";
-    case Statistic::kP90: return "p90";
-    case Statistic::kP99: return "p99";
-  }
-  return "Unknown";
-}
-
 Status MetricStore::Put(const MetricId& id, SimTime time, double value) {
-  auto it = series_.find(id);
-  if (it == series_.end()) {
-    it = series_.emplace(id, TimeSeries(id.ToString())).first;
+  if (!series_[id].Append(time, value).ok()) {
+    return Status::InvalidArgument("Put: datapoint for " + id.ToString() +
+                                   " is older than the metric's last");
   }
-  FLOWER_RETURN_NOT_OK(it->second.Append(time, value));
   ++total_datapoints_;
   return Status::OK();
 }
@@ -76,47 +61,6 @@ Result<double> MetricStore::GetStatistic(const MetricId& id, SimTime t0,
                             id.ToString());
   }
   return Aggregate(window.Values(), stat);
-}
-
-Result<TimeSeries> MetricStore::GetStatisticSeries(const MetricId& id,
-                                                   SimTime t0, SimTime t1,
-                                                   double period,
-                                                   Statistic stat) const {
-  if (period <= 0.0) {
-    return Status::InvalidArgument("GetStatisticSeries: period must be > 0");
-  }
-  if (t1 <= t0) {
-    return Status::InvalidArgument("GetStatisticSeries: t1 must exceed t0");
-  }
-  auto it = series_.find(id);
-  if (it == series_.end()) {
-    return Status::NotFound("GetStatisticSeries: unknown metric " +
-                            id.ToString());
-  }
-  TimeSeries out(id.ToString() + "/" + std::string(StatisticToString(stat)));
-  // Buckets tile [t0, t1) left to right and the samples are time-
-  // sorted, so one forward sweep visits every sample once — no
-  // per-bucket lower_bound, no per-bucket TimeSeries copy. Bucket
-  // semantics stay [start, end): a sample at a bucket start belongs to
-  // that bucket, not the previous one.
-  const std::vector<Sample>& samples = it->second.samples();
-  auto cur = std::lower_bound(
-      samples.begin(), samples.end(), t0,
-      [](const Sample& s, SimTime t) { return s.time < t; });
-  std::vector<double> bucket_values;
-  for (SimTime start = t0; start < t1; start += period) {
-    SimTime end = std::min(start + period, t1);
-    bucket_values.clear();
-    while (cur != samples.end() && cur->time < end) {
-      bucket_values.push_back(cur->value);
-      ++cur;
-    }
-    if (bucket_values.empty()) continue;  // Empty period.
-    auto value = Aggregate(bucket_values, stat);
-    if (!value.ok()) continue;
-    out.AppendUnchecked(start, *value);
-  }
-  return out;
 }
 
 Result<const TimeSeries*> MetricStore::GetSeries(const MetricId& id) const {

@@ -34,40 +34,28 @@ struct MetricId {
 enum class Statistic { kAverage, kSum, kMinimum, kMaximum, kSampleCount,
                        kP50, kP90, kP99 };
 
-std::string StatisticToString(Statistic s);
-
 /// The cross-platform metric store (the simulated stand-in for Amazon
 /// CloudWatch, §3.4). Every simulated service publishes its metrics
 /// here; Flower's sensors and the all-in-one-place visualizer read them
 /// back through the statistics query API.
 ///
 /// Window-boundary contract (pinned by metric_store_test):
-///  - `GetStatistic(t0, t1)` aggregates over the half-open interval
-///    **(t0, t1]** — trailing-window semantics. A sensor querying
-///    `(now - window, now]` sees a datapoint stamped exactly at `now`,
-///    and two consecutive control steps with back-to-back windows each
-///    count an edge datapoint exactly once.
-///  - `GetStatisticSeries` buckets over **[start, start + period)** —
-///    CloudWatch "period" semantics, a sample at a bucket start belongs
-///    to that bucket.
+/// `GetStatistic(t0, t1)` aggregates over the half-open interval
+/// **(t0, t1]** — trailing-window semantics. A sensor querying
+/// `(now - window, now]` sees a datapoint stamped exactly at `now`, and
+/// two consecutive control steps with back-to-back windows each count
+/// an edge datapoint exactly once.
 class MetricStore {
  public:
   /// Records one datapoint. Datapoints per metric must arrive in
-  /// non-decreasing time order (the simulation guarantees this).
+  /// non-decreasing time order (the simulation guarantees this);
+  /// InvalidArgument, naming the metric, otherwise.
   Status Put(const MetricId& id, SimTime time, double value);
 
   /// Aggregate of the datapoints of `id` in (t0, t1]. Errors: unknown
   /// metric, empty window, or t1 <= t0.
   Result<double> GetStatistic(const MetricId& id, SimTime t0, SimTime t1,
                               Statistic stat) const;
-
-  /// One aggregated datapoint per `period` seconds over [t0, t1), i.e.
-  /// the CloudWatch "period" form of GetMetricStatistics: the returned
-  /// series has one sample per non-empty period, stamped at the period
-  /// start. Errors: unknown metric, t1 <= t0, or period <= 0.
-  Result<TimeSeries> GetStatisticSeries(const MetricId& id, SimTime t0,
-                                        SimTime t1, double period,
-                                        Statistic stat) const;
 
   /// Full series for a metric (NotFound when never written).
   Result<const TimeSeries*> GetSeries(const MetricId& id) const;

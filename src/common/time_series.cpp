@@ -1,21 +1,19 @@
 #include "common/time_series.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace flower {
 
 Status TimeSeries::Append(SimTime time, double value) {
   if (!samples_.empty() && time < samples_.back().time) {
-    return Status::InvalidArgument(
-        "TimeSeries '" + name_ + "': non-monotonic append");
+    return Status::InvalidArgument("TimeSeries: non-monotonic append");
   }
   samples_.push_back({time, value});
   return Status::OK();
 }
 
 TimeSeries TimeSeries::Window(SimTime t0, SimTime t1) const {
-  TimeSeries out(name_);
+  TimeSeries out;
   auto lo = std::lower_bound(
       samples_.begin(), samples_.end(), t0,
       [](const Sample& s, SimTime t) { return s.time < t; });
@@ -26,7 +24,7 @@ TimeSeries TimeSeries::Window(SimTime t0, SimTime t1) const {
 }
 
 TimeSeries TimeSeries::WindowLeftOpen(SimTime t0, SimTime t1) const {
-  TimeSeries out(name_);
+  TimeSeries out;
   auto lo = std::upper_bound(
       samples_.begin(), samples_.end(), t0,
       [](SimTime t, const Sample& s) { return t < s.time; });
@@ -52,42 +50,20 @@ std::vector<SimTime> TimeSeries::Times() const {
 
 Result<double> TimeSeries::At(SimTime t) const {
   if (samples_.empty()) {
-    return Status::NotFound("TimeSeries '" + name_ + "' is empty");
+    return Status::NotFound("TimeSeries is empty");
   }
   auto it = std::upper_bound(
       samples_.begin(), samples_.end(), t,
       [](SimTime tt, const Sample& s) { return tt < s.time; });
   if (it == samples_.begin()) {
-    return Status::NotFound("TimeSeries '" + name_ +
-                            "' has no sample at or before requested time");
+    return Status::NotFound(
+        "TimeSeries has no sample at or before requested time");
   }
   return std::prev(it)->value;
 }
 
-Result<TimeSeries> TimeSeries::ResampleHold(SimTime t0, SimTime step,
-                                            size_t n) const {
-  if (step <= 0.0) {
-    return Status::InvalidArgument("ResampleHold: step must be positive");
-  }
-  if (samples_.empty()) {
-    return Status::FailedPrecondition("ResampleHold on empty series");
-  }
-  TimeSeries out(name_);
-  size_t idx = 0;
-  double current = samples_.front().value;
-  for (size_t i = 0; i < n; ++i) {
-    SimTime t = t0 + static_cast<double>(i) * step;
-    while (idx < samples_.size() && samples_[idx].time <= t) {
-      current = samples_[idx].value;
-      ++idx;
-    }
-    out.AppendUnchecked(t, current);
-  }
-  return out;
-}
-
 TimeSeries TimeSeries::BucketMean(SimTime t0, SimTime step) const {
-  TimeSeries out(name_);
+  TimeSeries out;
   if (samples_.empty() || step <= 0.0) return out;
   double bucket_start = t0;
   double sum = 0.0;

@@ -2,7 +2,6 @@
 #define FLOWER_COMMON_TIME_SERIES_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -26,12 +25,6 @@ struct Sample {
 /// order; `Append` returns InvalidArgument otherwise.
 class TimeSeries {
  public:
-  TimeSeries() = default;
-  explicit TimeSeries(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
-
   Status Append(SimTime time, double value);
   /// Appends unconditionally; asserts ordering only in debug builds.
   void AppendUnchecked(SimTime time, double value) {
@@ -65,12 +58,6 @@ class TimeSeries {
   /// series is empty or starts after `t`.
   Result<double> At(SimTime t) const;
 
-  /// Resamples onto a fixed grid of period `step` starting at `t0` with
-  /// `n` points, carrying the last observation forward (step function
-  /// semantics, matching how provisioned-capacity metrics behave).
-  /// Grid points before the first sample take the first sample's value.
-  Result<TimeSeries> ResampleHold(SimTime t0, SimTime step, size_t n) const;
-
   /// Aggregates samples into consecutive buckets of width `step`
   /// (mean per bucket), producing one sample per non-empty bucket
   /// stamped at the bucket start. This matches CloudWatch "period"
@@ -78,7 +65,6 @@ class TimeSeries {
   TimeSeries BucketMean(SimTime t0, SimTime step) const;
 
  private:
-  std::string name_;
   std::vector<Sample> samples_;
 };
 

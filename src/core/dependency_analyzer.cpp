@@ -51,100 +51,13 @@ Result<Dependency> DependencyAnalyzer::Analyze(
         "DependencyAnalyzer: only " + std::to_string(xs.size()) +
         " aligned samples (< " + std::to_string(config_.min_samples) + ")");
   }
-  stats::SimpleFit fit;
-  if (config_.robust) {
-    // Theil–Sen line + Spearman rank correlation: both resistant to
-    // the occasional corrupted sample in operations logs.
-    FLOWER_ASSIGN_OR_RETURN(stats::TheilSenFit ts,
-                            stats::FitTheilSen(xs, ys));
-    fit.slope = ts.slope;
-    fit.intercept = ts.intercept;
-    fit.n = ts.n;
-    FLOWER_ASSIGN_OR_RETURN(fit.correlation,
-                            stats::SpearmanCorrelation(xs, ys));
-    double sse = 0.0, syy = 0.0;
-    double my = 0.0;
-    for (double v : ys) my += v;
-    my /= static_cast<double>(ys.size());
-    for (size_t k = 0; k < ys.size(); ++k) {
-      double e = ys[k] - ts.Predict(xs[k]);
-      sse += e * e;
-      syy += (ys[k] - my) * (ys[k] - my);
-    }
-    fit.r_squared = syy > 0.0 ? std::max(0.0, 1.0 - sse / syy) : 1.0;
-  } else {
-    FLOWER_ASSIGN_OR_RETURN(fit, stats::FitSimple(xs, ys));
-  }
+  FLOWER_ASSIGN_OR_RETURN(stats::SimpleFit fit, stats::FitSimple(xs, ys));
   Dependency dep;
   dep.predictor = predictor;
   dep.response = response;
   dep.fit = fit;
   dep.significant =
       std::fabs(fit.correlation) >= config_.min_abs_correlation;
-  return dep;
-}
-
-Result<MultiDependency> DependencyAnalyzer::AnalyzeMultiple(
-    const cloudwatch::MetricStore& store,
-    const std::vector<LayerMetric>& predictors, const LayerMetric& response,
-    SimTime t0, SimTime t1) const {
-  if (predictors.empty()) {
-    return Status::InvalidArgument("AnalyzeMultiple: no predictors");
-  }
-  for (const LayerMetric& p : predictors) {
-    if (p.layer == response.layer) {
-      return Status::InvalidArgument(
-          "AnalyzeMultiple: predictor '" + p.id.ToString() +
-          "' shares the response's layer (Eq. 1 requires L1 != L2)");
-    }
-  }
-  // Bucket every series onto the common grid.
-  std::vector<TimeSeries> bx;
-  bx.reserve(predictors.size());
-  for (const LayerMetric& p : predictors) {
-    FLOWER_ASSIGN_OR_RETURN(const TimeSeries* series, store.GetSeries(p.id));
-    bx.push_back(series->Window(t0, t1).BucketMean(t0, config_.bucket_sec));
-  }
-  FLOWER_ASSIGN_OR_RETURN(const TimeSeries* ys, store.GetSeries(response.id));
-  TimeSeries by = ys->Window(t0, t1).BucketMean(t0, config_.bucket_sec);
-
-  // Join on bucket times present in every series.
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  std::vector<size_t> idx(predictors.size(), 0);
-  for (size_t j = 0; j < by.size(); ++j) {
-    double t = by[j].time;
-    std::vector<double> row;
-    row.reserve(predictors.size());
-    bool complete = true;
-    for (size_t p = 0; p < bx.size(); ++p) {
-      while (idx[p] < bx[p].size() && bx[p][idx[p]].time < t - 1e-9) {
-        ++idx[p];
-      }
-      if (idx[p] < bx[p].size() &&
-          std::fabs(bx[p][idx[p]].time - t) < 1e-9) {
-        row.push_back(bx[p][idx[p]].value);
-      } else {
-        complete = false;
-        break;
-      }
-    }
-    if (!complete) continue;
-    rows.push_back(std::move(row));
-    y.push_back(by[j].value);
-  }
-  if (rows.size() < config_.min_samples) {
-    return Status::FailedPrecondition(
-        "AnalyzeMultiple: only " + std::to_string(rows.size()) +
-        " aligned samples (< " + std::to_string(config_.min_samples) + ")");
-  }
-  FLOWER_ASSIGN_OR_RETURN(stats::MultipleFit fit,
-                          stats::FitMultiple(rows, y));
-  MultiDependency dep;
-  dep.predictors = predictors;
-  dep.response = response;
-  dep.fit = fit;
-  dep.significant = fit.r_squared >= config_.min_r_squared;
   return dep;
 }
 

@@ -7,9 +7,7 @@
 #include "cloudwatch/metric_store.h"
 #include "core/layer.h"
 #include "obs/health/attribution.h"
-#include "stats/correlation.h"
 #include "stats/linreg.h"
-#include "stats/robust.h"
 
 namespace flower::core {
 
@@ -17,16 +15,6 @@ namespace flower::core {
 struct LayerMetric {
   Layer layer;
   cloudwatch::MetricId id;
-};
-
-/// A multi-predictor dependency: response = b0 + b1·x1 + ... + bk·xk,
-/// the natural generalization of Eq. 1 when one layer's load is driven
-/// by several upstream signals.
-struct MultiDependency {
-  std::vector<LayerMetric> predictors;
-  LayerMetric response;
-  stats::MultipleFit fit;
-  bool significant = false;  ///< R² at or above the analyzer threshold.
 };
 
 /// One detected cross-layer dependency: the paper's Eq. 1,
@@ -52,14 +40,8 @@ struct DependencyAnalyzerConfig {
   double bucket_sec = 60.0;
   /// |r| at or above this marks the dependency significant.
   double min_abs_correlation = 0.7;
-  /// R² threshold for multi-predictor fits.
-  double min_r_squared = 0.5;
   /// Minimum aligned samples required to attempt a fit.
   size_t min_samples = 10;
-  /// Use the Theil–Sen robust estimator (with Spearman rank
-  /// correlation for significance) instead of OLS/Pearson — survives
-  /// monitoring glitches and load spikes in the logs.
-  bool robust = false;
 };
 
 /// Workload dependency analysis (paper §3.1): applies linear regression
@@ -76,15 +58,6 @@ class DependencyAnalyzer {
                              const LayerMetric& predictor,
                              const LayerMetric& response, SimTime t0,
                              SimTime t1) const;
-
-  /// Regresses `response` on several predictors jointly (all from
-  /// layers other than the response's). Errors: empty predictors, a
-  /// predictor sharing the response's layer, unknown metrics, too few
-  /// aligned samples, or collinear predictors.
-  Result<MultiDependency> AnalyzeMultiple(
-      const cloudwatch::MetricStore& store,
-      const std::vector<LayerMetric>& predictors, const LayerMetric& response,
-      SimTime t0, SimTime t1) const;
 
   /// Analyzes every ordered cross-layer pair among `metrics` (same-layer
   /// pairs are skipped, per Eq. 1's L1 != L2). Pairs that fail to fit

@@ -58,7 +58,6 @@ Status Table::ChargeWrite(int32_t size_bytes) {
   double cost = WcuForSize(size_bytes);
   if (write_tokens_ < cost) {
     ++total_throttled_writes_;
-    ++period_throttled_;
     return Status::Throttled("write throttled");
   }
   write_tokens_ -= cost;
@@ -100,11 +99,9 @@ Result<double> Table::GetItem(int64_t key, int32_t size_bytes) {
   double cost = RcuForSize(size_bytes);
   if (read_tokens_ < cost) {
     ++total_throttled_reads_;
-    ++period_throttled_;
     return Status::Throttled("read throttled");
   }
   read_tokens_ -= cost;
-  period_consumed_rcu_ += cost;
   ItemIt it = LowerBound(key);
   if (it == items_.end() || it->first != key) {
     return Status::NotFound("no such item");
@@ -183,19 +180,10 @@ void Table::PublishMetrics() {
   };
   double consumed_w =
       elapsed > 0.0 ? period_consumed_wcu_ / elapsed : 0.0;
-  double consumed_r =
-      elapsed > 0.0 ? period_consumed_rcu_ / elapsed : 0.0;
   put("ConsumedWriteCapacityUnits", consumed_w);
   put("ProvisionedWriteCapacityUnits", wcu_);
   put("WriteUtilization", wcu_ > 0.0 ? 100.0 * consumed_w / wcu_ : 0.0);
-  put("ConsumedReadCapacityUnits", consumed_r);
-  put("ProvisionedReadCapacityUnits", rcu_);
-  put("ReadUtilization", rcu_ > 0.0 ? 100.0 * consumed_r / rcu_ : 0.0);
-  put("ThrottledRequests", static_cast<double>(period_throttled_));
-  put("ItemCount", static_cast<double>(items_.size()));
   period_consumed_wcu_ = 0.0;
-  period_consumed_rcu_ = 0.0;
-  period_throttled_ = 0;
   period_start_ = now;
 }
 

@@ -49,10 +49,17 @@ struct TableConfig {
 /// accounting. Items sit in one vector sorted by key, with no heap node
 /// per item.
 ///
-/// Published metrics (namespace "Flower/DynamoDB", dimension = table):
-///   ConsumedWriteCapacityUnits (avg units/s over the period),
-///   ProvisionedWriteCapacityUnits, WriteUtilization (%),
-///   ThrottledRequests, ItemCount. Read-side equivalents mirror these.
+/// Published metrics (namespace "Flower/DynamoDB", dimension = table,
+/// one datapoint per metrics period), each with its readers:
+///   WriteUtilization              — consumed / provisioned WCU, %: the
+///                                   storage sensor, FIG6, flower-sim
+///                                   and the examples' dashboards and
+///                                   alarms
+///   ConsumedWriteCapacityUnits    — mean consumed WCU/s: EQ2 and
+///                                   dependency analysis
+///   ProvisionedWriteCapacityUnits — provisioned WCU: FIG6
+/// Reads are billed against the provisioned RCU but publish nothing;
+/// the item count is the `ItemCount` accessor.
 class Table {
  public:
   Table(sim::Simulation* sim, cloudwatch::MetricStore* metrics,
@@ -134,8 +141,6 @@ class Table {
   uint64_t total_throttled_reads_ = 0;
 
   double period_consumed_wcu_ = 0.0;
-  double period_consumed_rcu_ = 0.0;
-  uint64_t period_throttled_ = 0;
   SimTime period_start_ = 0.0;
 };
 

@@ -147,80 +147,6 @@ Status Stream::UpdateShardCount(int target) {
   });
 }
 
-Status Stream::SplitShard(int shard_index) {
-  if (shard_index < 0 || shard_index >= shard_count()) {
-    return Status::OutOfRange("SplitShard: shard index out of range");
-  }
-  if (shard_count() >= config_.max_shards) {
-    return Status::FailedPrecondition("SplitShard: stream at max_shards");
-  }
-  if (reshard_in_flight_) {
-    return Status::FailedPrecondition(
-        "SplitShard: a resharding operation is already in flight");
-  }
-  reshard_in_flight_ = true;
-  target_shards_ = shard_count() + 1;
-  uint64_t epoch = ++reshard_epoch_;
-  return sim_->ScheduleAfter(config_.reshard_delay_sec,
-                             [this, epoch, shard_index] {
-    if (epoch != reshard_epoch_) return;
-    // The new shard opens empty; the parent keeps its buffer (real
-    // Kinesis children read the parent's remainder first — buffered
-    // order is preserved either way in this model). The parent's banked
-    // tokens are split evenly with the child: total instantaneous
-    // capacity is conserved across the split, so the split neither
-    // mints a free burst nor throttles traffic already in flight.
-    SimTime now = sim_->Now();
-    Shard child = MakeChildShard(now);
-    {
-      Shard& parent = shards_[static_cast<size_t>(shard_index)];
-      RefillTokens(&parent, now);
-      parent.record_tokens *= 0.5;
-      parent.byte_tokens *= 0.5;
-      parent.read_byte_tokens *= 0.5;
-      parent.read_call_tokens *= 0.5;
-      child.record_tokens = parent.record_tokens;
-      child.byte_tokens = parent.byte_tokens;
-      child.read_byte_tokens = parent.read_byte_tokens;
-      child.read_call_tokens = parent.read_call_tokens;
-    }  // `parent` dies here: the insert below relocates shards_.
-    shards_.insert(shards_.begin() + shard_index + 1, child);
-    reshard_in_flight_ = false;
-  });
-}
-
-Status Stream::MergeShards(int shard_index) {
-  if (shard_index < 0 || shard_index + 1 >= shard_count()) {
-    return Status::OutOfRange(
-        "MergeShards: need two adjacent shards at the given index");
-  }
-  if (shard_count() <= config_.min_shards) {
-    return Status::FailedPrecondition("MergeShards: stream at min_shards");
-  }
-  if (reshard_in_flight_) {
-    return Status::FailedPrecondition(
-        "MergeShards: a resharding operation is already in flight");
-  }
-  reshard_in_flight_ = true;
-  target_shards_ = shard_count() - 1;
-  uint64_t epoch = ++reshard_epoch_;
-  return sim_->ScheduleAfter(config_.reshard_delay_sec,
-                             [this, epoch, shard_index] {
-    if (epoch != reshard_epoch_) return;
-    // Drain the victim fully before the erase; the erase itself uses an
-    // index computed fresh here, so no reference or iterator obtained
-    // before it survives past it (shards_ relocates on erase).
-    auto& keep = shards_[static_cast<size_t>(shard_index)].buffer;
-    auto& gone = shards_[static_cast<size_t>(shard_index) + 1].buffer;
-    while (!gone.empty()) {
-      keep.push_back(gone.front());
-      gone.pop_front();
-    }
-    shards_.erase(shards_.begin() + shard_index + 1);
-    reshard_in_flight_ = false;
-  });
-}
-
 double Stream::OldestRecordAgeSec() const {
   SimTime now = sim_->Now();
   double oldest = now;
@@ -313,8 +239,6 @@ void Stream::PublishMetrics() {
   put("ThrottledRecords", static_cast<double>(period_throttled_));
   put("WriteUtilization", CurrentWriteUtilizationPct());
   put("ShardCount", static_cast<double>(shard_count()));
-  put("BacklogRecords", static_cast<double>(BacklogRecords()));
-  put("IteratorAge", OldestRecordAgeSec());
   period_incoming_ = 0;
   period_throttled_ = 0;
   period_start_ = now;

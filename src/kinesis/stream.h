@@ -47,13 +47,18 @@ struct StreamConfig {
 /// actuator) takes effect after a resharding delay.
 ///
 /// Published metrics (namespace "Flower/Kinesis", dimension = stream
-/// name, one datapoint per metrics period):
-///   IncomingRecords        — accepted records in the period
-///   ThrottledRecords       — rejected records in the period
-///   WriteUtilization       — accepted rate / (shards × 1,000 rec/s), %
-///   ShardCount             — provisioned shards
-///   BacklogRecords         — records buffered and not yet consumed
-///   IteratorAge            — age (s) of the oldest unconsumed record
+/// name, one datapoint per metrics period), each with its readers:
+///   WriteUtilization — accepted rate / (shards × 1,000 rec/s), %: the
+///                      ingestion sensor, FIG6, flower-sim and the
+///                      examples' dashboards and alarms
+///   IncomingRecords  — accepted records in the period: the feedforward
+///                      controllers' arrival rate, FIG2, EQ2 and
+///                      dependency analysis
+///   ThrottledRecords — rejected records in the period: the feedforward
+///                      arrival rate and the dashboard's throttle alarm
+///   ShardCount       — provisioned shards: FIG6 and the dashboards
+/// Backlog and consumer lag are accessors (`BacklogRecords`,
+/// `OldestRecordAgeSec`), not series.
 class Stream {
  public:
   /// Starts the periodic metrics publication on `sim`.
@@ -93,16 +98,6 @@ class Stream {
   /// Errors: target outside [min_shards, max_shards].
   Status UpdateShardCount(int target);
 
-  /// Splits one shard into two (targeted scale-up, the low-level API
-  /// UpdateShardCount is built on). Applied after the resharding
-  /// delay. Errors: index out of range, at max_shards, or a reshard is
-  /// already in flight.
-  Status SplitShard(int shard_index);
-
-  /// Merges two adjacent shards (targeted scale-down); the surviving
-  /// shard inherits both buffers. Same preconditions as SplitShard.
-  Status MergeShards(int shard_index);
-
   /// Age (seconds) of the oldest buffered record across all shards —
   /// the consumer-lag signal (GetRecords.IteratorAge). 0 when empty.
   double OldestRecordAgeSec() const;
@@ -129,9 +124,9 @@ class Stream {
     // created at stream construction start full (a fresh stream has a
     // full second of quota); shards created by a mid-run reshard
     // inherit an even share of the tokens already banked by the live
-    // shards (see ApplyReshard / SplitShard) so scale-out conserves the
-    // stream's instantaneous capacity — no free burst, no spurious
-    // throttles on traffic arriving the instant the reshard lands.
+    // shards (see ApplyReshard) so scale-out conserves the stream's
+    // instantaneous capacity — no free burst, no spurious throttles on
+    // traffic arriving the instant the reshard lands.
     double record_tokens = kKinesisShardWriteRecordsPerSec;
     double byte_tokens = static_cast<double>(kKinesisShardWriteBytesPerSec);
     double read_byte_tokens =
@@ -141,9 +136,9 @@ class Stream {
   };
 
   /// A shard born mid-run: zero tokens, refill clock anchored at `now`.
-  /// Callers seed the token fields from capacity being divided (a share
-  /// of the parents' banked tokens). The explicit `last_refill = now`
-  /// matters: a zero/stale refill timestamp would mint a full catch-up
+  /// ApplyReshard seeds the token fields with a share of the live
+  /// shards' banked tokens. The explicit `last_refill = now` matters:
+  /// a zero/stale refill timestamp would mint a full catch-up
   /// bucket on the shard's first touch, letting a 2→8 scale-out accept
   /// a burst of 6×1000 records in one instant — above any per-shard
   /// limit.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -361,17 +362,40 @@ Result<double> AsDouble(const JsonValue& v, const std::string& what) {
   return Status::InvalidArgument("bundle JSON: '" + what + "' is not a number");
 }
 
+/// An unsigned integer no larger than `max`: a string of digits only
+/// (no sign, no whitespace), or an integral JSON number below 2^64.
+Result<uint64_t> AsUnsigned(const JsonValue& v, const std::string& what,
+                            uint64_t max) {
+  bool ok = false;
+  uint64_t out = 0;
+  if (v.type == JsonValue::Type::kString) {
+    errno = 0;
+    out = std::strtoull(v.str.c_str(), nullptr, 10);
+    ok = !v.str.empty() &&
+         v.str.find_first_not_of("0123456789") == std::string::npos &&
+         errno != ERANGE;
+  } else if (v.type == JsonValue::Type::kNumber) {
+    // 0x1p64 (2^64) is the first double past uint64_t's range; NaN
+    // fails the first comparison.
+    ok = v.number >= 0.0 && v.number < 0x1p64 &&
+         v.number == std::floor(v.number);
+    if (ok) out = static_cast<uint64_t>(v.number);
+  }
+  if (!ok || out > max) {
+    return Status::InvalidArgument("bundle JSON: '" + what +
+                                   "' is not an unsigned integer in range");
+  }
+  return out;
+}
+
 Result<uint64_t> AsU64(const JsonValue& v, const std::string& what) {
-  if (v.type == JsonValue::Type::kString && !v.str.empty()) {
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(v.str.c_str(), &end, 10);
-    if (end == v.str.c_str() + v.str.size()) return uint64_t{parsed};
-  }
-  if (v.type == JsonValue::Type::kNumber && v.number >= 0) {
-    return static_cast<uint64_t>(v.number);
-  }
-  return Status::InvalidArgument("bundle JSON: '" + what +
-                                 "' is not a 64-bit value");
+  return AsUnsigned(v, what, std::numeric_limits<uint64_t>::max());
+}
+
+Result<size_t> AsSize(const JsonValue& v, const std::string& what) {
+  FLOWER_ASSIGN_OR_RETURN(
+      uint64_t n, AsUnsigned(v, what, std::numeric_limits<size_t>::max()));
+  return static_cast<size_t>(n);
 }
 
 Result<std::string> AsString(const JsonValue& v, const std::string& what) {
@@ -463,7 +487,12 @@ Result<RecordedDecision> ParseDecision(const JsonValue& v,
   BUNDLE_FIELD(d.chain, v, "chain", AsU64);
   uint64_t outcome = 0;
   BUNDLE_FIELD(outcome, v, "out", AsU64);
-  r.outcome = static_cast<StepOutcome>(static_cast<uint8_t>(outcome));
+  // kActuationFailed is the last StepOutcome.
+  if (outcome > static_cast<uint64_t>(StepOutcome::kActuationFailed)) {
+    return Status::InvalidArgument("bundle JSON: unknown decision outcome " +
+                                   std::to_string(outcome));
+  }
+  r.outcome = static_cast<StepOutcome>(outcome);
   std::string loop;
   BUNDLE_FIELD(loop, v, "loop", AsString);
   size_t id = std::find(loops->begin(), loops->end(), loop) - loops->begin();
@@ -565,17 +594,15 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
   CaptureBundle b;
   uint64_t schema = 0;
   BUNDLE_FIELD(schema, root, "schema_version", AsU64);
-  b.schema_version = static_cast<int>(schema);
-  if (b.schema_version > kBundleSchemaVersion) {
+  if (schema > static_cast<uint64_t>(kBundleSchemaVersion)) {
     return Status::InvalidArgument(
-        "capture bundle schema v" + std::to_string(b.schema_version) +
+        "capture bundle schema v" + std::to_string(schema) +
         " is newer than this build understands (v" +
         std::to_string(kBundleSchemaVersion) + ")");
   }
+  b.schema_version = static_cast<int>(schema);
   BUNDLE_FIELD(b.tenant_id, root, "tenant_id", AsString);
-  uint64_t index = 0;
-  BUNDLE_FIELD(index, root, "tenant_index", AsU64);
-  b.tenant_index = static_cast<size_t>(index);
+  BUNDLE_FIELD(b.tenant_index, root, "tenant_index", AsSize);
   BUNDLE_FIELD(b.seed, root, "seed", AsU64);
   BUNDLE_FIELD(b.span_id_offset, root, "span_id_offset", AsU64);
   BUNDLE_FIELD(b.fingerprint, root, "fingerprint", AsU64);
@@ -598,17 +625,13 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
   if (recorder == nullptr) {
     return Status::InvalidArgument("bundle JSON: missing 'recorder'");
   }
-  uint64_t cap = 0;
-  BUNDLE_FIELD(cap, *recorder, "decision_capacity", AsU64);
-  b.recorder.decision_capacity = static_cast<size_t>(cap);
-  BUNDLE_FIELD(cap, *recorder, "grant_capacity", AsU64);
-  b.recorder.grant_capacity = static_cast<size_t>(cap);
-  BUNDLE_FIELD(cap, *recorder, "replan_capacity", AsU64);
-  b.recorder.replan_capacity = static_cast<size_t>(cap);
-  BUNDLE_FIELD(cap, *recorder, "checkpoint_every", AsU64);
-  b.recorder.checkpoint_every = static_cast<size_t>(cap);
-  BUNDLE_FIELD(cap, *recorder, "checkpoint_capacity", AsU64);
-  b.recorder.checkpoint_capacity = static_cast<size_t>(cap);
+  RecorderConfig& rc = b.recorder;
+  BUNDLE_FIELD(rc.decision_capacity, *recorder, "decision_capacity", AsSize);
+  BUNDLE_FIELD(rc.grant_capacity, *recorder, "grant_capacity", AsSize);
+  BUNDLE_FIELD(rc.replan_capacity, *recorder, "replan_capacity", AsSize);
+  BUNDLE_FIELD(rc.checkpoint_every, *recorder, "checkpoint_every", AsSize);
+  BUNDLE_FIELD(rc.checkpoint_capacity, *recorder, "checkpoint_capacity",
+               AsSize);
 
   const JsonValue* spec = Find(root, "spec");
   if (spec == nullptr || spec->type != JsonValue::Type::kArray) {

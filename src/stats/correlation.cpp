@@ -1,8 +1,7 @@
 #include "stats/correlation.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstdlib>
 
 namespace flower::stats {
 
@@ -31,24 +30,6 @@ bool PearsonRaw(const double* x, const double* y, size_t n, double* r) {
   return true;
 }
 
-std::vector<double> FractionalRanks(const std::vector<double>& v) {
-  size_t n = v.size();
-  std::vector<size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  std::sort(idx.begin(), idx.end(),
-            [&](size_t a, size_t b) { return v[a] < v[b]; });
-  std::vector<double> ranks(n);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j + 1 < n && v[idx[j + 1]] == v[idx[i]]) ++j;
-    double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (size_t k = i; k <= j; ++k) ranks[idx[k]] = avg_rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
 }  // namespace
 
 Result<double> PearsonCorrelation(const std::vector<double>& x,
@@ -66,18 +47,6 @@ Result<double> PearsonCorrelation(const std::vector<double>& x,
         "PearsonCorrelation: zero variance input");
   }
   return r;
-}
-
-Result<double> SpearmanCorrelation(const std::vector<double>& x,
-                                   const std::vector<double>& y) {
-  if (x.size() != y.size()) {
-    return Status::InvalidArgument("SpearmanCorrelation: size mismatch");
-  }
-  if (x.size() < 2) {
-    return Status::FailedPrecondition(
-        "SpearmanCorrelation: need at least two samples");
-  }
-  return PearsonCorrelation(FractionalRanks(x), FractionalRanks(y));
 }
 
 Result<LagCorrelation> CrossCorrelation(const std::vector<double>& x,

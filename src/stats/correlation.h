@@ -13,11 +13,6 @@ namespace flower::stats {
 Result<double> PearsonCorrelation(const std::vector<double>& x,
                                   const std::vector<double>& y);
 
-/// Spearman rank correlation (Pearson over fractional ranks; ties get
-/// the average rank).
-Result<double> SpearmanCorrelation(const std::vector<double>& x,
-                                   const std::vector<double>& y);
-
 /// Result of scanning correlation across time lags.
 struct LagCorrelation {
   int best_lag = 0;        ///< Lag (in samples) maximizing |r|; y lags x by best_lag.

@@ -47,101 +47,4 @@ Result<SimpleFit> FitSimple(const std::vector<double>& x,
   return fit;
 }
 
-double MultipleFit::Predict(const std::vector<double>& x) const {
-  double y = coefficients.empty() ? 0.0 : coefficients[0];
-  for (size_t j = 0; j + 1 < coefficients.size() && j < x.size(); ++j) {
-    y += coefficients[j + 1] * x[j];
-  }
-  return y;
-}
-
-namespace {
-
-// Solves A x = b for symmetric positive definite A (in-place Cholesky).
-// Returns false when A is not positive definite (rank-deficient X).
-bool SolveSpd(std::vector<std::vector<double>>& a, std::vector<double>& b) {
-  size_t n = a.size();
-  // Cholesky: A = L L^T, stored in lower triangle of a.
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a[i][j];
-      for (size_t k = 0; k < j; ++k) sum -= a[i][k] * a[j][k];
-      if (i == j) {
-        if (sum <= 1e-12) return false;
-        a[i][i] = std::sqrt(sum);
-      } else {
-        a[i][j] = sum / a[j][j];
-      }
-    }
-  }
-  // Forward solve L z = b.
-  for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (size_t k = 0; k < i; ++k) sum -= a[i][k] * b[k];
-    b[i] = sum / a[i][i];
-  }
-  // Backward solve L^T x = z.
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= a[k][ii] * b[k];
-    b[ii] = sum / a[ii][ii];
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<MultipleFit> FitMultiple(const std::vector<std::vector<double>>& rows,
-                                const std::vector<double>& y) {
-  if (rows.size() != y.size()) {
-    return Status::InvalidArgument("FitMultiple: row/response size mismatch");
-  }
-  size_t n = rows.size();
-  if (n == 0) return Status::FailedPrecondition("FitMultiple: empty input");
-  size_t k = rows[0].size();
-  for (const auto& r : rows) {
-    if (r.size() != k) {
-      return Status::InvalidArgument("FitMultiple: ragged regressor rows");
-    }
-  }
-  size_t p = k + 1;  // intercept + k slopes
-  if (n <= p) {
-    return Status::FailedPrecondition(
-        "FitMultiple: need more observations than parameters");
-  }
-  // Normal equations: (X'X) beta = X'y with X = [1 | rows].
-  std::vector<std::vector<double>> xtx(p, std::vector<double>(p, 0.0));
-  std::vector<double> xty(p, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<double> xi(p);
-    xi[0] = 1.0;
-    for (size_t j = 0; j < k; ++j) xi[j + 1] = rows[i][j];
-    for (size_t a = 0; a < p; ++a) {
-      xty[a] += xi[a] * y[i];
-      for (size_t b = 0; b < p; ++b) xtx[a][b] += xi[a] * xi[b];
-    }
-  }
-  if (!SolveSpd(xtx, xty)) {
-    return Status::FailedPrecondition(
-        "FitMultiple: X'X not positive definite (collinear regressors)");
-  }
-  MultipleFit fit;
-  fit.coefficients = xty;
-  fit.n = n;
-  double my = Mean(y);
-  double sse = 0.0, syy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    double e = y[i] - fit.Predict(rows[i]);
-    sse += e * e;
-    double dy = y[i] - my;
-    syy += dy * dy;
-  }
-  fit.r_squared = syy > 0.0 ? 1.0 - sse / syy : 1.0;
-  double dof = static_cast<double>(n - p);
-  fit.adjusted_r_squared =
-      1.0 - (1.0 - fit.r_squared) * static_cast<double>(n - 1) / dof;
-  fit.residual_std = std::sqrt(sse / dof);
-  return fit;
-}
-
 }  // namespace flower::stats

@@ -29,24 +29,6 @@ struct SimpleFit {
 Result<SimpleFit> FitSimple(const std::vector<double>& x,
                             const std::vector<double>& y);
 
-/// Fitted multiple linear regression y = b0 + b1*x1 + ... + bk*xk.
-struct MultipleFit {
-  std::vector<double> coefficients;  ///< [b0, b1, ..., bk].
-  double r_squared = 0.0;
-  double adjusted_r_squared = 0.0;
-  double residual_std = 0.0;
-  size_t n = 0;
-
-  double Predict(const std::vector<double>& x) const;
-};
-
-/// OLS with k regressors via the normal equations solved by Cholesky
-/// decomposition (X'X is symmetric positive definite for full-rank X).
-/// `rows[i]` holds the k regressor values of observation i.
-/// Errors: inconsistent row widths, n <= k + 1, or rank-deficient X.
-Result<MultipleFit> FitMultiple(const std::vector<std::vector<double>>& rows,
-                                const std::vector<double>& y);
-
 }  // namespace flower::stats
 
 #endif  // FLOWER_STATS_LINREG_H_

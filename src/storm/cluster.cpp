@@ -42,11 +42,6 @@ Status Cluster::Submit(std::shared_ptr<Topology> topology) {
   }
   topology_ = std::move(topology);
   topology_->submitted_ = true;
-  for (const Topology::BoltNode& bolt : topology_->bolts_) {
-    bolt_dims_.push_back(config_.name + "." + bolt.spec.name);
-  }
-  period_bolt_executed_.assign(bolt_dims_.size(), 0);
-  period_bolt_work_.assign(bolt_dims_.size(), 0.0);
   return Status::OK();
 }
 
@@ -70,7 +65,6 @@ void Cluster::Tick() {
     return;
   }
   Topology& topo = *topology_;
-  period_budget_ += initial_budget;
 
   // Execution-cost noise (JIT/GC/cache and noisy neighbours): AR(1)
   // with stationary std dev cost_jitter, bounded so costs stay
@@ -119,8 +113,7 @@ void Cluster::Tick() {
 
   // (b) Drain bolt queues in topology order within the budget. Each
   // contiguous run of a queue goes to the bolt as one batch.
-  for (size_t bi = 0; bi < topo.bolts_.size(); ++bi) {
-    auto& bolt = topo.bolts_[bi];
+  for (Topology::BoltNode& bolt : topo.bolts_) {
     const double cost = bolt.spec.cpu_cost_per_tuple * cost_factor;
     const bool is_leaf = bolt.children.empty();
     VecDeque<Tuple>* out = bolt.children.size() == 1
@@ -151,7 +144,6 @@ void Cluster::Tick() {
         left = budget;
         for (size_t i = 0; i < done; ++i) left -= cost;
         ++total_sink_throttles_;
-        ++period_sink_throttles_;
       }
       budget = left;
       if (is_leaf) {
@@ -174,9 +166,6 @@ void Cluster::Tick() {
     }
     bolt.executed += executed_n;
     total_executed_ += executed_n;
-    period_executed_ += executed_n;
-    period_bolt_executed_[bi] += executed_n;
-    period_bolt_work_[bi] += static_cast<double>(executed_n) * cost;
     total_acked_ += acked_n;
     period_acked_ += acked_n;
     period_latency_sum_ += latency_sum;
@@ -200,53 +189,24 @@ void Cluster::PublishMetrics() {
                    : 0.0;
   put("CpuUtilization", cpu);
   put("WorkerCount", static_cast<double>(worker_count()));
-  put("PendingTuples",
-      topology_ ? static_cast<double>(topology_->PendingTuples()) : 0.0);
-  put("ExecutedTuples", static_cast<double>(period_executed_));
   put("CompleteLatency",
       period_acked_ > 0
           ? period_latency_sum_ / static_cast<double>(period_acked_)
           : 0.0);
-  // P50 and P99 from one sorted copy of the reservoir. The copy lives
-  // in scratch owned by the calling thread: a fleet runs one cluster
-  // per tenant on a few workers, and a buffer each would hold a
-  // reservoir's worth of memory per tenant.
+  // P99 from a sorted copy of the reservoir. The copy lives in scratch
+  // owned by the calling thread: a fleet runs one cluster per tenant on
+  // a few workers, and a buffer each would hold a reservoir's worth of
+  // memory per tenant.
   thread_local std::vector<double> sorted;
   const std::vector<double>& sample = period_latency_sample_.sample();
   sorted.assign(sample.begin(), sample.end());
   std::sort(sorted.begin(), sorted.end());
-  put("CompleteLatencyP50", PercentileOfSorted(sorted, 50.0).ValueOr(0.0));
   put("CompleteLatencyP99", PercentileOfSorted(sorted, 99.0).ValueOr(0.0));
-  put("SinkThrottles", static_cast<double>(period_sink_throttles_));
-  // Per-bolt stats: executed count, queue length, and the fraction of
-  // the cluster's work budget each bolt consumed (bottleneck gauge).
-  if (topology_ != nullptr) {
-    const auto& bolts = topology_->bolts_;
-    for (size_t bi = 0; bi < bolts.size(); ++bi) {
-      auto put_bolt = [&](const char* name, double v) {
-        Status st =
-            metrics_->Put({kNamespace, name, bolt_dims_[bi]}, now, v);
-        FLOWER_CHECK(st.ok()) << st.ToString();
-      };
-      put_bolt("BoltExecuted",
-               static_cast<double>(period_bolt_executed_[bi]));
-      put_bolt("BoltQueueLength",
-               static_cast<double>(bolts[bi].queue.size()));
-      put_bolt("BoltCapacity", period_budget_ > 0.0
-                                   ? period_bolt_work_[bi] / period_budget_
-                                   : 0.0);
-    }
-  }
   period_cpu_sum_ = 0.0;
   period_ticks_ = 0;
-  period_executed_ = 0;
-  period_sink_throttles_ = 0;
   period_latency_sum_ = 0.0;
   period_acked_ = 0;
   period_latency_sample_.Reset();
-  period_budget_ = 0.0;
-  period_bolt_executed_.assign(period_bolt_executed_.size(), 0);
-  period_bolt_work_.assign(period_bolt_work_.size(), 0.0);
 }
 
 }  // namespace flower::storm

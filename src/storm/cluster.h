@@ -55,14 +55,16 @@ struct ClusterConfig {
 /// takes effect after the fleet's boot delay.
 ///
 /// Published metrics (namespace "Flower/Storm", dimension = cluster
-/// name): CpuUtilization (%), WorkerCount, PendingTuples,
-/// ExecutedTuples, CompleteLatency (s, mean per period),
-/// CompleteLatencyP50 / CompleteLatencyP99 (reservoir-sampled tail
-/// percentiles), SinkThrottles.
-/// Per-bolt metrics (dimension "<cluster>.<bolt>"): BoltExecuted,
-/// BoltQueueLength, and BoltCapacity (fraction of the cluster's work
-/// budget the bolt consumed — Storm's "capacity" gauge, which flags
-/// the bottleneck component).
+/// name, one datapoint per metrics period), each with its readers:
+///   CpuUtilization     — mean per-tick CPU, %: the analytics sensor,
+///                        FIG2, EQ2, FIG6, flower-sim, chaos_recovery
+///                        and the examples' dashboards and alarms
+///   WorkerCount        — running workers: FIG6 and the dashboards
+///   CompleteLatency    — mean spout-to-sink latency of the period's
+///                        acked tuples, s: the monitoring dashboard
+///   CompleteLatencyP99 — reservoir-sampled p99 of the same, s: CTRL
+/// Pending tuples and sink throttles are accessors
+/// (`topology()->PendingTuples()`, `total_sink_throttles()`).
 class Cluster {
  public:
   /// `metrics` may be nullptr (no publication). The cluster schedules
@@ -109,9 +111,6 @@ class Cluster {
   /// (copied to each child after the bolt's turn). A bolt with one
   /// child writes straight into that child's queue.
   VecDeque<Tuple> emit_buf_;
-  /// Per-bolt metric dimension "<cluster>.<bolt>", by declaration
-  /// order. Built at Submit, like the per-bolt period accumulators.
-  std::vector<std::string> bolt_dims_;
 
   double last_tick_cpu_pct_ = 0.0;
   uint64_t total_executed_ = 0;
@@ -121,15 +120,10 @@ class Cluster {
   // Period accumulators for metric publication.
   double period_cpu_sum_ = 0.0;
   size_t period_ticks_ = 0;
-  uint64_t period_executed_ = 0;
-  uint64_t period_sink_throttles_ = 0;
   double period_latency_sum_ = 0.0;
   uint64_t period_acked_ = 0;
-  double period_budget_ = 0.0;
-  std::vector<uint64_t> period_bolt_executed_;
-  std::vector<double> period_bolt_work_;
   /// Reservoir of per-tuple complete latencies in the current period
-  /// (for p50/p99 publication without storing every ack).
+  /// (for p99 publication without storing every ack).
   ReservoirSampler period_latency_sample_{1024, 97};
 };
 

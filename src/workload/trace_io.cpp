@@ -31,7 +31,7 @@ Result<TimeSeries> LoadRateTraceCsv(const std::string& path) {
   if (!in) {
     return Status::NotFound("LoadRateTraceCsv: cannot open " + path);
   }
-  TimeSeries out(path);
+  TimeSeries out;
   std::string line;
   size_t line_no = 0;
   while (std::getline(in, line)) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace flower::cloudwatch {
 namespace {
 
@@ -33,7 +31,11 @@ TEST(MetricStoreTest, UnknownMetricIsNotFound) {
 TEST(MetricStoreTest, NonMonotonicPutRejected) {
   MetricStore store;
   ASSERT_TRUE(store.Put(kCpu, 100.0, 1.0).ok());
-  EXPECT_FALSE(store.Put(kCpu, 50.0, 2.0).ok());
+  Status st = store.Put(kCpu, 50.0, 2.0);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  // The store names the metric; its series has no name of its own.
+  EXPECT_NE(st.message().find(kCpu.ToString()), std::string::npos)
+      << st.message();
 }
 
 TEST(MetricStoreTest, StatisticsOverWindow) {
@@ -116,92 +118,6 @@ TEST(MetricStoreTest, InvalidWindowRejected) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(MetricStoreTest, StatisticSeriesAggregatesPerPeriod) {
-  MetricStore store;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store.Put(kCpu, i * 30.0, static_cast<double>(i)).ok());
-  }
-  // 60 s periods over [0, 300): values (0,1), (2,3), (4,5), (6,7), (8,9).
-  auto series = store.GetStatisticSeries(kCpu, 0.0, 300.0, 60.0,
-                                         Statistic::kAverage);
-  ASSERT_TRUE(series.ok());
-  ASSERT_EQ(series->size(), 5u);
-  EXPECT_DOUBLE_EQ((*series)[0].time, 0.0);
-  EXPECT_DOUBLE_EQ((*series)[0].value, 0.5);
-  EXPECT_DOUBLE_EQ((*series)[4].value, 8.5);
-  auto maxes = store.GetStatisticSeries(kCpu, 0.0, 300.0, 60.0,
-                                        Statistic::kMaximum);
-  ASSERT_TRUE(maxes.ok());
-  EXPECT_DOUBLE_EQ((*maxes)[2].value, 5.0);
-}
-
-TEST(MetricStoreTest, StatisticSeriesSkipsEmptyPeriods) {
-  MetricStore store;
-  ASSERT_TRUE(store.Put(kCpu, 10.0, 1.0).ok());
-  ASSERT_TRUE(store.Put(kCpu, 250.0, 2.0).ok());
-  auto series = store.GetStatisticSeries(kCpu, 0.0, 300.0, 60.0,
-                                         Statistic::kSum);
-  ASSERT_TRUE(series.ok());
-  ASSERT_EQ(series->size(), 2u);
-  EXPECT_DOUBLE_EQ((*series)[1].time, 240.0);
-}
-
-TEST(MetricStoreTest, StatisticSeriesValidation) {
-  MetricStore store;
-  ASSERT_TRUE(store.Put(kCpu, 0.0, 1.0).ok());
-  EXPECT_FALSE(
-      store.GetStatisticSeries(kCpu, 0.0, 100.0, 0.0, Statistic::kSum).ok());
-  EXPECT_FALSE(
-      store.GetStatisticSeries(kCpu, 100.0, 0.0, 60.0, Statistic::kSum).ok());
-  EXPECT_EQ(store
-                .GetStatisticSeries(kRecords, 0.0, 100.0, 60.0,
-                                    Statistic::kSum)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-}
-
-TEST(MetricStoreTest, StatisticSeriesMatchesPerBucketQueries) {
-  // Regression for the single-forward-sweep aggregation: for every
-  // statistic, GetStatisticSeries must agree with issuing one
-  // GetStatistic per bucket. Series buckets are [s, s + p); GetStatistic
-  // windows are (t0, t1] — with samples kept clear of bucket edges the
-  // shifted window (s - eps, s + p - eps] covers the same datapoints,
-  // so the two independent code paths must agree exactly.
-  MetricStore store;
-  // Irregular timestamps (never within 1 s of a 60 s boundary) and
-  // values that exercise min/max/percentile ordering.
-  double t = 2.0;
-  int i = 0;
-  while (t < 900.0) {
-    ASSERT_TRUE(store.Put(kCpu, t, 50.0 + 40.0 * std::sin(0.7 * i) +
-                                       (i % 7) * 3.0)
-                    .ok());
-    t += 3.0 + (i % 5) * 4.0;
-    if (std::fmod(t, 60.0) < 1.0 || std::fmod(t, 60.0) > 59.0) t += 1.5;
-    ++i;
-  }
-  const double kPeriod = 60.0;
-  const double kEps = 0.5;
-  for (Statistic stat :
-       {Statistic::kAverage, Statistic::kSum, Statistic::kMinimum,
-        Statistic::kMaximum, Statistic::kSampleCount, Statistic::kP50,
-        Statistic::kP90, Statistic::kP99}) {
-    auto series = store.GetStatisticSeries(kCpu, 0.0, 900.0, kPeriod, stat);
-    ASSERT_TRUE(series.ok()) << StatisticToString(stat);
-    ASSERT_GE(series->size(), 10u) << StatisticToString(stat);
-    for (size_t p = 0; p < series->size(); ++p) {
-      double start = (*series)[p].time;
-      auto ref = store.GetStatistic(kCpu, start - kEps,
-                                    start + kPeriod - kEps, stat);
-      ASSERT_TRUE(ref.ok())
-          << StatisticToString(stat) << " bucket at " << start;
-      EXPECT_DOUBLE_EQ((*series)[p].value, *ref)
-          << StatisticToString(stat) << " bucket at " << start;
-    }
-  }
-}
-
 TEST(MetricStoreTest, ListMetricsFiltersByNamespace) {
   MetricStore store;
   ASSERT_TRUE(store.Put(kCpu, 0.0, 1.0).ok());
@@ -226,11 +142,6 @@ TEST(MetricStoreTest, DimensionsDistinguishMetrics) {
 
 TEST(MetricIdTest, ToStringFormat) {
   EXPECT_EQ(kCpu.ToString(), "Flower/Storm/CpuUtilization{storm}");
-}
-
-TEST(StatisticToStringTest, AllNames) {
-  EXPECT_EQ(StatisticToString(Statistic::kAverage), "Average");
-  EXPECT_EQ(StatisticToString(Statistic::kP99), "p99");
 }
 
 }  // namespace

@@ -6,13 +6,13 @@ namespace flower {
 namespace {
 
 TimeSeries Make(std::initializer_list<Sample> samples) {
-  TimeSeries ts("test");
+  TimeSeries ts;
   for (const Sample& s : samples) ts.AppendUnchecked(s.time, s.value);
   return ts;
 }
 
 TEST(TimeSeriesTest, AppendKeepsOrderAndSize) {
-  TimeSeries ts("m");
+  TimeSeries ts;
   ASSERT_TRUE(ts.Append(0.0, 1.0).ok());
   ASSERT_TRUE(ts.Append(1.0, 2.0).ok());
   ASSERT_TRUE(ts.Append(1.0, 3.0).ok());  // Equal time allowed.
@@ -22,7 +22,7 @@ TEST(TimeSeriesTest, AppendKeepsOrderAndSize) {
 }
 
 TEST(TimeSeriesTest, AppendRejectsNonMonotonicTime) {
-  TimeSeries ts("m");
+  TimeSeries ts;
   ASSERT_TRUE(ts.Append(5.0, 1.0).ok());
   Status st = ts.Append(4.0, 2.0);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
@@ -62,24 +62,6 @@ TEST(TimeSeriesTest, AtBeforeFirstSampleIsNotFound) {
   EXPECT_EQ(ts.At(5.0).status().code(), StatusCode::kNotFound);
   TimeSeries empty;
   EXPECT_EQ(empty.At(5.0).status().code(), StatusCode::kNotFound);
-}
-
-TEST(TimeSeriesTest, ResampleHoldCarriesForward) {
-  TimeSeries ts = Make({{0, 1}, {25, 5}});
-  auto r = ts.ResampleHold(0.0, 10.0, 4);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 4u);
-  EXPECT_EQ((*r)[0].value, 1.0);  // t=0
-  EXPECT_EQ((*r)[1].value, 1.0);  // t=10
-  EXPECT_EQ((*r)[2].value, 1.0);  // t=20
-  EXPECT_EQ((*r)[3].value, 5.0);  // t=30
-}
-
-TEST(TimeSeriesTest, ResampleHoldValidatesInput) {
-  TimeSeries ts = Make({{0, 1}});
-  EXPECT_FALSE(ts.ResampleHold(0.0, 0.0, 4).ok());
-  TimeSeries empty;
-  EXPECT_FALSE(empty.ResampleHold(0.0, 1.0, 4).ok());
 }
 
 TEST(TimeSeriesTest, BucketMeanAveragesPerBucket) {

@@ -122,102 +122,6 @@ TEST(DependencyAnalyzerTest, AnalyzeAllSkipsSameLayerAndKeepsCrossLayer) {
   EXPECT_EQ(significant, 2);
 }
 
-TEST(DependencyAnalyzerTest, RobustModeSurvivesCorruptedSamples) {
-  cloudwatch::MetricStore store;
-  Rng rng(21);
-  for (int i = 0; i < 300; ++i) {
-    double t = 60.0 * i;
-    double records = 10000.0 + 40000.0 * std::fabs(std::sin(i * 0.05));
-    double cpu = 4.8 + 0.0002 * records + rng.Normal(0.0, 0.3);
-    // Every 20th CPU sample is a monitoring glitch (reads as 0 or a
-    // wild spike).
-    if (i % 20 == 0) cpu = (i % 40 == 0) ? 0.0 : 500.0;
-    ASSERT_TRUE(store.Put(kIn, t, records).ok());
-    ASSERT_TRUE(store.Put(kCpu, t, cpu).ok());
-  }
-  DependencyAnalyzerConfig robust_cfg;
-  robust_cfg.robust = true;
-  DependencyAnalyzer robust(robust_cfg);
-  DependencyAnalyzer ols;
-  auto r = robust.Analyze(store, Ingest(), Cpu(), 0.0, 300 * 60.0);
-  auto o = ols.Analyze(store, Ingest(), Cpu(), 0.0, 300 * 60.0);
-  ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(o.ok());
-  // Robust recovers the planted slope; OLS is dragged off by glitches.
-  EXPECT_NEAR(r->fit.slope, 0.0002, 4e-5);
-  EXPECT_TRUE(r->significant);
-  EXPECT_GT(std::fabs(o->fit.slope - 0.0002) /
-                0.0002,
-            std::fabs(r->fit.slope - 0.0002) / 0.0002);
-}
-
-TEST(DependencyAnalyzerTest, MultipleRegressionRecoversTwoDrivers) {
-  cloudwatch::MetricStore store;
-  const cloudwatch::MetricId kBytes{"Flower/Kinesis", "IncomingBytes", "s"};
-  Rng rng(13);
-  // Plant cpu = 1.0 + 3e-4*records + 2e-6*bytes + noise, with records
-  // and bytes varying independently.
-  for (int i = 0; i < 300; ++i) {
-    double t = 60.0 * i;
-    double records = 10000.0 + 30000.0 * std::fabs(std::sin(i * 0.07));
-    double bytes = 2e6 + 6e6 * std::fabs(std::cos(i * 0.11));
-    double cpu = 1.0 + 3e-4 * records + 2e-6 * bytes + rng.Normal(0, 0.3);
-    ASSERT_TRUE(store.Put(kIn, t, records).ok());
-    ASSERT_TRUE(store.Put(kBytes, t, bytes).ok());
-    ASSERT_TRUE(store.Put(kCpu, t, cpu).ok());
-  }
-  DependencyAnalyzer analyzer;
-  LayerMetric bytes_metric{Layer::kIngestion, kBytes};
-  auto dep = analyzer.AnalyzeMultiple(store, {Ingest(), bytes_metric},
-                                      Cpu(), 0.0, 300 * 60.0);
-  ASSERT_TRUE(dep.ok());
-  ASSERT_EQ(dep->fit.coefficients.size(), 3u);
-  EXPECT_NEAR(dep->fit.coefficients[1], 3e-4, 3e-5);
-  EXPECT_NEAR(dep->fit.coefficients[2], 2e-6, 3e-7);
-  EXPECT_TRUE(dep->significant);
-  EXPECT_GT(dep->fit.r_squared, 0.9);
-}
-
-TEST(DependencyAnalyzerTest, AnalyzeMultipleValidation) {
-  cloudwatch::MetricStore store;
-  DependencyAnalyzer analyzer;
-  // Empty predictors.
-  EXPECT_EQ(analyzer.AnalyzeMultiple(store, {}, Cpu(), 0, 100)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Predictor in the response's layer.
-  LayerMetric same{Layer::kAnalytics, kIn};
-  EXPECT_EQ(analyzer.AnalyzeMultiple(store, {same}, Cpu(), 0, 100)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Unknown metric.
-  EXPECT_EQ(analyzer.AnalyzeMultiple(store, {Ingest()}, Cpu(), 0, 100)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-}
-
-TEST(DependencyAnalyzerTest, AnalyzeMultipleRejectsCollinearPredictors) {
-  cloudwatch::MetricStore store;
-  const cloudwatch::MetricId kDup{"Flower/Kinesis", "Dup", "s"};
-  for (int i = 0; i < 100; ++i) {
-    double t = 60.0 * i;
-    double v = 100.0 * i;
-    ASSERT_TRUE(store.Put(kIn, t, v).ok());
-    ASSERT_TRUE(store.Put(kDup, t, 2.0 * v).ok());  // Perfectly collinear.
-    ASSERT_TRUE(store.Put(kCpu, t, v * 0.001).ok());
-  }
-  DependencyAnalyzer analyzer;
-  LayerMetric dup{Layer::kIngestion, kDup};
-  EXPECT_EQ(analyzer.AnalyzeMultiple(store, {Ingest(), dup}, Cpu(), 0.0,
-                                     6000.0)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST(DependencyAnalyzerTest, ToStringRendersEquation) {
   cloudwatch::MetricStore store;
   PlantEq2(&store, 100, 0.01);

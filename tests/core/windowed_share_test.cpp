@@ -92,7 +92,7 @@ TEST(WindowedShareTest, PlanWindowValidatesTimes) {
 }
 
 TEST(WindowedShareTest, HorizonPlansFollowDiurnalForecast) {
-  TimeSeries forecast("rate");
+  TimeSeries forecast;
   for (double t = 0.0; t < kDay; t += 10.0 * kMinute) {
     double rate =
         1000.0 + 800.0 * std::sin(2.0 * M_PI * t / kDay);
@@ -121,7 +121,7 @@ TEST(WindowedShareTest, HorizonPlansFollowDiurnalForecast) {
 TEST(WindowedShareTest, HorizonUsesWindowPeakNotMean) {
   // A flat forecast with one in-window spike: the window's plan must
   // cover the spike.
-  TimeSeries forecast("rate");
+  TimeSeries forecast;
   for (int i = 0; i < 12; ++i) {
     forecast.AppendUnchecked(i * 10.0 * kMinute, i == 5 ? 2500.0 : 400.0);
   }
@@ -137,7 +137,7 @@ TEST(WindowedShareTest, HorizonValidatesInput) {
   WindowedShareAnalyzer analyzer(BaseRequest(), Model(), FastSolver());
   TimeSeries empty;
   EXPECT_FALSE(analyzer.PlanHorizon(empty, kHour).ok());
-  TimeSeries one("r");
+  TimeSeries one;
   one.AppendUnchecked(0.0, 100.0);
   EXPECT_FALSE(analyzer.PlanHorizon(one, -1.0).ok());
   for (size_t threads : {exec::kMaxThreads + 1, size_t{100000}}) {
@@ -151,7 +151,7 @@ TEST(WindowedShareTest, HorizonValidatesInput) {
 TEST(WindowedShareTest, HorizonIsBitIdenticalAcrossThreadCounts) {
   // PlanHorizon fans each window out to its own solver run; the plans
   // must be bitwise-identical no matter how many threads execute them.
-  TimeSeries forecast("rate");
+  TimeSeries forecast;
   for (double t = 0.0; t < kDay; t += 10.0 * kMinute) {
     double rate = 1000.0 + 800.0 * std::sin(2.0 * M_PI * t / kDay);
     forecast.AppendUnchecked(t, std::max(100.0, rate));
@@ -189,7 +189,7 @@ TEST(WindowedShareTest, ParallelHorizonPropagatesWindowErrors) {
   bad_solver.population_size = 5;  // Odd: NSGA-II rejects it.
   WindowedShareAnalyzer analyzer(BaseRequest(4.0), Model(), bad_solver,
                                  /*num_threads=*/4);
-  TimeSeries forecast("rate");
+  TimeSeries forecast;
   for (int i = 0; i < 24; ++i) {
     forecast.AppendUnchecked(i * kHour, 2000.0);
   }
@@ -210,7 +210,7 @@ TEST(WindowedShareTest, DependencyConstraintsStillHold) {
 }
 
 TimeSeries DiurnalForecast() {
-  TimeSeries forecast("rate");
+  TimeSeries forecast;
   for (double t = 0.0; t < kDay; t += 10.0 * kMinute) {
     double rate = 1000.0 + 800.0 * std::sin(2.0 * M_PI * t / kDay);
     forecast.AppendUnchecked(t, std::max(100.0, rate));

@@ -236,10 +236,7 @@ TEST(TableTest, PublishesMetrics) {
                                 cloudwatch::Statistic::kAverage);
   ASSERT_TRUE(u.ok());
   EXPECT_NEAR(*u, 50.0, 5.0);  // 10 WCU/s consumed of 20 provisioned.
-  cloudwatch::MetricId items{"Flower/DynamoDB", "ItemCount", "aggregates"};
-  EXPECT_GT(*metrics.GetStatistic(items, 0, 301,
-                                  cloudwatch::Statistic::kMaximum),
-            5.0);
+  EXPECT_EQ(table.ItemCount(), 10u);
 }
 
 // Many keys, with puts, update-adds and deletes interleaved: the table

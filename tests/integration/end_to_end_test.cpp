@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/dependency_analyzer.h"
 #include "core/flow_builder.h"
 #include "core/monitor.h"
@@ -180,14 +183,34 @@ TEST(EndToEndTest, MonitorShowsAllThreePlatformsInOneView) {
                     std::make_shared<workload::ConstantArrival>(400.0), Wl())
                 .Build(&sim, &metrics);
   ASSERT_TRUE(mf.ok());
-  sim.RunUntil(20.0 * 60.0);
+  sim.RunUntil(kHour);
+  // The services publish exactly the series some program reads, one
+  // datapoint per series per minute.
+  std::vector<std::string> ids;
+  for (const cloudwatch::MetricId& id : metrics.ListMetrics()) {
+    ids.push_back(id.ToString());
+  }
+  const std::vector<std::string> kPublished = {
+      "Flower/DynamoDB/ConsumedWriteCapacityUnits{aggregates}",
+      "Flower/DynamoDB/ProvisionedWriteCapacityUnits{aggregates}",
+      "Flower/DynamoDB/WriteUtilization{aggregates}",
+      "Flower/Kinesis/IncomingRecords{clickstream}",
+      "Flower/Kinesis/ShardCount{clickstream}",
+      "Flower/Kinesis/ThrottledRecords{clickstream}",
+      "Flower/Kinesis/WriteUtilization{clickstream}",
+      "Flower/Storm/CompleteLatency{storm}",
+      "Flower/Storm/CompleteLatencyP99{storm}",
+      "Flower/Storm/CpuUtilization{storm}",
+      "Flower/Storm/WorkerCount{storm}"};
+  EXPECT_EQ(ids, kPublished);
+  EXPECT_EQ(metrics.total_datapoints(), 11u * 60u);
   CrossPlatformMonitor monitor(&metrics);
   monitor.WatchNamespace("Flower/Kinesis");
   monitor.WatchNamespace("Flower/Storm");
   monitor.WatchNamespace("Flower/DynamoDB");
-  EXPECT_GE(monitor.watched_count(), 15u);
+  EXPECT_EQ(monitor.watched_count(), kPublished.size());
   std::ostringstream os;
-  monitor.RenderDashboard(os, 0.0, 20.0 * 60.0);
+  monitor.RenderDashboard(os, 0.0, kHour);
   std::string s = os.str();
   EXPECT_NE(s.find("Flower/Kinesis"), std::string::npos);
   EXPECT_NE(s.find("Flower/Storm"), std::string::npos);

@@ -194,58 +194,6 @@ TEST(StreamTest, ReadByteRateBoundsBatchSize) {
   EXPECT_LE(second->size(), 1u);
 }
 
-TEST(StreamTest, SplitShardAddsCapacityAfterDelay) {
-  sim::Simulation sim;
-  Stream stream(&sim, nullptr, TestConfig(2));
-  ASSERT_TRUE(stream.SplitShard(0).ok());
-  EXPECT_TRUE(stream.resharding());
-  EXPECT_EQ(stream.shard_count(), 2);
-  sim.RunUntil(61.0);
-  EXPECT_EQ(stream.shard_count(), 3);
-  EXPECT_FALSE(stream.resharding());
-}
-
-TEST(StreamTest, SplitShardValidation) {
-  sim::Simulation sim;
-  StreamConfig cfg = TestConfig(2);
-  cfg.max_shards = 2;
-  Stream stream(&sim, nullptr, cfg);
-  EXPECT_EQ(stream.SplitShard(5).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(stream.SplitShard(0).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(StreamTest, MergeShardsCombinesBuffers) {
-  sim::Simulation sim;
-  Stream stream(&sim, nullptr, TestConfig(3));
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(stream.PutRecord(Rec(static_cast<uint64_t>(i), 64)).ok());
-  }
-  size_t before = stream.BacklogRecords();
-  ASSERT_TRUE(stream.MergeShards(0).ok());
-  sim.RunUntil(61.0);
-  EXPECT_EQ(stream.shard_count(), 2);
-  EXPECT_EQ(stream.BacklogRecords(), before);  // Nothing lost.
-}
-
-TEST(StreamTest, MergeShardsValidation) {
-  sim::Simulation sim;
-  Stream stream(&sim, nullptr, TestConfig(1));
-  EXPECT_EQ(stream.MergeShards(0).code(), StatusCode::kOutOfRange);
-  Stream stream2(&sim, nullptr, TestConfig(2));
-  // min_shards = 1 allows one merge, but not during an in-flight one.
-  ASSERT_TRUE(stream2.MergeShards(0).ok());
-  EXPECT_EQ(stream2.MergeShards(0).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(StreamTest, ConcurrentReshardRejected) {
-  sim::Simulation sim;
-  Stream stream(&sim, nullptr, TestConfig(2));
-  ASSERT_TRUE(stream.SplitShard(0).ok());
-  EXPECT_EQ(stream.SplitShard(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(stream.MergeShards(0).code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(StreamTest, ScaleOutGrantsNoInstantTokenBurst) {
   sim::Simulation sim;
   Stream stream(&sim, nullptr, TestConfig(2));
@@ -282,29 +230,6 @@ TEST(StreamTest, ScaleOutGrantsNoInstantTokenBurst) {
   // Whole first post-reshard second stays within the aggregate
   // per-shard limit (8 × 1000 rec/s) plus the conserved carry-over.
   EXPECT_LE(at_reshard + at_half_sec, 8000);
-}
-
-TEST(StreamTest, SplitSharesParentTokensWithChild) {
-  sim::Simulation sim;
-  Stream stream(&sim, nullptr, TestConfig(2));
-  ASSERT_TRUE(stream.SplitShard(0).ok());
-  // At the split instant the parent's full bucket (1000 records) is
-  // halved with the child; the untouched sibling keeps its own 1000.
-  // Keys 0/1/2 map to shards 0/1/2 after the split (3 shards).
-  int per_shard[3] = {0, 0, 0};
-  ASSERT_TRUE(sim.ScheduleAt(60.0, [&] {
-    ASSERT_EQ(stream.shard_count(), 3);
-    for (int i = 0; i < 6000; ++i) {
-      uint64_t key = static_cast<uint64_t>(i) % 3;
-      if (stream.PutRecord(Rec(key, 64)).ok()) {
-        ++per_shard[key];
-      }
-    }
-  }).ok());
-  sim.RunUntil(60.0);
-  EXPECT_EQ(per_shard[0], 500);  // Parent: half its bucket remains.
-  EXPECT_EQ(per_shard[1], 500);  // Child: the inherited half.
-  EXPECT_EQ(per_shard[2], 1000);  // Untouched sibling.
 }
 
 TEST(StreamTest, IteratorAgeTracksOldestRecord) {

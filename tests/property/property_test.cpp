@@ -410,7 +410,7 @@ TEST_P(WindowedPlannerProperty, PlansCoverDemandWithinBudget) {
   solver.population_size = 40;
   solver.generations = 40;
   core::WindowedShareAnalyzer analyzer(base, model, solver);
-  TimeSeries forecast("rate");
+  TimeSeries forecast;
   for (int i = 0; i < 12; ++i) {
     forecast.AppendUnchecked(i * kHour,
                              400.0 + 250.0 * (i % 4));

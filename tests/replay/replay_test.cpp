@@ -635,6 +635,39 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
   }
 }
 
+// The bundle's own integer fields take a string of digits only, or an
+// integral JSON number below 2^64, range-checked against the field's
+// type. A sign or leading whitespace in the string, or a number out of
+// range, is InvalidArgument from LoadBundleJson, not a wrapped value or
+// an undefined cast.
+TEST(ReplayTest, MalformedBundleIntegersAreRejected) {
+  const std::string text =
+      ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"span_id_offset\": \"0\"", "\"span_id_offset\": \" 0\""},
+      {"\"span_id_offset\": \"0\"", "\"span_id_offset\": \"-3\""},
+      {"\"total_decisions\": 27", "\"total_decisions\": 1e30"},
+      // 2^32 + 1: an int cast would read it as schema 1.
+      {"\"schema_version\": 1", "\"schema_version\": 4294967297"},
+      // A decision outcome is one of the five StepOutcomes; a uint8_t
+      // cast would read 256 as 0.
+      {"\"out\": 0", "\"out\": 256"},
+      {"\"out\": 0", "\"out\": 5"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string edited = text;
+    const size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, from.size(), to);
+    const std::string path = TempPath("malformed_integer.json");
+    std::ofstream(path, std::ios::binary) << edited;
+    auto bundle = obs::replay::LoadBundleJson(path);
+    ASSERT_FALSE(bundle.ok()) << to;
+    EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument)
+        << to << ": " << bundle.status();
+  }
+}
+
 // --- Satellite: span-id namespace exhaustion guard. ----------------
 
 TEST(SpanOverflowTest, ExhaustedCollectorStopsAllocatingIds) {

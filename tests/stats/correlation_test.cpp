@@ -52,20 +52,6 @@ TEST(PearsonTest, Errors) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(SpearmanTest, MonotonicNonlinearIsOne) {
-  std::vector<double> x{1, 2, 3, 4, 5};
-  std::vector<double> y{1, 8, 27, 64, 125};  // x^3: nonlinear, monotonic.
-  EXPECT_NEAR(*SpearmanCorrelation(x, y), 1.0, 1e-12);
-  // Pearson is < 1 on the same data.
-  EXPECT_LT(*PearsonCorrelation(x, y), 1.0);
-}
-
-TEST(SpearmanTest, TiesGetAverageRanks) {
-  std::vector<double> x{1, 2, 2, 3};
-  std::vector<double> y{10, 20, 20, 30};
-  EXPECT_NEAR(*SpearmanCorrelation(x, y), 1.0, 1e-12);
-}
-
 TEST(CrossCorrelationTest, DetectsKnownLag) {
   // y[t] = x[t - 3]: x predicts y at lag +3.
   Rng rng(21);

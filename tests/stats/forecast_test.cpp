@@ -89,7 +89,7 @@ TEST(SeasonalNaiveForecasterTest, TracksPeriodicSignalExactly) {
 }
 
 TEST(BacktestTest, SeasonalBeatsNaiveOnDiurnalSignal) {
-  TimeSeries series("rate");
+  TimeSeries series;
   Rng rng(3);
   const double step = 10.0 * kMinute;
   for (double t = 0.0; t < 5.0 * kDay; t += step) {
@@ -107,7 +107,7 @@ TEST(BacktestTest, SeasonalBeatsNaiveOnDiurnalSignal) {
 }
 
 TEST(BacktestTest, HoltBeatsNaiveOnTrendingSignal) {
-  TimeSeries series("rate");
+  TimeSeries series;
   for (int i = 0; i < 200; ++i) {
     series.AppendUnchecked(60.0 * i, 100.0 + 5.0 * i);
   }
@@ -121,7 +121,7 @@ TEST(BacktestTest, HoltBeatsNaiveOnTrendingSignal) {
 }
 
 TEST(BacktestTest, RejectsTinySeries) {
-  TimeSeries series("x");
+  TimeSeries series;
   series.AppendUnchecked(0.0, 1.0);
   series.AppendUnchecked(1.0, 2.0);
   NaiveForecaster naive;

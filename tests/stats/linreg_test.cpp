@@ -59,77 +59,5 @@ TEST(FitSimpleTest, Errors) {
             StatusCode::kFailedPrecondition);  // Zero variance in x.
 }
 
-TEST(FitMultipleTest, ExactPlaneRecovered) {
-  // y = 1 + 2*x1 - 3*x2.
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  Rng rng(11);
-  for (int i = 0; i < 50; ++i) {
-    double x1 = rng.Uniform(-5, 5), x2 = rng.Uniform(-5, 5);
-    rows.push_back({x1, x2});
-    y.push_back(1.0 + 2.0 * x1 - 3.0 * x2);
-  }
-  auto fit = FitMultiple(rows, y);
-  ASSERT_TRUE(fit.ok());
-  ASSERT_EQ(fit->coefficients.size(), 3u);
-  EXPECT_NEAR(fit->coefficients[0], 1.0, 1e-9);
-  EXPECT_NEAR(fit->coefficients[1], 2.0, 1e-9);
-  EXPECT_NEAR(fit->coefficients[2], -3.0, 1e-9);
-  EXPECT_NEAR(fit->r_squared, 1.0, 1e-9);
-  EXPECT_NEAR(fit->Predict({1.0, 1.0}), 0.0, 1e-9);
-}
-
-TEST(FitMultipleTest, MatchesSimpleFitWithOneRegressor) {
-  Rng rng(13);
-  std::vector<double> x, y;
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 100; ++i) {
-    double xi = rng.Uniform(0, 10);
-    x.push_back(xi);
-    rows.push_back({xi});
-    y.push_back(2.0 + 0.5 * xi + rng.Normal(0, 0.2));
-  }
-  auto simple = FitSimple(x, y);
-  auto multiple = FitMultiple(rows, y);
-  ASSERT_TRUE(simple.ok());
-  ASSERT_TRUE(multiple.ok());
-  EXPECT_NEAR(simple->intercept, multiple->coefficients[0], 1e-9);
-  EXPECT_NEAR(simple->slope, multiple->coefficients[1], 1e-9);
-  EXPECT_NEAR(simple->r_squared, multiple->r_squared, 1e-9);
-}
-
-TEST(FitMultipleTest, CollinearRegressorsRejected) {
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  for (int i = 0; i < 20; ++i) {
-    double x = static_cast<double>(i);
-    rows.push_back({x, 2.0 * x});  // Perfectly collinear.
-    y.push_back(x);
-  }
-  EXPECT_EQ(FitMultiple(rows, y).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(FitMultipleTest, Errors) {
-  EXPECT_FALSE(FitMultiple({{1.0}}, {1.0, 2.0}).ok());          // Size mismatch.
-  EXPECT_FALSE(FitMultiple({}, {}).ok());                        // Empty.
-  EXPECT_FALSE(FitMultiple({{1.0}, {1.0, 2.0}}, {1, 2}).ok());   // Ragged.
-  EXPECT_FALSE(FitMultiple({{1.0}, {2.0}}, {1, 2}).ok());        // n <= p.
-}
-
-TEST(FitMultipleTest, AdjustedR2BelowR2WithNoise) {
-  Rng rng(17);
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  for (int i = 0; i < 40; ++i) {
-    double x1 = rng.Uniform(0, 1), x2 = rng.Uniform(0, 1);
-    rows.push_back({x1, x2});
-    y.push_back(x1 + rng.Normal(0, 0.3));
-  }
-  auto fit = FitMultiple(rows, y);
-  ASSERT_TRUE(fit.ok());
-  EXPECT_LT(fit->adjusted_r_squared, fit->r_squared);
-}
-
 }  // namespace
 }  // namespace flower::stats

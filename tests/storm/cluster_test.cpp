@@ -272,42 +272,6 @@ TEST(ClusterTest, SinkThrottleRequeuesTuple) {
   EXPECT_EQ(cluster.total_sink_throttles(), 5u);
 }
 
-TEST(ClusterTest, PublishesPerBoltMetrics) {
-  sim::Simulation sim;
-  cloudwatch::MetricStore metrics;
-  ec2::Fleet fleet(&sim, SmallVm(), 2, 10.0);
-  ClusterConfig cfg = TestConfig();
-  cfg.metrics_period_sec = 60.0;
-  cfg.cost_jitter = 0.0;
-  Cluster cluster(&sim, &metrics, &fleet, cfg);
-  QueueSpout spout;
-  ASSERT_TRUE(cluster.Submit(OneBoltTopology(&spout, 100.0)).ok());
-  ASSERT_TRUE(sim.SchedulePeriodic(0.5, 1.0, [&] {
-    spout.Push(50);
-    return sim.Now() < 180.0;
-  }).ok());
-  sim.RunUntil(181.0);
-  cloudwatch::MetricId executed{"Flower/Storm", "BoltExecuted",
-                                "storm.work"};
-  auto sum = metrics.GetStatistic(executed, 0, 181,
-                                  cloudwatch::Statistic::kSum);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_NEAR(*sum, 180.0 * 50.0, 200.0);
-  cloudwatch::MetricId capacity{"Flower/Storm", "BoltCapacity",
-                                "storm.work"};
-  auto cap = metrics.GetStatistic(capacity, 0, 181,
-                                  cloudwatch::Statistic::kAverage);
-  ASSERT_TRUE(cap.ok());
-  // 50 tuples * 100 wu per 20k budget/tick = 25% of the budget.
-  EXPECT_NEAR(*cap, 0.25, 0.05);
-  cloudwatch::MetricId qlen{"Flower/Storm", "BoltQueueLength",
-                            "storm.work"};
-  EXPECT_TRUE(metrics
-                  .GetStatistic(qlen, 0, 181,
-                                cloudwatch::Statistic::kMaximum)
-                  .ok());
-}
-
 TEST(ClusterTest, PublishesMetrics) {
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;

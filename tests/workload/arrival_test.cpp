@@ -87,7 +87,7 @@ TEST(MmppArrivalTest, StartsLow) {
 }
 
 TEST(TraceArrivalTest, ReplaysWithHold) {
-  TimeSeries trace("rate");
+  TimeSeries trace;
   trace.AppendUnchecked(0.0, 100.0);
   trace.AppendUnchecked(600.0, 400.0);
   TraceArrival a(std::move(trace));
@@ -98,7 +98,7 @@ TEST(TraceArrivalTest, ReplaysWithHold) {
 }
 
 TEST(TraceArrivalTest, NegativeTraceValuesClampedToZero) {
-  TimeSeries trace("rate");
+  TimeSeries trace;
   trace.AppendUnchecked(0.0, -50.0);
   TraceArrival a(std::move(trace));
   EXPECT_DOUBLE_EQ(a.RatePerSec(10.0), 0.0);

@@ -23,7 +23,7 @@ class TraceIoTest : public ::testing::Test {
 };
 
 TEST_F(TraceIoTest, RoundTrip) {
-  TimeSeries ts("rate");
+  TimeSeries ts;
   ts.AppendUnchecked(0.0, 100.0);
   ts.AppendUnchecked(60.0, 250.5);
   ts.AppendUnchecked(120.0, 90.25);
