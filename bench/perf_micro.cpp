@@ -542,6 +542,32 @@ bool TaskSweepSteadyStateIsAllocationFree() {
   return long_allocs == short_allocs;
 }
 
+// Seventh hard guard: bounded metric-store puts in steady state
+// neither grow nor allocate. Once a series holds the samples its bound
+// reaches, each put drops as many as it adds into the capacity already
+// there. 10,000 minutes of one series bounded to 120 s.
+bool BoundedMetricStoreIsAllocationFree() {
+  cloudwatch::MetricStore store;
+  if (!store.BoundHistory(120.0).ok()) return false;
+  const cloudwatch::MetricId id{"Flower/Storm", "CpuUtilization", "c"};
+  double t = 0.0;
+  for (int i = 0; i < 10; ++i) {
+    t += 60.0;
+    if (!store.Put(id, t, 50.0).ok()) return false;
+  }
+  uint64_t before = bench::AllocationCount();
+  for (int i = 0; i < 10000; ++i) {
+    t += 60.0;
+    if (!store.Put(id, t, static_cast<double>(i % 100)).ok()) return false;
+  }
+  uint64_t allocs = bench::AllocationCount() - before;
+  size_t held = (*store.GetSeries(id))->size();
+  std::printf("metric store allocation guard: %llu allocations over 10000 "
+              "bounded puts (series holds %zu)\n",
+              static_cast<unsigned long long>(allocs), held);
+  return allocs == 0 && held == 2;
+}
+
 // Capacity-stability assertion: FleetManager::RunFor must reserve its
 // report vector exactly once per sweep — steady-state report appends
 // never reallocate, and repeated sweeps keep capacity == size. Guards
@@ -611,6 +637,11 @@ int main(int argc, char** argv) {
   if (!flower::FlightRecorderHotPathIsAllocationFree()) {
     std::fprintf(stderr,
                  "FAIL: flight recorder allocated on its hot path\n");
+    return 1;
+  }
+  if (!flower::BoundedMetricStoreIsAllocationFree()) {
+    std::fprintf(stderr,
+                 "FAIL: bounded metric store allocated in steady state\n");
     return 1;
   }
   if (!flower::TaskSweepSteadyStateIsAllocationFree()) {

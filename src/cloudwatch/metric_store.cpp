@@ -1,15 +1,35 @@
 #include "cloudwatch/metric_store.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "stats/descriptive.h"
 
 namespace flower::cloudwatch {
 
+Status MetricStore::BoundHistory(double lookback_sec) {
+  if (!(std::isfinite(lookback_sec) && lookback_sec > 0.0)) {
+    return Status::InvalidArgument(
+        "BoundHistory: lookback must be finite and > 0");
+  }
+  if (total_datapoints_ > 0) {
+    return Status::FailedPrecondition(
+        "BoundHistory: the store already holds datapoints");
+  }
+  history_sec_ = lookback_sec;
+  return Status::OK();
+}
+
 Status MetricStore::Put(const MetricId& id, SimTime time, double value) {
-  if (!series_[id].Append(time, value).ok()) {
+  Series& series = series_[id];
+  if (!series.samples.Append(time, value).ok()) {
     return Status::InvalidArgument("Put: datapoint for " + id.ToString() +
                                    " is older than the metric's last");
+  }
+  if (std::isfinite(history_sec_)) {
+    series.dropped_through =
+        std::max(series.dropped_through,
+                 series.samples.DropThrough(time - history_sec_));
   }
   ++total_datapoints_;
   return Status::OK();
@@ -54,8 +74,16 @@ Result<double> MetricStore::GetStatistic(const MetricId& id, SimTime t0,
   if (it == series_.end()) {
     return Status::NotFound("GetStatistic: unknown metric " + id.ToString());
   }
+  const Series& series = it->second;
+  // Every datapoint in (t0, t1] is still held unless the bound dropped
+  // one stamped after t0.
+  if (t0 < series.dropped_through) {
+    return Status::FailedPrecondition(
+        "GetStatistic: window of " + id.ToString() +
+        " reaches past the store's history bound");
+  }
   // Trailing-window semantics (t0, t1]: see the class comment.
-  TimeSeries window = it->second.WindowLeftOpen(t0, t1);
+  TimeSeries window = series.samples.WindowLeftOpen(t0, t1);
   if (window.empty()) {
     return Status::NotFound("GetStatistic: no datapoints in window for " +
                             id.ToString());
@@ -68,7 +96,7 @@ Result<const TimeSeries*> MetricStore::GetSeries(const MetricId& id) const {
   if (it == series_.end()) {
     return Status::NotFound("GetSeries: unknown metric " + id.ToString());
   }
-  return &it->second;
+  return &it->second.samples;
 }
 
 std::vector<MetricId> MetricStore::ListMetrics(const std::string& ns) const {

@@ -1,6 +1,7 @@
 #include "common/time_series.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace flower {
 
@@ -32,6 +33,19 @@ TimeSeries TimeSeries::WindowLeftOpen(SimTime t0, SimTime t1) const {
     out.AppendUnchecked(it->time, it->value);
   }
   return out;
+}
+
+SimTime TimeSeries::DropThrough(SimTime t) {
+  // A bounded series drops about one sample per append, so walk from
+  // the front rather than bisect.
+  auto keep = std::ranges::find_if(
+      samples_, [t](const Sample& s) { return s.time > t; });
+  if (keep == samples_.begin()) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  SimTime newest = std::prev(keep)->time;
+  samples_.erase(samples_.begin(), keep);
+  return newest;
 }
 
 std::vector<double> TimeSeries::Values() const {

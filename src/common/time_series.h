@@ -17,7 +17,8 @@ struct Sample {
   double value = 0.0;
 };
 
-/// An append-only series of (time, value) samples ordered by time.
+/// A series of (time, value) samples ordered by time. Samples are
+/// added at the end and leave only from the front (`DropThrough`).
 ///
 /// This is the exchange format between the simulated services, the
 /// CloudWatch-like metric store, the dependency analyzer, and the
@@ -48,6 +49,11 @@ class TimeSeries {
   /// and consecutive back-to-back windows never count an edge sample
   /// twice).
   TimeSeries WindowLeftOpen(SimTime t0, SimTime t1) const;
+
+  /// Drops every sample stamped at or before `t`, keeping the suffix
+  /// (the history bound of cloudwatch::MetricStore). Returns the stamp
+  /// of the newest sample dropped, or -infinity when none was.
+  SimTime DropThrough(SimTime t);
 
   /// Values only, in time order.
   std::vector<double> Values() const;

@@ -1,5 +1,6 @@
 #include "core/flow_builder.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace flower::core {
@@ -96,6 +97,7 @@ Result<ManagedFlow> FlowBuilder::Build(
   // predicts downstream load.
   cloudwatch::MetricStore* store = metrics;
   std::string stream_name = flow->stream_name();
+  constexpr double kDriverWindowSec = 120.0;
   auto arrival_rate_driver = [store, stream_name](
                                  SimTime now) -> Result<double> {
     cloudwatch::MetricId in{"Flower/Kinesis", "IncomingRecords",
@@ -104,7 +106,7 @@ Result<ManagedFlow> FlowBuilder::Build(
                                    stream_name};
     // GetStatistic windows are (t0, t1], so a datapoint published at
     // exactly `now` is seen by this read and by no other.
-    const double window = 120.0;
+    const double window = kDriverWindowSec;
     FLOWER_ASSIGN_OR_RETURN(
         double accepted,
         store->GetStatistic(in, now - window, now,
@@ -140,6 +142,9 @@ Result<ManagedFlow> FlowBuilder::Build(
           controller,
           MakeFeedforwardController(lc.reference_utilization_pct, limits,
                                     arrival_rate_driver, gain_scale));
+      // The controller calls the driver at the step time, undelayed.
+      mf.metric_lookback_sec =
+          std::max(mf.metric_lookback_sec, kDriverWindowSec);
     } else {
       FLOWER_ASSIGN_OR_RETURN(
           controller,
@@ -156,13 +161,17 @@ Result<ManagedFlow> FlowBuilder::Build(
     cfg.actuator = std::move(actuator);
     cfg.initial_u = initial_u;
     cfg.resilience = lc.resilience;
+    double sensor_lookback = lc.monitoring_window_sec;
     if (fault_injector_ != nullptr) {
       std::string target = LayerToString(layer);
+      // A metric-delay fault moves the sensor's window back.
+      sensor_lookback += fault_injector_->MaxDelaySec(target);
       cfg.actuator =
           fault_injector_->WrapActuator(target, std::move(cfg.actuator));
       cfg.sensor = fault_injector_->WrapSensor(
           target, mf.manager->MakeDefaultSensor(cfg));
     }
+    mf.metric_lookback_sec = std::max(mf.metric_lookback_sec, sensor_lookback);
     return mf.manager->Attach(std::move(cfg));
   };
 

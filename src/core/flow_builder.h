@@ -38,6 +38,12 @@ struct LayerElasticityConfig {
 struct ManagedFlow {
   std::unique_ptr<flow::DataAnalyticsFlow> flow;
   std::unique_ptr<ElasticityManager> manager;
+  /// The longest lookback, in seconds, of the metric-store readers the
+  /// builder wired: each loop's monitoring window plus the longest
+  /// metric-delay fault registered on its layer when Build ran, and the
+  /// feedforward driver's window. A store read by nothing else can be
+  /// bounded to it (cloudwatch::MetricStore::BoundHistory).
+  double metric_lookback_sec = 0.0;
 };
 
 /// Programmatic equivalent of the demo's drag-and-drop Flow Builder

@@ -135,6 +135,10 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   if (p->chaos_ != nullptr) builder.WithFaultInjector(p->chaos_.get());
   FLOWER_ASSIGN_OR_RETURN(p->managed_,
                           builder.Build(p->sim_.get(), p->metrics_.get()));
+  // Only the readers the builder wired read this store, so it keeps
+  // just the history they can reach.
+  FLOWER_RETURN_NOT_OK(
+      p->metrics_->BoundHistory(p->managed_.metric_lookback_sec));
   // Each loop's layer index, so demand pricing walks the decision ring
   // without comparing layer names per record.
   const obs::LoopTable& loops = p->telemetry_->decisions().loops();

@@ -85,7 +85,8 @@ struct PartitionConfig {
 };
 
 /// One tenant's self-contained simulation partition: its own clock
-/// (sim::Simulation), metric store, telemetry hub, and managed flow.
+/// (sim::Simulation), metric store (bounded to what its sensors can
+/// reach), telemetry hub, and managed flow.
 /// Nothing here is shared with other partitions, so the FleetManager
 /// can advance many partitions concurrently over a ThreadPool and the
 /// result of each is independent of the thread that ran it — the
@@ -157,6 +158,9 @@ class FlowPartition {
 
   const TenantConfig& tenant() const { return tenant_; }
   sim::Simulation& sim() { return *sim_; }
+  /// The partition's private metric store, bounded to the longest
+  /// lookback of its loops' sensors (MetricStore::BoundHistory).
+  const cloudwatch::MetricStore& metrics() const { return *metrics_; }
   obs::Telemetry& telemetry() { return *telemetry_; }
   core::ElasticityManager& manager() { return *managed_.manager; }
   /// Null unless capture.enabled.
@@ -166,8 +170,6 @@ class FlowPartition {
   }
   /// Null unless capture.health_trigger.
   obs::health::HealthMonitor* health() { return health_.get(); }
-  /// Null unless the tenant has a fault schedule.
-  sim::FaultInjector* fault_injector() { return chaos_.get(); }
 
  private:
   FlowPartition() = default;

@@ -1,5 +1,7 @@
 #include "sim/fault_injector.h"
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -17,15 +19,24 @@ std::string FaultKindToString(FaultKind kind) {
 }
 
 Result<int> FaultInjector::Add(FaultSpec spec) {
-  if (spec.end <= spec.start) {
+  // Each check holds only for numbers, so a NaN field fails it.
+  if (!std::isfinite(spec.start)) {
+    return Status::InvalidArgument("FaultInjector: start must be finite");
+  }
+  if (!(spec.end > spec.start)) {
     return Status::InvalidArgument("FaultInjector: end must exceed start");
   }
-  if (spec.probability < 0.0 || spec.probability > 1.0) {
+  if (!(spec.probability >= 0.0 && spec.probability <= 1.0)) {
     return Status::InvalidArgument(
         "FaultInjector: probability must be in [0, 1]");
   }
-  if (spec.delay_sec < 0.0) {
-    return Status::InvalidArgument("FaultInjector: negative delay");
+  if (!(std::isfinite(spec.delay_sec) && spec.delay_sec >= 0.0)) {
+    return Status::InvalidArgument(
+        "FaultInjector: delay must be finite and >= 0");
+  }
+  if (!(std::isfinite(spec.factor) && std::isfinite(spec.offset))) {
+    return Status::InvalidArgument(
+        "FaultInjector: spike factor and offset must be finite");
   }
   int id = next_id_++;
   faults_.push_back(Registered{id, false, std::move(spec)});
@@ -105,6 +116,16 @@ std::vector<FaultSpec> FaultInjector::Schedule() const {
     if (!r.cleared) out.push_back(r.spec);
   }
   return out;
+}
+
+double FaultInjector::MaxDelaySec(const std::string& target) const {
+  double longest = 0.0;
+  for (const Registered& r : faults_) {
+    if (r.cleared || r.spec.kind != FaultKind::kMetricDelay) continue;
+    if (!r.spec.target.empty() && r.spec.target != target) continue;
+    longest = std::max(longest, r.spec.delay_sec);
+  }
+  return longest;
 }
 
 bool FaultInjector::Active(FaultKind kind, const std::string& target,

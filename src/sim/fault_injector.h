@@ -78,8 +78,10 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Registers a fault; returns its id (for Clear). Errors: end <=
-  /// start, probability outside [0, 1], negative delay.
+  /// Registers a fault; returns its id (for Clear). InvalidArgument
+  /// unless start is finite, end > start (end may be infinity),
+  /// probability is in [0, 1], delay_sec is finite and >= 0, and factor
+  /// and offset are finite; a NaN field fails its check.
   Result<int> Add(FaultSpec spec);
 
   // Convenience registrars for the common fault shapes. `probability`
@@ -112,6 +114,11 @@ class FaultInjector {
   /// returned value (applied in that order).
   std::function<Result<double>(SimTime)> WrapSensor(
       std::string target, std::function<Result<double>(SimTime)> inner);
+
+  /// The longest lag any registered kMetricDelay fault can put on
+  /// `target`'s sensor reads (0 when none): a wrapped read of a window
+  /// W reaches back at most W + MaxDelaySec(target) seconds.
+  double MaxDelaySec(const std::string& target) const;
 
   /// True when any fault of `kind` is active for `target` at time `t`.
   bool Active(FaultKind kind, const std::string& target, SimTime t) const;

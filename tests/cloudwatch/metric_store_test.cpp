@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+
 namespace flower::cloudwatch {
 namespace {
 
@@ -138,6 +147,143 @@ TEST(MetricStoreTest, DimensionsDistinguishMetrics) {
   ASSERT_TRUE(store.Put(b, 0.0, 2.0).ok());
   EXPECT_EQ(store.metric_count(), 2u);
   EXPECT_DOUBLE_EQ(*store.GetStatistic(b, -1, 10, Statistic::kAverage), 2.0);
+}
+
+TEST(MetricStoreTest, BoundHistoryValidation) {
+  MetricStore store;
+  for (double bad : {0.0, -60.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(store.BoundHistory(bad).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+  ASSERT_TRUE(store.BoundHistory(120.0).ok());
+  ASSERT_TRUE(store.Put(kCpu, 0.0, 1.0).ok());
+  // A bound set after the first datapoint could not cover what came
+  // before it.
+  EXPECT_EQ(store.BoundHistory(60.0).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// A Put at t drops the series' datapoints stamped <= t - L; the other
+// series and the put count are untouched.
+TEST(MetricStoreTest, BoundedSeriesKeepsOnlyTheReachableSuffix) {
+  MetricStore store;
+  ASSERT_TRUE(store.BoundHistory(120.0).ok());
+  for (int i = 0; i <= 10; ++i) {
+    ASSERT_TRUE(store.Put(kCpu, i * 60.0, static_cast<double>(i)).ok());
+  }
+  ASSERT_TRUE(store.Put(kRecords, 0.0, 1.0).ok());
+  const TimeSeries& cpu = **store.GetSeries(kCpu);
+  ASSERT_EQ(cpu.size(), 2u);
+  EXPECT_EQ(cpu[0].time, 540.0);
+  EXPECT_EQ(cpu[1].time, 600.0);
+  EXPECT_EQ((*store.GetSeries(kRecords))->size(), 1u);
+  EXPECT_EQ(store.total_datapoints(), 12u);
+  // 480 is the newest dropped stamp: (480, 600] lost nothing, while a
+  // window starting before 480 would miss its datapoint.
+  EXPECT_DOUBLE_EQ(*store.GetStatistic(kCpu, 480, 600, Statistic::kSum),
+                   19.0);
+  for (double t0 : {420.0, std::nextafter(480.0, 0.0)}) {
+    Result<double> past = store.GetStatistic(kCpu, t0, 600, Statistic::kSum);
+    EXPECT_EQ(past.status().code(), StatusCode::kFailedPrecondition) << t0;
+    EXPECT_NE(past.status().message().find(kCpu.ToString()),
+              std::string::npos)
+        << past.status();
+  }
+}
+
+// A sensor delayed by d reads (fl(t - d) - W, fl(t - d)], which can
+// start a rounding step before fl(t - fl(W + d)). With W = 60 and
+// d = 0.4 at t = 1080 it does, yet the datapoint at 1020 it needs is
+// kept, so the read is answered as full history would answer it.
+TEST(MetricStoreTest, DelayedReadInsideAFractionalBoundIsAnswered) {
+  const double window = 60.0;
+  const double delay = 0.4;
+  MetricStore full;
+  MetricStore bounded;
+  ASSERT_TRUE(bounded.BoundHistory(window + delay).ok());
+  for (int i = 0; i <= 18; ++i) {
+    ASSERT_TRUE(full.Put(kCpu, i * 60.0, static_cast<double>(i)).ok());
+    ASSERT_TRUE(bounded.Put(kCpu, i * 60.0, static_cast<double>(i)).ok());
+  }
+  const double t1 = 1080.0 - delay;
+  const double t0 = t1 - window;
+  ASSERT_LT(t0, 1080.0 - (window + delay));
+  Result<double> got = bounded.GetStatistic(kCpu, t0, t1, Statistic::kAverage);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, *full.GetStatistic(kCpu, t0, t1, Statistic::kAverage));
+  EXPECT_EQ(*got, 17.0);
+}
+
+// Property: a bounded store answers every read whose window starts at
+// or after the newest datapoint its bound dropped exactly as an
+// unbounded store fed the same datapoints (every statistic, bit for
+// bit), and refuses every read starting before it, so no answer is
+// partial and no covered read is refused. Series mix equal stamps,
+// whole-minute and ragged gaps; besides random windows, each step reads
+// from exactly the newest dropped stamp and from just before it.
+TEST(MetricStoreTest, BoundedStoreAnswersReadsInsideTheBoundLikeFullHistory) {
+  const Statistic kAll[] = {Statistic::kAverage, Statistic::kSum,
+                            Statistic::kMinimum, Statistic::kMaximum,
+                            Statistic::kSampleCount, Statistic::kP50,
+                            Statistic::kP90, Statistic::kP99};
+  const double kNever = -std::numeric_limits<double>::infinity();
+  Rng rng(20261019);
+  for (int trial = 0; trial < 40; ++trial) {
+    const double bound = rng.Uniform(10.0, 400.0);
+    MetricStore full;
+    MetricStore bounded;
+    ASSERT_TRUE(bounded.BoundHistory(bound).ok());
+    std::vector<Sample> fed;
+    double t = rng.Uniform(-100.0, 100.0);
+    for (int i = 0; i < 150; ++i) {
+      switch (rng.UniformInt(0, 2)) {
+        case 0: break;  // Same stamp as the last datapoint.
+        case 1: t += 60.0; break;
+        default: t += rng.Uniform(0.1, 200.0); break;
+      }
+      const double v = rng.Normal(50.0, 30.0);
+      fed.push_back({t, v});
+      ASSERT_TRUE(full.Put(kCpu, t, v).ok());
+      ASSERT_TRUE(bounded.Put(kCpu, t, v).ok());
+
+      size_t reachable = 0;
+      double newest_dropped = kNever;
+      for (const Sample& s : fed) {
+        if (s.time > t - bound) {
+          ++reachable;
+        } else {
+          newest_dropped = std::max(newest_dropped, s.time);
+        }
+      }
+      ASSERT_EQ((*bounded.GetSeries(kCpu))->size(), reachable);
+
+      std::vector<std::pair<double, double>> reads;
+      for (int q = 0; q < 3; ++q) {
+        const double t1 = t - rng.Uniform(0.0, 1.2 * bound);
+        reads.push_back({t1 - rng.Uniform(0.5, 1.2 * bound), t1});
+      }
+      if (newest_dropped != kNever) {
+        reads.push_back({newest_dropped, t});
+        reads.push_back({std::nextafter(newest_dropped, kNever), t});
+      }
+      for (auto [t0, t1] : reads) {
+        for (Statistic stat : kAll) {
+          Result<double> want = full.GetStatistic(kCpu, t0, t1, stat);
+          Result<double> got = bounded.GetStatistic(kCpu, t0, t1, stat);
+          if (t0 < newest_dropped) {
+            EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+            continue;
+          }
+          ASSERT_EQ(got.status().code(), want.status().code());
+          if (want.ok()) {
+            EXPECT_EQ(*got, *want);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(bounded.total_datapoints(), full.total_datapoints());
+  }
 }
 
 TEST(MetricIdTest, ToStringFormat) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 namespace flower {
 namespace {
 
@@ -41,6 +44,22 @@ TEST(TimeSeriesTest, WindowOnEmptyRangeIsEmpty) {
   TimeSeries ts = Make({{0, 1}, {10, 2}});
   EXPECT_TRUE(ts.Window(100.0, 200.0).empty());
   EXPECT_TRUE(ts.Window(5.0, 5.0).empty());
+}
+
+TEST(TimeSeriesTest, DropThroughKeepsTheLaterSuffix) {
+  TimeSeries ts;
+  for (double t : {0.0, 60.0, 60.0, 120.0, 180.0}) {
+    ASSERT_TRUE(ts.Append(t, t).ok());
+  }
+  // Each call returns the stamp of the newest sample it dropped.
+  EXPECT_EQ(ts.DropThrough(30.0), 0.0);
+  EXPECT_EQ(ts.Times(), (std::vector<SimTime>{60, 60, 120, 180}));
+  EXPECT_EQ(ts.DropThrough(30.0),
+            -std::numeric_limits<double>::infinity());  // None to drop.
+  EXPECT_EQ(ts.DropThrough(60.0), 60.0);  // Stamped exactly at t: dropped.
+  EXPECT_EQ(ts.Times(), (std::vector<SimTime>{120, 180}));
+  EXPECT_EQ(ts.DropThrough(500.0), 180.0);
+  EXPECT_TRUE(ts.empty());
 }
 
 TEST(TimeSeriesTest, ValuesAndTimesExtract) {

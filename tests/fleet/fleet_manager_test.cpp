@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/units.h"
 #include "exec/thread_pool.h"
 
 namespace flower::fleet {
@@ -209,6 +210,60 @@ TEST(FleetManagerTest, PartitionsWithoutSpansRecordNoTrace) {
     EXPECT_FALSE(telemetry.spans().enabled());
     EXPECT_EQ(telemetry.spans().total_started(), 0u) << i;
     EXPECT_EQ(telemetry.spans().size(), 0u) << i;
+  }
+}
+
+// A partition's store keeps only the history its sensors reach: L is
+// each loop's window plus the longest metric-delay fault on its layer,
+// and with services publishing once a minute every series holds at
+// most ceil(L / 60 s) + 1 datapoints after 12 simulated hours.
+TEST(FleetManagerTest, PartitionStoresHoldOnlyReachableHistory) {
+  FleetConfig config = TestConfig(2);
+  config.partition.horizon_sec = 12.0 * kHour;
+  FleetManager fleet(config);
+  std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/7);
+  TenantFault delay;
+  delay.kind = "metric-delay";
+  delay.target = "storage";
+  delay.start = kHour;
+  delay.end = 2.0 * kHour;
+  delay.delay_sec = 300.0;
+  tenants[1].faults.push_back(delay);
+  const double monitoring[3] = {60.0, 60.0, 240.0};
+  const double lookback[3] = {60.0, 360.0, 240.0};
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    tenants[i].monitoring_period_sec = monitoring[i];
+    ASSERT_TRUE(fleet.AddTenant(std::move(tenants[i])).ok());
+  }
+  ASSERT_TRUE(fleet.Start().ok());
+  ASSERT_TRUE(fleet.RunFor(12.0 * kHour).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    const cloudwatch::MetricStore& store = fleet.partition(i)->metrics();
+    const size_t cap = static_cast<size_t>(std::ceil(lookback[i] / 60.0)) + 1;
+    std::vector<cloudwatch::MetricId> ids = store.ListMetrics();
+    EXPECT_EQ(ids.size(), 11u) << i;
+    for (const cloudwatch::MetricId& id : ids) {
+      const TimeSeries& series = **store.GetSeries(id);
+      EXPECT_LE(series.size(), cap) << i << " " << id.ToString();
+      // The bound is L: a read reaching back L seconds is answered, one
+      // reaching a second further misses the dropped datapoint at
+      // now - L and is refused.
+      const SimTime now = series.end_time();
+      EXPECT_TRUE(store
+                      .GetStatistic(id, now - lookback[i], now,
+                                    cloudwatch::Statistic::kSum)
+                      .ok())
+          << i << " " << id.ToString();
+      EXPECT_EQ(store
+                    .GetStatistic(id, now - lookback[i] - 1.0, now,
+                                  cloudwatch::Statistic::kSum)
+                    .status()
+                    .code(),
+                StatusCode::kFailedPrecondition)
+          << i << " " << id.ToString();
+    }
+    // Every minute of the 12 hours was published, and is still counted.
+    EXPECT_EQ(store.total_datapoints(), 11u * 720u) << i;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -53,6 +54,37 @@ std::unique_ptr<FleetManager> MakeHeterogeneousFleet(size_t num_threads) {
     tenants[i].monitoring_period_sec = 30.0;
     tenants[i].arbitration_period_sec = periods[i];
     EXPECT_TRUE(fleet->AddTenant(std::move(tenants[i])).ok());
+  }
+  EXPECT_TRUE(fleet->Start().ok());
+  return fleet;
+}
+
+/// Three tenants whose sensors read through metric-delay faults longer
+/// than their 60 s loop window: a lag of 150 s on ingestion for part of
+/// the run, 240 s on every layer from 600 s on, and a transient 90 s
+/// lag on storage. Each read then reaches back window + delay seconds.
+std::unique_ptr<FleetManager> MakeMetricDelayFleet(size_t num_threads) {
+  auto fleet = std::make_unique<FleetManager>(SweepTestConfig(num_threads));
+  std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/13);
+  auto delay = [](const char* target, double start, double end,
+                  double delay_sec, double probability) {
+    TenantFault f;
+    f.kind = "metric-delay";
+    f.target = target;
+    f.start = start;
+    f.end = end;
+    f.delay_sec = delay_sec;
+    f.probability = probability;
+    return f;
+  };
+  const double kForever = std::numeric_limits<double>::infinity();
+  tenants[0].faults = {delay("ingestion", 300.0, 1200.0, 150.0, 1.0)};
+  tenants[1].faults = {delay("", 600.0, kForever, 240.0, 1.0)};
+  tenants[2].faults = {delay("storage", 0.0, kForever, 90.0, 0.5),
+                       delay("analytics", 900.0, 1500.0, 180.0, 1.0)};
+  for (TenantConfig& t : tenants) {
+    t.monitoring_period_sec = 60.0;
+    EXPECT_TRUE(fleet->AddTenant(std::move(t)).ok());
   }
   EXPECT_TRUE(fleet->Start().ok());
   return fleet;
@@ -122,6 +154,22 @@ TEST(WorkStealSweepTest, HeterogeneousDigestMatchesGolden) {
     ASSERT_TRUE(fleet->RunFor(210.0).ok());
     ExpectDigestMatchesGolden(fleet->ControlDigest(),
                               "heterogeneous_3x360s.digest", threads);
+  }
+}
+
+// testdata/metric_delay_3x1800s.digest holds the delayed-sensing
+// fleet's ControlDigest() after 1800 s, captured while every metric
+// store still kept full history. Partitions now keep only the history
+// their readers reach (window + delay), so the golden pins that the
+// bound never cuts into a delayed read. Regenerated like the
+// homogeneous golden.
+TEST(WorkStealSweepTest, MetricDelayDigestMatchesGolden) {
+  for (size_t threads : {1, 4}) {
+    std::unique_ptr<FleetManager> fleet = MakeMetricDelayFleet(threads);
+    ASSERT_TRUE(fleet->RunFor(1800.0).ok());
+    ASSERT_EQ(fleet->reports().size(), 6u);
+    ExpectDigestMatchesGolden(fleet->ControlDigest(),
+                              "metric_delay_3x1800s.digest", threads);
   }
 }
 

@@ -624,7 +624,28 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
        spec({{"partition.stall_generations", "-3"}})},
       {"emit period ' 5'",
        spec({{"partition.workload_emit_period_sec", " 5"}})},
+      // Every fault field is finite (end may be inf, as in the
+      // fixture); a NaN fails each check.
+      {"fault probability nan",
+       [](CaptureBundle* b) { b->faults[0].probability = NAN; }},
+      {"fault start nan", [](CaptureBundle* b) { b->faults[0].start = NAN; }},
+      {"fault end nan", [](CaptureBundle* b) { b->faults[0].end = NAN; }},
+      {"fault offset nan",
+       [](CaptureBundle* b) { b->faults[0].offset = NAN; }},
+      {"fault factor inf",
+       [](CaptureBundle* b) { b->faults[0].factor = HUGE_VAL; }},
+      {"metric-delay delay nan",
+       [](CaptureBundle* b) {
+         b->faults[0].kind = "metric-delay";
+         b->faults[0].delay_sec = NAN;
+       }},
+      {"metric-delay delay inf",
+       [](CaptureBundle* b) {
+         b->faults[0].kind = "metric-delay";
+         b->faults[0].delay_sec = HUGE_VAL;
+       }},
   };
+  ASSERT_EQ(fixture->faults.size(), 1u);
   for (const Case& c : cases) {
     CaptureBundle bundle = *fixture;
     c.mutate(&bundle);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace flower::sim {
@@ -27,6 +30,51 @@ TEST(FaultInjectorTest, AddValidation) {
   bad.delay_sec = 0.0;
   EXPECT_TRUE(chaos.Add(bad).ok());
   EXPECT_EQ(chaos.fault_count(), 1u);
+}
+
+// Every field check fails on NaN; only `end` may be infinite.
+TEST(FaultInjectorTest, AddRejectsNonFiniteFields) {
+  Simulation sim;
+  FaultInjector chaos(&sim, 1);
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(FaultSpec*)>>>
+      cases = {
+          {"start nan", [&](FaultSpec* f) { f->start = kNaN; }},
+          {"start -inf", [&](FaultSpec* f) { f->start = -kInf; }},
+          {"end nan", [&](FaultSpec* f) { f->end = kNaN; }},
+          {"probability nan", [&](FaultSpec* f) { f->probability = kNaN; }},
+          {"delay nan", [&](FaultSpec* f) { f->delay_sec = kNaN; }},
+          {"delay inf", [&](FaultSpec* f) { f->delay_sec = kInf; }},
+          {"factor inf", [&](FaultSpec* f) { f->factor = kInf; }},
+          {"factor nan", [&](FaultSpec* f) { f->factor = kNaN; }},
+          {"offset nan", [&](FaultSpec* f) { f->offset = kNaN; }},
+      };
+  for (const auto& [what, edit] : cases) {
+    FaultSpec spec;
+    edit(&spec);
+    Result<int> id = chaos.Add(spec);
+    ASSERT_FALSE(id.ok()) << what;
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+  FaultSpec forever;  // end defaults to infinity.
+  EXPECT_TRUE(chaos.Add(forever).ok());
+  EXPECT_EQ(chaos.fault_count(), 1u);
+}
+
+// A loop's reads lag by at most the longest live metric-delay fault
+// that targets it or every loop.
+TEST(FaultInjectorTest, MaxDelaySecCoversTargetedAndUntargetedDelays) {
+  Simulation sim;
+  FaultInjector chaos(&sim, 1);
+  EXPECT_EQ(chaos.MaxDelaySec("analytics"), 0.0);
+  chaos.DelayMetrics("analytics", 0.0, 100.0, 90.0);
+  chaos.DelayMetrics("", 200.0, 300.0, 45.0);
+  chaos.SpikeSensor("storage", 0.0, 100.0, 2.0);
+  chaos.Clear(chaos.DelayMetrics("storage", 0.0, 100.0, 500.0));
+  EXPECT_EQ(chaos.MaxDelaySec("analytics"), 90.0);
+  EXPECT_EQ(chaos.MaxDelaySec("storage"), 45.0);
+  EXPECT_EQ(chaos.MaxDelaySec("ingestion"), 45.0);
 }
 
 TEST(FaultInjectorTest, ActuatorFailsOnlyInsideWindow) {
