@@ -8,7 +8,8 @@
 // so the bench prints the full front and checks the *shape*: a small
 // discrete front whose members NSGA-II recovers exactly (validated
 // against an exhaustive oracle), including an ablation of
-// constrained-domination vs penalty handling.
+// constrained-domination vs penalty handling. Solver wall times go to
+// stderr, so stdout is byte-identical across runs.
 
 #include <chrono>
 #include <iostream>
@@ -73,7 +74,7 @@ std::set<std::tuple<double, double, double>> AsSet(
   return s;
 }
 
-int Run(size_t threads, bool warm_start, size_t stall_generations) {
+int Run(size_t threads) {
   bench::Header("FIG4  Pareto-optimal resource share plans (paper Fig. 4)");
   ResourceShareRequest req = Fig4Request();
   std::cout << "max (r_I, r_A, r_S)  s.t.  cost <= $"
@@ -93,7 +94,7 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
     return 1;
   }
   PrintFront("Exhaustive oracle front", oracle->pareto_plans);
-  std::cout << "oracle time: "
+  std::cerr << "oracle time: "
             << std::chrono::duration<double, std::milli>(t1 - t0).count()
             << " ms over " << 10 * 3 * 350 << " grid points\n";
 
@@ -114,7 +115,7 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
   double serial_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   PrintFront("NSGA-II front (pop=100, gen=250)", nsga->pareto_plans);
-  std::cout << "NSGA-II time (1 thread): " << serial_ms << " ms, "
+  std::cerr << "NSGA-II time (1 thread): " << serial_ms << " ms, "
             << nsga->evaluations << " evaluations\n";
 
   // The same solve at --threads N must land on the bit-identical front
@@ -128,7 +129,7 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
   bool identical_front = false;
   if (nsga_mt.ok()) {
     identical_front = AsSet(nsga_mt->pareto_plans) == AsSet(nsga->pareto_plans);
-    std::cout << "NSGA-II time (" << threads << " threads): "
+    std::cerr << "NSGA-II time (" << threads << " threads): "
               << std::chrono::duration<double, std::milli>(t1 - t0).count()
               << " ms (evaluation fan-out is fine-grained here; see the "
                  "PLAN bench for the coarse-grained speedup)\n";
@@ -159,41 +160,6 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
               << max_shares->storage() << "\n";
   }
 
-  // Optional: the incremental planning engine (--warm-start /
-  // --stall-generations). Two consecutive "control periods" over the
-  // same request — the second seeds from the first's final population
-  // and/or exits early on convergence — must land on a front no worse
-  // than the cold one. Off by default so the canonical output stays
-  // byte-identical.
-  bool incremental_ok = true;
-  if (warm_start || stall_generations > 0) {
-    core::IncrementalPlanning inc;
-    inc.warm_start = warm_start;
-    inc.stall_generations = stall_generations;
-    ResourceShareAnalyzer inc_analyzer(solver, inc);
-    auto first = inc_analyzer.AnalyzeIncremental(req);
-    auto second = inc_analyzer.AnalyzeIncremental(req);
-    if (first.ok() && second.ok()) {
-      std::cout << "\nIncremental planning (warm_start="
-                << (warm_start ? "on" : "off")
-                << ", stall_generations=" << stall_generations << "):\n"
-                << "  period 1: " << first->evaluations << " evaluations"
-                << (first->early_exit ? " (early exit)" : "") << "\n"
-                << "  period 2: " << second->evaluations << " evaluations"
-                << (second->early_exit ? " (early exit)" : "")
-                << (inc_analyzer.counters().warm_starts > 0 ? ", warm-started"
-                                                            : "")
-                << ", front size " << second->pareto_plans.size() << "\n";
-      incremental_ok =
-          !second->pareto_plans.empty() &&
-          second->evaluations <= first->evaluations;
-    } else {
-      if (!first.ok()) std::cerr << first.status() << "\n";
-      if (!second.ok()) std::cerr << second.status() << "\n";
-      incremental_ok = false;
-    }
-  }
-
   auto oracle_set = AsSet(oracle->pareto_plans);
   auto nsga_set = AsSet(nsga->pareto_plans);
   size_t on_front = 0;
@@ -220,12 +186,6 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
         "constrained-domination",
         penalty->pareto_plans.size() <= nsga->pareto_plans.size());
   }
-  if (warm_start || stall_generations > 0) {
-    ok &= bench::Verdict(
-        "incremental period 2 spends no more evaluations and keeps a "
-        "non-empty front",
-        incremental_ok);
-  }
   return ok ? 0 : 1;
 }
 
@@ -233,11 +193,15 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
 }  // namespace flower
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "usage: fig4_pareto [--threads=N]\n";
   auto flags = flower::tools::FlagParser::Parse(argc, argv);
   if (!flags.ok()) {
-    std::cerr << flags.status()
-              << "\nusage: fig4_pareto [--threads=N] [--warm-start] "
-                 "[--stall-generations=N]\n";
+    std::cerr << flags.status() << "\n" << kUsage;
+    return 2;
+  }
+  auto unknown = flags->UnknownKeys({"threads"});
+  if (!unknown.empty()) {
+    std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
     return 2;
   }
   auto threads = flags->GetInt("threads", 8);
@@ -245,12 +209,5 @@ int main(int argc, char** argv) {
     std::cerr << "--threads expects a positive integer\n";
     return 2;
   }
-  auto stall = flags->GetInt("stall-generations", 0);
-  if (!stall.ok() || *stall < 0) {
-    std::cerr << "--stall-generations expects a non-negative integer\n";
-    return 2;
-  }
-  return flower::Run(static_cast<size_t>(*threads),
-                     flags->GetBool("warm-start"),
-                     static_cast<size_t>(*stall));
+  return flower::Run(static_cast<size_t>(*threads));
 }

@@ -14,6 +14,9 @@
 //   4. Re-plan a finer (1-hour-window) horizon at 1 thread and at
 //      --threads N: the plans must be bit-identical, and on machines
 //      with enough cores the windows parallelize near-linearly.
+//
+// Every window is one cold NSGA-II solve. The solver wall times go to
+// stderr, so stdout is byte-identical across runs.
 
 #include <algorithm>
 #include <chrono>
@@ -66,14 +69,9 @@ bool PlansIdentical(const std::vector<core::WindowPlan>& a,
   return true;
 }
 
-int Run(size_t threads, bool warm_start, size_t stall_generations) {
+int Run(size_t threads) {
   bench::Header(
       "PLAN  Windowed resource shares from forecasts (paper §2 extension)");
-  if (warm_start || stall_generations > 0) {
-    std::cout << "incremental planning: warm_start="
-              << (warm_start ? "on" : "off")
-              << " stall_generations=" << stall_generations << "\n";
-  }
   TimeSeries history = History(7);
   const double step = 10.0 * kMinute;
 
@@ -135,11 +133,7 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
   opt::Nsga2Config solver;
   solver.population_size = 80;
   solver.generations = 100;
-  core::IncrementalPlanning inc;
-  inc.warm_start = warm_start;
-  inc.stall_generations = stall_generations;
-  core::WindowedShareAnalyzer analyzer(base, model, solver,
-                                       /*num_threads=*/1, inc);
+  core::WindowedShareAnalyzer analyzer(base, model, solver);
   auto plans = analyzer.PlanHorizon(forecast, 4.0 * kHour);
   if (!plans.ok()) {
     std::cerr << plans.status() << "\n";
@@ -192,19 +186,13 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
 
   // --- 4. Parallel re-planning: 1-hour windows give 24 independent
   // NSGA-II runs, the coarse grain the exec::ThreadPool fans out over.
-  // A warm chain is inherently sequential across windows, so this
-  // comparison keeps warm starts off and carries only the stall knob
-  // (deterministic and thread-count-invariant).
   std::cout << "\nParallel re-planning (1h windows, 24 solver runs):\n";
-  core::IncrementalPlanning stall_only;
-  stall_only.stall_generations = stall_generations;
   core::WindowedShareAnalyzer serial_analyzer(base, model, solver,
-                                              /*num_threads=*/1, stall_only);
+                                              /*num_threads=*/1);
   auto ps0 = std::chrono::steady_clock::now();
   auto serial_plans = serial_analyzer.PlanHorizon(forecast, 1.0 * kHour);
   auto ps1 = std::chrono::steady_clock::now();
-  core::WindowedShareAnalyzer parallel_analyzer(base, model, solver, threads,
-                                                stall_only);
+  core::WindowedShareAnalyzer parallel_analyzer(base, model, solver, threads);
   auto pp0 = std::chrono::steady_clock::now();
   auto parallel_plans = parallel_analyzer.PlanHorizon(forecast, 1.0 * kHour);
   auto pp1 = std::chrono::steady_clock::now();
@@ -217,7 +205,7 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
   if (serial_plans.ok() && parallel_plans.ok()) {
     plans_identical = PlansIdentical(*serial_plans, *parallel_plans);
     double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
-    std::cout << "  1 thread:  " << TablePrinter::Num(serial_ms, 1)
+    std::cerr << "  1 thread:  " << TablePrinter::Num(serial_ms, 1)
               << " ms over " << serial_plans->size() << " windows\n"
               << "  " << threads << " threads: "
               << TablePrinter::Num(parallel_ms, 1) << " ms  (speedup "
@@ -270,11 +258,15 @@ int Run(size_t threads, bool warm_start, size_t stall_generations) {
 }  // namespace flower
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "usage: windowed_planning [--threads=N]\n";
   auto flags = flower::tools::FlagParser::Parse(argc, argv);
   if (!flags.ok()) {
-    std::cerr << flags.status()
-              << "\nusage: windowed_planning [--threads=N] [--warm-start] "
-                 "[--stall-generations=N]\n";
+    std::cerr << flags.status() << "\n" << kUsage;
+    return 2;
+  }
+  auto unknown = flags->UnknownKeys({"threads"});
+  if (!unknown.empty()) {
+    std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
     return 2;
   }
   auto threads = flags->GetInt("threads", 8);
@@ -282,12 +274,5 @@ int main(int argc, char** argv) {
     std::cerr << "--threads expects a positive integer\n";
     return 2;
   }
-  auto stall = flags->GetInt("stall-generations", 0);
-  if (!stall.ok() || *stall < 0) {
-    std::cerr << "--stall-generations expects a non-negative integer\n";
-    return 2;
-  }
-  return flower::Run(static_cast<size_t>(*threads),
-                     flags->GetBool("warm-start"),
-                     static_cast<size_t>(*stall));
+  return flower::Run(static_cast<size_t>(*threads));
 }

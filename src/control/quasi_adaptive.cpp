@@ -51,7 +51,7 @@ Result<double> QuasiAdaptiveController::Update(SimTime now, double y) {
   // (capacity up => utilization down).
   double mag = std::clamp(std::fabs(b_hat_), config_.sensitivity_min,
                           config_.sensitivity_max);
-  b_hat_ = b_hat_ <= 0.0 ? -mag : -mag;  // Enforce negative sensitivity.
+  b_hat_ = -mag;  // Enforce negative sensitivity.
 
   prev_y_ = y;
   have_prev_ = true;

@@ -51,14 +51,12 @@ Result<double> RuleBasedController::Update(SimTime now, double y) {
        last_action_time_ < -1e17)) {
     u_ = config_.limits.Quantize(u_ + config_.up_step);
     last_action_time_ = now;
-    last_action_was_up_ = true;
     high_breaches_ = 0;
   } else if (low_breaches_ >= config_.breach_periods &&
              (since_action >= config_.down_cooldown ||
               last_action_time_ < -1e17)) {
     u_ = config_.limits.Quantize(u_ - config_.down_step);
     last_action_time_ = now;
-    last_action_was_up_ = false;
     low_breaches_ = 0;
   }
   // No explicit gain in a threshold rule — published as NaN.

@@ -54,7 +54,6 @@ class RuleBasedController final : public Controller {
   int high_breaches_ = 0;
   int low_breaches_ = 0;
   SimTime last_action_time_ = -1e18;
-  bool last_action_was_up_ = false;
   SimTime last_time_ = -1.0;
 };
 

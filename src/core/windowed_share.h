@@ -48,14 +48,6 @@ struct WindowPlan {
   /// the window's budget; `plan` then holds the bare demand minimum
   /// (over budget) so operators can see the shortfall.
   bool within_budget = true;
-  /// The window's full Pareto front (empty when the solver was skipped
-  /// because the demand already exceeds the budget) — lets benches
-  /// compare warm vs cold front quality per window.
-  std::vector<ProvisioningPlan> pareto_plans;
-  /// Objective evaluations the window's solve spent (0 when skipped).
-  size_t evaluations = 0;
-  /// True when the convergence early-exit stopped the window's solve.
-  bool early_exit = false;
 };
 
 /// Windowed resource-share analysis — the paper's §2 note that "the
@@ -68,35 +60,23 @@ struct WindowPlan {
 class WindowedShareAnalyzer {
  public:
   /// `num_threads` parallelizes PlanHorizon across windows (0 =
-  /// hardware concurrency). Each window's NSGA-II run is independent
-  /// and seeded from the solver config, so the planned horizon is
-  /// bit-identical at any thread count; errors propagate first-wins.
-  /// Window-level threading composes multiplicatively with
+  /// hardware concurrency). Each window's NSGA-II run is one cold solve,
+  /// independent and seeded from the solver config, so the planned
+  /// horizon is bit-identical at any thread count; errors propagate
+  /// first-wins. Window-level threading composes multiplicatively with
   /// `solver.num_threads` (each window spawns its own solver pool), so
   /// enable one level or the other, not both.
-  ///
-  /// `incremental.warm_start` chains window k's final population into
-  /// window k+1's initial population; the chain is inherently
-  /// sequential, so PlanHorizon then runs its windows in order on the
-  /// calling thread (the solver may still be multi-threaded).
-  /// `incremental.stall_generations` applies the convergence early-exit
-  /// to every window's solve — except a warm chain's unseeded warm-up
-  /// windows, which run the full generation budget since their fronts
-  /// anchor the rest of the chain. The cache knob is unused here
-  /// (consecutive windows have different demand floors).
   WindowedShareAnalyzer(ResourceShareRequest base_request, DemandModel model,
-                        opt::Nsga2Config solver = {}, size_t num_threads = 1,
-                        IncrementalPlanning incremental = {})
+                        opt::Nsga2Config solver = {}, size_t num_threads = 1)
       : base_(std::move(base_request)),
         model_(model),
-        solver_(solver),
-        num_threads_(num_threads),
-        incremental_(incremental) {}
+        solver_(std::move(solver)),
+        num_threads_(num_threads) {}
 
   /// Plans consecutive windows of `window_sec` covering the forecast
-  /// series (rate sampled as the mean over each window; the plan must
-  /// also cover the window's *peak* sample). Errors: empty forecast,
-  /// non-positive window, or num_threads above exec::kMaxThreads.
+  /// series, each for its window's *peak* forecast sample. Errors:
+  /// empty forecast, non-positive window, or num_threads above
+  /// exec::kMaxThreads.
   Result<std::vector<WindowPlan>> PlanHorizon(const TimeSeries& rate_forecast,
                                               double window_sec) const;
 
@@ -106,24 +86,10 @@ class WindowedShareAnalyzer {
                                 double records_per_sec) const;
 
  private:
-  /// Shared window solve: applies the stall knobs when `use_stall`,
-  /// optionally seeds the solver with `seed` plus per-objective
-  /// budget-extreme anchors, merges the previous window's re-validated
-  /// front (`carry_front`) into this window's polished front, and
-  /// (when `final_population` is non-null) hands back the final
-  /// population for warm-chaining.
-  Result<WindowPlan> PlanWindowImpl(
-      SimTime start, SimTime end, double records_per_sec,
-      const std::vector<std::vector<double>>* seed,
-      const std::vector<ProvisioningPlan>* carry_front,
-      std::vector<std::vector<double>>* final_population,
-      bool use_stall) const;
-
   ResourceShareRequest base_;
   DemandModel model_;
   opt::Nsga2Config solver_;
   size_t num_threads_;
-  IncrementalPlanning incremental_;
 };
 
 }  // namespace flower::core

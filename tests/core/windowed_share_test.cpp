@@ -209,136 +209,5 @@ TEST(WindowedShareTest, DependencyConstraintsStillHold) {
   EXPECT_LE(2.0 * plan->plan.ingestion(), plan->plan.storage() + 1e-9);
 }
 
-TimeSeries DiurnalForecast() {
-  TimeSeries forecast;
-  for (double t = 0.0; t < kDay; t += 10.0 * kMinute) {
-    double rate = 1000.0 + 800.0 * std::sin(2.0 * M_PI * t / kDay);
-    forecast.AppendUnchecked(t, std::max(100.0, rate));
-  }
-  return forecast;
-}
-
-TEST(WindowedShareWarmTest, WarmChainPlansStayValid) {
-  // Warm-started horizon planning seeds, polishes, and merges fronts —
-  // every surviving plan must still respect the bounds, the budget, and
-  // the dependency constraints, and every window must still cover its
-  // demand.
-  ResourceShareRequest req = BaseRequest(4.0);
-  req.constraints.push_back(LinearConstraint::AtMost(
-      Layer::kIngestion, 2.0, Layer::kStorage, -1.0, 0.0,
-      "2*shards <= wcu"));
-  IncrementalPlanning inc;
-  inc.warm_start = true;
-  inc.stall_generations = 4;
-  WindowedShareAnalyzer analyzer(req, Model(), FastSolver(),
-                                 /*num_threads=*/1, inc);
-  auto plans = analyzer.PlanHorizon(DiurnalForecast(), 2.0 * kHour);
-  ASSERT_TRUE(plans.ok());
-  ASSERT_GE(plans->size(), 10u);
-  size_t early_exits = 0;
-  for (size_t i = 0; i < plans->size(); ++i) {
-    const WindowPlan& wp = (*plans)[i];
-    EXPECT_TRUE(wp.within_budget) << "window " << i;
-    EXPECT_GE(wp.plan.analytics(), wp.demand.analytics()) << "window " << i;
-    EXPECT_GT(wp.evaluations, 0u) << "window " << i;
-    if (wp.early_exit) ++early_exits;
-    ASSERT_FALSE(wp.pareto_plans.empty()) << "window " << i;
-    for (const ProvisioningPlan& p : wp.pareto_plans) {
-      EXPECT_LE(p.hourly_cost_usd, 4.0 + 1e-9);
-      EXPECT_LE(2.0 * p.ingestion(), p.storage() + 1e-9);
-      for (int l = 0; l < kNumLayers; ++l) {
-        EXPECT_GE(p.shares[l], wp.demand.shares[l] - 1e-9)
-            << "window " << i << " layer " << l;
-        EXPECT_LE(p.shares[l], req.bounds[l].max + 1e-9)
-            << "window " << i << " layer " << l;
-      }
-    }
-  }
-  // The early-exit fires on seeded windows once the chain warms up.
-  EXPECT_GE(early_exits, plans->size() / 2);
-}
-
-TEST(WindowedShareWarmTest, WarmChainIsDeterministic) {
-  // Two identical warm runs produce byte-identical horizons, and the
-  // chain's determinism must survive solver-level threading.
-  IncrementalPlanning inc;
-  inc.warm_start = true;
-  inc.stall_generations = 4;
-  auto run = [&](size_t solver_threads) {
-    opt::Nsga2Config solver = FastSolver();
-    solver.num_threads = solver_threads;
-    WindowedShareAnalyzer analyzer(BaseRequest(4.0), Model(), solver,
-                                   /*num_threads=*/1, inc);
-    auto plans = analyzer.PlanHorizon(DiurnalForecast(), 2.0 * kHour);
-    EXPECT_TRUE(plans.ok());
-    return *plans;
-  };
-  std::vector<WindowPlan> base = run(1);
-  for (size_t threads : {1u, 4u}) {
-    std::vector<WindowPlan> other = run(threads);
-    ASSERT_EQ(other.size(), base.size()) << threads << " solver threads";
-    for (size_t i = 0; i < base.size(); ++i) {
-      EXPECT_EQ(other[i].early_exit, base[i].early_exit) << "window " << i;
-      EXPECT_EQ(other[i].evaluations, base[i].evaluations) << "window " << i;
-      ASSERT_EQ(other[i].pareto_plans.size(), base[i].pareto_plans.size())
-          << "window " << i;
-      for (size_t j = 0; j < base[i].pareto_plans.size(); ++j) {
-        for (int l = 0; l < kNumLayers; ++l) {
-          EXPECT_EQ(other[i].pareto_plans[j].shares[l],
-                    base[i].pareto_plans[j].shares[l])
-              << "window " << i << " plan " << j;
-        }
-      }
-      for (int l = 0; l < kNumLayers; ++l) {
-        EXPECT_EQ(other[i].plan.shares[l], base[i].plan.shares[l])
-            << "window " << i;
-      }
-    }
-  }
-}
-
-TEST(WindowedShareWarmTest, WarmChainSpendsFewerEvaluationsThanCold) {
-  IncrementalPlanning cold_knobs;  // Everything off.
-  IncrementalPlanning warm_knobs;
-  warm_knobs.warm_start = true;
-  warm_knobs.stall_generations = 4;
-  WindowedShareAnalyzer cold(BaseRequest(4.0), Model(), FastSolver(),
-                             /*num_threads=*/1, cold_knobs);
-  WindowedShareAnalyzer warm(BaseRequest(4.0), Model(), FastSolver(),
-                             /*num_threads=*/1, warm_knobs);
-  TimeSeries forecast = DiurnalForecast();
-  auto cold_plans = cold.PlanHorizon(forecast, 2.0 * kHour);
-  auto warm_plans = warm.PlanHorizon(forecast, 2.0 * kHour);
-  ASSERT_TRUE(cold_plans.ok());
-  ASSERT_TRUE(warm_plans.ok());
-  size_t cold_evals = 0, warm_evals = 0;
-  for (const WindowPlan& wp : *cold_plans) cold_evals += wp.evaluations;
-  for (const WindowPlan& wp : *warm_plans) warm_evals += wp.evaluations;
-  EXPECT_LT(warm_evals, cold_evals);
-}
-
-TEST(WindowedShareWarmTest, FeaturesOffReproducesPlainHorizon) {
-  // A default IncrementalPlanning must be byte-identical to the plain
-  // analyzer (the PR's features-off contract at the windowed layer).
-  WindowedShareAnalyzer plain(BaseRequest(4.0), Model(), FastSolver());
-  WindowedShareAnalyzer off(BaseRequest(4.0), Model(), FastSolver(),
-                            /*num_threads=*/1, IncrementalPlanning{});
-  TimeSeries forecast = DiurnalForecast();
-  auto a = plain.PlanHorizon(forecast, 2.0 * kHour);
-  auto b = off.PlanHorizon(forecast, 2.0 * kHour);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ((*a)[i].early_exit, false);
-    EXPECT_EQ((*b)[i].early_exit, false);
-    EXPECT_EQ((*a)[i].evaluations, (*b)[i].evaluations);
-    for (int l = 0; l < kNumLayers; ++l) {
-      EXPECT_EQ((*a)[i].plan.shares[l], (*b)[i].plan.shares[l])
-          << "window " << i;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace flower::core

@@ -20,28 +20,21 @@ import json
 import os
 import sys
 
-# bench name -> (headline description, extractor, higher_is_better)
+# bench name -> (headline description, extractor); every headline is a
+# throughput, so higher is better.
 HEADLINES = {
-    "planner_throughput": (
-        "1-thread warm+stall horizon wall time, ms",
-        lambda b: _planner_warm_stall_ms(b),
-        False,
-    ),
     "obs_overhead": (
         "full-telemetry steady-tick events/s with the plane on",
         lambda b: b["enabled"]["on_events_per_sec"],
-        True,
     ),
     "fleet_scale": (
         "heterogeneous-horizon fleet flow-sim-sec per wall second, "
         "4 threads",
         lambda b: _fleet_hetero_4t(b),
-        True,
     ),
     "sim_throughput": (
         "timer-wheel calendar events/s",
         lambda b: b["calendar"]["wheel_events_per_sec"],
-        True,
     ),
 }
 
@@ -53,15 +46,6 @@ def _fleet_hetero_4t(b):
         if r["threads"] == 4:
             return r["flow_sim_sec_per_wall_sec"]
     raise ValueError("no 4-thread point on the heterogeneous curve")
-
-
-def _planner_warm_stall_ms(b):
-    """Wall time of the warm-started, stall-exiting horizon at 1 thread
-    (the least noisy point, and always present)."""
-    for r in b["runs"]:
-        if r["mode"] == "warm_stall" and r["threads"] == 1:
-            return r["wall_ms"]
-    raise ValueError("no 1-thread warm_stall run")
 
 
 def load(path):
@@ -103,15 +87,11 @@ def compare(baseline_path, fresh_path, threshold):
                   f"threads (have {hw}) — not comparable")
             return True
 
-    desc, extract, higher_is_better = HEADLINES[name]
+    desc, extract = HEADLINES[name]
     base_v = extract(baseline)
     fresh_v = extract(fresh)
-    if higher_is_better:
-        # Regression = fresh dropped below (1 - threshold) x baseline.
-        regressed = fresh_v < base_v * (1.0 - threshold)
-    else:
-        # Lower-is-better metrics regress upward.
-        regressed = fresh_v > base_v * (1.0 + threshold)
+    # Regression = fresh dropped below (1 - threshold) x baseline.
+    regressed = fresh_v < base_v * (1.0 - threshold)
     change = (fresh_v - base_v) / base_v if base_v else 0.0
 
     verdict = "REGRESSED" if regressed else "ok"

@@ -55,11 +55,6 @@ Flags (all optional):
   --threads=N           NSGA-II planner worker threads (0 = all cores, at
                         most 256); the planned shares are bit-identical at
                         any N                                      [1]
-  --warm-start          seed the instrumented planner pass's second period
-                        from the first period's final population (runs the
-                        pass twice; needs an observation flag)
-  --stall-generations=N stop a planner solve after N consecutive stalled
-                        generations (0 = run the full budget)      [0]
   --seeds=N             replicate over N consecutive seeds and report
                         mean +/- sd of the headline metrics       [1]
   --csv-out=FILE        dump watched metrics as CSV
@@ -529,12 +524,6 @@ int RunOrDie(const tools::FlagParser& flags) {
               << "]\n";
     return 2;
   }
-  auto stall_or = flags.GetInt("stall-generations", 0);
-  if (!stall_or.ok() || *stall_or < 0) {
-    std::cerr << "--stall-generations expects a non-negative integer\n";
-    return 2;
-  }
-  const bool warm_start = flags.GetBool("warm-start");
 
   std::string trace_out = flags.GetString("trace-out", "");
   std::string metrics_out = flags.GetString("metrics-out", "");
@@ -571,24 +560,11 @@ int RunOrDie(const tools::FlagParser& flags) {
     solver.num_threads = static_cast<size_t>(*threads_or);
     solver.on_generation =
         obs::MakeNsga2Observer(&telemetry, "share-planner", /*anchor=*/0.0);
-    core::IncrementalPlanning inc;
-    inc.warm_start = warm_start;
-    inc.stall_generations = static_cast<size_t>(*stall_or);
-    core::ResourceShareAnalyzer analyzer(solver, inc);
+    // With default knobs AnalyzeIncremental is one cold solve that also
+    // mirrors the planner.* counters into the exported registry.
+    core::ResourceShareAnalyzer analyzer(solver);
     analyzer.SetMetricsRegistry(&telemetry.metrics());
     auto shares = analyzer.AnalyzeIncremental(request);
-    if (shares.ok() && warm_start) {
-      // A second planning period over the same request, seeded from the
-      // first period's final population — demonstrates the incremental
-      // engine's convergence speedup in the exported telemetry.
-      size_t cold_evals = shares->evaluations;
-      shares = analyzer.AnalyzeIncremental(request);
-      if (shares.ok()) {
-        FLOWER_LOG(Info) << "warm-started re-plan: " << shares->evaluations
-                         << " evaluations (cold period: " << cold_evals
-                         << ")" << (shares->early_exit ? ", early exit" : "");
-      }
-    }
     if (shares.ok()) {
       auto plan =
           core::ResourceShareAnalyzer::PickBalancedPlan(*shares, request);
@@ -784,10 +760,9 @@ int main(int argc, char** argv) {
   auto unknown = flags->UnknownKeys(
       {"controller", "workload", "trace", "rate", "amplitude",
        "period-hours", "hours", "reference", "monitoring-period", "seed",
-       "seeds", "threads", "warm-start", "stall-generations", "csv-out",
-       "trace-out", "metrics-out", "health-out",
-       "openmetrics-out", "quiet", "help", "fleet", "fleet-tenants",
-       "fleet-budget", "fleet-period", "fleet-threads",
+       "seeds", "threads", "csv-out", "trace-out", "metrics-out",
+       "health-out", "openmetrics-out", "quiet", "help", "fleet",
+       "fleet-tenants", "fleet-budget", "fleet-period", "fleet-threads",
        "fleet-tenant-period-jitter", "fleet-report-out",
        "fleet-capture-dir", "fleet-fault"});
   if (!unknown.empty()) {
