@@ -6,6 +6,7 @@
 // to stdout, followed by a PASS/FAIL shape verdict against the paper's
 // qualitative claims.
 
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -48,6 +49,20 @@ inline workload::ClickStreamConfig CanonicalWorkload() {
 inline bool Verdict(const std::string& claim, bool ok) {
   std::cout << (ok ? "  [PASS] " : "  [FAIL] ") << claim << "\n";
   return ok;
+}
+
+/// The host's CPU model: /proc/cpuinfo's first "model name", or
+/// "unknown". Bench JSON carries it as `cpu_model` so that
+/// tools/bench_diff.py compares runs from one host only.
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    size_t colon = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
 }
 
 inline void Header(const std::string& title) {

@@ -142,9 +142,7 @@ Result<RunResult> RunScenario(bool hardened, uint64_t seed) {
   // The flow-health layer rides along: one anomaly detector per
   // resilience counter plus the sensed signal itself, so every fault
   // window in the schedule has a stream that should light up.
-  obs::health::HealthMonitorConfig health_cfg;
-  health_cfg.eval_period_sec = kHealthEval;
-  obs::health::HealthMonitor health(&telemetry, health_cfg);
+  obs::health::HealthMonitor health(&telemetry, kHealthEval);
   for (const char* metric :
        {"loop.actuation_failures", "loop.sensor_misses",
         "loop.stale_sensor_reads"}) {

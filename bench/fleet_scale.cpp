@@ -192,6 +192,7 @@ void WriteJson(std::FILE* fp, bool smoke, size_t flows, double horizon_sec,
                const RecorderOverhead& rec) {
   std::fprintf(fp, "{\n  \"bench\": \"fleet_scale\",\n");
   std::fprintf(fp, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(fp, "  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
   std::fprintf(fp, "  \"flows\": %zu,\n", flows);
   std::fprintf(fp, "  \"horizon_sec\": %.0f,\n", horizon_sec);
   // The homogeneous curve at top level, the heterogeneous one nested.

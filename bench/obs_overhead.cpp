@@ -271,6 +271,7 @@ void WriteJson(std::FILE* fp, bool smoke, double base_eps,
                const std::vector<size_t>& threads, bool deterministic) {
   std::fprintf(fp, "{\n  \"bench\": \"obs_overhead\",\n");
   std::fprintf(fp, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(fp, "  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
   std::fprintf(fp, "  \"simcore_baseline_events_per_sec\": %.0f,\n",
                base_eps);
   std::fprintf(fp,

@@ -202,6 +202,7 @@ void WriteJson(std::FILE* fp, bool smoke, double wheel_eps,
                const SteadyTickResult& tick) {
   std::fprintf(fp, "{\n  \"bench\": \"sim_throughput\",\n");
   std::fprintf(fp, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(fp, "  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
   std::fprintf(fp, "  \"calendar\": {\"wheel_events_per_sec\": %.0f},\n",
                wheel_eps);
   std::fprintf(fp, "  \"flows\": [\n");

@@ -137,9 +137,7 @@ int main() {
   // Flow-health layer next to the raw alarms: utilization SLOs per
   // loop, anomaly detectors on the sensed signals and failure rates,
   // and Eq. 1 dependency edges for root-cause attribution.
-  obs::health::HealthMonitorConfig health_cfg;
-  health_cfg.eval_period_sec = kMinute;
-  obs::health::HealthMonitor flow_health(&telemetry, health_cfg);
+  obs::health::HealthMonitor flow_health(&telemetry, kMinute);
   for (const obs::health::SloSpec& spec :
        obs::health::MakeDefaultSloPack(/*util_threshold=*/90.0,
                                        /*objective=*/0.95)) {

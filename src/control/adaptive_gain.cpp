@@ -9,23 +9,12 @@ AdaptiveGainController::AdaptiveGainController(AdaptiveGainConfig config)
       u_(config.limits.Clamp(config.limits.min)),
       gain_(config.initial_gain) {}
 
-void AdaptiveGainController::Reset(double initial_u) {
+void AdaptiveGainController::ResetLaw(double initial_u) {
   u_ = config_.limits.Clamp(initial_u);
   gain_ = config_.initial_gain;
-  last_time_ = -1.0;
 }
 
-Result<double> AdaptiveGainController::Update(SimTime now, double y) {
-  if (now < last_time_) {
-    return Status::InvalidArgument(
-        "AdaptiveGainController: time moved backwards");
-  }
-  if (now == last_time_) {
-    // Duplicate control tick: re-applying Eq. 6–7 at one timestamp would
-    // double-count the gain and integral action, so repeat the output.
-    return config_.limits.Quantize(u_);
-  }
-  last_time_ = now;
+Result<double> AdaptiveGainController::Step(SimTime /*now*/, double y) {
   double error = y - config_.reference;
   if (config_.reset_gain_each_step) {
     gain_ = config_.initial_gain;

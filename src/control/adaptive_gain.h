@@ -36,8 +36,6 @@ class AdaptiveGainController final : public Controller {
     return config_.reset_gain_each_step ? "adaptive-gain(no-memory)"
                                         : "adaptive-gain";
   }
-  void Reset(double initial_u) override;
-  Result<double> Update(SimTime now, double y) override;
   double current_u() const override { return config_.limits.Quantize(u_); }
   double reference() const override { return config_.reference; }
   void set_reference(double y_r) override { config_.reference = y_r; }
@@ -47,6 +45,9 @@ class AdaptiveGainController final : public Controller {
   const AdaptiveGainConfig& config() const { return config_; }
 
  private:
+  Result<double> Step(SimTime now, double y) override;
+  void ResetLaw(double initial_u) override;
+
   AdaptiveGainConfig config_;
   /// Continuous integrator state. The returned actuation is the
   /// quantized value, but integration stays continuous so small
@@ -55,7 +56,6 @@ class AdaptiveGainController final : public Controller {
   /// |l·e| < 0.5 forever).
   double u_;
   double gain_;
-  SimTime last_time_ = -1.0;
 };
 
 }  // namespace flower::control

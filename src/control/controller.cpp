@@ -15,4 +15,22 @@ double ActuatorLimits::Quantize(double u) const {
   return u;
 }
 
+void Controller::Reset(double initial_u) {
+  last_time_ = -1.0;
+  ResetLaw(initial_u);
+}
+
+Result<double> Controller::Update(SimTime now, double y) {
+  if (now < last_time_) {
+    std::string message = name();
+    message += ": time moved backwards";
+    return Status::InvalidArgument(message);
+  }
+  // Duplicate tick: running the law again at one instant would double
+  // its gain, integral, breach or cooldown action.
+  if (now == last_time_) return current_u();
+  last_time_ = now;
+  return Step(now, y);
+}
+
 }  // namespace flower::control

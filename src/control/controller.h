@@ -28,9 +28,10 @@ struct ActuatorLimits {
 /// monitoring period with the sensed measurement (e.g. CPU utilization
 /// in percent); the controller returns the next actuator value
 /// `u_{k+1}` (e.g. number of VMs), already quantized to the actuator
-/// limits. Implementations keep whatever internal state their control
-/// law needs; `Reset` reinitializes the state with a starting actuator
-/// value.
+/// limits. The step clock lives here, once for every law: `Update`
+/// checks `now` and runs the law's `Step` at most once per timestamp.
+/// Implementations keep whatever internal state their control law
+/// needs; `ResetLaw` reinitializes it with a starting actuator value.
 class Controller {
  public:
   virtual ~Controller() = default;
@@ -38,18 +39,19 @@ class Controller {
   /// Human-readable family name ("adaptive-gain", "fixed-gain", ...).
   virtual std::string name() const = 0;
 
-  /// Reinitializes internal state; `initial_u` is the currently
-  /// provisioned resource amount.
-  virtual void Reset(double initial_u) = 0;
+  /// Restarts the step clock and reinitializes the law's state;
+  /// `initial_u` is the currently provisioned resource amount.
+  void Reset(double initial_u);
 
   /// Computes the next actuator value from measurement `y` at time
   /// `now`. `now` must be non-decreasing (simulated time is
   /// nonnegative); time moving backwards is an InvalidArgument error. A
   /// repeated timestamp (`now` equal to the previous call's) is an
-  /// idempotent no-op that returns the current actuation without
-  /// re-applying the control law — a duplicate tick must not
-  /// double-apply gain/integral action.
-  virtual Result<double> Update(SimTime now, double y) = 0;
+  /// idempotent no-op that returns `current_u()` without re-applying
+  /// the control law — a duplicate tick must not double-apply
+  /// gain/integral action, breach counts or cooldowns. Otherwise the
+  /// law's `Step` runs once.
+  Result<double> Update(SimTime now, double y);
 
   /// Current actuator value (last returned by Update, or initial).
   virtual double current_u() const = 0;
@@ -74,6 +76,12 @@ class Controller {
   }
 
  private:
+  /// One application of the control law at a fresh timestamp `now`.
+  virtual Result<double> Step(SimTime now, double y) = 0;
+  /// Reinitializes the law's own state (the clock is already reset).
+  virtual void ResetLaw(double initial_u) = 0;
+
+  SimTime last_time_ = -1.0;
   uint64_t steps_ = 0;
   double last_gain_ = 0.0;
   double last_raw_u_ = 0.0;

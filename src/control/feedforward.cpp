@@ -10,7 +10,7 @@ FeedforwardController::FeedforwardController(FeedforwardConfig config,
     : config_(config), driver_(std::move(driver)),
       u_(config.limits.Clamp(config.limits.min)) {}
 
-void FeedforwardController::Reset(double initial_u) {
+void FeedforwardController::ResetLaw(double initial_u) {
   u_ = config_.limits.Clamp(initial_u);
   trim_ = 0.0;
   a_ = 0.0;
@@ -21,7 +21,6 @@ void FeedforwardController::Reset(double initial_u) {
   p_[1][1] = 1e6;
   observations_ = 0;
   driver_misses_ = 0;
-  last_time_ = -1.0;
 }
 
 void FeedforwardController::RlsUpdate(double x, double w) {
@@ -49,18 +48,7 @@ void FeedforwardController::RlsUpdate(double x, double w) {
   ++observations_;
 }
 
-Result<double> FeedforwardController::Update(SimTime now, double y) {
-  if (now < last_time_) {
-    return Status::InvalidArgument(
-        "FeedforwardController: time moved backwards");
-  }
-  if (now == last_time_) {
-    // Duplicate control tick: idempotent no-op (no double model/trim
-    // update).
-    return config_.limits.Quantize(u_);
-  }
-  last_time_ = now;
-
+Result<double> FeedforwardController::Step(SimTime now, double y) {
   Result<double> x = driver_ ? driver_(now)
                              : Result<double>(Status::FailedPrecondition(
                                    "no driver configured"));

@@ -52,8 +52,6 @@ class FeedforwardController final : public Controller {
   FeedforwardController(FeedforwardConfig config, DriverFn driver);
 
   std::string name() const override { return "feedforward"; }
-  void Reset(double initial_u) override;
-  Result<double> Update(SimTime now, double y) override;
   double current_u() const override { return config_.limits.Quantize(u_); }
   double reference() const override { return config_.reference; }
   void set_reference(double y_r) override { config_.reference = y_r; }
@@ -69,6 +67,9 @@ class FeedforwardController final : public Controller {
   const FeedforwardConfig& config() const { return config_; }
 
  private:
+  Result<double> Step(SimTime now, double y) override;
+  void ResetLaw(double initial_u) override;
+
   void RlsUpdate(double x, double w);
 
   FeedforwardConfig config_;
@@ -81,7 +82,6 @@ class FeedforwardController final : public Controller {
   double p_[2][2] = {{1e6, 0.0}, {0.0, 1e6}};  // Large prior covariance.
   uint64_t observations_ = 0;
   uint64_t driver_misses_ = 0;
-  SimTime last_time_ = -1.0;
 };
 
 }  // namespace flower::control

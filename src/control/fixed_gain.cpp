@@ -7,9 +7,8 @@ namespace flower::control {
 FixedGainController::FixedGainController(FixedGainConfig config)
     : config_(config), u_(config.limits.Clamp(config.limits.min)) {}
 
-void FixedGainController::Reset(double initial_u) {
+void FixedGainController::ResetLaw(double initial_u) {
   u_ = config_.limits.Clamp(initial_u);
-  last_time_ = -1.0;
 }
 
 double FixedGainController::low_target() const {
@@ -18,16 +17,7 @@ double FixedGainController::low_target() const {
   return config_.reference - width;
 }
 
-Result<double> FixedGainController::Update(SimTime now, double y) {
-  if (now < last_time_) {
-    return Status::InvalidArgument(
-        "FixedGainController: time moved backwards");
-  }
-  if (now == last_time_) {
-    // Duplicate control tick: idempotent no-op (no double integration).
-    return config_.limits.Quantize(u_);
-  }
-  last_time_ = now;
+Result<double> FixedGainController::Step(SimTime /*now*/, double y) {
   double y_h = config_.reference;
   double y_l = low_target();
   double error = 0.0;

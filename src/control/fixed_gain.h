@@ -36,8 +36,6 @@ class FixedGainController final : public Controller {
   explicit FixedGainController(FixedGainConfig config);
 
   std::string name() const override { return "fixed-gain"; }
-  void Reset(double initial_u) override;
-  Result<double> Update(SimTime now, double y) override;
   double current_u() const override { return config_.limits.Quantize(u_); }
   double reference() const override { return config_.reference; }
   void set_reference(double y_r) override { config_.reference = y_r; }
@@ -47,9 +45,11 @@ class FixedGainController final : public Controller {
   const FixedGainConfig& config() const { return config_; }
 
  private:
+  Result<double> Step(SimTime now, double y) override;
+  void ResetLaw(double initial_u) override;
+
   FixedGainConfig config_;
   double u_;
-  SimTime last_time_ = -1.0;
 };
 
 }  // namespace flower::control

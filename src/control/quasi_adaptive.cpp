@@ -10,28 +10,16 @@ QuasiAdaptiveController::QuasiAdaptiveController(QuasiAdaptiveConfig config)
       u_(config.limits.Clamp(config.limits.min)),
       b_hat_(config.initial_sensitivity) {}
 
-void QuasiAdaptiveController::Reset(double initial_u) {
+void QuasiAdaptiveController::ResetLaw(double initial_u) {
   u_ = config_.limits.Clamp(initial_u);
   b_hat_ = config_.initial_sensitivity;
   p_ = 1.0;
   have_prev_ = false;
   prev_u_ = config_.limits.Quantize(u_);
   prev_prev_u_ = prev_u_;
-  last_time_ = -1.0;
 }
 
-Result<double> QuasiAdaptiveController::Update(SimTime now, double y) {
-  if (now < last_time_) {
-    return Status::InvalidArgument(
-        "QuasiAdaptiveController: time moved backwards");
-  }
-  if (now == last_time_) {
-    // Duplicate control tick: idempotent no-op (no double RLS/integral
-    // update).
-    return prev_u_;
-  }
-  last_time_ = now;
-
+Result<double> QuasiAdaptiveController::Step(SimTime /*now*/, double y) {
   // Online model estimation: RLS over (Δu, Δy) with forgetting. The
   // measurement y_k responds to the actuation applied after the
   // previous step, so the regressor pairs Δy_k = y_k − y_{k-1} with

@@ -41,8 +41,6 @@ class QuasiAdaptiveController final : public Controller {
   explicit QuasiAdaptiveController(QuasiAdaptiveConfig config);
 
   std::string name() const override { return "quasi-adaptive"; }
-  void Reset(double initial_u) override;
-  Result<double> Update(SimTime now, double y) override;
   double current_u() const override { return config_.limits.Quantize(u_); }
   double reference() const override { return config_.reference; }
   void set_reference(double y_r) override { config_.reference = y_r; }
@@ -52,6 +50,9 @@ class QuasiAdaptiveController final : public Controller {
   const QuasiAdaptiveConfig& config() const { return config_; }
 
  private:
+  Result<double> Step(SimTime now, double y) override;
+  void ResetLaw(double initial_u) override;
+
   QuasiAdaptiveConfig config_;
   double u_;
   double b_hat_;
@@ -60,7 +61,6 @@ class QuasiAdaptiveController final : public Controller {
   double prev_y_ = 0.0;
   double prev_u_ = 0.0;       ///< Quantized actuation returned last step.
   double prev_prev_u_ = 0.0;  ///< Quantized actuation two steps back.
-  SimTime last_time_ = -1.0;
 };
 
 }  // namespace flower::control

@@ -7,12 +7,11 @@ namespace flower::control {
 RuleBasedController::RuleBasedController(RuleBasedConfig config)
     : config_(config), u_(config.limits.Quantize(config.limits.min)) {}
 
-void RuleBasedController::Reset(double initial_u) {
+void RuleBasedController::ResetLaw(double initial_u) {
   u_ = config_.limits.Quantize(initial_u);
   high_breaches_ = 0;
   low_breaches_ = 0;
   last_action_time_ = -1e18;
-  last_time_ = -1.0;
 }
 
 void RuleBasedController::set_reference(double y_r) {
@@ -22,17 +21,7 @@ void RuleBasedController::set_reference(double y_r) {
   config_.low_threshold = y_r - half;
 }
 
-Result<double> RuleBasedController::Update(SimTime now, double y) {
-  if (now < last_time_) {
-    return Status::InvalidArgument(
-        "RuleBasedController: time moved backwards");
-  }
-  if (now == last_time_) {
-    // Duplicate control tick: idempotent no-op (no double breach count).
-    return u_;
-  }
-  last_time_ = now;
-
+Result<double> RuleBasedController::Step(SimTime now, double y) {
   if (y > config_.high_threshold) {
     ++high_breaches_;
     low_breaches_ = 0;

@@ -38,8 +38,6 @@ class RuleBasedController final : public Controller {
   explicit RuleBasedController(RuleBasedConfig config);
 
   std::string name() const override { return "rule-based"; }
-  void Reset(double initial_u) override;
-  Result<double> Update(SimTime now, double y) override;
   double current_u() const override { return u_; }
   double reference() const override {
     return 0.5 * (config_.high_threshold + config_.low_threshold);
@@ -49,12 +47,14 @@ class RuleBasedController final : public Controller {
   const RuleBasedConfig& config() const { return config_; }
 
  private:
+  Result<double> Step(SimTime now, double y) override;
+  void ResetLaw(double initial_u) override;
+
   RuleBasedConfig config_;
   double u_;
   int high_breaches_ = 0;
   int low_breaches_ = 0;
   SimTime last_action_time_ = -1e18;
-  SimTime last_time_ = -1.0;
 };
 
 }  // namespace flower::control

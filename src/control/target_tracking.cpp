@@ -10,23 +10,12 @@ TargetTrackingController::TargetTrackingController(
     TargetTrackingConfig config)
     : config_(config), u_(config.limits.Clamp(config.limits.min)) {}
 
-void TargetTrackingController::Reset(double initial_u) {
+void TargetTrackingController::ResetLaw(double initial_u) {
   u_ = config_.limits.Clamp(initial_u);
   last_scale_time_ = -1e18;
-  last_time_ = -1.0;
 }
 
-Result<double> TargetTrackingController::Update(SimTime now, double y) {
-  if (now < last_time_) {
-    return Status::InvalidArgument(
-        "TargetTrackingController: time moved backwards");
-  }
-  if (now == last_time_) {
-    // Duplicate control tick: idempotent no-op (a repeat at one instant
-    // must not re-enter the cooldown bookkeeping).
-    return config_.limits.Quantize(u_);
-  }
-  last_time_ = now;
+Result<double> TargetTrackingController::Step(SimTime now, double y) {
   if (config_.reference <= 0.0) {
     return Status::FailedPrecondition(
         "TargetTrackingController: non-positive reference");

@@ -38,8 +38,6 @@ class TargetTrackingController final : public Controller {
   explicit TargetTrackingController(TargetTrackingConfig config);
 
   std::string name() const override { return "target-tracking"; }
-  void Reset(double initial_u) override;
-  Result<double> Update(SimTime now, double y) override;
   double current_u() const override { return config_.limits.Quantize(u_); }
   double reference() const override { return config_.reference; }
   void set_reference(double y_r) override { config_.reference = y_r; }
@@ -47,10 +45,12 @@ class TargetTrackingController final : public Controller {
   const TargetTrackingConfig& config() const { return config_; }
 
  private:
+  Result<double> Step(SimTime now, double y) override;
+  void ResetLaw(double initial_u) override;
+
   TargetTrackingConfig config_;
   double u_;
   SimTime last_scale_time_ = -1e18;
-  SimTime last_time_ = -1.0;
 };
 
 }  // namespace flower::control

@@ -5,6 +5,18 @@
 
 namespace flower::core {
 
+namespace {
+
+/// Series are aligned by averaging into buckets of this width before
+/// regression (the paper's Fig. 2 uses one-minute samples).
+constexpr double kBucketSec = 60.0;
+/// |r| at or above this marks the dependency significant.
+constexpr double kMinAbsCorrelation = 0.7;
+/// Minimum aligned samples required to attempt a fit.
+constexpr size_t kMinSamples = 10;
+
+}  // namespace
+
 std::string Dependency::ToString() const {
   std::ostringstream os;
   os.precision(6);
@@ -27,8 +39,8 @@ Result<Dependency> DependencyAnalyzer::Analyze(
   FLOWER_ASSIGN_OR_RETURN(const TimeSeries* px,
                           store.GetSeries(predictor.id));
   FLOWER_ASSIGN_OR_RETURN(const TimeSeries* py, store.GetSeries(response.id));
-  TimeSeries bx = px->Window(t0, t1).BucketMean(t0, config_.bucket_sec);
-  TimeSeries by = py->Window(t0, t1).BucketMean(t0, config_.bucket_sec);
+  TimeSeries bx = px->Window(t0, t1).BucketMean(t0, kBucketSec);
+  TimeSeries by = py->Window(t0, t1).BucketMean(t0, kBucketSec);
 
   // Join on bucket timestamps present in both series.
   std::vector<double> xs, ys;
@@ -46,10 +58,10 @@ Result<Dependency> DependencyAnalyzer::Analyze(
       ++j;
     }
   }
-  if (xs.size() < config_.min_samples) {
+  if (xs.size() < kMinSamples) {
     return Status::FailedPrecondition(
         "DependencyAnalyzer: only " + std::to_string(xs.size()) +
-        " aligned samples (< " + std::to_string(config_.min_samples) + ")");
+        " aligned samples (< " + std::to_string(kMinSamples) + ")");
   }
   FLOWER_ASSIGN_OR_RETURN(stats::SimpleFit fit, stats::FitSimple(xs, ys));
   Dependency dep;
@@ -57,7 +69,7 @@ Result<Dependency> DependencyAnalyzer::Analyze(
   dep.response = response;
   dep.fit = fit;
   dep.significant =
-      std::fabs(fit.correlation) >= config_.min_abs_correlation;
+      std::fabs(fit.correlation) >= kMinAbsCorrelation;
   return dep;
 }
 

@@ -23,7 +23,7 @@ struct Dependency {
   LayerMetric predictor;
   LayerMetric response;
   stats::SimpleFit fit;
-  /// True when |Pearson r| >= the analyzer's threshold (the analyzer
+  /// True when |Pearson r| >= 0.7, the analyzer's threshold (the analyzer
   /// also returns non-significant pairs so users can see what was
   /// ruled out — the paper notes e.g. no Kinesis↔DynamoDB write
   /// dependency for the click-stream flow).
@@ -33,25 +33,14 @@ struct Dependency {
   std::string ToString() const;
 };
 
-/// Configuration of the analyzer.
-struct DependencyAnalyzerConfig {
-  /// Series are aligned by averaging into buckets of this width before
-  /// regression (the paper's Fig. 2 uses one-minute samples).
-  double bucket_sec = 60.0;
-  /// |r| at or above this marks the dependency significant.
-  double min_abs_correlation = 0.7;
-  /// Minimum aligned samples required to attempt a fit.
-  size_t min_samples = 10;
-};
-
 /// Workload dependency analysis (paper §3.1): applies linear regression
 /// to pairs of resource metrics from *different* layers, quantifying
 /// relationships such as Eq. 2 (Storm CPU vs Kinesis write volume).
+/// Series are averaged into 60 s buckets before the fit (the paper's
+/// Fig. 2 uses one-minute samples), a fit needs at least 10 aligned
+/// samples, and |r| >= 0.7 marks a dependency significant.
 class DependencyAnalyzer {
  public:
-  explicit DependencyAnalyzer(DependencyAnalyzerConfig config = {})
-      : config_(config) {}
-
   /// Regresses `response` on `predictor` over window [t0, t1).
   /// Errors: unknown metric, too few aligned samples, degenerate data.
   Result<Dependency> Analyze(const cloudwatch::MetricStore& store,
@@ -66,11 +55,6 @@ class DependencyAnalyzer {
   std::vector<Dependency> AnalyzeAll(const cloudwatch::MetricStore& store,
                                      const std::vector<LayerMetric>& metrics,
                                      SimTime t0, SimTime t1) const;
-
-  const DependencyAnalyzerConfig& config() const { return config_; }
-
- private:
-  DependencyAnalyzerConfig config_;
 };
 
 /// Converts analyzer results into the neutral edge form the

@@ -429,6 +429,7 @@ Status ElasticityManager::EnableReplanning(ReplanConfig config) {
 }
 
 void ElasticityManager::ReplanStep(ReplanState* s) {
+  ++replan_calls_;
   SimTime now = sim_->Now();
   if (s->config.update_request) {
     s->config.update_request(now, &s->config.request);

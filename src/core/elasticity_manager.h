@@ -294,6 +294,9 @@ class ElasticityManager {
   /// Counters of the re-planning analyzer (NotFound when re-planning
   /// was never enabled).
   Result<PlannerCounters> ReplanCounters() const;
+  /// Periodic re-plan passes run so far, whether each hit the plan
+  /// cache, solved or failed; 0 when re-planning is off.
+  uint64_t replan_calls() const { return replan_calls_; }
 
   /// Sets a loop's maximum resource share (from §3.2's analysis);
   /// 0 disables the cap. Takes effect from the next control step.
@@ -408,6 +411,7 @@ class ElasticityManager {
   /// Last successful re-plan's kPlan span: decisions taken under its
   /// share bounds link to it with a follows-from edge.
   obs::SpanId last_plan_span_ = 0;
+  uint64_t replan_calls_ = 0;
   std::map<std::string, std::unique_ptr<Attached>> loops_;
   std::unique_ptr<ReplanState> replan_;
 };

@@ -11,11 +11,28 @@
 
 namespace flower::fleet {
 
-FleetManager::FleetManager(FleetConfig config) : config_(std::move(config)) {
+PartitionConfig PartitionConfigFor(const FleetConfig& config) {
   // The partition re-plan cadence is the arbitration cadence — a flow
   // re-plans exactly once under each grant. Tenants with their own
   // arbitration_period_sec override this per partition.
-  config_.partition.arbitration_period_sec = config_.arbitration_period_sec;
+  PartitionConfig pc = config.partition;
+  pc.arbitration_period_sec = config.arbitration_period_sec;
+  return pc;
+}
+
+ArbiterConfig ArbiterConfigFor(const FleetConfig& config) {
+  ArbiterConfig ac;
+  ac.fleet_budget_usd_per_hour = config.fleet_budget_usd_per_hour;
+  ac.starvation_floor_frac = config.starvation_floor_frac;
+  ac.solver = config.arbiter_solver;
+  // Arbitrations run *inside* worker tasks, so the solver stays
+  // single-threaded rather than nesting a pool in the sweep's.
+  ac.solver.num_threads = 1;
+  return ac;
+}
+
+FleetManager::FleetManager(FleetConfig config) : config_(std::move(config)) {
+  config_.partition = PartitionConfigFor(config_);
 }
 
 Status FleetManager::AddTenant(TenantConfig tenant) {
@@ -54,14 +71,7 @@ Status FleetManager::Start() {
   }
   FLOWER_RETURN_NOT_OK(exec::CheckThreadCount(config_.num_threads,
                                               "FleetManager: num_threads"));
-  ArbiterConfig ac;
-  ac.fleet_budget_usd_per_hour = config_.fleet_budget_usd_per_hour;
-  ac.starvation_floor_frac = config_.starvation_floor_frac;
-  ac.solver = config_.arbiter_solver;
-  // Arbitrations run *inside* worker tasks, so the solver stays
-  // single-threaded rather than nesting a pool in the sweep's.
-  ac.solver.num_threads = 1;
-  arbiter_ = std::make_unique<BudgetArbiter>(ac);
+  arbiter_ = std::make_unique<BudgetArbiter>(ArbiterConfigFor(config_));
   pool_ = std::make_unique<exec::ThreadPool>(config_.num_threads);
   partitions_.reserve(tenants_.size());
   for (size_t i = 0; i < tenants_.size(); ++i) {

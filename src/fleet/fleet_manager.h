@@ -39,6 +39,12 @@ struct FleetConfig {
   PartitionConfig partition;
 };
 
+/// What a fleet runs from `config`, for FleetManager and any harness
+/// that drives partitions and the arbiter itself: partitions re-plan
+/// on the fleet's arbitration period; the arbiter solves on one thread.
+PartitionConfig PartitionConfigFor(const FleetConfig& config);
+ArbiterConfig ArbiterConfigFor(const FleetConfig& config);
+
 /// Schedule-level counters of the fleet sweep, accumulated across
 /// RunFor calls. Everything here describes the *execution schedule*
 /// (stealing, parking, overlap) — none of it feeds ControlDigest() or

@@ -193,10 +193,8 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   }
 
   if (config.capture.health_trigger) {
-    obs::health::HealthMonitorConfig hc;
-    hc.eval_period_sec = config.capture.health_eval_period_sec;
     p->health_ = std::make_unique<obs::health::HealthMonitor>(
-        p->telemetry_.get(), hc);
+        p->telemetry_.get(), config.capture.health_eval_period_sec);
     // Per-layer burn-rate SLOs over this tenant's utilization gauges
     // (the manager labels them {"tenant", id} — see SetTenantLabel).
     for (const char* layer : {"ingestion", "analytics", "storage"}) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <set>
 
 namespace flower::fleet {
 
@@ -123,7 +124,12 @@ std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
 Status ParsePartitionSpec(
     const std::vector<std::pair<std::string, std::string>>& spec,
     TenantConfig* tenant, PartitionConfig* config) {
+  std::set<std::string> seen;
   for (const auto& [key, value] : spec) {
+    if (!seen.insert(key).second) {
+      return Status::InvalidArgument("partition spec: duplicate key '" + key +
+                                     "'");
+    }
     if (key == "tenant.id") {
       tenant->id = value;
     } else if (key == "tenant.seed") {
@@ -214,8 +220,10 @@ Status ParsePartitionSpec(
     } else if (key == "capture.slo_slow_window_sec") {
       FLOWER_RETURN_NOT_OK(
           ParseF64(key, value, &config->capture.slo_slow_window_sec));
+    } else {
+      return Status::InvalidArgument("partition spec: unknown key '" + key +
+                                     "'");
     }
-    // Unknown keys are ignored (forward compatibility).
   }
   return Status::OK();
 }

@@ -22,9 +22,12 @@ std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
     const TenantConfig& tenant, const PartitionConfig& config);
 
 /// Rebuilds (tenant, partition) from a serialized spec on top of the
-/// callers' defaults. Unknown keys are ignored (older builds can read
-/// bundles from newer ones as long as the knobs they know about are
-/// present). Errors: malformed numeric value, unknown arrival pattern.
+/// callers' defaults. Every key must be one SerializePartitionSpec
+/// writes, at most once: a misspelt or repeated key would otherwise
+/// replay under a default or a later value and report a false
+/// divergence (the bundle schema check already rejects newer bundles).
+/// Errors: unknown or duplicate key, malformed numeric value, unknown
+/// arrival pattern.
 Status ParsePartitionSpec(
     const std::vector<std::pair<std::string, std::string>>& spec,
     TenantConfig* tenant, PartitionConfig* config);

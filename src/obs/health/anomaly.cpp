@@ -12,6 +12,23 @@ namespace {
 /// 1.4826 * MAD, applied to the exponentially weighted abs-deviation.
 constexpr double kMadToSigma = 1.2533141373155003;
 
+// Tuning of every stream's detector pair, sized for
+// one-sample-per-evaluation-tick streams (60 s cadence): warmup is
+// eight ticks of history, the spike gate is ~5 robust sigmas, and the
+// Page–Hinkley budget trips after a sustained ~2-sigma level shift in
+// roughly 4 samples.
+constexpr double kEwmaAlpha = 0.25;  ///< Location tracking speed.
+constexpr double kScaleAlpha = 0.1;  ///< Robust scale (EW abs-deviation) speed.
+constexpr double kZThreshold = 5.0;  ///< |z| above this flags a spike.
+/// Samples buffered in a stats::RollingWindow to seed the EWMA
+/// location/scale before any flagging starts.
+constexpr size_t kWarmupSamples = 8;
+/// Absolute floor on the scale estimate so constant streams do not
+/// divide by zero (any change on a flat stream is then a spike).
+constexpr double kMinScale = 1e-6;
+constexpr double kPhDelta = 0.5;   ///< PH drift allowance, in robust sigmas.
+constexpr double kPhLambda = 8.0;  ///< PH alarm threshold, in robust sigmas.
+
 }  // namespace
 
 const char* AnomalyKindToString(AnomalyKind kind) {
@@ -24,23 +41,10 @@ const char* AnomalyKindToString(AnomalyKind kind) {
   return "unknown";
 }
 
-AnomalyDetector::AnomalyDetector(AnomalyConfig config)
-    : config_(config),
-      seed_(config.warmup_samples == 0 ? 1 : config.warmup_samples) {
-  if (config_.ewma_alpha <= 0.0 || config_.ewma_alpha > 1.0) {
-    config_.ewma_alpha = 0.25;
-  }
-  if (config_.scale_alpha <= 0.0 || config_.scale_alpha > 1.0) {
-    config_.scale_alpha = 0.1;
-  }
-  if (config_.z_threshold <= 0.0) config_.z_threshold = 5.0;
-  if (config_.min_scale <= 0.0) config_.min_scale = 1e-6;
-  if (config_.ph_lambda <= 0.0) config_.ph_lambda = 8.0;
-  if (config_.ph_delta < 0.0) config_.ph_delta = 0.0;
-}
+AnomalyDetector::AnomalyDetector() : seed_(kWarmupSamples) {}
 
 double AnomalyDetector::scale() const {
-  return std::max(config_.min_scale, kMadToSigma * abs_dev_);
+  return std::max(kMinScale, kMadToSigma * abs_dev_);
 }
 
 AnomalyDetector::Sample AnomalyDetector::Update(double x) {
@@ -63,7 +67,7 @@ AnomalyDetector::Sample AnomalyDetector::Update(double x) {
   double s = scale();
   double residual = x - mean_;
   out.z = residual / s;
-  out.spike = std::abs(out.z) >= config_.z_threshold;
+  out.spike = std::abs(out.z) >= kZThreshold;
 
   // Two-sided Page–Hinkley on the winsorized residual: accumulate
   // drift beyond the allowance delta and alarm when the excursion from
@@ -71,14 +75,14 @@ AnomalyDetector::Sample AnomalyDetector::Update(double x) {
   // keeps a single wild sample — the spike detector's job — from
   // tripping the drift alarm on its own.
   double zc = std::clamp(out.z, -3.0, 3.0);
-  ph_up_ += zc - config_.ph_delta;
+  ph_up_ += zc - kPhDelta;
   ph_up_min_ = std::min(ph_up_min_, ph_up_);
-  ph_down_ += zc + config_.ph_delta;
+  ph_down_ += zc + kPhDelta;
   ph_down_max_ = std::max(ph_down_max_, ph_down_);
   double up_stat = ph_up_ - ph_up_min_;
   double down_stat = ph_down_max_ - ph_down_;
   out.ph_stat = std::max(up_stat, down_stat);
-  if (out.ph_stat >= config_.ph_lambda) {
+  if (out.ph_stat >= kPhLambda) {
     out.shift = true;
     // Restart the test at the new level: re-center the location on the
     // sample and zero the accumulators, otherwise the alarm latches
@@ -92,14 +96,14 @@ AnomalyDetector::Sample AnomalyDetector::Update(double x) {
   // nudge the baseline instead of capturing it.
   double clamped = std::clamp(residual, -3.0 * s, 3.0 * s);
   if (!out.shift) {
-    mean_ += config_.ewma_alpha * clamped;
+    mean_ += kEwmaAlpha * clamped;
   }
-  abs_dev_ += config_.scale_alpha * (std::abs(clamped) - abs_dev_);
+  abs_dev_ += kScaleAlpha * (std::abs(clamped) - abs_dev_);
   return out;
 }
 
 Status AnomalyBank::Watch(Source source, MetricSelector selector,
-                          std::string layer, AnomalyConfig config) {
+                          std::string layer) {
   std::sort(selector.labels.begin(), selector.labels.end());
   for (const Stream& s : streams_) {
     if (s.source == source && s.selector.name == selector.name &&
@@ -112,7 +116,7 @@ Status AnomalyBank::Watch(Source source, MetricSelector selector,
            selector,
            selector.ToString(),
            std::move(layer),
-           AnomalyDetector(config),
+           AnomalyDetector(),
            /*has_last_counter=*/false,
            /*last_counter=*/0.0,
            StreamState{}};

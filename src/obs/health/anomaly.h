@@ -12,25 +12,6 @@
 
 namespace flower::obs::health {
 
-/// Tuning for one stream's detector pair. Defaults are sized for
-/// one-sample-per-evaluation-tick streams (60 s cadence): warmup is two
-/// sim-minutes of history, the spike gate is ~5 robust sigmas, and the
-/// Page–Hinkley budget trips after a sustained ~2-sigma level shift in
-/// roughly 4 samples.
-struct AnomalyConfig {
-  double ewma_alpha = 0.25;  ///< Location tracking speed.
-  double scale_alpha = 0.1;  ///< Robust scale (EW abs-deviation) speed.
-  double z_threshold = 5.0;  ///< |z| above this flags a spike.
-  /// Samples buffered in a stats::RollingWindow to seed the EWMA
-  /// location/scale before any flagging starts.
-  size_t warmup_samples = 8;
-  /// Absolute floor on the scale estimate so constant streams do not
-  /// divide by zero (any change on a flat stream is then a spike).
-  double min_scale = 1e-6;
-  double ph_delta = 0.5;    ///< PH drift allowance, in robust sigmas.
-  double ph_lambda = 8.0;   ///< PH alarm threshold, in robust sigmas.
-};
-
 enum class AnomalyKind {
   kSpike,      ///< One-sample outlier (EWMA + MAD-style z-score gate).
   kLevelShift, ///< Sustained mean change (Page–Hinkley).
@@ -51,14 +32,14 @@ struct AnomalyEvent {
 /// mean absolute deviation as a MAD-style robust scale (×1.2533 for
 /// Gaussian consistency), gating a z-score spike test; plus a
 /// two-sided Page–Hinkley cumulative test on the normalized residual
-/// for level shifts. The first `warmup_samples` observations are
-/// collected in a stats::RollingWindow and used to seed location and
-/// scale; nothing is flagged during warmup. State updates winsorize
-/// the residual at 3 sigma so a single spike cannot drag the baseline
-/// to the outlier and mask the next one.
+/// for level shifts. The first 8 observations are collected in a
+/// stats::RollingWindow and used to seed location and scale; nothing
+/// is flagged during warmup. State updates winsorize the residual at 3
+/// sigma so a single spike cannot drag the baseline to the outlier and
+/// mask the next one. The tuning is fixed (constants in anomaly.cpp).
 class AnomalyDetector {
  public:
-  explicit AnomalyDetector(AnomalyConfig config);
+  AnomalyDetector();
 
   struct Sample {
     bool spike = false;
@@ -74,7 +55,6 @@ class AnomalyDetector {
   double scale() const;
 
  private:
-  AnomalyConfig config_;
   stats::RollingWindow seed_;
   bool warmed_up_ = false;
   double mean_ = 0.0;
@@ -100,8 +80,7 @@ class AnomalyBank {
   /// Registers a stream. `layer` tags resulting events for attribution
   /// ("" for flow-level streams). Duplicate (source, selector) watches
   /// are rejected.
-  Status Watch(Source source, MetricSelector selector, std::string layer,
-               AnomalyConfig config = {});
+  Status Watch(Source source, MetricSelector selector, std::string layer);
 
   /// Advances every stream one tick and returns the events it flagged,
   /// in stream order. Streams whose instrument is absent from the

@@ -9,6 +9,29 @@ namespace flower::obs::health {
 
 namespace {
 
+/// How far back in sim-time decisions and anomalies are considered.
+constexpr double kDecisionWindowSec = 600.0;
+constexpr double kAnomalyWindowSec = 600.0;
+/// clamped_u below raw_u by more than this counts as saturation
+/// (the loop asked for more capacity than limits/share allowed).
+constexpr double kSaturationEps = 0.5;
+// Symptom weights. Decision-record symptoms are scored as the
+// fraction of the layer's recent records showing the symptom, times
+// the weight — so a layer with a faster control period is not
+// over-counted just for logging more rows.
+constexpr double kWSaturation = 3.0;
+constexpr double kWBreakerOpen = 2.5;
+constexpr double kWActuationFailed = 2.0;
+constexpr double kWSensorMiss = 1.0;
+constexpr double kWStaleSensor = 0.5;
+constexpr double kWFaultInterference = 1.5;
+constexpr double kWAnomaly = 2.0;    ///< Per anomalous stream-tick, capped.
+constexpr double kAnomalyCap = 4.0;  ///< Max total anomaly contribution.
+/// Credit |r| * w for each significant edge feeding a distressed
+/// layer: rising upstream load explains why the response layer is
+/// the bottleneck (Eq. 1/2 propagation).
+constexpr double kWDependency = 2.0;
+
 std::string FormatFraction(double frac) {
   std::ostringstream os;
   os.precision(3);
@@ -40,14 +63,14 @@ HealthReport RootCauseAttributor::Attribute(
   // std::map keeps layers in name order, which makes tie-handling and
   // evidence ordering deterministic.
   std::map<std::string, Symptoms> symptoms;
-  double cutoff = now - config_.decision_window_sec;
+  double cutoff = now - kDecisionWindowSec;
   for (size_t i = 0; i < decisions.size(); ++i) {
     const ControlDecisionRecord& rec = decisions.at(i);
     if (rec.time < cutoff || rec.time > now) continue;
     Symptoms& s = symptoms[decisions.loop(rec).layer];
     s.records += 1;
     if (rec.outcome == StepOutcome::kActuated &&
-        rec.raw_u - rec.clamped_u > config_.saturation_eps) {
+        rec.raw_u - rec.clamped_u > kSaturationEps) {
       s.saturated += 1;
     }
     switch (rec.outcome) {
@@ -68,7 +91,7 @@ HealthReport RootCauseAttributor::Attribute(
   }
 
   std::map<std::string, std::vector<const AnomalyEvent*>> layer_anomalies;
-  double anomaly_cutoff = now - config_.anomaly_window_sec;
+  double anomaly_cutoff = now - kAnomalyWindowSec;
   for (const AnomalyEvent& ev : anomalies) {
     if (ev.time < anomaly_cutoff || ev.time > now) continue;
     report.recent_anomalies.push_back(ev);
@@ -104,25 +127,24 @@ HealthReport RootCauseAttributor::Attribute(
                  " of recent control steps",
              frac * weight});
       };
-      add(s.saturated, config_.w_saturation, "saturation",
+      add(s.saturated, kWSaturation, "saturation",
           "actuation clamped below controller demand");
-      add(s.breaker_open, config_.w_breaker_open, "breaker_open",
+      add(s.breaker_open, kWBreakerOpen, "breaker_open",
           "circuit breaker open");
-      add(s.actuation_failed, config_.w_actuation_failed, "actuation_failed",
+      add(s.actuation_failed, kWActuationFailed, "actuation_failed",
           "actuation attempts failed");
-      add(s.sensor_miss, config_.w_sensor_miss, "sensor_miss",
+      add(s.sensor_miss, kWSensorMiss, "sensor_miss",
           "control steps skipped on missing measurements");
-      add(s.stale, config_.w_stale_sensor, "stale_sensor",
+      add(s.stale, kWStaleSensor, "stale_sensor",
           "control steps ran on held last-good values");
-      add(s.faulted, config_.w_fault_interference, "fault_interference",
+      add(s.faulted, kWFaultInterference, "fault_interference",
           "injected-fault interference stamped");
     }
 
     auto an = layer_anomalies.find(layer);
     if (an != layer_anomalies.end() && !an->second.empty()) {
       double contribution = std::min(
-          config_.anomaly_cap,
-          config_.w_anomaly * static_cast<double>(an->second.size()));
+          kAnomalyCap, kWAnomaly * static_cast<double>(an->second.size()));
       attr.score += contribution;
       const AnomalyEvent* top = an->second.front();
       for (const AnomalyEvent* ev : an->second) {
@@ -148,7 +170,7 @@ HealthReport RootCauseAttributor::Attribute(
     bool distressed = it->second.score > 0.0;
     bool slo_layer = !breached.layer.empty() && breached.layer == e.response_layer;
     if (!distressed && !slo_layer) continue;
-    double w = config_.w_dependency * std::abs(e.correlation);
+    double w = kWDependency * std::abs(e.correlation);
     it->second.score += w;
     std::ostringstream detail;
     detail << "Eq. 1 edge: " << e.response_metric << " = "

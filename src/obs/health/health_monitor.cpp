@@ -12,17 +12,19 @@ namespace {
 using internal::JsonEscape;
 using internal::JsonNum;
 
+/// Retained health reports / anomaly events (oldest dropped first).
+constexpr size_t kMaxReports = 256;
+constexpr size_t kMaxAnomalyEvents = 4096;
+/// While an SLO stays breached, re-attribute every this many ticks
+/// (fresh evidence) in addition to the initial alert report.
+constexpr uint64_t kReattributeEvery = 10;
+
 }  // namespace
 
-HealthMonitor::HealthMonitor(Telemetry* telemetry, HealthMonitorConfig config)
+HealthMonitor::HealthMonitor(Telemetry* telemetry, double eval_period_sec)
     : telemetry_(telemetry),
-      config_(config),
-      feed_(&telemetry->metrics()),
-      attributor_(config.attributor) {
-  if (config_.eval_period_sec <= 0.0) config_.eval_period_sec = 60.0;
-  if (config_.max_reports == 0) config_.max_reports = 1;
-  if (config_.max_anomaly_events == 0) config_.max_anomaly_events = 1;
-  if (config_.reattribute_every == 0) config_.reattribute_every = 1;
+      eval_period_sec_(eval_period_sec <= 0.0 ? 60.0 : eval_period_sec),
+      feed_(&telemetry->metrics()) {
   anomaly_counter_ = telemetry_->metrics().GetCounter("health.anomalies");
   report_counter_ = telemetry_->metrics().GetCounter("health.reports");
 }
@@ -35,7 +37,7 @@ Status HealthMonitor::AddSlo(const SloSpec& spec) {
                                    spec.id + "'");
     }
   }
-  TrackedSlo t{SloTracker(spec, config_.eval_period_sec)};
+  TrackedSlo t{SloTracker(spec, eval_period_sec_)};
   LabelSet labels{{"slo", spec.id}};
   if (!spec.layer.empty()) labels.push_back({"layer", spec.layer});
   MetricsRegistry& reg = telemetry_->metrics();
@@ -68,14 +70,13 @@ void HealthMonitor::TrackSloSeries(const SloSpec& spec) {
 }
 
 Status HealthMonitor::Watch(AnomalyBank::Source source,
-                            MetricSelector selector, std::string layer,
-                            AnomalyConfig config) {
+                            MetricSelector selector, std::string layer) {
   if (source == AnomalyBank::Source::kGauge) {
     feed_.TrackGauge(selector.name, selector.labels);
   } else {
     feed_.TrackCounter(selector.name, selector.labels);
   }
-  return bank_.Watch(source, std::move(selector), std::move(layer), config);
+  return bank_.Watch(source, std::move(selector), std::move(layer));
 }
 
 void HealthMonitor::SetDependencyEdges(std::vector<DependencyEdge> edges) {
@@ -112,7 +113,7 @@ void HealthMonitor::Evaluate(SimTime now) {
                      {"kind", AnomalyKindToString(ev.kind)}})
         ->Increment();
     anomaly_log_.push_back(std::move(ev));
-    while (anomaly_log_.size() > config_.max_anomaly_events) {
+    while (anomaly_log_.size() > kMaxAnomalyEvents) {
       anomaly_log_.pop_front();
     }
   }
@@ -136,11 +137,11 @@ void HealthMonitor::Evaluate(SimTime now) {
     bool fresh_alert = st.alerts_fired > alerts_before;
     bool periodic_refresh =
         st.breached && breached_before &&
-        st.evaluations % config_.reattribute_every == 0;
+        st.evaluations % kReattributeEvery == 0;
     if (fresh_alert || periodic_refresh) {
       reports_.push_back(BuildReport(now, st));
       report_counter_->Increment();
-      while (reports_.size() > config_.max_reports) reports_.pop_front();
+      while (reports_.size() > kMaxReports) reports_.pop_front();
     }
     if (fresh_alert && alert_edge_hook_) alert_edge_hook_(now, st);
   }

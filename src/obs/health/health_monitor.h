@@ -24,18 +24,6 @@ inline constexpr uint8_t kHealthFlowBreach = 1 << 0;
 inline constexpr uint8_t kHealthLayerBreach = 1 << 1;
 inline constexpr uint8_t kHealthAnomaly = 1 << 2;
 
-struct HealthMonitorConfig {
-  /// Spacing of Evaluate() ticks; SLO windows are sized in these ticks.
-  double eval_period_sec = 60.0;
-  /// Retained health reports / anomaly events (oldest dropped first).
-  size_t max_reports = 256;
-  size_t max_anomaly_events = 4096;
-  /// While an SLO stays breached, re-attribute every this many ticks
-  /// (fresh evidence) in addition to the initial alert report.
-  uint64_t reattribute_every = 10;
-  AttributorConfig attributor;
-};
-
 /// The flow-health brain: owns the SLO trackers, the anomaly bank, and
 /// the attributor; consumes the Telemetry hub each evaluation tick and
 /// publishes its own state back into the registry (slo.* gauges,
@@ -45,15 +33,17 @@ struct HealthMonitorConfig {
 /// Watch track them); the SLO trackers' burn windows hold the history.
 ///
 /// Driving: sim-time only. Callers schedule
-///   sim.SchedulePeriodic(start, config.eval_period_sec,
+///   sim.SchedulePeriodic(start, monitor.eval_period_sec(),
 ///                        [&] { monitor.Evaluate(sim.Now()); return true; });
 /// themselves — the monitor never touches a clock or the Simulation
 /// (obs cannot depend on sim), so a given telemetry history replays to
 /// the identical health trajectory.
 class HealthMonitor {
  public:
-  /// `telemetry` must outlive the monitor.
-  HealthMonitor(Telemetry* telemetry, HealthMonitorConfig config = {});
+  /// `telemetry` must outlive the monitor. `eval_period_sec` is the
+  /// spacing of Evaluate() ticks; SLO windows are sized in these ticks
+  /// (a non-positive period means 60 s).
+  explicit HealthMonitor(Telemetry* telemetry, double eval_period_sec = 60.0);
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
@@ -65,7 +55,7 @@ class HealthMonitor {
   /// Watches a registry instrument with an anomaly detector pair.
   /// `layer` tags events for attribution ("" = flow-level stream).
   Status Watch(AnomalyBank::Source source, MetricSelector selector,
-               std::string layer, AnomalyConfig config = {});
+               std::string layer);
 
   /// Installs/refreshes the learned dependency edges used by the
   /// attributor (typically re-learned periodically from
@@ -84,7 +74,9 @@ class HealthMonitor {
   /// One evaluation tick: samples the tracked series, advances detectors
   /// and SLO trackers, publishes slo.*/health.* instruments, and on a
   /// breach transition builds a HealthReport from the decision log,
-  /// recent anomalies, and the dependency edges.
+  /// recent anomalies, and the dependency edges. While an SLO stays
+  /// breached it re-attributes every 10 ticks. The newest 256 reports
+  /// and 4,096 anomaly events are retained.
   void Evaluate(SimTime now);
 
   /// Health bits for `layer` as of the latest Evaluate() tick.
@@ -96,10 +88,7 @@ class HealthMonitor {
   std::vector<std::string> ActiveAlerts() const;
   const std::deque<HealthReport>& reports() const { return reports_; }
   const std::deque<AnomalyEvent>& anomaly_log() const { return anomaly_log_; }
-  std::vector<AnomalyBank::StreamState> StreamStates() const {
-    return bank_.States();
-  }
-  const HealthMonitorConfig& config() const { return config_; }
+  double eval_period_sec() const { return eval_period_sec_; }
   uint64_t evaluations() const { return evaluations_; }
 
   /// Serializes the full health state as JSONL: one "slo" line per
@@ -126,7 +115,7 @@ class HealthMonitor {
   void TrackSloSeries(const SloSpec& spec);
 
   Telemetry* telemetry_;
-  HealthMonitorConfig config_;
+  double eval_period_sec_;
   TrackedSnapshot feed_;
   std::vector<TrackedSlo> slos_;
   AnomalyBank bank_;

@@ -76,10 +76,8 @@ TEST(DependencyAnalyzerTest, UnknownMetricIsNotFound) {
 
 TEST(DependencyAnalyzerTest, TooFewSamplesRejected) {
   cloudwatch::MetricStore store;
-  PlantEq2(&store, 5, 0.1);
-  DependencyAnalyzerConfig cfg;
-  cfg.min_samples = 10;
-  DependencyAnalyzer analyzer(cfg);
+  PlantEq2(&store, 5, 0.1);  // Below the 10 aligned samples a fit needs.
+  DependencyAnalyzer analyzer;
   EXPECT_EQ(
       analyzer.Analyze(store, Ingest(), Cpu(), 0.0, 300.0).status().code(),
       StatusCode::kFailedPrecondition);

@@ -108,18 +108,19 @@ TEST(ElasticityManagerTest, MissingMetricCountsAsSensorMiss) {
 class EchoController final : public control::Controller {
  public:
   std::string name() const override { return "echo"; }
-  void Reset(double initial_u) override { u_ = initial_u; }
-  Result<double> Update(SimTime, double y) override {
-    if (y < 0.0) return Status::InvalidArgument("negative y");
-    u_ = y / 10.0;
-    RecordStep(std::nan(""), u_);
-    return u_;
-  }
   double current_u() const override { return u_; }
   double reference() const override { return 60.0; }
   void set_reference(double) override {}
 
  private:
+  Result<double> Step(SimTime, double y) override {
+    if (y < 0.0) return Status::InvalidArgument("negative y");
+    u_ = y / 10.0;
+    RecordStep(std::nan(""), u_);
+    return u_;
+  }
+  void ResetLaw(double initial_u) override { u_ = initial_u; }
+
   double u_ = 0.0;
 };
 

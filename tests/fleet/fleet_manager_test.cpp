@@ -160,6 +160,53 @@ TEST(FleetManagerTest, PerFlowPlannerCountersAreTenantScoped) {
   }
 }
 
+// Every periodic re-plan pass counts once, whether it hit the plan
+// cache or solved; a manager that never re-plans reads 0.
+TEST(FleetManagerTest, ReplanCallsCountEveryPeriodicPass) {
+  std::unique_ptr<FleetManager> fleet = MakeStartedFleet(3, 2);
+  ASSERT_TRUE(fleet->RunFor(900.0).ok());
+  for (size_t i = 0; i < fleet->num_tenants(); ++i) {
+    const core::ElasticityManager& m = fleet->partition(i)->manager();
+    Result<core::PlannerCounters> pc = m.ReplanCounters();
+    ASSERT_TRUE(pc.ok());
+    EXPECT_EQ(m.replan_calls(), 3u) << "partition " << i;
+    EXPECT_EQ(m.replan_calls(), pc->cache_hits + pc->cache_misses);
+  }
+  sim::Simulation sim;
+  cloudwatch::MetricStore store;
+  core::ElasticityManager idle(&sim, &store);
+  EXPECT_EQ(idle.replan_calls(), 0u);
+}
+
+// What the fleet runs comes from PartitionConfigFor and
+// ArbiterConfigFor: partitions re-plan on the fleet's arbitration
+// period, and the arbiter's solver runs on one thread inside the
+// sweep's workers.
+TEST(FleetManagerTest, ConfigDerivationsFollowTheFleetConfig) {
+  FleetConfig fc = TestConfig(2);
+  fc.arbitration_period_sec = 600.0;
+  fc.partition.arbitration_period_sec = 900.0;
+  fc.starvation_floor_frac = 0.1;
+  fc.arbiter_solver.num_threads = 4;
+  const PartitionConfig pc = PartitionConfigFor(fc);
+  EXPECT_EQ(pc.arbitration_period_sec, 600.0);
+  EXPECT_EQ(pc.storm_tick_period_sec, fc.partition.storm_tick_period_sec);
+  EXPECT_EQ(pc.flow_solver.generations, fc.partition.flow_solver.generations);
+  const ArbiterConfig ac = ArbiterConfigFor(fc);
+  EXPECT_EQ(ac.fleet_budget_usd_per_hour, fc.fleet_budget_usd_per_hour);
+  EXPECT_EQ(ac.starvation_floor_frac, 0.1);
+  EXPECT_EQ(ac.solver.num_threads, 1u);
+  EXPECT_EQ(ac.solver.population_size, fc.arbiter_solver.population_size);
+  EXPECT_EQ(ac.solver.generations, fc.arbiter_solver.generations);
+
+  FleetManager fleet(fc);
+  TenantConfig t;
+  t.id = "a";
+  ASSERT_TRUE(fleet.AddTenant(t).ok());
+  ASSERT_TRUE(fleet.Start().ok());
+  EXPECT_EQ(fleet.partition(0)->effective_period_sec(), 600.0);
+}
+
 TEST(FleetManagerTest, SpanNamespacesAreDisjointAndDeterministic) {
   FleetConfig config = TestConfig(1);
   config.partition.record_spans = true;

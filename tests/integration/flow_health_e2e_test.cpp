@@ -19,7 +19,6 @@ namespace flower {
 namespace {
 
 using obs::health::HealthMonitor;
-using obs::health::HealthMonitorConfig;
 using obs::health::HealthReport;
 using obs::health::SliKind;
 using obs::health::SloSpec;
@@ -55,9 +54,7 @@ ScenarioResult RunScenario() {
   obs::Telemetry telemetry;
   cloudwatch::MetricStore store;
 
-  HealthMonitorConfig config;
-  config.eval_period_sec = kTick;
-  HealthMonitor monitor(&telemetry, config);
+  HealthMonitor monitor(&telemetry, kTick);
 
   // The flow objective: 99% of writes unthrottled, fast window 5 min.
   SloSpec slo;

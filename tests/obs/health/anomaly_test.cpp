@@ -8,12 +8,6 @@
 namespace flower::obs::health {
 namespace {
 
-AnomalyConfig TestConfig() {
-  AnomalyConfig cfg;
-  cfg.warmup_samples = 4;
-  return cfg;
-}
-
 // A mildly noisy but stationary signal: deterministic pseudo-noise so
 // the detector sees a realistic scale without an RNG in the test.
 double Wobble(int i, double base, double amplitude) {
@@ -21,13 +15,12 @@ double Wobble(int i, double base, double amplitude) {
 }
 
 TEST(AnomalyDetectorTest, NeverFlagsDuringWarmup) {
-  AnomalyConfig cfg = TestConfig();
-  cfg.warmup_samples = 6;
-  AnomalyDetector detector(cfg);
-  // Wild values during warmup must not flag: the detector has no
-  // baseline yet, only the seed window.
-  const double wild[] = {0.0, 1000.0, -500.0, 3.0, 700.0, 2.0};
+  AnomalyDetector detector;
+  // Wild values during the 8-sample warmup must not flag: the detector
+  // has no baseline yet, only the seed window.
+  const double wild[] = {0.0, 1000.0, -500.0, 3.0, 700.0, 2.0, -90.0, 40.0};
   for (double x : wild) {
+    EXPECT_FALSE(detector.warmed_up());
     auto s = detector.Update(x);
     EXPECT_FALSE(s.spike);
     EXPECT_FALSE(s.shift);
@@ -36,7 +29,7 @@ TEST(AnomalyDetectorTest, NeverFlagsDuringWarmup) {
 }
 
 TEST(AnomalyDetectorTest, QuietSignalStaysQuiet) {
-  AnomalyDetector detector(TestConfig());
+  AnomalyDetector detector;
   for (int i = 0; i < 200; ++i) {
     auto s = detector.Update(Wobble(i, 50.0, 1.0));
     EXPECT_FALSE(s.spike) << "sample " << i;
@@ -46,13 +39,13 @@ TEST(AnomalyDetectorTest, QuietSignalStaysQuiet) {
 }
 
 TEST(AnomalyDetectorTest, FlagsSpikeAndRecoverBaseline) {
-  AnomalyDetector detector(TestConfig());
+  AnomalyDetector detector;
   for (int i = 0; i < 50; ++i) detector.Update(Wobble(i, 50.0, 1.0));
   double mean_before = detector.mean();
 
   auto s = detector.Update(500.0);
   EXPECT_TRUE(s.spike);
-  EXPECT_GT(s.z, TestConfig().z_threshold);
+  EXPECT_GT(s.z, 5.0);  // The spike gate.
 
   // Winsorized update: one outlier nudges the baseline by at most
   // 3 sigma * alpha, so the mean stays close to the true level and the
@@ -63,7 +56,7 @@ TEST(AnomalyDetectorTest, FlagsSpikeAndRecoverBaseline) {
 }
 
 TEST(AnomalyDetectorTest, FlagsLevelShiftAndRecenters) {
-  AnomalyDetector detector(TestConfig());
+  AnomalyDetector detector;
   for (int i = 0; i < 60; ++i) detector.Update(Wobble(i, 50.0, 1.0));
 
   // Step to a moderately higher level: each sample is a few sigma out
@@ -87,7 +80,7 @@ TEST(AnomalyDetectorTest, FlagsLevelShiftAndRecenters) {
 }
 
 TEST(AnomalyDetectorTest, ConstantStreamFlagsAnyChange) {
-  AnomalyDetector detector(TestConfig());
+  AnomalyDetector detector;
   for (int i = 0; i < 20; ++i) detector.Update(5.0);
   // Scale bottoms out at min_scale; the first real movement is a spike.
   auto s = detector.Update(5.1);
@@ -95,7 +88,7 @@ TEST(AnomalyDetectorTest, ConstantStreamFlagsAnyChange) {
 }
 
 TEST(AnomalyDetectorTest, IgnoresNan) {
-  AnomalyDetector detector(TestConfig());
+  AnomalyDetector detector;
   for (int i = 0; i < 20; ++i) detector.Update(Wobble(i, 50.0, 1.0));
   double mean_before = detector.mean();
   auto s = detector.Update(std::nan(""));
@@ -122,13 +115,11 @@ TEST(AnomalyBankTest, GaugeAndCounterRateStreams) {
   Counter* fails = registry.GetCounter("fails", {{"loop", "a"}});
 
   AnomalyBank bank;
-  AnomalyConfig cfg = TestConfig();
   ASSERT_TRUE(
-      bank.Watch(AnomalyBank::Source::kGauge, {"y", {{"loop", "a"}}}, "a",
-                 cfg)
+      bank.Watch(AnomalyBank::Source::kGauge, {"y", {{"loop", "a"}}}, "a")
           .ok());
   ASSERT_TRUE(bank.Watch(AnomalyBank::Source::kCounterRate,
-                         {"fails", {{"loop", "a"}}}, "a", cfg)
+                         {"fails", {{"loop", "a"}}}, "a")
                   .ok());
 
   // Steady state: gauge wobbles, counter never moves (rate 0).

@@ -98,11 +98,10 @@ TEST(AttributionTest, SymptomsAreFractionsNotRawCounts) {
 }
 
 TEST(AttributionTest, OldDecisionsFallOutsideTheWindow) {
-  AttributorConfig config;
-  config.decision_window_sec = 300.0;
-  RootCauseAttributor attributor(config);
+  RootCauseAttributor attributor;
   std::vector<Row> decisions = {
-      Rec(100.0, "storage", StepOutcome::kActuationFailed),  // Ancient.
+      // Just before the 600 s decision window.
+      Rec(399.0, "storage", StepOutcome::kActuationFailed),
       Rec(950.0, "storage", StepOutcome::kActuated, 0.0, 0.0),
   };
   HealthReport report =
@@ -116,10 +115,7 @@ TEST(AttributionTest, OldDecisionsFallOutsideTheWindow) {
 }
 
 TEST(AttributionTest, AnomalyCreditIsCapped) {
-  AttributorConfig config;
-  config.w_anomaly = 2.0;
-  config.anomaly_cap = 4.0;
-  RootCauseAttributor attributor(config);
+  RootCauseAttributor attributor;
   std::vector<AnomalyEvent> anomalies;
   for (int i = 0; i < 50; ++i) {
     anomalies.push_back({900.0 + i, "loop.sensed_y{loop=analytics}",

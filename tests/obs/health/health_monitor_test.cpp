@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,9 +74,7 @@ TEST(HealthMonitorTest, PublishesSloGaugesIntoTheRegistry) {
 
 TEST(HealthMonitorTest, BreachReportAndMaskLifecycle) {
   Telemetry telemetry;
-  HealthMonitorConfig config;
-  config.eval_period_sec = 60.0;
-  HealthMonitor monitor(&telemetry, config);
+  HealthMonitor monitor(&telemetry, 60.0);
   ASSERT_TRUE(monitor.AddSlo(TightUtilSpec("analytics")).ok());
 
   Gauge* cpu = telemetry.metrics().GetGauge("cpu", {{"layer", "analytics"}});
@@ -127,37 +126,51 @@ TEST(HealthMonitorTest, FlowWideSloSetsFlowBitForEveryLayer) {
 
 TEST(HealthMonitorTest, AnomalyEventsAreLoggedCountedAndBounded) {
   Telemetry telemetry;
-  HealthMonitorConfig config;
-  config.max_anomaly_events = 3;
-  HealthMonitor monitor(&telemetry, config);
-  AnomalyConfig detector;
-  detector.warmup_samples = 4;
-  ASSERT_TRUE(monitor
-                  .Watch(AnomalyBank::Source::kGauge, {"sig", {}},
-                         "analytics", detector)
-                  .ok());
-  Gauge* sig = telemetry.metrics().GetGauge("sig");
+  HealthMonitor monitor(&telemetry);
+  // 1,000 flat streams that spike on five alternate ticks each: 5,000
+  // events, past the log's 4,096-event cap. A flat stream's scale sits
+  // at its floor, so every spike is flagged and no return to the
+  // baseline is.
+  constexpr int kStreams = 1000;
+  std::vector<Gauge*> sigs;
+  std::vector<std::string> names;
+  for (int i = 0; i < kStreams; ++i) {
+    MetricSelector sel{"sig", {{"i", std::to_string(i)}}};
+    ASSERT_TRUE(
+        monitor.Watch(AnomalyBank::Source::kGauge, sel, "analytics").ok());
+    sigs.push_back(telemetry.metrics().GetGauge(sel.name, sel.labels));
+    names.push_back(sel.ToString());
+  }
   SimTime t = 0.0;
-  for (int i = 0; i < 20; ++i) {
-    sig->Set(10.0 + 0.1 * (i % 3));
+  for (int tick = 0; tick < 10; ++tick) {
+    for (Gauge* g : sigs) g->Set(10.0);
     monitor.Evaluate(t += 60.0);
   }
   ASSERT_TRUE(monitor.anomaly_log().empty());
-
-  // Alternate spikes: each flagged tick appends one event; the log
-  // keeps only the newest max_anomaly_events.
-  for (int i = 0; i < 10; ++i) {
-    sig->Set(i % 2 == 0 ? 500.0 + i : 10.0);
+  const SimTime first_spike = t + 60.0;
+  for (int tick = 0; tick < 10; ++tick) {
+    for (Gauge* g : sigs) g->Set(tick % 2 == 0 ? 500.0 : 10.0);
     monitor.Evaluate(t += 60.0);
+    // The mask carries the anomaly bit for the streams' layer while the
+    // latest tick is anomalous.
+    EXPECT_EQ(monitor.MaskFor("analytics"),
+              tick % 2 == 0 ? kHealthAnomaly : 0);
   }
-  EXPECT_LE(monitor.anomaly_log().size(), 3u);
-  EXPECT_FALSE(monitor.anomaly_log().empty());
-  // The mask carries the anomaly bit for the stream's layer while the
-  // latest tick is anomalous.
+
+  // Every event is counted; the log keeps the newest 4,096, so the
+  // first spike tick's first 904 streams fell off its front.
   MetricsSnapshot snap = telemetry.metrics().Snapshot();
   const CounterSample* counted = FindCounter(snap, {"health.anomalies", {}});
   ASSERT_NE(counted, nullptr);
-  EXPECT_GE(counted->value, monitor.anomaly_log().size());
+  EXPECT_EQ(counted->value, 5u * kStreams);
+  ASSERT_EQ(monitor.anomaly_log().size(), 4096u);
+  EXPECT_EQ(monitor.anomaly_log().front().time, first_spike);
+  EXPECT_EQ(monitor.anomaly_log().front().stream, names[904]);
+  EXPECT_EQ(monitor.anomaly_log().back().time, first_spike + 8 * 60.0);
+  EXPECT_EQ(monitor.anomaly_log().back().stream, names[kStreams - 1]);
+  for (const AnomalyEvent& ev : monitor.anomaly_log()) {
+    EXPECT_EQ(ev.kind, AnomalyKind::kSpike);
+  }
 }
 
 TEST(HealthMonitorTest, JsonlSerializationIsStable) {
@@ -246,9 +259,7 @@ std::string ReadFile(const std::string& path) {
 
 TEST(HealthMonitorTest, RecordedTraceMatchesGolden) {
   Telemetry telemetry;
-  HealthMonitorConfig config;
-  config.eval_period_sec = 60.0;
-  HealthMonitor monitor(&telemetry, config);
+  HealthMonitor monitor(&telemetry, 60.0);
   ASSERT_TRUE(monitor.AddSlo(TightUtilSpec("analytics")).ok());
 
   SloSpec availability;
@@ -277,12 +288,9 @@ TEST(HealthMonitorTest, RecordedTraceMatchesGolden) {
   lat.burn_alert_threshold = 4.0;
   ASSERT_TRUE(monitor.AddSlo(lat).ok());
 
-  AnomalyConfig detector;
-  detector.warmup_samples = 8;
-  ASSERT_TRUE(monitor
-                  .Watch(AnomalyBank::Source::kGauge, {"sig", {}},
-                         "analytics", detector)
-                  .ok());
+  ASSERT_TRUE(
+      monitor.Watch(AnomalyBank::Source::kGauge, {"sig", {}}, "analytics")
+          .ok());
   std::string trajectory = ReplayRecordedTrace(&monitor, &telemetry);
 
   const std::string golden = ReadFile(std::string(FLOWER_HEALTH_TESTDATA) +

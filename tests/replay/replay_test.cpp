@@ -590,9 +590,20 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
       }
     };
   };
+  auto rename = [](std::string from, std::string to) {
+    return [from, to](CaptureBundle* b) {
+      for (auto& [k, v] : b->spec) {
+        if (k == from) k = to;
+      }
+    };
+  };
+  auto add_row = [](std::string key, std::string value) {
+    return [key, value](CaptureBundle* b) { b->spec.emplace_back(key, value); };
+  };
   struct Case {
     const char* what;
     std::function<void(CaptureBundle*)> mutate;
+    const char* names = nullptr;  ///< A key the error must name.
   };
   const std::vector<Case> cases = {
       {"emit period 0", spec({{"partition.workload_emit_period_sec", "0"}})},
@@ -644,6 +655,19 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
          b->faults[0].kind = "metric-delay";
          b->faults[0].delay_sec = HUGE_VAL;
        }},
+      // A spec key is one the serializer writes, at most once; a
+      // misspelt or repeated key would replay under a default or a
+      // later value and report a false divergence.
+      {"misspelt key tenant.max_wcx",
+       rename("tenant.max_wcu", "tenant.max_wcx"), "tenant.max_wcx"},
+      {"misspelt key tenant.initial_shard",
+       rename("tenant.initial_shards", "tenant.initial_shard"),
+       "tenant.initial_shard"},
+      {"duplicate key, doubled value",
+       add_row("tenant.max_wcu", "3657.7506927214472"), "tenant.max_wcu"},
+      {"duplicate key, same value",
+       add_row("tenant.initial_shards", "2"), "tenant.initial_shards"},
+      {"unknown key", add_row("tenant.colour", "blue"), "tenant.colour"},
   };
   ASSERT_EQ(fixture->faults.size(), 1u);
   for (const Case& c : cases) {
@@ -653,6 +677,10 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
     ASSERT_FALSE(harness.ok()) << c.what;
     EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument)
         << c.what << ": " << harness.status();
+    if (c.names != nullptr) {
+      EXPECT_NE(harness.status().message().find(c.names), std::string::npos)
+          << c.what << ": " << harness.status();
+    }
   }
 }
 

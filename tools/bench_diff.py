@@ -7,7 +7,11 @@ This script extracts it from both files and fails (exit 1) when the
 fresh run regresses by more than the threshold (default 15%).
 Smoke-mode runs measure a different workload than the committed
 full-mode baselines, so a mode mismatch is reported and skipped
-(exit 0) rather than compared apples-to-oranges.
+(exit 0) rather than compared apples-to-oranges. So is a pair from
+different hosts: each file names its host's CPU model (`cpu_model`),
+and a pair whose models differ, or where either file lacks one (or
+reads "unknown"), is skipped, because single runs on hosts that
+differ up to 4x say nothing about the change.
 
 Usage:
   bench_diff.py BASELINE.json FRESH.json [--threshold=0.15]
@@ -74,6 +78,14 @@ def compare(baseline_path, fresh_path, threshold):
         print(f"[SKIP] {name}: mode mismatch (baseline smoke="
               f"{baseline.get('smoke')}, fresh smoke={fresh.get('smoke')}) "
               f"— different workloads, not comparable")
+        return True
+
+    base_cpu = baseline.get("cpu_model", "unknown")
+    fresh_cpu = fresh.get("cpu_model", "unknown")
+    if "unknown" in (base_cpu, fresh_cpu) or base_cpu != fresh_cpu:
+        print(f"[SKIP] {name}: host mismatch (baseline cpu_model="
+              f"{base_cpu!r}, fresh cpu_model={fresh_cpu!r}) — runs from "
+              f"different or unnamed hosts are not comparable")
         return True
 
     if name == "fleet_scale":

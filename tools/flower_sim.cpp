@@ -587,9 +587,8 @@ int RunOrDie(const tools::FlagParser& flags) {
   std::unique_ptr<obs::health::HealthMonitor> health;
   core::DependencyAnalyzer dep_analyzer;
   if (!health_out.empty()) {
-    obs::health::HealthMonitorConfig hcfg;
-    hcfg.eval_period_sec = *period_or;
-    health = std::make_unique<obs::health::HealthMonitor>(&telemetry, hcfg);
+    health =
+        std::make_unique<obs::health::HealthMonitor>(&telemetry, *period_or);
     for (const obs::health::SloSpec& spec :
          obs::health::MakeDefaultSloPack()) {
       Status st = health->AddSlo(spec);
@@ -609,11 +608,10 @@ int RunOrDie(const tools::FlagParser& flags) {
         [&health](const std::string& layer, SimTime) {
           return health->MaskFor(layer);
         });
-    sim.SchedulePeriodic(hcfg.eval_period_sec, hcfg.eval_period_sec,
-                         [&health, &sim] {
-                           health->Evaluate(sim.Now());
-                           return true;
-                         });
+    sim.SchedulePeriodic(*period_or, *period_or, [&health, &sim] {
+      health->Evaluate(sim.Now());
+      return true;
+    });
     sim.SchedulePeriodic(
         30.0 * kMinute, 30.0 * kMinute, [&health, &dep_analyzer, &metrics,
                                          &sim] {
