@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/flow_builder.h"
 #include "flow/flow.h"
@@ -51,18 +52,33 @@ inline bool Verdict(const std::string& claim, bool ok) {
   return ok;
 }
 
-/// The host's CPU model: /proc/cpuinfo's first "model name", or
-/// "unknown". Bench JSON carries it as `cpu_model` so that
+/// The host's CPU: /proc/cpuinfo's first "model name" (or "unknown"),
+/// then the first CPU's family, model and stepping, which tell two
+/// generations that share a marketing name apart, and the hardware
+/// thread count, e.g. "AMD EPYC (family 26, model 2, stepping 1,
+/// 4 threads)". Bench JSON carries it as `cpu_model` so that
 /// tools/bench_diff.py compares runs from one host only.
 inline std::string CpuModel() {
+  std::string name = "unknown";
+  std::string family = "?";
+  std::string model = "?";
+  std::string stepping = "?";
   std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);) {
-    size_t colon = line.find(": ");
-    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
-      return line.substr(colon + 2);
-    }
+  // The first blank line ends the first CPU's block.
+  for (std::string line; std::getline(in, line) && !line.empty();) {
+    const size_t colon = line.find(": ");
+    if (colon == std::string::npos) continue;
+    std::string key = line.substr(0, colon);
+    key.erase(key.find_last_not_of(" \t") + 1);
+    const std::string value = line.substr(colon + 2);
+    if (key == "model name") name = value;
+    if (key == "cpu family") family = value;
+    if (key == "model") model = value;
+    if (key == "stepping") stepping = value;
   }
-  return "unknown";
+  return name + " (family " + family + ", model " + model + ", stepping " +
+         stepping + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " threads)";
 }
 
 inline void Header(const std::string& title) {

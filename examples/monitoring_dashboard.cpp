@@ -50,8 +50,6 @@ void RenderMetricsTable(const obs::Telemetry& telemetry, std::ostream& os) {
   for (const obs::GaugeSample& g : snap.gauges) {
     table.AddRow({g.name, Labels(g.labels), Num(g.value)});
   }
-  // The registry's histograms time wall-clock work (sim.event_exec_us),
-  // so only their sample count is the same from run to run.
   for (const obs::HistogramSample& h : snap.histograms) {
     table.AddRow({h.name, Labels(h.labels), "n=" + std::to_string(h.count)});
   }

@@ -209,7 +209,6 @@ std::function<Result<double>(SimTime)> ElasticityManager::MakeDefaultSensor(
 }
 
 void ElasticityManager::Step(Attached* a) {
-  if (a->paused) return;
   SimTime now = sim_->Now();
   const LayerControlConfig& cfg = a->config;
   // A new control step supersedes any retry chain still in flight.
@@ -386,8 +385,8 @@ bool ElasticityManager::Actuate(Attached* a, double amount, int attempt) {
   backoff = std::max(backoff, 0.0);
   uint64_t epoch = a->epoch;
   (void)sim_->ScheduleAfter(backoff, [this, a, amount, attempt, epoch] {
-    // Superseded by a newer step / pause / breaker trip: drop quietly.
-    if (a->paused || epoch != a->epoch || a->state.breaker_open) return;
+    // Superseded by a newer step or a breaker trip: drop quietly.
+    if (epoch != a->epoch || a->state.breaker_open) return;
     a->state.counters.actuation_retries->Increment();
     Actuate(a, amount, attempt + 1);
   });
@@ -495,16 +494,6 @@ Status ElasticityManager::SetShareUpperBound(const std::string& name,
         "ElasticityManager: negative share upper bound");
   }
   it->second->state.share_upper_bound = bound;
-  return Status::OK();
-}
-
-Status ElasticityManager::SetPaused(const std::string& name, bool paused) {
-  auto it = loops_.find(name);
-  if (it == loops_.end()) {
-    return Status::NotFound("ElasticityManager: loop '" + name +
-                            "' not attached");
-  }
-  it->second->paused = paused;
   return Status::OK();
 }
 

@@ -306,13 +306,6 @@ class ElasticityManager {
     return SetShareUpperBound(LayerToString(layer), bound);
   }
 
-  /// Pauses/resumes a loop (the loop keeps firing but neither senses
-  /// nor actuates while paused; outstanding retries are dropped).
-  Status SetPaused(const std::string& name, bool paused);
-  Status SetPaused(Layer layer, bool paused) {
-    return SetPaused(LayerToString(layer), paused);
-  }
-
   bool IsAttached(const std::string& name) const {
     return loops_.count(name) > 0;
   }
@@ -338,7 +331,6 @@ class ElasticityManager {
   struct Attached {
     LayerControlConfig config;
     LayerControlState state;
-    bool paused = false;
     /// Resolved sensor (config.sensor or the default metric query).
     std::function<Result<double>(SimTime)> sense;
     /// Jitter stream for retry backoff.

@@ -80,9 +80,8 @@ Result<ManagedFlow> FlowBuilder::Build(
         mf.flow->AttachWorkload(arrival_, workload_config_, seed_));
   }
   mf.manager = std::make_unique<ElasticityManager>(sim, metrics, telemetry_);
-  if (telemetry_ != nullptr) {
-    if (fault_injector_ != nullptr) fault_injector_->SetTelemetry(telemetry_);
-    sim->SetTelemetry(telemetry_);
+  if (telemetry_ != nullptr && fault_injector_ != nullptr) {
+    fault_injector_->SetTelemetry(telemetry_);
   }
   if (!tenant_label_.empty()) {
     FLOWER_RETURN_NOT_OK(mf.manager->SetTenantLabel(tenant_label_));

@@ -78,8 +78,8 @@ class FlowBuilder {
   /// "ingestion", "analytics", "storage" — are the fault targets.
   FlowBuilder& WithFaultInjector(sim::FaultInjector* injector);
   /// Routes the manager's telemetry (metrics, decision log, spans) to
-  /// an external hub, shared with e.g. the fault injector and the
-  /// simulator. Must outlive the built ManagedFlow.
+  /// an external hub, shared with the fault injector. Must outlive the
+  /// built ManagedFlow.
   FlowBuilder& WithTelemetry(obs::Telemetry* telemetry);
   /// Tenant id for fleet runs: stamps every instrument the manager
   /// registers with a {"tenant", id} label (see

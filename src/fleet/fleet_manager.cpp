@@ -80,13 +80,6 @@ Status FleetManager::Start() {
         FlowPartition::Create(tenants_[i], config_.partition, i));
     partitions_.push_back(std::move(p));
   }
-  if (config_.partition.record_spans) {
-    arb_spans_ = std::make_unique<obs::SpanCollector>();
-    FLOWER_RETURN_NOT_OK(arb_spans_->set_id_offset(
-        static_cast<obs::SpanId>(tenants_.size()) *
-        obs::SpanCollector::kIdStride));
-    arb_spans_->set_enabled(true);
-  }
   started_ = true;
   return Status::OK();
 }
@@ -277,10 +270,6 @@ struct FleetManager::SweepEngine {
         split.conserved && active <= budget * (1.0 + 1e-9) + 1e-12;
     if (!conserved) ++fm.stats_.conservation_violations;
     ++fm.stats_.arbitration_events;
-    if (fm.arb_spans_ != nullptr) {
-      fm.arb_spans_->Emit(obs::SpanKind::kArbitrate, "arbitrate", ev.time,
-                          0.0, 1, 0, 0, 0, split.total_granted_usd);
-    }
     for (size_t idx = 0; idx < p; ++idx) {
       Window& w = windows[ev.participants[idx]][ev.boundary_index[idx]];
       w.grant = split.grants_usd[idx];

@@ -9,7 +9,6 @@
 #include "fleet/budget_arbiter.h"
 #include "fleet/flow_partition.h"
 #include "fleet/tenant.h"
-#include "obs/span.h"
 
 namespace flower::fleet {
 
@@ -112,8 +111,8 @@ class FleetManager {
   /// fleet's partition config, a duplicate id, or called after Start.
   Status AddTenant(TenantConfig tenant);
 
-  /// Builds every partition (serially, in tenant index order — span id
-  /// namespaces and RNG streams depend only on the index). Errors, all
+  /// Builds every partition (serially, in tenant index order — RNG
+  /// streams and bundle identities depend only on the index). Errors, all
   /// before any partition is built: no tenants, a fleet budget not
   /// finite and >= 0, a starvation floor outside [0, 1], a fleet period
   /// not above the re-plan offset, num_threads above exec::kMaxThreads.
@@ -127,11 +126,6 @@ class FleetManager {
 
   /// Cumulative sweep schedule counters (see FleetSweepStats).
   FleetSweepStats sweep_stats() const { return stats_; }
-
-  /// Fleet-level collector of kArbitrate spans, one per arbitration
-  /// event, in the id namespace right above the last partition's
-  /// (num_tenants × kIdStride). Null unless partition.record_spans.
-  obs::SpanCollector* arbitration_spans() { return arb_spans_.get(); }
 
   size_t num_tenants() const { return partitions_.size(); }
   SimTime Now() const { return now_; }
@@ -169,7 +163,6 @@ class FleetManager {
   std::unique_ptr<BudgetArbiter> arbiter_;
   std::unique_ptr<exec::ThreadPool> pool_;
   std::vector<FleetPeriodReport> reports_;
-  std::unique_ptr<obs::SpanCollector> arb_spans_;
   FleetSweepStats stats_;
   SimTime now_ = 0.0;
   bool started_ = false;

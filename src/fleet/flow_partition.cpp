@@ -14,6 +14,12 @@ namespace flower::fleet {
 
 namespace {
 
+/// A schema-1 capture bundle carries `span_id_offset`, the span-id
+/// namespace partitions once reserved: tenant index << 40. Spans are
+/// now numbered per collector; the field keeps its old value so the
+/// committed bundles and their fingerprints still match.
+constexpr int kBundleSpanIdOffsetShift = 40;
+
 bool FaultKindFromString(const std::string& name, sim::FaultKind* kind) {
   for (sim::FaultKind k :
        {sim::FaultKind::kActuatorFailure, sim::FaultKind::kActuatorThrottle,
@@ -62,13 +68,7 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
                                  : config.arbitration_period_sec;
   p->sim_ = std::make_unique<sim::Simulation>();
   p->metrics_ = std::make_unique<cloudwatch::MetricStore>();
-  p->telemetry_ = std::make_unique<obs::Telemetry>(config.decision_capacity,
-                                                   config.span_capacity);
-  if (config.record_spans) {
-    FLOWER_RETURN_NOT_OK(p->telemetry_->spans().set_id_offset(
-        static_cast<obs::SpanId>(index) * obs::SpanCollector::kIdStride));
-    p->telemetry_->spans().set_enabled(true);
-  }
+  p->telemetry_ = std::make_unique<obs::Telemetry>(config.decision_capacity);
 
   // The tenant's scheduled faults become a seeded injector wrapped
   // around the flow's sensors/actuators by the builder below.
@@ -184,9 +184,9 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   if (config.capture.enabled) {
     p->recorder_ = std::make_unique<obs::replay::FlightRecorder>(
         config.capture.recorder);
-    p->recorder_->SetIdentity(
-        tenant.id, index, tenant.seed,
-        static_cast<uint64_t>(index) * obs::SpanCollector::kIdStride);
+    p->recorder_->SetIdentity(tenant.id, index, tenant.seed,
+                              static_cast<uint64_t>(index)
+                                  << kBundleSpanIdOffsetShift);
     p->recorder_->SetSpec(SerializePartitionSpec(tenant, config));
     for (const TenantFault& f : tenant.faults) p->recorder_->AddFault(f);
     p->managed_.manager->SetFlightRecorder(p->recorder_.get());
@@ -195,17 +195,12 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   if (config.capture.health_trigger) {
     p->health_ = std::make_unique<obs::health::HealthMonitor>(
         p->telemetry_.get(), config.capture.health_eval_period_sec);
-    // Per-layer burn-rate SLOs over this tenant's utilization gauges
-    // (the manager labels them {"tenant", id} — see SetTenantLabel).
-    for (const char* layer : {"ingestion", "analytics", "storage"}) {
-      obs::health::SloSpec s;
-      s.id = std::string(layer) + "/utilization";
-      s.layer = layer;
-      s.kind = obs::health::SliKind::kGaugeBelow;
-      s.metric = {"loop.sensed_y",
-                  {{"loop", layer}, {"layer", layer}, {"tenant", tenant.id}}};
-      s.threshold = config.capture.util_threshold;
-      s.objective = config.capture.slo_objective;
+    // The default per-layer burn-rate SLOs over this tenant's
+    // utilization gauges (the manager labels them {"tenant", id} — see
+    // SetTenantLabel), on the capture's windows.
+    for (obs::health::SloSpec& s : obs::health::MakeDefaultSloPack(
+             config.capture.util_threshold, config.capture.slo_objective)) {
+      s.metric.labels.emplace_back("tenant", tenant.id);
       s.fast_window_sec = config.capture.slo_fast_window_sec;
       s.slow_window_sec = config.capture.slo_slow_window_sec;
       FLOWER_RETURN_NOT_OK(p->health_->AddSlo(s));

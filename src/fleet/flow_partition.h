@@ -41,8 +41,8 @@ struct CaptureConfig {
 };
 
 /// Shared partition-shaping knobs, set once by the FleetManager.
-/// Defaults are tuned for fleet scale: coarse service ticks and small
-/// telemetry rings keep a thousand partitions tractable while leaving
+/// Defaults are tuned for fleet scale: coarse service ticks and a small
+/// decision ring keep a thousand partitions tractable while leaving
 /// every control decision observable.
 struct PartitionConfig {
   /// Fleet arbitration cadence; also each flow's re-plan period.
@@ -57,12 +57,8 @@ struct PartitionConfig {
   /// Workload/service cadence (coarser than the single-flow defaults).
   double workload_emit_period_sec = 5.0;
   double storm_tick_period_sec = 5.0;
-  /// Telemetry ring capacities per partition.
+  /// Decision-log ring capacity per partition.
   size_t decision_capacity = 256;
-  size_t span_capacity = 1024;
-  /// Enables causal-span recording (each partition gets a disjoint id
-  /// namespace: partition index × SpanCollector::kIdStride).
-  bool record_spans = false;
   /// Per-flow NSGA-II re-plan settings (the flow -> layer level of the
   /// hierarchical planner). Tiny by default — a thousand flows re-plan
   /// every period — with warm starts and the plan cache on so unchanged
@@ -95,8 +91,9 @@ class FlowPartition {
  public:
   /// Builds and starts the partition (flow running, loops attached,
   /// re-planning scheduled). `index` is the tenant's position in the
-  /// fleet (span id namespace, stable ordering). InvalidArgument when
-  /// ValidateTenant rejects the tenant under `config`.
+  /// fleet (stable ordering, the capture bundle's identity).
+  /// InvalidArgument when ValidateTenant rejects the tenant under
+  /// `config`.
   static Result<std::unique_ptr<FlowPartition>> Create(
       const TenantConfig& tenant, const PartitionConfig& config,
       size_t index);

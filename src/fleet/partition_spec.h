@@ -15,8 +15,8 @@ namespace flower::fleet {
 /// ordered (key, value) pairs — the flight recorder's config spec. Two
 /// runs with equal specs (and equal seed/faults/grants) produce the
 /// same control digest, so the spec deliberately EXCLUDES knobs that
-/// cannot change decisions: telemetry ring capacities and
-/// record_spans. Replay overrides exactly those, so bundle fingerprints
+/// cannot change decisions: the decision-log ring capacity. Replay
+/// overrides it (and turns span recording on), so bundle fingerprints
 /// still match.
 std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
     const TenantConfig& tenant, const PartitionConfig& config);

@@ -38,8 +38,6 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
   // Replay-rich overrides. None of these are part of the spec (or the
   // fingerprint): they change what is *observed*, never what is decided.
   pc.decision_capacity = 65536;
-  pc.span_capacity = 1 << 16;
-  pc.record_spans = true;
   pc.capture.enabled = true;
   pc.capture.recorder = bundle.recorder;
   pc.capture.bundle_dir.clear();  // A replay never re-dumps.
@@ -48,6 +46,9 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
   FLOWER_ASSIGN_OR_RETURN(
       harness->partition_,
       FlowPartition::Create(tenant, pc, bundle.tenant_index));
+  // Spans are recorded only from simulation events, none of which has
+  // run yet, so the trace starts at id 1 like any other flow's.
+  harness->partition_->telemetry().spans().set_enabled(true);
 
   // Stamp the replayed recorder with the bundle's identity verbatim, so
   // its fingerprint answers "same inputs as the capture claims?" rather

@@ -16,13 +16,14 @@ namespace flower::fleet {
 /// arbiter grants at their original timestamps. The replayed flight
 /// recorder then carries a decision chain directly comparable to the
 /// bundle's — CompareReplay pins the first divergence if any. The
-/// capture is record-cheap; the replay is replay-rich: telemetry rings
-/// are forced large and span recording is forced on, so a postmortem
-/// sees everything the original fleet run had disabled for scale.
+/// capture is record-cheap; the replay is replay-rich: the decision
+/// ring is forced large and span recording is turned on in the
+/// partition's hub, so a postmortem sees everything the original fleet
+/// run had disabled for scale.
 class ReplayHarness {
  public:
   /// Builds the solo partition from the bundle's config fingerprint
-  /// inputs (spec, seed, fault schedule, span-id namespace). Errors:
+  /// inputs (spec, seed, fault schedule). Errors:
   /// bundle without a latched trigger, malformed spec, partition
   /// construction failures. A fingerprint mismatch (bundle edited since
   /// capture) is a warning, not an error — the divergence checker will

@@ -180,46 +180,16 @@ void WriteSnapshotJsonl(std::ostream& os, const MetricsSnapshot& snapshot,
   }
 }
 
-namespace {
-
-// HELP text escaping per the exposition format: only backslash and
-// newline are escaped (HELP text is not quoted, unlike label values).
-std::string OpenMetricsHelpEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-void EmitFamilyHeader(std::ostream& os, const std::string& fam,
-                      const char* type, const std::string& original_name,
-                      const MetricsSnapshot& snapshot) {
-  os << "# TYPE " << fam << ' ' << type << '\n';
-  auto it = snapshot.help.find(original_name);
-  if (it != snapshot.help.end() && !it->second.empty()) {
-    os << "# HELP " << fam << ' ' << OpenMetricsHelpEscape(it->second)
-       << '\n';
-  }
-}
-
-}  // namespace
-
 void WriteSnapshotOpenMetrics(std::ostream& os,
                               const MetricsSnapshot& snapshot) {
   // Snapshot samples arrive sorted by (name, labels), so one family's
-  // series are contiguous; TYPE (and HELP, when registered) headers are
-  // emitted whenever the sanitized family name changes.
+  // series are contiguous; a TYPE header is emitted whenever the
+  // sanitized family name changes.
   std::string prev;
   for (const CounterSample& c : snapshot.counters) {
     std::string fam = SanitizeMetricName(c.name);
     if (fam != prev) {
-      EmitFamilyHeader(os, fam, "counter", c.name, snapshot);
+      os << "# TYPE " << fam << " counter\n";
       prev = fam;
     }
     os << fam << "_total" << OpenMetricsLabels(c.labels) << ' ' << c.value
@@ -229,7 +199,7 @@ void WriteSnapshotOpenMetrics(std::ostream& os,
   for (const GaugeSample& g : snapshot.gauges) {
     std::string fam = SanitizeMetricName(g.name);
     if (fam != prev) {
-      EmitFamilyHeader(os, fam, "gauge", g.name, snapshot);
+      os << "# TYPE " << fam << " gauge\n";
       prev = fam;
     }
     os << fam << OpenMetricsLabels(g.labels) << ' ' << OpenMetricsNum(g.value)
@@ -239,7 +209,7 @@ void WriteSnapshotOpenMetrics(std::ostream& os,
   for (const HistogramSample& h : snapshot.histograms) {
     std::string fam = SanitizeMetricName(h.name);
     if (fam != prev) {
-      EmitFamilyHeader(os, fam, "histogram", h.name, snapshot);
+      os << "# TYPE " << fam << " histogram\n";
       prev = fam;
     }
     // Exposition buckets are cumulative; the registry's are disjoint.

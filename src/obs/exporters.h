@@ -31,15 +31,13 @@ void WriteSnapshotJsonl(std::ostream& os, const MetricsSnapshot& snapshot,
                         SimTime at);
 
 /// OpenMetrics / Prometheus text exposition of a metrics snapshot:
-/// `# TYPE` headers per family (plus `# HELP` when the registry has
-/// help text), counters suffixed `_total`, histograms as cumulative
-/// `_bucket{le="..."}` series plus `_sum`/`_count`, and a terminating
-/// `# EOF`. Instrument names are sanitized to the metric charset
-/// ([a-zA-Z0-9_:]; every other byte becomes '_'), so "loop.sensed_y"
-/// exports as "loop_sensed_y". Label values escape `\`, `"`, and
-/// newline; HELP text escapes `\` and newline, per the exposition
-/// format. Scrape-compatible with Prometheus and lintable by
-/// tools/check_openmetrics.py.
+/// a `# TYPE` header per family, counters suffixed `_total`, histograms
+/// as cumulative `_bucket{le="..."}` series plus `_sum`/`_count`, and a
+/// terminating `# EOF`. Instrument names are sanitized to the metric
+/// charset ([a-zA-Z0-9_:]; every other byte becomes '_'), so
+/// "loop.sensed_y" exports as "loop_sensed_y". Label values escape
+/// `\`, `"`, and newline, per the exposition format. Scrape-compatible
+/// with Prometheus and lintable by tools/check_openmetrics.py.
 void WriteSnapshotOpenMetrics(std::ostream& os,
                               const MetricsSnapshot& snapshot);
 

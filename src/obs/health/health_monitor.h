@@ -128,11 +128,11 @@ class HealthMonitor {
   uint64_t evaluations_ = 0;
 };
 
-/// The stock objective set for the canonical three-layer flow: per-layer
-/// utilization SLOs over the manager's loop.sensed_y gauges (bad when
-/// utilization exceeds `util_threshold`) plus, when the caller supplies
-/// bad/total counter names, a flow-wide event-ratio SLO. Loop names are
-/// the layer names ("ingestion", "analytics", "storage").
+/// The stock objective set for the canonical three-layer flow: one
+/// utilization SLO per layer over the manager's loop.sensed_y gauges
+/// (bad when utilization exceeds `util_threshold`), on SloSpec's default
+/// windows. Loop names are the layer names ("ingestion", "analytics",
+/// "storage").
 std::vector<SloSpec> MakeDefaultSloPack(double util_threshold = 90.0,
                                         double objective = 0.95);
 

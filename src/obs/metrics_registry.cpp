@@ -278,11 +278,6 @@ uint64_t MetricsRegistry::label_overflow_total() const {
   return label_overflow_total_;
 }
 
-void MetricsRegistry::SetHelp(const std::string& name, std::string help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  help_[name] = std::move(help);
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
@@ -314,7 +309,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     }
     snap.histograms.push_back(std::move(s));
   }
-  snap.help = help_;
   return snap;
 }
 

@@ -135,9 +135,6 @@ struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
-  /// Metric name -> HELP text (see MetricsRegistry::SetHelp). Sparse:
-  /// only names with registered help appear.
-  std::map<std::string, std::string> help;
 };
 
 /// Named, labeled instrument registry — the process-wide source of
@@ -182,9 +179,6 @@ class MetricsRegistry {
   /// Registrations rejected by the cardinality guard so far.
   uint64_t label_overflow_total() const;
 
-  /// HELP text exported with the metric family (OpenMetrics `# HELP`).
-  void SetHelp(const std::string& name, std::string help);
-
   /// Deep copy of every instrument, sorted by (name, labels).
   MetricsSnapshot Snapshot() const;
 
@@ -217,7 +211,6 @@ class MetricsRegistry {
   std::map<std::string, Entry<Counter>> counters_;
   std::map<std::string, Entry<Gauge>> gauges_;
   std::map<std::string, Entry<Histogram>> histograms_;
-  std::map<std::string, std::string> help_;
   size_t max_cardinality_ = 1024;
   std::map<std::string, size_t> series_per_name_;
   std::map<std::string, bool> overflow_warned_;

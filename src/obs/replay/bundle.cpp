@@ -31,8 +31,8 @@ std::string Num(double v) {
 }
 
 /// 64-bit values as decimal strings: a JSON number is a double and
-/// silently loses bits above 2^53 (span-id offsets and hashes exceed
-/// that routinely).
+/// silently loses bits above 2^53 (seeds and hashes exceed that
+/// routinely).
 std::string U64(uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "\"%llu\"",
@@ -437,12 +437,26 @@ Result<RecordedFault> ParseFault(const JsonValue& v) {
   return f;
 }
 
+/// A recorded amount that must be finite and >= 0 (dollars, shares);
+/// written so NaN fails it.
+Status CheckAmount(double v, const char* entry, uint64_t index,
+                   const char* field) {
+  if (std::isfinite(v) && v >= 0.0) return Status::OK();
+  return Status::InvalidArgument("bundle JSON: " + std::string(entry) + " " +
+                                 std::to_string(index) + ": '" + field +
+                                 "' must be finite and >= 0");
+}
+
 Result<GrantEntry> ParseGrant(const JsonValue& v) {
   GrantEntry g;
   BUNDLE_FIELD(g.index, v, "index", AsU64);
   BUNDLE_FIELD(g.time, v, "time", AsDouble);
   BUNDLE_FIELD(g.demand_usd, v, "demand_usd", AsDouble);
   BUNDLE_FIELD(g.grant_usd, v, "grant_usd", AsDouble);
+  FLOWER_RETURN_NOT_OK(CheckAmount(g.demand_usd, "grant", g.index,
+                                   "demand_usd"));
+  FLOWER_RETURN_NOT_OK(CheckAmount(g.grant_usd, "grant", g.index,
+                                   "grant_usd"));
   return g;
 }
 
@@ -452,6 +466,8 @@ Result<ReplanEntry> ParseReplan(const JsonValue& v) {
   BUNDLE_FIELD(r.time, v, "time", AsDouble);
   BUNDLE_FIELD(r.budget_usd, v, "budget_usd", AsDouble);
   BUNDLE_FIELD(r.applied, v, "applied", AsBool);
+  FLOWER_RETURN_NOT_OK(CheckAmount(r.budget_usd, "replan", r.index,
+                                   "budget_usd"));
   const JsonValue* shares = Find(v, "shares");
   if (shares == nullptr || shares->type != JsonValue::Type::kArray) {
     return Status::InvalidArgument("bundle JSON: missing 'shares'");
@@ -460,6 +476,8 @@ Result<ReplanEntry> ParseReplan(const JsonValue& v) {
   for (const JsonValue& s : shares->array) {
     if (r.num_shares >= ReplanEntry::kMaxShares) break;
     FLOWER_ASSIGN_OR_RETURN(r.shares[r.num_shares], AsDouble(s, "shares"));
+    FLOWER_RETURN_NOT_OK(CheckAmount(r.shares[r.num_shares], "replan",
+                                     r.index, "shares"));
     ++r.num_shares;
   }
   return r;
@@ -502,6 +520,37 @@ Result<RecordedDecision> ParseDecision(const JsonValue& v,
   if (id == loops->size()) loops->push_back(std::move(loop));
   r.loop = static_cast<LoopId>(id);
   return d;
+}
+
+/// Holds every decision row to the hashes recorded with it: the row's
+/// canonical line must hash to its `line_hash`, and each row must
+/// extend the digest chain of the row before it (decision 0 extends
+/// the empty chain), so an edited field cannot replay to a match.
+Status VerifyDecisions(const CaptureBundle& b) {
+  const RecordedDecision* prev = nullptr;
+  for (const RecordedDecision& d : b.decisions) {
+    const std::string at = "bundle JSON: decision " + std::to_string(d.index);
+    char line[kDigestLineCapacity];
+    const size_t len =
+        FormatDigestLine(d.record, b.LoopName(d.record.loop), line);
+    if (FnvMix(kFnvOffsetBasis, line, len) != d.line_hash) {
+      return Status::InvalidArgument(at + ": 'line_hash' does not match "
+                                          "the row");
+    }
+    if (prev != nullptr && d.index != prev->index + 1) {
+      return Status::InvalidArgument(at + ": 'index' does not follow " +
+                                     std::to_string(prev->index));
+    }
+    if (prev != nullptr || d.index == 0) {
+      const uint64_t before = prev != nullptr ? prev->chain : kFnvOffsetBasis;
+      if (FnvMix(before, line, len) != d.chain) {
+        return Status::InvalidArgument(at + ": 'chain' does not extend the "
+                                            "chain before it");
+      }
+    }
+    prev = &d;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -688,6 +737,7 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
     FLOWER_ASSIGN_OR_RETURN(RecordedDecision d, ParseDecision(v, &b.loops));
     b.decisions.push_back(d);
   }
+  FLOWER_RETURN_NOT_OK(VerifyDecisions(b));
   return b;
 }
 

@@ -24,6 +24,9 @@ struct CaptureBundle {
   std::string tenant_id;
   size_t tenant_index = 0;
   uint64_t seed = 0;
+  /// Schema-1 data: the span-id namespace partitions once reserved
+  /// (tenant index << 40). Spans are numbered per collector now; the
+  /// field stays because bundles and their fingerprints carry it.
   uint64_t span_id_offset = 0;
   /// FlightRecorder::Fingerprint() of the capture-time inputs.
   uint64_t fingerprint = 0;
@@ -60,8 +63,12 @@ uint64_t BundleFingerprint(const CaptureBundle& bundle);
 /// "inf"/"-inf" strings; everything else is plain JSON.
 Status WriteBundleJson(const CaptureBundle& bundle, const std::string& path);
 
-/// Parses a bundle written by WriteBundleJson. Errors: unreadable file,
-/// malformed JSON, missing required fields, or a newer schema_version.
+/// Parses a bundle written by WriteBundleJson and verifies it: every
+/// decision row must hash to its `line_hash` and extend the chain of
+/// the row before it, and every grant and re-plan amount must be finite
+/// and >= 0. Errors: unreadable file, malformed JSON, missing required
+/// fields, a newer schema_version, or a row that fails verification
+/// (InvalidArgument naming the decision index or the field).
 Result<CaptureBundle> LoadBundleJson(const std::string& path);
 
 }  // namespace flower::obs::replay

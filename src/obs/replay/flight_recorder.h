@@ -102,7 +102,7 @@ inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 uint64_t FnvMix(uint64_t seed, const void* data, size_t len);
 
 /// Bounded black box for one flow/partition: identity (tenant, seeds,
-/// span-id namespace), config spec, fault schedule, arbiter grant
+/// schema-1 span_id_offset), config spec, fault schedule, arbiter grant
 /// history, re-plan history, and the tail of the control-decision
 /// digest with a running chain hash. Everything after construction and
 /// the setup-time setters is allocation-free, so a recorder per

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace flower::obs {
 
 const char* SpanKindToString(SpanKind kind) {
@@ -20,8 +18,6 @@ const char* SpanKindToString(SpanKind kind) {
       return "effect";
     case SpanKind::kGeneration:
       return "generation";
-    case SpanKind::kArbitrate:
-      return "arbitrate";
     case SpanKind::kBreaker:
       return "breaker";
     case SpanKind::kFault:
@@ -38,35 +34,11 @@ void SpanCollector::set_enabled(bool enabled) {
   if (enabled_ && ring_.size() != capacity_) ring_.resize(capacity_);
 }
 
-Status SpanCollector::set_id_offset(SpanId offset) {
-  if (total_started() != 0) {
-    return Status::FailedPrecondition(
-        "SpanCollector: id offset must be set before any span is recorded");
-  }
-  id_offset_ = offset;
-  next_id_.store(offset + 1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
 SpanId SpanCollector::Begin(SpanKind kind, std::string_view label,
                             SimTime start, int pid, int tid, SpanId parent,
                             SpanId follows) {
   if (!enabled_) return 0;
   SpanId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  if (id > id_offset_ + kIdStride) {
-    // Namespace exhausted: minting this id would collide with the next
-    // sibling collector's (offset + kIdStride, ...] range. Drop the
-    // span, count it, and hold next_id_ at the boundary so the counter
-    // cannot creep into foreign territory however often this fires.
-    next_id_.store(id_offset_ + kIdStride + 1, std::memory_order_relaxed);
-    if (id_overflows_.fetch_add(1, std::memory_order_relaxed) == 0) {
-      FLOWER_LOG(Warning)
-          << "SpanCollector: id namespace exhausted (offset=" << id_offset_
-          << ", stride=" << kIdStride
-          << "); dropping further spans for this collector";
-    }
-    return 0;
-  }
   SpanRecord* r = Slot(id);
   r->id = id;
   r->parent = parent;
@@ -104,8 +76,8 @@ SpanId SpanCollector::Emit(SpanKind kind, std::string_view label,
 }
 
 const SpanRecord* SpanCollector::Find(SpanId id) const {
-  if (id <= id_offset_ || id >= end_id() || ring_.empty()) return nullptr;
-  const SpanRecord* r = &ring_[(id - id_offset_ - 1) % capacity_];
+  if (id == 0 || id >= end_id() || ring_.empty()) return nullptr;
+  const SpanRecord* r = &ring_[(id - 1) % capacity_];
   return r->id == id ? r : nullptr;
 }
 
@@ -122,7 +94,7 @@ void SpanCollector::SetTrackName(int pid, int tid, std::string name) {
 SpanId SpanCollector::first_retained() const {
   uint64_t started = total_started();
   if (started == 0) return 0;
-  return started <= capacity_ ? id_offset_ + 1 : end_id() - capacity_;
+  return started <= capacity_ ? 1 : end_id() - capacity_;
 }
 
 size_t SpanCollector::size() const {

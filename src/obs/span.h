@@ -41,11 +41,9 @@ enum class SpanKind : uint8_t {
   kEffect = 4,   ///< Settling interval actuation -> next sense;
                  ///< value = the newly observed y (Eq. 7 story).
   kGeneration = 5,  ///< One planner generation (child of kPlan).
-  kArbitrate = 6,   ///< One fleet budget arbitration event; value =
-                    ///< total USD granted at the boundary.
-  kBreaker = 7,     ///< Circuit breaker open over [trip, trip +
+  kBreaker = 6,     ///< Circuit breaker open over [trip, trip +
                     ///< cooldown); child of the failed kActuate.
-  kFault = 8,       ///< One fault injection (zero duration); label =
+  kFault = 7,       ///< One fault injection (zero duration); label =
                     ///< "<kind>:<target>".
 };
 
@@ -83,13 +81,13 @@ struct SpanRecord {
 /// allocation afterwards). When the ring is full the *oldest* spans are
 /// evicted — recent causality is what post-mortems query.
 ///
-/// Id allocation is atomic, so concurrent recorders (fleet partitions
-/// that share one collector) never mint the same id twice: distinct
-/// ids land in distinct ring slots while the ring has room, so
-/// concurrent Begin/End calls do not tear each other's records. Slot
-/// *eviction* under concurrent writers is still last-writer-wins;
-/// fleet runs that need deterministic ids give every flow partition
-/// its own collector with a disjoint id namespace via set_id_offset.
+/// Id allocation is atomic, so concurrent recorders never mint the
+/// same id twice: distinct ids land in distinct ring slots while the
+/// ring has room, so concurrent Begin/End calls do not tear each
+/// other's records. Slot *eviction* under concurrent writers is still
+/// last-writer-wins. Each flow (a fleet partition included) records
+/// into its own hub's collector, so its ids are 1, 2, ... whatever the
+/// rest of the fleet does.
 class SpanCollector {
  public:
   explicit SpanCollector(size_t capacity = 1 << 16);
@@ -100,17 +98,6 @@ class SpanCollector {
   /// recorded spans readable but stops recording new ones.
   void set_enabled(bool enabled);
   bool enabled() const { return enabled_; }
-
-  /// Moves this collector's id namespace to (offset, offset + 2^40]:
-  /// the first recorded span gets id offset + 1. Per-flow collectors in
-  /// a fleet run use deterministic disjoint offsets (partition index ×
-  /// kIdStride) so ids stay unique — and reproducible — fleet-wide
-  /// without any cross-partition coordination. Must be called before
-  /// the first span is recorded.
-  Status set_id_offset(SpanId offset);
-  SpanId id_offset() const { return id_offset_; }
-  /// Id-namespace stride between sibling collectors (2^40 spans each).
-  static constexpr SpanId kIdStride = SpanId{1} << 40;
 
   /// Opens a span. Returns its id, or 0 when disabled.
   SpanId Begin(SpanKind kind, std::string_view label, SimTime start,
@@ -148,40 +135,19 @@ class SpanCollector {
 
   size_t size() const;                ///< Retained span count.
   uint64_t total_started() const {
-    uint64_t started = next_id_.load(std::memory_order_relaxed) - id_offset_ - 1;
-    return started <= kIdStride ? started : kIdStride;
+    return next_id_.load(std::memory_order_relaxed) - 1;
   }
   uint64_t evicted() const;
   size_t capacity() const { return capacity_; }
 
-  /// Spans dropped because this collector exhausted its id namespace
-  /// (total_started() reached kIdStride). Exhausted collectors return
-  /// SpanId 0 from Begin/Emit instead of bleeding into the next
-  /// sibling's (offset + kIdStride, ...] namespace; the first drop logs
-  /// a one-shot warning.
-  uint64_t id_overflows() const {
-    return id_overflows_.load(std::memory_order_relaxed);
-  }
-
-  /// Test seam: burns `n` ids as if that many spans had been started,
-  /// without touching the ring. Exercises namespace exhaustion without
-  /// recording 2^40 spans.
-  void AdvanceIdsForTest(uint64_t n) {
-    next_id_.fetch_add(n, std::memory_order_relaxed);
-  }
-
  private:
-  SpanRecord* Slot(SpanId id) {
-    return &ring_[(id - id_offset_ - 1) % capacity_];
-  }
+  SpanRecord* Slot(SpanId id) { return &ring_[(id - 1) % capacity_]; }
 
   bool enabled_ = false;
   size_t capacity_;
-  SpanId id_offset_ = 0;
   /// Atomic so concurrent recorders never allocate one id twice (the
   /// pre-fleet plain increment dropped/collided ids under TSan).
   std::atomic<SpanId> next_id_{1};
-  std::atomic<uint64_t> id_overflows_{0};
   std::vector<SpanRecord> ring_;  ///< Sized to capacity_ on first enable.
   int next_pid_ = kTracePid + 1;
   std::map<int, std::string> process_names_;

@@ -20,14 +20,13 @@ namespace flower::obs {
 /// decision records with the faults injected at the same sim time.
 ///
 /// Ownership: the FlowBuilder/tool owns a Telemetry and hands raw
-/// pointers to the manager, simulator, and fault injector; the hub must
-/// outlive all of them. A manager with no external hub creates its own
+/// pointers to the manager and the fault injector; the hub must
+/// outlive both. A manager with no external hub creates its own
 /// private one, so instrumentation is never conditional.
 class Telemetry {
  public:
-  explicit Telemetry(size_t decision_capacity = 65536,
-                     size_t span_capacity = 1 << 16)
-      : decisions_(decision_capacity), spans_(span_capacity) {}
+  explicit Telemetry(size_t decision_capacity = 65536)
+      : decisions_(decision_capacity) {}
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 

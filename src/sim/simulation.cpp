@@ -2,28 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <utility>
 
 namespace flower::sim {
 
 Simulation::Simulation() { slot_.fill(kNoSlot); }
-
-void Simulation::SetTelemetry(obs::Telemetry* telemetry) {
-  if (telemetry == nullptr) {
-    exec_time_us_ = nullptr;
-    events_counter_ = nullptr;
-    return;
-  }
-  // Event handlers run in micro- to milliseconds; buckets up to 10 s
-  // catch pathological ones.
-  obs::HistogramOptions opts;
-  opts.min = 0.1;    // 100 ns.
-  opts.max = 1e7;    // 10 s.
-  exec_time_us_ = telemetry->metrics().GetHistogram("sim.event_exec_us", {},
-                                                    opts);
-  events_counter_ = telemetry->metrics().GetCounter("sim.events_executed");
-}
 
 Status Simulation::ScheduleAt(SimTime at, Callback cb) {
   if (!std::isfinite(at)) {
@@ -204,16 +187,7 @@ void Simulation::ExecuteActiveFront() {
   Callback cb = std::move(ev.cb);
   ++active_pos_;
   ++events_executed_;
-  if (events_counter_ != nullptr) events_counter_->Increment();
-  if (exec_time_us_ != nullptr) {
-    auto t0 = std::chrono::steady_clock::now();
-    cb();
-    auto t1 = std::chrono::steady_clock::now();
-    exec_time_us_->Record(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-  } else {
-    cb();
-  }
+  cb();
 }
 
 bool Simulation::Step() {

@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "common/time_series.h"
-#include "obs/telemetry.h"
 
 namespace flower::sim {
 
@@ -91,13 +90,6 @@ class Simulation {
   /// Runs a single event; returns false if the queue is empty.
   bool Step();
 
-  /// Instruments the driver: per-event wall-clock execution time lands
-  /// in the `sim.event_exec_us` histogram and executed events in the
-  /// `sim.events_executed` counter of `telemetry`'s registry. Pass
-  /// nullptr to detach. Not owned; must outlive the simulation or be
-  /// detached first.
-  void SetTelemetry(obs::Telemetry* telemetry);
-
   size_t pending_events() const {
     return (active_.size() - active_pos_) + wheel_count_ + overflow_.size();
   }
@@ -167,8 +159,6 @@ class Simulation {
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
-  obs::Histogram* exec_time_us_ = nullptr;
-  obs::Counter* events_counter_ = nullptr;
 
   /// All ticks < cursor_tick_ are fully executed. The bucket for
   /// cursor_tick_ itself is either still in the wheel (not yet

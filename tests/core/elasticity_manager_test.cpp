@@ -264,31 +264,6 @@ TEST(ElasticityManagerTest, ActuatorFailureCountedAndLoopContinues) {
   EXPECT_GT(calls, 2);
 }
 
-TEST(ElasticityManagerTest, PauseStopsActuation) {
-  sim::Simulation sim;
-  cloudwatch::MetricStore metrics;
-  ElasticityManager mgr(&sim, &metrics);
-  int calls = 0;
-  ASSERT_TRUE(mgr.Attach(TestConfig([&](double) {
-    ++calls;
-    return Status::OK();
-  })).ok());
-  ASSERT_TRUE(sim.SchedulePeriodic(30.0, 30.0, [&] {
-    EXPECT_TRUE(metrics.Put(kCpu, sim.Now(), 90.0).ok());
-    return true;
-  }).ok());
-  sim.RunUntil(300.0);
-  int calls_at_pause = calls;
-  EXPECT_GT(calls_at_pause, 0);
-  ASSERT_TRUE(mgr.SetPaused(Layer::kAnalytics, true).ok());
-  sim.RunUntil(600.0);
-  EXPECT_EQ(calls, calls_at_pause);
-  ASSERT_TRUE(mgr.SetPaused(Layer::kAnalytics, false).ok());
-  sim.RunUntil(900.0);
-  EXPECT_GT(calls, calls_at_pause);
-  EXPECT_FALSE(mgr.SetPaused(Layer::kIngestion, true).ok());
-}
-
 TEST(ElasticityManagerTest, NamedLoopsAllowSeveralPerLayer) {
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;
@@ -326,10 +301,8 @@ TEST(ElasticityManagerTest, NamedLoopsAllowSeveralPerLayer) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "ingestion-clicks");
   EXPECT_EQ(names[1], "ingestion-impressions");
-  // Per-loop bounds and pause work independently.
+  // Per-loop bounds address one loop by name.
   ASSERT_TRUE(mgr.SetShareUpperBound("ingestion-clicks", 3.0).ok());
-  ASSERT_TRUE(mgr.SetPaused("ingestion-impressions", true).ok());
-  EXPECT_FALSE(mgr.SetPaused("nope", true).ok());
 }
 
 TEST(ElasticityManagerTest, DuplicateLoopNameRejected) {

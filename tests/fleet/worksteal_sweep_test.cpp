@@ -297,35 +297,6 @@ TEST(WorkStealSweepTest, InvalidArbitrationPeriodRejectedAtAddTenant) {
   EXPECT_FALSE(fleet.AddTenant(t).ok());
 }
 
-TEST(WorkStealSweepTest, ArbitrationSpansLiveInFleetNamespace) {
-  FleetConfig config = SweepTestConfig(2);
-  config.partition.record_spans = true;
-  FleetManager fleet(config);
-  const double periods[3] = {100.0, 150.0, 300.0};
-  std::vector<TenantConfig> tenants = MakeTenantFleet(3, 7);
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    tenants[i].monitoring_period_sec = 60.0;
-    tenants[i].arbitration_period_sec = periods[i];
-    ASSERT_TRUE(fleet.AddTenant(std::move(tenants[i])).ok());
-  }
-  ASSERT_TRUE(fleet.Start().ok());
-  ASSERT_TRUE(fleet.RunFor(300.0).ok());
-  obs::SpanCollector* spans = fleet.arbitration_spans();
-  ASSERT_NE(spans, nullptr);
-  // One kArbitrate span per event, ids in the namespace right above the
-  // last partition's (deterministic: events serialize in virtual-time
-  // order).
-  EXPECT_EQ(spans->id_offset(), 3 * obs::SpanCollector::kIdStride);
-  EXPECT_EQ(spans->total_started(), fleet.sweep_stats().arbitration_events);
-  for (obs::SpanId id = spans->first_retained();
-       id != 0 && id < spans->end_id(); ++id) {
-    const obs::SpanRecord* r = spans->Find(id);
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->kind, obs::SpanKind::kArbitrate);
-    EXPECT_GE(r->value, 0.0);  // Total USD granted at the boundary.
-  }
-}
-
 TEST(WorkStealSweepTest, ApplyPeriodJitterIsDeterministicDivisorSpread) {
   std::vector<TenantConfig> a = MakeTenantFleet(16, 5);
   std::vector<TenantConfig> b = MakeTenantFleet(16, 5);

@@ -173,55 +173,6 @@ TEST(SpanIndexTest, SurvivesEvictedEdges) {
   EXPECT_EQ(chain->actuations.size(), 2u);
 }
 
-TEST(SpanCollectorTest, IdOffsetMovesTheNamespace) {
-  SpanCollector spans(8);
-  ASSERT_TRUE(spans.set_id_offset(3 * SpanCollector::kIdStride).ok());
-  spans.set_enabled(true);
-  SpanId first = spans.Emit(SpanKind::kSense, "s", 0.0, 0.0, 1, 1);
-  EXPECT_EQ(first, 3 * SpanCollector::kIdStride + 1);
-  SpanId second = spans.Emit(SpanKind::kDecide, "s", 1.0, 0.0, 1, 1, first);
-  EXPECT_EQ(second, first + 1);
-  EXPECT_EQ(spans.total_started(), 2u);
-  EXPECT_EQ(spans.first_retained(), first);
-  EXPECT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans.evicted(), 0u);
-  // Lookups resolve inside the offset namespace and reject ids below it.
-  ASSERT_NE(spans.Find(first), nullptr);
-  EXPECT_EQ(spans.Find(first)->id, first);
-  EXPECT_EQ(spans.Find(1), nullptr);
-  EXPECT_EQ(spans.Find(3 * SpanCollector::kIdStride), nullptr);
-  // The post-run index works unchanged on an offset collector.
-  SpanIndex index(spans);
-  ASSERT_EQ(index.ChildrenOf(first).size(), 1u);
-  EXPECT_EQ(index.ChildrenOf(first)[0]->id, second);
-}
-
-TEST(SpanCollectorTest, IdOffsetRejectedOnceRecordingStarted) {
-  SpanCollector spans(8);
-  spans.set_enabled(true);
-  spans.Emit(SpanKind::kSense, "s", 0.0, 0.0, 1, 1);
-  EXPECT_EQ(spans.set_id_offset(SpanCollector::kIdStride).code(),
-            StatusCode::kFailedPrecondition);
-  // The namespace is unchanged after the rejected call.
-  EXPECT_EQ(spans.id_offset(), 0u);
-  EXPECT_EQ(spans.total_started(), 1u);
-}
-
-TEST(SpanCollectorTest, EvictionStillOldestFirstWithOffset) {
-  SpanCollector spans(3);
-  ASSERT_TRUE(spans.set_id_offset(SpanCollector::kIdStride).ok());
-  spans.set_enabled(true);
-  for (int i = 0; i < 5; ++i) {
-    spans.Emit(SpanKind::kSense, "s", i, 0.0, 1, 1);
-  }
-  EXPECT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans.evicted(), 2u);
-  EXPECT_EQ(spans.first_retained(), SpanCollector::kIdStride + 3);
-  EXPECT_EQ(spans.Find(SpanCollector::kIdStride + 1), nullptr);
-  EXPECT_EQ(spans.Find(SpanCollector::kIdStride + 2), nullptr);
-  ASSERT_NE(spans.Find(SpanCollector::kIdStride + 5), nullptr);
-}
-
 TEST(SpanCollectorTest, ConcurrentBeginsAllocateUniqueIds) {
   // Regression for the pre-fleet plain uint64_t next_id_: two threads
   // recording concurrently could mint the same id (and tear each

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -217,15 +218,25 @@ TEST(TelemetryIntegrationTest, MetricsRegistryTracksTheLoops) {
     EXPECT_TRUE(gauge("loop.actuation", loop)) << loop;
     EXPECT_TRUE(gauge("loop.gain", loop)) << loop;
   }
-  // The simulator's event-execution histogram collected samples.
-  bool found_exec = false;
-  for (const obs::HistogramSample& h : snap.histograms) {
-    if (h.name == "sim.event_exec_us") {
-      found_exec = true;
-      EXPECT_GT(h.count, 0u);
-    }
+}
+
+// A flow's telemetry is a function of its inputs: two runs of one
+// scenario export byte-identical decision and metrics JSONL.
+TEST(TelemetryIntegrationTest, IdenticalRunsExportIdenticalJsonl) {
+  std::string exports[2];
+  for (std::string& text : exports) {
+    RunOutput run;
+    ASSERT_NO_FATAL_FAILURE(RunFlow(&run, 2.0, /*with_faults=*/true));
+    const std::string path = ::testing::TempDir() + "/telemetry_run.jsonl";
+    ASSERT_TRUE(run.telemetry.ExportJsonl(path, run.sim.Now()).ok());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    text = buf.str();
   }
-  EXPECT_TRUE(found_exec);
+  EXPECT_NE(exports[0].find("\"type\":\"decision\""), std::string::npos);
+  EXPECT_NE(exports[0].find("\"type\":\"gauge\""), std::string::npos);
+  EXPECT_EQ(exports[0], exports[1]);
 }
 
 TEST(TelemetryIntegrationTest, Nsga2ObserverEmitsPlannerTelemetry) {

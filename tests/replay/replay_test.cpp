@@ -147,8 +147,7 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
   config.decision_capacity = 8;
   FlightRecorder rec(config);
   rec.SetLoopTable(TestLoops());
-  rec.SetIdentity("tenant-7", 7, 0xDEADBEEFCAFEF00Dull,
-                  7 * obs::SpanCollector::kIdStride);
+  rec.SetIdentity("tenant-7", 7, 0xDEADBEEFCAFEF00Dull, uint64_t{7} << 40);
   rec.SetSpec({{"tenant.id", "tenant-7"}, {"tenant.seed", "16045690985373815821"}});
   RecordedFault fault;
   fault.kind = "sensor-spike";
@@ -178,7 +177,7 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(loaded->tenant_id, "tenant-7");
   EXPECT_EQ(loaded->tenant_index, 7u);
   EXPECT_EQ(loaded->seed, 0xDEADBEEFCAFEF00Dull);  // > 2^53: exact u64.
-  EXPECT_EQ(loaded->span_id_offset, 7 * obs::SpanCollector::kIdStride);
+  EXPECT_EQ(loaded->span_id_offset, uint64_t{7} << 40);
   EXPECT_EQ(loaded->fingerprint, bundle.fingerprint);
   EXPECT_EQ(loaded->chain_hash, bundle.chain_hash);
   EXPECT_EQ(loaded->total_decisions, 12u);
@@ -387,12 +386,20 @@ TEST(ReplayTest, ExplicitDumpWithoutAlertIsReplayable) {
   EXPECT_TRUE(bundle->trigger.fired);
   EXPECT_EQ(bundle->trigger.reason, "explicit");
   EXPECT_EQ(bundle->tenant_index, 1u);
+  // Schema-1 data: the namespace tenant 1 once reserved for its spans.
+  EXPECT_EQ(bundle->span_id_offset, uint64_t{1} << 40);
 
   auto harness = fleet::ReplayHarness::Create(*bundle);
   ASSERT_TRUE(harness.ok()) << harness.status();
   ASSERT_TRUE((*harness)->Run().ok());
   obs::replay::DivergenceReport report = (*harness)->Check();
   EXPECT_FALSE(report.diverged) << report.ToString();
+  // The replay's spans are its own collector's: numbered from 1
+  // whatever the tenant's index.
+  const obs::SpanCollector& spans = (*harness)->partition().telemetry().spans();
+  EXPECT_GT(spans.total_started(), 0u);
+  EXPECT_EQ(spans.first_retained(), 1u);
+  ASSERT_NE(spans.Find(1), nullptr);
 }
 
 // A fleet whose tenants arbitrate on different horizons (450 s vs the
@@ -682,6 +689,51 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
           << c.what << ": " << harness.status();
     }
   }
+
+  // Edited recorded rows fail LoadBundleJson's own checks: a decision
+  // row no longer hashes to its line_hash, and a re-plan budget is not
+  // finite and >= 0. Each edit replayed to a match before bundles
+  // verified themselves. Decision 0 is an ingestion row with a finite y.
+  const std::string text =
+      ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
+  const std::string row0 = "{\"index\": 0, \"time\": 120, "
+                           "\"loop\": \"ingestion\", "
+                           "\"y\": 0.45000000000000001, ";
+  struct TextEdit {
+    std::string from;
+    std::string to;
+    const char* names;  ///< The decision index or field the error names.
+  };
+  const std::vector<TextEdit> edits = {
+      {"\"u\": 1, \"out\": 0, \"line_hash\": \"988635637522687082\"",
+       "\"u\": 999, \"out\": 0, \"line_hash\": \"988635637522687082\"",
+       "decision 0"},
+      {row0, "{\"index\": 0, \"time\": 120, \"loop\": \"ingestion\", "
+             "\"y\": \"nan\", ",
+       "decision 0"},
+      {row0, "{\"index\": 0, \"time\": 120, \"loop\": \"storage\", "
+             "\"y\": 0.45000000000000001, ",
+       "decision 0"},
+      {row0, "{\"index\": 0, \"time\": \"nan\", \"loop\": \"ingestion\", "
+             "\"y\": 0.45000000000000001, ",
+       "decision 0"},
+      {"\"budget_usd\": 0.23695682625001072", "\"budget_usd\": -1",
+       "budget_usd"},
+  };
+  for (const TextEdit& e : edits) {
+    std::string edited = text;
+    const size_t at = edited.find(e.from);
+    ASSERT_NE(at, std::string::npos) << e.from;
+    edited.replace(at, e.from.size(), e.to);
+    const std::string path = TempPath("hostile_row.json");
+    std::ofstream(path, std::ios::binary) << edited;
+    auto bundle = obs::replay::LoadBundleJson(path);
+    ASSERT_FALSE(bundle.ok()) << e.to;
+    EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument)
+        << e.to << ": " << bundle.status();
+    EXPECT_NE(bundle.status().message().find(e.names), std::string::npos)
+        << e.to << ": " << bundle.status();
+  }
 }
 
 // The bundle's own integer fields take a string of digits only, or an
@@ -715,35 +767,6 @@ TEST(ReplayTest, MalformedBundleIntegersAreRejected) {
     EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument)
         << to << ": " << bundle.status();
   }
-}
-
-// --- Satellite: span-id namespace exhaustion guard. ----------------
-
-TEST(SpanOverflowTest, ExhaustedCollectorStopsAllocatingIds) {
-  obs::SpanCollector spans(/*capacity=*/16);
-  spans.set_enabled(true);
-  ASSERT_TRUE(spans.set_id_offset(0).ok());
-  obs::SpanId first = spans.Begin(obs::SpanKind::kSense, "s", 0.0, 1, 0);
-  EXPECT_EQ(first, 1u);
-  // Burn the namespace down to its last id, then take it.
-  spans.AdvanceIdsForTest(obs::SpanCollector::kIdStride - 2);
-  obs::SpanId last = spans.Begin(obs::SpanKind::kSense, "s", 1.0, 1, 0);
-  EXPECT_EQ(last, obs::SpanCollector::kIdStride);
-  EXPECT_EQ(spans.id_overflows(), 0u);
-  EXPECT_EQ(spans.total_started(), obs::SpanCollector::kIdStride);
-
-  // The namespace is exhausted: every further Begin drops the span,
-  // counts the overflow, and never bleeds into the next sibling's
-  // (offset + kIdStride, ...] namespace.
-  obs::SpanId overflowed = spans.Begin(obs::SpanKind::kSense, "s", 2.0, 1, 0);
-  EXPECT_EQ(overflowed, 0u);
-  EXPECT_EQ(spans.id_overflows(), 1u);
-  obs::SpanId again = spans.Begin(obs::SpanKind::kDecide, "d", 3.0, 1, 0);
-  EXPECT_EQ(again, 0u);
-  EXPECT_EQ(spans.id_overflows(), 2u);
-  // total_started stays clamped at the stride; end_id stays in range.
-  EXPECT_EQ(spans.total_started(), obs::SpanCollector::kIdStride);
-  EXPECT_LE(spans.end_id(), obs::SpanCollector::kIdStride + 1);
 }
 
 // --- Satellite: fleet period report JSONL export. ------------------
