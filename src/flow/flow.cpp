@@ -34,21 +34,20 @@ Status DataAnalyticsFlow::Init() {
   // Build the click-stream topology: spout → parse → window → persist.
   topology_ = std::make_shared<storm::Topology>(config_.name + "-topology");
   kinesis::Stream* stream = stream_.get();
-  // The record scratch outlives each pull (shared by the copies of the
-  // spout closure), so the per-tick path reuses warm capacity — the
-  // spout allocates nothing in steady state.
-  auto scratch = std::make_shared<std::vector<kinesis::Record>>();
-  auto spout = [stream, scratch](size_t max,
-                                 std::vector<storm::Tuple>* out) {
+  auto spout = [stream](size_t max, std::vector<storm::Tuple>* out) {
     int shards = stream->shard_count();
     if (shards <= 0 || max == 0) return;
+    // Each shard's records pass through scratch owned by the calling
+    // thread, not by the flow: a fleet runs one flow per tenant on a
+    // few workers, and a buffer each would hold a pull's worth of
+    // memory per tenant. Warm capacity makes a steady pull allocate
+    // nothing.
+    thread_local std::vector<kinesis::Record> records;
     size_t per_shard = max / static_cast<size_t>(shards) + 1;
     for (int s = 0; s < shards && out->size() < max; ++s) {
-      scratch->clear();
-      if (!stream->GetRecordsInto(s, per_shard, scratch.get()).ok()) {
-        continue;
-      }
-      for (const kinesis::Record& r : *scratch) {
+      records.clear();
+      if (!stream->GetRecordsInto(s, per_shard, &records).ok()) continue;
+      for (const kinesis::Record& r : records) {
         storm::Tuple t;
         t.origin_time = r.timestamp;
         t.entity_id = r.entity_id;

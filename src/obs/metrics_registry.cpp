@@ -43,6 +43,23 @@ const LabelSet& OverflowLabels() {
 // AdmitSeriesLocked to keep the recursion finite.
 constexpr char kOverflowCounterName[] = "registry.label_overflow";
 
+// First entry of a name's series (of one kind) whose label-set id is
+// not below `labels`.
+template <typename Series>
+auto LowerBound(Series& series, uint32_t labels) {
+  return std::lower_bound(
+      series.begin(), series.end(), labels,
+      [](const auto& entry, uint32_t id) { return entry.first < id; });
+}
+
+// The instrument of label set `labels` in `series`, or nullptr.
+template <typename Series>
+auto InstrumentOf(const Series& series, uint32_t labels) {
+  auto it = LowerBound(series, labels);
+  return it != series.end() && it->first == labels ? it->second.get()
+                                                   : nullptr;
+}
+
 }  // namespace
 
 // Canonical label form: sorted by key, duplicate keys collapsed with
@@ -157,17 +174,29 @@ Result<double> Histogram::Quantile(double q) const {
   return Max();
 }
 
-bool MetricsRegistry::AdmitSeriesLocked(const std::string& name,
+uint32_t MetricsRegistry::InternNameLocked(const std::string& name) {
+  auto it = name_ids_.find(name);
+  if (it == name_ids_.end()) {
+    it = name_ids_
+             .emplace(name, static_cast<uint32_t>(families_.size()))
+             .first;
+    families_.push_back(Family{&it->first, {}, {}, {}, false});
+  }
+  return it->second;
+}
+
+bool MetricsRegistry::AdmitSeriesLocked(uint32_t family,
                                         const LabelSet& norm) {
   if (norm == OverflowLabels()) return true;  // Collapsed series: always.
-  auto it = series_per_name_.find(name);
-  size_t count = it == series_per_name_.end() ? 0 : it->second;
-  if (count < max_cardinality_) return true;
+  if (families_[family].size() < max_cardinality_) return true;
   ++label_overflow_total_;
+  const std::string& name = *families_[family].name;
   if (name != kOverflowCounterName) {
-    GetCounterLocked(kOverflowCounterName, {{"metric", name}})->Increment();
+    GetLocked(&Family::counters, kOverflowCounterName, {{"metric", name}},
+              [] { return std::unique_ptr<Counter>(new Counter()); })
+        ->Increment();
   }
-  bool& warned = overflow_warned_[name];
+  bool& warned = families_[family].overflow_warned;
   if (!warned) {
     warned = true;
     FLOWER_LOG(Warning) << "metrics registry: label cardinality cap ("
@@ -179,66 +208,80 @@ bool MetricsRegistry::AdmitSeriesLocked(const std::string& name,
   return false;
 }
 
-Counter* MetricsRegistry::GetCounterLocked(const std::string& name,
-                                           LabelSet norm) {
-  std::string key = SeriesKey(name, norm);
-  auto it = counters_.find(key);
-  if (it == counters_.end()) {
-    if (!AdmitSeriesLocked(name, norm)) {
-      return GetCounterLocked(name, OverflowLabels());
-    }
-    ++series_per_name_[name];
-    Entry<Counter> e{name, std::move(norm),
-                     std::unique_ptr<Counter>(new Counter())};
-    it = counters_.emplace(std::move(key), std::move(e)).first;
+template <typename T, typename Make>
+T* MetricsRegistry::GetLocked(Series<T> Family::*kind,
+                              const std::string& name, LabelSet norm,
+                              const Make& make) {
+  const uint32_t family = InternNameLocked(name);
+  auto label_it = label_ids_.find(norm);
+  if (label_it != label_ids_.end()) {
+    T* found = InstrumentOf(families_[family].*kind, label_it->second);
+    if (found != nullptr) return found;
   }
-  return it->second.instrument.get();
+  if (!AdmitSeriesLocked(family, norm)) {
+    return GetLocked(kind, name, OverflowLabels(), make);
+  }
+  if (label_it == label_ids_.end()) {
+    label_it = label_ids_
+                   .emplace(std::move(norm),
+                            static_cast<uint32_t>(label_sets_.size()))
+                   .first;
+    label_sets_.push_back(&label_it->first);
+  }
+  Series<T>& series = families_[family].*kind;
+  auto it = LowerBound(series, label_it->second);
+  return series.emplace(it, label_it->second, make())->second.get();
 }
 
-Gauge* MetricsRegistry::GetGaugeLocked(const std::string& name,
-                                       LabelSet norm) {
-  std::string key = SeriesKey(name, norm);
-  auto it = gauges_.find(key);
-  if (it == gauges_.end()) {
-    if (!AdmitSeriesLocked(name, norm)) {
-      return GetGaugeLocked(name, OverflowLabels());
-    }
-    ++series_per_name_[name];
-    Entry<Gauge> e{name, std::move(norm), std::unique_ptr<Gauge>(new Gauge())};
-    it = gauges_.emplace(std::move(key), std::move(e)).first;
+template <typename T>
+const T* MetricsRegistry::FindLocked(Series<T> Family::*kind,
+                                     const std::string& name,
+                                     const LabelSet& norm) const {
+  auto name_it = name_ids_.find(name);
+  auto label_it = label_ids_.find(norm);
+  if (name_it == name_ids_.end() || label_it == label_ids_.end()) {
+    return nullptr;
   }
-  return it->second.instrument.get();
+  return InstrumentOf(families_[name_it->second].*kind, label_it->second);
 }
 
-Histogram* MetricsRegistry::GetHistogramLocked(const std::string& name,
-                                               LabelSet norm,
-                                               HistogramOptions options) {
-  std::string key = SeriesKey(name, norm);
-  auto it = histograms_.find(key);
-  if (it == histograms_.end()) {
-    if (!AdmitSeriesLocked(name, norm)) {
-      return GetHistogramLocked(name, OverflowLabels(), options);
+template <typename T, typename Visit>
+void MetricsRegistry::ForEachSortedLocked(Series<T> Family::*kind,
+                                          const Visit& visit) const {
+  struct Ref {
+    std::string key;
+    const Family* family;
+    const std::pair<uint32_t, std::unique_ptr<T>>* entry;
+  };
+  std::vector<Ref> refs;
+  for (const Family& f : families_) {
+    for (const auto& entry : f.*kind) {
+      refs.push_back(
+          {SeriesKey(*f.name, *label_sets_[entry.first]), &f, &entry});
     }
-    ++series_per_name_[name];
-    Entry<Histogram> e{name, std::move(norm),
-                       std::unique_ptr<Histogram>(new Histogram(options))};
-    it = histograms_.emplace(std::move(key), std::move(e)).first;
   }
-  return it->second.instrument.get();
+  std::sort(refs.begin(), refs.end(),
+            [](const Ref& a, const Ref& b) { return a.key < b.key; });
+  for (const Ref& r : refs) {
+    visit(*r.family->name, *label_sets_[r.entry->first], *r.entry->second);
+  }
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const LabelSet& labels) {
   LabelSet norm = NormalizeLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  return GetCounterLocked(name, std::move(norm));
+  return GetLocked(&Family::counters, name, std::move(norm), [] {
+    return std::unique_ptr<Counter>(new Counter());
+  });
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const LabelSet& labels) {
   LabelSet norm = NormalizeLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  return GetGaugeLocked(name, std::move(norm));
+  return GetLocked(&Family::gauges, name, std::move(norm),
+                   [] { return std::unique_ptr<Gauge>(new Gauge()); });
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
@@ -246,31 +289,30 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          HistogramOptions options) {
   LabelSet norm = NormalizeLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  return GetHistogramLocked(name, std::move(norm), options);
+  return GetLocked(&Family::histograms, name, std::move(norm), [options] {
+    return std::unique_ptr<Histogram>(new Histogram(options));
+  });
 }
 
 const Counter* MetricsRegistry::FindCounter(const std::string& name,
                                             const LabelSet& labels) const {
-  std::string key = SeriesKey(name, NormalizeLabels(labels));
+  LabelSet norm = NormalizeLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(key);
-  return it == counters_.end() ? nullptr : it->second.instrument.get();
+  return FindLocked(&Family::counters, name, norm);
 }
 
 const Gauge* MetricsRegistry::FindGauge(const std::string& name,
                                         const LabelSet& labels) const {
-  std::string key = SeriesKey(name, NormalizeLabels(labels));
+  LabelSet norm = NormalizeLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(key);
-  return it == gauges_.end() ? nullptr : it->second.instrument.get();
+  return FindLocked(&Family::gauges, name, norm);
 }
 
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name,
                                                 const LabelSet& labels) const {
-  std::string key = SeriesKey(name, NormalizeLabels(labels));
+  LabelSet norm = NormalizeLabels(labels);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(key);
-  return it == histograms_.end() ? nullptr : it->second.instrument.get();
+  return FindLocked(&Family::histograms, name, norm);
 }
 
 uint64_t MetricsRegistry::label_overflow_total() const {
@@ -281,20 +323,22 @@ uint64_t MetricsRegistry::label_overflow_total() const {
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [key, e] : counters_) {
-    snap.counters.push_back({e.name, e.labels, e.instrument->Value()});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [key, e] : gauges_) {
-    snap.gauges.push_back({e.name, e.labels, e.instrument->Value()});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [key, e] : histograms_) {
-    const Histogram& h = *e.instrument;
+  ForEachSortedLocked(&Family::counters, [&snap](const std::string& name,
+                                                 const LabelSet& labels,
+                                                 const Counter& c) {
+    snap.counters.push_back({name, labels, c.Value()});
+  });
+  ForEachSortedLocked(&Family::gauges, [&snap](const std::string& name,
+                                               const LabelSet& labels,
+                                               const Gauge& g) {
+    snap.gauges.push_back({name, labels, g.Value()});
+  });
+  ForEachSortedLocked(&Family::histograms, [&snap](const std::string& name,
+                                                   const LabelSet& labels,
+                                                   const Histogram& h) {
     HistogramSample s;
-    s.name = e.name;
-    s.labels = e.labels;
+    s.name = name;
+    s.labels = labels;
     s.count = h.TotalCount();
     s.sum = h.Sum();
     s.min = h.Min();
@@ -308,13 +352,15 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       s.buckets.push_back(h.BucketCount(i));
     }
     snap.histograms.push_back(std::move(s));
-  }
+  });
   return snap;
 }
 
 size_t MetricsRegistry::NumInstruments() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
+  size_t n = 0;
+  for (const Family& f : families_) n += f.size();
+  return n;
 }
 
 }  // namespace flower::obs

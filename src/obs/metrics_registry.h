@@ -143,7 +143,9 @@ struct MetricsSnapshot {
 /// takes a lock and may allocate; it returns a stable pointer the
 /// caller caches, after which increments/records are lock-free and
 /// allocation-free. Re-registering the same (name, labels) returns the
-/// existing instrument.
+/// existing instrument. Each name and each normalized label set is
+/// stored once per registry, however many instruments share it; series
+/// keys are built only when `Snapshot()` sorts.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -188,32 +190,56 @@ class MetricsRegistry {
   /// the last written value winning.
   static LabelSet NormalizeLabels(LabelSet labels);
   /// Series key for normalized labels — equal series, equal keys.
+  /// `Snapshot()` orders each kind's series by it.
   static std::string SeriesKey(const std::string& name,
                                const LabelSet& labels);
 
  private:
+  /// Instruments of one kind under one name, as (label-set id,
+  /// instrument) sorted by id. The cardinality guard bounds its length.
   template <typename T>
-  struct Entry {
-    std::string name;
-    LabelSet labels;
-    std::unique_ptr<T> instrument;
+  using Series = std::vector<std::pair<uint32_t, std::unique_ptr<T>>>;
+  /// Everything registered under one name.
+  struct Family {
+    const std::string* name;  ///< Key of `name_ids_`.
+    Series<Counter> counters;
+    Series<Gauge> gauges;
+    Series<Histogram> histograms;
+    bool overflow_warned = false;
+    size_t size() const {
+      return counters.size() + gauges.size() + histograms.size();
+    }
   };
 
-  /// True when (name, norm) may register a new series; on rejection
-  /// bumps the overflow counter and warns once per name. mu_ held.
-  bool AdmitSeriesLocked(const std::string& name, const LabelSet& norm);
-  Counter* GetCounterLocked(const std::string& name, LabelSet norm);
-  Gauge* GetGaugeLocked(const std::string& name, LabelSet norm);
-  Histogram* GetHistogramLocked(const std::string& name, LabelSet norm,
-                                HistogramOptions options);
+  /// The registry's one copy of `name`, interned on first use. mu_ held.
+  uint32_t InternNameLocked(const std::string& name);
+  /// True when `norm` may register a new series under `family`; on
+  /// rejection bumps the overflow counter and warns once per name.
+  /// May intern the overflow counter's name, so it invalidates
+  /// references into `families_`. mu_ held.
+  bool AdmitSeriesLocked(uint32_t family, const LabelSet& norm);
+  /// The instrument of (name, norm) in `kind`, made by `make` when the
+  /// series is new and admitted; mu_ held.
+  template <typename T, typename Make>
+  T* GetLocked(Series<T> Family::*kind, const std::string& name,
+               LabelSet norm, const Make& make);
+  template <typename T>
+  const T* FindLocked(Series<T> Family::*kind, const std::string& name,
+                      const LabelSet& norm) const;
+  /// Calls `visit(name, labels, instrument)` for every series of
+  /// `kind`, in series-key order. mu_ held.
+  template <typename T, typename Visit>
+  void ForEachSortedLocked(Series<T> Family::*kind,
+                           const Visit& visit) const;
 
   mutable std::mutex mu_;
-  std::map<std::string, Entry<Counter>> counters_;
-  std::map<std::string, Entry<Gauge>> gauges_;
-  std::map<std::string, Entry<Histogram>> histograms_;
+  /// Each name and each normalized label set is stored once; a series
+  /// is a pair of their ids.
+  std::map<std::string, uint32_t> name_ids_;
+  std::vector<Family> families_;  ///< By name id.
+  std::map<LabelSet, uint32_t> label_ids_;
+  std::vector<const LabelSet*> label_sets_;  ///< By id; keys of label_ids_.
   size_t max_cardinality_ = 1024;
-  std::map<std::string, size_t> series_per_name_;
-  std::map<std::string, bool> overflow_warned_;
   uint64_t label_overflow_total_ = 0;
 };
 

@@ -553,6 +553,31 @@ Status VerifyDecisions(const CaptureBundle& b) {
   return Status::OK();
 }
 
+/// Holds the bundle's summary to its rows: `total_decisions` and
+/// `chain_hash` are those of the last retained decision, or 0 and the
+/// empty chain when none is retained. A summary that disagrees would
+/// report a divergence with no first mismatch.
+Status VerifySummary(const CaptureBundle& b) {
+  const bool none = b.decisions.empty();
+  const bool total_ok = none ? b.total_decisions == 0
+                             : b.total_decisions != 0 &&
+                                   b.total_decisions - 1 ==
+                                       b.decisions.back().index;
+  if (!total_ok) {
+    return Status::InvalidArgument(
+        "bundle JSON: 'total_decisions' is " +
+        std::to_string(b.total_decisions) + ", but the rows " +
+        (none ? std::string("are empty")
+              : "end at decision " +
+                    std::to_string(b.decisions.back().index)));
+  }
+  if (b.chain_hash != (none ? kFnvOffsetBasis : b.decisions.back().chain)) {
+    return Status::InvalidArgument(
+        "bundle JSON: 'chain_hash' is not the chain of the last decision");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const std::string& CaptureBundle::LoopName(LoopId id) const {
@@ -738,6 +763,7 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
     b.decisions.push_back(d);
   }
   FLOWER_RETURN_NOT_OK(VerifyDecisions(b));
+  FLOWER_RETURN_NOT_OK(VerifySummary(b));
   return b;
 }
 

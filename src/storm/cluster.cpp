@@ -2,14 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace flower::storm {
 
 namespace {
+
 constexpr const char* kNamespace = "Flower/Storm";
+
+/// Buffers that carry tuples only within one tick. They belong to the
+/// thread running the tick, not to a cluster: a fleet runs one cluster
+/// per tenant on a few workers, and buffers each would hold a tick's
+/// volume of memory per tenant. Each is empty when a tick ends (bolts
+/// run in topological order and a tick never re-enters), so clusters
+/// ticking in turn on one thread share them, and a warm thread's tick
+/// never allocates (see bench/perf_micro's zero-allocation guard).
+struct TickScratch {
+  /// One spout's pull.
+  std::vector<Tuple> pulled;
+  /// Outputs of a bolt with no child (discarded) or with several
+  /// (copied to each child after the bolt's turn). A bolt with one
+  /// child writes straight into that child's arrivals.
+  VecDeque<Tuple> emitted;
+  /// Arrivals of each bolt, by bolt index, while its queue is empty.
+  std::vector<VecDeque<Tuple>> arrivals;
+};
+
+TickScratch& ThreadTickScratch() {
+  thread_local TickScratch scratch;
+  return scratch;
 }
+
+}  // namespace
 
 Cluster::Cluster(sim::Simulation* sim, cloudwatch::MetricStore* metrics,
                  ec2::Fleet* fleet, ClusterConfig config)
@@ -80,6 +106,20 @@ void Cluster::Tick() {
     cost_factor = std::max(0.4, 1.0 + jitter_state_);
   }
 
+  // Where a bolt's arrivals for this tick go: behind its backlog when
+  // it has one, else into scratch, from which it runs and queues only
+  // what it leaves over. Either way the bolt sees its tuples in arrival
+  // order. A bolt's queue changes only on its own turn, after its last
+  // arrival, so the choice holds for the whole tick.
+  TickScratch& scratch = ThreadTickScratch();
+  if (scratch.arrivals.size() < topo.bolts_.size()) {
+    scratch.arrivals.resize(topo.bolts_.size());
+  }
+  auto inbox = [&topo, &scratch](size_t bolt) {
+    VecDeque<Tuple>& queue = topo.bolts_[bolt].queue;
+    return queue.empty() ? &scratch.arrivals[bolt] : &queue;
+  };
+
   // (a) Spout pulls, unless backpressure holds them back. The per-tick
   // batch limit is shared evenly across spouts.
   if (topo.PendingTuples() < config_.max_pending_tuples &&
@@ -87,6 +127,7 @@ void Cluster::Tick() {
     size_t room = config_.max_pending_tuples - topo.PendingTuples();
     size_t share = std::max<size_t>(
         1, std::min(config_.spout_batch_limit, room) / topo.spouts_.size());
+    std::vector<Tuple>& pulled = scratch.pulled;
     for (size_t si = 0; si < topo.spouts_.size(); ++si) {
       auto& spout = topo.spouts_[si];
       size_t max_pull = share;
@@ -97,34 +138,36 @@ void Cluster::Tick() {
             std::min(max_pull, static_cast<size_t>(budget / spout_cost));
       }
       if (max_pull == 0) continue;
-      pull_buf_.clear();
-      spout.fn(max_pull, &pull_buf_);
-      budget -= static_cast<double>(pull_buf_.size()) * spout_cost;
+      pulled.clear();
+      spout.fn(max_pull, &pulled);
+      budget -= static_cast<double>(pulled.size()) * spout_cost;
       // Stamp the source once in the pull buffer, then hand the whole
       // span to each subscribing bolt — one bulk copy per subscriber
       // instead of a per-tuple copy per bolt scan.
-      for (Tuple& t : pull_buf_) t.source = static_cast<int32_t>(si);
+      for (Tuple& t : pulled) t.source = static_cast<int32_t>(si);
       for (size_t cj : spout.subscribers) {
-        topo.bolts_[cj].queue.AppendRange(pull_buf_.data(),
-                                          pull_buf_.size());
+        inbox(cj)->AppendRange(pulled.data(), pulled.size());
       }
     }
+    pulled.clear();
   }
 
-  // (b) Drain bolt queues in topology order within the budget. Each
-  // contiguous run of a queue goes to the bolt as one batch.
-  for (Topology::BoltNode& bolt : topo.bolts_) {
+  // (b) Run bolts in topology order within the budget. Each contiguous
+  // run of a bolt's input goes to the bolt as one batch.
+  for (size_t bi = 0; bi < topo.bolts_.size(); ++bi) {
+    Topology::BoltNode& bolt = topo.bolts_[bi];
+    VecDeque<Tuple>& in = *inbox(bi);
     const double cost = bolt.spec.cpu_cost_per_tuple * cost_factor;
     const bool is_leaf = bolt.children.empty();
     VecDeque<Tuple>* out = bolt.children.size() == 1
-                               ? &topo.bolts_[bolt.children[0]].queue
-                               : &emit_buf_;
+                               ? inbox(bolt.children[0])
+                               : &scratch.emitted;
     uint64_t executed_n = 0;
     uint64_t acked_n = 0;
     double latency_sum = 0.0;
-    while (!bolt.queue.empty() && budget >= cost) {
-      const Tuple* run = &bolt.queue.front();
-      const size_t run_n = bolt.queue.FrontRun();
+    while (!in.empty() && budget >= cost) {
+      const Tuple* run = &in.front();
+      const size_t run_n = in.FrontRun();
       // Admission subtracts the cost once per tuple: a fused
       // `admitted * cost` would round differently and change how many
       // tuples fit a tick.
@@ -154,15 +197,18 @@ void Cluster::Tick() {
         }
         acked_n += done;
       }
-      bolt.queue.PopFront(done);
+      in.PopFront(done);
       executed_n += done;
       if (done < admitted) break;
     }
-    if (out == &emit_buf_) {
-      for (size_t cj : bolt.children) {
-        topo.bolts_[cj].queue.AppendAll(emit_buf_);
-      }
-      emit_buf_.clear();
+    if (&in != &bolt.queue) {
+      // Arrivals the bolt did not run become its backlog.
+      bolt.queue.AppendAll(in);
+      in.clear();
+    }
+    if (out == &scratch.emitted) {
+      for (size_t cj : bolt.children) inbox(cj)->AppendAll(scratch.emitted);
+      scratch.emitted.clear();
     }
     bolt.executed += executed_n;
     total_executed_ += executed_n;

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cloudwatch/metric_store.h"
 #include "common/random.h"
@@ -45,11 +44,17 @@ struct ClusterConfig {
 ///
 /// Executes one Topology on the pooled compute capacity of an EC2
 /// `Fleet`. Every scheduler tick the cluster (a) pulls tuples from the
-/// spout unless backpressure is active, then (b) drains bolt queues in
-/// topology order, charging each bolt's per-tuple CPU cost against the
-/// tick's work budget (capacity × tick). When offered work exceeds the
-/// budget, CPU utilization saturates at 100% and queues grow — exactly
-/// the overload signal Flower's analytics-layer controller watches.
+/// spout unless backpressure is active, then (b) runs bolts in
+/// topology order on their backlog and then on the tick's arrivals,
+/// charging each bolt's per-tuple CPU cost against the tick's work
+/// budget (capacity × tick). When offered work exceeds the budget, CPU
+/// utilization saturates at 100% and queues grow — exactly the
+/// overload signal Flower's analytics-layer controller watches.
+///
+/// A bolt's queue holds only what a tick leaves over (over budget or
+/// throttled). Tuples that arrive and run within one tick pass through
+/// buffers owned by the thread running the tick, so a cluster's memory
+/// follows its backlog, not its per-tick volume.
 ///
 /// Scaling the cluster = resizing the fleet (`SetWorkerCount`), which
 /// takes effect after the fleet's boot delay.
@@ -102,15 +107,6 @@ class Cluster {
   std::shared_ptr<Topology> topology_;
   Rng jitter_rng_;
   double jitter_state_ = 0.0;  ///< AR(1) noise state.
-
-  /// Scratch buffer for spout pulls, reused across ticks so the
-  /// steady-state tick never allocates (see bench/perf_micro's
-  /// zero-allocation guard).
-  std::vector<Tuple> pull_buf_;
-  /// Outputs of a bolt with no child (discarded) or with several
-  /// (copied to each child after the bolt's turn). A bolt with one
-  /// child writes straight into that child's queue.
-  VecDeque<Tuple> emit_buf_;
 
   double last_tick_cpu_pct_ = 0.0;
   uint64_t total_executed_ = 0;

@@ -37,8 +37,8 @@ struct Tuple {
 ///   `emit`.
 /// - `ExecuteBatch` runs the inputs `in[0 .. n)` in order and appends
 ///   their outputs to `*out`. The cluster calls it once per contiguous
-///   run of a bolt's input queue, with every tuple the tick's budget
-///   admits.
+///   run of a bolt's input (its backlog, then the tick's arrivals),
+///   with every tuple the tick's budget admits.
 ///
 /// A retryable status (e.g. Throttled from a storage sink) leaves its
 /// tuple queued and pauses this bolt until the next scheduler tick —
@@ -157,6 +157,8 @@ class Topology {
     /// this bolt's own index — the DAG is built in topological order).
     /// Maintained by AddBolt, deduplicated.
     std::vector<size_t> children;
+    /// Backlog: the inputs earlier ticks left over (over budget or
+    /// throttled). A tick's arrivals join it only behind a backlog.
     VecDeque<Tuple> queue;
     uint64_t executed = 0;
 

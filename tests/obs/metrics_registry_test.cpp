@@ -1,8 +1,11 @@
 #include "obs/metrics_registry.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -319,6 +322,106 @@ TEST(RegistryTest, NumInstrumentsCountsAllKinds) {
   registry.GetCounter("a");  // Re-registration: no new instrument.
   registry.GetGauge("b");
   registry.GetHistogram("c");
+  EXPECT_EQ(registry.NumInstruments(), 3u);
+}
+
+TEST(RegistryTest, PointersStayValidAcrossManyRegistrations) {
+  MetricsRegistry registry;
+  Counter* c = registry.GetCounter("held", {{"loop", "a"}, {"layer", "x"}});
+  Gauge* g = registry.GetGauge("held", {{"loop", "a"}});
+  Histogram* h = registry.GetHistogram("held_lat");
+  c->Increment(3);
+  g->Set(2.5);
+  h->Record(7.0);
+  // 10,000 further series over 97 names and label sets in both orders;
+  // each name stays far below the cardinality cap.
+  for (int i = 0; i < 10000; ++i) {
+    std::string name = "n";
+    name += std::to_string(i % 97);
+    LabelSet labels = {{"id", std::to_string(i / 97)},
+                       {"kind", std::to_string(i % 3)}};
+    if (i % 2 == 1) std::swap(labels[0], labels[1]);
+    if (i % 50 == 0) {
+      name += "_h";
+      registry.GetHistogram(name, labels)->Record(1.0);
+    } else if (i % 2 == 0) {
+      registry.GetCounter(name, labels)->Increment();
+    } else {
+      registry.GetGauge(name, labels)->Set(1.0);
+    }
+  }
+  EXPECT_EQ(registry.NumInstruments(), 10003u);
+  EXPECT_EQ(registry.label_overflow_total(), 0u);
+  EXPECT_EQ(registry.GetCounter("held", {{"layer", "x"}, {"loop", "a"}}), c);
+  EXPECT_EQ(registry.GetGauge("held", {{"loop", "a"}}), g);
+  EXPECT_EQ(registry.GetHistogram("held_lat"), h);
+  EXPECT_EQ(registry.FindCounter("held", {{"loop", "a"}, {"layer", "x"}}), c);
+  EXPECT_EQ(c->Value(), 3u);
+  EXPECT_DOUBLE_EQ(g->Value(), 2.5);
+  EXPECT_EQ(h->TotalCount(), 1u);
+}
+
+TEST(RegistryTest, SnapshotOrderIsSeriesKeyOrder) {
+  // Names that prefix one another, and label sets that prefix one
+  // another, registered interleaved across kinds and out of order.
+  const std::vector<std::pair<std::string, LabelSet>> series = {
+      {"x.y", {{"b", "0"}}},
+      {"x", {{"a", "1"}, {"b", "2"}}},
+      {"xy", {}},
+      {"x", {}},
+      {"x_y", {{"a", "10"}}},
+      {"x", {{"a", "1"}}},
+      {"x.y", {}},
+      {"x", {{"b", "0"}}},
+      {"x", {{"a", "10"}}},
+      {"x", {{"ab", "1"}}},
+      {"w", {{"z", "9"}, {"a", "9"}}},
+  };
+  MetricsRegistry registry;
+  for (size_t i = 0; i < series.size(); ++i) {
+    registry.GetCounter(series[i].first, series[i].second)->Increment(i);
+    registry.GetGauge(series[series.size() - 1 - i].first,
+                      series[series.size() - 1 - i].second);
+  }
+  std::vector<std::string> expected;
+  for (const auto& [name, labels] : series) {
+    expected.push_back(MetricsRegistry::SeriesKey(
+        name, MetricsRegistry::NormalizeLabels(labels)));
+  }
+  std::sort(expected.begin(), expected.end());
+
+  MetricsSnapshot snap = registry.Snapshot();
+  std::vector<std::string> counters, gauges;
+  for (const CounterSample& s : snap.counters) {
+    counters.push_back(MetricsRegistry::SeriesKey(s.name, s.labels));
+  }
+  for (const GaugeSample& s : snap.gauges) {
+    gauges.push_back(MetricsRegistry::SeriesKey(s.name, s.labels));
+  }
+  EXPECT_EQ(counters, expected);
+  EXPECT_EQ(gauges, expected);
+  // Each sample carries its own series' value.
+  for (size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(registry.FindCounter(series[i].first, series[i].second)
+                  ->Value(),
+              i);
+  }
+}
+
+TEST(RegistryTest, FindReturnsNullForANameOfAnotherKind) {
+  MetricsRegistry registry;
+  const LabelSet labels = {{"loop", "a"}};
+  registry.GetCounter("only_counter", labels);
+  registry.GetGauge("only_gauge");
+  registry.GetHistogram("only_histogram", labels);
+  EXPECT_NE(registry.FindCounter("only_counter", labels), nullptr);
+  EXPECT_EQ(registry.FindGauge("only_counter", labels), nullptr);
+  EXPECT_EQ(registry.FindHistogram("only_counter", labels), nullptr);
+  EXPECT_EQ(registry.FindCounter("only_gauge"), nullptr);
+  EXPECT_EQ(registry.FindHistogram("only_gauge"), nullptr);
+  EXPECT_EQ(registry.FindCounter("only_histogram", labels), nullptr);
+  EXPECT_EQ(registry.FindGauge("only_histogram", labels), nullptr);
+  // Probing registers nothing.
   EXPECT_EQ(registry.NumInstruments(), 3u);
 }
 

@@ -694,6 +694,9 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
   // row no longer hashes to its line_hash, and a re-plan budget is not
   // finite and >= 0. Each edit replayed to a match before bundles
   // verified themselves. Decision 0 is an ingestion row with a finite y.
+  // The summary is that of the last row: a flipped chain_hash bit, or a
+  // total_decisions raised by 5, replayed as a divergence with no first
+  // mismatch.
   const std::string text =
       ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
   const std::string row0 = "{\"index\": 0, \"time\": 120, "
@@ -719,6 +722,10 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
        "decision 0"},
       {"\"budget_usd\": 0.23695682625001072", "\"budget_usd\": -1",
        "budget_usd"},
+      {"\"chain_hash\": \"9073612129254345404\"",
+       "\"chain_hash\": \"9073612129254345405\"", "chain_hash"},
+      {"\"total_decisions\": 27", "\"total_decisions\": 32",
+       "total_decisions"},
   };
   for (const TextEdit& e : edits) {
     std::string edited = text;
@@ -733,6 +740,33 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
         << e.to << ": " << bundle.status();
     EXPECT_NE(bundle.status().message().find(e.names), std::string::npos)
         << e.to << ": " << bundle.status();
+  }
+}
+
+// With no decision retained, a bundle's summary is 0 decisions and the
+// empty chain; any other summary is InvalidArgument.
+TEST(ReplayTest, BundleWithNoRowsHasAnEmptySummary) {
+  auto fixture = obs::replay::LoadBundleJson(
+      std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
+  ASSERT_TRUE(fixture.ok()) << fixture.status();
+  CaptureBundle empty = *fixture;
+  empty.decisions.clear();
+  empty.checkpoints.clear();
+  const std::string path = TempPath("empty_summary.json");
+  for (const auto& [decisions, chain_hash, ok] :
+       {std::tuple{uint64_t{0}, obs::replay::kFnvOffsetBasis, true},
+        std::tuple{fixture->total_decisions, obs::replay::kFnvOffsetBasis,
+                   false},
+        std::tuple{uint64_t{0}, fixture->chain_hash, false}}) {
+    empty.total_decisions = decisions;
+    empty.chain_hash = chain_hash;
+    ASSERT_TRUE(obs::replay::WriteBundleJson(empty, path).ok());
+    auto loaded = obs::replay::LoadBundleJson(path);
+    EXPECT_EQ(loaded.ok(), ok) << decisions << " decisions, chain "
+                               << chain_hash << ": " << loaded.status();
+    if (!ok) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    }
   }
 }
 

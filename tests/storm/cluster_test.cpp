@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <vector>
 
 namespace flower::storm {
 namespace {
@@ -270,6 +272,115 @@ TEST(ClusterTest, SinkThrottleRequeuesTuple) {
   // All 3 tuples eventually processed despite 5 throttled attempts.
   EXPECT_EQ(cluster.total_acked(), 3u);
   EXPECT_EQ(cluster.total_sink_throttles(), 5u);
+}
+
+TEST(ClusterTest, ClustersTickingOnOneThreadKeepTheirOwnTuples) {
+  // Sink that records the entity id of every tuple it runs and takes at
+  // most `per_tick` tuples a tick (0: no limit), throttling the rest.
+  class RecordingSink final : public BoltLogic {
+   public:
+    explicit RecordingSink(size_t per_tick) : per_tick_(per_tick) {}
+    size_t ExecuteBatch(const Tuple* in, size_t n, SimTime now,
+                        VecDeque<Tuple>* /*out*/, Status* status) override {
+      if (now != tick_) {
+        tick_ = now;
+        taken_ = 0;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (per_tick_ != 0 && taken_ == per_tick_) {
+          *status = Status::Throttled("sink full");
+          return i;
+        }
+        ++taken_;
+        acked.push_back(in[i].entity_id);
+      }
+      return n;
+    }
+    std::vector<int64_t> acked;
+
+   private:
+    size_t per_tick_;
+    SimTime tick_ = -1.0;
+    size_t taken_ = 0;
+  };
+  // spout -> parse -> sink; every tuple's entity id is its cluster's
+  // id base plus its place in the spout's order.
+  struct Side {
+    Side(sim::Simulation* sim, size_t sink_per_tick, int64_t id_base)
+        : fleet(sim, SmallVm(), 4, 10.0),
+          cluster(sim, nullptr, &fleet, TestConfig()),
+          sink(std::make_shared<RecordingSink>(sink_per_tick)),
+          next_id(id_base) {
+      auto topo = std::make_shared<Topology>("t");
+      EXPECT_TRUE(topo->SetSpout("spout", spout.Fn(), 0.0).ok());
+      BoltSpec parse;
+      parse.name = "parse";
+      parse.cpu_cost_per_tuple = 10.0;
+      parse.logic = std::make_shared<StatelessBolt>(1.0);
+      EXPECT_TRUE(topo->AddBolt(std::move(parse)).ok());
+      BoltSpec sink_spec;
+      sink_spec.name = "sink";
+      sink_spec.cpu_cost_per_tuple = 10.0;
+      sink_spec.logic = sink;
+      EXPECT_TRUE(topo->AddBolt(std::move(sink_spec), "parse").ok());
+      EXPECT_TRUE(cluster.Submit(topo).ok());
+    }
+    void Offer(int n, SimTime now) {
+      for (int i = 0; i < n; ++i) {
+        Tuple t;
+        t.origin_time = now;
+        t.entity_id = next_id++;
+        spout.q.push_back(t);
+      }
+    }
+    ec2::Fleet fleet;
+    Cluster cluster;
+    QueueSpout spout;
+    std::shared_ptr<RecordingSink> sink;
+    int64_t next_id;
+  };
+
+  // Both clusters tick at every whole second on this one thread, `lagging`
+  // first, so they share its tick scratch in turn. `lagging` is offered
+  // 100 tuples a tick and its sink takes 40, so it carries a growing
+  // backlog; `keeping_up` takes everything it is offered.
+  sim::Simulation sim;
+  Side lagging(&sim, /*sink_per_tick=*/40, /*id_base=*/0);
+  Side keeping_up(&sim, /*sink_per_tick=*/0, /*id_base=*/1'000'000);
+  ASSERT_TRUE(sim.SchedulePeriodic(0.5, 1.0, [&] {
+    lagging.Offer(100, sim.Now());
+    keeping_up.Offer(100, sim.Now());
+    return true;
+  }).ok());
+  int checked_ticks = 0;
+  ASSERT_TRUE(sim.SchedulePeriodic(1.75, 1.0, [&] {
+    for (const auto& [bolt, length] :
+         keeping_up.cluster.topology()->QueueLengths()) {
+      EXPECT_EQ(length, 0u) << bolt << " at " << sim.Now();
+    }
+    ++checked_ticks;
+    return true;
+  }).ok());
+  sim.RunUntil(30.0);
+  EXPECT_EQ(checked_ticks, 29);
+
+  // Each sink ran exactly its own spout's tuples, in the spout's order.
+  const auto in_order_from = [](const std::vector<int64_t>& acked,
+                                int64_t base) {
+    for (size_t i = 0; i < acked.size(); ++i) {
+      if (acked[i] != base + static_cast<int64_t>(i)) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(in_order_from(lagging.sink->acked, 0));
+  EXPECT_TRUE(in_order_from(keeping_up.sink->acked, 1'000'000));
+  // 30 ticks, each after an offer: the lagging sink took 40 a tick and
+  // left 60 a tick behind; the other took all 3,000.
+  EXPECT_EQ(lagging.sink->acked.size(), 30u * 40u);
+  EXPECT_EQ(lagging.cluster.topology()->PendingTuples(), 30u * 60u);
+  EXPECT_EQ(lagging.cluster.total_acked(), lagging.sink->acked.size());
+  EXPECT_EQ(keeping_up.sink->acked.size(), 30u * 100u);
+  EXPECT_EQ(keeping_up.cluster.total_acked(), 30u * 100u);
 }
 
 TEST(ClusterTest, PublishesMetrics) {
