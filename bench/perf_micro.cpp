@@ -439,7 +439,7 @@ bool FlightRecorderHotPathIsAllocationFree() {
       {"analytics", "analytics", "adaptive-gain(no-memory)"});
   if (!loop.ok()) return false;
   obs::replay::FlightRecorder recorder;
-  recorder.SetIdentity("guard-tenant", 0, 42, 0);
+  recorder.SetIdentity("guard-tenant", 0, 42);
   recorder.SetLoopTable(&log.loops());
   obs::ControlDecisionRecord rec;
   rec.loop = *loop;

@@ -14,12 +14,6 @@ namespace flower::fleet {
 
 namespace {
 
-/// A schema-1 capture bundle carries `span_id_offset`, the span-id
-/// namespace partitions once reserved: tenant index << 40. Spans are
-/// now numbered per collector; the field keeps its old value so the
-/// committed bundles and their fingerprints still match.
-constexpr int kBundleSpanIdOffsetShift = 40;
-
 bool FaultKindFromString(const std::string& name, sim::FaultKind* kind) {
   for (sim::FaultKind k :
        {sim::FaultKind::kActuatorFailure, sim::FaultKind::kActuatorThrottle,
@@ -184,9 +178,7 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   if (config.capture.enabled) {
     p->recorder_ = std::make_unique<obs::replay::FlightRecorder>(
         config.capture.recorder);
-    p->recorder_->SetIdentity(tenant.id, index, tenant.seed,
-                              static_cast<uint64_t>(index)
-                                  << kBundleSpanIdOffsetShift);
+    p->recorder_->SetIdentity(tenant.id, index, tenant.seed);
     p->recorder_->SetSpec(SerializePartitionSpec(tenant, config));
     for (const TenantFault& f : tenant.faults) p->recorder_->AddFault(f);
     p->managed_.manager->SetFlightRecorder(p->recorder_.get());

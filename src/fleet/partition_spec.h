@@ -25,7 +25,7 @@ std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
 /// callers' defaults. Every key must be one SerializePartitionSpec
 /// writes, at most once: a misspelt or repeated key would otherwise
 /// replay under a default or a later value and report a false
-/// divergence (the bundle schema check already rejects newer bundles).
+/// divergence (the bundle schema check already rejects other schemas).
 /// Errors: unknown or duplicate key, malformed numeric value, unknown
 /// arrival pattern.
 Status ParsePartitionSpec(

@@ -54,8 +54,7 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
   // its fingerprint answers "same inputs as the capture claims?" rather
   // than re-deriving from the reconstructed config.
   obs::replay::FlightRecorder* rec = harness->partition_->recorder();
-  rec->SetIdentity(bundle.tenant_id, bundle.tenant_index, bundle.seed,
-                   bundle.span_id_offset);
+  rec->SetIdentity(bundle.tenant_id, bundle.tenant_index, bundle.seed);
   rec->SetSpec(bundle.spec);
   rec->ClearFaults();
   for (const obs::replay::RecordedFault& f : bundle.faults) rec->AddFault(f);

@@ -55,7 +55,6 @@ void WriteBundle(std::ostream& os, const CaptureBundle& b) {
   os << " \"tenant_id\": " << Str(b.tenant_id) << ",\n";
   os << " \"tenant_index\": " << b.tenant_index << ",\n";
   os << " \"seed\": " << U64(b.seed) << ",\n";
-  os << " \"span_id_offset\": " << U64(b.span_id_offset) << ",\n";
   os << " \"fingerprint\": " << U64(b.fingerprint) << ",\n";
   os << " \"window_start\": " << Num(b.window_start) << ",\n";
   os << " \"trigger\": {\"fired\": " << (b.trigger.fired ? "true" : "false")
@@ -590,7 +589,6 @@ CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
   b.tenant_id = recorder.tenant_id();
   b.tenant_index = recorder.tenant_index();
   b.seed = recorder.seed();
-  b.span_id_offset = recorder.span_id_offset();
   b.fingerprint = recorder.Fingerprint();
   b.window_start = recorder.window_start();
   b.trigger = recorder.trigger();
@@ -640,8 +638,7 @@ CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
 
 uint64_t BundleFingerprint(const CaptureBundle& bundle) {
   FlightRecorder scratch{RecorderConfig{1, 1, 1, 1, 1}};
-  scratch.SetIdentity(bundle.tenant_id, bundle.tenant_index, bundle.seed,
-                      bundle.span_id_offset);
+  scratch.SetIdentity(bundle.tenant_id, bundle.tenant_index, bundle.seed);
   scratch.SetSpec(bundle.spec);
   for (const RecordedFault& f : bundle.faults) scratch.AddFault(f);
   return scratch.Fingerprint();
@@ -668,17 +665,20 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
   CaptureBundle b;
   uint64_t schema = 0;
   BUNDLE_FIELD(schema, root, "schema_version", AsU64);
-  if (schema > static_cast<uint64_t>(kBundleSchemaVersion)) {
-    return Status::InvalidArgument(
-        "capture bundle schema v" + std::to_string(schema) +
-        " is newer than this build understands (v" +
-        std::to_string(kBundleSchemaVersion) + ")");
+  if (schema != static_cast<uint64_t>(kBundleSchemaVersion)) {
+    std::string msg = "capture bundle schema v";
+    msg += std::to_string(schema);
+    msg += schema > static_cast<uint64_t>(kBundleSchemaVersion)
+               ? " is newer than this build understands (v"
+               : " is older than this build replays (v";
+    msg += std::to_string(kBundleSchemaVersion);
+    msg += "); recapture it with this build";
+    return Status::InvalidArgument(msg);
   }
   b.schema_version = static_cast<int>(schema);
   BUNDLE_FIELD(b.tenant_id, root, "tenant_id", AsString);
   BUNDLE_FIELD(b.tenant_index, root, "tenant_index", AsSize);
   BUNDLE_FIELD(b.seed, root, "seed", AsU64);
-  BUNDLE_FIELD(b.span_id_offset, root, "span_id_offset", AsU64);
   BUNDLE_FIELD(b.fingerprint, root, "fingerprint", AsU64);
   BUNDLE_FIELD(b.window_start, root, "window_start", AsDouble);
   BUNDLE_FIELD(b.chain_hash, root, "chain_hash", AsU64);

@@ -10,9 +10,12 @@
 
 namespace flower::obs::replay {
 
-/// Bundle schema version written by WriteBundleJson; LoadBundleJson
-/// rejects bundles from a newer schema.
-inline constexpr int kBundleSchemaVersion = 1;
+/// Bundle schema version written by WriteBundleJson. LoadBundleJson
+/// accepts this version only: a newer bundle needs a newer build, and an
+/// older one was captured under other random draws (schema 1 predates
+/// the specified samplers), so replaying it would report a false
+/// divergence.
+inline constexpr int kBundleSchemaVersion = 2;
 
 /// A self-contained postmortem capture: everything needed to rebuild
 /// the captured tenant as a solo partition and re-run it to the trigger
@@ -24,10 +27,6 @@ struct CaptureBundle {
   std::string tenant_id;
   size_t tenant_index = 0;
   uint64_t seed = 0;
-  /// Schema-1 data: the span-id namespace partitions once reserved
-  /// (tenant index << 40). Spans are numbered per collector now; the
-  /// field stays because bundles and their fingerprints carry it.
-  uint64_t span_id_offset = 0;
   /// FlightRecorder::Fingerprint() of the capture-time inputs.
   uint64_t fingerprint = 0;
   /// Capture window [window_start, trigger.time]: the oldest retained
@@ -67,7 +66,8 @@ Status WriteBundleJson(const CaptureBundle& bundle, const std::string& path);
 /// decision row must hash to its `line_hash` and extend the chain of
 /// the row before it, and every grant and re-plan amount must be finite
 /// and >= 0. Errors: unreadable file, malformed JSON, missing required
-/// fields, a newer schema_version, or a row that fails verification
+/// fields, a schema_version other than kBundleSchemaVersion (older or
+/// newer), or a row that fails verification
 /// (InvalidArgument naming the decision index or the field).
 Result<CaptureBundle> LoadBundleJson(const std::string& path);
 

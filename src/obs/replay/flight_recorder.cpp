@@ -49,11 +49,10 @@ FlightRecorder::FlightRecorder(RecorderConfig config) : config_(config) {
 }
 
 void FlightRecorder::SetIdentity(std::string tenant_id, size_t tenant_index,
-                                 uint64_t seed, uint64_t span_id_offset) {
+                                 uint64_t seed) {
   tenant_id_ = std::move(tenant_id);
   tenant_index_ = tenant_index;
   seed_ = seed;
-  span_id_offset_ = span_id_offset;
 }
 
 void FlightRecorder::SetSpec(
@@ -70,7 +69,6 @@ uint64_t FlightRecorder::Fingerprint() const {
   h = FnvStr(h, tenant_id_);
   h = FnvU64(h, tenant_index_);
   h = FnvU64(h, seed_);
-  h = FnvU64(h, span_id_offset_);
   for (const auto& [key, value] : spec_) {
     h = FnvStr(h, key);
     h = FnvMix(h, "=", 1);

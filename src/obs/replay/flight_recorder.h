@@ -101,8 +101,8 @@ struct TriggerInfo {
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 uint64_t FnvMix(uint64_t seed, const void* data, size_t len);
 
-/// Bounded black box for one flow/partition: identity (tenant, seeds,
-/// schema-1 span_id_offset), config spec, fault schedule, arbiter grant
+/// Bounded black box for one flow/partition: identity (tenant, index,
+/// seed), config spec, fault schedule, arbiter grant
 /// history, re-plan history, and the tail of the control-decision
 /// digest with a running chain hash. Everything after construction and
 /// the setup-time setters is allocation-free, so a recorder per
@@ -119,8 +119,7 @@ class FlightRecorder {
 
   // --- Setup-time capture (may allocate; call before the run). ---
 
-  void SetIdentity(std::string tenant_id, size_t tenant_index, uint64_t seed,
-                   uint64_t span_id_offset);
+  void SetIdentity(std::string tenant_id, size_t tenant_index, uint64_t seed);
   /// Replaces the config spec: ordered (key, value) pairs covering every
   /// decision-relevant knob (see fleet::SerializePartitionSpec).
   void SetSpec(std::vector<std::pair<std::string, std::string>> spec);
@@ -164,7 +163,6 @@ class FlightRecorder {
   const std::string& tenant_id() const { return tenant_id_; }
   size_t tenant_index() const { return tenant_index_; }
   uint64_t seed() const { return seed_; }
-  uint64_t span_id_offset() const { return span_id_offset_; }
   const std::vector<std::pair<std::string, std::string>>& spec() const {
     return spec_;
   }
@@ -195,7 +193,6 @@ class FlightRecorder {
   std::string tenant_id_;
   size_t tenant_index_ = 0;
   uint64_t seed_ = 0;
-  uint64_t span_id_offset_ = 0;
   std::vector<std::pair<std::string, std::string>> spec_;
   std::vector<RecordedFault> faults_;
   TriggerInfo trigger_;

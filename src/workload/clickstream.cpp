@@ -33,16 +33,12 @@ ClickStreamGenerator::ClickStreamGenerator(
     std::shared_ptr<ArrivalProcess> arrival, ClickStreamConfig config,
     uint64_t seed)
     : sim_(sim), stream_(stream), arrival_(std::move(arrival)),
-      config_(config) {
+      config_(config),
+      urls_(ZipfWeights(config_.num_urls, config_.url_zipf_skew)) {
   FLOWER_CHECK(config_.generator_instances > 0);
-  std::vector<double> weights =
-      ZipfWeights(config_.num_urls, config_.url_zipf_skew);
   Rng seeder(seed);
   for (int i = 0; i < config_.generator_instances; ++i) {
-    auto inst = std::make_unique<Instance>(seeder.engine()());
-    inst->url_dist =
-        std::discrete_distribution<int64_t>(weights.begin(), weights.end());
-    instances_.push_back(std::move(inst));
+    instances_.emplace_back(seeder.Next());
   }
   for (size_t i = 0; i < instances_.size(); ++i) {
     // Stagger instance start offsets inside one emit period so batches
@@ -62,22 +58,22 @@ ClickStreamGenerator::ClickStreamGenerator(
 }
 
 void ClickStreamGenerator::EmitBatch(size_t instance_index) {
-  Instance& inst = *instances_[instance_index];
+  Rng& rng = instances_[instance_index];
   SimTime now = sim_->Now();
   double share = arrival_->RatePerSec(now) /
                  static_cast<double>(instances_.size());
   double expected = share * config_.emit_period_sec;
   if (expected <= 0.0) return;
-  int64_t count = inst.rng.Poisson(expected);
+  int64_t count = rng.Poisson(expected);
   // The batch is drawn into scratch owned by the calling thread, not by
   // the generator: a fleet runs one generator per tenant on a few
   // workers, and a buffer each would hold a batch of memory per tenant.
   thread_local std::vector<kinesis::Record> batch;
   batch.resize(static_cast<size_t>(count));
   for (kinesis::Record& rec : batch) {
-    const int64_t user_id = inst.rng.UniformInt(0, config_.num_users - 1);
-    rec.entity_id = inst.url_dist(inst.rng.engine());
-    int32_t jitter = static_cast<int32_t>(inst.rng.UniformInt(
+    const int64_t user_id = rng.UniformInt(0, config_.num_users - 1);
+    rec.entity_id = urls_.Sample(&rng);
+    int32_t jitter = static_cast<int32_t>(rng.UniformInt(
         -config_.record_bytes_jitter, config_.record_bytes_jitter));
     rec.size_bytes = std::max(32, config_.record_bytes_mean + jitter);
     rec.partition_key = MixHash(static_cast<uint64_t>(user_id));

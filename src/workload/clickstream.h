@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <random>
 #include <vector>
 
 #include "common/random.h"
@@ -54,19 +53,16 @@ class ClickStreamGenerator {
   double ExpectedRate(SimTime t) const { return arrival_->RatePerSec(t); }
 
  private:
-  struct Instance {
-    Rng rng;
-    std::discrete_distribution<int64_t> url_dist;
-    explicit Instance(uint64_t seed) : rng(seed) {}
-  };
-
   void EmitBatch(size_t instance_index);
 
   sim::Simulation* sim_;
   kinesis::Stream* stream_;
   std::shared_ptr<ArrivalProcess> arrival_;
   ClickStreamConfig config_;
-  std::vector<std::unique_ptr<Instance>> instances_;
+  /// Zipf URL popularity, shared by every instance.
+  AliasTable urls_;
+  /// One random stream per emulated instance.
+  std::vector<Rng> instances_;
   bool running_ = true;
   uint64_t total_generated_ = 0;
   uint64_t total_dropped_ = 0;

@@ -173,6 +173,32 @@ TEST(WorkStealSweepTest, MetricDelayDigestMatchesGolden) {
   }
 }
 
+// testdata/default_config_2x900s.digest holds ControlDigest() of two
+// MakeTenantFleet tenants under the default FleetConfig (the arbiter's
+// full 32 x 16 NSGA-II) on $0.01 per tenant-hour, for one 900 s window.
+// It is the smallest fleet golden that fused multiply-adds move: built
+// at -march=x86-64-v3 with -ffp-contract=fast instead of the library's
+// -ffp-contract=off, line 2 (tenant t0000's grant) reads 0.011647 for
+// 0.011646 (EXPERIMENTS PERF15), while the three goldens above still
+// match. Regenerated like the homogeneous golden.
+TEST(WorkStealSweepTest, DefaultConfigDigestMatchesGolden) {
+  for (size_t threads : {1, 4}) {
+    FleetConfig c;
+    c.fleet_budget_usd_per_hour = 0.02;
+    c.num_threads = threads;
+    c.partition.horizon_sec = 900.0;
+    FleetManager fleet(c);
+    for (TenantConfig& t : MakeTenantFleet(2, /*seed=*/1)) {
+      ASSERT_TRUE(fleet.AddTenant(std::move(t)).ok());
+    }
+    ASSERT_TRUE(fleet.Start().ok());
+    ASSERT_TRUE(fleet.RunFor(900.0).ok());
+    ASSERT_EQ(fleet.reports().size(), 1u);
+    ExpectDigestMatchesGolden(fleet.ControlDigest(),
+                              "default_config_2x900s.digest", threads);
+  }
+}
+
 TEST(WorkStealSweepTest, HeterogeneousDigestIdenticalAcrossThreadCounts) {
   std::string digests[3];
   const size_t thread_counts[3] = {1, 4, 16};

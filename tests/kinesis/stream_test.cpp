@@ -304,7 +304,7 @@ TEST(StreamTest, PutRecordsEqualsSequenceOfPutRecord) {
     // Up to ~3x the write limit of the largest shard count.
     batch.resize(static_cast<size_t>(rng.UniformInt(0, 1500)));
     for (Record& r : batch) {
-      r = Rec(rng.engine()(),
+      r = Rec(rng.Next(),
               static_cast<int32_t>(rng.UniformInt(64, 3000)),
               rng.UniformInt(-1000, 1000));
     }

@@ -117,18 +117,18 @@ TEST(FlightRecorderTest, TriggerLatchesFirstAlert) {
 
 TEST(FlightRecorderTest, FingerprintCoversIdentitySpecAndFaults) {
   FlightRecorder a;
-  a.SetIdentity("t0", 0, 42, 0);
+  a.SetIdentity("t0", 0, 42);
   a.SetSpec({{"tenant.seed", "42"}});
   uint64_t base = a.Fingerprint();
 
   FlightRecorder b;
-  b.SetIdentity("t0", 0, 42, 0);
+  b.SetIdentity("t0", 0, 42);
   b.SetSpec({{"tenant.seed", "42"}});
   EXPECT_EQ(b.Fingerprint(), base);
 
-  b.SetIdentity("t0", 0, 43, 0);  // Seed change.
+  b.SetIdentity("t0", 0, 43);  // Seed change.
   EXPECT_NE(b.Fingerprint(), base);
-  b.SetIdentity("t0", 0, 42, 0);
+  b.SetIdentity("t0", 0, 42);
   EXPECT_EQ(b.Fingerprint(), base);
 
   RecordedFault fault;
@@ -147,7 +147,7 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
   config.decision_capacity = 8;
   FlightRecorder rec(config);
   rec.SetLoopTable(TestLoops());
-  rec.SetIdentity("tenant-7", 7, 0xDEADBEEFCAFEF00Dull, uint64_t{7} << 40);
+  rec.SetIdentity("tenant-7", 7, 0xDEADBEEFCAFEF00Dull);
   rec.SetSpec({{"tenant.id", "tenant-7"}, {"tenant.seed", "16045690985373815821"}});
   RecordedFault fault;
   fault.kind = "sensor-spike";
@@ -177,7 +177,6 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(loaded->tenant_id, "tenant-7");
   EXPECT_EQ(loaded->tenant_index, 7u);
   EXPECT_EQ(loaded->seed, 0xDEADBEEFCAFEF00Dull);  // > 2^53: exact u64.
-  EXPECT_EQ(loaded->span_id_offset, uint64_t{7} << 40);
   EXPECT_EQ(loaded->fingerprint, bundle.fingerprint);
   EXPECT_EQ(loaded->chain_hash, bundle.chain_hash);
   EXPECT_EQ(loaded->total_decisions, 12u);
@@ -386,8 +385,6 @@ TEST(ReplayTest, ExplicitDumpWithoutAlertIsReplayable) {
   EXPECT_TRUE(bundle->trigger.fired);
   EXPECT_EQ(bundle->trigger.reason, "explicit");
   EXPECT_EQ(bundle->tenant_index, 1u);
-  // Schema-1 data: the namespace tenant 1 once reserved for its spans.
-  EXPECT_EQ(bundle->span_id_offset, uint64_t{1} << 40);
 
   auto harness = fleet::ReplayHarness::Create(*bundle);
   ASSERT_TRUE(harness.ok()) << harness.status();
@@ -701,29 +698,29 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
       ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
   const std::string row0 = "{\"index\": 0, \"time\": 120, "
                            "\"loop\": \"ingestion\", "
-                           "\"y\": 0.45000000000000001, ";
+                           "\"y\": 0.4325, ";
   struct TextEdit {
     std::string from;
     std::string to;
     const char* names;  ///< The decision index or field the error names.
   };
   const std::vector<TextEdit> edits = {
-      {"\"u\": 1, \"out\": 0, \"line_hash\": \"988635637522687082\"",
-       "\"u\": 999, \"out\": 0, \"line_hash\": \"988635637522687082\"",
+      {"\"u\": 1, \"out\": 0, \"line_hash\": \"11872574374734528044\"",
+       "\"u\": 999, \"out\": 0, \"line_hash\": \"11872574374734528044\"",
        "decision 0"},
       {row0, "{\"index\": 0, \"time\": 120, \"loop\": \"ingestion\", "
              "\"y\": \"nan\", ",
        "decision 0"},
       {row0, "{\"index\": 0, \"time\": 120, \"loop\": \"storage\", "
-             "\"y\": 0.45000000000000001, ",
+             "\"y\": 0.4325, ",
        "decision 0"},
       {row0, "{\"index\": 0, \"time\": \"nan\", \"loop\": \"ingestion\", "
-             "\"y\": 0.45000000000000001, ",
+             "\"y\": 0.4325, ",
        "decision 0"},
       {"\"budget_usd\": 0.23695682625001072", "\"budget_usd\": -1",
        "budget_usd"},
-      {"\"chain_hash\": \"9073612129254345404\"",
-       "\"chain_hash\": \"9073612129254345405\"", "chain_hash"},
+      {"\"chain_hash\": \"9952445310767775699\"",
+       "\"chain_hash\": \"9952445310767775698\"", "chain_hash"},
       {"\"total_decisions\": 27", "\"total_decisions\": 32",
        "total_decisions"},
   };
@@ -779,11 +776,11 @@ TEST(ReplayTest, MalformedBundleIntegersAreRejected) {
   const std::string text =
       ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
   const std::pair<std::string, std::string> edits[] = {
-      {"\"span_id_offset\": \"0\"", "\"span_id_offset\": \" 0\""},
-      {"\"span_id_offset\": \"0\"", "\"span_id_offset\": \"-3\""},
+      {"\"seed\": \"", "\"seed\": \" "},
+      {"\"seed\": \"", "\"seed\": \"-"},
       {"\"total_decisions\": 27", "\"total_decisions\": 1e30"},
-      // 2^32 + 1: an int cast would read it as schema 1.
-      {"\"schema_version\": 1", "\"schema_version\": 4294967297"},
+      // 2^32 + 2: an int cast would read it as schema 2.
+      {"\"schema_version\": 2", "\"schema_version\": 4294967298"},
       // A decision outcome is one of the five StepOutcomes; a uint8_t
       // cast would read 256 as 0.
       {"\"out\": 0", "\"out\": 256"},
@@ -801,6 +798,28 @@ TEST(ReplayTest, MalformedBundleIntegersAreRejected) {
     EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument)
         << to << ": " << bundle.status();
   }
+}
+
+// A schema-1 bundle was captured under other random draws: replayed,
+// it would report a divergence that is not one. LoadBundleJson refuses
+// it with InvalidArgument naming both versions, so flower-replay exits 1
+// rather than 2.
+TEST(ReplayTest, OlderSchemaBundleIsRejected) {
+  std::string text =
+      ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
+  const std::string from = "\"schema_version\": 2,";
+  const size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), "\"schema_version\": 1,");
+  const std::string path = TempPath("older_schema.json");
+  std::ofstream(path, std::ios::binary) << text;
+  auto bundle = obs::replay::LoadBundleJson(path);
+  ASSERT_FALSE(bundle.ok());
+  EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bundle.status().message().find("v1"), std::string::npos)
+      << bundle.status();
+  EXPECT_NE(bundle.status().message().find("v2"), std::string::npos)
+      << bundle.status();
 }
 
 // --- Satellite: fleet period report JSONL export. ------------------
