@@ -18,6 +18,7 @@
 #include "bench/bench_util.h"
 #include "common/table_printer.h"
 #include "core/resource_share.h"
+#include "exec/thread_pool.h"
 #include "opt/nsga2.h"
 #include "tools/flag_parser.h"
 
@@ -199,14 +200,15 @@ int main(int argc, char** argv) {
     std::cerr << flags.status() << "\n" << kUsage;
     return 2;
   }
-  auto unknown = flags->UnknownKeys({"threads"});
-  if (!unknown.empty()) {
-    std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
+  flower::Status known = flags->CheckKnown({"threads"}, {});
+  if (!known.ok()) {
+    std::cerr << known.message() << "\n" << kUsage;
     return 2;
   }
-  auto threads = flags->GetInt("threads", 8);
+  auto threads = flags->GetUnsigned("threads", 8, flower::exec::kMaxThreads);
   if (!threads.ok() || *threads < 1) {
-    std::cerr << "--threads expects a positive integer\n";
+    std::cerr << "--threads expects an integer in [1, "
+              << flower::exec::kMaxThreads << "]\n";
     return 2;
   }
   return flower::Run(static_cast<size_t>(*threads));

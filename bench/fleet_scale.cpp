@@ -371,15 +371,17 @@ int main(int argc, char** argv) {
     std::cerr << flags.status() << "\n";
     return 2;
   }
-  auto unknown = flags->UnknownKeys({"smoke", "flows", "out"});
-  if (!unknown.empty()) {
-    std::cerr << "usage: fleet_scale [--smoke] [--flows=N] "
+  flower::Status known = flags->CheckKnown({"flows", "out"}, {"smoke"});
+  if (!known.ok()) {
+    std::cerr << known.message()
+              << "\nusage: fleet_scale [--smoke] [--flows=N] "
                  "[--out=BENCH_fleet.json]\n";
     return 2;
   }
   bool smoke = flags->GetBool("smoke", false);
-  auto flows_or = flags->GetInt("flows", smoke ? 64 : 1000);
-  if (!flows_or.ok() || *flows_or <= 0) {
+  auto flows_or = flags->GetUnsigned("flows", smoke ? 64 : 1000,
+                                     flower::tools::kMaxCountFlag);
+  if (!flows_or.ok() || *flows_or < 1) {
     std::cerr << "--flows must be a positive integer\n";
     return 2;
   }

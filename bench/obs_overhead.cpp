@@ -448,10 +448,16 @@ int Run(bool smoke, const std::string& out_path) {
 }  // namespace flower
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: obs_overhead [--smoke] [--out=BENCH_obs.json]\n";
   auto flags = flower::tools::FlagParser::Parse(argc, argv);
   if (!flags.ok()) {
-    std::cerr << flags.status()
-              << "\nusage: obs_overhead [--smoke] [--out=BENCH_obs.json]\n";
+    std::cerr << flags.status() << "\n" << kUsage;
+    return 2;
+  }
+  flower::Status known = flags->CheckKnown({"out"}, {"smoke"});
+  if (!known.ok()) {
+    std::cerr << known.message() << "\n" << kUsage;
     return 2;
   }
   bool smoke = flags->GetBool("smoke");

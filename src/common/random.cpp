@@ -8,13 +8,6 @@ namespace flower {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 // log k!: exact (correctly rounded) below 10, then the Stirling series
 // through its 1/k^9 term, whose truncation error is below 2e-14 at k = 10.
 double LogFactorial(int64_t k) {
@@ -44,7 +37,10 @@ double LogFactorial(int64_t k) {
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  for (uint64_t& word : s_) word = SplitMix64(&seed);
+  for (uint64_t& word : s_) {
+    word = SplitMix64(seed);
+    seed += kSplitMix64Gamma;
+  }
 }
 
 double Rng::Normal(double mean, double stddev) {

@@ -7,6 +7,20 @@
 
 namespace flower {
 
+/// The increment splitmix64 adds to its state at each step (2^64 over
+/// the golden ratio).
+inline constexpr uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ull;
+
+/// The splitmix64 output after state `x`: the avalanche mix of
+/// x + kSplitMix64Gamma. The one 64-bit mix of a key or seed; inline, so
+/// the per-tuple and per-record callers compile it in place.
+inline constexpr uint64_t SplitMix64(uint64_t x) {
+  uint64_t z = x + kSplitMix64Gamma;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic pseudo-random source used everywhere in Flower.
 ///
 /// All stochastic components (workload generators, NSGA-II, simulated
@@ -20,7 +34,8 @@ namespace flower {
 /// consumes and its libm calls.
 class Rng {
  public:
-  /// Fills the state with four successive splitmix64 outputs of `seed`.
+  /// Fills the state with four successive splitmix64 outputs of `seed`:
+  /// SplitMix64(seed), SplitMix64(seed + gamma), and so on.
   explicit Rng(uint64_t seed);
 
   /// Next raw 64-bit output of the engine (xoshiro256**).

@@ -2,19 +2,12 @@
 
 namespace flower::exec {
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 uint64_t DeriveSeed(uint64_t master_seed, uint64_t stream, uint64_t index) {
   // Sequential splitmix steps keep (stream, index) cells distinct even
   // when stream == index or either is 0.
-  uint64_t h = Mix64(master_seed);
-  h = Mix64(h ^ (stream + 0x9E3779B97F4A7C15ull));
-  h = Mix64(h ^ (index + 0xD1B54A32D192ED03ull));
+  uint64_t h = SplitMix64(master_seed);
+  h = SplitMix64(h ^ (stream + kSplitMix64Gamma));
+  h = SplitMix64(h ^ (index + 0xD1B54A32D192ED03ull));
   return h;
 }
 

@@ -7,12 +7,9 @@
 
 namespace flower::exec {
 
-/// Finalizer of the splitmix64 generator: a full-avalanche 64-bit mix.
-uint64_t Mix64(uint64_t x);
-
 /// Derives a statistically independent child seed for the
 /// (stream, index) cell of a master seed. Two cells collide only if
-/// the splitmix64 mix does, so per-task generators seeded this way are
+/// SplitMix64 does, so per-task generators seeded this way are
 /// effectively independent streams.
 uint64_t DeriveSeed(uint64_t master_seed, uint64_t stream, uint64_t index);
 

@@ -1,71 +1,111 @@
 #include "fleet/partition_spec.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <set>
+#include <type_traits>
+
+#include "common/parse.h"
 
 namespace flower::fleet {
 
 namespace {
 
-std::string F64(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// The spec: calls `visit(key, field)` once for each of its 34 keys,
+/// in the order a bundle stores them (its fingerprint hashes them in
+/// this order). Writing passes const configs, reading mutable ones.
+template <typename Tenant, typename Config, typename Visit>
+void VisitSpec(Tenant& tenant, Config& config, Visit&& visit) {
+  visit("tenant.id", tenant.id);
+  visit("tenant.seed", tenant.seed);
+  visit("tenant.initial_budget_usd", tenant.initial_budget_usd);
+  visit("tenant.budget_weight", tenant.budget_weight);
+  visit("tenant.pattern", tenant.pattern);
+  visit("tenant.base_rate_per_sec", tenant.base_rate_per_sec);
+  visit("tenant.amplitude_per_sec", tenant.amplitude_per_sec);
+  visit("tenant.period_sec", tenant.period_sec);
+  visit("tenant.phase_sec", tenant.phase_sec);
+  visit("tenant.initial_shards", tenant.initial_shards);
+  visit("tenant.max_shards", tenant.max_shards);
+  visit("tenant.initial_workers", tenant.initial_workers);
+  visit("tenant.max_workers", tenant.max_workers);
+  visit("tenant.initial_wcu", tenant.initial_wcu);
+  visit("tenant.max_wcu", tenant.max_wcu);
+  visit("tenant.reference_utilization_pct", tenant.reference_utilization_pct);
+  visit("tenant.monitoring_period_sec", tenant.monitoring_period_sec);
+  visit("tenant.arbitration_period_sec", tenant.arbitration_period_sec);
+
+  visit("partition.arbitration_period_sec", config.arbitration_period_sec);
+  visit("partition.replan_offset_sec", config.replan_offset_sec);
+  visit("partition.horizon_sec", config.horizon_sec);
+  visit("partition.workload_emit_period_sec",
+        config.workload_emit_period_sec);
+  visit("partition.storm_tick_period_sec", config.storm_tick_period_sec);
+  visit("partition.solver_population", config.flow_solver.population_size);
+  visit("partition.solver_generations", config.flow_solver.generations);
+  visit("partition.warm_start", config.flow_incremental.warm_start);
+  visit("partition.cache", config.flow_incremental.cache);
+  visit("partition.stall_generations",
+        config.flow_incremental.stall_generations);
+
+  visit("capture.health_trigger", config.capture.health_trigger);
+  visit("capture.health_eval_period_sec",
+        config.capture.health_eval_period_sec);
+  visit("capture.util_threshold", config.capture.util_threshold);
+  visit("capture.slo_objective", config.capture.slo_objective);
+  visit("capture.slo_fast_window_sec", config.capture.slo_fast_window_sec);
+  visit("capture.slo_slow_window_sec", config.capture.slo_slow_window_sec);
 }
 
-std::string U64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-Status ParseF64(const std::string& key, const std::string& value,
-                double* out) {
-  char* end = nullptr;
-  double v = std::strtod(value.c_str(), &end);
-  if (end != value.c_str() + value.size() || value.empty() ||
-      std::isspace(static_cast<unsigned char>(value[0]))) {
-    return Status::InvalidArgument("partition spec: bad number for '" + key +
-                                   "': '" + value + "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-/// Digits only, within T's range: strtoull alone skips leading
-/// whitespace, takes a sign ("-3" wraps to 2^64 - 3), and a cast to a
-/// narrower T would wrap the value.
+/// A field's value text: doubles as %.17g, integers in decimal, bools
+/// as true/false.
 template <typename T>
-Status ParseInteger(const std::string& key, const std::string& value,
-                    T* out) {
-  errno = 0;
-  unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos ||
-      errno == ERANGE ||
-      v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
-    return Status::InvalidArgument("partition spec: bad integer for '" + key +
-                                   "': '" + value + "'");
+std::string WriteField(const T& field) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return field;
+  } else if constexpr (std::is_same_v<T, ArrivalPattern>) {
+    return ArrivalPatternToString(field);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return field ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", field);
+    return buf;
+  } else {
+    return std::to_string(static_cast<unsigned long long>(field));
   }
-  *out = static_cast<T>(v);
-  return Status::OK();
 }
 
-Status ParseBool(const std::string& key, const std::string& value, bool* out) {
-  if (value == "true" || value == "1") {
-    *out = true;
-    return Status::OK();
+/// Reads a field's value text by common/parse.h's rules; an integer
+/// field takes digits only, within its type's range.
+template <typename T>
+Status ReadField(const std::string& key, const std::string& value, T* field) {
+  auto store = [&](auto parsed, const char* what) {
+    if (parsed.ok()) {
+      *field = static_cast<T>(*parsed);
+      return Status::OK();
+    }
+    std::string message = "partition spec: bad ";
+    message.append(what).append(" for '").append(key).append("': '");
+    return Status::InvalidArgument(message.append(value).append("'"));
+  };
+  if constexpr (std::is_same_v<T, std::string>) {
+    *field = value;
+  } else if constexpr (std::is_same_v<T, ArrivalPattern>) {
+    if (!ArrivalPatternFromString(value, field)) {
+      return Status::InvalidArgument(
+          "partition spec: unknown arrival pattern '" + value + "'");
+    }
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return store(ParseBool(value), "bool");
+  } else if constexpr (std::is_same_v<T, double>) {
+    return store(ParseDouble(value), "number");
+  } else {
+    static_assert(std::is_integral_v<T>);
+    constexpr auto kMax = static_cast<uint64_t>(std::numeric_limits<T>::max());
+    return store(ParseUnsigned(value, kMax), "integer");
   }
-  if (value == "false" || value == "0") {
-    *out = false;
-    return Status::OK();
-  }
-  return Status::InvalidArgument("partition spec: bad bool for '" + key +
-                                 "': '" + value + "'");
+  return Status::OK();
 }
 
 }  // namespace
@@ -73,51 +113,9 @@ Status ParseBool(const std::string& key, const std::string& value, bool* out) {
 std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
     const TenantConfig& tenant, const PartitionConfig& config) {
   std::vector<std::pair<std::string, std::string>> spec;
-  auto put = [&spec](const char* key, std::string value) {
-    spec.emplace_back(key, std::move(value));
-  };
-  put("tenant.id", tenant.id);
-  put("tenant.seed", U64(tenant.seed));
-  put("tenant.initial_budget_usd", F64(tenant.initial_budget_usd));
-  put("tenant.budget_weight", F64(tenant.budget_weight));
-  put("tenant.pattern", ArrivalPatternToString(tenant.pattern));
-  put("tenant.base_rate_per_sec", F64(tenant.base_rate_per_sec));
-  put("tenant.amplitude_per_sec", F64(tenant.amplitude_per_sec));
-  put("tenant.period_sec", F64(tenant.period_sec));
-  put("tenant.phase_sec", F64(tenant.phase_sec));
-  put("tenant.initial_shards", U64(tenant.initial_shards));
-  put("tenant.max_shards", U64(tenant.max_shards));
-  put("tenant.initial_workers", U64(tenant.initial_workers));
-  put("tenant.max_workers", U64(tenant.max_workers));
-  put("tenant.initial_wcu", F64(tenant.initial_wcu));
-  put("tenant.max_wcu", F64(tenant.max_wcu));
-  put("tenant.reference_utilization_pct",
-      F64(tenant.reference_utilization_pct));
-  put("tenant.monitoring_period_sec", F64(tenant.monitoring_period_sec));
-  put("tenant.arbitration_period_sec", F64(tenant.arbitration_period_sec));
-
-  put("partition.arbitration_period_sec", F64(config.arbitration_period_sec));
-  put("partition.replan_offset_sec", F64(config.replan_offset_sec));
-  put("partition.horizon_sec", F64(config.horizon_sec));
-  put("partition.workload_emit_period_sec",
-      F64(config.workload_emit_period_sec));
-  put("partition.storm_tick_period_sec", F64(config.storm_tick_period_sec));
-  put("partition.solver_population", U64(config.flow_solver.population_size));
-  put("partition.solver_generations", U64(config.flow_solver.generations));
-  put("partition.warm_start", config.flow_incremental.warm_start ? "true"
-                                                                 : "false");
-  put("partition.cache", config.flow_incremental.cache ? "true" : "false");
-  put("partition.stall_generations",
-      U64(config.flow_incremental.stall_generations));
-
-  put("capture.health_trigger",
-      config.capture.health_trigger ? "true" : "false");
-  put("capture.health_eval_period_sec",
-      F64(config.capture.health_eval_period_sec));
-  put("capture.util_threshold", F64(config.capture.util_threshold));
-  put("capture.slo_objective", F64(config.capture.slo_objective));
-  put("capture.slo_fast_window_sec", F64(config.capture.slo_fast_window_sec));
-  put("capture.slo_slow_window_sec", F64(config.capture.slo_slow_window_sec));
+  VisitSpec(tenant, config, [&spec](const char* key, const auto& field) {
+    spec.emplace_back(key, WriteField(field));
+  });
   return spec;
 }
 
@@ -130,100 +128,18 @@ Status ParsePartitionSpec(
       return Status::InvalidArgument("partition spec: duplicate key '" + key +
                                      "'");
     }
-    if (key == "tenant.id") {
-      tenant->id = value;
-    } else if (key == "tenant.seed") {
-      FLOWER_RETURN_NOT_OK(ParseInteger(key, value, &tenant->seed));
-    } else if (key == "tenant.initial_budget_usd") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->initial_budget_usd));
-    } else if (key == "tenant.budget_weight") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->budget_weight));
-    } else if (key == "tenant.pattern") {
-      if (!ArrivalPatternFromString(value, &tenant->pattern)) {
-        return Status::InvalidArgument(
-            "partition spec: unknown arrival pattern '" + value + "'");
-      }
-    } else if (key == "tenant.base_rate_per_sec") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->base_rate_per_sec));
-    } else if (key == "tenant.amplitude_per_sec") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->amplitude_per_sec));
-    } else if (key == "tenant.period_sec") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->period_sec));
-    } else if (key == "tenant.phase_sec") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->phase_sec));
-    } else if (key == "tenant.initial_shards") {
-      FLOWER_RETURN_NOT_OK(
-          ParseInteger(key, value, &tenant->initial_shards));
-    } else if (key == "tenant.max_shards") {
-      FLOWER_RETURN_NOT_OK(ParseInteger(key, value, &tenant->max_shards));
-    } else if (key == "tenant.initial_workers") {
-      FLOWER_RETURN_NOT_OK(
-          ParseInteger(key, value, &tenant->initial_workers));
-    } else if (key == "tenant.max_workers") {
-      FLOWER_RETURN_NOT_OK(ParseInteger(key, value, &tenant->max_workers));
-    } else if (key == "tenant.initial_wcu") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->initial_wcu));
-    } else if (key == "tenant.max_wcu") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &tenant->max_wcu));
-    } else if (key == "tenant.reference_utilization_pct") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &tenant->reference_utilization_pct));
-    } else if (key == "tenant.monitoring_period_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &tenant->monitoring_period_sec));
-    } else if (key == "tenant.arbitration_period_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &tenant->arbitration_period_sec));
-    } else if (key == "partition.arbitration_period_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->arbitration_period_sec));
-    } else if (key == "partition.replan_offset_sec") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &config->replan_offset_sec));
-    } else if (key == "partition.horizon_sec") {
-      FLOWER_RETURN_NOT_OK(ParseF64(key, value, &config->horizon_sec));
-    } else if (key == "partition.workload_emit_period_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->workload_emit_period_sec));
-    } else if (key == "partition.storm_tick_period_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->storm_tick_period_sec));
-    } else if (key == "partition.solver_population") {
-      FLOWER_RETURN_NOT_OK(
-          ParseInteger(key, value, &config->flow_solver.population_size));
-    } else if (key == "partition.solver_generations") {
-      FLOWER_RETURN_NOT_OK(
-          ParseInteger(key, value, &config->flow_solver.generations));
-    } else if (key == "partition.warm_start") {
-      FLOWER_RETURN_NOT_OK(
-          ParseBool(key, value, &config->flow_incremental.warm_start));
-    } else if (key == "partition.cache") {
-      FLOWER_RETURN_NOT_OK(
-          ParseBool(key, value, &config->flow_incremental.cache));
-    } else if (key == "partition.stall_generations") {
-      FLOWER_RETURN_NOT_OK(ParseInteger(
-          key, value, &config->flow_incremental.stall_generations));
-    } else if (key == "capture.health_trigger") {
-      FLOWER_RETURN_NOT_OK(
-          ParseBool(key, value, &config->capture.health_trigger));
-    } else if (key == "capture.health_eval_period_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->capture.health_eval_period_sec));
-    } else if (key == "capture.util_threshold") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->capture.util_threshold));
-    } else if (key == "capture.slo_objective") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->capture.slo_objective));
-    } else if (key == "capture.slo_fast_window_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->capture.slo_fast_window_sec));
-    } else if (key == "capture.slo_slow_window_sec") {
-      FLOWER_RETURN_NOT_OK(
-          ParseF64(key, value, &config->capture.slo_slow_window_sec));
-    } else {
+    bool known = false;
+    Status status;
+    VisitSpec(*tenant, *config, [&](const char* name, auto& field) {
+      if (known || key != name) return;
+      known = true;
+      status = ReadField(key, value, &field);
+    });
+    if (!known) {
       return Status::InvalidArgument("partition spec: unknown key '" + key +
                                      "'");
     }
+    FLOWER_RETURN_NOT_OK(status);
   }
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/random.h"
 #include "common/units.h"
 #include "fleet/flow_partition.h"
 
@@ -123,15 +124,6 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
 
 namespace {
 
-/// SplitMix64 finalizer: a stateless index->uint64 mixer, so tenant i's
-/// parameters depend only on (seed, i) and never on generation order.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Uniform double in [0, 1) from a mixed word.
 double Unit(uint64_t x) {
   return static_cast<double>(x >> 11) * (1.0 / 9007199254740992.0);
@@ -147,26 +139,27 @@ std::vector<TenantConfig> MakeTenantFleet(size_t count, uint64_t seed) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "t%04zu", i);
     t.id = buf;
-    t.seed = Mix(seed ^ (0x1000 + i));
+    t.seed = SplitMix64(seed ^ (0x1000 + i));
 
-    uint64_t h = Mix(seed ^ i);
-    t.initial_budget_usd = 2.0 + 8.0 * Unit(Mix(h ^ 1));
-    t.budget_weight = 0.5 + 1.5 * Unit(Mix(h ^ 2));
+    uint64_t h = SplitMix64(seed ^ i);
+    t.initial_budget_usd = 2.0 + 8.0 * Unit(SplitMix64(h ^ 1));
+    t.budget_weight = 0.5 + 1.5 * Unit(SplitMix64(h ^ 2));
 
-    t.pattern = static_cast<ArrivalPattern>(Mix(h ^ 3) % 4);
-    t.base_rate_per_sec = 5.0 + 15.0 * Unit(Mix(h ^ 4));
-    t.amplitude_per_sec = t.base_rate_per_sec * (0.3 + 0.5 * Unit(Mix(h ^ 5)));
-    t.period_sec = 1800.0 + 3600.0 * Unit(Mix(h ^ 6));
-    t.phase_sec = t.period_sec * Unit(Mix(h ^ 7));
+    t.pattern = static_cast<ArrivalPattern>(SplitMix64(h ^ 3) % 4);
+    t.base_rate_per_sec = 5.0 + 15.0 * Unit(SplitMix64(h ^ 4));
+    t.amplitude_per_sec =
+        t.base_rate_per_sec * (0.3 + 0.5 * Unit(SplitMix64(h ^ 5)));
+    t.period_sec = 1800.0 + 3600.0 * Unit(SplitMix64(h ^ 6));
+    t.phase_sec = t.period_sec * Unit(SplitMix64(h ^ 7));
 
-    t.initial_shards = 1 + static_cast<int>(Mix(h ^ 8) % 3);
-    t.max_shards = 20 + static_cast<int>(Mix(h ^ 9) % 40);
-    t.initial_workers = 2 + static_cast<int>(Mix(h ^ 10) % 3);
-    t.max_workers = 20 + static_cast<int>(Mix(h ^ 11) % 40);
-    t.initial_wcu = 5.0 + 10.0 * Unit(Mix(h ^ 12));
-    t.max_wcu = 1000.0 + 2000.0 * Unit(Mix(h ^ 13));
+    t.initial_shards = 1 + static_cast<int>(SplitMix64(h ^ 8) % 3);
+    t.max_shards = 20 + static_cast<int>(SplitMix64(h ^ 9) % 40);
+    t.initial_workers = 2 + static_cast<int>(SplitMix64(h ^ 10) % 3);
+    t.max_workers = 20 + static_cast<int>(SplitMix64(h ^ 11) % 40);
+    t.initial_wcu = 5.0 + 10.0 * Unit(SplitMix64(h ^ 12));
+    t.max_wcu = 1000.0 + 2000.0 * Unit(SplitMix64(h ^ 13));
 
-    t.reference_utilization_pct = 50.0 + 20.0 * Unit(Mix(h ^ 14));
+    t.reference_utilization_pct = 50.0 + 20.0 * Unit(SplitMix64(h ^ 14));
     fleet.push_back(std::move(t));
   }
   return fleet;
@@ -181,7 +174,7 @@ void ApplyPeriodJitter(std::vector<TenantConfig>* tenants,
   // virtual times instead of epsilon-apart ones.
   static constexpr int kDivisors[] = {1, 2, 3, 4};
   for (size_t i = 0; i < tenants->size(); ++i) {
-    int d = kDivisors[Mix(seed ^ (0x7e57 + i)) % 4];
+    int d = kDivisors[SplitMix64(seed ^ (0x7e57 + i)) % 4];
     (*tenants)[i].arbitration_period_sec =
         base_period_sec / static_cast<double>(d);
   }

@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/random.h"
+
 namespace flower::flow {
 
 namespace {
-
-/// splitmix64 finalizer — cheap, well-mixed hash for the slot table.
-inline uint64_t MixEntity(int64_t entity) {
-  uint64_t z = static_cast<uint64_t>(entity) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 inline size_t NextPow2(size_t n) {
   size_t p = 1;
@@ -49,7 +43,7 @@ SlidingWindowCounter::SlidingWindowCounter(double window_sec, double slide_sec)
 }
 
 uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
-  size_t h = static_cast<size_t>(MixEntity(entity)) & table_mask_;
+  size_t h = SplitMix64(static_cast<uint64_t>(entity)) & table_mask_;
   while (table_[h] >= 0) {
     uint32_t slot = static_cast<uint32_t>(table_[h]);
     if (slot_ids_[slot] == entity) return slot;
@@ -58,7 +52,7 @@ uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
   if ((slot_ids_.size() + 1) * 4 > table_.size() * 3) {
     GrowTable();
     // Re-probe in the grown table for the insertion point.
-    h = static_cast<size_t>(MixEntity(entity)) & table_mask_;
+    h = SplitMix64(static_cast<uint64_t>(entity)) & table_mask_;
     while (table_[h] >= 0) h = (h + 1) & table_mask_;
   }
   uint32_t slot = static_cast<uint32_t>(slot_ids_.size());
@@ -83,7 +77,7 @@ void SlidingWindowCounter::GrowTable() {
   std::vector<int32_t> fresh(table_.size() * 2, -1);
   size_t mask = fresh.size() - 1;
   for (uint32_t slot = 0; slot < slot_ids_.size(); ++slot) {
-    size_t h = static_cast<size_t>(MixEntity(slot_ids_[slot])) & mask;
+    size_t h = SplitMix64(static_cast<uint64_t>(slot_ids_[slot])) & mask;
     while (fresh[h] >= 0) h = (h + 1) & mask;
     fresh[h] = static_cast<int32_t>(slot);
   }

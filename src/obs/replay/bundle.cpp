@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
+#include "common/parse.h"
 #include "obs/exporters.h"
 
 namespace flower::obs::replay {
@@ -149,6 +149,11 @@ void WriteBundle(std::ostream& os, const CaptureBundle& b) {
 // escapes; numbers parse as doubles, 64-bit fields arrive as strings.
 // ---------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects the reader takes. A bundle
+/// nests four deep (the root, "replans", an entry, its "shares"); the
+/// bound keeps the recursion's stack use fixed whatever the input.
+constexpr int kMaxJsonDepth = 16;
+
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
   Type type = Type::kNull;
@@ -165,7 +170,7 @@ class JsonParser {
 
   Result<JsonValue> Parse() {
     JsonValue v;
-    FLOWER_RETURN_NOT_OK(ParseValue(&v));
+    FLOWER_RETURN_NOT_OK(ParseValue(&v, 0));
     SkipWs();
     if (pos_ != text_.size()) return Err("trailing characters");
     return v;
@@ -184,12 +189,16 @@ class JsonParser {
     }
   }
 
-  Status ParseValue(JsonValue* out) {
+  /// `depth` counts the arrays and objects around the value.
+  Status ParseValue(JsonValue* out, int depth) {
     SkipWs();
     if (pos_ >= text_.size()) return Err("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth) {
+      return Err("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
+    if (c == '{') return ParseObject(out, depth + 1);
+    if (c == '[') return ParseArray(out, depth + 1);
     if (c == '"') {
       out->type = JsonValue::Type::kString;
       return ParseString(&out->str);
@@ -212,7 +221,7 @@ class JsonParser {
     return ParseNumber(out);
   }
 
-  Status ParseObject(JsonValue* out) {
+  Status ParseObject(JsonValue* out, int depth) {
     out->type = JsonValue::Type::kObject;
     ++pos_;  // '{'
     SkipWs();
@@ -231,7 +240,7 @@ class JsonParser {
       if (pos_ >= text_.size() || text_[pos_] != ':') return Err("expected ':'");
       ++pos_;
       JsonValue value;
-      FLOWER_RETURN_NOT_OK(ParseValue(&value));
+      FLOWER_RETURN_NOT_OK(ParseValue(&value, depth));
       out->object.emplace_back(std::move(key), std::move(value));
       SkipWs();
       if (pos_ >= text_.size()) return Err("unterminated object");
@@ -247,7 +256,7 @@ class JsonParser {
     }
   }
 
-  Status ParseArray(JsonValue* out) {
+  Status ParseArray(JsonValue* out, int depth) {
     out->type = JsonValue::Type::kArray;
     ++pos_;  // '['
     SkipWs();
@@ -257,7 +266,7 @@ class JsonParser {
     }
     while (true) {
       JsonValue value;
-      FLOWER_RETURN_NOT_OK(ParseValue(&value));
+      FLOWER_RETURN_NOT_OK(ParseValue(&value, depth));
       out->array.push_back(std::move(value));
       SkipWs();
       if (pos_ >= text_.size()) return Err("unterminated array");
@@ -326,12 +335,11 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) return Err("expected a value");
-    std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Err("malformed number");
+    Result<double> v =
+        ParseDouble(std::string_view(text_).substr(start, pos_ - start));
+    if (!v.ok()) return Err("malformed number");
     out->type = JsonValue::Type::kNumber;
-    out->number = v;
+    out->number = *v;
     return Status::OK();
   }
 
@@ -368,11 +376,9 @@ Result<uint64_t> AsUnsigned(const JsonValue& v, const std::string& what,
   bool ok = false;
   uint64_t out = 0;
   if (v.type == JsonValue::Type::kString) {
-    errno = 0;
-    out = std::strtoull(v.str.c_str(), nullptr, 10);
-    ok = !v.str.empty() &&
-         v.str.find_first_not_of("0123456789") == std::string::npos &&
-         errno != ERANGE;
+    Result<uint64_t> parsed = ParseUnsigned(v.str, max);
+    ok = parsed.ok();
+    out = parsed.ValueOr(0);
   } else if (v.type == JsonValue::Type::kNumber) {
     // 0x1p64 (2^64) is the first double past uint64_t's range; NaN
     // fails the first comparison.

@@ -18,14 +18,6 @@ std::vector<double> ZipfWeights(int64_t n, double skew) {
   return w;
 }
 
-// 64-bit mix for partition keys (splitmix64 finalizer).
-uint64_t MixHash(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 ClickStreamGenerator::ClickStreamGenerator(
@@ -76,7 +68,7 @@ void ClickStreamGenerator::EmitBatch(size_t instance_index) {
     int32_t jitter = static_cast<int32_t>(rng.UniformInt(
         -config_.record_bytes_jitter, config_.record_bytes_jitter));
     rec.size_bytes = std::max(32, config_.record_bytes_mean + jitter);
-    rec.partition_key = MixHash(static_cast<uint64_t>(user_id));
+    rec.partition_key = SplitMix64(static_cast<uint64_t>(user_id));
   }
   total_generated_ += batch.size();
   total_dropped_ += stream_->PutRecords(batch.data(), batch.size());

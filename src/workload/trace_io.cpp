@@ -1,27 +1,25 @@
 #include "workload/trace_io.h"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/csv.h"
+#include "common/parse.h"
 
 namespace flower::workload {
 
 namespace {
 
-bool ParseDouble(const std::string& s, double* out) {
-  try {
-    size_t pos = 0;
-    *out = std::stod(s, &pos);
-    while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
+/// A cell's number: blanks around it are trimmed (a trace written
+/// "0, 10" loads), then ParseDouble reads the rest.
+Result<double> ParseCell(std::string_view cell) {
+  constexpr std::string_view kBlanks = " \t\n\v\f\r";
+  const size_t first = cell.find_first_not_of(kBlanks);
+  if (first == std::string_view::npos) return ParseDouble("");
+  return ParseDouble(
+      cell.substr(first, cell.find_last_not_of(kBlanks) - first + 1));
 }
 
 }  // namespace
@@ -44,20 +42,20 @@ Result<TimeSeries> LoadRateTraceCsv(const std::string& path) {
       return Status::InvalidArgument("LoadRateTraceCsv: malformed row " +
                                      std::to_string(line_no));
     }
-    double t = 0.0, v = 0.0;
-    if (!ParseDouble(t_str, &t) || !ParseDouble(v_str, &v)) {
+    Result<double> t = ParseCell(t_str), v = ParseCell(v_str);
+    if (!t.ok() || !v.ok()) {
       if (line_no == 1) continue;  // Header row.
       return Status::InvalidArgument("LoadRateTraceCsv: non-numeric row " +
                                      std::to_string(line_no));
     }
     // A NaN or negative rate means nothing to the record generator, and
     // a NaN or infinite time is never reached.
-    if (!std::isfinite(t) || !std::isfinite(v) || v < 0.0) {
+    if (!std::isfinite(*t) || !std::isfinite(*v) || *v < 0.0) {
       return Status::InvalidArgument(
           "LoadRateTraceCsv: row " + std::to_string(line_no) +
           " needs a finite time and a finite rate >= 0");
     }
-    Status st = out.Append(t, v);
+    Status st = out.Append(*t, *v);
     if (!st.ok()) {
       return Status::InvalidArgument(
           "LoadRateTraceCsv: non-monotonic time at row " +

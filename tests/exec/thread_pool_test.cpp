@@ -307,9 +307,9 @@ TEST(SubRngTest, StreamAndIndexAreNotInterchangeable) {
 
 TEST(SubRngTest, Mix64AvalanchesSingleBitFlips) {
   // Flipping one input bit should flip roughly half the output bits.
-  uint64_t base = Mix64(0x123456789ABCDEFull);
+  uint64_t base = SplitMix64(0x123456789ABCDEFull);
   for (int bit = 0; bit < 64; ++bit) {
-    uint64_t flipped = Mix64(0x123456789ABCDEFull ^ (1ull << bit));
+    uint64_t flipped = SplitMix64(0x123456789ABCDEFull ^ (1ull << bit));
     int diff = __builtin_popcountll(base ^ flipped);
     EXPECT_GE(diff, 16) << "bit " << bit;
     EXPECT_LE(diff, 48) << "bit " << bit;

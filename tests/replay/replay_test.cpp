@@ -242,13 +242,41 @@ TEST(BundleTest, LongLoopNameSurvivesRoundTrip) {
 // --- Partition spec round-trip. ------------------------------------
 
 TEST(PartitionSpecTest, SerializeParseRoundTrip) {
+  // Every one of the 34 fields away from its default, so a key that is
+  // not read, or read into another field, shows in the fixed point.
   fleet::TenantConfig tenant = fleet::MakeTenantFleet(3, 77)[2];
+  tenant.seed = std::numeric_limits<uint64_t>::max();
+  tenant.pattern = fleet::ArrivalPattern::kMmpp;
+  tenant.arbitration_period_sec = 300.0;
+  tenant.monitoring_period_sec = 90.0;
+  tenant.max_wcu = 1234.5;
+  tenant.initial_shards = 3;
+  tenant.initial_workers = 4;
   fleet::PartitionConfig config;
   config.arbitration_period_sec = 450.0;
+  config.replan_offset_sec = 2.5;
+  config.horizon_sec = 7200.0;
+  config.workload_emit_period_sec = 10.0;
+  config.storm_tick_period_sec = 2.0;
   config.flow_solver.population_size = 24;
+  config.flow_solver.generations = 7;
+  config.flow_incremental.warm_start = false;
+  config.flow_incremental.cache = false;
   config.flow_incremental.stall_generations = 5;
+  config.capture.health_trigger = true;
+  config.capture.health_eval_period_sec = 30.0;
+  config.capture.util_threshold = 80.5;
+  config.capture.slo_objective = 0.9;
+  config.capture.slo_fast_window_sec = 120.0;
   config.capture.slo_slow_window_sec = 600.0;
   auto spec = fleet::SerializePartitionSpec(tenant, config);
+  const auto defaults = fleet::SerializePartitionSpec(fleet::TenantConfig{},
+                                                      fleet::PartitionConfig{});
+  ASSERT_EQ(spec.size(), 34u);
+  ASSERT_EQ(defaults.size(), spec.size());
+  for (size_t i = 0; i < spec.size(); ++i) {
+    EXPECT_NE(spec[i].second, defaults[i].second) << spec[i].first;
+  }
 
   fleet::TenantConfig tenant2;
   fleet::PartitionConfig config2;
@@ -257,12 +285,70 @@ TEST(PartitionSpecTest, SerializeParseRoundTrip) {
   EXPECT_EQ(tenant2.seed, tenant.seed);
   EXPECT_EQ(tenant2.pattern, tenant.pattern);
   EXPECT_DOUBLE_EQ(tenant2.base_rate_per_sec, tenant.base_rate_per_sec);
+  EXPECT_EQ(tenant2.max_shards, tenant.max_shards);
   EXPECT_DOUBLE_EQ(config2.arbitration_period_sec, 450.0);
   EXPECT_EQ(config2.flow_solver.population_size, 24u);
+  EXPECT_FALSE(config2.flow_incremental.cache);
   EXPECT_EQ(config2.flow_incremental.stall_generations, 5u);
+  EXPECT_TRUE(config2.capture.health_trigger);
   EXPECT_DOUBLE_EQ(config2.capture.slo_slow_window_sec, 600.0);
-  // Round-trip is a fixed point.
+  // Round-trip is a fixed point: each key reads back into the field it
+  // was written from.
   EXPECT_EQ(fleet::SerializePartitionSpec(tenant2, config2), spec);
+}
+
+// A bundle stores the spec in this order, and its fingerprint hashes the
+// spec in order, so the order is part of the bundle format.
+TEST(PartitionSpecTest, KeysAreWrittenInBundleOrder) {
+  const std::vector<std::string> expected = {
+      "tenant.id",
+      "tenant.seed",
+      "tenant.initial_budget_usd",
+      "tenant.budget_weight",
+      "tenant.pattern",
+      "tenant.base_rate_per_sec",
+      "tenant.amplitude_per_sec",
+      "tenant.period_sec",
+      "tenant.phase_sec",
+      "tenant.initial_shards",
+      "tenant.max_shards",
+      "tenant.initial_workers",
+      "tenant.max_workers",
+      "tenant.initial_wcu",
+      "tenant.max_wcu",
+      "tenant.reference_utilization_pct",
+      "tenant.monitoring_period_sec",
+      "tenant.arbitration_period_sec",
+      "partition.arbitration_period_sec",
+      "partition.replan_offset_sec",
+      "partition.horizon_sec",
+      "partition.workload_emit_period_sec",
+      "partition.storm_tick_period_sec",
+      "partition.solver_population",
+      "partition.solver_generations",
+      "partition.warm_start",
+      "partition.cache",
+      "partition.stall_generations",
+      "capture.health_trigger",
+      "capture.health_eval_period_sec",
+      "capture.util_threshold",
+      "capture.slo_objective",
+      "capture.slo_fast_window_sec",
+      "capture.slo_slow_window_sec",
+  };
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : fleet::SerializePartitionSpec(
+           fleet::TenantConfig{}, fleet::PartitionConfig{})) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, expected);
+
+  auto fixture = obs::replay::LoadBundleJson(
+      std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
+  ASSERT_TRUE(fixture.ok()) << fixture.status();
+  std::vector<std::string> fixture_keys;
+  for (const auto& [key, value] : fixture->spec) fixture_keys.push_back(key);
+  EXPECT_EQ(fixture_keys, expected);
 }
 
 // --- Capture -> replay end to end. ---------------------------------
@@ -738,6 +824,19 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
     EXPECT_NE(bundle.status().message().find(e.names), std::string::npos)
         << e.to << ": " << bundle.status();
   }
+
+  // A bundle nests four deep. The reader recurses once per level, so it
+  // refuses more than 16, naming the byte where the 17th opens, instead
+  // of running out of stack.
+  const std::string path = TempPath("hostile_nesting.json");
+  std::ofstream(path, std::ios::binary)
+      << std::string(100000, '[') << std::string(100000, ']');
+  auto nested = obs::replay::LoadBundleJson(path);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kInvalidArgument)
+      << nested.status();
+  EXPECT_NE(nested.status().message().find("at byte 16"), std::string::npos)
+      << nested.status();
 }
 
 // With no decision retained, a bundle's summary is 0 decisions and the

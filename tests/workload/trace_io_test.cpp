@@ -54,6 +54,19 @@ TEST_F(TraceIoTest, CrlfLineEndingsHandled) {
   EXPECT_DOUBLE_EQ((*loaded)[1].value, 20.0);
 }
 
+// Blanks around a cell are trimmed before the number is read.
+TEST_F(TraceIoTest, BlanksAroundCellsAreTrimmed) {
+  std::string path = Path("blanks.csv");
+  WriteFile(path, "time_sec, rate\n0, 10\n30 ,20 \n\t60\t,\t30\n");
+  auto loaded = LoadRateTraceCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), 3u);
+  EXPECT_DOUBLE_EQ((*loaded)[0].value, 10.0);
+  EXPECT_DOUBLE_EQ((*loaded)[1].time, 30.0);
+  EXPECT_DOUBLE_EQ((*loaded)[1].value, 20.0);
+  EXPECT_DOUBLE_EQ((*loaded)[2].value, 30.0);
+}
+
 TEST_F(TraceIoTest, MissingFileIsNotFound) {
   EXPECT_EQ(LoadRateTraceCsv("/nonexistent/x.csv").status().code(),
             StatusCode::kNotFound);
@@ -67,6 +80,11 @@ TEST_F(TraceIoTest, MalformedRowsRejected) {
   std::string p2 = Path("bad2.csv");
   WriteFile(p2, "0,10\n5\n");
   EXPECT_EQ(LoadRateTraceCsv(p2).status().code(),
+            StatusCode::kInvalidArgument);
+  // A blank inside a cell is not trimmed away.
+  std::string p3 = Path("bad3.csv");
+  WriteFile(p3, "0,10\n30,2 0\n");
+  EXPECT_EQ(LoadRateTraceCsv(p3).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/parse.h"
+
 namespace flower::tools {
 
 Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
@@ -27,6 +29,26 @@ Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
   return parser;
 }
 
+Status FlagParser::CheckKnown(const std::vector<std::string>& options,
+                              const std::vector<std::string>& switches) const {
+  auto listed = [](const std::vector<std::string>& keys,
+                   const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+  for (const auto& [key, value] : flags_) {
+    const bool is_switch = listed(switches, key);
+    if (!is_switch && !listed(options, key)) {
+      return Status::InvalidArgument("unknown flag: --" + key);
+    }
+    if (is_switch && !ParseBool(value).ok()) {
+      return Status::InvalidArgument("--" + key +
+                                     " expects true, false, 1 or 0, got '" +
+                                     value + "'");
+    }
+  }
+  return Status::OK();
+}
+
 std::string FlagParser::GetString(const std::string& key,
                                   const std::string& fallback) const {
   auto it = flags_.find(key);
@@ -37,47 +59,31 @@ Result<double> FlagParser::GetDouble(const std::string& key,
                                      double fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  try {
-    size_t pos = 0;
-    double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (...) {
+  Result<double> value = ParseDouble(it->second);
+  if (!value.ok()) {
     return Status::InvalidArgument("--" + key + " expects a number, got '" +
                                    it->second + "'");
   }
+  return value;
 }
 
-Result<int64_t> FlagParser::GetInt(const std::string& key,
-                                   int64_t fallback) const {
+Result<uint64_t> FlagParser::GetUnsigned(const std::string& key,
+                                         uint64_t fallback,
+                                         uint64_t max) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  try {
-    size_t pos = 0;
-    int64_t v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (...) {
-    return Status::InvalidArgument("--" + key + " expects an integer, got '" +
+  Result<uint64_t> value = ParseUnsigned(it->second, max);
+  if (!value.ok()) {
+    return Status::InvalidArgument("--" + key + " expects an integer in [0, " +
+                                   std::to_string(max) + "], got '" +
                                    it->second + "'");
   }
+  return value;
 }
 
 bool FlagParser::GetBool(const std::string& key, bool fallback) const {
   auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
-  return it->second != "false" && it->second != "0";
-}
-
-std::vector<std::string> FlagParser::UnknownKeys(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> unknown;
-  for (const auto& [key, value] : flags_) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      unknown.push_back(key);
-    }
-  }
-  return unknown;
+  return it == flags_.end() ? fallback : ParseBool(it->second).ValueOr(true);
 }
 
 }  // namespace flower::tools

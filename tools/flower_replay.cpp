@@ -145,17 +145,16 @@ int main(int argc, char** argv) {
     std::cerr << flags.status() << "\n" << flower::kUsage;
     return 1;
   }
+  flower::Status known = flags->CheckKnown(
+      {"bundle", "trace-out", "metrics-out", "health-out", "decisions-out"},
+      {"quiet", "help"});
+  if (!known.ok()) {
+    std::cerr << known.message() << "\n" << flower::kUsage;
+    return 1;
+  }
   if (flags->GetBool("help")) {
     std::cout << flower::kUsage;
     return 0;
-  }
-  auto unknown = flags->UnknownKeys({"bundle", "trace-out", "metrics-out",
-                                     "health-out", "decisions-out", "quiet",
-                                     "help"});
-  if (!unknown.empty()) {
-    std::cerr << "unknown flag: --" << unknown.front() << "\n"
-              << flower::kUsage;
-    return 1;
   }
   flower::ReplayCliOptions options;
   options.bundle_path = flags->GetString("bundle", "");

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/table_printer.h"
@@ -39,7 +40,8 @@ namespace {
 
 constexpr const char* kUsage = R"(flower_sim — Flower simulator experiment driver
 
-Flags (all optional):
+Flags (all optional; a switch such as --quiet takes no value, or one of
+true, false, 1 and 0):
   --controller=NAME     adaptive-gain | adaptive-gain-no-memory | fixed-gain |
                         quasi-adaptive | rule-based | target-tracking |
                         feedforward                     [adaptive-gain]
@@ -51,7 +53,7 @@ Flags (all optional):
   --hours=H             simulated duration                       [4]
   --reference=PCT       target utilization, all layers           [60]
   --monitoring-period=S control period, seconds                  [120]
-  --seed=N              RNG seed                                 [42]
+  --seed=N              RNG seed, 0 to 2^64 - 1                  [42]
   --threads=N           NSGA-II planner worker threads (0 = all cores, at
                         most 256); the planned shares are bit-identical at
                         any N                                      [1]
@@ -129,13 +131,12 @@ Status CheckPeakRate(double peak, const std::string& what) {
 }
 
 Result<std::shared_ptr<workload::ArrivalProcess>> MakeWorkload(
-    const tools::FlagParser& flags, double hours) {
+    const tools::FlagParser& flags, double hours, uint64_t seed) {
   FLOWER_ASSIGN_OR_RETURN(double rate, flags.GetDouble("rate", 800.0));
   FLOWER_ASSIGN_OR_RETURN(double amplitude,
                           flags.GetDouble("amplitude", 600.0));
   FLOWER_ASSIGN_OR_RETURN(double period_hours,
                           flags.GetDouble("period-hours", 4.0));
-  FLOWER_ASSIGN_OR_RETURN(int64_t seed, flags.GetInt("seed", 42));
   if (!(std::isfinite(rate) && rate >= 0.0 && std::isfinite(amplitude) &&
         amplitude >= 0.0)) {
     return Status::InvalidArgument(
@@ -184,7 +185,7 @@ Result<std::shared_ptr<workload::ArrivalProcess>> MakeWorkload(
     return std::shared_ptr<workload::ArrivalProcess>(
         std::make_shared<workload::MmppArrival>(
             rate, rate + 2.0 * amplitude, 20.0 * kMinute, 10.0 * kMinute,
-            hours * kHour, static_cast<uint64_t>(seed)));
+            hours * kHour, seed));
   }
   return Status::InvalidArgument("unknown --workload: " + kind);
 }
@@ -241,11 +242,11 @@ struct ReplicaMetrics {
   double resizes = 0.0;
 };
 
-// Runs one replication of the configured scenario and fills `out`.
-// Returns non-zero on error (mirrors RunOrDie's reporting).
+// Runs the replica of seed `seed` of the configured scenario. Every
+// replica's arrival process is built from --seed, `seed0`.
 Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
+                                  double hours, uint64_t seed0,
                                   uint64_t seed) {
-  FLOWER_ASSIGN_OR_RETURN(double hours, flags.GetDouble("hours", 4.0));
   FLOWER_ASSIGN_OR_RETURN(double reference,
                           flags.GetDouble("reference", 60.0));
   FLOWER_ASSIGN_OR_RETURN(double period,
@@ -255,7 +256,7 @@ Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
       core::ControllerKindFromString(
           flags.GetString("controller", "adaptive-gain")));
   FLOWER_ASSIGN_OR_RETURN(std::shared_ptr<workload::ArrivalProcess> arrival,
-                          MakeWorkload(flags, hours));
+                          MakeWorkload(flags, hours, seed0));
 
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;
@@ -290,22 +291,18 @@ Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
 }
 
 // Replicated mode: run N seeds, print per-seed rows and mean +/- sd.
-int RunReplicated(const tools::FlagParser& flags, int64_t seeds) {
-  auto seed0 = flags.GetInt("seed", 42);
-  if (!seed0.ok()) {
-    std::cerr << seed0.status() << "\n";
-    return 2;
-  }
+int RunReplicated(const tools::FlagParser& flags, double hours,
+                  uint64_t seed0, uint64_t seeds) {
   TablePrinter table({"seed", "drop %", "out-of-band %", "overload %",
                       "MAE", "resizes"});
   std::vector<ReplicaMetrics> all;
-  for (int64_t s = 0; s < seeds; ++s) {
-    auto m = RunReplica(flags, static_cast<uint64_t>(*seed0 + s));
+  for (uint64_t s = 0; s < seeds; ++s) {
+    auto m = RunReplica(flags, hours, seed0, seed0 + s);
     if (!m.ok()) {
-      std::cerr << "seed " << (*seed0 + s) << ": " << m.status() << "\n";
+      std::cerr << "seed " << (seed0 + s) << ": " << m.status() << "\n";
       return 1;
     }
-    table.AddRow({std::to_string(*seed0 + s),
+    table.AddRow({std::to_string(seed0 + s),
                   TablePrinter::Num(m->drop_pct, 3),
                   TablePrinter::Num(m->out_of_band_pct, 1),
                   TablePrinter::Num(m->overload_pct, 1),
@@ -343,21 +340,19 @@ int RunReplicated(const tools::FlagParser& flags, int64_t seeds) {
 
 // Fleet mode: many independent tenant flows sharing one hourly dollar
 // budget, re-divided by the hierarchical arbiter every period.
-int RunFleet(const tools::FlagParser& flags) {
-  auto hours_or = flags.GetDouble("hours", 4.0);
-  auto tenants_or = flags.GetInt("fleet-tenants", 16);
+int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
+  auto tenants_or =
+      flags.GetUnsigned("fleet-tenants", 16, tools::kMaxCountFlag);
   auto budget_or = flags.GetDouble("fleet-budget", 100.0);
   auto period_or = flags.GetDouble("fleet-period", 900.0);
-  auto threads_or = flags.GetInt("fleet-threads", 1);
-  auto seed_or = flags.GetInt("seed", 42);
-  if (!hours_or.ok() || !tenants_or.ok() || !budget_or.ok() ||
-      !period_or.ok() || !threads_or.ok() || !seed_or.ok()) {
+  auto threads_or = flags.GetUnsigned("fleet-threads", 1, exec::kMaxThreads);
+  if (!tenants_or.ok() || !budget_or.ok() || !period_or.ok() ||
+      !threads_or.ok()) {
     std::cerr << "bad numeric flag\n";
     return 2;
   }
-  if (*tenants_or < 1 || *threads_or < 1 ||
-      *threads_or > static_cast<int64_t>(exec::kMaxThreads) ||
-      *budget_or <= 0.0 || *period_or <= 0.0) {
+  if (*tenants_or < 1 || *threads_or < 1 || *budget_or <= 0.0 ||
+      *period_or <= 0.0) {
     std::cerr << "--fleet-tenants expects a positive integer, "
                  "--fleet-threads an integer in [1, "
               << exec::kMaxThreads
@@ -379,10 +374,9 @@ int RunFleet(const tools::FlagParser& flags) {
   }
   fleet::FleetManager manager(config);
   std::vector<fleet::TenantConfig> tenants = fleet::MakeTenantFleet(
-      static_cast<size_t>(*tenants_or), static_cast<uint64_t>(*seed_or));
+      static_cast<size_t>(*tenants_or), seed);
   if (flags.GetBool("fleet-tenant-period-jitter")) {
-    fleet::ApplyPeriodJitter(&tenants, *period_or,
-                             static_cast<uint64_t>(*seed_or));
+    fleet::ApplyPeriodJitter(&tenants, *period_or, seed);
   }
   if (flags.GetBool("fleet-fault") && !tenants.empty()) {
     // A sensed-utilization spike the controller cannot regulate away:
@@ -408,7 +402,7 @@ int RunFleet(const tools::FlagParser& flags) {
     std::cerr << st << "\n";
     return 1;
   }
-  st = manager.RunFor(*hours_or * kHour);
+  st = manager.RunFor(hours * kHour);
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
@@ -493,17 +487,13 @@ int RunFleet(const tools::FlagParser& flags) {
   return 0;
 }
 
-int RunOrDie(const tools::FlagParser& flags) {
-  auto hours_or = flags.GetDouble("hours", 4.0);
+int RunOrDie(const tools::FlagParser& flags, double hours, uint64_t seed) {
   auto reference_or = flags.GetDouble("reference", 60.0);
   auto period_or = flags.GetDouble("monitoring-period", 120.0);
-  auto seed_or = flags.GetInt("seed", 42);
-  if (!hours_or.ok() || !reference_or.ok() || !period_or.ok() ||
-      !seed_or.ok()) {
+  if (!reference_or.ok() || !period_or.ok()) {
     std::cerr << "bad numeric flag\n";
     return 2;
   }
-  double hours = *hours_or;
   auto kind =
       core::ControllerKindFromString(flags.GetString("controller",
                                                      "adaptive-gain"));
@@ -511,15 +501,14 @@ int RunOrDie(const tools::FlagParser& flags) {
     std::cerr << kind.status() << "\n";
     return 2;
   }
-  auto arrival = MakeWorkload(flags, hours);
+  auto arrival = MakeWorkload(flags, hours, seed);
   if (!arrival.ok()) {
     std::cerr << arrival.status() << "\n";
     return 2;
   }
 
-  auto threads_or = flags.GetInt("threads", 1);
-  if (!threads_or.ok() || *threads_or < 0 ||
-      *threads_or > static_cast<int64_t>(exec::kMaxThreads)) {
+  auto threads_or = flags.GetUnsigned("threads", 1, exec::kMaxThreads);
+  if (!threads_or.ok()) {
     std::cerr << "--threads expects an integer in [0, " << exec::kMaxThreads
               << "]\n";
     return 2;
@@ -540,7 +529,7 @@ int RunOrDie(const tools::FlagParser& flags) {
   cloudwatch::MetricStore metrics;
   auto managed = BuildManagedFlow(
       *reference_or, *period_or, *kind, *arrival,
-      static_cast<uint64_t>(*seed_or), &sim, &metrics,
+      seed, &sim, &metrics,
       observe ? &telemetry : nullptr);
   if (!managed.ok()) {
     std::cerr << "failed to build flow: " << managed.status() << "\n";
@@ -556,7 +545,7 @@ int RunOrDie(const tools::FlagParser& flags) {
     opt::Nsga2Config solver;
     solver.population_size = 48;
     solver.generations = 40;
-    solver.seed = static_cast<uint64_t>(*seed_or);
+    solver.seed = seed;
     solver.num_threads = static_cast<size_t>(*threads_or);
     solver.on_generation =
         obs::MakeNsga2Observer(&telemetry, "share-planner", /*anchor=*/0.0);
@@ -751,21 +740,22 @@ int main(int argc, char** argv) {
     std::cerr << flags.status() << "\n" << kUsage;
     return 2;
   }
-  if (flags->GetBool("help")) {
-    std::cout << kUsage;
-    return 0;
-  }
-  auto unknown = flags->UnknownKeys(
+  Status known = flags->CheckKnown(
       {"controller", "workload", "trace", "rate", "amplitude",
        "period-hours", "hours", "reference", "monitoring-period", "seed",
        "seeds", "threads", "csv-out", "trace-out", "metrics-out",
-       "health-out", "openmetrics-out", "quiet", "help", "fleet",
-       "fleet-tenants", "fleet-budget", "fleet-period", "fleet-threads",
-       "fleet-tenant-period-jitter", "fleet-report-out",
-       "fleet-capture-dir", "fleet-fault"});
-  if (!unknown.empty()) {
-    std::cerr << "unknown flag: --" << unknown.front() << "\n" << kUsage;
+       "health-out", "openmetrics-out", "fleet-tenants", "fleet-budget",
+       "fleet-period", "fleet-threads", "fleet-report-out",
+       "fleet-capture-dir"},
+      {"quiet", "help", "fleet", "fleet-tenant-period-jitter",
+       "fleet-fault"});
+  if (!known.ok()) {
+    std::cerr << known.message() << "\n" << kUsage;
     return 2;
+  }
+  if (flags->GetBool("help")) {
+    std::cout << kUsage;
+    return 0;
   }
   // Every run mode simulates --hours: a non-finite horizon never ends,
   // and a zero one leaves nothing to report.
@@ -774,12 +764,18 @@ int main(int argc, char** argv) {
     std::cerr << "--hours expects a finite number > 0\n";
     return 2;
   }
-  if (flags->GetBool("fleet")) return RunFleet(*flags);
-  auto seeds = flags->GetInt("seeds", 1);
+  auto seed =
+      flags->GetUnsigned("seed", 42, std::numeric_limits<uint64_t>::max());
+  if (!seed.ok()) {
+    std::cerr << seed.status().message() << "\n";
+    return 2;
+  }
+  if (flags->GetBool("fleet")) return RunFleet(*flags, *hours, *seed);
+  auto seeds = flags->GetUnsigned("seeds", 1, tools::kMaxCountFlag);
   if (!seeds.ok() || *seeds < 1) {
     std::cerr << "--seeds expects a positive integer\n";
     return 2;
   }
-  if (*seeds > 1) return RunReplicated(*flags, *seeds);
-  return RunOrDie(*flags);
+  if (*seeds > 1) return RunReplicated(*flags, *hours, *seed, *seeds);
+  return RunOrDie(*flags, *hours, *seed);
 }
