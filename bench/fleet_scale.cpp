@@ -380,9 +380,10 @@ int main(int argc, char** argv) {
   }
   bool smoke = flags->GetBool("smoke", false);
   auto flows_or = flags->GetUnsigned("flows", smoke ? 64 : 1000,
-                                     flower::tools::kMaxCountFlag);
+                                     flower::tools::kMaxTenantsFlag);
   if (!flows_or.ok() || *flows_or < 1) {
-    std::cerr << "--flows must be a positive integer\n";
+    std::cerr << "--flows must be an integer in [1, "
+              << flower::tools::kMaxTenantsFlag << "]\n";
     return 2;
   }
   size_t flows = static_cast<size_t>(*flows_or);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace flower {
 
@@ -19,26 +20,31 @@ void ReservoirSampler::Add(double value) {
   }
 }
 
-Result<double> PercentileOfSorted(const std::vector<double>& sorted,
-                                  double p) {
+Result<double> Percentile(std::vector<double>* sample, double p) {
   if (p < 0.0 || p > 100.0) {
     return Status::InvalidArgument("Reservoir percentile: p outside [0,100]");
   }
-  if (sorted.empty()) {
+  if (sample->empty()) {
     return Status::FailedPrecondition("Reservoir percentile: empty sample");
   }
-  if (sorted.size() == 1) return sorted[0];
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const size_t n = sample->size();
+  if (n == 1) return (*sample)[0];
+  double rank = p / 100.0 * static_cast<double>(n - 1);
   size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  auto lo_it = sample->begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(sample->begin(), lo_it, sample->end());
+  // Everything after the selected rank is >= it, so the next rank of
+  // the ascending order is the least of them.
+  double lo_v = *lo_it;
+  double hi_v = lo + 1 < n ? *std::min_element(lo_it + 1, sample->end())
+                           : lo_v;
+  return lo_v * (1.0 - frac) + hi_v * frac;
 }
 
 Result<double> ReservoirSampler::Percentile(double p) const {
-  std::vector<double> sorted = sample_;
-  std::sort(sorted.begin(), sorted.end());
-  return PercentileOfSorted(sorted, p);
+  std::vector<double> copy = sample_;
+  return flower::Percentile(&copy, p);
 }
 
 void ReservoirSampler::Reset() {

@@ -9,12 +9,13 @@
 
 namespace flower {
 
-/// Percentile (linear interpolation) of an ascending `sorted` sample:
-/// the rule `ReservoirSampler::Percentile` applies to its sorted copy.
-/// A caller that reads several percentiles of one sample sorts it once
-/// and calls this for each. Errors: empty sample or p outside [0, 100].
-Result<double> PercentileOfSorted(const std::vector<double>& sorted,
-                                  double p);
+/// Percentile of `*sample` by linear interpolation between the two
+/// closest ranks of its ascending order. Reorders `*sample`: it selects
+/// rank ⌊r⌋ (`std::nth_element`) and takes the minimum of the elements
+/// after it as rank ⌊r⌋ + 1, so it returns, bit for bit, what sorting
+/// the sample and interpolating would, without the sort.
+/// Errors: empty sample or p outside [0, 100].
+Result<double> Percentile(std::vector<double>* sample, double p);
 
 /// Fixed-size uniform reservoir sample (Vitter's algorithm R): keeps a
 /// uniform random subset of an unbounded stream in O(capacity) memory,

@@ -1,6 +1,7 @@
 #ifndef FLOWER_COMMON_VEC_DEQUE_H_
 #define FLOWER_COMMON_VEC_DEQUE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -29,6 +30,8 @@ class VecDeque {
 
   T& front() { return buf_[head_]; }
   const T& front() const { return buf_[head_]; }
+  /// The newest element. Not empty.
+  T& back() { return buf_[(head_ + count_ - 1) & mask_]; }
 
   /// i-th element from the front (0 = front). No bounds check.
   T& operator[](size_t i) { return buf_[(head_ + i) & mask_]; }
@@ -68,16 +71,16 @@ class VecDeque {
     count_ = 0;
   }
 
-  /// Bulk-appends `n` elements from `src` (the index-based span transfer
-  /// used by Cluster::Tick: one capacity check, then straight copies).
+  /// Bulk-appends `n` elements from `src` (the span transfer used by
+  /// Cluster::Tick): one capacity check, then at most two contiguous
+  /// copies, up to the end of the ring and on from its start.
   void AppendRange(const T* src, size_t n) {
     if (n == 0) return;
     if (count_ + n > buf_.size()) Grow(count_ + n);
-    size_t tail = (head_ + count_) & mask_;
-    for (size_t i = 0; i < n; ++i) {
-      buf_[tail] = src[i];
-      tail = (tail + 1) & mask_;
-    }
+    const size_t tail = (head_ + count_) & mask_;
+    const size_t first = std::min(n, buf_.size() - tail);
+    std::copy(src, src + first, buf_.data() + tail);
+    std::copy(src + first, src + n, buf_.data());
     count_ += n;
   }
 

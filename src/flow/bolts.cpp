@@ -12,20 +12,15 @@ size_t WindowCountBolt::ExecuteBatch(const storm::Tuple* in, size_t n,
   // are emitted stamped with its origin time, then the rest are added.
   counter_.Add(in[0].entity_id, now, in[0].value);
   if (counter_.BoundaryDue(now)) {
-    struct Sink {
-      SimTime origin;
-      VecDeque<storm::Tuple>* out;
-    } sink{in[0].origin_time, out};
-    // {this, &sink} fits std::function's inline storage: emitting a
-    // boundary allocates nothing.
-    counter_.AdvanceTo(now, [this, &sink](int64_t entity, double count,
-                                          SimTime) {
+    const SimTime origin = in[0].origin_time;
+    counter_.AdvanceTo(now, [this, origin, out](int64_t entity, double count,
+                                                SimTime) {
       storm::Tuple agg;
-      agg.origin_time = sink.origin;
+      agg.origin_time = origin;
       agg.entity_id = entity;
       agg.value = count;
       agg.size_bytes = 128;
-      sink.out->push_back(agg);
+      out->push_back(agg);
       ++emitted_;
     });
   }

@@ -1,5 +1,7 @@
 #include "flow/flow.h"
 
+#include <algorithm>
+
 #include "flow/bolts.h"
 
 namespace flower::flow {
@@ -47,14 +49,17 @@ Status DataAnalyticsFlow::Init() {
     for (int s = 0; s < shards && out->size() < max; ++s) {
       records.clear();
       if (!stream->GetRecordsInto(s, per_shard, &records).ok()) continue;
-      for (const kinesis::Record& r : records) {
-        storm::Tuple t;
-        t.origin_time = r.timestamp;
-        t.entity_id = r.entity_id;
-        t.size_bytes = r.size_bytes;
-        t.value = 1.0;
-        out->push_back(t);
-        if (out->size() >= max) break;
+      // The tuples are written in place; records read past `max` are
+      // not kept.
+      const size_t base = out->size();
+      const size_t take = std::min(records.size(), max - base);
+      out->resize(base + take);
+      storm::Tuple* t = out->data() + base;
+      for (size_t i = 0; i < take; ++i) {
+        t[i].origin_time = records[i].timestamp;
+        t[i].entity_id = records[i].entity_id;
+        t[i].size_bytes = records[i].size_bytes;
+        t[i].value = 1.0;
       }
     }
   };

@@ -15,6 +15,16 @@ inline size_t NextPow2(size_t n) {
   return p;
 }
 
+/// The slot table starts with 2^kInitialTableBits entries.
+constexpr unsigned kInitialTableBits = 6;
+
+/// Fibonacci hashing: the top `64 - shift` bits of the id times the
+/// splitmix64 gamma index a table of 2^(64 - shift) entries.
+inline size_t TableIndex(int64_t entity, unsigned shift) {
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(entity) * kSplitMix64Gamma) >> shift);
+}
+
 }  // namespace
 
 Result<SlidingWindowCounter> SlidingWindowCounter::Create(double window_sec,
@@ -38,12 +48,13 @@ SlidingWindowCounter::SlidingWindowCounter(double window_sec, double slide_sec)
   // one spare slot keeps the common case conflict-free.
   ring_.resize(NextPow2(static_cast<size_t>(buckets_per_window_) + 2));
   ring_mask_ = ring_.size() - 1;
-  table_.assign(64, -1);
+  table_.assign(size_t{1} << kInitialTableBits, -1);
   table_mask_ = table_.size() - 1;
+  table_shift_ = 64 - kInitialTableBits;
 }
 
 uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
-  size_t h = SplitMix64(static_cast<uint64_t>(entity)) & table_mask_;
+  size_t h = TableIndex(entity, table_shift_);
   while (table_[h] >= 0) {
     uint32_t slot = static_cast<uint32_t>(table_[h]);
     if (slot_ids_[slot] == entity) return slot;
@@ -52,7 +63,7 @@ uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
   if ((slot_ids_.size() + 1) * 4 > table_.size() * 3) {
     GrowTable();
     // Re-probe in the grown table for the insertion point.
-    h = SplitMix64(static_cast<uint64_t>(entity)) & table_mask_;
+    h = TableIndex(entity, table_shift_);
     while (table_[h] >= 0) h = (h + 1) & table_mask_;
   }
   uint32_t slot = static_cast<uint32_t>(slot_ids_.size());
@@ -76,13 +87,15 @@ uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
 void SlidingWindowCounter::GrowTable() {
   std::vector<int32_t> fresh(table_.size() * 2, -1);
   size_t mask = fresh.size() - 1;
+  unsigned shift = table_shift_ - 1;
   for (uint32_t slot = 0; slot < slot_ids_.size(); ++slot) {
-    size_t h = SplitMix64(static_cast<uint64_t>(slot_ids_[slot])) & mask;
+    size_t h = TableIndex(slot_ids_[slot], shift);
     while (fresh[h] >= 0) h = (h + 1) & mask;
     fresh[h] = static_cast<int32_t>(slot);
   }
   table_ = std::move(fresh);
   table_mask_ = mask;
+  table_shift_ = shift;
 }
 
 SlidingWindowCounter::Bucket& SlidingWindowCounter::BucketFor(int64_t index) {
@@ -140,7 +153,13 @@ void SlidingWindowCounter::DropBucket(int64_t index) {
 }
 
 void SlidingWindowCounter::Add(int64_t entity, SimTime t, double weight) {
-  int64_t bucket = static_cast<int64_t>(std::floor(t / slide_sec_));
+  // Every tuple of a bolt's batch carries the batch's time, so only the
+  // first divides; any other time, a late one included, recomputes.
+  if (t != last_add_time_) {
+    last_add_time_ = t;
+    last_add_bucket_ = static_cast<int64_t>(std::floor(t / slide_sec_));
+  }
+  int64_t bucket = last_add_bucket_;
   if (!started_) {
     next_slide_bucket_ = bucket + 1;
     started_ = true;
@@ -164,46 +183,6 @@ void SlidingWindowCounter::Add(int64_t entity, SimTime t, double weight) {
   slot_entry_pos_[slot] = static_cast<uint32_t>(b.entries.size());
   b.entries.push_back(Entry{slot, weight});
   if (slot_live_[slot]++ == 0) ++tracked_;
-}
-
-void SlidingWindowCounter::AdvanceTo(SimTime t, const EmitFn& emit) {
-  if (!started_) return;
-  int64_t current_bucket = static_cast<int64_t>(std::floor(t / slide_sec_));
-  // Every completed bucket boundary <= current triggers one emission of
-  // the trailing window.
-  while (next_slide_bucket_ <= current_bucket) {
-    int64_t end_bucket = next_slide_bucket_;  // Exclusive window end.
-    int64_t begin_bucket = end_bucket - buckets_per_window_;
-    ++epoch_;
-    // Accumulate buckets in ascending index order and entries in
-    // first-arrival order within each bucket — the same floating-point
-    // summation order as the nested-map implementation.
-    for (int64_t idx = begin_bucket; idx < end_bucket; ++idx) {
-      const Bucket& b = ring_[static_cast<size_t>(
-          idx & static_cast<int64_t>(ring_mask_))];
-      if (b.index != idx) continue;
-      for (const Entry& e : b.entries) {
-        if (scratch_epoch_[e.slot] == epoch_) {
-          scratch_total_[e.slot] += e.weight;
-        } else {
-          scratch_epoch_[e.slot] = epoch_;
-          scratch_total_[e.slot] = e.weight;
-        }
-      }
-    }
-    // Ascending entity id, matching std::map iteration order.
-    SimTime window_end = static_cast<double>(end_bucket) * slide_sec_;
-    for (uint32_t slot : slots_by_entity_) {
-      if (scratch_epoch_[slot] == epoch_) {
-        emit(slot_ids_[slot], scratch_total_[slot], window_end);
-      }
-    }
-    ++next_slide_bucket_;
-    // Drop the one bucket that can no longer contribute to any future
-    // window. (Boundaries advance one at a time, so by induction no
-    // older bucket can still exist.)
-    DropBucket(next_slide_bucket_ - buckets_per_window_ - 1);
-  }
 }
 
 }  // namespace flower::flow

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -24,7 +23,10 @@ namespace flower::flow {
 ///
 /// Storage is flat and allocation-free in steady state: a power-of-two
 /// ring of dense per-bucket entry vectors indexed by slide bucket, plus
-/// an open-addressing table mapping entity ids to dense slots. The
+/// an open-addressing table mapping entity ids to dense slots, indexed
+/// by Fibonacci hashing (the id times the splitmix64 gamma, top bits):
+/// an index needs spread, not avalanche, and no output depends on it,
+/// because slots are numbered in first-arrival order. The
 /// nested `std::map<bucket, std::map<entity, count>>` this replaced
 /// allocated a node per (bucket, entity) pair on the per-tuple path.
 /// Emission order (ascending entity id) and floating-point accumulation
@@ -33,11 +35,6 @@ namespace flower::flow {
 /// walking that order instead of sorting what the window holds.
 class SlidingWindowCounter {
  public:
-  /// Emit callback: (entity_id, count, window_end_time). Must not
-  /// re-enter Add/AdvanceTo on this counter (emission iterates internal
-  /// scratch state).
-  using EmitFn = std::function<void(int64_t, double, SimTime)>;
-
   /// window_sec must be a positive multiple of slide_sec.
   static Result<SlidingWindowCounter> Create(double window_sec,
                                              double slide_sec);
@@ -47,16 +44,21 @@ class SlidingWindowCounter {
   /// A timestamp that lands in an already-retired slide bucket (a late
   /// arrival) is clamped into the oldest bucket still inside a future
   /// window, so the count is never silently lost; `late_clamped()`
-  /// reports how often that happened.
+  /// reports how often that happened. The slide bucket of the last
+  /// timestamp is kept, so a batch of Adds at one time divides once.
   void Add(int64_t entity, SimTime t, double weight = 1.0);
 
-  /// Processes all slide boundaries up to `t`, emitting aggregates.
-  void AdvanceTo(SimTime t, const EmitFn& emit);
+  /// Processes all slide boundaries up to `t`, calling
+  /// `emit(entity_id, count, window_end_time)` once per entity the
+  /// window holds, in ascending entity id. `emit` must not re-enter
+  /// Add/AdvanceTo on this counter (emission iterates internal scratch
+  /// state). A template, so the per-aggregate call is inlined.
+  template <typename Emit>
+  void AdvanceTo(SimTime t, Emit&& emit);
 
   /// True exactly when `AdvanceTo(t)` has a slide boundary to process;
-  /// otherwise AdvanceTo(t) does nothing. Inline, so the per-tuple
-  /// caller can skip AdvanceTo (and building its callback) between
-  /// boundaries.
+  /// otherwise AdvanceTo(t) does nothing. Inline, so the per-batch
+  /// caller can skip AdvanceTo between boundaries.
   bool BoundaryDue(SimTime t) const {
     return started_ && static_cast<int64_t>(std::floor(t / slide_sec_)) >=
                            next_slide_bucket_;
@@ -100,6 +102,10 @@ class SlidingWindowCounter {
   int64_t buckets_per_window_;
   int64_t next_slide_bucket_ = 0;  ///< First un-emitted slide boundary.
   bool started_ = false;
+  /// The last timestamp Add bucketed (NaN: none) and its slide bucket,
+  /// before any late clamp.
+  SimTime last_add_time_ = std::numeric_limits<double>::quiet_NaN();
+  int64_t last_add_bucket_ = 0;
 
   /// Ring of buckets, indexed by (bucket index & ring_mask_).
   std::vector<Bucket> ring_;
@@ -108,6 +114,7 @@ class SlidingWindowCounter {
   // Entity -> dense slot, open addressing with linear probing.
   std::vector<int32_t> table_;  // -1 = empty, else slot.
   size_t table_mask_ = 0;
+  unsigned table_shift_ = 0;  // 64 - log2(table_.size()).
   std::vector<int64_t> slot_ids_;          // slot -> entity id.
   std::vector<int64_t> slot_last_bucket_;  // Bucket of the slot's newest entry.
   std::vector<uint32_t> slot_entry_pos_;   // Position of that entry.
@@ -122,6 +129,47 @@ class SlidingWindowCounter {
   std::vector<uint64_t> scratch_epoch_;
   uint64_t epoch_ = 0;
 };
+
+template <typename Emit>
+void SlidingWindowCounter::AdvanceTo(SimTime t, Emit&& emit) {
+  if (!started_) return;
+  int64_t current_bucket = static_cast<int64_t>(std::floor(t / slide_sec_));
+  // Every completed bucket boundary <= current triggers one emission of
+  // the trailing window.
+  while (next_slide_bucket_ <= current_bucket) {
+    int64_t end_bucket = next_slide_bucket_;  // Exclusive window end.
+    int64_t begin_bucket = end_bucket - buckets_per_window_;
+    ++epoch_;
+    // Accumulate buckets in ascending index order and entries in
+    // first-arrival order within each bucket — the same floating-point
+    // summation order as the nested-map implementation.
+    for (int64_t idx = begin_bucket; idx < end_bucket; ++idx) {
+      const Bucket& b = ring_[static_cast<size_t>(
+          idx & static_cast<int64_t>(ring_mask_))];
+      if (b.index != idx) continue;
+      for (const Entry& e : b.entries) {
+        if (scratch_epoch_[e.slot] == epoch_) {
+          scratch_total_[e.slot] += e.weight;
+        } else {
+          scratch_epoch_[e.slot] = epoch_;
+          scratch_total_[e.slot] = e.weight;
+        }
+      }
+    }
+    // Ascending entity id, matching std::map iteration order.
+    SimTime window_end = static_cast<double>(end_bucket) * slide_sec_;
+    for (uint32_t slot : slots_by_entity_) {
+      if (scratch_epoch_[slot] == epoch_) {
+        emit(slot_ids_[slot], scratch_total_[slot], window_end);
+      }
+    }
+    ++next_slide_bucket_;
+    // Drop the one bucket that can no longer contribute to any future
+    // window. (Boundaries advance one at a time, so by induction no
+    // older bucket can still exist.)
+    DropBucket(next_slide_bucket_ - buckets_per_window_ - 1);
+  }
+}
 
 }  // namespace flower::flow
 

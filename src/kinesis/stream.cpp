@@ -58,10 +58,13 @@ Status Stream::PutRecord(const Record& record) {
 
 size_t Stream::PutRecords(const Record* records, size_t n) {
   const SimTime now = sim_->Now();
+  const size_t shard_n = shards_.size();
   size_t throttled = 0;
   for (size_t i = 0; i < n; ++i) {
     const Record& record = records[i];
-    Shard& shard = shards_[record.partition_key % shards_.size()];
+    // One shard needs no 64-bit division to be chosen.
+    Shard& shard =
+        shards_[shard_n == 1 ? 0 : record.partition_key % shard_n];
     RefillTokens(&shard, now);
     const double bytes = static_cast<double>(record.size_bytes);
     if (shard.record_tokens < 1.0 || shard.byte_tokens < bytes) {
@@ -70,9 +73,10 @@ size_t Stream::PutRecords(const Record* records, size_t n) {
     }
     shard.record_tokens -= 1.0;
     shard.byte_tokens -= bytes;
-    Record stamped = record;
-    stamped.timestamp = now;
-    shard.buffer.push_back(stamped);
+    // Copied into its ring slot and stamped there: no stamped copy on
+    // the stack to reload.
+    shard.buffer.push_back(record);
+    shard.buffer.back().timestamp = now;
   }
   total_throttled_ += throttled;
   period_throttled_ += throttled;
@@ -102,19 +106,30 @@ Status Stream::GetRecordsInto(int shard_index, size_t max_records,
     return Status::Throttled("get throttled");
   }
   shard.read_call_tokens -= 1.0;
-  size_t n = std::min(max_records, shard.buffer.size());
-  for (size_t i = 0; i < n; ++i) {
-    const Record& front = shard.buffer.front();
+  // Count what the read-byte bucket admits, charging each record in
+  // FIFO order as a record-at-a-time read would, then move that prefix
+  // in at most two contiguous copies.
+  const size_t limit = std::min(max_records, shard.buffer.size());
+  double tokens = shard.read_byte_tokens;
+  size_t n = 0;
+  while (n < limit) {
+    const double bytes = static_cast<double>(shard.buffer[n].size_bytes);
     // The first record of a call always fits (matching the service,
     // which never returns an empty batch just because of byte limits).
-    if (i > 0 &&
-        shard.read_byte_tokens < static_cast<double>(front.size_bytes)) {
-      break;
-    }
-    shard.read_byte_tokens -= static_cast<double>(front.size_bytes);
-    out->push_back(front);
-    shard.buffer.pop_front();
+    if (n > 0 && tokens < bytes) break;
+    tokens -= bytes;
+    ++n;
   }
+  shard.read_byte_tokens = tokens;
+  if (n == 0) return Status::OK();
+  const Record* run = &shard.buffer.front();
+  const size_t first = std::min(n, shard.buffer.FrontRun());
+  out->insert(out->end(), run, run + first);
+  if (first < n) {
+    const Record* wrapped = &shard.buffer[first];
+    out->insert(out->end(), wrapped, wrapped + (n - first));
+  }
+  shard.buffer.PopFront(n);
   return Status::OK();
 }
 

@@ -239,15 +239,14 @@ void Cluster::PublishMetrics() {
       period_acked_ > 0
           ? period_latency_sum_ / static_cast<double>(period_acked_)
           : 0.0);
-  // P99 from a sorted copy of the reservoir. The copy lives in scratch
-  // owned by the calling thread: a fleet runs one cluster per tenant on
-  // a few workers, and a buffer each would hold a reservoir's worth of
-  // memory per tenant.
-  thread_local std::vector<double> sorted;
+  // P99 by selection over a copy of the reservoir. The copy lives in
+  // scratch owned by the calling thread: a fleet runs one cluster per
+  // tenant on a few workers, and a buffer each would hold a reservoir's
+  // worth of memory per tenant.
+  thread_local std::vector<double> latencies;
   const std::vector<double>& sample = period_latency_sample_.sample();
-  sorted.assign(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  put("CompleteLatencyP99", PercentileOfSorted(sorted, 99.0).ValueOr(0.0));
+  latencies.assign(sample.begin(), sample.end());
+  put("CompleteLatencyP99", Percentile(&latencies, 99.0).ValueOr(0.0));
   period_cpu_sum_ = 0.0;
   period_ticks_ = 0;
   period_latency_sum_ = 0.0;

@@ -35,6 +35,12 @@ size_t BoltLogic::ExecuteBatch(const Tuple* in, size_t n, SimTime now,
 size_t StatelessBolt::ExecuteBatch(const Tuple* in, size_t n,
                                    SimTime /*now*/, VecDeque<Tuple>* out,
                                    Status* /*status*/) {
+  if (selectivity_ == 1.0) {
+    // Each input adds exactly 1.0 to `pending_emits_` and emits once,
+    // which returns it to exactly 0.0: the batch goes out whole.
+    out->AppendRange(in, n);
+    return n;
+  }
   for (size_t i = 0; i < n; ++i) {
     pending_emits_ += selectivity_;
     while (pending_emits_ >= 1.0) {

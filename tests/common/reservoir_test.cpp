@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace flower {
 namespace {
@@ -54,6 +57,54 @@ TEST(ReservoirTest, ResetClearsSampleKeepsDeterminism) {
   EXPECT_EQ(r.observed(), 0u);
   r.Add(42.0);
   EXPECT_DOUBLE_EQ(*r.Percentile(50.0), 42.0);
+}
+
+// Selection reads the value sorting would: bit for bit against a
+// sorted copy with the interpolation the sort-based rule used, on
+// samples with ties, at the smallest sizes and a reservoir's.
+TEST(ReservoirTest, PercentileBySelectionEqualsSortedInterpolation) {
+  auto sorted_rule = [](std::vector<double> sorted, double p) {
+    std::sort(sorted.begin(), sorted.end());
+    if (sorted.size() == 1) return sorted[0];
+    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+    size_t lo = static_cast<size_t>(rank);
+    size_t hi = std::min(lo + 1, sorted.size() - 1);
+    double frac = rank - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  };
+  Rng rng(17);
+  for (size_t n : {1, 2, 3, 1024}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Draws from a few distinct values (ties) or a continuous range.
+      std::vector<double> sample(n);
+      const bool ties = trial % 2 == 0;
+      for (double& v : sample) {
+        v = ties ? static_cast<double>(rng.UniformInt(0, 4)) * 0.1
+                 : rng.Exponential(3.0);
+      }
+      for (double p : {0.0, 1.0, 50.0, 99.0, 100.0}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial
+                                        << " p=" << p);
+        std::vector<double> work = sample;
+        Result<double> got = Percentile(&work, p);
+        ASSERT_TRUE(got.ok());
+        const double want = sorted_rule(sample, p);
+        EXPECT_EQ(std::memcmp(&*got, &want, sizeof(double)), 0)
+            << *got << " vs " << want;
+        // Selection only reorders.
+        std::sort(work.begin(), work.end());
+        std::vector<double> ascending = sample;
+        std::sort(ascending.begin(), ascending.end());
+        EXPECT_EQ(work, ascending);
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(Percentile(&empty, 50.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  std::vector<double> one = {2.0};
+  EXPECT_EQ(Percentile(&one, 100.5).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ReservoirTest, DeterministicForSeed) {

@@ -1,8 +1,13 @@
 #include "common/vec_deque.h"
 
+#include <cstddef>
+#include <deque>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace flower {
 namespace {
@@ -77,6 +82,60 @@ TEST(VecDequeTest, AppendRangeBulkTransfer) {
   ASSERT_EQ(q.size(), 6u);
   EXPECT_EQ(q.front(), -1);
   for (size_t i = 1; i < 6; ++i) EXPECT_EQ(q[i], static_cast<int>(i) - 1);
+
+  // An append that crosses the end of the ring continues at its start.
+  VecDeque<int> w;
+  for (int i = 0; i < 16; ++i) w.push_back(i);
+  ASSERT_EQ(w.capacity(), 16u);
+  w.PopFront(12);  // Head at slot 12; 4 slots to the end of the ring.
+  int more[10] = {16, 17, 18, 19, 20, 21, 22, 23, 24, 25};
+  w.AppendRange(more, 10);
+  EXPECT_EQ(w.capacity(), 16u);
+  EXPECT_LT(w.FrontRun(), w.size());  // The contents wrap.
+  ASSERT_EQ(w.size(), 14u);
+  for (size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(w[i], static_cast<int>(i) + 12);
+  }
+  // An append that outgrows a wrapped ring keeps the order.
+  int grow[20];
+  for (int i = 0; i < 20; ++i) grow[i] = 26 + i;
+  w.AppendRange(grow, 20);
+  EXPECT_EQ(w.capacity(), 64u);
+  ASSERT_EQ(w.size(), 34u);
+  for (size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(w[i], static_cast<int>(i) + 12);
+  }
+
+  // Random appends and pops against std::deque: every length, from
+  // every head position, with and without growth.
+  Rng rng(3);
+  VecDeque<int> r;
+  std::deque<int> ref;
+  std::vector<int> src;
+  int next = 0;
+  for (int step = 0; step < 2000; ++step) {
+    src.resize(static_cast<size_t>(rng.UniformInt(0, 40)));
+    for (int& v : src) v = next++;
+    r.AppendRange(src.data(), src.size());
+    ref.insert(ref.end(), src.begin(), src.end());
+    const size_t pop = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(ref.size())));
+    r.PopFront(pop);
+    ref.erase(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(pop));
+    ASSERT_EQ(r.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(r[i], ref[i]) << step;
+  }
+}
+
+TEST(VecDequeTest, BackIsTheNewestElement) {
+  VecDeque<int> q;
+  for (int i = 0; i < 20; ++i) {
+    q.push_back(i);
+    EXPECT_EQ(q.back(), i);
+    if (i % 3 == 0) q.pop_front();  // The head walks; back() follows.
+  }
+  q.back() = 99;
+  EXPECT_EQ(q[q.size() - 1], 99);
 }
 
 TEST(VecDequeTest, ClearKeepsCapacity) {

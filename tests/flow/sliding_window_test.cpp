@@ -121,6 +121,40 @@ TEST(SlidingWindowTest, LateArrivalIsClampedIntoOldestLiveBucket) {
   EXPECT_EQ(counter.tracked_entities(), 0u);
 }
 
+// Add keeps the bucket of the last timestamp it saw, so a batch at
+// one time divides once. An Add at an older time right after must
+// still find its own bucket: a retired one is clamped and counted, and
+// a live older one is filled, never the batch's newer bucket.
+TEST(SlidingWindowTest, LateAddAfterABatchGetsItsOwnBucket) {
+  auto counter = SlidingWindowCounter::Create(20.0, 10.0).MoveValueOrDie();
+  counter.Add(1, 5.0);            // Bucket [0, 10).
+  (void)Collect(&counter, 35.0);  // Boundaries 10, 20, 30; [20, 30) is
+                                  // the oldest bucket still live.
+  counter.Add(2, 37.0);           // A batch at t = 37: bucket [30, 40).
+  counter.Add(2, 37.0);
+  counter.Add(7, 5.0);            // Late: [0, 10) is retired.
+  EXPECT_EQ(counter.late_clamped(), 1u);
+  counter.Add(2, 37.0);
+  counter.Add(8, 25.0);           // Older but live: bucket [20, 30).
+  EXPECT_EQ(counter.late_clamped(), 1u);
+  // The window [20, 40) holds the batch, the clamped Add and the older
+  // one.
+  auto at40 = Collect(&counter, 40.0);
+  ASSERT_EQ(at40.size(), 3u);
+  EXPECT_EQ(at40[0].entity, 2);
+  EXPECT_DOUBLE_EQ(at40[0].count, 3.0);
+  EXPECT_EQ(at40[1].entity, 7);
+  EXPECT_DOUBLE_EQ(at40[1].count, 1.0);
+  EXPECT_EQ(at40[2].entity, 8);
+  EXPECT_DOUBLE_EQ(at40[2].count, 1.0);
+  // [30, 50) holds only the batch: neither older Add went into its
+  // bucket.
+  auto at50 = Collect(&counter, 50.0);
+  ASSERT_EQ(at50.size(), 1u);
+  EXPECT_EQ(at50[0].entity, 2);
+  EXPECT_DOUBLE_EQ(at50[0].count, 3.0);
+}
+
 // tracked_entities() is maintained incrementally (the metrics path
 // samples it every period); it must stay consistent through bucket
 // expiry and entity reappearance.

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
 #include "common/random.h"
+#include "common/units.h"
 
 namespace flower::kinesis {
 namespace {
@@ -283,56 +288,183 @@ TEST(StreamTest, WriteUtilizationTracksRate) {
 // One PutRecords call is the same sequence of PutRecord calls: each
 // record is routed, refilled and charged in order, so the same records
 // are accepted, buffered with the same stamps and counted the same,
-// through throttling and through a reshard that lands mid-run.
+// through throttling and through two reshards that land mid-run. A
+// one-shard stream, which routes without a division, stays at one
+// shard throughout.
 TEST(StreamTest, PutRecordsEqualsSequenceOfPutRecord) {
-  sim::Simulation sim;
-  Stream batched(&sim, nullptr, TestConfig(2));
-  Stream single(&sim, nullptr, TestConfig(2));
-  Rng rng(11);
-  std::vector<Record> batch;
-  uint64_t throttled = 0;
-  for (int step = 0; step < 400; ++step) {
-    sim.RunUntil(sim.Now() + rng.Uniform(0.05, 0.5));
-    if (step == 100) {
-      ASSERT_TRUE(batched.UpdateShardCount(5).ok());
-      ASSERT_TRUE(single.UpdateShardCount(5).ok());
-    }
-    if (step == 300) {
-      ASSERT_TRUE(batched.UpdateShardCount(3).ok());
-      ASSERT_TRUE(single.UpdateShardCount(3).ok());
-    }
-    // Up to ~3x the write limit of the largest shard count.
-    batch.resize(static_cast<size_t>(rng.UniformInt(0, 1500)));
-    for (Record& r : batch) {
-      r = Rec(rng.Next(),
-              static_cast<int32_t>(rng.UniformInt(64, 3000)),
-              rng.UniformInt(-1000, 1000));
-    }
-    size_t failed = 0;
-    for (const Record& r : batch) failed += single.PutRecord(r).ok() ? 0 : 1;
-    ASSERT_EQ(batched.PutRecords(batch.data(), batch.size()), failed);
-    throttled += failed;
-    ASSERT_EQ(batched.total_incoming(), single.total_incoming());
-    ASSERT_EQ(batched.total_throttled(), single.total_throttled());
-    ASSERT_EQ(batched.shard_count(), single.shard_count());
-    if (step % 7 == 0) {
-      // Drain a shard on both: the buffered records are identical.
-      int s = static_cast<int>(step / 7 % batched.shard_count());
-      auto a = batched.GetRecords(s, 500);
-      auto b = single.GetRecords(s, 500);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (!a.ok()) continue;
-      ASSERT_EQ(a->size(), b->size());
-      for (size_t i = 0; i < a->size(); ++i) {
-        EXPECT_EQ((*a)[i].timestamp, (*b)[i].timestamp);
-        EXPECT_EQ((*a)[i].partition_key, (*b)[i].partition_key);
-        EXPECT_EQ((*a)[i].entity_id, (*b)[i].entity_id);
-        EXPECT_EQ((*a)[i].size_bytes, (*b)[i].size_bytes);
+  for (int shards : {2, 1}) {
+    SCOPED_TRACE(shards);
+    const bool reshard = shards > 1;
+    sim::Simulation sim;
+    Stream batched(&sim, nullptr, TestConfig(shards));
+    Stream single(&sim, nullptr, TestConfig(shards));
+    Rng rng(11);
+    std::vector<Record> batch;
+    uint64_t throttled = 0;
+    int most_shards = 0;
+    // About 165 simulated seconds; each reshard lands 60 s after its
+    // request, before the next one.
+    for (int step = 0; step < 600; ++step) {
+      sim.RunUntil(sim.Now() + rng.Uniform(0.05, 0.5));
+      if (reshard && step == 50) {
+        ASSERT_TRUE(batched.UpdateShardCount(5).ok());
+        ASSERT_TRUE(single.UpdateShardCount(5).ok());
+      }
+      if (reshard && step == 300) {
+        ASSERT_TRUE(batched.UpdateShardCount(3).ok());
+        ASSERT_TRUE(single.UpdateShardCount(3).ok());
+      }
+      // Up to ~3x the write limit of the largest shard count.
+      batch.resize(static_cast<size_t>(rng.UniformInt(0, 1500)));
+      for (Record& r : batch) {
+        r = Rec(rng.Next(),
+                static_cast<int32_t>(rng.UniformInt(64, 3000)),
+                rng.UniformInt(-1000, 1000));
+      }
+      size_t failed = 0;
+      for (const Record& r : batch) {
+        failed += single.PutRecord(r).ok() ? 0 : 1;
+      }
+      ASSERT_EQ(batched.PutRecords(batch.data(), batch.size()), failed);
+      throttled += failed;
+      ASSERT_EQ(batched.total_incoming(), single.total_incoming());
+      ASSERT_EQ(batched.total_throttled(), single.total_throttled());
+      ASSERT_EQ(batched.shard_count(), single.shard_count());
+      most_shards = std::max(most_shards, batched.shard_count());
+      if (step % 7 == 0) {
+        // Drain a shard on both: the buffered records are identical.
+        int s = static_cast<int>(step / 7 % batched.shard_count());
+        auto a = batched.GetRecords(s, 500);
+        auto b = single.GetRecords(s, 500);
+        ASSERT_EQ(a.ok(), b.ok());
+        if (!a.ok()) continue;
+        ASSERT_EQ(a->size(), b->size());
+        for (size_t i = 0; i < a->size(); ++i) {
+          EXPECT_EQ((*a)[i].timestamp, (*b)[i].timestamp);
+          EXPECT_EQ((*a)[i].partition_key, (*b)[i].partition_key);
+          EXPECT_EQ((*a)[i].entity_id, (*b)[i].entity_id);
+          EXPECT_EQ((*a)[i].size_bytes, (*b)[i].size_bytes);
+        }
       }
     }
+    // Both reshards landed: 2 -> 5 -> 3 shards.
+    EXPECT_EQ(most_shards, reshard ? 5 : 1);
+    EXPECT_EQ(batched.shard_count(), reshard ? 3 : 1);
+    EXPECT_GT(throttled, 1000u);
+    EXPECT_EQ(batched.BacklogRecords(), single.BacklogRecords());
   }
-  EXPECT_GT(throttled, 1000u);
-  EXPECT_EQ(batched.BacklogRecords(), single.BacklogRecords());
+}
+
+// The read side of one shard as a record-at-a-time reader runs it:
+// both read buckets refill whenever the shard is touched (a put routed
+// to it, or a read), a read takes one call token, and records leave in
+// FIFO order while the byte bucket lasts, the first of a call always.
+struct OneAtATimeShard {
+  std::deque<Record> buffer;
+  double read_bytes = static_cast<double>(kKinesisShardReadBytesPerSec);
+  double read_calls = kKinesisShardReadCallsPerSec;
+  SimTime last_refill = 0.0;
+
+  void Refill(SimTime now) {
+    const double dt = now - last_refill;
+    if (dt <= 0.0) return;
+    const double byte_cap = static_cast<double>(kKinesisShardReadBytesPerSec);
+    read_bytes = std::min(byte_cap, read_bytes + dt * byte_cap);
+    read_calls = std::min(kKinesisShardReadCallsPerSec,
+                          read_calls + dt * kKinesisShardReadCallsPerSec);
+    last_refill = now;
+  }
+
+  /// False when the call quota is exhausted (the read throttles).
+  bool Read(SimTime now, size_t max_records, std::vector<Record>* out) {
+    Refill(now);
+    if (read_calls < 1.0) return false;
+    read_calls -= 1.0;
+    const size_t n = std::min(max_records, buffer.size());
+    for (size_t i = 0; i < n; ++i) {
+      const Record& front = buffer.front();
+      if (i > 0 && read_bytes < static_cast<double>(front.size_bytes)) break;
+      read_bytes -= static_cast<double>(front.size_bytes);
+      out->push_back(front);
+      buffer.pop_front();
+    }
+    return true;
+  }
+};
+
+// GetRecordsInto counts what the byte bucket admits and copies that
+// prefix of the shard's ring in at most two runs; every batch, status
+// and leftover token equals the record-at-a-time reader's. Record
+// sizes are random, so the byte bucket cuts calls mid-batch, and the
+// backlog stays far below the records that pass through a shard, so
+// each ring's head wraps many times and reads straddle the wrap. Times
+// move in steps of 1/64 s, so every refill is exact and this model's
+// arithmetic equals the stream's on any target, fused multiply-adds
+// included.
+TEST(StreamTest, GetRecordsIntoEqualsOneAtATimeReader) {
+  constexpr int kShards = 2;
+  sim::Simulation sim;
+  Stream stream(&sim, nullptr, TestConfig(kShards));
+  std::vector<OneAtATimeShard> model(kShards);
+  Rng rng(23);
+  std::vector<Record> got, want;
+  size_t reads = 0, cut_by_bytes = 0, throttled = 0, passed = 0;
+  size_t most_buffered = 0;  // The largest backlog of one shard.
+  for (int step = 0; step < 3000; ++step) {
+    sim.RunUntil(sim.Now() +
+                 static_cast<double>(rng.UniformInt(4, 64)) / 64.0);
+    const SimTime now = sim.Now();
+    const int puts = static_cast<int>(rng.UniformInt(0, 12));
+    for (int i = 0; i < puts; ++i) {
+      Record r = Rec(rng.Next(),
+                     static_cast<int32_t>(rng.UniformInt(16, 256) * 1024),
+                     rng.UniformInt(-1000, 1000));
+      OneAtATimeShard& shard = model[r.partition_key % kShards];
+      shard.Refill(now);
+      if (!stream.PutRecord(r).ok()) continue;
+      r.timestamp = now;
+      shard.buffer.push_back(r);
+    }
+    for (const OneAtATimeShard& shard : model) {
+      most_buffered = std::max(most_buffered, shard.buffer.size());
+    }
+    if (!rng.Bernoulli(0.3)) continue;
+    // Up to seven calls at once: bursts past the call quota throttle.
+    const int calls = static_cast<int>(rng.UniformInt(1, 7));
+    for (int c = 0; c < calls; ++c) {
+      const int s = static_cast<int>(rng.UniformInt(0, kShards - 1));
+      const size_t max = static_cast<size_t>(rng.UniformInt(1, 48));
+      const size_t backlog = model[s].buffer.size();
+      got.assign(3, Rec(0));  // Reads append behind what `out` holds.
+      want = got;
+      Status st = stream.GetRecordsInto(s, max, &got);
+      const bool ok = model[s].Read(now, max, &want);
+      ASSERT_EQ(st.ok(), ok) << "step " << step;
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].timestamp, want[i].timestamp);
+        ASSERT_EQ(got[i].partition_key, want[i].partition_key);
+        ASSERT_EQ(got[i].entity_id, want[i].entity_id);
+        ASSERT_EQ(got[i].size_bytes, want[i].size_bytes);
+      }
+      if (!ok) {
+        ++throttled;
+        continue;
+      }
+      ++reads;
+      passed += got.size() - 3;
+      if (got.size() - 3 < std::min(max, backlog)) ++cut_by_bytes;
+    }
+  }
+  EXPECT_EQ(stream.BacklogRecords(),
+            model[0].buffer.size() + model[1].buffer.size());
+  EXPECT_GT(reads, 1000u);
+  EXPECT_GT(cut_by_bytes, 100u);
+  EXPECT_GT(throttled, 0u);
+  // A ring holds less than twice the largest backlog (it doubles only
+  // when full), so many times that passing through wraps each head
+  // many times.
+  EXPECT_GT(passed, 40u * most_buffered);
 }
 
 }  // namespace

@@ -11,9 +11,15 @@
 
 namespace flower::tools {
 
-/// Bound of a count flag with no limit of its own (`--seeds`,
-/// `--fleet-tenants`, `--flows`): the int64_t range.
+/// Bound of a count flag with no limit of its own (`--seeds`): the
+/// int64_t range.
 inline constexpr uint64_t kMaxCountFlag = std::numeric_limits<int64_t>::max();
+
+/// Bound of a tenant count (`flower-sim --fleet-tenants`,
+/// `fleet_scale --flows`): ten times a 100,000-tenant fleet. A larger
+/// count is refused as a flag instead of failing to allocate; whether
+/// a fleet below it fits in memory is not checked.
+inline constexpr uint64_t kMaxTenantsFlag = 1'000'000;
 
 /// Minimal `--key=value` / `--flag` command-line parser for the CLI
 /// tools (no external dependencies). Values are read by

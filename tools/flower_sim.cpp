@@ -51,7 +51,7 @@ true, false, 1 and 0):
   --amplitude=N         diurnal amplitude / surge height         [600]
   --period-hours=H      diurnal period                           [4]
   --hours=H             simulated duration                       [4]
-  --reference=PCT       target utilization, all layers           [60]
+  --reference=PCT       target utilization, all layers, in (0, 100)  [60]
   --monitoring-period=S control period, seconds                  [120]
   --seed=N              RNG seed, 0 to 2^64 - 1                  [42]
   --threads=N           NSGA-II planner worker threads (0 = all cores, at
@@ -78,7 +78,7 @@ true, false, 1 and 0):
 Fleet mode (multi-tenant, replaces the single-flow run):
   --fleet               run a fleet of independent tenant flows under the
                         hierarchical budget arbiter
-  --fleet-tenants=N     number of tenant flows                   [16]
+  --fleet-tenants=N     number of tenant flows, 1 to 1000000        [16]
   --fleet-budget=USD    fleet-wide hourly dollar budget          [100]
   --fleet-period=S      arbitration period, seconds              [900]
   --fleet-threads=N     simulation partitions advanced in parallel (at most
@@ -116,6 +116,61 @@ struct ScopedLogClock {
 
 /// Shard ceiling of the single-flow run's ingestion layer.
 constexpr double kIngestionMaxShards = 64.0;
+
+/// `--key` (or `fallback` when absent) if it is a finite number in
+/// (lo, hi), else an InvalidArgument naming the flag and its range.
+Result<double> GetFiniteIn(
+    const tools::FlagParser& flags, const std::string& key, double fallback,
+    double lo, double hi = std::numeric_limits<double>::infinity()) {
+  Result<double> value = flags.GetDouble(key, fallback);
+  if (value.ok() && std::isfinite(*value) && *value > lo && *value < hi) {
+    return value;
+  }
+  char range[64];
+  if (std::isinf(hi)) {
+    std::snprintf(range, sizeof(range), "> %g", lo);
+  } else {
+    std::snprintf(range, sizeof(range), "in (%g, %g)", lo, hi);
+  }
+  std::string text = "--";
+  text += key;
+  text += " expects a finite number ";
+  text += range;
+  return Status::InvalidArgument(text);
+}
+
+/// The numbers the run modes read, each read and checked once, before
+/// any mode runs. A value the library refuses (a reference outside
+/// (0, 100), a non-finite period or budget) is a bad flag, exit 2, not
+/// a library error, exit 1.
+struct RunSettings {
+  double hours = 0.0;
+  uint64_t seed = 0;
+  double reference = 0.0;
+  double monitoring_period = 0.0;
+  double fleet_budget = 0.0;
+  double fleet_period = 0.0;
+};
+
+Result<RunSettings> ReadRunSettings(const tools::FlagParser& flags) {
+  RunSettings run;
+  // Every run mode simulates --hours: a non-finite horizon never ends,
+  // and a zero one leaves nothing to report.
+  FLOWER_ASSIGN_OR_RETURN(run.hours, GetFiniteIn(flags, "hours", 4.0, 0.0));
+  FLOWER_ASSIGN_OR_RETURN(
+      run.seed,
+      flags.GetUnsigned("seed", 42, std::numeric_limits<uint64_t>::max()));
+  FLOWER_ASSIGN_OR_RETURN(run.reference,
+                          GetFiniteIn(flags, "reference", 60.0, 0.0, 100.0));
+  FLOWER_ASSIGN_OR_RETURN(
+      run.monitoring_period,
+      GetFiniteIn(flags, "monitoring-period", 120.0, 0.0));
+  FLOWER_ASSIGN_OR_RETURN(run.fleet_budget,
+                          GetFiniteIn(flags, "fleet-budget", 100.0, 0.0));
+  FLOWER_ASSIGN_OR_RETURN(run.fleet_period,
+                          GetFiniteIn(flags, "fleet-period", 900.0, 0.0));
+  return run;
+}
 
 /// InvalidArgument when `peak` records/s exceeds what the flow's stream
 /// can be offered (see kMaxOfferedRecordsPerSecPerShard).
@@ -243,27 +298,25 @@ struct ReplicaMetrics {
 };
 
 // Runs the replica of seed `seed` of the configured scenario. Every
-// replica's arrival process is built from --seed, `seed0`.
+// replica's arrival process is built from --seed, `run.seed`.
 Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
-                                  double hours, uint64_t seed0,
-                                  uint64_t seed) {
-  FLOWER_ASSIGN_OR_RETURN(double reference,
-                          flags.GetDouble("reference", 60.0));
-  FLOWER_ASSIGN_OR_RETURN(double period,
-                          flags.GetDouble("monitoring-period", 120.0));
+                                  const RunSettings& run, uint64_t seed) {
+  const double hours = run.hours;
+  const double reference = run.reference;
   FLOWER_ASSIGN_OR_RETURN(
       core::ControllerKind kind,
       core::ControllerKindFromString(
           flags.GetString("controller", "adaptive-gain")));
   FLOWER_ASSIGN_OR_RETURN(std::shared_ptr<workload::ArrivalProcess> arrival,
-                          MakeWorkload(flags, hours, seed0));
+                          MakeWorkload(flags, hours, run.seed));
 
   sim::Simulation sim;
   cloudwatch::MetricStore metrics;
   FLOWER_ASSIGN_OR_RETURN(
       core::ManagedFlow managed,
-      BuildManagedFlow(reference, period, kind, std::move(arrival), seed,
-                       &sim, &metrics, /*telemetry=*/nullptr));
+      BuildManagedFlow(reference, run.monitoring_period, kind,
+                       std::move(arrival), seed, &sim, &metrics,
+                       /*telemetry=*/nullptr));
   double horizon = hours * kHour;
   sim.RunUntil(horizon);
 
@@ -291,13 +344,14 @@ Result<ReplicaMetrics> RunReplica(const tools::FlagParser& flags,
 }
 
 // Replicated mode: run N seeds, print per-seed rows and mean +/- sd.
-int RunReplicated(const tools::FlagParser& flags, double hours,
-                  uint64_t seed0, uint64_t seeds) {
+int RunReplicated(const tools::FlagParser& flags, const RunSettings& run,
+                  uint64_t seeds) {
+  const uint64_t seed0 = run.seed;
   TablePrinter table({"seed", "drop %", "out-of-band %", "overload %",
                       "MAE", "resizes"});
   std::vector<ReplicaMetrics> all;
   for (uint64_t s = 0; s < seeds; ++s) {
-    auto m = RunReplica(flags, hours, seed0, seed0 + s);
+    auto m = RunReplica(flags, run, seed0 + s);
     if (!m.ok()) {
       std::cerr << "seed " << (seed0 + s) << ": " << m.status() << "\n";
       return 1;
@@ -340,23 +394,16 @@ int RunReplicated(const tools::FlagParser& flags, double hours,
 
 // Fleet mode: many independent tenant flows sharing one hourly dollar
 // budget, re-divided by the hierarchical arbiter every period.
-int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
+int RunFleet(const tools::FlagParser& flags, const RunSettings& run) {
   auto tenants_or =
-      flags.GetUnsigned("fleet-tenants", 16, tools::kMaxCountFlag);
-  auto budget_or = flags.GetDouble("fleet-budget", 100.0);
-  auto period_or = flags.GetDouble("fleet-period", 900.0);
+      flags.GetUnsigned("fleet-tenants", 16, tools::kMaxTenantsFlag);
   auto threads_or = flags.GetUnsigned("fleet-threads", 1, exec::kMaxThreads);
-  if (!tenants_or.ok() || !budget_or.ok() || !period_or.ok() ||
-      !threads_or.ok()) {
-    std::cerr << "bad numeric flag\n";
-    return 2;
-  }
-  if (*tenants_or < 1 || *threads_or < 1 || *budget_or <= 0.0 ||
-      *period_or <= 0.0) {
-    std::cerr << "--fleet-tenants expects a positive integer, "
-                 "--fleet-threads an integer in [1, "
-              << exec::kMaxThreads
-              << "]; --fleet-budget/--fleet-period expect positive numbers\n";
+  if (!tenants_or.ok() || !threads_or.ok() || *tenants_or < 1 ||
+      *threads_or < 1) {
+    std::cerr << "--fleet-tenants expects an integer in [1, "
+              << tools::kMaxTenantsFlag
+              << "], --fleet-threads an integer in [1, " << exec::kMaxThreads
+              << "]\n";
     return 2;
   }
 
@@ -364,8 +411,8 @@ int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
   std::string capture_dir = flags.GetString("fleet-capture-dir", "");
 
   fleet::FleetConfig config;
-  config.fleet_budget_usd_per_hour = *budget_or;
-  config.arbitration_period_sec = *period_or;
+  config.fleet_budget_usd_per_hour = run.fleet_budget;
+  config.arbitration_period_sec = run.fleet_period;
   config.num_threads = static_cast<size_t>(*threads_or);
   if (!capture_dir.empty()) {
     config.partition.capture.enabled = true;
@@ -374,9 +421,9 @@ int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
   }
   fleet::FleetManager manager(config);
   std::vector<fleet::TenantConfig> tenants = fleet::MakeTenantFleet(
-      static_cast<size_t>(*tenants_or), seed);
+      static_cast<size_t>(*tenants_or), run.seed);
   if (flags.GetBool("fleet-tenant-period-jitter")) {
-    fleet::ApplyPeriodJitter(&tenants, *period_or, seed);
+    fleet::ApplyPeriodJitter(&tenants, run.fleet_period, run.seed);
   }
   if (flags.GetBool("fleet-fault") && !tenants.empty()) {
     // A sensed-utilization spike the controller cannot regulate away:
@@ -402,7 +449,7 @@ int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
     std::cerr << st << "\n";
     return 1;
   }
-  st = manager.RunFor(hours * kHour);
+  st = manager.RunFor(run.hours * kHour);
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
@@ -429,8 +476,9 @@ int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
                   report.conservation_ok ? "yes" : "NO"});
   }
   std::cout << "fleet: " << manager.num_tenants() << " tenants, $"
-            << TablePrinter::Num(*budget_or, 2) << "/h budget, arbitration "
-            << "every " << TablePrinter::Num(*period_or, 0) << " s"
+            << TablePrinter::Num(run.fleet_budget, 2)
+            << "/h budget, arbitration "
+            << "every " << TablePrinter::Num(run.fleet_period, 0) << " s"
             << (flags.GetBool("fleet-tenant-period-jitter")
                     ? " (jittered per tenant)"
                     : "")
@@ -487,13 +535,10 @@ int RunFleet(const tools::FlagParser& flags, double hours, uint64_t seed) {
   return 0;
 }
 
-int RunOrDie(const tools::FlagParser& flags, double hours, uint64_t seed) {
-  auto reference_or = flags.GetDouble("reference", 60.0);
-  auto period_or = flags.GetDouble("monitoring-period", 120.0);
-  if (!reference_or.ok() || !period_or.ok()) {
-    std::cerr << "bad numeric flag\n";
-    return 2;
-  }
+int RunOrDie(const tools::FlagParser& flags, const RunSettings& run) {
+  const double hours = run.hours;
+  const uint64_t seed = run.seed;
+  const double period = run.monitoring_period;
   auto kind =
       core::ControllerKindFromString(flags.GetString("controller",
                                                      "adaptive-gain"));
@@ -528,7 +573,7 @@ int RunOrDie(const tools::FlagParser& flags, double hours, uint64_t seed) {
   ScopedLogClock log_clock(&sim);
   cloudwatch::MetricStore metrics;
   auto managed = BuildManagedFlow(
-      *reference_or, *period_or, *kind, *arrival,
+      run.reference, period, *kind, *arrival,
       seed, &sim, &metrics,
       observe ? &telemetry : nullptr);
   if (!managed.ok()) {
@@ -577,7 +622,7 @@ int RunOrDie(const tools::FlagParser& flags, double hours, uint64_t seed) {
   core::DependencyAnalyzer dep_analyzer;
   if (!health_out.empty()) {
     health =
-        std::make_unique<obs::health::HealthMonitor>(&telemetry, *period_or);
+        std::make_unique<obs::health::HealthMonitor>(&telemetry, period);
     for (const obs::health::SloSpec& spec :
          obs::health::MakeDefaultSloPack()) {
       Status st = health->AddSlo(spec);
@@ -597,7 +642,7 @@ int RunOrDie(const tools::FlagParser& flags, double hours, uint64_t seed) {
         [&health](const std::string& layer, SimTime) {
           return health->MaskFor(layer);
         });
-    sim.SchedulePeriodic(*period_or, *period_or, [&health, &sim] {
+    sim.SchedulePeriodic(period, period, [&health, &sim] {
       health->Evaluate(sim.Now());
       return true;
     });
@@ -648,7 +693,7 @@ int RunOrDie(const tools::FlagParser& flags, double hours, uint64_t seed) {
     NoteTraceRetention(*(*state)->log);
     auto quality = control::EvaluateControl(
         sensed.Window(30.0 * kMinute, horizon), (*state)->actuations(),
-        *reference_or, 15.0, horizon);
+        run.reference, 15.0, horizon);
     if (quality.ok()) {
       summary.AddRow({"analytics out-of-band %",
                       TablePrinter::Num(
@@ -757,25 +802,17 @@ int main(int argc, char** argv) {
     std::cout << kUsage;
     return 0;
   }
-  // Every run mode simulates --hours: a non-finite horizon never ends,
-  // and a zero one leaves nothing to report.
-  auto hours = flags->GetDouble("hours", 4.0);
-  if (!hours.ok() || !(*hours > 0.0) || !std::isfinite(*hours)) {
-    std::cerr << "--hours expects a finite number > 0\n";
+  auto run = ReadRunSettings(*flags);
+  if (!run.ok()) {
+    std::cerr << run.status().message() << "\n";
     return 2;
   }
-  auto seed =
-      flags->GetUnsigned("seed", 42, std::numeric_limits<uint64_t>::max());
-  if (!seed.ok()) {
-    std::cerr << seed.status().message() << "\n";
-    return 2;
-  }
-  if (flags->GetBool("fleet")) return RunFleet(*flags, *hours, *seed);
+  if (flags->GetBool("fleet")) return RunFleet(*flags, *run);
   auto seeds = flags->GetUnsigned("seeds", 1, tools::kMaxCountFlag);
   if (!seeds.ok() || *seeds < 1) {
     std::cerr << "--seeds expects a positive integer\n";
     return 2;
   }
-  if (*seeds > 1) return RunReplicated(*flags, *hours, *seed, *seeds);
-  return RunOrDie(*flags, *hours, *seed);
+  if (*seeds > 1) return RunReplicated(*flags, *run, *seeds);
+  return RunOrDie(*flags, *run);
 }

@@ -17,9 +17,13 @@
 # label rides along because the flight recorder's bounded rings and the
 # replay harness's bundle reconstruction shuffle ownership of spec,
 # fault, and grant records across the capture/replay boundary — the
-# natural habitat of a stale pointer into an evicted ring slot.
+# natural habitat of a stale pointer into an evicted ring slot. The
+# records label (common, services, flow and workload tests) covers the
+# per-record path, whose ring-buffer copies, in-place appends and
+# reused per-thread scratch are where an out-of-bounds write would
+# hide.
 #
-#   $ tools/run_sanitized.sh    # ctest -L 'fault|health|simcore|obs|fleet|replay'
+#   $ tools/run_sanitized.sh    # ctest -L 'fault|health|simcore|obs|fleet|replay|records'
 #   $ tools/run_sanitized.sh -R Breaker # forward extra ctest args
 set -euo pipefail
 
@@ -33,8 +37,10 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DFLOWER_BUILD_EXAMPLES=OFF
 cmake --build "${build_dir}" -j "$(nproc)" \
   --target fault_tests health_tests sim_tests simcore_tests obs_tests \
-  fleet_tests replay_tests
+  fleet_tests replay_tests common_tests services_tests flow_tests \
+  workload_tests
 
 cd "${build_dir}"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
-  ctest -L 'fault|health|simcore|obs|fleet|replay' --output-on-failure "$@"
+  ctest -L 'fault|health|simcore|obs|fleet|replay|records' \
+  --output-on-failure "$@"
