@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "bench/alloc_counter.h"
@@ -333,11 +334,13 @@ bool SimSteadyTickIsAllocationFree() {
 
 // Overload must not allocate per rejected request (the throttle paths
 // return short literal statuses). A 1-shard Kinesis stream and a 1-WCU
-// DynamoDB table are each offered ten times their provisioned rate.
-// After a warm-up that sizes the shard buffer, the consumer batch and
-// the table's single item, the measured window — accepted and rejected
-// requests alike — must perform zero heap allocations while each
-// service rejects at least 1e4 requests.
+// DynamoDB table are each offered ten times their provisioned rate;
+// the table also takes a batch write of 10 items per step, which the
+// tokens stop mid-way or at its first item. After a warm-up that sizes
+// the shard buffer, the consumer batch and the table's items, the
+// measured window — accepted and rejected requests alike — must
+// perform zero heap allocations while each service rejects at least
+// 1e4 requests and at least 1e3 batches stop mid-way.
 bool OverloadRejectionsAreAllocationFree() {
   sim::Simulation sim;
   kinesis::Stream stream(&sim, nullptr, kinesis::StreamConfig{});
@@ -363,28 +366,42 @@ bool OverloadRejectionsAreAllocationFree() {
     }
     return rejected;
   };
-  // 10 writes/s of one item against 1 WCU.
+  // 10 batch writes of 10 items and 10 writes of one item per second
+  // against 1 WCU; the batch goes first and takes what the tokens give.
+  std::array<dynamodb::PutRequest, 10> items;
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i] = {static_cast<int64_t>(i), 1.0};
+  }
+  uint64_t midway = 0;
   auto offer_table = [&](int seconds) {
     uint64_t rejected = 0;
     for (int step = 0; step < seconds * 10; ++step) {
       sim.RunUntil(sim.Now() + 0.1);
+      Status st;
+      const size_t written = table.PutItems(
+          items.size(), 100, [&items](size_t i) { return items[i]; }, &st);
+      if (written > 0 && written < items.size()) ++midway;
       if (!table.PutItem(7, 1.0, 100).ok()) ++rejected;
     }
     return rejected;
   };
   offer_stream(2);
   offer_table(10);
+  midway = 0;
   uint64_t before = bench::AllocationCount();
   const uint64_t rejected_puts = offer_stream(2);
   const uint64_t rejected_writes = offer_table(1200);
   uint64_t allocs = bench::AllocationCount() - before;
   std::printf("overload allocation guard: %llu allocations over %llu "
-              "rejected puts (1-shard stream) + %llu rejected writes "
-              "(1-WCU table) at 10x the provisioned rate\n",
+              "rejected puts (1-shard stream) + %llu rejected writes and "
+              "%llu batch writes stopped mid-way (1-WCU table) at 10x the "
+              "provisioned rate\n",
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(rejected_puts),
-              static_cast<unsigned long long>(rejected_writes));
-  return allocs == 0 && rejected_puts >= 10000 && rejected_writes >= 10000;
+              static_cast<unsigned long long>(rejected_writes),
+              static_cast<unsigned long long>(midway));
+  return allocs == 0 && rejected_puts >= 10000 && rejected_writes >= 10000 &&
+         midway >= 1000;
 }
 
 // The click generator's steady batch must not allocate: each emission

@@ -116,7 +116,10 @@ class AliasTable {
     const int64_t column =
         rng->UniformInt(0, static_cast<int64_t>(cells_.size()) - 1);
     const Cell& cell = cells_[static_cast<size_t>(column)];
-    return rng->Uniform() < cell.prob ? column : cell.alias;
+    // The coin is a coin flip on many columns, so it selects by mask,
+    // not by branch: all ones keeps the column, all zeros its alias.
+    const int64_t keep = -static_cast<int64_t>(rng->Uniform() < cell.prob);
+    return (column & keep) | (static_cast<int64_t>(cell.alias) & ~keep);
   }
 
  private:

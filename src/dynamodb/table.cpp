@@ -53,25 +53,59 @@ void Table::RefillTokens(SimTime now) {
   last_refill_ = now;
 }
 
-Status Table::ChargeWrite(int32_t size_bytes) {
+size_t Table::ChargeWrites(size_t n, int32_t size_bytes) {
+  // Every write of a call is at one `now`, so one refill serves them
+  // all: a second refill at an unchanged clock is a no-op.
   RefillTokens(sim_->Now());
-  double cost = WcuForSize(size_bytes);
-  if (write_tokens_ < cost) {
-    ++total_throttled_writes_;
-    return Status::Throttled("write throttled");
+  const double cost = WcuForSize(size_bytes);
+  for (size_t i = 0; i < n; ++i) {
+    if (write_tokens_ < cost) {
+      ++total_throttled_writes_;
+      return i;
+    }
+    write_tokens_ -= cost;
+    period_consumed_wcu_ += cost;
+    ++total_writes_;
   }
-  write_tokens_ -= cost;
-  period_consumed_wcu_ += cost;
-  ++total_writes_;
-  return Status::OK();
+  return n;
 }
 
+namespace {
+bool KeyBelow(const std::pair<int64_t, double>& item, int64_t key) {
+  return item.first < key;
+}
+}  // namespace
+
 Table::ItemIt Table::LowerBound(int64_t key) {
-  return std::lower_bound(
-      items_.begin(), items_.end(), key,
-      [](const std::pair<int64_t, double>& item, int64_t k) {
-        return item.first < k;
-      });
+  return std::lower_bound(items_.begin(), items_.end(), key, KeyBelow);
+}
+
+Table::ItemIt Table::StoreFrom(ItemIt from, const PutRequest& item) {
+  const ItemIt end = items_.end();
+  ItemIt at = from;
+  if (at != end && KeyBelow(*at, item.key)) {
+    // Gallop: strides of 1, 2, 4, ... past `lo`, whose key is below
+    // the item's, until one lands at or past it; the position is then
+    // inside that last stride. O(log d) for a position d items ahead.
+    ItemIt lo = at;
+    for (ptrdiff_t step = 1;; step *= 2) {
+      if (end - lo <= step) {
+        at = std::lower_bound(lo + 1, end, item.key, KeyBelow);
+        break;
+      }
+      const ItemIt probe = lo + step;
+      if (!KeyBelow(*probe, item.key)) {
+        at = std::lower_bound(lo + 1, probe, item.key, KeyBelow);
+        break;
+      }
+      lo = probe;
+    }
+  }
+  if (at == end || at->first != item.key) {
+    return items_.insert(at, {item.key, item.value});
+  }
+  at->second = item.value;
+  return at;
 }
 
 double& Table::Item(int64_t key) {
@@ -83,12 +117,26 @@ double& Table::Item(int64_t key) {
 }
 
 Status Table::PutItem(int64_t key, double value, int32_t size_bytes) {
+  Status st;
+  PutItems(1, size_bytes, [key, value](size_t) {
+    return PutRequest{key, value};
+  }, &st);
+  return st;
+}
+
+size_t Table::AdmitPuts(size_t n, int32_t size_bytes, Status* status) {
+  if (n == 0) return 0;
   if (size_bytes <= 0) {
-    return Status::InvalidArgument("PutItem: non-positive item size");
+    if (status->ok()) {
+      *status = Status::InvalidArgument("PutItem: non-positive item size");
+    }
+    return 0;
   }
-  FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
-  Item(key) = value;
-  return Status::OK();
+  const size_t written = ChargeWrites(n, size_bytes);
+  if (written < n && status->ok()) {
+    *status = Status::Throttled("write throttled");
+  }
+  return written;
 }
 
 Result<double> Table::GetItem(int64_t key, int32_t size_bytes) {
@@ -114,7 +162,9 @@ Result<double> Table::UpdateItemAdd(int64_t key, double delta,
   if (size_bytes <= 0) {
     return Status::InvalidArgument("UpdateItemAdd: non-positive item size");
   }
-  FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
+  if (ChargeWrites(1, size_bytes) == 0) {
+    return Status::Throttled("write throttled");
+  }
   return Item(key) += delta;
 }
 
@@ -122,7 +172,9 @@ Status Table::DeleteItem(int64_t key, int32_t size_bytes) {
   if (size_bytes <= 0) {
     return Status::InvalidArgument("DeleteItem: non-positive item size");
   }
-  FLOWER_RETURN_NOT_OK(ChargeWrite(size_bytes));
+  if (ChargeWrites(1, size_bytes) == 0) {
+    return Status::Throttled("write throttled");
+  }
   ItemIt it = LowerBound(key);
   if (it != items_.end() && it->first == key) items_.erase(it);
   return Status::OK();

@@ -34,6 +34,12 @@ struct TableConfig {
   double metrics_period_sec = 60.0;
 };
 
+/// One item of a batch write: its key and numeric value.
+struct PutRequest {
+  int64_t key = 0;
+  double value = 0.0;
+};
+
 /// Simulated Amazon DynamoDB table (the storage layer).
 ///
 /// Provisioned-throughput contract: writes consume ceil(size / 1 KiB)
@@ -47,7 +53,8 @@ struct TableConfig {
 /// The table actually stores items (key → numeric value) so integration
 /// tests can verify end-to-end flow correctness, not just throughput
 /// accounting. Items sit in one vector sorted by key, with no heap node
-/// per item.
+/// per item. A batch write seeks each key forward from the previous
+/// one, so a batch of ascending keys walks the items once.
 ///
 /// Published metrics (namespace "Flower/DynamoDB", dimension = table,
 /// one datapoint per metrics period), each with its readers:
@@ -65,9 +72,23 @@ class Table {
   Table(sim::Simulation* sim, cloudwatch::MetricStore* metrics,
         TableConfig config);
 
-  /// Writes (or overwrites) an item. Throttles when write tokens are
-  /// exhausted.
+  /// Writes (or overwrites) an item: `PutItems` of one. Throttles when
+  /// write tokens are exhausted.
   Status PutItem(int64_t key, double value, int32_t size_bytes);
+
+  /// Writes n items in order, each of `size_bytes` (the service's
+  /// BatchWriteItem): `item(i)` for i in [0, n) returns the i-th
+  /// PutRequest. Returns how many were written. Each item is billed
+  /// exactly as one PutItem call would bill it, in order, until one
+  /// does not fit: that one counts as one throttled write, and neither
+  /// it nor any later item is written. A later item of a batch
+  /// overwrites an earlier one of the same key. `*status`, when still
+  /// OK, receives Throttled after a throttle and InvalidArgument for a
+  /// non-positive size, which writes and bills nothing. A template, so
+  /// the caller's items are read in place, with no copy.
+  template <typename ItemAt>
+  size_t PutItems(size_t n, int32_t size_bytes, ItemAt&& item,
+                  Status* status);
 
   /// Strongly consistent read. Throttles when read tokens are
   /// exhausted; NotFound for missing keys.
@@ -99,6 +120,11 @@ class Table {
   uint64_t total_throttled_reads() const { return total_throttled_reads_; }
   uint64_t total_writes() const { return total_writes_; }
   const TableConfig& config() const { return config_; }
+  /// The stored items in ascending key order, read without billing (an
+  /// inspection hook for checks, not a service call).
+  const std::vector<std::pair<int64_t, double>>& items() const {
+    return items_;
+  }
 
   /// Average consumed WCU/s since the start of the current metrics
   /// period (the utilization signal Flower's storage controller reads).
@@ -106,14 +132,22 @@ class Table {
 
  private:
   void RefillTokens(SimTime now);
-  /// Bills one write of `size_bytes` against the write tokens; counts
-  /// and returns Throttled when they are exhausted.
-  Status ChargeWrite(int32_t size_bytes);
+  /// Bills up to `n` writes of `size_bytes` (> 0) each against the
+  /// write tokens at the current time: refills once, charges each write
+  /// in order while the tokens cover it, and counts the first that they
+  /// do not cover as one throttled write. Returns how many were charged.
+  size_t ChargeWrites(size_t n, int32_t size_bytes);
+  /// PutItems' billing: how many of n writes of `size_bytes` are
+  /// admitted, with the size check and the status.
+  size_t AdmitPuts(size_t n, int32_t size_bytes, Status* status);
   void PublishMetrics();
   using Items = std::vector<std::pair<int64_t, double>>;
   using ItemIt = Items::iterator;
   /// First item whose key is not below `key`.
   ItemIt LowerBound(int64_t key);
+  /// Stores `item` at its key, sought by galloping forward from `from`
+  /// (at or before the key's position); returns where it is stored.
+  ItemIt StoreFrom(ItemIt from, const PutRequest& item);
   /// The item of `key`, inserted with value 0 when missing.
   double& Item(int64_t key);
 
@@ -143,6 +177,25 @@ class Table {
   double period_consumed_wcu_ = 0.0;
   SimTime period_start_ = 0.0;
 };
+
+template <typename ItemAt>
+size_t Table::PutItems(size_t n, int32_t size_bytes, ItemAt&& item,
+                       Status* status) {
+  const size_t written = AdmitPuts(n, size_bytes, status);
+  // The cursor seeks each key forward from the previous item; a key
+  // not above the previous one seeks from the front again. The window
+  // emits a boundary's aggregates in ascending key, so a persist run
+  // is a few ascending runs.
+  ItemIt at = items_.begin();
+  int64_t previous = 0;
+  for (size_t i = 0; i < written; ++i) {
+    const PutRequest request = item(i);
+    if (i > 0 && request.key <= previous) at = items_.begin();
+    at = StoreFrom(at, request);
+    previous = request.key;
+  }
+  return written;
+}
 
 }  // namespace flower::dynamodb
 

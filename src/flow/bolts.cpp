@@ -9,7 +9,8 @@ size_t WindowCountBolt::ExecuteBatch(const storm::Tuple* in, size_t n,
   if (n == 0) return 0;
   // Every input of a batch arrives at `now`, so only the first one can
   // find a slide boundary due: it is added, the boundary's aggregates
-  // are emitted stamped with its origin time, then the rest are added.
+  // are emitted stamped with its origin time, then the rest are added
+  // in one call.
   counter_.Add(in[0].entity_id, now, in[0].value);
   if (counter_.BoundaryDue(now)) {
     const SimTime origin = in[0].origin_time;
@@ -24,9 +25,10 @@ size_t WindowCountBolt::ExecuteBatch(const storm::Tuple* in, size_t n,
       ++emitted_;
     });
   }
-  for (size_t i = 1; i < n; ++i) {
-    counter_.Add(in[i].entity_id, now, in[i].value);
-  }
+  const storm::Tuple* rest = in + 1;
+  counter_.AddBatch(now, n - 1, [rest](size_t i) {
+    return std::pair<int64_t, double>(rest[i].entity_id, rest[i].value);
+  });
   return n;
 }
 
@@ -34,16 +36,20 @@ size_t PersistBolt::ExecuteBatch(const storm::Tuple* in, size_t n,
                                  SimTime /*now*/,
                                  VecDeque<storm::Tuple>* /*out*/,
                                  Status* status) {
-  for (size_t i = 0; i < n; ++i) {
-    Status st = table_->PutItem(in[i].entity_id, in[i].value, item_bytes_);
-    if (st.ok()) {
-      ++persisted_;
-      continue;
-    }
-    if (status->ok()) *status = st;
-    if (st.IsRetryable()) return i;
-  }
-  return n;
+  // One batch write per run, reading the keys and values in place.
+  Status st;
+  const size_t written = table_->PutItems(
+      n, item_bytes_,
+      [in](size_t i) {
+        return dynamodb::PutRequest{in[i].entity_id, in[i].value};
+      },
+      &st);
+  persisted_ += written;
+  if (st.ok()) return n;
+  if (status->ok()) *status = st;
+  // A throttle leaves its tuple and the rest queued; a refused item
+  // size consumes them all, as it would one at a time.
+  return st.IsRetryable() ? written : n;
 }
 
 }  // namespace flower::flow

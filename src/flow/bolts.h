@@ -28,9 +28,10 @@ class WindowCountBolt final : public storm::BoltLogic {
   uint64_t emitted_ = 0;
 };
 
-/// Terminal bolt: persists each aggregate tuple into DynamoDB. A
-/// throttled write is surfaced as a retryable status so the cluster
-/// re-queues the tuple (storage backpressure into the analytics layer).
+/// Terminal bolt: persists each aggregate tuple into DynamoDB, one
+/// batch write (`Table::PutItems`) per run of tuples. A throttled write
+/// is surfaced as a retryable status so the cluster re-queues the tuple
+/// (storage backpressure into the analytics layer).
 class PersistBolt final : public storm::BoltLogic {
  public:
   /// `item_bytes` is the serialized aggregate item size (1 WCU each at

@@ -24,6 +24,11 @@ Result<std::unique_ptr<DataAnalyticsFlow>> DataAnalyticsFlow::Create(
 }
 
 Status DataAnalyticsFlow::Init() {
+  // The window settings are checked before any service schedules on
+  // the simulation, so a refused flow leaves no event behind.
+  FLOWER_ASSIGN_OR_RETURN(
+      SlidingWindowCounter counter,
+      SlidingWindowCounter::Create(config_.window_sec, config_.slide_sec));
   stream_ = std::make_unique<kinesis::Stream>(sim_, metrics_,
                                               config_.stream);
   fleet_ = std::make_unique<ec2::Fleet>(sim_, config_.instance_type,
@@ -39,20 +44,12 @@ Status DataAnalyticsFlow::Init() {
   auto spout = [stream](size_t max, std::vector<storm::Tuple>* out) {
     int shards = stream->shard_count();
     if (shards <= 0 || max == 0) return;
-    // Each shard's records pass through scratch owned by the calling
-    // thread, not by the flow: a fleet runs one flow per tenant on a
-    // few workers, and a buffer each would hold a pull's worth of
-    // memory per tenant. Warm capacity makes a steady pull allocate
-    // nothing.
-    thread_local std::vector<kinesis::Record> records;
-    size_t per_shard = max / static_cast<size_t>(shards) + 1;
-    for (int s = 0; s < shards && out->size() < max; ++s) {
-      records.clear();
-      if (!stream->GetRecordsInto(s, per_shard, &records).ok()) continue;
-      // The tuples are written in place; records read past `max` are
-      // not kept.
+    // Each shard's records are converted into tuples straight from its
+    // ring, written in place; records read past `max` are not kept.
+    const auto convert = [max, out](const kinesis::Record* records,
+                                    size_t n) {
       const size_t base = out->size();
-      const size_t take = std::min(records.size(), max - base);
+      const size_t take = std::min(n, max - base);
       out->resize(base + take);
       storm::Tuple* t = out->data() + base;
       for (size_t i = 0; i < take; ++i) {
@@ -61,6 +58,11 @@ Status DataAnalyticsFlow::Init() {
         t[i].size_bytes = records[i].size_bytes;
         t[i].value = 1.0;
       }
+    };
+    size_t per_shard = max / static_cast<size_t>(shards) + 1;
+    for (int s = 0; s < shards && out->size() < max; ++s) {
+      // A throttled shard is skipped until the next pull.
+      (void)stream->ReadRecords(s, per_shard, convert);
     }
   };
   FLOWER_RETURN_NOT_OK(
@@ -72,9 +74,6 @@ Status DataAnalyticsFlow::Init() {
   parse.logic = std::make_shared<storm::StatelessBolt>(1.0);
   FLOWER_RETURN_NOT_OK(topology_->AddBolt(std::move(parse)));
 
-  FLOWER_ASSIGN_OR_RETURN(
-      SlidingWindowCounter counter,
-      SlidingWindowCounter::Create(config_.window_sec, config_.slide_sec));
   storm::BoltSpec window;
   window.name = "window-count";
   window.cpu_cost_per_tuple = config_.window_cost;

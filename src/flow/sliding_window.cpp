@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/random.h"
+#include <cstdio>
+#include <string>
 
 namespace flower::flow {
 
@@ -18,25 +18,37 @@ inline size_t NextPow2(size_t n) {
 /// The slot table starts with 2^kInitialTableBits entries.
 constexpr unsigned kInitialTableBits = 6;
 
-/// Fibonacci hashing: the top `64 - shift` bits of the id times the
-/// splitmix64 gamma index a table of 2^(64 - shift) entries.
-inline size_t TableIndex(int64_t entity, unsigned shift) {
-  return static_cast<size_t>(
-      (static_cast<uint64_t>(entity) * kSplitMix64Gamma) >> shift);
+/// "window W s over slide S s", both in %g.
+std::string Settings(double window_sec, double slide_sec) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "window %g s over slide %g s", window_sec,
+                slide_sec);
+  return buf;
 }
 
 }  // namespace
 
 Result<SlidingWindowCounter> SlidingWindowCounter::Create(double window_sec,
                                                           double slide_sec) {
-  if (slide_sec <= 0.0 || window_sec <= 0.0) {
+  // Written so that NaN fails each test: every later step casts the
+  // ratio to an integer and sizes the bucket ring by it.
+  if (!(slide_sec > 0.0 && window_sec > 0.0) || !std::isfinite(slide_sec) ||
+      !std::isfinite(window_sec)) {
     return Status::InvalidArgument(
-        "SlidingWindowCounter: window and slide must be positive");
+        "SlidingWindowCounter: " + Settings(window_sec, slide_sec) +
+        ": window and slide must be finite and positive");
   }
   double ratio = window_sec / slide_sec;
+  if (!(ratio <= static_cast<double>(kMaxBucketsPerWindow))) {
+    return Status::InvalidArgument(
+        "SlidingWindowCounter: " + Settings(window_sec, slide_sec) +
+        ": more than " + std::to_string(kMaxBucketsPerWindow) +
+        " slides per window");
+  }
   if (std::fabs(ratio - std::round(ratio)) > 1e-9 || ratio < 1.0) {
     return Status::InvalidArgument(
-        "SlidingWindowCounter: window must be a positive multiple of slide");
+        "SlidingWindowCounter: " + Settings(window_sec, slide_sec) +
+        ": window must be a positive multiple of slide");
   }
   return SlidingWindowCounter(window_sec, slide_sec);
 }
@@ -53,13 +65,7 @@ SlidingWindowCounter::SlidingWindowCounter(double window_sec, double slide_sec)
   table_shift_ = 64 - kInitialTableBits;
 }
 
-uint32_t SlidingWindowCounter::FindOrCreateSlot(int64_t entity) {
-  size_t h = TableIndex(entity, table_shift_);
-  while (table_[h] >= 0) {
-    uint32_t slot = static_cast<uint32_t>(table_[h]);
-    if (slot_ids_[slot] == entity) return slot;
-    h = (h + 1) & table_mask_;
-  }
+uint32_t SlidingWindowCounter::CreateSlot(int64_t entity, size_t h) {
   if ((slot_ids_.size() + 1) * 4 > table_.size() * 3) {
     GrowTable();
     // Re-probe in the grown table for the insertion point.
@@ -152,9 +158,10 @@ void SlidingWindowCounter::DropBucket(int64_t index) {
   b.index = kNoBucket;
 }
 
-void SlidingWindowCounter::Add(int64_t entity, SimTime t, double weight) {
+int64_t SlidingWindowCounter::SettleBucket(SimTime t, size_t n) {
   // Every tuple of a bolt's batch carries the batch's time, so only the
-  // first divides; any other time, a late one included, recomputes.
+  // first call at it divides; any other time, a late one included,
+  // recomputes.
   if (t != last_add_time_) {
     last_add_time_ = t;
     last_add_bucket_ = static_cast<int64_t>(std::floor(t / slide_sec_));
@@ -171,18 +178,9 @@ void SlidingWindowCounter::Add(int64_t entity, SimTime t, double weight) {
   int64_t min_live = next_slide_bucket_ - buckets_per_window_;
   if (bucket < min_live) {
     bucket = min_live;
-    ++late_clamped_;
+    late_clamped_ += n;
   }
-  uint32_t slot = FindOrCreateSlot(entity);
-  Bucket& b = BucketFor(bucket);
-  if (slot_last_bucket_[slot] == bucket) {
-    b.entries[slot_entry_pos_[slot]].weight += weight;
-    return;
-  }
-  slot_last_bucket_[slot] = bucket;
-  slot_entry_pos_[slot] = static_cast<uint32_t>(b.entries.size());
-  b.entries.push_back(Entry{slot, weight});
-  if (slot_live_[slot]++ == 0) ++tracked_;
+  return bucket;
 }
 
 }  // namespace flower::flow

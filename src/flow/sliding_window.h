@@ -1,12 +1,14 @@
 #ifndef FLOWER_FLOW_SLIDING_WINDOW_H_
 #define FLOWER_FLOW_SLIDING_WINDOW_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/result.h"
 #include "common/time_series.h"
 
@@ -35,18 +37,34 @@ namespace flower::flow {
 /// walking that order instead of sorting what the window holds.
 class SlidingWindowCounter {
  public:
-  /// window_sec must be a positive multiple of slide_sec.
+  /// Most slide buckets one window may span: a day at 1.32 s slides,
+  /// and a bucket ring of at most 4 MiB.
+  static constexpr int64_t kMaxBucketsPerWindow = 65536;
+
+  /// window_sec must be a finite positive multiple of slide_sec, by at
+  /// most kMaxBucketsPerWindow.
   static Result<SlidingWindowCounter> Create(double window_sec,
                                              double slide_sec);
 
-  /// Accounts `weight` clicks for `entity` at time t (t must be
-  /// non-decreasing across calls, as guaranteed by the simulation).
-  /// A timestamp that lands in an already-retired slide bucket (a late
-  /// arrival) is clamped into the oldest bucket still inside a future
-  /// window, so the count is never silently lost; `late_clamped()`
-  /// reports how often that happened. The slide bucket of the last
-  /// timestamp is kept, so a batch of Adds at one time divides once.
-  void Add(int64_t entity, SimTime t, double weight = 1.0);
+  /// Accounts `weight` clicks for `entity` at time t: `AddBatch` of one.
+  void Add(int64_t entity, SimTime t, double weight = 1.0) {
+    AddBatch(t, 1, [entity, weight](size_t) {
+      return std::pair<int64_t, double>(entity, weight);
+    });
+  }
+
+  /// Accounts n contributions at time t, in order: `contribution(i)`
+  /// for i in [0, n) returns the (entity, weight) pair of the i-th. t
+  /// must be non-decreasing across calls, as guaranteed by the
+  /// simulation. A timestamp that lands in an already-retired slide
+  /// bucket (a late arrival) is clamped into the oldest bucket still
+  /// inside a future window, so the count is never silently lost;
+  /// `late_clamped()` counts the contributions clamped. The bucket and
+  /// the clamp are settled once per call, and the slide bucket of the
+  /// last timestamp is kept, so calls at one time divide once. A
+  /// template, so the per-contribution work is inlined into the caller.
+  template <typename Contribution>
+  void AddBatch(SimTime t, size_t n, Contribution&& contribution);
 
   /// Processes all slide boundaries up to `t`, calling
   /// `emit(entity_id, count, window_end_time)` once per entity the
@@ -91,8 +109,28 @@ class SlidingWindowCounter {
 
   SlidingWindowCounter(double window_sec, double slide_sec);
 
-  uint32_t FindOrCreateSlot(int64_t entity);
+  /// Fibonacci hashing: the top `64 - shift` bits of the id times the
+  /// splitmix64 gamma index a table of 2^(64 - shift) entries.
+  static size_t TableIndex(int64_t entity, unsigned shift) {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(entity) * kSplitMix64Gamma) >> shift);
+  }
+  /// The slot of `entity`. The probe's hit path is inline; a missing
+  /// entity gets a slot from CreateSlot at the empty entry `h` ended on.
+  uint32_t SlotOf(int64_t entity) {
+    size_t h = TableIndex(entity, table_shift_);
+    while (table_[h] >= 0) {
+      const uint32_t slot = static_cast<uint32_t>(table_[h]);
+      if (slot_ids_[slot] == entity) return slot;
+      h = (h + 1) & table_mask_;
+    }
+    return CreateSlot(entity, h);
+  }
+  uint32_t CreateSlot(int64_t entity, size_t h);
   void GrowTable();
+  /// The slide bucket that n contributions at time t go to, after the
+  /// first contribution's start and the late clamp.
+  int64_t SettleBucket(SimTime t, size_t n);
   Bucket& BucketFor(int64_t index);
   void GrowRing(int64_t index);
   void DropBucket(int64_t index);
@@ -130,6 +168,26 @@ class SlidingWindowCounter {
   uint64_t epoch_ = 0;
 };
 
+template <typename Contribution>
+void SlidingWindowCounter::AddBatch(SimTime t, size_t n,
+                                    Contribution&& contribution) {
+  if (n == 0) return;
+  const int64_t bucket = SettleBucket(t, n);
+  Bucket& b = BucketFor(bucket);
+  for (size_t i = 0; i < n; ++i) {
+    const auto [entity, weight] = contribution(i);
+    const uint32_t slot = SlotOf(entity);
+    if (slot_last_bucket_[slot] == bucket) {
+      b.entries[slot_entry_pos_[slot]].weight += weight;
+      continue;
+    }
+    slot_last_bucket_[slot] = bucket;
+    slot_entry_pos_[slot] = static_cast<uint32_t>(b.entries.size());
+    b.entries.push_back(Entry{slot, weight});
+    if (slot_live_[slot]++ == 0) ++tracked_;
+  }
+}
+
 template <typename Emit>
 void SlidingWindowCounter::AdvanceTo(SimTime t, Emit&& emit) {
   if (!started_) return;
@@ -148,12 +206,18 @@ void SlidingWindowCounter::AdvanceTo(SimTime t, Emit&& emit) {
           idx & static_cast<int64_t>(ring_mask_))];
       if (b.index != idx) continue;
       for (const Entry& e : b.entries) {
-        if (scratch_epoch_[e.slot] == epoch_) {
-          scratch_total_[e.slot] += e.weight;
-        } else {
-          scratch_epoch_[e.slot] = epoch_;
-          scratch_total_[e.slot] = e.weight;
-        }
+        // Whether the slot was seen this epoch is a coin flip per
+        // entry, so it selects by mask, not by branch: the sum is
+        // always formed, and the mask picks its bits or the weight's,
+        // exactly the value the branch stored.
+        const uint64_t seen =
+            0 - static_cast<uint64_t>(scratch_epoch_[e.slot] == epoch_);
+        const uint64_t sum =
+            std::bit_cast<uint64_t>(scratch_total_[e.slot] + e.weight);
+        const uint64_t fresh = std::bit_cast<uint64_t>(e.weight);
+        scratch_total_[e.slot] =
+            std::bit_cast<double>((sum & seen) | (fresh & ~seen));
+        scratch_epoch_[e.slot] = epoch_;
       }
     }
     // Ascending entity id, matching std::map iteration order.

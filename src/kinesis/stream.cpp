@@ -95,6 +95,14 @@ Result<std::vector<Record>> Stream::GetRecords(int shard_index,
 
 Status Stream::GetRecordsInto(int shard_index, size_t max_records,
                               std::vector<Record>* out) {
+  return ReadRecords(shard_index, max_records,
+                     [out](const Record* records, size_t n) {
+                       out->insert(out->end(), records, records + n);
+                     });
+}
+
+Status Stream::AdmitRead(int shard_index, size_t max_records,
+                         size_t* admitted) {
   if (shard_index < 0 || shard_index >= shard_count()) {
     return Status::OutOfRange("Kinesis '" + config_.name +
                               "': shard index out of range");
@@ -107,8 +115,7 @@ Status Stream::GetRecordsInto(int shard_index, size_t max_records,
   }
   shard.read_call_tokens -= 1.0;
   // Count what the read-byte bucket admits, charging each record in
-  // FIFO order as a record-at-a-time read would, then move that prefix
-  // in at most two contiguous copies.
+  // FIFO order as a record-at-a-time read would.
   const size_t limit = std::min(max_records, shard.buffer.size());
   double tokens = shard.read_byte_tokens;
   size_t n = 0;
@@ -121,15 +128,7 @@ Status Stream::GetRecordsInto(int shard_index, size_t max_records,
     ++n;
   }
   shard.read_byte_tokens = tokens;
-  if (n == 0) return Status::OK();
-  const Record* run = &shard.buffer.front();
-  const size_t first = std::min(n, shard.buffer.FrontRun());
-  out->insert(out->end(), run, run + first);
-  if (first < n) {
-    const Record* wrapped = &shard.buffer[first];
-    out->insert(out->end(), wrapped, wrapped + (n - first));
-  }
-  shard.buffer.PopFront(n);
+  *admitted = n;
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef FLOWER_KINESIS_STREAM_H_
 #define FLOWER_KINESIS_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -85,11 +86,21 @@ class Stream {
                                          size_t max_records);
 
   /// Same contract as GetRecords, appending into `*out` instead of
-  /// returning a fresh vector — the per-tick consumer path (the flow
-  /// spout) reuses one warm buffer instead of allocating per call.
-  /// `*out` is untouched on error.
+  /// returning a fresh vector: `ReadRecords` with a consumer that
+  /// appends. `*out` is untouched on error.
   Status GetRecordsInto(int shard_index, size_t max_records,
                         std::vector<Record>* out);
+
+  /// Same contract as GetRecords, but the records are handed over in
+  /// place: `consume(const Record* records, size_t n)` sees the
+  /// admitted prefix of the shard's ring, in FIFO order, as at most two
+  /// spans (the ring's front run, then its wrapped rest), and the
+  /// prefix is dropped after it returns. `consume` is not called on
+  /// error or when nothing is admitted, and must not touch this stream.
+  /// A template, so the per-tick consumer (the flow spout) converts
+  /// straight from the ring, with no copy in between.
+  template <typename Consume>
+  Status ReadRecords(int shard_index, size_t max_records, Consume&& consume);
 
   uint64_t total_read_throttles() const { return total_read_throttles_; }
 
@@ -145,6 +156,10 @@ class Stream {
   static Shard MakeChildShard(SimTime now);
 
   void RefillTokens(Shard* shard, SimTime now);
+  /// Charges one read of up to `max_records` from shard `shard_index`
+  /// and sets `*admitted` to how many records it returns (GetRecords'
+  /// quotas and errors).
+  Status AdmitRead(int shard_index, size_t max_records, size_t* admitted);
   void ApplyReshard(int target);
   void PublishMetrics();
 
@@ -164,6 +179,20 @@ class Stream {
   uint64_t period_throttled_ = 0;
   SimTime period_start_ = 0.0;
 };
+
+template <typename Consume>
+Status Stream::ReadRecords(int shard_index, size_t max_records,
+                           Consume&& consume) {
+  size_t n = 0;
+  FLOWER_RETURN_NOT_OK(AdmitRead(shard_index, max_records, &n));
+  if (n == 0) return Status::OK();
+  VecDeque<Record>& buffer = shards_[static_cast<size_t>(shard_index)].buffer;
+  const size_t first = std::min(n, buffer.FrontRun());
+  consume(&buffer.front(), first);
+  if (first < n) consume(&buffer[first], n - first);
+  buffer.PopFront(n);
+  return Status::OK();
+}
 
 }  // namespace flower::kinesis
 

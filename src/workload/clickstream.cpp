@@ -50,13 +50,16 @@ ClickStreamGenerator::ClickStreamGenerator(
 }
 
 void ClickStreamGenerator::EmitBatch(size_t instance_index) {
-  Rng& rng = instances_[instance_index];
   SimTime now = sim_->Now();
   double share = arrival_->RatePerSec(now) /
                  static_cast<double>(instances_.size());
   double expected = share * config_.emit_period_sec;
   if (expected <= 0.0) return;
-  int64_t count = rng.Poisson(expected);
+  const int64_t count = instances_[instance_index].Poisson(expected);
+  // The records are drawn from a local copy of the instance's
+  // generator, written back after the batch: the record writes below
+  // could alias the member, which would then be stored on every record.
+  Rng rng = instances_[instance_index];
   // The batch is drawn into scratch owned by the calling thread, not by
   // the generator: a fleet runs one generator per tenant on a few
   // workers, and a buffer each would hold a batch of memory per tenant.
@@ -70,6 +73,7 @@ void ClickStreamGenerator::EmitBatch(size_t instance_index) {
     rec.size_bytes = std::max(32, config_.record_bytes_mean + jitter);
     rec.partition_key = SplitMix64(static_cast<uint64_t>(user_id));
   }
+  instances_[instance_index] = rng;
   total_generated_ += batch.size();
   total_dropped_ += stream_->PutRecords(batch.data(), batch.size());
 }

@@ -175,6 +175,20 @@ TEST(RngTest, GoldenDrawsOfEverySampler) {
     Rng rng(42);
     const std::vector<int64_t> want = {8, 1, 16, 1, 2, 1, 3, 1, 1, 1};
     for (int64_t w : want) EXPECT_EQ(table.Sample(&rng), w);
+    // The click generator's table (100 URLs, Zipf 1.1): FNV-1a over
+    // the eight little-endian bytes of each of the first 10,000 draws
+    // of seed 42, so a pick that swapped column and alias on any draw
+    // fails.
+    Rng many(42);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 10000; ++i) {
+      const uint64_t v = static_cast<uint64_t>(table.Sample(&many));
+      for (int b = 0; b < 8; ++b) {
+        hash ^= (v >> (8 * b)) & 0xff;
+        hash *= 0x100000001b3ull;
+      }
+    }
+    EXPECT_EQ(hash, 0x703d442557b044efull);
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <map>
+#include <vector>
 
 #include "common/random.h"
 
@@ -282,6 +286,149 @@ TEST(TableTest, ManyKeysMatchMapReference) {
     EXPECT_EQ(*got, v);
   }
   EXPECT_EQ(table.GetItem(3001, 128).status().code(), StatusCode::kNotFound);
+}
+
+// Reference: the persist bolt's one-at-a-time PutItem loop before batch
+// writes, transcribed over a std::map and Table's token arithmetic.
+// Each item refills at the call's time, bills ceil(size / 1 KiB) WCU
+// if the tokens cover it, and the loop stops at the first throttle. A
+// non-positive size is refused per item without billing.
+struct OneAtATime {
+  OneAtATime(double wcu_, double burst_sec_)
+      : wcu(wcu_), burst_sec(burst_sec_), tokens(wcu_) {}
+
+  double wcu;
+  double burst_sec;
+  double tokens;  // A fresh table banks one second of capacity.
+  SimTime last_refill = 0.0;
+  double consumed = 0.0;
+  uint64_t writes = 0;
+  uint64_t throttled = 0;
+  std::map<int64_t, double> items;
+
+  void Refill(SimTime now) {
+    double dt = now - last_refill;
+    if (dt <= 0.0) return;
+    tokens = std::min(wcu * burst_sec, tokens + dt * wcu);
+    last_refill = now;
+  }
+  size_t Put(const std::vector<PutRequest>& batch, int32_t size_bytes,
+             SimTime now, Status* status) {
+    size_t written = 0;
+    for (const PutRequest& item : batch) {
+      if (size_bytes <= 0) {
+        if (status->ok()) *status = Status::InvalidArgument("size");
+        continue;
+      }
+      Refill(now);
+      double cost = std::max(
+          1.0, std::ceil(static_cast<double>(size_bytes) /
+                         static_cast<double>(kDynamoWcuBytes)));
+      if (tokens < cost) {
+        ++throttled;
+        if (status->ok()) *status = Status::Throttled("write throttled");
+        break;
+      }
+      tokens -= cost;
+      consumed += cost;
+      ++writes;
+      items[item.key] = item.value;
+      ++written;
+    }
+    return written;
+  }
+  // The metrics period starts at 0 and never rolls (no metric store).
+  double UtilizationPct(SimTime now) const {
+    if (now <= 0.0 || wcu <= 0.0) return 0.0;
+    return 100.0 * (consumed / now) / wcu;
+  }
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// PutItems equals the one-at-a-time loop it replaced, checked after
+// every call: batches of ascending runs whose cursor restarts at a key
+// not above the previous one, keys repeated inside a batch, keys below
+// and above every stored key, new keys, several calls at one time,
+// refused sizes, a WCU small enough that batches stop mid-way, and
+// provisioning changes between calls.
+TEST(TableTest, PutItemsMatchesOneAtATimeReference) {
+  sim::Simulation sim;
+  TableConfig cfg = TestConfig(3.0);
+  cfg.provisioning_delay_sec = 2.0;
+  cfg.burst_window_sec = 2.0;
+  Table table(&sim, nullptr, cfg);
+  OneAtATime ref(3.0, 2.0);
+  Rng rng(11);
+  std::vector<PutRequest> batch;
+  uint64_t midway = 0, restarts = 0, refused = 0, resizes = 0;
+  for (int call = 0; call < 4000; ++call) {
+    if (!rng.Bernoulli(0.2)) sim.RunUntil(sim.Now() + rng.Uniform(0.0, 0.6));
+    if (call % 97 == 0 && !table.provisioning_in_flight()) {
+      const double wcu = static_cast<double>(rng.UniformInt(1, 8));
+      ASSERT_TRUE(table.SetProvisionedThroughput(wcu, 10.0).ok());
+      // Runs right after the table applies it, at the same time: the
+      // table refills at the old rate, then caps banked tokens.
+      ASSERT_TRUE(sim.ScheduleAfter(cfg.provisioning_delay_sec,
+                                    [&ref, &sim, wcu] {
+                                      ref.Refill(sim.Now());
+                                      ref.wcu = wcu;
+                                      ref.tokens = std::min(
+                                          ref.tokens, wcu * ref.burst_sec);
+                                    })
+                      .ok());
+      ++resizes;
+    }
+    batch.resize(static_cast<size_t>(rng.UniformInt(0, 30)));
+    int64_t key = 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (i == 0 || rng.Bernoulli(0.15)) {
+        // A new run: near the stored keys, or below or above them all.
+        const int64_t pick = rng.UniformInt(0, 9);
+        key = pick == 0   ? rng.UniformInt(INT64_MIN, -1'000'000)
+              : pick == 1 ? rng.UniformInt(1'000'000, INT64_MAX - 1000)
+                          : rng.UniformInt(-300, 300);
+        if (i > 0 && key <= batch[i - 1].key) ++restarts;
+      } else {
+        key += rng.UniformInt(0, 6);  // 0 repeats the previous key.
+      }
+      batch[i] = {key, rng.Uniform(-10.0, 10.0)};
+    }
+    const int32_t size_bytes =
+        rng.Bernoulli(0.03)
+            ? static_cast<int32_t>(rng.UniformInt(-5, 0))
+            : static_cast<int32_t>(rng.UniformInt(1, 3000));
+    Status got;
+    const size_t written = table.PutItems(
+        batch.size(), size_bytes, [&batch](size_t i) { return batch[i]; },
+        &got);
+    Status want;
+    const size_t want_written = ref.Put(batch, size_bytes, sim.Now(), &want);
+    ASSERT_EQ(written, want_written) << "call " << call;
+    ASSERT_EQ(got.code(), want.code()) << "call " << call;
+    if (written > 0 && written < batch.size()) ++midway;
+    if (!got.ok() && !got.IsThrottled()) ++refused;
+    ASSERT_EQ(table.total_writes(), ref.writes);
+    ASSERT_EQ(table.total_throttled_writes(), ref.throttled);
+    ASSERT_TRUE(SameBits(table.CurrentWriteUtilizationPct(),
+                         ref.UtilizationPct(sim.Now())))
+        << table.CurrentWriteUtilizationPct() << " vs "
+        << ref.UtilizationPct(sim.Now());
+    ASSERT_EQ(table.ItemCount(), ref.items.size());
+    auto it = ref.items.begin();
+    for (const auto& [k, v] : table.items()) {
+      ASSERT_EQ(k, it->first);
+      ASSERT_TRUE(SameBits(v, it->second)) << k;
+      ++it;
+    }
+  }
+  EXPECT_GT(midway, 200u);
+  EXPECT_GT(restarts, 200u);
+  EXPECT_GT(refused, 50u);
+  EXPECT_GT(resizes, 20u);
+  EXPECT_GT(table.total_throttled_writes(), 500u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "workload/arrival.h"
 
 namespace flower::flow {
@@ -36,6 +39,26 @@ TEST(DataAnalyticsFlowTest, CreateValidates) {
   EXPECT_EQ((*flow)->stream().shard_count(), 4);
   EXPECT_EQ((*flow)->cluster().worker_count(), 4);
   EXPECT_DOUBLE_EQ((*flow)->table().provisioned_wcu(), 200.0);
+}
+
+// A hostile window setting is the flow's Status, not a hang or an
+// abort, and the refused flow leaves no event on the simulation.
+TEST(DataAnalyticsFlowTest, CreateReturnsHostileWindowSettings) {
+  for (auto [window, slide] :
+       {std::pair{std::numeric_limits<double>::quiet_NaN(), 10.0},
+        std::pair{60.0, std::numeric_limits<double>::infinity()},
+        std::pair{1e9, 1.0}}) {
+    SCOPED_TRACE(testing::Message() << window << " / " << slide);
+    sim::Simulation sim;
+    cloudwatch::MetricStore metrics;
+    FlowConfig cfg = TestConfig();
+    cfg.window_sec = window;
+    cfg.slide_sec = slide;
+    auto flow = DataAnalyticsFlow::Create(&sim, &metrics, cfg);
+    ASSERT_FALSE(flow.ok());
+    EXPECT_EQ(flow.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
 }
 
 TEST(DataAnalyticsFlowTest, WorkloadAttachOnlyOnce) {

@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -33,6 +36,92 @@ TEST(SlidingWindowTest, CreateValidatesParameters) {
   EXPECT_FALSE(SlidingWindowCounter::Create(5.0, 10.0).ok());   // W < S.
   EXPECT_TRUE(SlidingWindowCounter::Create(60.0, 10.0).ok());
   EXPECT_TRUE(SlidingWindowCounter::Create(10.0, 10.0).ok());   // Tumbling.
+  // Hostile settings come back as a Status naming both values. The
+  // first four used to hang (a NaN or infinite ratio cast to an
+  // integer, then a ring size doubled until it wrapped to 0), the last
+  // two to abort allocating a ring of 2^30 buckets.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Hostile {
+    double window, slide;
+    const char* named;
+  };
+  for (const Hostile& h : {Hostile{nan, 10.0, "window nan s over slide 10 s"},
+                           Hostile{10.0, nan, "window 10 s over slide nan s"},
+                           Hostile{inf, 10.0, "window inf s over slide 10 s"},
+                           Hostile{1e300, 1e-300,
+                                   "window 1e+300 s over slide 1e-300 s"},
+                           Hostile{1e9, 1.0, "window 1e+09 s over slide 1 s"},
+                           Hostile{1e12, 1.0,
+                                   "window 1e+12 s over slide 1 s"}}) {
+    auto counter = SlidingWindowCounter::Create(h.window, h.slide);
+    ASSERT_FALSE(counter.ok()) << h.named;
+    EXPECT_EQ(counter.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(counter.status().message().find(h.named), std::string::npos)
+        << counter.status().message();
+  }
+  // The bound on slides per window is inclusive.
+  const double most =
+      static_cast<double>(SlidingWindowCounter::kMaxBucketsPerWindow);
+  EXPECT_TRUE(SlidingWindowCounter::Create(most, 1.0).ok());
+  EXPECT_FALSE(SlidingWindowCounter::Create(most + 1.0, 1.0).ok());
+}
+
+// A batch add is the same per-tuple adds: random batches at one time
+// each, late batches clamped into the oldest live bucket, batches that
+// grow the slot table past several doublings, and large and negative
+// ids. Emissions match bit for bit, and so do the counters.
+TEST(SlidingWindowTest, BatchAddEqualsPerTupleAdds) {
+  uint64_t clamped_batches = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const double slide = 5.0;
+    const double window = slide * static_cast<double>(rng.UniformInt(1, 6));
+    auto batch = SlidingWindowCounter::Create(window, slide).MoveValueOrDie();
+    auto single = SlidingWindowCounter::Create(window, slide).MoveValueOrDie();
+    std::vector<int64_t> pool;
+    std::vector<std::pair<int64_t, double>> in;
+    SimTime t = rng.Uniform(0.0, 100.0);
+    for (int step = 0; step < 300; ++step) {
+      t += rng.Uniform(0.0, 4.0);
+      // A late batch is stamped up to a minute before the clock.
+      const SimTime at = rng.Bernoulli(0.1) ? t - rng.Uniform(0.0, 60.0) : t;
+      in.resize(static_cast<size_t>(rng.UniformInt(0, 40)));
+      for (auto& [entity, weight] : in) {
+        if (pool.empty() || rng.Bernoulli(0.3)) {
+          pool.push_back(rng.Bernoulli(0.5)
+                             ? rng.UniformInt(INT64_MIN, INT64_MAX)
+                             : rng.UniformInt(-50, 50));
+        }
+        entity = pool[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+        weight = rng.Uniform(0.1, 3.0);
+      }
+      const uint64_t late_before = batch.late_clamped();
+      batch.AddBatch(at, in.size(), [&in](size_t i) { return in[i]; });
+      for (const auto& [entity, weight] : in) single.Add(entity, at, weight);
+      if (batch.late_clamped() > late_before) ++clamped_batches;
+      ASSERT_EQ(batch.late_clamped(), single.late_clamped());
+      ASSERT_EQ(batch.tracked_entities(), single.tracked_entities());
+      if (rng.Bernoulli(0.3)) {
+        std::vector<Emission> got = Collect(&batch, t);
+        std::vector<Emission> want = Collect(&single, t);
+        ASSERT_EQ(got.size(), want.size()) << "t=" << t;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].entity, want[i].entity);
+          EXPECT_EQ(
+              std::memcmp(&got[i].count, &want[i].count, sizeof(double)), 0)
+              << got[i].count << " vs " << want[i].count;
+          EXPECT_EQ(got[i].window_end, want[i].window_end);
+        }
+        ASSERT_EQ(batch.tracked_entities(), single.tracked_entities());
+      }
+    }
+    // Several doublings of the 64-entry slot table.
+    EXPECT_GT(pool.size(), 1000u);
+  }
+  EXPECT_GT(clamped_batches, 20u);
 }
 
 TEST(SlidingWindowTest, CountsWithinOneWindow) {

@@ -2,12 +2,16 @@
 // ExecuteBatch) and the per-tuple path (the same bolts behind decorators
 // that override only Execute, as perfbench's timing decorator does) run
 // a topology identically, bit for bit: queues, executed, acked and
-// throttle counters, and the per-tick CPU utilization.
+// throttle counters, the per-tick CPU utilization, the window bolts'
+// emitted aggregates and every stored item. The per-tuple side runs
+// each batch as batches of one, so the batch write's cursor and the
+// window's batch add are checked against single calls.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <vector>
 
 #include "common/random.h"
 #include "dynamodb/table.h"
@@ -77,6 +81,7 @@ struct Side {
   std::unique_ptr<ec2::Fleet> fleet;
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<dynamodb::Table> table;
+  std::vector<std::shared_ptr<flow::WindowCountBolt>> windows;
   QueueSpout spouts[2];
   std::vector<double> cpu_per_tick;
 
@@ -111,9 +116,10 @@ struct Side {
       spec.logic = wrap(std::move(logic));
       EXPECT_TRUE(topo->AddBolt(std::move(spec), parents).ok());
     };
-    auto window = [] {
-      return std::make_shared<flow::WindowCountBolt>(
-          flow::SlidingWindowCounter::Create(20.0, 5.0).MoveValueOrDie());
+    auto window = [this] {
+      windows.push_back(std::make_shared<flow::WindowCountBolt>(
+          flow::SlidingWindowCounter::Create(20.0, 5.0).MoveValueOrDie()));
+      return windows.back();
     };
     auto persist = [this] {
       return std::make_shared<flow::PersistBolt>(table.get());
@@ -199,16 +205,33 @@ TEST(BatchPathProperty, MatchesPerTuplePathBitForBit) {
         ASSERT_EQ(batch.table->total_writes(), single.table->total_writes());
         ASSERT_EQ(batch.table->total_throttled_writes(),
                   single.table->total_throttled_writes());
+        ASSERT_EQ(batch.table->ItemCount(), single.table->ItemCount());
+        for (size_t i = 0; i < batch.table->ItemCount(); ++i) {
+          const auto& x = batch.table->items()[i];
+          const auto& y = single.table->items()[i];
+          ASSERT_EQ(x.first, y.first) << "item " << i;
+          ASSERT_TRUE(SameBits(x.second, y.second)) << "item " << i;
+        }
+        ASSERT_EQ(batch.windows.size(), single.windows.size());
+        for (size_t i = 0; i < batch.windows.size(); ++i) {
+          ASSERT_EQ(batch.windows[i]->emitted_aggregates(),
+                    single.windows[i]->emitted_aggregates());
+        }
         ASSERT_EQ(batch.cpu_per_tick.size(), single.cpu_per_tick.size());
         for (size_t i = 0; i < batch.cpu_per_tick.size(); ++i) {
           ASSERT_TRUE(SameBits(batch.cpu_per_tick[i], single.cpu_per_tick[i]))
               << "tick " << i;
         }
       }
-      // The run must have exercised backpressure and throttling.
+      // The run must have exercised backpressure and throttling, and
+      // have persisted and aggregated something.
       if (shape != Shape::kChain) {
         EXPECT_GT(batch.cluster->total_sink_throttles(), 0u);
       }
+      if (shape != Shape::kFanIn) {
+        EXPECT_GT(batch.table->ItemCount(), 0u);
+      }
+      EXPECT_GT(batch.windows[0]->emitted_aggregates(), 0u);
     }
   }
 }
