@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/reservoir.h"
 #include "stats/descriptive.h"
 
 namespace flower::cloudwatch {
@@ -37,7 +38,8 @@ Status MetricStore::Put(const MetricId& id, SimTime time, double value) {
 
 namespace {
 
-Result<double> Aggregate(const std::vector<double>& v, Statistic stat) {
+/// `stat` of a window's values; a percentile reorders them.
+Result<double> Aggregate(std::vector<double> v, Statistic stat) {
   switch (stat) {
     case Statistic::kAverage:
       return stats::Mean(v);
@@ -52,13 +54,12 @@ Result<double> Aggregate(const std::vector<double>& v, Statistic stat) {
       return *std::max_element(v.begin(), v.end());
     case Statistic::kSampleCount:
       return static_cast<double>(v.size());
-    // Percentile sorts its input, so only these branches pay a copy.
     case Statistic::kP50:
-      return stats::Percentile(v, 50.0);
+      return Percentile(&v, 50.0);
     case Statistic::kP90:
-      return stats::Percentile(v, 90.0);
+      return Percentile(&v, 90.0);
     case Statistic::kP99:
-      return stats::Percentile(v, 99.0);
+      return Percentile(&v, 99.0);
   }
   return Status::Internal("GetStatistic: unhandled statistic");
 }

@@ -22,10 +22,10 @@ void ReservoirSampler::Add(double value) {
 
 Result<double> Percentile(std::vector<double>* sample, double p) {
   if (p < 0.0 || p > 100.0) {
-    return Status::InvalidArgument("Reservoir percentile: p outside [0,100]");
+    return Status::InvalidArgument("Percentile: p outside [0, 100]");
   }
   if (sample->empty()) {
-    return Status::FailedPrecondition("Reservoir percentile: empty sample");
+    return Status::FailedPrecondition("Percentile of an empty sample");
   }
   const size_t n = sample->size();
   if (n == 1) return (*sample)[0];

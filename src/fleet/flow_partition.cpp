@@ -14,19 +14,6 @@ namespace flower::fleet {
 
 namespace {
 
-bool FaultKindFromString(const std::string& name, sim::FaultKind* kind) {
-  for (sim::FaultKind k :
-       {sim::FaultKind::kActuatorFailure, sim::FaultKind::kActuatorThrottle,
-        sim::FaultKind::kMetricGap, sim::FaultKind::kMetricDelay,
-        sim::FaultKind::kSensorSpike}) {
-    if (name == sim::FaultKindToString(k)) {
-      *kind = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::shared_ptr<workload::ArrivalProcess> MakeArrival(
     const TenantConfig& t, double horizon_sec) {
   switch (t.pattern) {
@@ -70,21 +57,8 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
     p->chaos_ = std::make_unique<sim::FaultInjector>(p->sim_.get(),
                                                      tenant.seed);
     p->chaos_->SetTelemetry(p->telemetry_.get());
-    for (const TenantFault& f : tenant.faults) {
-      sim::FaultSpec fs;
-      if (!FaultKindFromString(f.kind, &fs.kind)) {
-        return Status::InvalidArgument("FlowPartition: unknown fault kind '" +
-                                       f.kind + "'");
-      }
-      fs.target = f.target;
-      fs.start = f.start;
-      fs.end = f.end;
-      fs.probability = f.probability;
-      fs.delay_sec = f.delay_sec;
-      fs.factor = f.factor;
-      fs.offset = f.offset;
-      FLOWER_ASSIGN_OR_RETURN(int fault_id, p->chaos_->Add(fs));
-      (void)fault_id;
+    for (const obs::FaultSpec& f : tenant.faults) {
+      FLOWER_RETURN_NOT_OK(p->chaos_->Add(f).status());
     }
   }
 
@@ -178,9 +152,9 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
   if (config.capture.enabled) {
     p->recorder_ = std::make_unique<obs::replay::FlightRecorder>(
         config.capture.recorder);
-    p->recorder_->SetIdentity(tenant.id, index, tenant.seed);
-    p->recorder_->SetSpec(SerializePartitionSpec(tenant, config));
-    for (const TenantFault& f : tenant.faults) p->recorder_->AddFault(f);
+    p->recorder_->SetInputs(tenant.id, index, tenant.seed,
+                            SerializePartitionSpec(tenant, config),
+                            tenant.faults);
     p->managed_.manager->SetFlightRecorder(p->recorder_.get());
   }
 
@@ -212,13 +186,10 @@ Result<std::unique_ptr<FlowPartition>> FlowPartition::Create(
           if (raw->capture_.bundle_dir.empty() || raw->dumped_) return;
           raw->dumped_ = true;
           ::mkdir(raw->capture_.bundle_dir.c_str(), 0755);
-          std::string path =
-              raw->capture_.bundle_dir + "/" + raw->tenant_.id + ".json";
-          Status dump = obs::replay::WriteBundleJson(
-              obs::replay::BundleFromRecorder(*raw->recorder_), path);
-          if (dump.ok()) {
-            raw->bundle_paths_.push_back(std::move(path));
-          } else {
+          // The trigger just latched, so the dump keeps it.
+          Status dump = raw->DumpBundle(raw->capture_.bundle_dir + "/" +
+                                        raw->tenant_.id + ".json");
+          if (!dump.ok()) {
             FLOWER_LOG(Warning)
                 << "FlowPartition: capture bundle dump failed: " << dump;
           }
@@ -284,14 +255,6 @@ uint64_t FlowPartition::StepsTaken() const {
 void FlowPartition::RecordGrant(SimTime t, double demand_usd,
                                 double grant_usd) {
   if (recorder_ != nullptr) recorder_->RecordGrant(t, demand_usd, grant_usd);
-}
-
-Result<obs::replay::CaptureBundle> FlowPartition::MakeBundle() const {
-  if (recorder_ == nullptr) {
-    return Status::NotFound("FlowPartition: capture not enabled for tenant '" +
-                            tenant_.id + "'");
-  }
-  return obs::replay::BundleFromRecorder(*recorder_);
 }
 
 Status FlowPartition::DumpBundle(const std::string& path) {

@@ -139,10 +139,6 @@ class FlowPartition {
   /// the window's re-plan.
   void RecordGrant(SimTime t, double demand_usd, double grant_usd);
 
-  /// Snapshot of the flight recorder as a capture bundle. NotFound when
-  /// capture is disabled.
-  Result<obs::replay::CaptureBundle> MakeBundle() const;
-
   /// Dumps the capture bundle to `path` (latching an "explicit" trigger
   /// at the current sim time if none fired yet). NotFound when capture
   /// is disabled.

@@ -141,7 +141,14 @@ Status ParsePartitionSpec(
     }
     FLOWER_RETURN_NOT_OK(status);
   }
-  return Status::OK();
+  Status missing;
+  VisitSpec(*tenant, *config, [&](const char* name, auto&) {
+    if (missing.ok() && seen.count(name) == 0) {
+      std::string message = "partition spec: missing key '";
+      missing = Status::InvalidArgument(message.append(name).append("'"));
+    }
+  });
+  return missing;
 }
 
 }  // namespace flower::fleet

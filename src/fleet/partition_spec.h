@@ -21,13 +21,13 @@ namespace flower::fleet {
 std::vector<std::pair<std::string, std::string>> SerializePartitionSpec(
     const TenantConfig& tenant, const PartitionConfig& config);
 
-/// Rebuilds (tenant, partition) from a serialized spec on top of the
-/// callers' defaults. Every key must be one SerializePartitionSpec
-/// writes, at most once: a misspelt or repeated key would otherwise
-/// replay under a default or a later value and report a false
-/// divergence (the bundle schema check already rejects other schemas).
-/// Errors: unknown or duplicate key, malformed numeric value, unknown
-/// arrival pattern.
+/// Rebuilds (tenant, partition) from a serialized spec. The spec must
+/// hold every key SerializePartitionSpec writes, once, and no other: a
+/// missing, misspelt or repeated key would otherwise replay under a
+/// default or a later value, a false divergence or a false match (the
+/// bundle schema check already rejects other schemas). Errors: missing,
+/// unknown or duplicate key, malformed numeric value, unknown arrival
+/// pattern.
 Status ParsePartitionSpec(
     const std::vector<std::pair<std::string, std::string>>& spec,
     TenantConfig* tenant, PartitionConfig* config);

@@ -18,7 +18,9 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
     return Status::InvalidArgument(
         "replay: bundle trigger time must be finite");
   }
-  if (obs::replay::BundleFingerprint(bundle) != bundle.fingerprint) {
+  if (obs::replay::FingerprintInputs(bundle.tenant_id, bundle.tenant_index,
+                                     bundle.seed, bundle.spec,
+                                     bundle.faults) != bundle.fingerprint) {
     FLOWER_LOG(Warning)
         << "replay: bundle fingerprint mismatch — seed/spec/fault inputs "
            "were altered since capture; the divergence checker will "
@@ -50,14 +52,12 @@ Result<std::unique_ptr<ReplayHarness>> ReplayHarness::Create(
   // run yet, so the trace starts at id 1 like any other flow's.
   harness->partition_->telemetry().spans().set_enabled(true);
 
-  // Stamp the replayed recorder with the bundle's identity verbatim, so
+  // Stamp the replayed recorder with the bundle's inputs verbatim, so
   // its fingerprint answers "same inputs as the capture claims?" rather
   // than re-deriving from the reconstructed config.
-  obs::replay::FlightRecorder* rec = harness->partition_->recorder();
-  rec->SetIdentity(bundle.tenant_id, bundle.tenant_index, bundle.seed);
-  rec->SetSpec(bundle.spec);
-  rec->ClearFaults();
-  for (const obs::replay::RecordedFault& f : bundle.faults) rec->AddFault(f);
+  harness->partition_->recorder()->SetInputs(bundle.tenant_id,
+                                             bundle.tenant_index, bundle.seed,
+                                             bundle.spec, bundle.faults);
 
   // Grant playback: in the fleet, SetBudget lands at each arbitration
   // boundary before the period's sweep; the only reader is the re-plan

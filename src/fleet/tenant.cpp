@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "common/units.h"
 #include "fleet/flow_partition.h"
+#include "sim/fault_injector.h"
 
 namespace flower::fleet {
 
@@ -118,6 +119,12 @@ Status ValidateTenant(const TenantConfig& t, const PartitionConfig& config) {
   };
   for (const auto& [ok, what] : rules) {
     if (!ok) return Status::InvalidArgument("tenant '" + t.id + "': " + what);
+  }
+  for (size_t i = 0; i < t.faults.size(); ++i) {
+    Status fault = sim::ValidateFault(t.faults[i]);
+    if (fault.ok()) continue;
+    return Status::InvalidArgument("tenant '" + t.id + "': fault " +
+                                   std::to_string(i) + ": " + fault.message());
   }
   return Status::OK();
 }

@@ -6,18 +6,11 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/replay/flight_recorder.h"
+#include "obs/event_log.h"
 
 namespace flower::fleet {
 
 struct PartitionConfig;
-
-/// One scheduled fault on a tenant's flow, as plain data (the kind
-/// strings are sim::FaultKindToString names, e.g. "sensor-spike"). The
-/// partition builds a seeded sim::FaultInjector from these, and the
-/// flight recorder captures them verbatim so a replay re-injects the
-/// identical schedule.
-using TenantFault = obs::replay::RecordedFault;
 
 /// Arrival-pattern family of one tenant's click traffic. Kept as a
 /// small enum (instead of a shared_ptr<ArrivalProcess>) so a fleet of
@@ -80,8 +73,11 @@ struct TenantConfig {
   double arbitration_period_sec = 0.0;
 
   /// Fault schedule injected into this tenant's partition (empty =
-  /// fair weather). Targets are layer names; seeding uses `seed`.
-  std::vector<TenantFault> faults;
+  /// fair weather). Targets are layer names; seeding uses `seed`. The
+  /// partition hands each to its seeded sim::FaultInjector, and the
+  /// flight recorder captures them verbatim so a replay re-injects the
+  /// identical schedule.
+  std::vector<obs::FaultSpec> faults;
 };
 
 /// InvalidArgument unless a partition built under `config` can run
@@ -90,13 +86,13 @@ struct TenantConfig {
 /// kMaxOfferedRecordsPerSecPerShard per max shard, a diurnal/MMPP
 /// period > 0, 1 <= initial <= max shards and workers, 0 < initial_wcu
 /// <= max_wcu with max_wcu >= 5 (the storage floor), a reference in
-/// (0, 100), a monitoring period >= 1 s (CloudWatch's finest) and an
+/// (0, 100), a monitoring period >= 1 s (CloudWatch's finest), an
 /// arbitration period above the re-plan offset, so each re-plan lands
-/// in the window its grant opened. Of `config` (what a capture bundle
-/// carries): emit, Storm tick and health evaluation periods finite and
-/// >= 1 s, a finite horizon > 0, flow-solver population/generations,
-/// recorder capacities and checkpoint_every at most 64x the fleet
-/// default.
+/// in the window its grant opened, and faults sim::ValidateFault
+/// accepts. Of `config` (what a capture bundle carries): emit, Storm
+/// tick and health evaluation periods finite and >= 1 s, a finite
+/// horizon > 0, flow-solver population/generations, recorder
+/// capacities and checkpoint_every at most 64x the fleet default.
 Status ValidateTenant(const TenantConfig& tenant,
                       const PartitionConfig& config);
 

@@ -45,18 +45,15 @@ Status DataAnalyticsFlow::Init() {
     int shards = stream->shard_count();
     if (shards <= 0 || max == 0) return;
     // Each shard's records are converted into tuples straight from its
-    // ring, written in place; records read past `max` are not kept.
+    // ring, each appended once whole (`value` and `source` keep their
+    // defaults; the cluster stamps the source); records read past `max`
+    // are not kept.
     const auto convert = [max, out](const kinesis::Record* records,
                                     size_t n) {
-      const size_t base = out->size();
-      const size_t take = std::min(n, max - base);
-      out->resize(base + take);
-      storm::Tuple* t = out->data() + base;
+      const size_t take = std::min(n, max - out->size());
       for (size_t i = 0; i < take; ++i) {
-        t[i].origin_time = records[i].timestamp;
-        t[i].entity_id = records[i].entity_id;
-        t[i].size_bytes = records[i].size_bytes;
-        t[i].value = 1.0;
+        out->push_back({records[i].timestamp, records[i].entity_id,
+                        records[i].size_bytes});
       }
     };
     size_t per_shard = max / static_cast<size_t>(shards) + 1;

@@ -17,6 +17,28 @@ const char* StepOutcomeToString(StepOutcome outcome) {
   return "unknown";
 }
 
+const char* FaultKindToString(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kActuatorFailure: return "actuator-failure";
+    case FaultKind::kActuatorThrottle: return "actuator-throttle";
+    case FaultKind::kMetricGap: return "metric-gap";
+    case FaultKind::kMetricDelay: return "metric-delay";
+    case FaultKind::kSensorSpike: return "sensor-spike";
+  }
+  return "unknown";
+}
+
+Result<FaultKind> ParseFaultKind(const std::string& name) {
+  for (FaultKind kind :
+       {FaultKind::kActuatorFailure, FaultKind::kActuatorThrottle,
+        FaultKind::kMetricGap, FaultKind::kMetricDelay,
+        FaultKind::kSensorSpike}) {
+    if (name == FaultKindToString(kind)) return kind;
+  }
+  std::string message = "unknown fault kind '";
+  return Status::InvalidArgument(message.append(name).append("'"));
+}
+
 Result<LoopId> LoopTable::Register(LoopInfo info) {
   if (loops_.size() > std::numeric_limits<LoopId>::max()) {
     return Status::ResourceExhausted("LoopTable: every loop id is taken");

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -24,9 +25,47 @@ enum class StepOutcome : uint8_t {
 
 const char* StepOutcomeToString(StepOutcome outcome);
 
+/// Kinds of faults sim::FaultInjector can impose on a control loop's
+/// sensor and actuator paths (the failure modes real managed services
+/// exhibit: resizes fail, APIs throttle, CloudWatch drops / delays
+/// datapoints, and monitoring agents emit outlier spikes).
+enum class FaultKind {
+  kActuatorFailure,   ///< Actuation returns Internal (resize failed).
+  kActuatorThrottle,  ///< Actuation returns Throttled (API rate limit).
+  kMetricGap,         ///< Sensor read returns NotFound (datapoint gap).
+  kMetricDelay,       ///< Sensor reads lag `delay_sec` behind wall time.
+  kSensorSpike,       ///< Sensor value becomes value*factor + offset.
+};
+
+/// "actuator-failure", "actuator-throttle", "metric-gap",
+/// "metric-delay" or "sensor-spike".
+const char* FaultKindToString(FaultKind kind);
+
+/// Inverse of FaultKindToString; InvalidArgument naming `name` when it
+/// is no kind's name.
+Result<FaultKind> ParseFaultKind(const std::string& name);
+
+/// One scheduled fault: what a tenant asks for, what the injector runs
+/// and what a capture bundle carries. Active while the simulated clock
+/// is inside [start, end); `end` defaults to forever (a persistent
+/// fault that lasts until FaultInjector::Clear/ClearAll).
+/// `probability` < 1 makes the fault transient: each call inside the
+/// window draws an independent, seeded Bernoulli.
+struct FaultSpec {
+  FaultKind kind = FaultKind::kActuatorFailure;
+  /// Loop/resource name the fault applies to; empty matches every
+  /// wrapped target.
+  std::string target;
+  SimTime start = 0.0;
+  SimTime end = std::numeric_limits<double>::infinity();
+  double probability = 1.0;
+  double delay_sec = 0.0;  ///< kMetricDelay: sensing lag.
+  double factor = 1.0;     ///< kSensorSpike: multiplicative distortion.
+  double offset = 0.0;     ///< kSensorSpike: additive distortion.
+};
+
 /// Bitmask of fault-injector interference observed during one step
-/// (bit i == 1 << static_cast<int>(sim::FaultKind)). Kept as a plain
-/// uint8_t so obs does not depend on sim.
+/// (bit i == 1 << static_cast<int>(FaultKind)).
 using FaultMask = uint8_t;
 
 /// Bitmask of flow-health state stamped on a step by the health layer

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
 #include "common/parse.h"
 #include "obs/exporters.h"
@@ -17,11 +19,167 @@ namespace flower::obs::replay {
 namespace {
 
 // ---------------------------------------------------------------------
+// The record tables: what a bundle holds, stated once for the writer,
+// the reader and the fingerprint.
+// ---------------------------------------------------------------------
+
+// A table passes each field as a reference to its member, whose type
+// gives the encoding (a string, a bool, a double, an integer count, a
+// FaultKind by name, a StepOutcome by number), or as one of the
+// encodings below. `T` is const when a table is walked to write.
+
+/// A 64-bit value stored as a quoted decimal string: a JSON number is a
+/// double and silently loses bits above 2^53 (seeds and hashes exceed
+/// that routinely).
+template <typename T>
+struct Decimal {
+  T& value;
+};
+
+/// A recorded amount (dollars, share bounds): a double that must be
+/// finite and >= 0.
+template <typename T>
+struct Amount {
+  T& value;
+};
+
+/// A decision's loop id, stored as the loop's name: a bundle and its
+/// replay may number loops differently. Reading interns the name into
+/// the bundle's loop table.
+template <typename T>
+struct LoopByName {
+  T& id;
+};
+
+/// A re-plan's share bounds: an array of at most
+/// ReplanEntry::kMaxShares amounts.
+template <typename T, typename N>
+struct Shares {
+  T& values;
+  N& count;
+};
+
+/// `R` is a `T`, const or not.
+template <typename R, typename T>
+concept RecordOf = std::same_as<std::remove_const_t<R>, T>;
+
+// One table per record: `VisitFields(record, visit)` calls
+// `visit(key, field)` once for each key, in the order a bundle stores
+// them.
+
+template <RecordOf<TriggerInfo> R, typename Visit>
+void VisitFields(R& t, Visit&& visit) {
+  visit("fired", t.fired);
+  visit("time", t.time);
+  visit("reason", t.reason);
+  visit("span_id", Decimal{t.span_id});
+  visit("burn_fast", t.burn_fast);
+  visit("burn_slow", t.burn_slow);
+}
+
+template <RecordOf<RecorderConfig> R, typename Visit>
+void VisitFields(R& c, Visit&& visit) {
+  visit("decision_capacity", c.decision_capacity);
+  visit("grant_capacity", c.grant_capacity);
+  visit("replan_capacity", c.replan_capacity);
+  visit("checkpoint_every", c.checkpoint_every);
+  visit("checkpoint_capacity", c.checkpoint_capacity);
+}
+
+/// A spec row: one (key, value) pair of the partition spec.
+template <RecordOf<std::pair<std::string, std::string>> R, typename Visit>
+void VisitFields(R& row, Visit&& visit) {
+  visit("k", row.first);
+  visit("v", row.second);
+}
+
+template <RecordOf<FaultSpec> R, typename Visit>
+void VisitFields(R& f, Visit&& visit) {
+  visit("kind", f.kind);
+  visit("target", f.target);
+  visit("start", f.start);
+  visit("end", f.end);
+  visit("probability", f.probability);
+  visit("delay_sec", f.delay_sec);
+  visit("factor", f.factor);
+  visit("offset", f.offset);
+}
+
+template <RecordOf<GrantEntry> R, typename Visit>
+void VisitFields(R& g, Visit&& visit) {
+  visit("index", g.index);
+  visit("time", g.time);
+  visit("demand_usd", Amount{g.demand_usd});
+  visit("grant_usd", Amount{g.grant_usd});
+}
+
+template <RecordOf<ReplanEntry> R, typename Visit>
+void VisitFields(R& r, Visit&& visit) {
+  visit("index", r.index);
+  visit("time", r.time);
+  visit("budget_usd", Amount{r.budget_usd});
+  visit("shares", Shares{r.shares, r.num_shares});
+  visit("applied", r.applied);
+}
+
+template <RecordOf<HashCheckpoint> R, typename Visit>
+void VisitFields(R& c, Visit&& visit) {
+  visit("index", c.index);
+  visit("time", c.time);
+  visit("chain", Decimal{c.chain});
+}
+
+template <RecordOf<RecordedDecision> R, typename Visit>
+void VisitFields(R& d, Visit&& visit) {
+  visit("index", d.index);
+  visit("time", d.record.time);
+  visit("loop", LoopByName{d.record.loop});
+  visit("y", d.record.sensed_y);
+  visit("raw_u", d.record.raw_u);
+  visit("u", d.record.clamped_u);
+  visit("out", d.record.outcome);
+  visit("line_hash", Decimal{d.line_hash});
+  visit("chain", Decimal{d.chain});
+}
+
+/// The key a reader checks before any other: a bundle of another
+/// schema may hold other keys.
+constexpr char kSchemaKey[] = "schema_version";
+
+/// The root record. Its nested records and arrays are walked by their
+/// own tables.
+template <RecordOf<CaptureBundle> R, typename Visit>
+void VisitFields(R& b, Visit&& visit) {
+  visit(kSchemaKey, b.schema_version);
+  visit("tenant_id", b.tenant_id);
+  visit("tenant_index", b.tenant_index);
+  visit("seed", Decimal{b.seed});
+  visit("fingerprint", Decimal{b.fingerprint});
+  visit("window_start", b.window_start);
+  visit("trigger", b.trigger);
+  visit("recorder", b.recorder);
+  visit("chain_hash", Decimal{b.chain_hash});
+  visit("total_decisions", b.total_decisions);
+  visit("spec", b.spec);
+  visit("faults", b.faults);
+  visit("grants", b.grants);
+  visit("replans", b.replans);
+  visit("checkpoints", b.checkpoints);
+  visit("decisions", b.decisions);
+}
+
+/// `R` is a record with a table.
+template <typename R>
+concept Record = requires(R& r) {
+  VisitFields(r, [](const char*, const auto&) {});
+};
+
+// ---------------------------------------------------------------------
 // Writing.
 // ---------------------------------------------------------------------
 
 /// Doubles with full round-trip precision; JSON has no non-finite
-/// literals, so those are encoded as tagged strings the loader accepts.
+/// literals, so those are encoded as tagged strings the reader accepts.
 std::string Num(double v) {
   if (std::isnan(v)) return "\"nan\"";
   if (std::isinf(v)) return v > 0 ? "\"inf\"" : "\"-inf\"";
@@ -30,123 +188,86 @@ std::string Num(double v) {
   return buf;
 }
 
-/// 64-bit values as decimal strings: a JSON number is a double and
-/// silently loses bits above 2^53 (seeds and hashes exceed that
-/// routinely).
-std::string U64(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "\"%llu\"",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+/// Writes a bundle by its tables: the root one field per line, every
+/// other record inline, and each array element on its own line.
+class Writer {
+ public:
+  Writer(std::ostream& os, const CaptureBundle& bundle)
+      : os_(os), bundle_(bundle) {}
 
-std::string Str(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  out += internal::JsonEscape(s);
-  out += '"';
-  return out;
-}
-
-void WriteBundle(std::ostream& os, const CaptureBundle& b) {
-  os << "{\n";
-  os << " \"schema_version\": " << b.schema_version << ",\n";
-  os << " \"tenant_id\": " << Str(b.tenant_id) << ",\n";
-  os << " \"tenant_index\": " << b.tenant_index << ",\n";
-  os << " \"seed\": " << U64(b.seed) << ",\n";
-  os << " \"fingerprint\": " << U64(b.fingerprint) << ",\n";
-  os << " \"window_start\": " << Num(b.window_start) << ",\n";
-  os << " \"trigger\": {\"fired\": " << (b.trigger.fired ? "true" : "false")
-     << ", \"time\": " << Num(b.trigger.time)
-     << ", \"reason\": " << Str(b.trigger.reason)
-     << ", \"span_id\": " << U64(b.trigger.span_id)
-     << ", \"burn_fast\": " << Num(b.trigger.burn_fast)
-     << ", \"burn_slow\": " << Num(b.trigger.burn_slow) << "},\n";
-  os << " \"recorder\": {\"decision_capacity\": " << b.recorder.decision_capacity
-     << ", \"grant_capacity\": " << b.recorder.grant_capacity
-     << ", \"replan_capacity\": " << b.recorder.replan_capacity
-     << ", \"checkpoint_every\": " << b.recorder.checkpoint_every
-     << ", \"checkpoint_capacity\": " << b.recorder.checkpoint_capacity
-     << "},\n";
-  os << " \"chain_hash\": " << U64(b.chain_hash) << ",\n";
-  os << " \"total_decisions\": " << b.total_decisions << ",\n";
-
-  os << " \"spec\": [";
-  for (size_t i = 0; i < b.spec.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\n  {\"k\": " << Str(b.spec[i].first)
-       << ", \"v\": " << Str(b.spec[i].second) << "}";
+  void Root() {
+    Fields(bundle_, "{\n ", ",\n ");
+    os_ << "\n}\n";
   }
-  os << "\n ],\n";
 
-  os << " \"faults\": [";
-  for (size_t i = 0; i < b.faults.size(); ++i) {
-    const RecordedFault& f = b.faults[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"kind\": " << Str(f.kind) << ", \"target\": " << Str(f.target)
-       << ", \"start\": " << Num(f.start) << ", \"end\": " << Num(f.end)
-       << ", \"probability\": " << Num(f.probability)
-       << ", \"delay_sec\": " << Num(f.delay_sec)
-       << ", \"factor\": " << Num(f.factor)
-       << ", \"offset\": " << Num(f.offset) << "}";
+ private:
+  /// Writes `record`'s fields, `first` before the first and `sep`
+  /// before each later one.
+  template <typename R>
+  void Fields(const R& record, const char* first, const char* sep) {
+    const char* before = first;
+    VisitFields(record, [&](const char* key, const auto& field) {
+      os_ << before << '"' << key << "\": ";
+      Value(field);
+      before = sep;
+    });
   }
-  os << "\n ],\n";
 
-  os << " \"grants\": [";
-  for (size_t i = 0; i < b.grants.size(); ++i) {
-    const GrantEntry& g = b.grants[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"index\": " << g.index << ", \"time\": " << Num(g.time)
-       << ", \"demand_usd\": " << Num(g.demand_usd)
-       << ", \"grant_usd\": " << Num(g.grant_usd) << "}";
+  void Value(const std::string& s) {
+    os_ << '"' << internal::JsonEscape(s) << '"';
   }
-  os << "\n ],\n";
-
-  os << " \"replans\": [";
-  for (size_t i = 0; i < b.replans.size(); ++i) {
-    const ReplanEntry& r = b.replans[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"index\": " << r.index << ", \"time\": " << Num(r.time)
-       << ", \"budget_usd\": " << Num(r.budget_usd) << ", \"shares\": [";
-    for (int j = 0; j < r.num_shares; ++j) {
-      if (j > 0) os << ", ";
-      os << Num(r.shares[j]);
+  void Value(bool b) { os_ << (b ? "true" : "false"); }
+  void Value(double v) { os_ << Num(v); }
+  template <std::integral T>
+  void Value(T count) {
+    os_ << count;
+  }
+  void Value(FaultKind kind) { Value(std::string(FaultKindToString(kind))); }
+  void Value(StepOutcome outcome) { os_ << static_cast<int>(outcome); }
+  template <typename T>
+  void Value(Decimal<T> d) {
+    os_ << '"' << static_cast<unsigned long long>(d.value) << '"';
+  }
+  template <typename T>
+  void Value(Amount<T> a) {
+    os_ << Num(a.value);
+  }
+  template <typename T>
+  void Value(LoopByName<T> loop) {
+    Value(bundle_.LoopName(loop.id));
+  }
+  template <typename T, typename N>
+  void Value(Shares<T, N> shares) {
+    os_ << '[';
+    for (int i = 0; i < shares.count; ++i) {
+      os_ << (i > 0 ? ", " : "") << Num(shares.values[i]);
     }
-    os << "], \"applied\": " << (r.applied ? "true" : "false") << "}";
+    os_ << ']';
   }
-  os << "\n ],\n";
+  template <Record R>
+  void Value(const R& record) {
+    Fields(record, "{", ", ");
+    os_ << '}';
+  }
+  template <Record R>
+  void Value(const std::vector<R>& rows) {
+    os_ << '[';
+    for (size_t i = 0; i < rows.size(); ++i) {
+      os_ << (i > 0 ? ",\n  " : "\n  ");
+      Value(rows[i]);
+    }
+    os_ << "\n ]";
+  }
 
-  os << " \"checkpoints\": [";
-  for (size_t i = 0; i < b.checkpoints.size(); ++i) {
-    const HashCheckpoint& c = b.checkpoints[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"index\": " << c.index << ", \"time\": " << Num(c.time)
-       << ", \"chain\": " << U64(c.chain) << "}";
-  }
-  os << "\n ],\n";
-
-  os << " \"decisions\": [";
-  for (size_t i = 0; i < b.decisions.size(); ++i) {
-    const RecordedDecision& d = b.decisions[i];
-    const ControlDecisionRecord& r = d.record;
-    if (i > 0) os << ",";
-    os << "\n  {\"index\": " << d.index << ", \"time\": " << Num(r.time)
-       << ", \"loop\": " << Str(b.LoopName(r.loop))
-       << ", \"y\": " << Num(r.sensed_y) << ", \"raw_u\": " << Num(r.raw_u)
-       << ", \"u\": " << Num(r.clamped_u)
-       << ", \"out\": " << static_cast<int>(r.outcome)
-       << ", \"line_hash\": " << U64(d.line_hash)
-       << ", \"chain\": " << U64(d.chain) << "}";
-  }
-  os << "\n ]\n";
-  os << "}\n";
-}
+  std::ostream& os_;
+  const CaptureBundle& bundle_;
+};
 
 // ---------------------------------------------------------------------
 // Parsing: a minimal recursive-descent JSON reader (the repo vendors no
-// JSON library). Supports exactly what WriteBundle emits plus the usual
-// escapes; numbers parse as doubles, 64-bit fields arrive as strings.
+// JSON library). Supports exactly what the Writer emits (no `null`)
+// plus the usual escapes; numbers parse as doubles, 64-bit fields
+// arrive as strings.
 // ---------------------------------------------------------------------
 
 /// Deepest nesting of arrays and objects the reader takes. A bundle
@@ -210,12 +331,6 @@ class JsonParser {
       pos_ += len;
       out->type = JsonValue::Type::kBool;
       out->boolean = c == 't';
-      return Status::OK();
-    }
-    if (c == 'n') {
-      if (text_.compare(pos_, 4, "null") != 0) return Err("bad literal");
-      pos_ += 4;
-      out->type = JsonValue::Type::kNull;
       return Status::OK();
     }
     return ParseNumber(out);
@@ -348,184 +463,198 @@ class JsonParser {
 };
 
 // ---------------------------------------------------------------------
-// Typed extraction.
+// Reading: each object holds each of its table's keys once and nothing
+// else, and each value is in the encoding its table names.
 // ---------------------------------------------------------------------
 
-const JsonValue* Find(const JsonValue& obj, const std::string& key) {
-  if (obj.type != JsonValue::Type::kObject) return nullptr;
-  for (const auto& [k, v] : obj.object) {
-    if (k == key) return &v;
+/// Where a value sits: its record (root, trigger, decisions[3], ...)
+/// and its key.
+struct At {
+  const std::string& record;
+  const std::string& key;
+};
+
+/// InvalidArgument "bundle JSON: <record>: '<key>' <what>".
+Status Bad(At at, const std::string& what) {
+  std::string message = "bundle JSON: ";
+  message.append(at.record).append(": '").append(at.key).append("' ");
+  return Status::InvalidArgument(message.append(what));
+}
+
+/// A count: an integral JSON number no larger than `max`.
+Status ReadCount(const JsonValue& v, At at, uint64_t max, uint64_t* out) {
+  // 0x1p64 (2^64) is the first double past uint64_t's range; NaN fails
+  // the first comparison.
+  if (!(v.type == JsonValue::Type::kNumber && v.number >= 0.0 &&
+        v.number < 0x1p64 && v.number == std::floor(v.number) &&
+        static_cast<uint64_t>(v.number) <= max)) {
+    return Bad(at, "is not an integer in range");
   }
-  return nullptr;
+  *out = static_cast<uint64_t>(v.number);
+  return Status::OK();
 }
 
-Result<double> AsDouble(const JsonValue& v, const std::string& what) {
-  if (v.type == JsonValue::Type::kNumber) return v.number;
-  if (v.type == JsonValue::Type::kString) {
-    if (v.str == "nan") return std::nan("");
-    if (v.str == "inf") return std::numeric_limits<double>::infinity();
-    if (v.str == "-inf") return -std::numeric_limits<double>::infinity();
+/// Reads a bundle by its tables.
+class Reader {
+ public:
+  explicit Reader(CaptureBundle* bundle) : bundle_(bundle) {}
+
+  Status Root(const JsonValue& root) { return Fields(root, "root", *bundle_); }
+
+ private:
+  template <typename R>
+  Status Fields(const JsonValue& object, const std::string& record, R& r) {
+    if (object.type != JsonValue::Type::kObject) {
+      std::string message = "bundle JSON: ";
+      return Status::InvalidArgument(
+          message.append(record).append(" is not an object"));
+    }
+    const auto& members = object.object;
+    std::vector<bool> taken(members.size(), false);
+    Status status;
+    VisitFields(r, [&](const std::string& key, auto&& field) {
+      if (!status.ok()) return;
+      const JsonValue* value = nullptr;
+      for (size_t i = 0; i < members.size(); ++i) {
+        if (members[i].first != key) continue;
+        if (value != nullptr) {
+          status = Bad({record, key}, "appears twice");
+          return;
+        }
+        value = &members[i].second;
+        taken[i] = true;
+      }
+      status = value == nullptr ? Bad({record, key}, "is missing")
+                                : Read(*value, {record, key}, field);
+    });
+    FLOWER_RETURN_NOT_OK(status);
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (!taken[i]) return Bad({record, members[i].first}, "is unknown");
+    }
+    return Status::OK();
   }
-  return Status::InvalidArgument("bundle JSON: '" + what + "' is not a number");
-}
 
-/// An unsigned integer no larger than `max`: a string of digits only
-/// (no sign, no whitespace), or an integral JSON number below 2^64.
-Result<uint64_t> AsUnsigned(const JsonValue& v, const std::string& what,
-                            uint64_t max) {
-  bool ok = false;
-  uint64_t out = 0;
-  if (v.type == JsonValue::Type::kString) {
-    Result<uint64_t> parsed = ParseUnsigned(v.str, max);
-    ok = parsed.ok();
-    out = parsed.ValueOr(0);
-  } else if (v.type == JsonValue::Type::kNumber) {
-    // 0x1p64 (2^64) is the first double past uint64_t's range; NaN
-    // fails the first comparison.
-    ok = v.number >= 0.0 && v.number < 0x1p64 &&
-         v.number == std::floor(v.number);
-    if (ok) out = static_cast<uint64_t>(v.number);
+  Status Read(const JsonValue& v, At at, std::string& out) {
+    if (v.type != JsonValue::Type::kString) return Bad(at, "is not a string");
+    out = v.str;
+    return Status::OK();
   }
-  if (!ok || out > max) {
-    return Status::InvalidArgument("bundle JSON: '" + what +
-                                   "' is not an unsigned integer in range");
+
+  Status Read(const JsonValue& v, At at, bool& out) {
+    if (v.type != JsonValue::Type::kBool) return Bad(at, "is not a bool");
+    out = v.boolean;
+    return Status::OK();
   }
-  return out;
-}
 
-Result<uint64_t> AsU64(const JsonValue& v, const std::string& what) {
-  return AsUnsigned(v, what, std::numeric_limits<uint64_t>::max());
-}
-
-Result<size_t> AsSize(const JsonValue& v, const std::string& what) {
-  FLOWER_ASSIGN_OR_RETURN(
-      uint64_t n, AsUnsigned(v, what, std::numeric_limits<size_t>::max()));
-  return static_cast<size_t>(n);
-}
-
-Result<std::string> AsString(const JsonValue& v, const std::string& what) {
-  if (v.type != JsonValue::Type::kString) {
-    return Status::InvalidArgument("bundle JSON: '" + what +
-                                   "' is not a string");
+  Status Read(const JsonValue& v, At at, double& out) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (v.type == JsonValue::Type::kNumber) {
+      out = v.number;
+    } else if (v.type == JsonValue::Type::kString &&
+               (v.str == "nan" || v.str == "inf" || v.str == "-inf")) {
+      out = v.str == "nan" ? std::nan("") : v.str == "inf" ? kInf : -kInf;
+    } else {
+      return Bad(at, "is not a number");
+    }
+    return Status::OK();
   }
-  return v.str;
-}
 
-Result<bool> AsBool(const JsonValue& v, const std::string& what) {
-  if (v.type != JsonValue::Type::kBool) {
-    return Status::InvalidArgument("bundle JSON: '" + what +
-                                   "' is not a bool");
+  template <std::integral T>
+  Status Read(const JsonValue& v, At at, T& out) {
+    uint64_t count = 0;
+    FLOWER_RETURN_NOT_OK(ReadCount(
+        v, at, static_cast<uint64_t>(std::numeric_limits<T>::max()), &count));
+    out = static_cast<T>(count);
+    return Status::OK();
   }
-  return v.boolean;
-}
 
-#define BUNDLE_FIELD(target, obj, key, conv)                               \
-  do {                                                                     \
-    const JsonValue* field = Find(obj, key);                               \
-    if (field == nullptr) {                                                \
-      return Status::InvalidArgument("bundle JSON: missing '" +            \
-                                     std::string(key) + "'");              \
-    }                                                                      \
-    FLOWER_ASSIGN_OR_RETURN(target, conv(*field, key));                    \
-  } while (0)
-
-Result<RecordedFault> ParseFault(const JsonValue& v) {
-  RecordedFault f;
-  BUNDLE_FIELD(f.kind, v, "kind", AsString);
-  BUNDLE_FIELD(f.target, v, "target", AsString);
-  BUNDLE_FIELD(f.start, v, "start", AsDouble);
-  BUNDLE_FIELD(f.end, v, "end", AsDouble);
-  BUNDLE_FIELD(f.probability, v, "probability", AsDouble);
-  BUNDLE_FIELD(f.delay_sec, v, "delay_sec", AsDouble);
-  BUNDLE_FIELD(f.factor, v, "factor", AsDouble);
-  BUNDLE_FIELD(f.offset, v, "offset", AsDouble);
-  return f;
-}
-
-/// A recorded amount that must be finite and >= 0 (dollars, shares);
-/// written so NaN fails it.
-Status CheckAmount(double v, const char* entry, uint64_t index,
-                   const char* field) {
-  if (std::isfinite(v) && v >= 0.0) return Status::OK();
-  return Status::InvalidArgument("bundle JSON: " + std::string(entry) + " " +
-                                 std::to_string(index) + ": '" + field +
-                                 "' must be finite and >= 0");
-}
-
-Result<GrantEntry> ParseGrant(const JsonValue& v) {
-  GrantEntry g;
-  BUNDLE_FIELD(g.index, v, "index", AsU64);
-  BUNDLE_FIELD(g.time, v, "time", AsDouble);
-  BUNDLE_FIELD(g.demand_usd, v, "demand_usd", AsDouble);
-  BUNDLE_FIELD(g.grant_usd, v, "grant_usd", AsDouble);
-  FLOWER_RETURN_NOT_OK(CheckAmount(g.demand_usd, "grant", g.index,
-                                   "demand_usd"));
-  FLOWER_RETURN_NOT_OK(CheckAmount(g.grant_usd, "grant", g.index,
-                                   "grant_usd"));
-  return g;
-}
-
-Result<ReplanEntry> ParseReplan(const JsonValue& v) {
-  ReplanEntry r;
-  BUNDLE_FIELD(r.index, v, "index", AsU64);
-  BUNDLE_FIELD(r.time, v, "time", AsDouble);
-  BUNDLE_FIELD(r.budget_usd, v, "budget_usd", AsDouble);
-  BUNDLE_FIELD(r.applied, v, "applied", AsBool);
-  FLOWER_RETURN_NOT_OK(CheckAmount(r.budget_usd, "replan", r.index,
-                                   "budget_usd"));
-  const JsonValue* shares = Find(v, "shares");
-  if (shares == nullptr || shares->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'shares'");
+  Status Read(const JsonValue& v, At at, FaultKind& out) {
+    std::string name;
+    FLOWER_RETURN_NOT_OK(Read(v, at, name));
+    Result<FaultKind> kind = ParseFaultKind(name);
+    if (!kind.ok()) return Bad(at, "names no fault kind: '" + name + "'");
+    out = *kind;
+    return Status::OK();
   }
-  r.num_shares = 0;
-  for (const JsonValue& s : shares->array) {
-    if (r.num_shares >= ReplanEntry::kMaxShares) break;
-    FLOWER_ASSIGN_OR_RETURN(r.shares[r.num_shares], AsDouble(s, "shares"));
-    FLOWER_RETURN_NOT_OK(CheckAmount(r.shares[r.num_shares], "replan",
-                                     r.index, "shares"));
-    ++r.num_shares;
-  }
-  return r;
-}
 
-Result<HashCheckpoint> ParseCheckpoint(const JsonValue& v) {
-  HashCheckpoint c;
-  BUNDLE_FIELD(c.index, v, "index", AsU64);
-  BUNDLE_FIELD(c.time, v, "time", AsDouble);
-  BUNDLE_FIELD(c.chain, v, "chain", AsU64);
-  return c;
-}
+  Status Read(const JsonValue& v, At at, StepOutcome& out) {
+    // kActuationFailed is the last StepOutcome.
+    uint64_t outcome = 0;
+    FLOWER_RETURN_NOT_OK(ReadCount(
+        v, at, static_cast<uint64_t>(StepOutcome::kActuationFailed),
+        &outcome));
+    out = static_cast<StepOutcome>(outcome);
+    return Status::OK();
+  }
 
-/// Parses one decision row, interning its loop name into `loops`.
-Result<RecordedDecision> ParseDecision(const JsonValue& v,
-                                       std::vector<std::string>* loops) {
-  RecordedDecision d;
-  ControlDecisionRecord& r = d.record;
-  BUNDLE_FIELD(d.index, v, "index", AsU64);
-  BUNDLE_FIELD(r.time, v, "time", AsDouble);
-  BUNDLE_FIELD(r.sensed_y, v, "y", AsDouble);
-  BUNDLE_FIELD(r.raw_u, v, "raw_u", AsDouble);
-  BUNDLE_FIELD(r.clamped_u, v, "u", AsDouble);
-  BUNDLE_FIELD(d.line_hash, v, "line_hash", AsU64);
-  BUNDLE_FIELD(d.chain, v, "chain", AsU64);
-  uint64_t outcome = 0;
-  BUNDLE_FIELD(outcome, v, "out", AsU64);
-  // kActuationFailed is the last StepOutcome.
-  if (outcome > static_cast<uint64_t>(StepOutcome::kActuationFailed)) {
-    return Status::InvalidArgument("bundle JSON: unknown decision outcome " +
-                                   std::to_string(outcome));
+  template <typename T>
+  Status Read(const JsonValue& v, At at, Decimal<T> d) {
+    Result<uint64_t> parsed =
+        ParseUnsigned(v.str, std::numeric_limits<uint64_t>::max());
+    if (v.type != JsonValue::Type::kString || !parsed.ok()) {
+      return Bad(at, "is not a quoted decimal integer in range");
+    }
+    d.value = *parsed;
+    return Status::OK();
   }
-  r.outcome = static_cast<StepOutcome>(outcome);
-  std::string loop;
-  BUNDLE_FIELD(loop, v, "loop", AsString);
-  size_t id = std::find(loops->begin(), loops->end(), loop) - loops->begin();
-  if (id > std::numeric_limits<LoopId>::max()) {
-    return Status::InvalidArgument("bundle JSON: too many distinct loops");
+
+  template <typename T>
+  Status Read(const JsonValue& v, At at, Amount<T> a) {
+    FLOWER_RETURN_NOT_OK(Read(v, at, a.value));
+    // Written so NaN fails it.
+    if (std::isfinite(a.value) && a.value >= 0.0) return Status::OK();
+    return Bad(at, "must be finite and >= 0");
   }
-  if (id == loops->size()) loops->push_back(std::move(loop));
-  r.loop = static_cast<LoopId>(id);
-  return d;
-}
+
+  template <typename T>
+  Status Read(const JsonValue& v, At at, LoopByName<T> loop) {
+    std::string name;
+    FLOWER_RETURN_NOT_OK(Read(v, at, name));
+    std::vector<std::string>& loops = bundle_->loops;
+    const size_t id =
+        std::find(loops.begin(), loops.end(), name) - loops.begin();
+    if (id > std::numeric_limits<LoopId>::max()) {
+      return Bad(at, "names more loops than a LoopId numbers");
+    }
+    if (id == loops.size()) loops.push_back(std::move(name));
+    loop.id = static_cast<LoopId>(id);
+    return Status::OK();
+  }
+
+  template <typename T, typename N>
+  Status Read(const JsonValue& v, At at, Shares<T, N> shares) {
+    if (v.type != JsonValue::Type::kArray ||
+        v.array.size() > static_cast<size_t>(ReplanEntry::kMaxShares)) {
+      return Bad(at, "is not an array of at most " +
+                         std::to_string(ReplanEntry::kMaxShares) + " amounts");
+    }
+    shares.count = 0;
+    for (const JsonValue& share : v.array) {
+      Amount amount{shares.values[shares.count++]};
+      FLOWER_RETURN_NOT_OK(Read(share, at, amount));
+    }
+    return Status::OK();
+  }
+
+  template <Record R>
+  Status Read(const JsonValue& v, At at, R& record) {
+    return Fields(v, at.key, record);
+  }
+
+  template <Record R>
+  Status Read(const JsonValue& v, At at, std::vector<R>& rows) {
+    if (v.type != JsonValue::Type::kArray) return Bad(at, "is not an array");
+    rows.resize(v.array.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::string row = at.key;
+      row.append("[").append(std::to_string(i)).append("]");
+      FLOWER_RETURN_NOT_OK(Fields(v.array[i], row, rows[i]));
+    }
+    return Status::OK();
+  }
+
+  CaptureBundle* bundle_;
+};
 
 /// Holds every decision row to the hashes recorded with it: the row's
 /// canonical line must hash to its `line_hash`, and each row must
@@ -583,6 +712,26 @@ Status VerifySummary(const CaptureBundle& b) {
   return Status::OK();
 }
 
+/// FNV-1a of `s`'s bytes, continuing from `seed`.
+uint64_t FnvStr(uint64_t seed, std::string_view s) {
+  return FnvMix(seed, s.data(), s.size());
+}
+
+/// FNV-1a of `v`'s %.17g text.
+uint64_t FnvF64(uint64_t seed, double v) {
+  char buf[32];
+  int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return FnvMix(seed, buf, static_cast<size_t>(n));
+}
+
+/// FNV-1a of `v`'s decimal text.
+uint64_t FnvU64(uint64_t seed, uint64_t v) {
+  char buf[24];
+  int n = std::snprintf(buf, sizeof(buf), "%llu",
+                        static_cast<unsigned long long>(v));
+  return FnvMix(seed, buf, static_cast<size_t>(n));
+}
+
 }  // namespace
 
 const std::string& CaptureBundle::LoopName(LoopId id) const {
@@ -590,17 +739,50 @@ const std::string& CaptureBundle::LoopName(LoopId id) const {
   return id < loops.size() ? loops[id] : kUnknown;
 }
 
+uint64_t FingerprintInputs(
+    const std::string& tenant_id, size_t tenant_index, uint64_t seed,
+    const std::vector<std::pair<std::string, std::string>>& spec,
+    const std::vector<FaultSpec>& faults) {
+  uint64_t h = kFnvOffsetBasis;
+  h = FnvStr(h, tenant_id);
+  h = FnvU64(h, tenant_index);
+  h = FnvU64(h, seed);
+  for (const auto& [key, value] : spec) {
+    h = FnvStr(h, key);
+    h = FnvMix(h, "=", 1);
+    h = FnvStr(h, value);
+    h = FnvMix(h, ";", 1);
+  }
+  // Each fault's fields in table order: a kind by its name, a target as
+  // is, a double as %.17g.
+  for (const FaultSpec& f : faults) {
+    VisitFields(f, [&h](const char*, const auto& field) {
+      using T = std::remove_cvref_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, FaultKind>) {
+        h = FnvStr(h, FaultKindToString(field));
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        h = FnvStr(h, field);
+      } else {
+        static_assert(std::is_same_v<T, double>);
+        h = FnvF64(h, field);
+      }
+    });
+  }
+  return h;
+}
+
 CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
   CaptureBundle b;
   b.tenant_id = recorder.tenant_id();
   b.tenant_index = recorder.tenant_index();
   b.seed = recorder.seed();
-  b.fingerprint = recorder.Fingerprint();
   b.window_start = recorder.window_start();
   b.trigger = recorder.trigger();
   b.recorder = recorder.config();
   b.spec = recorder.spec();
   b.faults = recorder.faults();
+  b.fingerprint =
+      FingerprintInputs(b.tenant_id, b.tenant_index, b.seed, b.spec, b.faults);
   b.grants = recorder.Grants();
   b.replans = recorder.Replans();
   for (size_t id = 0; id < recorder.num_loops(); ++id) {
@@ -642,17 +824,9 @@ CaptureBundle BundleFromRecorder(const FlightRecorder& recorder) {
   return b;
 }
 
-uint64_t BundleFingerprint(const CaptureBundle& bundle) {
-  FlightRecorder scratch{RecorderConfig{1, 1, 1, 1, 1}};
-  scratch.SetIdentity(bundle.tenant_id, bundle.tenant_index, bundle.seed);
-  scratch.SetSpec(bundle.spec);
-  for (const RecordedFault& f : bundle.faults) scratch.AddFault(f);
-  return scratch.Fingerprint();
-}
-
 Status WriteBundleJson(const CaptureBundle& bundle, const std::string& path) {
-  return ExportToFile(path,
-                      [&](std::ostream& os) { WriteBundle(os, bundle); });
+  return ExportToFile(
+      path, [&](std::ostream& os) { Writer(os, bundle).Root(); });
 }
 
 Result<CaptureBundle> LoadBundleJson(const std::string& path) {
@@ -664,110 +838,32 @@ Result<CaptureBundle> LoadBundleJson(const std::string& path) {
   buf << in.rdbuf();
   std::string text = buf.str();
   FLOWER_ASSIGN_OR_RETURN(JsonValue root, JsonParser(text).Parse());
-  if (root.type != JsonValue::Type::kObject) {
-    return Status::InvalidArgument("bundle JSON: top level is not an object");
+
+  // The schema check comes first: a bundle of another schema may hold
+  // other keys. A missing or repeated version is the table's to refuse.
+  const auto schema_at = std::find_if(
+      root.object.begin(), root.object.end(),
+      [](const auto& member) { return member.first == kSchemaKey; });
+  if (schema_at != root.object.end()) {
+    uint64_t schema = 0;
+    const std::string record = "root", key = kSchemaKey;
+    FLOWER_RETURN_NOT_OK(ReadCount(schema_at->second, {record, key},
+                                   std::numeric_limits<uint64_t>::max(),
+                                   &schema));
+    if (schema != static_cast<uint64_t>(kBundleSchemaVersion)) {
+      std::string msg = "capture bundle schema v";
+      msg += std::to_string(schema);
+      msg += schema > static_cast<uint64_t>(kBundleSchemaVersion)
+                 ? " is newer than this build understands (v"
+                 : " is older than this build replays (v";
+      msg += std::to_string(kBundleSchemaVersion);
+      msg += "); recapture it with this build";
+      return Status::InvalidArgument(msg);
+    }
   }
 
   CaptureBundle b;
-  uint64_t schema = 0;
-  BUNDLE_FIELD(schema, root, "schema_version", AsU64);
-  if (schema != static_cast<uint64_t>(kBundleSchemaVersion)) {
-    std::string msg = "capture bundle schema v";
-    msg += std::to_string(schema);
-    msg += schema > static_cast<uint64_t>(kBundleSchemaVersion)
-               ? " is newer than this build understands (v"
-               : " is older than this build replays (v";
-    msg += std::to_string(kBundleSchemaVersion);
-    msg += "); recapture it with this build";
-    return Status::InvalidArgument(msg);
-  }
-  b.schema_version = static_cast<int>(schema);
-  BUNDLE_FIELD(b.tenant_id, root, "tenant_id", AsString);
-  BUNDLE_FIELD(b.tenant_index, root, "tenant_index", AsSize);
-  BUNDLE_FIELD(b.seed, root, "seed", AsU64);
-  BUNDLE_FIELD(b.fingerprint, root, "fingerprint", AsU64);
-  BUNDLE_FIELD(b.window_start, root, "window_start", AsDouble);
-  BUNDLE_FIELD(b.chain_hash, root, "chain_hash", AsU64);
-  BUNDLE_FIELD(b.total_decisions, root, "total_decisions", AsU64);
-
-  const JsonValue* trigger = Find(root, "trigger");
-  if (trigger == nullptr) {
-    return Status::InvalidArgument("bundle JSON: missing 'trigger'");
-  }
-  BUNDLE_FIELD(b.trigger.fired, *trigger, "fired", AsBool);
-  BUNDLE_FIELD(b.trigger.time, *trigger, "time", AsDouble);
-  BUNDLE_FIELD(b.trigger.reason, *trigger, "reason", AsString);
-  BUNDLE_FIELD(b.trigger.span_id, *trigger, "span_id", AsU64);
-  BUNDLE_FIELD(b.trigger.burn_fast, *trigger, "burn_fast", AsDouble);
-  BUNDLE_FIELD(b.trigger.burn_slow, *trigger, "burn_slow", AsDouble);
-
-  const JsonValue* recorder = Find(root, "recorder");
-  if (recorder == nullptr) {
-    return Status::InvalidArgument("bundle JSON: missing 'recorder'");
-  }
-  RecorderConfig& rc = b.recorder;
-  BUNDLE_FIELD(rc.decision_capacity, *recorder, "decision_capacity", AsSize);
-  BUNDLE_FIELD(rc.grant_capacity, *recorder, "grant_capacity", AsSize);
-  BUNDLE_FIELD(rc.replan_capacity, *recorder, "replan_capacity", AsSize);
-  BUNDLE_FIELD(rc.checkpoint_every, *recorder, "checkpoint_every", AsSize);
-  BUNDLE_FIELD(rc.checkpoint_capacity, *recorder, "checkpoint_capacity",
-               AsSize);
-
-  const JsonValue* spec = Find(root, "spec");
-  if (spec == nullptr || spec->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'spec'");
-  }
-  for (const JsonValue& pair : spec->array) {
-    std::string k, v;
-    BUNDLE_FIELD(k, pair, "k", AsString);
-    BUNDLE_FIELD(v, pair, "v", AsString);
-    b.spec.emplace_back(std::move(k), std::move(v));
-  }
-
-  const JsonValue* arr = Find(root, "faults");
-  if (arr == nullptr || arr->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'faults'");
-  }
-  for (const JsonValue& v : arr->array) {
-    FLOWER_ASSIGN_OR_RETURN(RecordedFault f, ParseFault(v));
-    b.faults.push_back(std::move(f));
-  }
-
-  arr = Find(root, "grants");
-  if (arr == nullptr || arr->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'grants'");
-  }
-  for (const JsonValue& v : arr->array) {
-    FLOWER_ASSIGN_OR_RETURN(GrantEntry g, ParseGrant(v));
-    b.grants.push_back(g);
-  }
-
-  arr = Find(root, "replans");
-  if (arr == nullptr || arr->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'replans'");
-  }
-  for (const JsonValue& v : arr->array) {
-    FLOWER_ASSIGN_OR_RETURN(ReplanEntry r, ParseReplan(v));
-    b.replans.push_back(r);
-  }
-
-  arr = Find(root, "checkpoints");
-  if (arr == nullptr || arr->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'checkpoints'");
-  }
-  for (const JsonValue& v : arr->array) {
-    FLOWER_ASSIGN_OR_RETURN(HashCheckpoint c, ParseCheckpoint(v));
-    b.checkpoints.push_back(c);
-  }
-
-  arr = Find(root, "decisions");
-  if (arr == nullptr || arr->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("bundle JSON: missing 'decisions'");
-  }
-  for (const JsonValue& v : arr->array) {
-    FLOWER_ASSIGN_OR_RETURN(RecordedDecision d, ParseDecision(v, &b.loops));
-    b.decisions.push_back(d);
-  }
+  FLOWER_RETURN_NOT_OK(Reader(&b).Root(root));
   FLOWER_RETURN_NOT_OK(VerifyDecisions(b));
   FLOWER_RETURN_NOT_OK(VerifySummary(b));
   return b;

@@ -27,7 +27,7 @@ struct CaptureBundle {
   std::string tenant_id;
   size_t tenant_index = 0;
   uint64_t seed = 0;
-  /// FlightRecorder::Fingerprint() of the capture-time inputs.
+  /// FingerprintInputs of the capture-time inputs.
   uint64_t fingerprint = 0;
   /// Capture window [window_start, trigger.time]: the oldest retained
   /// decision to the anomaly that armed the dump.
@@ -35,7 +35,7 @@ struct CaptureBundle {
   TriggerInfo trigger;
   RecorderConfig recorder;
   std::vector<std::pair<std::string, std::string>> spec;
-  std::vector<RecordedFault> faults;
+  std::vector<FaultSpec> faults;
   std::vector<GrantEntry> grants;
   std::vector<ReplanEntry> replans;
   /// Loop names, indexed by the decisions' loop ids. A bundle and its
@@ -50,25 +50,33 @@ struct CaptureBundle {
   const std::string& LoopName(LoopId id) const;
 };
 
+/// FNV-1a over the canonical serialization of a run's inputs: identity,
+/// spec rows and fault schedule, in that order. Two runs fingerprint
+/// equal iff they describe the same deterministic run inputs; a bundle
+/// whose inputs hash to its `fingerprint` is uncorrupted.
+uint64_t FingerprintInputs(
+    const std::string& tenant_id, size_t tenant_index, uint64_t seed,
+    const std::vector<std::pair<std::string, std::string>>& spec,
+    const std::vector<FaultSpec>& faults);
+
 /// Snapshots a recorder into a bundle (fingerprint included).
 CaptureBundle BundleFromRecorder(const FlightRecorder& recorder);
 
-/// Recomputes the fingerprint from the bundle's identity + spec +
-/// faults (must equal bundle.fingerprint for an uncorrupted bundle).
-uint64_t BundleFingerprint(const CaptureBundle& bundle);
-
 /// Writes the bundle as one JSON file. 64-bit hashes/ids are encoded as
-/// decimal strings (JSON numbers are doubles), non-finite times as
-/// "inf"/"-inf" strings; everything else is plain JSON.
+/// decimal strings (JSON numbers are doubles), non-finite doubles as
+/// "nan"/"inf"/"-inf" strings; everything else is plain JSON.
 Status WriteBundleJson(const CaptureBundle& bundle, const std::string& path);
 
-/// Parses a bundle written by WriteBundleJson and verifies it: every
-/// decision row must hash to its `line_hash` and extend the chain of
-/// the row before it, and every grant and re-plan amount must be finite
-/// and >= 0. Errors: unreadable file, malformed JSON, missing required
-/// fields, a schema_version other than kBundleSchemaVersion (older or
-/// newer), or a row that fails verification
-/// (InvalidArgument naming the decision index or the field).
+/// Parses a bundle written by WriteBundleJson and verifies it. Each
+/// object must hold exactly the keys the writer writes for it, each
+/// once, with values in the writer's encodings; a re-plan holds at most
+/// ReplanEntry::kMaxShares shares. Every decision row must hash to its
+/// `line_hash` and extend the chain of the row before it, and every
+/// grant and re-plan amount must be finite and >= 0. Errors: unreadable
+/// file, malformed JSON, a schema_version other than
+/// kBundleSchemaVersion (older or newer), a missing, repeated or
+/// unknown key, or a value that fails its check (InvalidArgument naming
+/// the record and the key, or the decision index).
 Result<CaptureBundle> LoadBundleJson(const std::string& path);
 
 }  // namespace flower::obs::replay

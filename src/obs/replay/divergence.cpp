@@ -44,7 +44,10 @@ std::string DescribeMismatch(const ControlDecisionRecord& rec,
 DivergenceReport CompareReplay(const CaptureBundle& recorded,
                                const FlightRecorder& replayed) {
   DivergenceReport r;
-  r.fingerprint_match = recorded.fingerprint == replayed.Fingerprint();
+  r.fingerprint_match =
+      recorded.fingerprint ==
+      FingerprintInputs(replayed.tenant_id(), replayed.tenant_index(),
+                        replayed.seed(), replayed.spec(), replayed.faults());
   r.recorded_total = recorded.total_decisions;
   r.replayed_total = replayed.total_decisions();
 

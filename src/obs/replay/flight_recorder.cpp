@@ -1,6 +1,7 @@
 #include "obs/replay/flight_recorder.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <utility>
 
 namespace flower::obs::replay {
 
@@ -15,27 +16,6 @@ uint64_t FnvMix(uint64_t seed, const void* data, size_t len) {
   return h;
 }
 
-namespace {
-
-uint64_t FnvStr(uint64_t seed, const std::string& s) {
-  return FnvMix(seed, s.data(), s.size());
-}
-
-uint64_t FnvF64(uint64_t seed, double v) {
-  char buf[32];
-  int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return FnvMix(seed, buf, static_cast<size_t>(n));
-}
-
-uint64_t FnvU64(uint64_t seed, uint64_t v) {
-  char buf[24];
-  int n = std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(v));
-  return FnvMix(seed, buf, static_cast<size_t>(n));
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(RecorderConfig config) : config_(config) {
   if (config_.decision_capacity == 0) config_.decision_capacity = 1;
   if (config_.grant_capacity == 0) config_.grant_capacity = 1;
@@ -48,44 +28,15 @@ FlightRecorder::FlightRecorder(RecorderConfig config) : config_(config) {
   checkpoints_.resize(config_.checkpoint_capacity);
 }
 
-void FlightRecorder::SetIdentity(std::string tenant_id, size_t tenant_index,
-                                 uint64_t seed) {
+void FlightRecorder::SetInputs(
+    std::string tenant_id, size_t tenant_index, uint64_t seed,
+    std::vector<std::pair<std::string, std::string>> spec,
+    std::vector<FaultSpec> faults) {
   tenant_id_ = std::move(tenant_id);
   tenant_index_ = tenant_index;
   seed_ = seed;
-}
-
-void FlightRecorder::SetSpec(
-    std::vector<std::pair<std::string, std::string>> spec) {
   spec_ = std::move(spec);
-}
-
-void FlightRecorder::AddFault(RecordedFault fault) {
-  faults_.push_back(std::move(fault));
-}
-
-uint64_t FlightRecorder::Fingerprint() const {
-  uint64_t h = kFnvOffsetBasis;
-  h = FnvStr(h, tenant_id_);
-  h = FnvU64(h, tenant_index_);
-  h = FnvU64(h, seed_);
-  for (const auto& [key, value] : spec_) {
-    h = FnvStr(h, key);
-    h = FnvMix(h, "=", 1);
-    h = FnvStr(h, value);
-    h = FnvMix(h, ";", 1);
-  }
-  for (const RecordedFault& f : faults_) {
-    h = FnvStr(h, f.kind);
-    h = FnvStr(h, f.target);
-    h = FnvF64(h, f.start);
-    h = FnvF64(h, f.end);
-    h = FnvF64(h, f.probability);
-    h = FnvF64(h, f.delay_sec);
-    h = FnvF64(h, f.factor);
-    h = FnvF64(h, f.offset);
-  }
-  return h;
+  faults_ = std::move(faults);
 }
 
 const std::string& FlightRecorder::LoopName(LoopId id) const {

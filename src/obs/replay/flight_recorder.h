@@ -2,7 +2,6 @@
 #define FLOWER_OBS_REPLAY_FLIGHT_RECORDER_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,20 +29,6 @@ struct RecorderConfig {
   /// localized to a window of `checkpoint_every` steps.
   size_t checkpoint_every = 64;
   size_t checkpoint_capacity = 128;
-};
-
-/// One scheduled fault, as plain recordable data (the obs mirror of
-/// sim::FaultSpec — obs cannot depend on sim). `kind` strings match
-/// sim::FaultKindToString.
-struct RecordedFault {
-  std::string kind;
-  std::string target;
-  SimTime start = 0.0;
-  SimTime end = std::numeric_limits<double>::infinity();
-  double probability = 1.0;
-  double delay_sec = 0.0;
-  double factor = 1.0;
-  double offset = 0.0;
 };
 
 /// One recorded control decision: the decision record plus the hash of
@@ -119,17 +104,13 @@ class FlightRecorder {
 
   // --- Setup-time capture (may allocate; call before the run). ---
 
-  void SetIdentity(std::string tenant_id, size_t tenant_index, uint64_t seed);
-  /// Replaces the config spec: ordered (key, value) pairs covering every
-  /// decision-relevant knob (see fleet::SerializePartitionSpec).
-  void SetSpec(std::vector<std::pair<std::string, std::string>> spec);
-  void AddFault(RecordedFault fault);
-  void ClearFaults() { faults_.clear(); }
-
-  /// FNV-1a over the canonical serialization of identity + spec +
-  /// faults. Two recorders fingerprint equal iff they describe the same
-  /// deterministic run inputs.
-  uint64_t Fingerprint() const;
+  /// Replaces the run's inputs (what FingerprintInputs hashes): the
+  /// identity, the config spec (ordered (key, value) pairs covering
+  /// every decision-relevant knob, see fleet::SerializePartitionSpec)
+  /// and the fault schedule in registration order.
+  void SetInputs(std::string tenant_id, size_t tenant_index, uint64_t seed,
+                 std::vector<std::pair<std::string, std::string>> spec,
+                 std::vector<FaultSpec> faults);
 
   /// The table the recorded loop ids index (the recording manager's
   /// decision log's). Not owned.
@@ -166,7 +147,7 @@ class FlightRecorder {
   const std::vector<std::pair<std::string, std::string>>& spec() const {
     return spec_;
   }
-  const std::vector<RecordedFault>& faults() const { return faults_; }
+  const std::vector<FaultSpec>& faults() const { return faults_; }
   const TriggerInfo& trigger() const { return trigger_; }
 
   uint64_t total_decisions() const { return total_decisions_; }
@@ -181,9 +162,6 @@ class FlightRecorder {
   std::vector<ReplanEntry> Replans() const;
   std::vector<HashCheckpoint> Checkpoints() const;
 
-  uint64_t total_grants() const { return total_grants_; }
-  uint64_t total_replans() const { return total_replans_; }
-
  private:
   template <typename T>
   static std::vector<T> RingSnapshot(const std::vector<T>& ring,
@@ -194,7 +172,7 @@ class FlightRecorder {
   size_t tenant_index_ = 0;
   uint64_t seed_ = 0;
   std::vector<std::pair<std::string, std::string>> spec_;
-  std::vector<RecordedFault> faults_;
+  std::vector<FaultSpec> faults_;
   TriggerInfo trigger_;
   const LoopTable* loops_ = nullptr;
 

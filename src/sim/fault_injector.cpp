@@ -7,46 +7,38 @@
 
 namespace flower::sim {
 
-std::string FaultKindToString(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kActuatorFailure: return "actuator-failure";
-    case FaultKind::kActuatorThrottle: return "actuator-throttle";
-    case FaultKind::kMetricGap: return "metric-gap";
-    case FaultKind::kMetricDelay: return "metric-delay";
-    case FaultKind::kSensorSpike: return "sensor-spike";
+Status ValidateFault(const obs::FaultSpec& spec) {
+  // Each check holds only for numbers, so a NaN field fails it.
+  const std::pair<bool, const char*> rules[] = {
+      {std::isfinite(spec.start), "start must be finite"},
+      {spec.end > spec.start, "end must exceed start"},
+      {spec.probability >= 0.0 && spec.probability <= 1.0,
+       "probability must be in [0, 1]"},
+      {std::isfinite(spec.delay_sec) && spec.delay_sec >= 0.0,
+       "delay_sec must be finite and >= 0"},
+      {std::isfinite(spec.factor) && std::isfinite(spec.offset),
+       "factor and offset must be finite"},
+  };
+  for (const auto& [ok, what] : rules) {
+    if (!ok) {
+      std::string message = obs::FaultKindToString(spec.kind);
+      return Status::InvalidArgument(message.append(" fault: ").append(what));
+    }
   }
-  return "unknown";
+  return Status::OK();
 }
 
-Result<int> FaultInjector::Add(FaultSpec spec) {
-  // Each check holds only for numbers, so a NaN field fails it.
-  if (!std::isfinite(spec.start)) {
-    return Status::InvalidArgument("FaultInjector: start must be finite");
-  }
-  if (!(spec.end > spec.start)) {
-    return Status::InvalidArgument("FaultInjector: end must exceed start");
-  }
-  if (!(spec.probability >= 0.0 && spec.probability <= 1.0)) {
-    return Status::InvalidArgument(
-        "FaultInjector: probability must be in [0, 1]");
-  }
-  if (!(std::isfinite(spec.delay_sec) && spec.delay_sec >= 0.0)) {
-    return Status::InvalidArgument(
-        "FaultInjector: delay must be finite and >= 0");
-  }
-  if (!(std::isfinite(spec.factor) && std::isfinite(spec.offset))) {
-    return Status::InvalidArgument(
-        "FaultInjector: spike factor and offset must be finite");
-  }
+Result<int> FaultInjector::Add(obs::FaultSpec spec) {
+  FLOWER_RETURN_NOT_OK(ValidateFault(spec));
   int id = next_id_++;
   faults_.push_back(Registered{id, false, std::move(spec)});
   return id;
 }
 
 namespace {
-FaultSpec MakeSpec(FaultKind kind, const std::string& target, SimTime start,
-                   SimTime end, double probability) {
-  FaultSpec spec;
+obs::FaultSpec MakeSpec(obs::FaultKind kind, const std::string& target,
+                        SimTime start, SimTime end, double probability) {
+  obs::FaultSpec spec;
   spec.kind = kind;
   spec.target = target;
   spec.start = start;
@@ -58,25 +50,26 @@ FaultSpec MakeSpec(FaultKind kind, const std::string& target, SimTime start,
 
 int FaultInjector::FailActuator(const std::string& target, SimTime start,
                                 SimTime end, double probability) {
-  return *Add(MakeSpec(FaultKind::kActuatorFailure, target, start, end,
+  return *Add(MakeSpec(obs::FaultKind::kActuatorFailure, target, start, end,
                        probability));
 }
 
 int FaultInjector::ThrottleActuator(const std::string& target, SimTime start,
                                     SimTime end, double probability) {
-  return *Add(MakeSpec(FaultKind::kActuatorThrottle, target, start, end,
+  return *Add(MakeSpec(obs::FaultKind::kActuatorThrottle, target, start, end,
                        probability));
 }
 
 int FaultInjector::DropMetrics(const std::string& target, SimTime start,
                                SimTime end, double probability) {
   return *Add(
-      MakeSpec(FaultKind::kMetricGap, target, start, end, probability));
+      MakeSpec(obs::FaultKind::kMetricGap, target, start, end, probability));
 }
 
 int FaultInjector::DelayMetrics(const std::string& target, SimTime start,
                                 SimTime end, double delay_sec) {
-  FaultSpec spec = MakeSpec(FaultKind::kMetricDelay, target, start, end, 1.0);
+  obs::FaultSpec spec =
+      MakeSpec(obs::FaultKind::kMetricDelay, target, start, end, 1.0);
   spec.delay_sec = delay_sec;
   return *Add(std::move(spec));
 }
@@ -84,8 +77,8 @@ int FaultInjector::DelayMetrics(const std::string& target, SimTime start,
 int FaultInjector::SpikeSensor(const std::string& target, SimTime start,
                                SimTime end, double factor, double offset,
                                double probability) {
-  FaultSpec spec =
-      MakeSpec(FaultKind::kSensorSpike, target, start, end, probability);
+  obs::FaultSpec spec = MakeSpec(obs::FaultKind::kSensorSpike, target, start,
+                                 end, probability);
   spec.factor = factor;
   spec.offset = offset;
   return *Add(std::move(spec));
@@ -109,26 +102,17 @@ size_t FaultInjector::fault_count() const {
   return n;
 }
 
-std::vector<FaultSpec> FaultInjector::Schedule() const {
-  std::vector<FaultSpec> out;
-  out.reserve(faults_.size());
-  for (const Registered& r : faults_) {
-    if (!r.cleared) out.push_back(r.spec);
-  }
-  return out;
-}
-
 double FaultInjector::MaxDelaySec(const std::string& target) const {
   double longest = 0.0;
   for (const Registered& r : faults_) {
-    if (r.cleared || r.spec.kind != FaultKind::kMetricDelay) continue;
+    if (r.cleared || r.spec.kind != obs::FaultKind::kMetricDelay) continue;
     if (!r.spec.target.empty() && r.spec.target != target) continue;
     longest = std::max(longest, r.spec.delay_sec);
   }
   return longest;
 }
 
-bool FaultInjector::Active(FaultKind kind, const std::string& target,
+bool FaultInjector::Active(obs::FaultKind kind, const std::string& target,
                            SimTime t) const {
   for (const Registered& r : faults_) {
     if (r.cleared || r.spec.kind != kind) continue;
@@ -146,25 +130,26 @@ void FaultInjector::SetTelemetry(obs::Telemetry* telemetry) {
   }
 }
 
-void FaultInjector::Note(FaultKind kind, const std::string& target) {
+void FaultInjector::Note(obs::FaultKind kind, const std::string& target) {
   if (telemetry_ == nullptr) return;
   SimTime now = sim_->Now();
   telemetry_->metrics()
-      .GetCounter("fault.injected", {{"kind", FaultKindToString(kind)},
-                                     {"target", target}})
+      .GetCounter("fault.injected",
+                  {{"kind", obs::FaultKindToString(kind)}, {"target", target}})
       ->Increment();
   obs::SpanCollector& spans = telemetry_->spans();
   if (spans.enabled()) {
-    spans.Emit(obs::SpanKind::kFault, FaultKindToString(kind) + ":" + target,
-               now, 0.0, obs::kTracePid, obs::kFaultInjectorTid);
+    std::string name = obs::FaultKindToString(kind);
+    spans.Emit(obs::SpanKind::kFault, name.append(":").append(target), now,
+               0.0, obs::kTracePid, obs::kFaultInjectorTid);
   }
   telemetry_->NoteFault(
       target, static_cast<obs::FaultMask>(1u << static_cast<int>(kind)),
       now);
 }
 
-const FaultSpec* FaultInjector::Draw(FaultKind kind,
-                                     const std::string& target) {
+const obs::FaultSpec* FaultInjector::Draw(obs::FaultKind kind,
+                                          const std::string& target) {
   SimTime now = sim_->Now();
   for (Registered& r : faults_) {
     if (r.cleared || r.spec.kind != kind) continue;
@@ -181,15 +166,15 @@ std::function<Status(double)> FaultInjector::WrapActuator(
     std::string target, std::function<Status(double)> inner) {
   return [this, target = std::move(target),
           inner = std::move(inner)](double amount) -> Status {
-    if (Draw(FaultKind::kActuatorFailure, target) != nullptr) {
+    if (Draw(obs::FaultKind::kActuatorFailure, target) != nullptr) {
       ++stats_.actuator_failures;
-      Note(FaultKind::kActuatorFailure, target);
+      Note(obs::FaultKind::kActuatorFailure, target);
       return Status::Internal("fault injection: actuation failed for '" +
                               target + "'");
     }
-    if (Draw(FaultKind::kActuatorThrottle, target) != nullptr) {
+    if (Draw(obs::FaultKind::kActuatorThrottle, target) != nullptr) {
       ++stats_.actuator_throttles;
-      Note(FaultKind::kActuatorThrottle, target);
+      Note(obs::FaultKind::kActuatorThrottle, target);
       return Status::Throttled("fault injection: actuation throttled for '" +
                                target + "'");
     }
@@ -203,22 +188,24 @@ std::function<Result<double>(SimTime)> FaultInjector::WrapSensor(
           inner = std::move(inner)](SimTime now) -> Result<double> {
     // Delay first: the read observes the store as of `now - delay`.
     SimTime query_time = now;
-    if (const FaultSpec* delay = Draw(FaultKind::kMetricDelay, target)) {
+    if (const obs::FaultSpec* delay =
+            Draw(obs::FaultKind::kMetricDelay, target)) {
       query_time = now - delay->delay_sec;
       ++stats_.delayed_reads;
-      Note(FaultKind::kMetricDelay, target);
+      Note(obs::FaultKind::kMetricDelay, target);
     }
-    if (Draw(FaultKind::kMetricGap, target) != nullptr) {
+    if (Draw(obs::FaultKind::kMetricGap, target) != nullptr) {
       ++stats_.metric_gaps;
-      Note(FaultKind::kMetricGap, target);
+      Note(obs::FaultKind::kMetricGap, target);
       return Status::NotFound("fault injection: metric gap for '" + target +
                               "'");
     }
     Result<double> value = inner(query_time);
     if (!value.ok()) return value;
-    if (const FaultSpec* spike = Draw(FaultKind::kSensorSpike, target)) {
+    if (const obs::FaultSpec* spike =
+            Draw(obs::FaultKind::kSensorSpike, target)) {
       ++stats_.sensor_spikes;
-      Note(FaultKind::kSensorSpike, target);
+      Note(obs::FaultKind::kSensorSpike, target);
       return *value * spike->factor + spike->offset;
     }
     return value;

@@ -3,49 +3,24 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
 #include "common/time_series.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 #include "sim/simulation.h"
 
 namespace flower::sim {
 
-/// Kinds of faults the injector can impose on a control loop's sensor
-/// and actuator paths (the failure modes real managed services exhibit:
-/// resizes fail, APIs throttle, CloudWatch drops / delays datapoints,
-/// and monitoring agents emit outlier spikes).
-enum class FaultKind {
-  kActuatorFailure,   ///< Actuation returns Internal (resize failed).
-  kActuatorThrottle,  ///< Actuation returns Throttled (API rate limit).
-  kMetricGap,         ///< Sensor read returns NotFound (datapoint gap).
-  kMetricDelay,       ///< Sensor reads lag `delay_sec` behind wall time.
-  kSensorSpike,       ///< Sensor value becomes value*factor + offset.
-};
-
-std::string FaultKindToString(FaultKind kind);
-
-/// One scheduled fault. Active while the simulated clock is inside
-/// [start, end); `end` defaults to forever (a persistent fault that
-/// lasts until Clear/ClearAll). `probability` < 1 makes the fault
-/// transient: each call inside the window draws an independent,
-/// seeded Bernoulli.
-struct FaultSpec {
-  FaultKind kind = FaultKind::kActuatorFailure;
-  /// Loop/resource name the fault applies to; empty matches every
-  /// wrapped target.
-  std::string target;
-  SimTime start = 0.0;
-  SimTime end = std::numeric_limits<double>::infinity();
-  double probability = 1.0;
-  double delay_sec = 0.0;  ///< kMetricDelay: sensing lag.
-  double factor = 1.0;     ///< kSensorSpike: multiplicative distortion.
-  double offset = 0.0;     ///< kSensorSpike: additive distortion.
-};
+/// InvalidArgument unless the injector can run `spec`: start finite,
+/// end > start (end may be infinity), probability in [0, 1], delay_sec
+/// finite and >= 0, factor and offset finite. Each check holds only for
+/// numbers, so a NaN field fails it. FaultInjector::Add runs it, and so
+/// does fleet::ValidateTenant for each of a tenant's faults.
+Status ValidateFault(const obs::FaultSpec& spec);
 
 /// Counters of what the injector actually did (for reports and tests).
 struct FaultInjectorStats {
@@ -73,16 +48,13 @@ struct FaultInjectorStats {
 ///   cfg.sensor   = chaos.WrapSensor("analytics", std::move(sensor));
 class FaultInjector {
  public:
-  FaultInjector(Simulation* sim, uint64_t seed)
-      : sim_(sim), seed_(seed), rng_(seed) {}
+  FaultInjector(Simulation* sim, uint64_t seed) : sim_(sim), rng_(seed) {}
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Registers a fault; returns its id (for Clear). InvalidArgument
-  /// unless start is finite, end > start (end may be infinity),
-  /// probability is in [0, 1], delay_sec is finite and >= 0, and factor
-  /// and offset are finite; a NaN field fails its check.
-  Result<int> Add(FaultSpec spec);
+  /// when ValidateFault refuses it.
+  Result<int> Add(obs::FaultSpec spec);
 
   // Convenience registrars for the common fault shapes. `probability`
   // < 1 makes the fault transient (per-call Bernoulli); `end` may be
@@ -121,7 +93,8 @@ class FaultInjector {
   double MaxDelaySec(const std::string& target) const;
 
   /// True when any fault of `kind` is active for `target` at time `t`.
-  bool Active(FaultKind kind, const std::string& target, SimTime t) const;
+  bool Active(obs::FaultKind kind, const std::string& target,
+              SimTime t) const;
 
   /// Reports every injected fault to `telemetry`: a per-kind counter, a
   /// zero-duration kFault span on the fault-injector track (rendered as
@@ -134,30 +107,23 @@ class FaultInjector {
   const FaultInjectorStats& stats() const { return stats_; }
   size_t fault_count() const;
 
-  /// Seed the injector's Bernoulli stream was constructed with (flight
-  /// recorders capture it so a replay rebuilds the identical stream).
-  uint64_t seed() const { return seed_; }
-  /// Snapshot of the non-cleared fault schedule, registration order.
-  std::vector<FaultSpec> Schedule() const;
-
  private:
   struct Registered {
     int id;
     bool cleared = false;
-    FaultSpec spec;
+    obs::FaultSpec spec;
   };
 
   /// First active, probability-passing fault of `kind` for `target` at
   /// the current simulated time; nullptr when none fires. Draws from
   /// the seeded Rng for transient faults (so results are deterministic
   /// given the call sequence).
-  const FaultSpec* Draw(FaultKind kind, const std::string& target);
+  const obs::FaultSpec* Draw(obs::FaultKind kind, const std::string& target);
 
   /// Publishes one injected fault to the telemetry hub, if attached.
-  void Note(FaultKind kind, const std::string& target);
+  void Note(obs::FaultKind kind, const std::string& target);
 
   Simulation* sim_;
-  uint64_t seed_;
   Rng rng_;
   int next_id_ = 0;
   std::vector<Registered> faults_;

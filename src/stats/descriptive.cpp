@@ -34,22 +34,6 @@ double Variance(const std::vector<double>& xs) {
 }
 double StdDev(const std::vector<double>& xs) { return Summarize(xs).stddev; }
 
-Result<double> Percentile(std::vector<double> xs, double p) {
-  if (p < 0.0 || p > 100.0) {
-    return Status::InvalidArgument("Percentile: p must be in [0, 100]");
-  }
-  if (xs.empty()) {
-    return Status::FailedPrecondition("Percentile of empty sample");
-  }
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs[0];
-  double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, xs.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
 Result<double> Rmse(const std::vector<double>& a,
                     const std::vector<double>& b) {
   if (a.size() != b.size()) {

@@ -28,11 +28,6 @@ double Mean(const std::vector<double>& xs);
 double Variance(const std::vector<double>& xs);
 double StdDev(const std::vector<double>& xs);
 
-/// Linear-interpolated percentile, p in [0, 100]. Returns
-/// InvalidArgument for out-of-range p, FailedPrecondition for empty
-/// input.
-Result<double> Percentile(std::vector<double> xs, double p);
-
 /// Root-mean-square error between two equally sized vectors.
 Result<double> Rmse(const std::vector<double>& a,
                     const std::vector<double>& b);

@@ -212,8 +212,8 @@ TEST(FleetManagerTest, ConfigDerivationsFollowTheFleetConfig) {
 TEST(FleetManagerTest, PartitionsWithoutSpansRecordNoTrace) {
   FleetManager fleet(TestConfig(2));
   std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/7);
-  TenantFault spike;
-  spike.kind = "sensor-spike";
+  obs::FaultSpec spike;
+  spike.kind = obs::FaultKind::kSensorSpike;
   spike.target = "analytics";
   spike.start = 60.0;
   spike.offset = 50.0;
@@ -242,8 +242,8 @@ TEST(FleetManagerTest, PartitionStoresHoldOnlyReachableHistory) {
   config.partition.horizon_sec = 12.0 * kHour;
   FleetManager fleet(config);
   std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/7);
-  TenantFault delay;
-  delay.kind = "metric-delay";
+  obs::FaultSpec delay;
+  delay.kind = obs::FaultKind::kMetricDelay;
   delay.target = "storage";
   delay.start = kHour;
   delay.end = 2.0 * kHour;
@@ -309,6 +309,25 @@ TEST(FleetManagerTest, AddTenantRejectsSlashInId) {
   TenantConfig t;
   t.id = "team/a";
   EXPECT_EQ(AddAndStart(t).code(), StatusCode::kInvalidArgument);
+}
+
+// A fault the injector would refuse is refused with the tenant's other
+// fields, by AddTenant itself, naming the fault and the field.
+TEST(FleetManagerTest, AddTenantRejectsNanFaultProbability) {
+  TenantConfig t;
+  obs::FaultSpec spike;
+  spike.kind = obs::FaultKind::kSensorSpike;
+  spike.target = "analytics";
+  spike.offset = 200.0;
+  t.faults = {spike, spike};
+  t.faults[1].probability = std::nan("");
+  FleetManager fleet(TestConfig(1));
+  Status st = fleet.AddTenant(t);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  EXPECT_NE(st.message().find("fault 1"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("probability"), std::string::npos) << st;
+  t.faults.pop_back();
+  EXPECT_TRUE(fleet.AddTenant(t).ok());
 }
 
 // MmppArrival pre-samples holds with mean period_sec up to the horizon,

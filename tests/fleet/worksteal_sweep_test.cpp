@@ -68,8 +68,8 @@ std::unique_ptr<FleetManager> MakeMetricDelayFleet(size_t num_threads) {
   std::vector<TenantConfig> tenants = MakeTenantFleet(3, /*seed=*/13);
   auto delay = [](const char* target, double start, double end,
                   double delay_sec, double probability) {
-    TenantFault f;
-    f.kind = "metric-delay";
+    obs::FaultSpec f;
+    f.kind = obs::FaultKind::kMetricDelay;
     f.target = target;
     f.start = start;
     f.end = end;

@@ -181,7 +181,7 @@ TEST(TelemetryIntegrationTest, FaultInterferenceIsStampedOnDecisions) {
 
   const auto mask =
       static_cast<obs::FaultMask>(1u << static_cast<int>(
-                                      sim::FaultKind::kSensorSpike));
+                                      obs::FaultKind::kSensorSpike));
   size_t stamped = 0;
   const obs::DecisionLog& log = run.telemetry.decisions();
   for (size_t i = 0; i < log.size(); ++i) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -28,11 +29,17 @@ namespace {
 
 using obs::replay::CaptureBundle;
 using obs::replay::FlightRecorder;
-using obs::replay::RecordedFault;
 using obs::replay::RecorderConfig;
 
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 /// Loop table the unit-test recorders resolve loop ids against: 0 is
@@ -116,101 +123,194 @@ TEST(FlightRecorderTest, TriggerLatchesFirstAlert) {
 }
 
 TEST(FlightRecorderTest, FingerprintCoversIdentitySpecAndFaults) {
-  FlightRecorder a;
-  a.SetIdentity("t0", 0, 42);
-  a.SetSpec({{"tenant.seed", "42"}});
-  uint64_t base = a.Fingerprint();
+  using obs::replay::FingerprintInputs;
+  const std::vector<std::pair<std::string, std::string>> spec = {
+      {"tenant.seed", "42"}};
+  const uint64_t base = FingerprintInputs("t0", 0, 42, spec, {});
+  EXPECT_EQ(FingerprintInputs("t0", 0, 42, spec, {}), base);
+  EXPECT_NE(FingerprintInputs("t0", 0, 43, spec, {}), base);  // Seed.
+  EXPECT_NE(FingerprintInputs("t1", 0, 42, spec, {}), base);  // Tenant.
+  EXPECT_NE(FingerprintInputs("t0", 1, 42, spec, {}), base);  // Index.
+  EXPECT_NE(FingerprintInputs("t0", 0, 42, {{"tenant.seed", "43"}}, {}),
+            base);
 
-  FlightRecorder b;
-  b.SetIdentity("t0", 0, 42);
-  b.SetSpec({{"tenant.seed", "42"}});
-  EXPECT_EQ(b.Fingerprint(), base);
-
-  b.SetIdentity("t0", 0, 43);  // Seed change.
-  EXPECT_NE(b.Fingerprint(), base);
-  b.SetIdentity("t0", 0, 42);
-  EXPECT_EQ(b.Fingerprint(), base);
-
-  RecordedFault fault;
-  fault.kind = "sensor-spike";
+  // Each fault field moves the fingerprint.
+  obs::FaultSpec fault;
+  fault.kind = obs::FaultKind::kSensorSpike;
   fault.target = "analytics";
-  b.AddFault(fault);  // Fault schedule change.
-  EXPECT_NE(b.Fingerprint(), base);
-  b.ClearFaults();
-  EXPECT_EQ(b.Fingerprint(), base);
+  const uint64_t with_fault = FingerprintInputs("t0", 0, 42, spec, {fault});
+  EXPECT_NE(with_fault, base);
+  const std::vector<std::function<void(obs::FaultSpec*)>> edits = {
+      [](obs::FaultSpec* f) { f->kind = obs::FaultKind::kMetricGap; },
+      [](obs::FaultSpec* f) { f->target = "storage"; },
+      [](obs::FaultSpec* f) { f->start = 1.0; },
+      [](obs::FaultSpec* f) { f->end = 2.0; },
+      [](obs::FaultSpec* f) { f->probability = 0.5; },
+      [](obs::FaultSpec* f) { f->delay_sec = 3.0; },
+      [](obs::FaultSpec* f) { f->factor = 4.0; },
+      [](obs::FaultSpec* f) { f->offset = 5.0; },
+  };
+  for (size_t i = 0; i < edits.size(); ++i) {
+    obs::FaultSpec edited = fault;
+    edits[i](&edited);
+    EXPECT_NE(FingerprintInputs("t0", 0, 42, spec, {edited}), with_fault)
+        << "edit " << i;
+  }
 }
 
 // --- Bundle JSON round-trip. ---------------------------------------
 
+// Every field of every record survives the file: each is set away from
+// its default (all five fault kinds, every outcome, re-plans with 4 and
+// 0 shares, NaN and both infinities), doubles compare bit for bit, and
+// writing the loaded bundle again gives the same bytes.
 TEST(BundleTest, JsonRoundTripPreservesEveryField) {
+  const double kInf = std::numeric_limits<double>::infinity();
   RecorderConfig config;
   config.decision_capacity = 8;
+  config.grant_capacity = 3;
+  config.replan_capacity = 5;
+  config.checkpoint_every = 2;
+  config.checkpoint_capacity = 9;
   FlightRecorder rec(config);
   rec.SetLoopTable(TestLoops());
-  rec.SetIdentity("tenant-7", 7, 0xDEADBEEFCAFEF00Dull);
-  rec.SetSpec({{"tenant.id", "tenant-7"}, {"tenant.seed", "16045690985373815821"}});
-  RecordedFault fault;
-  fault.kind = "sensor-spike";
-  fault.target = "analytics";
-  fault.start = 300.0;
-  fault.end = std::numeric_limits<double>::infinity();
-  fault.offset = 200.0;
-  rec.AddFault(fault);
+  std::vector<obs::FaultSpec> faults;
+  for (obs::FaultKind kind :
+       {obs::FaultKind::kActuatorFailure, obs::FaultKind::kActuatorThrottle,
+        obs::FaultKind::kMetricGap, obs::FaultKind::kMetricDelay,
+        obs::FaultKind::kSensorSpike}) {
+    const double i = static_cast<double>(faults.size());
+    obs::FaultSpec f;
+    f.kind = kind;
+    f.target = std::string("loop-") + obs::FaultKindToString(kind);
+    f.start = 300.0 + i;
+    f.end = i == 0.0 ? kInf : 900.5 + i;
+    f.probability = 0.25 + 0.125 * i;
+    f.delay_sec = 30.0 + i;
+    f.factor = 1.0 / 3.0 + i;
+    f.offset = -2.0 - i;
+    faults.push_back(f);
+  }
+  rec.SetInputs("tenant-7", 7, 0xDEADBEEFCAFEF00Dull,
+                {{"tenant.id", "tenant-7"},
+                 {"tenant.seed", "16045690985373815821"}},
+                faults);
   for (int i = 0; i < 12; ++i) {
-    rec.RecordDecision(
-        MakeDecision(60.0 * (i + 1), "analytics", 50.0 + 0.125 * i,
-                     1.0 / 3.0 + i, 4.0));
+    obs::ControlDecisionRecord d =
+        MakeDecision(60.0 * (i + 1), i % 2 == 0 ? "analytics" : "storage",
+                     50.0 + 0.125 * i, 1.0 / 3.0 + i, 4.0 + i);
+    d.outcome = static_cast<obs::StepOutcome>(i % 5);
+    d.span_id = 100u + static_cast<uint64_t>(i);
+    if (i == 9) d.raw_u = std::nan("");
+    rec.RecordDecision(d);
   }
   rec.RecordGrant(0.0, 1.25, 0.75);
   rec.RecordGrant(600.0, 2.5, 1.5);
-  const double shares[3] = {8.0, 4.0, 120.0};
-  rec.RecordReplan(601.0, 1.5, shares, 3, true);
-  rec.Trigger(720.0, "analytics/utilization", 20.0, 14.44);
+  const double shares[4] = {8.0, 4.0, 120.0, 0.5};
+  rec.RecordReplan(601.0, 1.5, shares, 4, true);
+  rec.RecordReplan(602.0, 0.25, shares, 0, false);
+  rec.Trigger(720.0, "analytics/utilization", 20.0, -kInf);
 
   CaptureBundle bundle = obs::replay::BundleFromRecorder(rec);
   std::string path = TempPath("roundtrip_bundle.json");
   ASSERT_TRUE(obs::replay::WriteBundleJson(bundle, path).ok());
   auto loaded = obs::replay::LoadBundleJson(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const CaptureBundle& got = *loaded;
+  auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
 
-  EXPECT_EQ(loaded->schema_version, obs::replay::kBundleSchemaVersion);
-  EXPECT_EQ(loaded->tenant_id, "tenant-7");
-  EXPECT_EQ(loaded->tenant_index, 7u);
-  EXPECT_EQ(loaded->seed, 0xDEADBEEFCAFEF00Dull);  // > 2^53: exact u64.
-  EXPECT_EQ(loaded->fingerprint, bundle.fingerprint);
-  EXPECT_EQ(loaded->chain_hash, bundle.chain_hash);
-  EXPECT_EQ(loaded->total_decisions, 12u);
-  EXPECT_EQ(loaded->spec, bundle.spec);
+  EXPECT_EQ(got.schema_version, obs::replay::kBundleSchemaVersion);
+  EXPECT_EQ(got.tenant_id, "tenant-7");
+  EXPECT_EQ(got.tenant_index, 7u);
+  EXPECT_EQ(got.seed, 0xDEADBEEFCAFEF00Dull);  // > 2^53: exact u64.
+  EXPECT_EQ(got.fingerprint, bundle.fingerprint);
+  EXPECT_EQ(got.fingerprint,
+            obs::replay::FingerprintInputs(got.tenant_id, got.tenant_index,
+                                           got.seed, got.spec, got.faults));
+  EXPECT_DOUBLE_EQ(got.window_start, 300.0);  // Decision 4 of 12 kept.
+  EXPECT_EQ(got.chain_hash, bundle.chain_hash);
+  EXPECT_EQ(got.total_decisions, 12u);
+  EXPECT_EQ(got.spec, bundle.spec);
 
-  ASSERT_EQ(loaded->faults.size(), 1u);
-  EXPECT_EQ(loaded->faults[0].kind, "sensor-spike");
-  EXPECT_TRUE(std::isinf(loaded->faults[0].end));  // Non-finite survives.
-  EXPECT_DOUBLE_EQ(loaded->faults[0].offset, 200.0);
+  EXPECT_TRUE(got.trigger.fired);
+  EXPECT_DOUBLE_EQ(got.trigger.time, 720.0);
+  EXPECT_EQ(got.trigger.reason, "analytics/utilization");
+  EXPECT_EQ(got.trigger.span_id, 111u);  // The last decision's span.
+  EXPECT_DOUBLE_EQ(got.trigger.burn_fast, 20.0);
+  EXPECT_TRUE(same(got.trigger.burn_slow, -kInf));
 
-  EXPECT_TRUE(loaded->trigger.fired);
-  EXPECT_DOUBLE_EQ(loaded->trigger.time, 720.0);
-  EXPECT_EQ(loaded->trigger.reason, "analytics/utilization");
+  EXPECT_EQ(got.recorder.decision_capacity, 8u);
+  EXPECT_EQ(got.recorder.grant_capacity, 3u);
+  EXPECT_EQ(got.recorder.replan_capacity, 5u);
+  EXPECT_EQ(got.recorder.checkpoint_every, 2u);
+  EXPECT_EQ(got.recorder.checkpoint_capacity, 9u);
 
-  ASSERT_EQ(loaded->grants.size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded->grants[1].grant_usd, 1.5);
-  ASSERT_EQ(loaded->replans.size(), 1u);
-  EXPECT_EQ(loaded->replans[0].num_shares, 3);
-  EXPECT_DOUBLE_EQ(loaded->replans[0].shares[2], 120.0);
-
-  ASSERT_EQ(loaded->decisions.size(), bundle.decisions.size());
-  for (size_t i = 0; i < bundle.decisions.size(); ++i) {
-    EXPECT_EQ(loaded->decisions[i].index, bundle.decisions[i].index);
-    EXPECT_EQ(loaded->decisions[i].chain, bundle.decisions[i].chain);
-    EXPECT_EQ(loaded->decisions[i].line_hash, bundle.decisions[i].line_hash);
-    // %.17g doubles round-trip bit-exactly.
-    const obs::ControlDecisionRecord& got = loaded->decisions[i].record;
-    const obs::ControlDecisionRecord& want = bundle.decisions[i].record;
-    EXPECT_DOUBLE_EQ(got.sensed_y, want.sensed_y);
-    EXPECT_DOUBLE_EQ(got.raw_u, want.raw_u);
-    EXPECT_EQ(loaded->LoopName(got.loop), bundle.LoopName(want.loop));
+  ASSERT_EQ(got.faults.size(), faults.size());
+  for (size_t i = 0; i < faults.size(); ++i) {
+    const obs::FaultSpec& f = got.faults[i];
+    EXPECT_EQ(f.kind, faults[i].kind) << i;
+    EXPECT_EQ(f.target, faults[i].target) << i;
+    EXPECT_TRUE(same(f.start, faults[i].start)) << i;
+    EXPECT_TRUE(same(f.end, faults[i].end)) << i;
+    EXPECT_TRUE(same(f.probability, faults[i].probability)) << i;
+    EXPECT_TRUE(same(f.delay_sec, faults[i].delay_sec)) << i;
+    EXPECT_TRUE(same(f.factor, faults[i].factor)) << i;
+    EXPECT_TRUE(same(f.offset, faults[i].offset)) << i;
   }
-  EXPECT_EQ(loaded->checkpoints.size(), bundle.checkpoints.size());
-  EXPECT_EQ(obs::replay::BundleFingerprint(*loaded), loaded->fingerprint);
+
+  ASSERT_EQ(got.grants.size(), 2u);
+  for (size_t i = 0; i < got.grants.size(); ++i) {
+    EXPECT_EQ(got.grants[i].index, i);
+    EXPECT_TRUE(same(got.grants[i].time, bundle.grants[i].time));
+    EXPECT_TRUE(same(got.grants[i].demand_usd, bundle.grants[i].demand_usd));
+    EXPECT_TRUE(same(got.grants[i].grant_usd, bundle.grants[i].grant_usd));
+  }
+
+  ASSERT_EQ(got.replans.size(), 2u);
+  EXPECT_EQ(got.replans[0].num_shares, 4);
+  EXPECT_EQ(got.replans[1].num_shares, 0);
+  for (size_t i = 0; i < got.replans.size(); ++i) {
+    const obs::replay::ReplanEntry& r = got.replans[i];
+    EXPECT_EQ(r.index, i);
+    EXPECT_TRUE(same(r.time, bundle.replans[i].time));
+    EXPECT_TRUE(same(r.budget_usd, bundle.replans[i].budget_usd));
+    EXPECT_EQ(r.applied, bundle.replans[i].applied);
+    for (int j = 0; j < r.num_shares; ++j) {
+      EXPECT_TRUE(same(r.shares[j], shares[j])) << i << " " << j;
+    }
+  }
+
+  ASSERT_EQ(got.checkpoints.size(), 6u);  // After decisions 1, 3, ..., 11.
+  for (size_t i = 0; i < got.checkpoints.size(); ++i) {
+    EXPECT_EQ(got.checkpoints[i].index, 2 * i + 1);
+    EXPECT_TRUE(same(got.checkpoints[i].time, bundle.checkpoints[i].time));
+    EXPECT_EQ(got.checkpoints[i].chain, bundle.checkpoints[i].chain);
+  }
+
+  ASSERT_EQ(got.decisions.size(), 8u);
+  bool outcome_seen[5] = {};
+  for (size_t i = 0; i < got.decisions.size(); ++i) {
+    const obs::replay::RecordedDecision& want = bundle.decisions[i];
+    const obs::replay::RecordedDecision& d = got.decisions[i];
+    EXPECT_EQ(d.index, want.index);
+    EXPECT_TRUE(same(d.record.time, want.record.time)) << i;
+    EXPECT_EQ(got.LoopName(d.record.loop), bundle.LoopName(want.record.loop));
+    EXPECT_TRUE(same(d.record.sensed_y, want.record.sensed_y)) << i;
+    EXPECT_TRUE(same(d.record.raw_u, want.record.raw_u)) << i;
+    EXPECT_TRUE(same(d.record.clamped_u, want.record.clamped_u)) << i;
+    EXPECT_EQ(d.record.outcome, want.record.outcome) << i;
+    EXPECT_EQ(d.line_hash, want.line_hash) << i;
+    EXPECT_EQ(d.chain, want.chain) << i;
+    outcome_seen[static_cast<int>(d.record.outcome)] = true;
+  }
+  EXPECT_TRUE(std::isnan(got.decisions[5].record.raw_u));  // Decision 9.
+  for (bool seen : outcome_seen) EXPECT_TRUE(seen);
+
+  const std::string again = TempPath("roundtrip_bundle_again.json");
+  ASSERT_TRUE(obs::replay::WriteBundleJson(got, again).ok());
+  EXPECT_EQ(ReadFile(again), ReadFile(path));
 }
 
 // A loop name longer than any fixed-width slot survives the recorder,
@@ -363,8 +463,8 @@ std::unique_ptr<fleet::FleetManager> RunCapturedFleet(size_t num_threads) {
   config.partition.capture.health_trigger = true;
   auto manager = std::make_unique<fleet::FleetManager>(config);
   std::vector<fleet::TenantConfig> tenants = fleet::MakeTenantFleet(2, 99);
-  fleet::TenantFault fault;
-  fault.kind = "sensor-spike";
+  obs::FaultSpec fault;
+  fault.kind = obs::FaultKind::kSensorSpike;
   fault.target = "analytics";
   fault.start = 300.0;
   fault.offset = 200.0;  // Sensed y pinned far above any threshold.
@@ -419,24 +519,29 @@ TEST(ReplayTest, AlertTriggeredCaptureReplaysIdentically) {
 TEST(ReplayTest, CaptureIsIdenticalAcrossFleetThreadCounts) {
   std::unique_ptr<fleet::FleetManager> one = RunCapturedFleet(1);
   std::unique_ptr<fleet::FleetManager> four = RunCapturedFleet(4);
-  auto a = one->partition(0)->MakeBundle();
-  auto b = four->partition(0)->MakeBundle();
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->fingerprint, b->fingerprint);
-  EXPECT_EQ(a->chain_hash, b->chain_hash);
-  EXPECT_EQ(a->total_decisions, b->total_decisions);
-  EXPECT_DOUBLE_EQ(a->trigger.time, b->trigger.time);
+  const FlightRecorder* rec_a = one->partition(0)->recorder();
+  const FlightRecorder* rec_b = four->partition(0)->recorder();
+  ASSERT_TRUE(rec_a != nullptr && rec_b != nullptr);
+  const CaptureBundle a = obs::replay::BundleFromRecorder(*rec_a);
+  const CaptureBundle b = obs::replay::BundleFromRecorder(*rec_b);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.chain_hash, b.chain_hash);
+  EXPECT_EQ(a.total_decisions, b.total_decisions);
+  EXPECT_DOUBLE_EQ(a.trigger.time, b.trigger.time);
 }
 
 TEST(ReplayTest, CorruptedSeedIsCaughtAtTheFirstDecision) {
   std::unique_ptr<fleet::FleetManager> manager = RunCapturedFleet(1);
-  auto bundle = manager->partition(0)->MakeBundle();
-  ASSERT_TRUE(bundle.ok());
-  ASSERT_FALSE(bundle->decisions.empty());
+  const FlightRecorder* rec = manager->partition(0)->recorder();
+  ASSERT_NE(rec, nullptr);
+  const CaptureBundle bundle = obs::replay::BundleFromRecorder(*rec);
+  ASSERT_FALSE(bundle.decisions.empty());
 
-  CaptureBundle corrupted = *bundle;
+  CaptureBundle corrupted = bundle;
   corrupted.seed += 1;  // The recorded inputs no longer match the hash.
-  EXPECT_NE(obs::replay::BundleFingerprint(corrupted),
+  EXPECT_NE(obs::replay::FingerprintInputs(
+                corrupted.tenant_id, corrupted.tenant_index, corrupted.seed,
+                corrupted.spec, corrupted.faults),
             corrupted.fingerprint);
 
   auto harness = fleet::ReplayHarness::Create(corrupted);
@@ -450,9 +555,9 @@ TEST(ReplayTest, CorruptedSeedIsCaughtAtTheFirstDecision) {
   // A wrong seed perturbs the workload from t=0: the very first
   // retained decision must be the reported mismatch, at its recorded
   // timestamp.
-  EXPECT_EQ(report.first_mismatch_index, bundle->decisions.front().index);
+  EXPECT_EQ(report.first_mismatch_index, bundle.decisions.front().index);
   EXPECT_DOUBLE_EQ(report.first_mismatch_time,
-                   bundle->decisions.front().record.time);
+                   bundle.decisions.front().record.time);
 }
 
 TEST(ReplayTest, ExplicitDumpWithoutAlertIsReplayable) {
@@ -497,8 +602,8 @@ std::unique_ptr<fleet::FleetManager> RunHeterogeneousCapturedFleet(
   auto manager = std::make_unique<fleet::FleetManager>(config);
   std::vector<fleet::TenantConfig> tenants = fleet::MakeTenantFleet(2, 99);
   tenants[0].arbitration_period_sec = 450.0;  // Faster than the fleet.
-  fleet::TenantFault fault;
-  fault.kind = "sensor-spike";
+  obs::FaultSpec fault;
+  fault.kind = obs::FaultKind::kSensorSpike;
   fault.target = "analytics";
   fault.start = 300.0;
   fault.offset = 200.0;
@@ -516,11 +621,13 @@ TEST(ReplayTest, HeterogeneousHorizonCaptureReplaysWithoutDivergence) {
   std::unique_ptr<fleet::FleetManager> four = RunHeterogeneousCapturedFleet(4);
   // The capture itself is thread-count-invariant even when boundary
   // events interleave across tenants.
-  auto a = one->partition(0)->MakeBundle();
-  auto b = four->partition(0)->MakeBundle();
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->fingerprint, b->fingerprint);
-  EXPECT_EQ(a->chain_hash, b->chain_hash);
+  const FlightRecorder* rec_a = one->partition(0)->recorder();
+  const FlightRecorder* rec_b = four->partition(0)->recorder();
+  ASSERT_TRUE(rec_a != nullptr && rec_b != nullptr);
+  const CaptureBundle a = obs::replay::BundleFromRecorder(*rec_a);
+  const CaptureBundle b = obs::replay::BundleFromRecorder(*rec_b);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.chain_hash, b.chain_hash);
 
   const FlightRecorder* rec = four->partition(0)->recorder();
   ASSERT_NE(rec, nullptr);
@@ -620,13 +727,6 @@ TEST(ReplayTest, BundleWithSubSecondMonitoringPeriodIsRejected) {
 
 // --- Committed capture fixture. ------------------------------------
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 // testdata/t0000.json was captured by
 //   flower-sim --fleet --fleet-tenants=2 --hours=0.5 --fleet-fault
 //              --fleet-capture-dir=DIR
@@ -690,6 +790,12 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
   auto add_row = [](std::string key, std::string value) {
     return [key, value](CaptureBundle* b) { b->spec.emplace_back(key, value); };
   };
+  auto drop_row = [](std::string key) {
+    return [key](CaptureBundle* b) {
+      std::erase_if(b->spec,
+                    [&key](const auto& row) { return row.first == key; });
+    };
+  };
   struct Case {
     const char* what;
     std::function<void(CaptureBundle*)> mutate;
@@ -737,15 +843,15 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
        [](CaptureBundle* b) { b->faults[0].factor = HUGE_VAL; }},
       {"metric-delay delay nan",
        [](CaptureBundle* b) {
-         b->faults[0].kind = "metric-delay";
+         b->faults[0].kind = obs::FaultKind::kMetricDelay;
          b->faults[0].delay_sec = NAN;
        }},
       {"metric-delay delay inf",
        [](CaptureBundle* b) {
-         b->faults[0].kind = "metric-delay";
+         b->faults[0].kind = obs::FaultKind::kMetricDelay;
          b->faults[0].delay_sec = HUGE_VAL;
        }},
-      // A spec key is one the serializer writes, at most once; a
+      // A spec key is one the serializer writes, exactly once; a
       // misspelt or repeated key would replay under a default or a
       // later value and report a false divergence.
       {"misspelt key tenant.max_wcx",
@@ -758,6 +864,10 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
       {"duplicate key, same value",
        add_row("tenant.initial_shards", "2"), "tenant.initial_shards"},
       {"unknown key", add_row("tenant.colour", "blue"), "tenant.colour"},
+      // A spec holds every key: a dropped row replayed under the field's
+      // default, to a match whenever the default decided the same.
+      {"missing key", drop_row("tenant.initial_budget_usd"),
+       "tenant.initial_budget_usd"},
   };
   ASSERT_EQ(fixture->faults.size(), 1u);
   for (const Case& c : cases) {
@@ -788,7 +898,7 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
   struct TextEdit {
     std::string from;
     std::string to;
-    const char* names;  ///< The decision index or field the error names.
+    const char* names;  ///< The record and key the error names.
   };
   const std::vector<TextEdit> edits = {
       {"\"u\": 1, \"out\": 0, \"line_hash\": \"11872574374734528044\"",
@@ -809,6 +919,28 @@ TEST(ReplayTest, HostileBundlesAreRejected) {
        "\"chain_hash\": \"9952445310767775698\"", "chain_hash"},
       {"\"total_decisions\": 27", "\"total_decisions\": 32",
        "total_decisions"},
+      // Each object holds each of its table's keys once and nothing
+      // else, and a re-plan at most four shares. The first five of
+      // these replayed to a match: the reader took the first of two
+      // keys (Python's json.load takes the last), skipped keys it did
+      // not know and dropped a fifth share. An unknown fault kind was
+      // refused only once the partition was built.
+      {"\"u\": 1, \"out\": 0, \"line_hash\": \"11872574374734528044\"",
+       "\"u\": 1, \"u\": 999, \"out\": 0, "
+       "\"line_hash\": \"11872574374734528044\"",
+       "decisions[0]: 'u' appears twice"},
+      {"\"seed\": \"15939736620290468478\",",
+       "\"seed\": \"15939736620290468478\", \"seed\": \"7\",",
+       "root: 'seed' appears twice"},
+      {"\"tenant_index\": 0,", "\"tenant_index\": 0, \"colour\": \"blue\",",
+       "root: 'colour' is unknown"},
+      {row0, "{\"index\": 0, \"colour\": 1, \"time\": 120, "
+             "\"loop\": \"ingestion\", \"y\": 0.4325, ",
+       "decisions[0]: 'colour' is unknown"},
+      {"\"shares\": [7, 1, 106]", "\"shares\": [7, 1, 106, 2, 3]",
+       "replans[0]: 'shares'"},
+      {"\"kind\": \"sensor-spike\"", "\"kind\": \"sensor-spiky\"",
+       "faults[0]: 'kind'"},
   };
   for (const TextEdit& e : edits) {
     std::string edited = text;
@@ -866,17 +998,20 @@ TEST(ReplayTest, BundleWithNoRowsHasAnEmptySummary) {
   }
 }
 
-// The bundle's own integer fields take a string of digits only, or an
-// integral JSON number below 2^64, range-checked against the field's
-// type. A sign or leading whitespace in the string, or a number out of
-// range, is InvalidArgument from LoadBundleJson, not a wrapped value or
-// an undefined cast.
+// The bundle's own integer fields take the writer's encoding only: a
+// seed or hash a quoted string of digits, a count an integral JSON
+// number below 2^64, range-checked against the field's type. A sign or
+// leading whitespace in the string, a number out of range, or either
+// in the other's encoding is InvalidArgument from LoadBundleJson, not a
+// wrapped value or an undefined cast.
 TEST(ReplayTest, MalformedBundleIntegersAreRejected) {
   const std::string text =
       ReadFile(std::string(FLOWER_REPLAY_TESTDATA) + "/t0000.json");
   const std::pair<std::string, std::string> edits[] = {
       {"\"seed\": \"", "\"seed\": \" "},
       {"\"seed\": \"", "\"seed\": \"-"},
+      {"\"seed\": \"15939736620290468478\"", "\"seed\": 7"},
+      {"\"tenant_index\": 0", "\"tenant_index\": \"0\""},
       {"\"total_decisions\": 27", "\"total_decisions\": 1e30"},
       // 2^32 + 2: an int cast would read it as schema 2.
       {"\"schema_version\": 2", "\"schema_version\": 4294967298"},

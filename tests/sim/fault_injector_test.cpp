@@ -15,7 +15,7 @@ Status OkActuator(double) { return Status::OK(); }
 TEST(FaultInjectorTest, AddValidation) {
   Simulation sim;
   FaultInjector chaos(&sim, 1);
-  FaultSpec bad;
+  obs::FaultSpec bad;
   bad.start = 100.0;
   bad.end = 100.0;  // Empty window.
   EXPECT_FALSE(chaos.Add(bad).ok());
@@ -38,26 +38,26 @@ TEST(FaultInjectorTest, AddRejectsNonFiniteFields) {
   FaultInjector chaos(&sim, 1);
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<std::pair<const char*, std::function<void(FaultSpec*)>>>
-      cases = {
-          {"start nan", [&](FaultSpec* f) { f->start = kNaN; }},
-          {"start -inf", [&](FaultSpec* f) { f->start = -kInf; }},
-          {"end nan", [&](FaultSpec* f) { f->end = kNaN; }},
-          {"probability nan", [&](FaultSpec* f) { f->probability = kNaN; }},
-          {"delay nan", [&](FaultSpec* f) { f->delay_sec = kNaN; }},
-          {"delay inf", [&](FaultSpec* f) { f->delay_sec = kInf; }},
-          {"factor inf", [&](FaultSpec* f) { f->factor = kInf; }},
-          {"factor nan", [&](FaultSpec* f) { f->factor = kNaN; }},
-          {"offset nan", [&](FaultSpec* f) { f->offset = kNaN; }},
-      };
+  using Edit = std::function<void(obs::FaultSpec*)>;
+  const std::vector<std::pair<const char*, Edit>> cases = {
+      {"start nan", [&](obs::FaultSpec* f) { f->start = kNaN; }},
+      {"start -inf", [&](obs::FaultSpec* f) { f->start = -kInf; }},
+      {"end nan", [&](obs::FaultSpec* f) { f->end = kNaN; }},
+      {"probability nan", [&](obs::FaultSpec* f) { f->probability = kNaN; }},
+      {"delay nan", [&](obs::FaultSpec* f) { f->delay_sec = kNaN; }},
+      {"delay inf", [&](obs::FaultSpec* f) { f->delay_sec = kInf; }},
+      {"factor inf", [&](obs::FaultSpec* f) { f->factor = kInf; }},
+      {"factor nan", [&](obs::FaultSpec* f) { f->factor = kNaN; }},
+      {"offset nan", [&](obs::FaultSpec* f) { f->offset = kNaN; }},
+  };
   for (const auto& [what, edit] : cases) {
-    FaultSpec spec;
+    obs::FaultSpec spec;
     edit(&spec);
     Result<int> id = chaos.Add(spec);
     ASSERT_FALSE(id.ok()) << what;
     EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument) << what;
   }
-  FaultSpec forever;  // end defaults to infinity.
+  obs::FaultSpec forever;  // end defaults to infinity.
   EXPECT_TRUE(chaos.Add(forever).ok());
   EXPECT_EQ(chaos.fault_count(), 1u);
 }
@@ -242,26 +242,26 @@ TEST(FaultInjectorTest, ActiveReportsWindows) {
   Simulation sim;
   FaultInjector chaos(&sim, 1);
   chaos.FailActuator("a", 100.0, 200.0);
-  EXPECT_FALSE(chaos.Active(FaultKind::kActuatorFailure, "a", 99.0));
-  EXPECT_TRUE(chaos.Active(FaultKind::kActuatorFailure, "a", 100.0));
-  EXPECT_TRUE(chaos.Active(FaultKind::kActuatorFailure, "a", 199.9));
-  EXPECT_FALSE(chaos.Active(FaultKind::kActuatorFailure, "a", 200.0));
-  EXPECT_FALSE(chaos.Active(FaultKind::kMetricGap, "a", 150.0));
-  EXPECT_FALSE(chaos.Active(FaultKind::kActuatorFailure, "b", 150.0));
+  EXPECT_FALSE(chaos.Active(obs::FaultKind::kActuatorFailure, "a", 99.0));
+  EXPECT_TRUE(chaos.Active(obs::FaultKind::kActuatorFailure, "a", 100.0));
+  EXPECT_TRUE(chaos.Active(obs::FaultKind::kActuatorFailure, "a", 199.9));
+  EXPECT_FALSE(chaos.Active(obs::FaultKind::kActuatorFailure, "a", 200.0));
+  EXPECT_FALSE(chaos.Active(obs::FaultKind::kMetricGap, "a", 150.0));
+  EXPECT_FALSE(chaos.Active(obs::FaultKind::kActuatorFailure, "b", 150.0));
 }
 
 TEST(FaultInjectorTest, PersistentFaultLastsUntilCleared) {
   Simulation sim;
   FaultInjector chaos(&sim, 1);
-  FaultSpec spec;
-  spec.kind = FaultKind::kActuatorFailure;
+  obs::FaultSpec spec;
+  spec.kind = obs::FaultKind::kActuatorFailure;
   spec.target = "a";
   spec.start = 0.0;  // end defaults to infinity.
   auto id = chaos.Add(spec);
   ASSERT_TRUE(id.ok());
-  EXPECT_TRUE(chaos.Active(FaultKind::kActuatorFailure, "a", 1e12));
+  EXPECT_TRUE(chaos.Active(obs::FaultKind::kActuatorFailure, "a", 1e12));
   chaos.Clear(*id);
-  EXPECT_FALSE(chaos.Active(FaultKind::kActuatorFailure, "a", 1e12));
+  EXPECT_FALSE(chaos.Active(obs::FaultKind::kActuatorFailure, "a", 1e12));
 }
 
 }  // namespace

@@ -37,29 +37,6 @@ TEST(DescriptiveTest, WelfordStableForLargeOffset) {
   EXPECT_NEAR(s.variance, 0.25025, 1e-3);
 }
 
-TEST(DescriptiveTest, PercentileInterpolates) {
-  std::vector<double> xs{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(*Percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(*Percentile(xs, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(*Percentile(xs, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(*Percentile(xs, 25.0), 2.0);
-  EXPECT_DOUBLE_EQ(*Percentile(xs, 62.5), 3.5);
-}
-
-TEST(DescriptiveTest, PercentileUnsortedInputHandled) {
-  EXPECT_DOUBLE_EQ(*Percentile({5, 1, 3, 2, 4}, 50.0), 3.0);
-}
-
-TEST(DescriptiveTest, PercentileErrors) {
-  EXPECT_EQ(Percentile({}, 50.0).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(Percentile({1.0}, -1.0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(Percentile({1.0}, 101.0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_DOUBLE_EQ(*Percentile({7.0}, 99.0), 7.0);
-}
-
 TEST(DescriptiveTest, RmseAndMae) {
   std::vector<double> a{1, 2, 3}, b{1, 4, 3};
   EXPECT_NEAR(*Rmse(a, b), std::sqrt(4.0 / 3.0), 1e-12);

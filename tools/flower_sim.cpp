@@ -430,8 +430,8 @@ int RunFleet(const tools::FlagParser& flags, const RunSettings& run) {
     // the analytics loop sees +200 points forever, so the burn-rate
     // SLOs breach and (with capture armed) the alert edge dumps a
     // bundle — the deterministic smoke path for the postmortem flow.
-    fleet::TenantFault fault;
-    fault.kind = "sensor-spike";
+    obs::FaultSpec fault;
+    fault.kind = obs::FaultKind::kSensorSpike;
     fault.target = "analytics";
     fault.start = 300.0;
     fault.offset = 200.0;
