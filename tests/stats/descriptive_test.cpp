@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "common/reservoir.h"
 
 namespace flower::stats {
 namespace {
@@ -35,6 +38,37 @@ TEST(DescriptiveTest, WelfordStableForLargeOffset) {
   for (int i = 0; i < 1000; ++i) xs.push_back(1e9 + (i % 2));
   Summary s = Summarize(xs);
   EXPECT_NEAR(s.variance, 0.25025, 1e-3);
+}
+
+// The percentile is the selection one of common/reservoir.h; it
+// reorders its input, so each call gets its own copy.
+double PercentileOf(std::vector<double> xs, double p) {
+  return *Percentile(&xs, p);
+}
+
+TEST(DescriptiveTest, PercentileInterpolates) {
+  std::vector<double> xs{1, 2, 3, 4, 5};
+  EXPECT_DOUBLE_EQ(PercentileOf(xs, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(PercentileOf(xs, 50.0), 3.0);
+  EXPECT_DOUBLE_EQ(PercentileOf(xs, 100.0), 5.0);
+  EXPECT_DOUBLE_EQ(PercentileOf(xs, 25.0), 2.0);
+  EXPECT_DOUBLE_EQ(PercentileOf(xs, 62.5), 3.5);
+}
+
+TEST(DescriptiveTest, PercentileUnsortedInputHandled) {
+  EXPECT_DOUBLE_EQ(PercentileOf({5, 1, 3, 2, 4}, 50.0), 3.0);
+}
+
+TEST(DescriptiveTest, PercentileErrors) {
+  std::vector<double> empty;
+  EXPECT_EQ(Percentile(&empty, 50.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  std::vector<double> one{1.0};
+  EXPECT_EQ(Percentile(&one, -1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Percentile(&one, 101.0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(PercentileOf({7.0}, 99.0), 7.0);
 }
 
 TEST(DescriptiveTest, RmseAndMae) {
